@@ -236,7 +236,7 @@ def write_records_csv(records, path, tol: float) -> None:
 
 def cmd_scan(args) -> int:
     config = _resolve_scan_config(args.config)
-    outcome = run_scan(config, verify_tol=args.tol, workers=args.workers)
+    outcome = run_scan(config, verify_tol=args.tol)
     write_records_csv(outcome.records, args.out, args.tol)
     if args.json:
         print(json.dumps(
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(theorem_check.cfg)")
     p.add_argument("out", help="output CSV path")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scan)
 

@@ -1,20 +1,16 @@
 """Parameter-space scanning: locate near-maximal states and pin them down.
 
 A grid scan sweeps (lam, rho, nu) boxes at fixed overlaps x, keeps every
-point whose concurrence clears a threshold, then polishes each hit by
-derivative-free coordinate descent on the maximality residual.  The polished
-hits empirically confirm the classification: every one lands on exactly one
-of the two maximal families, and a seeded random subsample is re-checked
-against the brute-force Fock oracle.
-
-Evaluation is chunked by (x, lam) slices; chunk boundaries depend only on the
-config, so the merged output is byte-identical regardless of worker count.
+point whose concurrence clears a threshold, then projects each hit onto the
+zero line of its maximality residual.  The refined hits empirically confirm
+the classification: every one lands on exactly one of the two maximal
+families, and a seeded random subsample is re-checked against the
+brute-force Fock oracle.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +32,9 @@ MAX_GRID_POINTS = 100_000_000
 # candidates only.
 REFINE_FLOOR = 0.9
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A maximality residual N^2 (1 - C) at or below this puts a point on its
+# family up to rounding; refine neither moves such a point nor flags it.
+REFINE_TARGET = 1e-18
 
 
 @dataclass(frozen=True)
@@ -169,97 +167,43 @@ def _chunk_concurrence(lam: float, rhos: np.ndarray, nus: np.ndarray, x: float):
     return np.minimum(c, 1.0)
 
 
-def _scan_slice(lam: float, rhos: np.ndarray, nus: np.ndarray, x: float,
-                threshold: float) -> list[ScanRecord]:
-    c = _chunk_concurrence(lam, rhos, nus, x)
-    hit_rho, hit_nu = np.nonzero(c >= threshold)
+def grid_scan(config: ScanConfig) -> list[ScanRecord]:
+    """All grid points whose concurrence reaches the threshold, in grid order.
+
+    Grid order is row-major over (x, lam, rho, nu); each (x, lam) slice is one
+    vectorized (rho, nu) slab.
+    """
+    lams, rhos, nus = config.axes()
     records = []
-    for ir, iv in zip(hit_rho.tolist(), hit_nu.tolist()):
-        rho, nu = float(rhos[ir]), float(nus[iv])
-        records.append(
-            ScanRecord(
-                lam=lam,
-                rho=rho,
-                nu=nu,
-                x=x,
-                concurrence=float(c[ir, iv]),
-                class_a_residual=abs(nu - 1.0) + abs(lam + rho + 2.0 * x),
-                class_b_residual=abs(lam - rho) + abs(nu + 1.0 + 2.0 * lam * x),
-            )
-        )
+    for x in config.x_values:
+        for lam in lams.tolist():
+            c = _chunk_concurrence(lam, rhos, nus, x)
+            hit_rho, hit_nu = np.nonzero(c >= config.concurrence_threshold)
+            for ir, iv in zip(hit_rho.tolist(), hit_nu.tolist()):
+                coeffs = SuperpositionCoeffs(1.0, lam, float(rhos[ir]), float(nus[iv]))
+                records.append(
+                    ScanRecord(
+                        lam=coeffs.lam,
+                        rho=coeffs.rho,
+                        nu=coeffs.nu,
+                        x=x,
+                        concurrence=float(c[ir, iv]),
+                        class_a_residual=class_a_residual(coeffs, x),
+                        class_b_residual=class_b_residual(coeffs, x),
+                    )
+                )
     return records
 
 
-def grid_scan(config: ScanConfig, workers: int = 1) -> list[ScanRecord]:
-    """All grid points whose concurrence reaches the threshold, in grid order.
+def refine(record: ScanRecord) -> ScanRecord:
+    """Project a near-maximal hit onto the nearest point of its family.
 
-    Grid order is row-major over (x, lam, rho, nu).  Work is split into one
-    task per (x, lam) slice and merged by task index, so the result does not
-    depend on the worker count.
-    """
-    lams, rhos, nus = config.axes()
-    tasks = [(float(x), float(lam)) for x in config.x_values for lam in lams]
-    threshold = config.concurrence_threshold
-    if workers <= 1:
-        slices = [_scan_slice(lam, rhos, nus, x, threshold) for x, lam in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_slice, lam, rhos, nus, x, threshold)
-                for x, lam in tasks
-            ]
-            slices = [f.result() for f in futures]
-    return [record for chunk in slices for record in chunk]
-
-
-def _golden_section(f, lo: float, hi: float, atol: float = 1e-12):
-    """Golden-section minimum of f on [lo, hi] to absolute x tolerance."""
-    h = hi - lo
-    c = hi - _INVPHI * h
-    d = lo + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > atol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = hi - _INVPHI * h
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + _INVPHI * h
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _line_minimum(f, t0: float, f0: float, span: float):
-    """Robust 1-d minimization: coarse bracket scan, then golden section."""
-    pts = np.linspace(t0 - span, t0 + span, 9)
-    vals = [f(float(t)) for t in pts]
-    best = int(np.argmin(vals))
-    lo = float(pts[max(0, best - 1)])
-    hi = float(pts[min(len(pts) - 1, best + 1)])
-    t_new, f_new = _golden_section(f, lo, hi)
-    if vals[best] < f_new:
-        t_new, f_new = float(pts[best]), vals[best]
-    if f_new < f0:
-        return t_new, f_new
-    return t0, f0
-
-
-def refine(
-    record: ScanRecord,
-    span: float = 0.5,
-    max_sweeps: int = 100,
-    target: float = 1e-24,
-) -> ScanRecord:
-    """Drive a near-maximal hit onto its family by minimizing the residual.
-
-    Coordinate descent over (lam, rho, nu) at fixed x, golden-section per
-    coordinate; sweeps stop once the residual drops below `target`, stalls,
-    or `max_sweeps` is reached.  The returned record never has a smaller
-    concurrence than the input; a record that fails to converge is returned
-    flagged rather than dropped.
+    On either side of nu = lam rho both terms of maximality_residual's
+    sum-of-squares form are affine in (lam, rho, nu) at fixed x, so one
+    least-squares step p - A^+(Ap + b) lands on the residual's zero line:
+    class (a) for nu >= lam rho, class (b) below.  A point within
+    REFINE_TARGET is not moved; a result with less concurrence than the
+    input is returned flagged, never dropped.
     """
     if record.concurrence < REFINE_FLOOR:
         raise DomainError(
@@ -267,50 +211,18 @@ def refine(
             f"got C = {record.concurrence}"
         )
     x = record.x
-    coords = [record.lam, record.rho, record.nu]
+    lam, rho, nu = record.lam, record.rho, record.nu
+    if maximality_residual(record.coefficients(), x) > REFINE_TARGET:
+        # The step never crosses the branch boundary: on the class (a) line
+        # nu - lam rho = 1 - lam rho >= 1 - x^2 > 0, and on the class (b) line
+        # nu - lam rho = -(t + x)^2 - (1 - x^2) < 0.
+        if nu >= lam * rho:
+            s = (lam + rho + 2.0 * x) / 2.0
+            lam, rho, nu = lam - s, rho - s, 1.0
+        else:
+            t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
+            lam, rho, nu = t, t, -1.0 - 2.0 * t * x
 
-    def residual_at(vals) -> float:
-        return maximality_residual(
-            SuperpositionCoeffs(1.0, vals[0], vals[1], vals[2]), x
-        )
-
-    current = residual_at(coords)
-    converged = current <= target
-    for _ in range(max_sweeps):
-        if current <= target:
-            converged = True
-            break
-        before = current
-        start = coords.copy()
-        for i in range(3):
-            def f(t, i=i):
-                trial = coords.copy()
-                trial[i] = t
-                return residual_at(trial)
-
-            coords[i], current = _line_minimum(f, coords[i], current, span)
-        # pattern move: plain coordinate sweeps zigzag along the curved
-        # residual valley (per-sweep factor ~x^4, painfully slow for large x),
-        # so also minimize along the net displacement of the whole sweep
-        step = [coords[i] - start[i] for i in range(3)]
-        if any(step):
-            def g(t):
-                return residual_at([coords[i] + t * step[i] for i in range(3)])
-
-            t_best, current = _line_minimum(g, 0.0, current, 8.0)
-            if t_best != 0.0:
-                coords = [coords[i] + t_best * step[i] for i in range(3)]
-        if current <= target:
-            converged = True
-            break
-        if current >= before * (1.0 - 1e-12):
-            # stalled: no sweep can improve further at this precision
-            converged = current <= 1e-18
-            break
-    else:
-        converged = current <= 1e-18
-
-    lam, rho, nu = coords
     coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
     c = concurrence(coeffs, OverlapPair(x, x))
     if c < record.concurrence:
@@ -324,7 +236,7 @@ def refine(
         class_a_residual=class_a_residual(coeffs, x),
         class_b_residual=class_b_residual(coeffs, x),
         refined=True,
-        refine_converged=converged,
+        refine_converged=maximality_residual(coeffs, x) <= REFINE_TARGET,
     )
 
 
@@ -421,11 +333,10 @@ class ScanOutcome:
 def run_scan(
     config: ScanConfig,
     verify_tol: float = 1e-8,
-    workers: int = 1,
 ) -> ScanOutcome:
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
-    hits = grid_scan(config, workers=workers)
+    hits = grid_scan(config)
     refined = [
         refine(record) if record.concurrence >= REFINE_FLOOR else record
         for record in hits

@@ -115,7 +115,7 @@ def test_criterion_4_theorem_reverse_direction_empirical():
         seed=2024,
         oracle_fraction=0.01,
     )
-    outcome = run_scan(config, verify_tol=1e-8, workers=1)
+    outcome = run_scan(config, verify_tol=1e-8)
     elapsed = time.monotonic() - start
     # every refined state with C > 1 - 1e-10 sits on exactly one family
     assert outcome.report.passed, outcome.report.summary()

@@ -152,7 +152,7 @@ class TestScanCommand:
     def test_scan_json_report(self, tmp_path, capsys):
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         out = tmp_path / "records.csv"
-        assert cli.main(["scan", config, str(out), "--json", "--workers", "2"]) == 0
+        assert cli.main(["scan", config, str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["disjoint"] is True
         assert payload["hits"] == payload["class_a"] + payload["class_b"]
@@ -222,9 +222,9 @@ class TestOracleCheckCommand:
 
 
 class TestDeterminism:
-    def test_scan_csv_identical_across_runs_and_workers(self, tmp_path):
+    def test_scan_csv_identical_across_runs(self, tmp_path):
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["scan", config, str(out1)]) == 0
-        assert cli.main(["scan", config, str(out2), "--workers", "4"]) == 0
+        assert cli.main(["scan", config, str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

@@ -108,7 +108,7 @@ class TestGridScan:
             scalar = concurrence(record.coefficients(), OverlapPair(record.x, record.x))
             assert record.concurrence == scalar
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_runs(self):
         config = ScanConfig(
             lam_range=(-3.0, 3.0, 31),
             rho_range=(-3.0, 3.0, 31),
@@ -116,9 +116,7 @@ class TestGridScan:
             x_values=(0.2, 0.8),
             concurrence_threshold=0.995,
         )
-        sequential = grid_scan(config, workers=1)
-        threaded = grid_scan(config, workers=4)
-        assert sequential == threaded
+        assert grid_scan(config) == grid_scan(config)
 
 
 class TestRefine:
@@ -137,13 +135,15 @@ class TestRefine:
         assert check_class_a(refined.coefficients(), 0.5, 1e-8)
 
     def test_exact_manifold_point_unchanged(self):
-        record = ScanRecord(
-            lam=-0.5, rho=-0.5, nu=1.0, x=0.5,
-            concurrence=1.0, class_a_residual=0.0, class_b_residual=0.0,
-        )
-        refined = refine(record)
-        assert (refined.lam, refined.rho, refined.nu) == (-0.5, -0.5, 1.0)
-        assert refined.refine_converged
+        # one exact point per family: class (a), then class (b)
+        for point in ((-0.5, -0.5, 1.0), (-0.5, -0.5, -0.5)):
+            record = ScanRecord(
+                *point, x=0.5,
+                concurrence=1.0, class_a_residual=0.0, class_b_residual=0.0,
+            )
+            refined = refine(record)
+            assert (refined.lam, refined.rho, refined.nu) == point
+            assert refined.refine_converged
 
     def test_far_start_reaches_a_family(self):
         # C ~ 0.95, well off both manifolds
@@ -170,6 +170,37 @@ class TestRefine:
             tested += 1
             record = ScanRecord(lam, rho, nu, x, c, 0.0, 0.0)
             assert refine(record).concurrence >= c
+
+    @staticmethod
+    def _random_hits(seed, count):
+        rng = np.random.default_rng(seed)
+        hits = []
+        while len(hits) < count:
+            lam, rho, nu = rng.uniform(-3, 3, size=3)
+            x = rng.uniform(0.1, 0.9)
+            c = concurrence(SuperpositionCoeffs(1, lam, rho, nu), OverlapPair(x, x))
+            if c >= 0.9:
+                hits.append(ScanRecord(lam, rho, nu, x, c, 0.0, 0.0))
+        return hits
+
+    def test_step_is_orthogonal_to_family(self):
+        for record in self._random_hits(seed=17, count=40):
+            refined = refine(record)
+            assert refined.refine_converged
+            step = np.array([refined.lam - record.lam, refined.rho - record.rho,
+                             refined.nu - record.nu])
+            if record.nu >= record.lam * record.rho:
+                direction = np.array([1.0, -1.0, 0.0])  # class (a) line
+            else:
+                direction = np.array([1.0, 1.0, -2.0 * record.x])  # class (b) line
+            assert abs(step @ direction) <= 1e-12 * np.linalg.norm(direction)
+
+    def test_keeps_branch_sign(self):
+        for record in self._random_hits(seed=23, count=40):
+            refined = refine(record)
+            before = record.nu - record.lam * record.rho
+            after = refined.nu - refined.lam * refined.rho
+            assert (before >= 0.0) == (after >= 0.0)
 
     def test_rejects_low_concurrence(self):
         record = ScanRecord(0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0)
@@ -275,7 +306,21 @@ class TestRunScan:
             seed=5,
         )
         first = run_scan(config)
-        second = run_scan(config, workers=3)
+        second = run_scan(config)
         assert first.records == second.records
         assert first.report == second.report
         assert first.max_oracle_diff == second.max_oracle_diff
+
+    def test_overlap_near_one_stays_disjoint(self):
+        config = ScanConfig(
+            lam_range=(-3.0, 3.0, 61),
+            rho_range=(-3.0, 3.0, 61),
+            nu_range=(-3.0, 3.0, 61),
+            x_values=(0.999,),
+            concurrence_threshold=0.999,
+        )
+        outcome = run_scan(config)
+        assert outcome.report.passed, outcome.report.summary()
+        assert outcome.n_grid_hits == 38
+        assert (outcome.report.n_class_a, outcome.report.n_class_b) == (22, 16)
+        assert all(record.refine_converged for record in outcome.records)
