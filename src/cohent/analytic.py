@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coherent import OverlapPair, _require_finite
 from .errors import ConsistencyError, DegenerateStateError, DomainError
 
@@ -23,6 +25,10 @@ DEGENERATE_NORM_SQ = 1e-14
 
 # Concurrence rounding slack: clamp up to this overshoot, fail beyond 1 + 1e-9.
 _CLAMP_SLACK = 1e-9
+
+# The terms of N^2 sum to at most (|mu| + |lam| + |rho| + |nu|)^2, which
+# overflows once that sum passes 2^512.
+_RESCALE_ABOVE = 2.0 ** 500
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,21 @@ def require_open_unit_interval(x: float, name: str = "x") -> float:
     return x
 
 
+def _norm_sq(mu, lam, rho, nu, p1, p2):
+    """The collapsed Gram form of N^2 (see gram_norm_squared); broadcasts."""
+    return (
+        (mu * mu + lam * lam + rho * rho + nu * nu)
+        + 2.0 * (mu * lam + rho * nu) * p2
+        + 2.0 * (mu * rho + lam * nu) * p1
+        + 2.0 * (mu * nu + lam * rho) * p1 * p2
+    )
+
+
+def _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq):
+    """Unclamped 2|mu nu - lam rho| n1 n2 / N^2; broadcasts."""
+    return 2.0 * abs(mu * nu - lam * rho) * n1 * n2 / n_sq
+
+
 def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
     """Squared norm N^2 = <psi|psi> of the unnormalized superposition.
 
@@ -79,14 +100,8 @@ def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> flo
         N^2 = (mu^2+lam^2+rho^2+nu^2) + 2(mu*lam+rho*nu) p2
               + 2(mu*rho+lam*nu) p1 + 2(mu*nu+lam*rho) p1 p2.
     """
-    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
-    p1, p2 = overlaps.p1, overlaps.p2
-    n_sq = (
-        (mu * mu + lam * lam + rho * rho + nu * nu)
-        + 2.0 * (mu * lam + rho * nu) * p2
-        + 2.0 * (mu * rho + lam * nu) * p1
-        + 2.0 * (mu * nu + lam * rho) * p1 * p2
-    )
+    n_sq = _norm_sq(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
+                    overlaps.p1, overlaps.p2)
     if n_sq <= DEGENERATE_NORM_SQ:
         raise DegenerateStateError(
             f"squared norm {n_sq:.3e} is numerically zero; the four components "
@@ -121,7 +136,7 @@ def orthonormal_amplitudes(
 
 
 def _clamp_concurrence(value: float) -> float:
-    if value > 1.0 + _CLAMP_SLACK:
+    if not math.isfinite(value) or value > 1.0 + _CLAMP_SLACK:
         raise ConsistencyError(
             f"concurrence evaluated to {value}, beyond rounding slack above 1; "
             "this indicates a bug rather than float noise"
@@ -136,15 +151,41 @@ def concurrence_from_amplitudes(amps: OrthonormalAmplitudes) -> float:
 
 
 def concurrence(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
-    """Closed-form concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to [0, 1]."""
+    """Closed-form concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to [0, 1].
+
+    Coefficients large enough to overflow N^2 are first scaled by a power of
+    two, which is exact and leaves the scale-invariant concurrence unchanged.
+    """
+    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
+    if abs(mu) + abs(lam) + abs(rho) + abs(nu) > _RESCALE_ABOVE:
+        exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
+        coeffs = SuperpositionCoeffs(
+            *(math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
+        )
     n_sq = gram_norm_squared(coeffs, overlaps)
-    numerator = (
-        2.0
-        * abs(coeffs.mu * coeffs.nu - coeffs.lam * coeffs.rho)
-        * overlaps.n1
-        * overlaps.n2
-    )
-    return _clamp_concurrence(numerator / n_sq)
+    return _clamp_concurrence(_concurrence_ratio(
+        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, overlaps.n1, overlaps.n2, n_sq
+    ))
+
+
+def max_concurrence_over_nu(lam, rho, x):
+    """Supremum over all real nu of the concurrence at mu = 1, p1 = p2 = x.
+
+    Broadcasts.  With n^2 = 1 - x^2, L = lam rho, K = L + x (lam + rho + x)
+    and u = nu - L, N^2 = u^2 + 2 K u + M where M = N^2 at nu = L, and
+    C = 2 |u| n^2 / N^2 peaks at u = +-sqrt(M) (the sign opposite to K's) at
+    n^2 / (sqrt(M) - |K|) = (sqrt(M) + |K|) / D, since M - K^2 = n^2 D with
+    D = (1 + rho x)^2 + n^2 rho^2 + (x + lam)^2.  Put s = lam + x and
+    t = 1 + rho x: the orthonormal amplitudes at nu = L are (s t, n t,
+    n rho s, rho n^2), so M = (s^2 + n^2)(t^2 + n^2 rho^2), K = s (rho + x)
+    and D = t^2 + n^2 rho^2 + s^2.  Only t can cancel, and then n^2 rho^2
+    dominates it, so the relative error stays near eps / n; D >= n^2.
+    """
+    n_sq = (1.0 - x) * (1.0 + x)
+    s = lam + x
+    t = 1.0 + rho * x
+    q = t * t + n_sq * rho * rho
+    return (np.sqrt((s * s + n_sq) * q) + abs(s * (rho + x))) / (q + s * s)
 
 
 def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:

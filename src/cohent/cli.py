@@ -242,6 +242,7 @@ def cmd_scan(args) -> int:
         print(json.dumps(
             {
                 "grid_points": config.total_points(),
+                "grid_evaluated": outcome.n_grid_evaluated,
                 "hits": outcome.n_grid_hits,
                 "refined": outcome.n_refined,
                 "class_a": outcome.report.n_class_a,
@@ -254,7 +255,8 @@ def cmd_scan(args) -> int:
             indent=2,
         ))
     else:
-        print(f"scanned {config.total_points()} grid points: "
+        print(f"scanned {config.total_points()} grid points "
+              f"({outcome.n_grid_evaluated} evaluated): "
               f"{outcome.n_grid_hits} hits, {outcome.n_refined} refined")
         print(f"oracle spot-checked {outcome.oracle_checked} records, "
               f"max |analytic - oracle| = {_fmt(outcome.max_oracle_diff)}")

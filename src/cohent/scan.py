@@ -2,10 +2,12 @@
 
 A grid scan sweeps (lam, rho, nu) boxes at fixed overlaps x, keeps every
 point whose concurrence clears a threshold, then projects each hit onto the
-zero line of its maximality residual.  The refined hits empirically confirm
-the classification: every one lands on exactly one of the two maximal
-families, and a seeded random subsample is re-checked against the
-brute-force Fock oracle.
+zero line of its maximality residual.  The maximal states lie on two lines,
+so the sweep skips each (lam, rho) row whose exact maximum over nu
+(analytic.max_concurrence_over_nu) misses the threshold.  The refined hits
+empirically confirm the classification: every one lands on exactly one of
+the two maximal families, and a seeded random subsample is re-checked
+against the brute-force Fock oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence, maximality_residual
+from .analytic import _concurrence_ratio, _norm_sq, max_concurrence_over_nu
 from .classify import (
     check_class_a,
     check_class_b,
@@ -35,6 +38,16 @@ REFINE_FLOOR = 0.9
 # A maximality residual N^2 (1 - C) at or below this puts a point on its
 # family up to rounding; refine neither moves such a point nor flags it.
 REFINE_TARGET = 1e-18
+
+# grid_scan bounds at most this many (lam, rho) rows, and evaluates at most
+# this many points (or one longer row), at once: this fixes its peak memory.
+_BLOCK = 1 << 11
+
+# grid_scan skips a row whose exact maximum over nu is this far below the
+# threshold: over 1000x the Gram form's rounding error for x <= 0.999.  Within
+# ~1e-4 of x = 1 that form can overshoot by ~1e-5, so a full sweep could
+# report a point that the exact maximum rules out.
+_PRUNE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -149,50 +162,54 @@ class DisjointnessReport:
         return "\n".join(lines)
 
 
-def _chunk_concurrence(lam: float, rhos: np.ndarray, nus: np.ndarray, x: float):
-    """Vectorized concurrence over a (rho, nu) slab, mirroring the scalar path."""
-    rho = rhos[:, None]
-    nu = nus[None, :]
-    n1 = math.sqrt((1.0 - x) * (1.0 + x))
-    numerator = 2.0 * np.abs(nu - lam * rho) * n1 * n1
-    n_sq = (
-        (1.0 + lam * lam + rho * rho + nu * nu)
-        + 2.0 * (lam + rho * nu) * x
-        + 2.0 * (rho + lam * nu) * x
-        + 2.0 * (nu + lam * rho) * x * x
-    )
-    c = numerator / n_sq
-    if float(c.max(initial=0.0)) > 1.0 + 1e-9:
-        raise ConsistencyError("grid concurrence exceeded 1 beyond rounding slack")
-    return np.minimum(c, 1.0)
+def grid_scan(config: ScanConfig) -> tuple[list[ScanRecord], int]:
+    """All grid points whose concurrence reaches the threshold, in grid order,
+    and the number of points evaluated.
 
-
-def grid_scan(config: ScanConfig) -> list[ScanRecord]:
-    """All grid points whose concurrence reaches the threshold, in grid order.
-
-    Grid order is row-major over (x, lam, rho, nu); each (x, lam) slice is one
-    vectorized (rho, nu) slab.
+    Grid order is row-major over (x, lam, rho, nu).  A (lam, rho) pair is one
+    row along the nu axis; rows whose exact maximum over nu lies more than
+    _PRUNE_MARGIN below the threshold are skipped, and the rest are evaluated
+    point by point in blocks of about _BLOCK points.
     """
     lams, rhos, nus = config.axes()
+    n_rows = len(lams) * len(rhos)
+    floor = config.concurrence_threshold - _PRUNE_MARGIN
+    rows_per_chunk = max(1, _BLOCK // len(nus))
     records = []
+    evaluated = 0
     for x in config.x_values:
-        for lam in lams.tolist():
-            c = _chunk_concurrence(lam, rhos, nus, x)
-            hit_rho, hit_nu = np.nonzero(c >= config.concurrence_threshold)
-            for ir, iv in zip(hit_rho.tolist(), hit_nu.tolist()):
-                coeffs = SuperpositionCoeffs(1.0, lam, float(rhos[ir]), float(nus[iv]))
-                records.append(
-                    ScanRecord(
-                        lam=coeffs.lam,
-                        rho=coeffs.rho,
-                        nu=coeffs.nu,
-                        x=x,
-                        concurrence=float(c[ir, iv]),
-                        class_a_residual=class_a_residual(coeffs, x),
-                        class_b_residual=class_b_residual(coeffs, x),
+        n = math.sqrt((1.0 - x) * (1.0 + x))
+        for start in range(0, n_rows, _BLOCK):
+            rows = np.arange(start, min(start + _BLOCK, n_rows))
+            lam_rows, rho_rows = lams[rows // len(rhos)], rhos[rows % len(rhos)]
+            # Written as a negation so a NaN or infinite bound keeps its row.
+            kept = ~(max_concurrence_over_nu(lam_rows, rho_rows, x) < floor)
+            lam_rows, rho_rows = lam_rows[kept], rho_rows[kept]
+            evaluated += len(lam_rows) * len(nus)
+            for i in range(0, len(lam_rows), rows_per_chunk):
+                lam = lam_rows[i:i + rows_per_chunk, None]
+                rho = rho_rows[i:i + rows_per_chunk, None]
+                n_sq = _norm_sq(1.0, lam, rho, nus, x, x)
+                c = _concurrence_ratio(1.0, lam, rho, nus, n, n, n_sq)
+                if float(c.max(initial=0.0)) > 1.0 + 1e-9:
+                    raise ConsistencyError(
+                        "grid concurrence exceeded 1 beyond rounding slack"
                     )
-                )
-    return records
+                hit_row, hit_nu = np.nonzero(c >= config.concurrence_threshold)
+                for ir, iv in zip(hit_row.tolist(), hit_nu.tolist()):
+                    coeffs = SuperpositionCoeffs(1.0, lam[ir, 0], rho[ir, 0], nus[iv])
+                    records.append(
+                        ScanRecord(
+                            lam=coeffs.lam,
+                            rho=coeffs.rho,
+                            nu=coeffs.nu,
+                            x=x,
+                            concurrence=min(float(c[ir, iv]), 1.0),
+                            class_a_residual=class_a_residual(coeffs, x),
+                            class_b_residual=class_b_residual(coeffs, x),
+                        )
+                    )
+    return records, evaluated
 
 
 def refine(record: ScanRecord) -> ScanRecord:
@@ -325,6 +342,7 @@ class ScanOutcome:
     records: tuple[ScanRecord, ...]
     report: DisjointnessReport
     n_grid_hits: int
+    n_grid_evaluated: int
     n_refined: int
     oracle_checked: int
     max_oracle_diff: float
@@ -336,7 +354,7 @@ def run_scan(
 ) -> ScanOutcome:
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
-    hits = grid_scan(config)
+    hits, evaluated = grid_scan(config)
     refined = [
         refine(record) if record.concurrence >= REFINE_FLOOR else record
         for record in hits
@@ -349,6 +367,7 @@ def run_scan(
         records=tuple(refined),
         report=report,
         n_grid_hits=len(hits),
+        n_grid_evaluated=evaluated,
         n_refined=sum(1 for r in refined if r.refined),
         oracle_checked=checked,
         max_oracle_diff=worst,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cohent.analytic import (
     concurrence,
     concurrence_from_amplitudes,
     gram_norm_squared,
+    max_concurrence_over_nu,
     maximality_residual,
     orthonormal_amplitudes,
 )
@@ -140,6 +142,11 @@ class TestConcurrenceFromAmplitudes:
         with pytest.raises(ConsistencyError):
             concurrence_from_amplitudes(amps)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ConsistencyError):
+            concurrence_from_amplitudes(OrthonormalAmplitudes(bad, 1, 1, 0, 1.0))
+
 
 class TestConcurrence:
     def test_separable_exact_zero(self):
@@ -185,6 +192,21 @@ class TestConcurrence:
         )
         assert scaled == pytest.approx(base, abs=1e-12)
 
+    def test_large_coefficients_do_not_overflow(self):
+        pair = OverlapPair(0.5, 0.5)
+        big = concurrence(SuperpositionCoeffs(1e155, 2e155, 3e155, -1e155), pair)
+        assert big == pytest.approx(0.6, abs=1e-14)
+        assert big == concurrence(SuperpositionCoeffs(1, 2, 3, -1), pair)
+        assert concurrence(SuperpositionCoeffs(1, 1e200, 0, 0), pair) == 0.0
+
+    @pytest.mark.parametrize("exponent", [-1, 1, 600, 1000])
+    def test_power_of_two_scaling_is_bit_exact(self, exponent):
+        pair = OverlapPair(0.3, 0.7)
+        coeffs = (1.0, -0.37, 2.9, 0.41)
+        base = concurrence(SuperpositionCoeffs(*coeffs), pair)
+        scaled = SuperpositionCoeffs(*(math.ldexp(v, exponent) for v in coeffs))
+        assert concurrence(scaled, pair) == base
+
     def test_range_and_route_agreement_over_random_ensemble(self):
         rng = np.random.default_rng(7)
         for _ in range(10_000):
@@ -196,6 +218,61 @@ class TestConcurrence:
             assert 0.0 <= c <= 1.0
             via_amps = concurrence_from_amplitudes(orthonormal_amplitudes(coeffs, pair))
             assert abs(c - via_amps) < 1e-11
+
+
+def exact_concurrence(lam, rho, nu, x):
+    """Concurrence at mu = 1, p1 = p2 = x in 50-digit arithmetic."""
+    one = mpmath.mpf(1)
+    n_sq = (one + lam**2 + rho**2 + nu**2 + 2 * (lam + rho * nu) * x
+            + 2 * (rho + lam * nu) * x + 2 * (nu + lam * rho) * x**2)
+    return 2 * abs(nu - lam * rho) * (one - x**2) / n_sq
+
+
+edge_x = st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]), st.floats(1e-6, 1.0 - 1e-6))
+wide_vals = st.floats(-1e4, 1e4)
+
+
+class TestMaxConcurrenceOverNu:
+    # Exact values come from mpmath: near x = 1 the Gram form of N^2 that the
+    # scalar concurrence uses can err by ~1e-5 (it cancels), the bound cannot.
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=wide_vals, rho=wide_vals, nu=wide_vals, x=edge_x)
+    def test_bounds_every_nu(self, lam, rho, nu, x):
+        bound = float(max_concurrence_over_nu(lam, rho, x))
+        with mpmath.workdps(50):
+            exact = exact_concurrence(*map(mpmath.mpf, (lam, rho, nu, x)))
+        assert exact <= bound * (1.0 + 1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=wide_vals, rho=wide_vals, x=edge_x)
+    def test_reached_at_l_plus_minus_root_m(self, lam, rho, x):
+        bound = float(max_concurrence_over_nu(lam, rho, x))
+        with mpmath.workdps(50):
+            lam_m, rho_m, x_m = map(mpmath.mpf, (lam, rho, x))
+            prod = lam_m * rho_m
+            root_m = mpmath.sqrt(
+                (1 + lam_m**2 + rho_m**2 + prod**2 + 2 * (lam_m + rho_m * prod) * x_m
+                 + 2 * (rho_m + lam_m * prod) * x_m + 4 * prod * x_m**2)
+            )
+            peak = max(exact_concurrence(lam_m, rho_m, prod + s * root_m, x_m)
+                       for s in (1, -1))
+        assert abs(peak - bound) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals,
+           x=st.floats(1e-6, 0.999))
+    def test_bounds_scalar_concurrence(self, lam, rho, nu, x):
+        c = concurrence(SuperpositionCoeffs(1, lam, rho, nu), OverlapPair(x, x))
+        assert c <= max_concurrence_over_nu(lam, rho, x) + 1e-9
+
+    def test_broadcasts(self):
+        lam = np.array([[-0.5], [0.0]])
+        rho = np.array([-0.5, 0.0, 1.0])
+        grid = max_concurrence_over_nu(lam, rho, 0.5)
+        assert grid.shape == (2, 3)
+        assert grid[0, 0] == float(max_concurrence_over_nu(-0.5, -0.5, 0.5))
+        assert grid[0, 0] == pytest.approx(1.0, abs=1e-15)  # class (a) row
 
 
 class TestMaximalityResidual:

@@ -156,6 +156,18 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["disjoint"] is True
         assert payload["hits"] == payload["class_a"] + payload["class_b"]
+        assert 0 < payload["grid_evaluated"] <= payload["grid_points"]
+
+    def test_bundled_config_evaluates_under_a_tenth(self, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        assert cli.main(["scan", "theorem_check.cfg", str(out), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["grid_points"] == 680_943
+        assert payload["hits"] == 480
+        assert 0 < payload["grid_evaluated"] < 0.1 * payload["grid_points"]
+        assert cli.main(["scan", "theorem_check.cfg", str(out)]) == 0
+        assert (f"scanned 680943 grid points ({payload['grid_evaluated']} evaluated)"
+                in capsys.readouterr().out)
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         config = write(tmp_path, "scan.cfg", "lambda_min = -1\n")
@@ -173,7 +185,8 @@ class TestScanCommand:
             tol=1e-8, maximal_tol=1e-10,
         )
         fake = ScanOutcome(records=(impostor,), report=report, n_grid_hits=1,
-                           n_refined=0, oracle_checked=0, max_oracle_diff=0.0)
+                           n_grid_evaluated=1, n_refined=0, oracle_checked=0,
+                           max_oracle_diff=0.0)
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 5
@@ -183,10 +196,10 @@ class TestScanCommand:
         # unit test quick; the full bundled run is exercised in acceptance
         seen = {}
 
-        def fake_run(config, verify_tol=1e-8, workers=1):
+        def fake_run(config, verify_tol=1e-8):
             seen["points"] = config.total_points()
             report = DisjointnessReport(True, 0, 0, 0, 0, (), verify_tol, 1e-10)
-            return ScanOutcome((), report, 0, 0, 0, 0.0)
+            return ScanOutcome((), report, 0, 0, 0, 0, 0.0)
 
         monkeypatch.setattr(cli, "run_scan", fake_run)
         assert cli.main(["scan", "theorem_check.cfg", str(tmp_path / "o.csv")]) == 0

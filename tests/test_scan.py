@@ -1,8 +1,16 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
-from cohent.classify import check_class_a, check_class_b
+from cohent.classify import (
+    check_class_a,
+    check_class_b,
+    class_a_residual,
+    class_b_residual,
+)
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DomainError, GridSizeError
 from cohent.scan import (
@@ -68,7 +76,7 @@ class TestGridScan:
             x_values=(0.5,),
             concurrence_threshold=0.9999,
         )
-        hits = grid_scan(config)
+        hits, _ = grid_scan(config)
         assert hits
         step = 4.0 / 80.0
         for record in hits:
@@ -87,7 +95,7 @@ class TestGridScan:
             x_values=(0.5,),
             concurrence_threshold=0.999,
         )
-        assert grid_scan(config) == []
+        assert grid_scan(config) == ([], 0)
 
     def test_single_point_antisymmetric(self):
         config = ScanConfig(
@@ -97,14 +105,14 @@ class TestGridScan:
             x_values=(0.3,),
             concurrence_threshold=1.0 - 1e-9,
         )
-        hits = grid_scan(config)
+        hits, _ = grid_scan(config)
         assert len(hits) == 1
         assert hits[0].class_b_residual == 0.0
         assert hits[0].concurrence >= 1.0 - 1e-9
 
     def test_matches_scalar_concurrence(self):
         config = small_config(nu_range=(-2.0, 2.0, 9))
-        for record in grid_scan(config):
+        for record in grid_scan(config)[0]:
             scalar = concurrence(record.coefficients(), OverlapPair(record.x, record.x))
             assert record.concurrence == scalar
 
@@ -117,6 +125,108 @@ class TestGridScan:
             concurrence_threshold=0.995,
         )
         assert grid_scan(config) == grid_scan(config)
+
+
+def full_sweep(config):
+    """Every grid point through the Gram form, one (rho, nu) slab per lam: the
+    sweep as it was before grid_scan skipped rows."""
+    lams, rhos, nus = config.axes()
+    rho, nu = rhos[:, None], nus[None, :]
+    records = []
+    for x in config.x_values:
+        n1 = math.sqrt((1.0 - x) * (1.0 + x))
+        for lam in lams.tolist():
+            n_sq = (
+                (1.0 + lam * lam + rho * rho + nu * nu)
+                + 2.0 * (lam + rho * nu) * x
+                + 2.0 * (rho + lam * nu) * x
+                + 2.0 * (nu + lam * rho) * x * x
+            )
+            c = 2.0 * np.abs(nu - lam * rho) * n1 * n1 / n_sq
+            if float(c.max()) > 1.0 + 1e-9:
+                raise ConsistencyError("grid concurrence exceeded 1")
+            c = np.minimum(c, 1.0)
+            hit_rho, hit_nu = np.nonzero(c >= config.concurrence_threshold)
+            for ir, iv in zip(hit_rho.tolist(), hit_nu.tolist()):
+                coeffs = SuperpositionCoeffs(1.0, lam, float(rhos[ir]), float(nus[iv]))
+                records.append(ScanRecord(
+                    coeffs.lam, coeffs.rho, coeffs.nu, x, float(c[ir, iv]),
+                    class_a_residual(coeffs, x), class_b_residual(coeffs, x),
+                ))
+    return records
+
+
+class TestGridPruning:
+    """Skipping rows by their exact maximum over nu must not change a record."""
+
+    @pytest.mark.parametrize("x", [1e-6, 0.3, 0.999, 1.0 - 1e-6])
+    @pytest.mark.parametrize("threshold", [0.5, 0.9, 0.999, 1.0])
+    def test_matches_full_sweep(self, threshold, x):
+        config = ScanConfig(
+            lam_range=(-3.0, 3.0, 25),
+            rho_range=(-3.0, 3.0, 25),
+            nu_range=(-3.0, 3.0, 25),
+            x_values=(x,),
+            concurrence_threshold=threshold,
+        )
+        records, evaluated = grid_scan(config)
+        assert records == full_sweep(config)
+        assert evaluated % 25 == 0 and evaluated <= config.total_points()
+
+    @pytest.mark.parametrize("point", [
+        (-0.5, -0.5, 1.0),   # class (a) at x = 0.5
+        (0.0, 0.0, -1.0),    # class (b)
+        (1.0, 2.0, 0.0),     # neither
+    ])
+    def test_single_point_axes(self, point):
+        config = ScanConfig(
+            *((v, v, 1) for v in point), x_values=(0.5,),
+            concurrence_threshold=0.999,
+        )
+        assert grid_scan(config)[0] == full_sweep(config)
+
+    def test_nu_box_excluding_row_maximizer(self):
+        # rows near the class (a) line peak at nu = 1, outside this box, so
+        # their bound is never reached inside it
+        config = ScanConfig(
+            lam_range=(-2.0, 1.0, 31),
+            rho_range=(-2.0, 1.0, 31),
+            nu_range=(1.5, 3.0, 31),
+            x_values=(0.5,),
+            concurrence_threshold=0.9,
+        )
+        records, _ = grid_scan(config)
+        assert records
+        assert records == full_sweep(config)
+
+    def test_wide_box(self):
+        config = ScanConfig(
+            lam_range=(-1e3, 1e3, 41),
+            rho_range=(-1e3, 1e3, 41),
+            nu_range=(-1e3, 1e3, 41),
+            x_values=(0.2, 0.7),
+            concurrence_threshold=0.9,
+        )
+        records, evaluated = grid_scan(config)
+        assert records == full_sweep(config)
+        assert evaluated < config.total_points()
+
+    def test_near_one_follows_the_exact_value(self):
+        # At x = 1 - 1e-6 the Gram form overshoots this point's concurrence by
+        # ~7.5e-6: the full sweep reports it, the exact row maximum is below
+        # the threshold, and the pruned sweep skips the row.
+        x = 1.0 - 1e-6
+        point = (-1.001190630430563, -1.0011786521822075, 1.002367289157893)
+        config = ScanConfig(*((v, v, 1) for v in point), x_values=(x,),
+                            concurrence_threshold=0.99998)
+        with mpmath.workdps(50):
+            lam, rho, nu, xm = (mpmath.mpf(v) for v in (*point, x))
+            n_sq = (1 + lam**2 + rho**2 + nu**2 + 2 * (lam + rho * nu) * xm
+                    + 2 * (rho + lam * nu) * xm + 2 * (nu + lam * rho) * xm**2)
+            exact = 2 * abs(nu - lam * rho) * (1 - xm**2) / n_sq
+        assert exact < config.concurrence_threshold
+        assert len(full_sweep(config)) == 1
+        assert grid_scan(config) == ([], 0)
 
 
 class TestRefine:
