@@ -179,13 +179,15 @@ def max_concurrence_over_nu(lam, rho, x):
     t = 1 + rho x: the orthonormal amplitudes at nu = L are (s t, n t,
     n rho s, rho n^2), so M = (s^2 + n^2)(t^2 + n^2 rho^2), K = s (rho + x)
     and D = t^2 + n^2 rho^2 + s^2.  Only t can cancel, and then n^2 rho^2
-    dominates it, so the relative error stays near eps / n; D >= n^2.
+    dominates it, so the relative error stays near eps / n; D >= n^2.  Each
+    factor of M gets its own square root, so nothing overflows for
+    coefficients inside the scan's 2^500 box limit.
     """
     n_sq = (1.0 - x) * (1.0 + x)
     s = lam + x
     t = 1.0 + rho * x
     q = t * t + n_sq * rho * rho
-    return (np.sqrt((s * s + n_sq) * q) + abs(s * (rho + x))) / (q + s * s)
+    return (np.sqrt(s * s + n_sq) * np.sqrt(q) + abs(s * (rho + x))) / (q + s * s)
 
 
 def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:

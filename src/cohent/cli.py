@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence, orthonormal_amplitudes
+from .analytic import require_unit_mu
 from .catalog import example_states
 from .classify import Verdict, classify
 from .coherent import CoherentConfig, OverlapPair
@@ -95,8 +96,7 @@ def cmd_concurrence(args) -> int:
 def cmd_classify(args) -> int:
     spec = load_state_file(args.spec)
     coeffs = spec.coefficients()
-    if abs(coeffs.mu - 1.0) > 1e-12:
-        raise DomainError("classification requires mu = 1; rescale the coefficients")
+    require_unit_mu(coeffs)
     overlaps = spec.overlaps()
     if abs(overlaps.p1 - overlaps.p2) > 1e-12:
         raise ScopeError(
@@ -224,13 +224,13 @@ def write_records_csv(records, path, tol: float) -> None:
              "class_a_residual", "class_b_residual", "verdict"]
         )
         for record in records:
-            verdict = classify(record.coefficients(), record.x, tol).verdict.value
+            result = classify(record.coefficients(), record.x, tol)
             writer.writerow(
                 [f"{v:.17g}" for v in (
                     record.lam, record.rho, record.nu, record.x,
-                    record.concurrence, record.class_a_residual,
-                    record.class_b_residual,
-                )] + [verdict]
+                    record.concurrence, result.class_a_residual,
+                    result.class_b_residual,
+                )] + [result.verdict.value]
             )
 
 

@@ -13,18 +13,14 @@ against the brute-force Fock oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence, maximality_residual
-from .analytic import _concurrence_ratio, _norm_sq, max_concurrence_over_nu
-from .classify import (
-    check_class_a,
-    check_class_b,
-    class_a_residual,
-    class_b_residual,
-)
+from .analytic import _RESCALE_ABOVE, _concurrence_ratio, _norm_sq
+from .analytic import max_concurrence_over_nu
+from .classify import check_class_a, check_class_b
 from .coherent import CoherentConfig, OverlapPair
 from .errors import ConsistencyError, DomainError, GridSizeError
 from .oracle import oracle_concurrence
@@ -52,15 +48,18 @@ _PRUNE_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One grid hit: coefficients, overlap, concurrence, class residuals."""
+    """One grid hit: coefficients, overlap, concurrence and refinement flags.
+
+    The verdict and class residuals are not stored; `classify` derives them
+    from `coefficients()` and `x`.
+    """
 
     lam: float
     rho: float
     nu: float
     x: float
     concurrence: float
-    class_a_residual: float
-    class_b_residual: float
+    _: KW_ONLY
     refined: bool = False
     refine_converged: bool = True
 
@@ -89,6 +88,15 @@ class ScanConfig:
                 raise DomainError(
                     f"{name}: steps must be >= 2, or exactly 1 with min == max"
                 )
+        # The grid does not rescale as `concurrence` does, so its N^2 would
+        # overflow and every point would silently miss the threshold.
+        size = 1.0 + sum(max(abs(lo), abs(hi)) for lo, hi, _ in
+                         (self.lam_range, self.rho_range, self.nu_range))
+        if size > _RESCALE_ABOVE:
+            raise DomainError(
+                f"coefficient box too large: 1 + max|lam| + max|rho| + max|nu| "
+                f"= {size:.3e} exceeds 2^500, where the grid's N^2 overflows"
+            )
         object.__setattr__(self, "x_values", tuple(float(x) for x in self.x_values))
         if not self.x_values:
             raise DomainError("x_values must not be empty")
@@ -191,24 +199,17 @@ def grid_scan(config: ScanConfig) -> tuple[list[ScanRecord], int]:
                 rho = rho_rows[i:i + rows_per_chunk, None]
                 n_sq = _norm_sq(1.0, lam, rho, nus, x, x)
                 c = _concurrence_ratio(1.0, lam, rho, nus, n, n, n_sq)
-                if float(c.max(initial=0.0)) > 1.0 + 1e-9:
+                # Written as a negation so a NaN fails it.
+                if not c.max(initial=0.0) <= 1.0 + 1e-9:
                     raise ConsistencyError(
                         "grid concurrence exceeded 1 beyond rounding slack"
                     )
                 hit_row, hit_nu = np.nonzero(c >= config.concurrence_threshold)
                 for ir, iv in zip(hit_row.tolist(), hit_nu.tolist()):
-                    coeffs = SuperpositionCoeffs(1.0, lam[ir, 0], rho[ir, 0], nus[iv])
-                    records.append(
-                        ScanRecord(
-                            lam=coeffs.lam,
-                            rho=coeffs.rho,
-                            nu=coeffs.nu,
-                            x=x,
-                            concurrence=min(float(c[ir, iv]), 1.0),
-                            class_a_residual=class_a_residual(coeffs, x),
-                            class_b_residual=class_b_residual(coeffs, x),
-                        )
-                    )
+                    records.append(ScanRecord(
+                        float(lam[ir, 0]), float(rho[ir, 0]), float(nus[iv]), x,
+                        min(float(c[ir, iv]), 1.0),
+                    ))
     return records, evaluated
 
 
@@ -245,14 +246,7 @@ def refine(record: ScanRecord) -> ScanRecord:
     if c < record.concurrence:
         return replace(record, refined=True, refine_converged=False)
     return ScanRecord(
-        lam=lam,
-        rho=rho,
-        nu=nu,
-        x=x,
-        concurrence=c,
-        class_a_residual=class_a_residual(coeffs, x),
-        class_b_residual=class_b_residual(coeffs, x),
-        refined=True,
+        lam, rho, nu, x, c, refined=True,
         refine_converged=maximality_residual(coeffs, x) <= REFINE_TARGET,
     )
 

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from cohent import cli
-from cohent.scan import DisjointnessReport, ScanOutcome, ScanRecord
+from cohent.analytic import SuperpositionCoeffs
+from cohent.classify import classify
+from cohent.scan import REFINE_FLOOR, DisjointnessReport, ScanOutcome, ScanRecord
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
 AMP_STATE = "alpha = 0\nbeta = 0\ngamma = 1\ndelta = 1\nlambda = 0\nrho = 0\nnu = -1\n"
@@ -169,6 +171,29 @@ class TestScanCommand:
         assert (f"scanned 680943 grid points ({payload['grid_evaluated']} evaluated)"
                 in capsys.readouterr().out)
 
+    def test_csv_residuals_and_verdict_come_from_classify(self, tmp_path):
+        text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
+                                  "nu_min = -1.5\nnu_max = 1.5\nnu_steps = 7")
+        config = write(tmp_path, "scan.cfg", text.replace("0.999", "0.5"))
+        out = tmp_path / "records.csv"
+        assert cli.main(["scan", config, str(out), "--tol", "1e-9"]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        concurrences = [float(row["concurrence"]) for row in rows]
+        assert min(concurrences) < REFINE_FLOOR <= max(concurrences)
+        for row in rows:
+            lam, rho, nu, x = (float(row[k]) for k in ("lambda", "rho", "nu", "x"))
+            result = classify(SuperpositionCoeffs(1.0, lam, rho, nu), x, 1e-9)
+            assert float(row["class_a_residual"]) == result.class_a_residual
+            assert float(row["class_b_residual"]) == result.class_b_residual
+            assert row["verdict"] == result.verdict.value
+
+    def test_oversized_box_exits_2(self, tmp_path, capsys):
+        text = SMALL_SCAN.replace("lambda_max = 0.5", "lambda_max = 4e150")
+        config = write(tmp_path, "scan.cfg", text)
+        assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 2
+        assert "2^500" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         config = write(tmp_path, "scan.cfg", "lambda_min = -1\n")
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 2
@@ -178,7 +203,7 @@ class TestScanCommand:
         assert cli.main(["scan", "no_such.cfg", str(tmp_path / "o.csv")]) == 2
 
     def test_disjointness_violation_exits_5(self, tmp_path, monkeypatch):
-        impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0, 1.0, 1.0)
+        impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0)
         report = DisjointnessReport(
             passed=False, n_records=1, n_maximal=1, n_class_a=0, n_class_b=0,
             violations=((impostor, "near-maximal but on neither family"),),

@@ -1,16 +1,13 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from cohent import scan as scan_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
-from cohent.classify import (
-    check_class_a,
-    check_class_b,
-    class_a_residual,
-    class_b_residual,
-)
+from cohent.classify import check_class_a, check_class_b, class_b_residual
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DomainError, GridSizeError
 from cohent.scan import (
@@ -64,6 +61,18 @@ class TestScanConfig:
                 x_values=(0.2, 0.5),
             )
 
+    def test_rejects_box_whose_norm_overflows(self):
+        # the grid's N^2 (~1e401) would overflow and silently give 0 hits,
+        # where the scalar concurrence finds 56
+        with pytest.raises(DomainError, match="2\\^500"):
+            ScanConfig(
+                lam_range=(-2e200, 2e200, 5),
+                rho_range=(-2e200, 2e200, 5),
+                nu_range=(-2e200, 2e200, 5),
+                x_values=(0.5,),
+                concurrence_threshold=0.5,
+            )
+
 
 class TestGridScan:
     def test_hits_cluster_on_manifolds(self):
@@ -107,7 +116,7 @@ class TestGridScan:
         )
         hits, _ = grid_scan(config)
         assert len(hits) == 1
-        assert hits[0].class_b_residual == 0.0
+        assert class_b_residual(hits[0].coefficients(), 0.3) == 0.0
         assert hits[0].concurrence >= 1.0 - 1e-9
 
     def test_matches_scalar_concurrence(self):
@@ -115,6 +124,33 @@ class TestGridScan:
         for record in grid_scan(config)[0]:
             scalar = concurrence(record.coefficients(), OverlapPair(record.x, record.x))
             assert record.concurrence == scalar
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_box_matches_scalar_concurrence(self):
+        # just under the 2^500 box limit: no overflow in the bound or N^2
+        config = ScanConfig(
+            lam_range=(-1e150, 1e150, 5),
+            rho_range=(-1e150, 1e150, 5),
+            nu_range=(-1e150, 1e150, 5),
+            x_values=(0.5,),
+            concurrence_threshold=0.5,
+        )
+        expected = []
+        for lam, rho, nu in itertools.product(*(a.tolist() for a in config.axes())):
+            coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
+            c = concurrence(coeffs, OverlapPair(0.5, 0.5))
+            if c >= 0.5:
+                expected.append((lam, rho, nu, c))
+        hits, _ = grid_scan(config)
+        assert len(hits) == 50
+        assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hits] == expected
+
+    def test_nan_concurrence_raises(self, monkeypatch):
+        ratio = scan_module._concurrence_ratio
+        monkeypatch.setattr(scan_module, "_concurrence_ratio",
+                            lambda *args: ratio(*args) * np.nan)
+        with pytest.raises(ConsistencyError, match="exceeded 1"):
+            grid_scan(small_config())
 
     def test_deterministic_across_runs(self):
         config = ScanConfig(
@@ -148,10 +184,8 @@ def full_sweep(config):
             c = np.minimum(c, 1.0)
             hit_rho, hit_nu = np.nonzero(c >= config.concurrence_threshold)
             for ir, iv in zip(hit_rho.tolist(), hit_nu.tolist()):
-                coeffs = SuperpositionCoeffs(1.0, lam, float(rhos[ir]), float(nus[iv]))
                 records.append(ScanRecord(
-                    coeffs.lam, coeffs.rho, coeffs.nu, x, float(c[ir, iv]),
-                    class_a_residual(coeffs, x), class_b_residual(coeffs, x),
+                    lam, float(rhos[ir]), float(nus[iv]), x, float(c[ir, iv]),
                 ))
     return records
 
@@ -236,7 +270,6 @@ class TestRefine:
             concurrence=concurrence(
                 SuperpositionCoeffs(1, -0.49, -0.51, 1.0), OverlapPair(0.5, 0.5)
             ),
-            class_a_residual=0.0, class_b_residual=0.0,
         )
         refined = refine(record)
         assert refined.refined
@@ -247,10 +280,7 @@ class TestRefine:
     def test_exact_manifold_point_unchanged(self):
         # one exact point per family: class (a), then class (b)
         for point in ((-0.5, -0.5, 1.0), (-0.5, -0.5, -0.5)):
-            record = ScanRecord(
-                *point, x=0.5,
-                concurrence=1.0, class_a_residual=0.0, class_b_residual=0.0,
-            )
+            record = ScanRecord(*point, x=0.5, concurrence=1.0)
             refined = refine(record)
             assert (refined.lam, refined.rho, refined.nu) == point
             assert refined.refine_converged
@@ -261,7 +291,7 @@ class TestRefine:
         x = 0.709
         c0 = concurrence(coeffs, OverlapPair(x, x))
         assert 0.9 < c0 < 0.97
-        record = ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, x, c0, 0.0, 0.0)
+        record = ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, x, c0)
         refined = refine(record)
         assert refined.concurrence > 1.0 - 1e-10
         assert check_class_a(refined.coefficients(), x, 1e-8) or check_class_b(
@@ -278,7 +308,7 @@ class TestRefine:
             if c < 0.9:
                 continue
             tested += 1
-            record = ScanRecord(lam, rho, nu, x, c, 0.0, 0.0)
+            record = ScanRecord(lam, rho, nu, x, c)
             assert refine(record).concurrence >= c
 
     @staticmethod
@@ -290,7 +320,7 @@ class TestRefine:
             x = rng.uniform(0.1, 0.9)
             c = concurrence(SuperpositionCoeffs(1, lam, rho, nu), OverlapPair(x, x))
             if c >= 0.9:
-                hits.append(ScanRecord(lam, rho, nu, x, c, 0.0, 0.0))
+                hits.append(ScanRecord(lam, rho, nu, x, c))
         return hits
 
     def test_step_is_orthogonal_to_family(self):
@@ -312,8 +342,14 @@ class TestRefine:
             after = refined.nu - refined.lam * refined.rho
             assert (before >= 0.0) == (after >= 0.0)
 
+    def test_flags_are_keyword_only(self):
+        # a stale call passing two residuals must not bind them to the flags
+        with pytest.raises(TypeError):
+            ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0, 0.0, 0.0)
+        assert not ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0).refined
+
     def test_rejects_low_concurrence(self):
-        record = ScanRecord(0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0)
+        record = ScanRecord(0.0, 0.0, 0.5, 0.5, 0.5)
         with pytest.raises(DomainError):
             refine(record)
 
@@ -330,13 +366,13 @@ class TestVerifyDisjointClasses:
             coeffs = SuperpositionCoeffs(1, lam, -1.0 - lam, 1.0)  # class (a), x=0.5
             records.append(
                 ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
-                           concurrence(coeffs, OverlapPair(0.5, 0.5)), 0.0, 0.0)
+                           concurrence(coeffs, OverlapPair(0.5, 0.5)))
             )
         for lam in (0.0, -1.0):
             coeffs = SuperpositionCoeffs(1, lam, lam, -1.0 - 2 * lam * 0.5)
             records.append(
                 ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
-                           concurrence(coeffs, OverlapPair(0.5, 0.5)), 0.0, 0.0)
+                           concurrence(coeffs, OverlapPair(0.5, 0.5)))
             )
         report = verify_disjoint_classes(records, tol=1e-8)
         assert report.passed
@@ -345,14 +381,14 @@ class TestVerifyDisjointClasses:
 
     def test_detects_off_manifold_maximal_record(self):
         # a synthetic impostor: claims C = 1 while sitting on neither family
-        impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0, 1.0, 1.0)
+        impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0)
         report = verify_disjoint_classes([impostor], tol=1e-8)
         assert not report.passed
         assert report.violations[0][1] == "near-maximal but on neither family"
         assert "DISJOINTNESS VIOLATED" in report.summary()
 
     def test_ignores_sub_maximal_records(self):
-        intermediate = ScanRecord(0.3, -0.2, 0.5, 0.5, 0.95, 1.0, 1.0)
+        intermediate = ScanRecord(0.3, -0.2, 0.5, 0.5, 0.95)
         report = verify_disjoint_classes([intermediate], tol=1e-8)
         assert report.passed
         assert report.n_maximal == 0
@@ -366,14 +402,14 @@ class TestOracleSpotCheck:
             coeffs = SuperpositionCoeffs(1, lam, -1.0 - lam, 1.0)
             records.append(
                 ScanRecord(lam, -1.0 - lam, 1.0, x,
-                           concurrence(coeffs, OverlapPair(x, x)), 0.0, 0.0)
+                           concurrence(coeffs, OverlapPair(x, x)))
             )
         checked, worst = oracle_spot_check(records, fraction=1.0, seed=3)
         assert checked == len(records)
         assert worst < 1e-10
 
     def test_flags_wrong_concurrence(self):
-        liar = ScanRecord(-0.5, -0.5, 1.0, 0.5, 0.25, 0.0, 0.0)
+        liar = ScanRecord(-0.5, -0.5, 1.0, 0.5, 0.25)
         with pytest.raises(ConsistencyError):
             oracle_spot_check([liar], fraction=1.0, seed=3)
 
