@@ -16,8 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, concurrence, orthonormal_amplitudes
-from .analytic import require_unit_mu
+from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
+from .analytic import orthonormal_amplitudes, require_unit_mu
 from .catalog import example_states
 from .classify import Verdict, classify
 from .coherent import CoherentConfig, OverlapPair
@@ -268,6 +268,10 @@ def cmd_scan(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.spec is None and args.trials is None:
         raise DomainError("supply a state file, or --trials N for a random sweep")
+    if args.trials is not None and args.trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {args.trials}")
+    if not (math.isfinite(args.max_diff) and args.max_diff >= 0):
+        raise DomainError(f"--max-diff must be a finite number >= 0, got {args.max_diff}")
     worst = 0.0
     norm_worst = 0.0
     checked = 0
@@ -281,8 +285,6 @@ def cmd_oracle_check(args) -> int:
         worst = abs(c_analytic - c_oracle)
         checked = 1
     else:
-        from .analytic import gram_norm_squared
-
         rng = np.random.default_rng(args.seed)
         for _ in range(args.trials):
             while True:

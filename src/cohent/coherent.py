@@ -8,6 +8,7 @@ linearly independent (but nonorthogonal) qubit basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,12 +153,24 @@ class FockVector:
     truncation: int
 
 
+# Bounded because truncation is not capped here; a random oracle sweep over
+# amplitudes up to 2 uses about 25 distinct truncations.
+@functools.lru_cache(maxsize=64)
+def _inv_sqrt_n(truncation: int) -> np.ndarray:
+    """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""
+    table = 1.0 / np.sqrt(np.arange(1.0, truncation))
+    table.flags.writeable = False
+    return table
+
+
 def fock_vector(a: float, truncation: int) -> FockVector:
     """Number-state coefficients e^(-a^2/2) a^n / sqrt(n!) for n < truncation.
 
-    Coefficients are built by the recurrence c_{n+1} = c_n * a / sqrt(n+1),
-    which stays stable for cutoffs in the hundreds, then renormalized.
-    Raises TruncationError when the discarded tail mass is not negligible.
+    Coefficients are the cumulative product of the factors
+    [e^(-a^2/2), a/sqrt(1), ..., a/sqrt(truncation - 1)], the recurrence
+    c_{n+1} = c_n * a / sqrt(n+1), which stays stable for cutoffs in the
+    hundreds; they are then renormalized.  Raises TruncationError when the
+    discarded tail mass is not negligible.
     """
     a = _require_finite("a", a)
     if abs(a) > MAX_AMPLITUDE:
@@ -166,10 +179,10 @@ def fock_vector(a: float, truncation: int) -> FockVector:
     if truncation < 1:
         raise DomainError(f"truncation must be >= 1, got {truncation}")
 
-    coeffs = np.empty(truncation)
-    coeffs[0] = math.exp(-0.5 * a * a)
-    for n in range(truncation - 1):
-        coeffs[n + 1] = coeffs[n] * a / math.sqrt(n + 1.0)
+    factors = np.empty(truncation)
+    factors[0] = math.exp(-0.5 * a * a)
+    np.multiply(_inv_sqrt_n(truncation), a, out=factors[1:])
+    coeffs = factors.cumprod()
 
     captured = float(np.dot(coeffs, coeffs))
     tail = max(0.0, 1.0 - captured)

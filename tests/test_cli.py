@@ -247,9 +247,35 @@ class TestOracleCheckCommand:
         assert payload["max_concurrence_diff"] < 1e-8
         assert payload["max_norm_sq_diff"] < 1e-8
 
-    def test_strict_bound_exits_3(self, tmp_path):
+    @staticmethod
+    def _offset_oracle(monkeypatch):
+        # A deterministic 1e-9 disagreement, independent of float noise.
+        real = cli.oracle_concurrence
+        monkeypatch.setattr(cli, "oracle_concurrence",
+                            lambda *a, **k: real(*a, **k) + 1e-9)
+
+    def test_strict_bound_exits_3(self, tmp_path, monkeypatch):
+        self._offset_oracle(monkeypatch)
         path = write(tmp_path, "s.txt", AMP_STATE)
-        assert cli.main(["oracle-check", path, "--max-diff", "1e-22"]) == 3
+        assert cli.main(["oracle-check", path, "--max-diff", "1e-10"]) == 3
+
+    def test_strict_bound_exits_3_on_trials(self, monkeypatch):
+        self._offset_oracle(monkeypatch)
+        assert cli.main(["oracle-check", "--trials", "3", "--seed", "1",
+                         "--max-diff", "1e-10"]) == 3
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_exit_2(self, trials, capsys):
+        assert cli.main(["oracle-check", "--trials", trials]) == 2
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
+    def test_invalid_max_diff_exits_2(self, tmp_path, bound, capsys):
+        path = write(tmp_path, "s.txt", AMP_STATE)
+        assert cli.main(["oracle-check", path, "--max-diff", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-diff" in captured.err
 
     def test_requires_spec_or_trials(self):
         assert cli.main(["oracle-check"]) == 2

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohent.coherent import (
+    TAIL_MASS_LIMIT,
     CoherentConfig,
     FockVector,
     OverlapPair,
@@ -13,6 +15,7 @@ from cohent.coherent import (
     fock_vector,
     overlap,
     overlap_complement,
+    _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
 
@@ -131,6 +134,92 @@ class TestFockVector:
         vb = fock_vector(b, cut)
         ip = float(np.dot(va.coefficients, vb.coefficients))
         assert abs(ip - overlap(a, b)) < 1e-10
+
+
+def loop_fock_coefficients(a, truncation):
+    """The per-coefficient recurrence fock_vector used to run, renormalized."""
+    coeffs = np.empty(truncation)
+    coeffs[0] = math.exp(-0.5 * a * a)
+    for n in range(truncation - 1):
+        coeffs[n + 1] = coeffs[n] * a / math.sqrt(n + 1.0)
+    return coeffs / math.sqrt(float(coeffs @ coeffs))
+
+
+def mp_fock_terms(a, truncation):
+    """e^(-a^2/2) a^n / sqrt(n!) for n < truncation, at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        return [mpmath.exp(-a * a / 2) * a**n / mpmath.sqrt(mpmath.factorial(n))
+                for n in range(truncation)]
+
+
+def mp_tail_mass(a, truncation):
+    with mpmath.workdps(50):
+        return float(1 - mpmath.fsum(c * c for c in mp_fock_terms(a, truncation)))
+
+
+MP_AMPLITUDES = (0.0, 0.5, -0.5, 2.0, -2.0, 3.7, -3.7, 8.0, -8.0)
+
+
+class TestFockVectorAccuracy:
+    @pytest.mark.parametrize("a", MP_AMPLITUDES)
+    @pytest.mark.parametrize("cut", ["default", 256])
+    def test_matches_mpmath(self, a, cut):
+        truncation = default_truncation(abs(a)) if cut == "default" else cut
+        terms = mp_fock_terms(a, truncation)
+        with mpmath.workdps(50):
+            norm = mpmath.sqrt(mpmath.fsum(c * c for c in terms))
+            expected = np.array([float(c / norm) for c in terms])
+        got = fock_vector(a, truncation).coefficients
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("a", [0.5, -2.0, 3.7, -8.0])
+    def test_tail_limit_falls_where_mpmath_puts_it(self, a):
+        # Truncations are tried upward from 1; the tail shrinks with each.
+        tails = {}
+        truncation = 1
+        while not tails or min(tails.values()) >= 0.5 * TAIL_MASS_LIMIT:
+            tails[truncation] = mp_tail_mass(a, truncation)
+            truncation += 1
+        accepted = max(tails)
+        rejected = max(t for t, tail in tails.items() if tail > 2 * TAIL_MASS_LIMIT)
+        assert fock_vector(a, accepted).truncation == accepted
+        with pytest.raises(TruncationError) as err:
+            fock_vector(a, rejected)
+        assert err.value.tail_mass == pytest.approx(tails[rejected], rel=1e-4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=finite_amps, wide=st.booleans())
+    def test_matches_loop_recurrence(self, a, wide):
+        # Only the rounding of a / sqrt(n) changes, so a few ulps at most.
+        truncation = 256 if wide else default_truncation(abs(a))
+        got = fock_vector(a, truncation).coefficients
+        expected = loop_fock_coefficients(a, truncation)
+        assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps
+
+
+class TestFockVectorAliasing:
+    def test_calls_return_fresh_writable_arrays(self):
+        first = fock_vector(1.3, 40).coefficients
+        second = fock_vector(1.3, 40).coefficients
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        expected = second.copy()
+        first *= 3.0
+        second *= -2.0
+        assert np.array_equal(fock_vector(1.3, 40).coefficients, expected)
+        assert np.array_equal(fock_vector(-1.3, 40).coefficients[1::2],
+                              -expected[1::2])
+
+    def test_shared_table_is_read_only_and_bounded(self):
+        with pytest.raises(ValueError):
+            _inv_sqrt_n(40)[0] = 2.0
+        limit = _inv_sqrt_n.cache_info().maxsize
+        assert limit is not None
+        for truncation in range(1, 2 * limit + 2):
+            _inv_sqrt_n(truncation)
+        assert _inv_sqrt_n.cache_info().currsize <= limit
+        assert fock_vector(1.3, 40).coefficients.flags.writeable
 
 
 class TestCoherentConfig:
