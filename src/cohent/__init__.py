@@ -47,21 +47,20 @@ from .errors import (
 )
 from .oracle import (
     ProductStateVector,
-    ReducedDensity,
     build_state,
     oracle_concurrence,
-    purity_concurrence,
-    reduced_density,
     schmidt_concurrence,
 )
 from .scan import (
     DisjointnessReport,
     ScanConfig,
+    ScanHits,
     ScanOutcome,
     ScanRecord,
     grid_scan,
     oracle_spot_check,
     refine,
+    refine_hits,
     run_scan,
     verify_disjoint_classes,
 )
@@ -87,11 +86,10 @@ __all__ = [
     "Verdict", "ClassificationResult", "RootReport",
     "check_class_a", "check_class_b", "classify",
     "quadratic_roots_case1", "quadratic_roots_case2", "solve_coefficients_for_x",
-    "ProductStateVector", "ReducedDensity",
-    "build_state", "reduced_density", "purity_concurrence",
-    "schmidt_concurrence", "oracle_concurrence",
-    "ScanConfig", "ScanRecord", "ScanOutcome", "DisjointnessReport",
-    "grid_scan", "refine", "verify_disjoint_classes", "oracle_spot_check",
+    "ProductStateVector", "build_state", "schmidt_concurrence", "oracle_concurrence",
+    "ScanConfig", "ScanRecord", "ScanHits", "ScanOutcome", "DisjointnessReport",
+    "grid_scan", "refine", "refine_hits", "verify_disjoint_classes",
+    "oracle_spot_check",
     "run_scan",
     "StateSpec", "parse_state_text", "load_state_file", "dump_state_text",
     "parse_scan_text", "load_scan_file",

@@ -190,6 +190,21 @@ def max_concurrence_over_nu(lam, rho, x):
     return (np.sqrt(s * s + n_sq) * np.sqrt(q) + abs(s * (rho + x))) / (q + s * s)
 
 
+def _maximality_residual(lam, rho, nu, x):
+    """N^2 (1 - C) at mu = 1, p1 = p2 = x; broadcasts (see maximality_residual).
+
+    np.where evaluates both sum-of-squares branches and keeps the one on the
+    point's side of nu = lam rho.
+    """
+    one_minus_x_sq = (1.0 - x) * (1.0 + x)
+    h = lam + rho + 2.0 * x
+    u = nu - 1.0 + x * h
+    w = 1.0 + nu + (lam + rho) * x
+    r = lam - rho
+    return np.where(nu >= lam * rho, u * u + one_minus_x_sq * h * h,
+                    w * w + one_minus_x_sq * r * r)
+
+
 def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     """N^2 - 2|nu - lam rho|(1 - x^2) at the common overlap p1 = p2 = x.
 
@@ -206,12 +221,4 @@ def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     """
     require_unit_mu(coeffs)
     x = require_open_unit_interval(x)
-    lam, rho, nu = coeffs.lam, coeffs.rho, coeffs.nu
-    one_minus_x_sq = (1.0 - x) * (1.0 + x)
-    if nu >= lam * rho:
-        h = lam + rho + 2.0 * x
-        u = nu - 1.0 + x * h
-        return u * u + one_minus_x_sq * h * h
-    w = 1.0 + nu + (lam + rho) * x
-    r = lam - rho
-    return w * w + one_minus_x_sq * r * r
+    return float(_maximality_residual(coeffs.lam, coeffs.rho, coeffs.nu, x))

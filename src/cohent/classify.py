@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analytic import (
     SuperpositionCoeffs,
     concurrence,
@@ -71,38 +73,88 @@ class RootReport:
     identically_zero: bool = False
 
 
+def _class_a_terms(lam, rho, nu, x):
+    """|nu - 1| and |lam + rho + 2x|, both zero exactly on class (a); broadcasts."""
+    return abs(nu - 1.0), abs(lam + rho + 2.0 * x)
+
+
+def _class_b_terms(lam, rho, nu, x):
+    """|lam - rho| and |nu + 1 + 2 lam x|, both zero exactly on class (b);
+    broadcasts."""
+    return abs(lam - rho), abs(nu + 1.0 + 2.0 * lam * x)
+
+
+def _separability(lam, rho, nu):
+    """|nu - lam rho|; broadcasts."""
+    return abs(nu - lam * rho)
+
+
+def _within(terms, tol):
+    first, second = terms
+    return (first <= tol) & (second <= tol)
+
+
+def family_checks(lam, rho, nu, x, tol: float = DEFAULT_TOL):
+    """check_class_a and check_class_b of mu = 1 points at once; broadcasts.
+
+    `x` must already lie inside (0, 1); `tol` is validated here.
+    """
+    _require_positive_tol(tol)
+    return (_within(_class_a_terms(lam, rho, nu, x), tol),
+            _within(_class_b_terms(lam, rho, nu, x), tol))
+
+
+# classify_columns's verdict codes index this tuple.
+VERDICTS = (Verdict.SEPARABLE, Verdict.MAXIMAL_CLASS_A, Verdict.MAXIMAL_CLASS_B,
+            Verdict.INTERMEDIATE)
+
+
+def classify_columns(lam, rho, nu, x, tol: float = DEFAULT_TOL):
+    """classify's residuals and verdict for mu = 1 points at once; broadcasts.
+
+    Returns the class (a), class (b) and separability residuals and a verdict
+    code per point, an index into VERDICTS.  The tests run in classify's
+    order: separable, then class (a), then class (b), else intermediate.
+    `x` must already lie inside (0, 1); `tol` is validated here.
+    """
+    _require_positive_tol(tol)
+    a_terms = _class_a_terms(lam, rho, nu, x)
+    b_terms = _class_b_terms(lam, rho, nu, x)
+    sep = _separability(lam, rho, nu)
+    code = np.select([sep <= tol, _within(a_terms, tol), _within(b_terms, tol)],
+                     [0, 1, 2], 3)
+    return a_terms[0] + a_terms[1], b_terms[0] + b_terms[1], sep, code
+
+
 def class_a_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     """|nu - 1| + |lam + rho + 2x|; zero exactly on the class (a) family."""
-    return abs(coeffs.nu - 1.0) + abs(coeffs.lam + coeffs.rho + 2.0 * x)
+    first, second = _class_a_terms(coeffs.lam, coeffs.rho, coeffs.nu, x)
+    return first + second
 
 
 def class_b_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     """|lam - rho| + |nu + 1 + 2 lam x|; zero exactly on the class (b) family."""
-    return abs(coeffs.lam - coeffs.rho) + abs(coeffs.nu + 1.0 + 2.0 * coeffs.lam * x)
+    first, second = _class_b_terms(coeffs.lam, coeffs.rho, coeffs.nu, x)
+    return first + second
 
 
 def separability_residual(coeffs: SuperpositionCoeffs) -> float:
     """|nu - lam rho|; zero exactly for separable states (mu = 1 gauge)."""
-    return abs(coeffs.nu - coeffs.lam * coeffs.rho)
+    return _separability(coeffs.lam, coeffs.rho, coeffs.nu)
 
 
 def check_class_a(coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL) -> bool:
     """True iff |nu - 1| <= tol and |lam + rho + 2x| <= tol."""
     require_unit_mu(coeffs)
     x = require_open_unit_interval(x)
-    _require_positive_tol(tol)
-    return abs(coeffs.nu - 1.0) <= tol and abs(coeffs.lam + coeffs.rho + 2.0 * x) <= tol
+    return bool(family_checks(coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[0])
 
 
 def check_class_b(coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL) -> bool:
     """True iff |lam - rho| <= tol and |nu + 1 + 2 lam x| <= tol."""
     require_unit_mu(coeffs)
     x = require_open_unit_interval(x)
-    _require_positive_tol(tol)
-    return (
-        abs(coeffs.lam - coeffs.rho) <= tol
-        and abs(coeffs.nu + 1.0 + 2.0 * coeffs.lam * x) <= tol
-    )
+    return bool(family_checks(coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[1])
 
 
 def classify(
@@ -116,22 +168,11 @@ def classify(
     """
     require_unit_mu(coeffs)
     x = require_open_unit_interval(x)
-    _require_positive_tol(tol)
-    c = concurrence(coeffs, OverlapPair(x, x))
-    res_a = class_a_residual(coeffs, x)
-    res_b = class_b_residual(coeffs, x)
-    res_sep = separability_residual(coeffs)
-    if res_sep <= tol:
-        verdict = Verdict.SEPARABLE
-    elif check_class_a(coeffs, x, tol):
-        verdict = Verdict.MAXIMAL_CLASS_A
-    elif check_class_b(coeffs, x, tol):
-        verdict = Verdict.MAXIMAL_CLASS_B
-    else:
-        verdict = Verdict.INTERMEDIATE
+    res_a, res_b, res_sep, code = classify_columns(
+        coeffs.lam, coeffs.rho, coeffs.nu, x, tol)
     return ClassificationResult(
-        verdict=verdict,
-        concurrence=c,
+        verdict=VERDICTS[int(code)],
+        concurrence=concurrence(coeffs, OverlapPair(x, x)),
         class_a_residual=res_a,
         class_b_residual=res_b,
         separability_residual=res_sep,

@@ -8,7 +8,6 @@ in this package is cross-checked against this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +35,6 @@ class ProductStateVector:
     def matrix(self) -> np.ndarray:
         """View of the coefficients as the truncation x truncation matrix."""
         return self.coefficients.reshape(self.truncation, self.truncation)
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedDensity:
-    """Real symmetric single-mode density matrix from tracing out a partner."""
-
-    matrix: np.ndarray
 
 
 def build_state(
@@ -84,49 +76,13 @@ def build_state(
     )
 
 
-def reduced_density(state: ProductStateVector, keep: str = "first") -> ReducedDensity:
-    """Partial trace of |psi><psi| onto one mode.
-
-    keep="first" traces out the second mode: rho[m, m'] = sum_n psi[m,n] psi[m',n].
-    """
-    psi = state.matrix()
-    if keep == "first":
-        rho = psi @ psi.T
-    elif keep == "second":
-        rho = psi.T @ psi
-    else:
-        raise DomainError(f"keep must be 'first' or 'second', got {keep!r}")
-    return ReducedDensity(matrix=rho)
-
-
-def purity_concurrence(rho: ReducedDensity, check_rank: bool = False) -> float:
-    """sqrt(2 (1 - Tr rho^2)) for a reduced state of Schmidt rank <= 2.
-
-    The purity is the squared Frobenius norm, so no eigendecomposition is
-    needed; `check_rank=True` additionally diagonalizes and rejects a third
-    eigenvalue above 1e-6.  Note the subtraction loses half the significant
-    digits near purity 1, so values below ~1e-7 only mean "separable at
-    working precision"; `oracle_concurrence` avoids this via the Schmidt
-    spectrum.
-    """
-    m = rho.matrix
-    if check_rank:
-        eigenvalues = np.linalg.eigvalsh(m)
-        if eigenvalues.size > 2 and eigenvalues[-3] > _RANK_LIMIT:
-            raise ConsistencyError(
-                f"third-largest reduced eigenvalue {eigenvalues[-3]:.3e} exceeds "
-                f"{_RANK_LIMIT}; state is not confined to a 2x2 span"
-            )
-    purity = float(np.einsum("ij,ij->", m, m))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - purity)))
-
-
 def schmidt_concurrence(state: ProductStateVector) -> float:
     """2 sigma_1 sigma_2 from the singular values of the coefficient matrix.
 
-    Algebraically identical to the purity route for rank-2 states, but the
-    error stays at machine epsilon even when one Schmidt coefficient is
-    essentially zero, so separable states come out at ~1e-15 instead of ~1e-7.
+    Algebraically equal to sqrt(2 (1 - Tr rho^2)) of the reduced state for
+    rank-2 states, but the error stays at machine epsilon even when one
+    Schmidt coefficient is essentially zero, so separable states come out at
+    ~1e-15 instead of the purity subtraction's ~1e-7.
     """
     svals = np.linalg.svd(state.matrix(), compute_uv=False)
     if svals.size > 2 and svals[2] ** 2 > _RANK_LIMIT:

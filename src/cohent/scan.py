@@ -13,16 +13,17 @@ against the brute-force Fock oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, concurrence, maximality_residual
-from .analytic import _RESCALE_ABOVE, _concurrence_ratio, _norm_sq
-from .analytic import max_concurrence_over_nu
-from .classify import check_class_a, check_class_b
-from .coherent import CoherentConfig, OverlapPair
-from .errors import ConsistencyError, DomainError, GridSizeError
+from .analytic import DEGENERATE_NORM_SQ, SuperpositionCoeffs, max_concurrence_over_nu
+from .analytic import require_open_unit_interval
+from .analytic import _CLAMP_SLACK, _RESCALE_ABOVE, _concurrence_ratio
+from .analytic import _maximality_residual, _norm_sq
+from .classify import _require_positive_tol, family_checks
+from .coherent import CoherentConfig
+from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
 from .oracle import oracle_concurrence
 
 MAX_GRID_POINTS = 100_000_000
@@ -65,6 +66,47 @@ class ScanRecord:
 
     def coefficients(self) -> SuperpositionCoeffs:
         return SuperpositionCoeffs(1.0, self.lam, self.rho, self.nu)
+
+
+@dataclass(frozen=True, eq=False)
+class ScanHits:
+    """Scan hits as equal-length numpy columns; row i is `record(i)`.
+
+    The pipeline carries hits in this form from the grid to the CSV, so each
+    stage runs as a few broadcast steps instead of a Python loop per hit.
+    """
+
+    lam: np.ndarray
+    rho: np.ndarray
+    nu: np.ndarray
+    x: np.ndarray
+    concurrence: np.ndarray
+    refined: np.ndarray
+    refine_converged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lam)
+
+    def record(self, i: int) -> ScanRecord:
+        return ScanRecord(
+            float(self.lam[i]), float(self.rho[i]), float(self.nu[i]),
+            float(self.x[i]), float(self.concurrence[i]),
+            refined=bool(self.refined[i]),
+            refine_converged=bool(self.refine_converged[i]),
+        )
+
+    def records(self) -> list[ScanRecord]:
+        return [self.record(i) for i in range(len(self))]
+
+    @classmethod
+    def from_records(cls, records) -> "ScanHits":
+        """The columns of a sequence of ScanRecord, in order."""
+        return cls(*(
+            np.array([getattr(r, name) for r in records],
+                     dtype=bool if name.startswith("refine") else float)
+            for name in ("lam", "rho", "nu", "x", "concurrence",
+                         "refined", "refine_converged")
+        ))
 
 
 @dataclass(frozen=True)
@@ -170,7 +212,11 @@ class DisjointnessReport:
         return "\n".join(lines)
 
 
-def grid_scan(config: ScanConfig) -> tuple[list[ScanRecord], int]:
+def _at(lam, rho, nu, x) -> str:
+    return f"lam={float(lam)!r} rho={float(rho)!r} nu={float(nu)!r} x={float(x)!r}"
+
+
+def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
     """All grid points whose concurrence reaches the threshold, in grid order,
     and the number of points evaluated.
 
@@ -183,7 +229,7 @@ def grid_scan(config: ScanConfig) -> tuple[list[ScanRecord], int]:
     n_rows = len(lams) * len(rhos)
     floor = config.concurrence_threshold - _PRUNE_MARGIN
     rows_per_chunk = max(1, _BLOCK // len(nus))
-    records = []
+    parts = []
     evaluated = 0
     for x in config.x_values:
         n = math.sqrt((1.0 - x) * (1.0 + x))
@@ -200,91 +246,137 @@ def grid_scan(config: ScanConfig) -> tuple[list[ScanRecord], int]:
                 n_sq = _norm_sq(1.0, lam, rho, nus, x, x)
                 c = _concurrence_ratio(1.0, lam, rho, nus, n, n, n_sq)
                 # Written as a negation so a NaN fails it.
-                if not c.max(initial=0.0) <= 1.0 + 1e-9:
+                if not c.max(initial=0.0) <= 1.0 + _CLAMP_SLACK:
+                    ir, iv = np.argwhere(~(c <= 1.0 + _CLAMP_SLACK))[0]
+                    point = _at(lam[ir, 0], rho[ir, 0], nus[iv], x)
                     raise ConsistencyError(
-                        "grid concurrence exceeded 1 beyond rounding slack"
+                        f"grid_scan: concurrence {float(c[ir, iv])!r} exceeded 1 "
+                        f"beyond rounding slack at {point}"
                     )
                 hit_row, hit_nu = np.nonzero(c >= config.concurrence_threshold)
-                for ir, iv in zip(hit_row.tolist(), hit_nu.tolist()):
-                    records.append(ScanRecord(
-                        float(lam[ir, 0]), float(rho[ir, 0]), float(nus[iv]), x,
-                        min(float(c[ir, iv]), 1.0),
+                if len(hit_row):
+                    parts.append((
+                        lam[hit_row, 0], rho[hit_row, 0], nus[hit_nu],
+                        np.full(len(hit_row), x), np.minimum(c[hit_row, hit_nu], 1.0),
                     ))
-    return records, evaluated
+    columns = ([np.concatenate(column) for column in zip(*parts)] if parts
+               else [np.empty(0) for _ in range(5)])
+    count = len(columns[0])
+    hits = ScanHits(*columns, refined=np.zeros(count, dtype=bool),
+                    refine_converged=np.ones(count, dtype=bool))
+    return hits, evaluated
+
+
+def _project(lam, rho, nu, x, c):
+    """`refine`'s step for columns of near-maximal points; returns the (lam,
+    rho, nu, C, converged) columns.
+
+    On either side of nu = lam rho both terms of maximality_residual's
+    sum-of-squares form are affine in (lam, rho, nu) at fixed x, so one
+    least-squares step p - A^+(Ap + b) lands on the residual's zero line:
+    class (a) for nu >= lam rho, class (b) below.
+    """
+    move = _maximality_residual(lam, rho, nu, x) > REFINE_TARGET
+    upper = nu >= lam * rho
+    new_lam, new_rho, new_nu = lam.copy(), rho.copy(), nu.copy()
+    # The step never crosses the branch boundary: on the class (a) line
+    # nu - lam rho = 1 - lam rho >= 1 - x^2 > 0, and on the class (b) line
+    # nu - lam rho = -(t + x)^2 - (1 - x^2) < 0.
+    a = np.flatnonzero(move & upper)
+    s = (lam[a] + rho[a] + 2.0 * x[a]) / 2.0
+    new_lam[a], new_rho[a], new_nu[a] = lam[a] - s, rho[a] - s, 1.0
+    b = np.flatnonzero(move & ~upper)
+    xb = x[b]
+    t = (lam[b] + rho[b] - 2.0 * xb * (nu[b] + 1.0)) / (2.0 + 4.0 * xb * xb)
+    new_lam[b], new_rho[b], new_nu[b] = t, t, -1.0 - 2.0 * t * xb
+
+    n = np.sqrt((1.0 - x) * (1.0 + x))
+    n_sq = _norm_sq(1.0, new_lam, new_rho, new_nu, x, x)
+    degenerate = np.flatnonzero(n_sq <= DEGENERATE_NORM_SQ)
+    if len(degenerate):
+        i = degenerate[0]
+        raise DegenerateStateError(
+            f"refine: squared norm {float(n_sq[i]):.3e} is numerically zero at "
+            f"{_at(new_lam[i], new_rho[i], new_nu[i], x[i])}"
+        )
+    new_c = _concurrence_ratio(1.0, new_lam, new_rho, new_nu, n, n, n_sq)
+    # The ratio is never negative, so this negation also rejects NaN and inf.
+    bad = np.flatnonzero(~(new_c <= 1.0 + _CLAMP_SLACK))
+    if len(bad):
+        i = bad[0]
+        raise ConsistencyError(
+            f"refine: recomputed concurrence {float(new_c[i])!r} exceeded 1 beyond "
+            f"rounding slack at {_at(new_lam[i], new_rho[i], new_nu[i], x[i])}"
+        )
+    new_c = np.clip(new_c, 0.0, 1.0)
+    # A projection that lowers C keeps its old point, flagged unconverged.
+    worse = new_c < c
+    converged = ~worse & (
+        _maximality_residual(new_lam, new_rho, new_nu, x) <= REFINE_TARGET)
+    return (np.where(worse, lam, new_lam), np.where(worse, rho, new_rho),
+            np.where(worse, nu, new_nu), np.where(worse, c, new_c), converged)
 
 
 def refine(record: ScanRecord) -> ScanRecord:
     """Project a near-maximal hit onto the nearest point of its family.
 
-    On either side of nu = lam rho both terms of maximality_residual's
-    sum-of-squares form are affine in (lam, rho, nu) at fixed x, so one
-    least-squares step p - A^+(Ap + b) lands on the residual's zero line:
-    class (a) for nu >= lam rho, class (b) below.  A point within
-    REFINE_TARGET is not moved; a result with less concurrence than the
-    input is returned flagged, never dropped.
+    The step is the exact projection onto the zero line of the hit's branch
+    of maximality_residual: class (a) for nu >= lam rho, class (b) below.  A
+    point within REFINE_TARGET is not moved; a result with less concurrence
+    than the input is returned flagged, never dropped.  This is `refine_hits`
+    on one record.
     """
     if record.concurrence < REFINE_FLOOR:
         raise DomainError(
             f"refine expects a near-maximal record (C >= {REFINE_FLOOR}), "
             f"got C = {record.concurrence}"
         )
-    x = record.x
-    lam, rho, nu = record.lam, record.rho, record.nu
-    if maximality_residual(record.coefficients(), x) > REFINE_TARGET:
-        # The step never crosses the branch boundary: on the class (a) line
-        # nu - lam rho = 1 - lam rho >= 1 - x^2 > 0, and on the class (b) line
-        # nu - lam rho = -(t + x)^2 - (1 - x^2) < 0.
-        if nu >= lam * rho:
-            s = (lam + rho + 2.0 * x) / 2.0
-            lam, rho, nu = lam - s, rho - s, 1.0
-        else:
-            t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
-            lam, rho, nu = t, t, -1.0 - 2.0 * t * x
+    record.coefficients()  # rejects non-finite coefficients
+    require_open_unit_interval(record.x)
+    return refine_hits(ScanHits.from_records([record])).record(0)
 
-    coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-    c = concurrence(coeffs, OverlapPair(x, x))
-    if c < record.concurrence:
-        return replace(record, refined=True, refine_converged=False)
-    return ScanRecord(
-        lam, rho, nu, x, c, refined=True,
-        refine_converged=maximality_residual(coeffs, x) <= REFINE_TARGET,
-    )
+
+def refine_hits(hits: ScanHits) -> ScanHits:
+    """`refine` applied to every hit with C >= REFINE_FLOOR; the others pass
+    through unrefined."""
+    todo = np.flatnonzero(hits.concurrence >= REFINE_FLOOR)
+    lam, rho, nu, c = (column.copy() for column in
+                       (hits.lam, hits.rho, hits.nu, hits.concurrence))
+    refined, converged = hits.refined.copy(), hits.refine_converged.copy()
+    lam[todo], rho[todo], nu[todo], c[todo], converged[todo] = _project(
+        hits.lam[todo], hits.rho[todo], hits.nu[todo], hits.x[todo],
+        hits.concurrence[todo])
+    refined[todo] = True
+    return ScanHits(lam, rho, nu, hits.x, c, refined, converged)
 
 
 def verify_disjoint_classes(
-    records: list[ScanRecord],
+    hits: ScanHits,
     tol: float = 1e-8,
     maximal_tol: float = 1e-10,
 ) -> DisjointnessReport:
-    """Check every near-maximal record sits on exactly one of the two families.
+    """Check every near-maximal hit sits on exactly one of the two families.
 
-    Only records with concurrence > 1 - maximal_tol are tested; each must
+    Only hits with concurrence > 1 - maximal_tol are tested; each must
     satisfy class (a) or class (b) at `tol`, and never both.
     """
-    n_a = n_b = n_max = 0
-    violations = []
-    for record in records:
-        if record.concurrence <= 1.0 - maximal_tol:
-            continue
-        n_max += 1
-        coeffs = record.coefficients()
-        a_ok = check_class_a(coeffs, record.x, tol)
-        b_ok = check_class_b(coeffs, record.x, tol)
-        if a_ok and b_ok:
-            violations.append((record, "on both families"))
-        elif not a_ok and not b_ok:
-            violations.append((record, "near-maximal but on neither family"))
-        elif a_ok:
-            n_a += 1
-        else:
-            n_b += 1
+    # Written as a negation so a NaN concurrence is tested, and fails.
+    maximal = np.flatnonzero(~(hits.concurrence <= 1.0 - maximal_tol))
+    on_a, on_b = family_checks(hits.lam[maximal], hits.rho[maximal],
+                               hits.nu[maximal], hits.x[maximal], tol)
+    failed = on_a == on_b
+    violations = tuple(
+        (hits.record(i), "on both families" if both
+         else "near-maximal but on neither family")
+        for i, both in zip(maximal[failed].tolist(), on_a[failed].tolist())
+    )
     return DisjointnessReport(
         passed=not violations,
-        n_records=len(records),
-        n_maximal=n_max,
-        n_class_a=n_a,
-        n_class_b=n_b,
-        violations=tuple(violations),
+        n_records=len(hits),
+        n_maximal=len(maximal),
+        n_class_a=int(np.count_nonzero(on_a & ~on_b)),
+        n_class_b=int(np.count_nonzero(on_b & ~on_a)),
+        violations=violations,
         tol=tol,
         maximal_tol=maximal_tol,
     )
@@ -297,25 +389,25 @@ def config_for_overlap(x: float) -> CoherentConfig:
 
 
 def oracle_spot_check(
-    records: list[ScanRecord],
+    hits: ScanHits,
     fraction: float = 0.01,
     seed: int = 0,
     max_diff: float = 1e-8,
 ) -> tuple[int, float]:
-    """Re-check a seeded random subsample of records against the Fock oracle.
+    """Re-check a seeded random subsample of hits against the Fock oracle.
 
     Returns (checked count, worst |analytic - oracle|); raises
     ConsistencyError if any difference exceeds `max_diff`.
     """
-    if not records or fraction <= 0.0:
+    if not len(hits) or fraction <= 0.0:
         return 0, 0.0
     rng = np.random.default_rng(seed)
-    count = max(1, int(round(fraction * len(records))))
-    count = min(count, len(records))
-    indices = sorted(rng.choice(len(records), size=count, replace=False).tolist())
+    count = max(1, int(round(fraction * len(hits))))
+    count = min(count, len(hits))
+    indices = sorted(rng.choice(len(hits), size=count, replace=False).tolist())
     worst = 0.0
     for i in indices:
-        record = records[i]
+        record = hits.record(i)
         oracle_c = oracle_concurrence(config_for_overlap(record.x),
                                       record.coefficients())
         diff = abs(oracle_c - record.concurrence)
@@ -333,7 +425,7 @@ def oracle_spot_check(
 class ScanOutcome:
     """Everything the scan pipeline produced."""
 
-    records: tuple[ScanRecord, ...]
+    hits: ScanHits
     report: DisjointnessReport
     n_grid_hits: int
     n_grid_evaluated: int
@@ -348,21 +440,19 @@ def run_scan(
 ) -> ScanOutcome:
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
-    hits, evaluated = grid_scan(config)
-    refined = [
-        refine(record) if record.concurrence >= REFINE_FLOOR else record
-        for record in hits
-    ]
-    report = verify_disjoint_classes(refined, tol=verify_tol)
+    _require_positive_tol(verify_tol)
+    grid_hits, evaluated = grid_scan(config)
+    hits = refine_hits(grid_hits)
+    report = verify_disjoint_classes(hits, tol=verify_tol)
     checked, worst = oracle_spot_check(
-        refined, fraction=config.oracle_fraction, seed=config.seed
+        hits, fraction=config.oracle_fraction, seed=config.seed
     )
     return ScanOutcome(
-        records=tuple(refined),
+        hits=hits,
         report=report,
         n_grid_hits=len(hits),
         n_grid_evaluated=evaluated,
-        n_refined=sum(1 for r in refined if r.refined),
+        n_refined=int(np.count_nonzero(hits.refined)),
         oracle_checked=checked,
         max_oracle_diff=worst,
     )

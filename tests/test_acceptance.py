@@ -122,7 +122,7 @@ def test_criterion_4_theorem_reverse_direction_empirical():
     assert outcome.report.maximal_tol == 1e-10
     assert outcome.report.n_class_a > 0
     assert outcome.report.n_class_b > 0
-    for record in outcome.records:
+    for record in outcome.hits.records():
         if record.concurrence > 1.0 - 1e-10:
             on_a = check_class_a(record.coefficients(), record.x, 1e-8)
             on_b = check_class_b(record.coefficients(), record.x, 1e-8)

@@ -7,7 +7,13 @@ import pytest
 from cohent import cli
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import classify
-from cohent.scan import REFINE_FLOOR, DisjointnessReport, ScanOutcome, ScanRecord
+from cohent.scan import (
+    REFINE_FLOOR,
+    DisjointnessReport,
+    ScanHits,
+    ScanOutcome,
+    ScanRecord,
+)
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
 AMP_STATE = "alpha = 0\nbeta = 0\ngamma = 1\ndelta = 1\nlambda = 0\nrho = 0\nnu = -1\n"
@@ -188,6 +194,19 @@ class TestScanCommand:
             assert float(row["class_b_residual"]) == result.class_b_residual
             assert row["verdict"] == result.verdict.value
 
+    @pytest.mark.parametrize("steps, threshold", [(3, 1.0), (9, 0.5)],
+                             ids=["no-hits", "hits"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_non_positive_tol_exits_2(self, tmp_path, capsys, tol, steps, threshold):
+        text = "".join(f"{axis}_min = -3\n{axis}_max = 3\n{axis}_steps = {steps}\n"
+                       for axis in ("lambda", "rho", "nu"))
+        config = write(tmp_path, "scan.cfg",
+                       text + f"x_values = 0.5\nthreshold = {threshold}\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["scan", config, str(out), "--tol", tol]) == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_box_exits_2(self, tmp_path, capsys):
         text = SMALL_SCAN.replace("lambda_max = 0.5", "lambda_max = 4e150")
         config = write(tmp_path, "scan.cfg", text)
@@ -209,7 +228,8 @@ class TestScanCommand:
             violations=((impostor, "near-maximal but on neither family"),),
             tol=1e-8, maximal_tol=1e-10,
         )
-        fake = ScanOutcome(records=(impostor,), report=report, n_grid_hits=1,
+        fake = ScanOutcome(hits=ScanHits.from_records([impostor]), report=report,
+                           n_grid_hits=1,
                            n_grid_evaluated=1, n_refined=0, oracle_checked=0,
                            max_oracle_diff=0.0)
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
@@ -224,7 +244,7 @@ class TestScanCommand:
         def fake_run(config, verify_tol=1e-8):
             seen["points"] = config.total_points()
             report = DisjointnessReport(True, 0, 0, 0, 0, (), verify_tol, 1e-10)
-            return ScanOutcome((), report, 0, 0, 0, 0, 0.0)
+            return ScanOutcome(ScanHits.from_records([]), report, 0, 0, 0, 0, 0.0)
 
         monkeypatch.setattr(cli, "run_scan", fake_run)
         assert cli.main(["scan", "theorem_check.cfg", str(tmp_path / "o.csv")]) == 0

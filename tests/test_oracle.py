@@ -8,15 +8,29 @@ from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
 from cohent.errors import ConsistencyError, DomainError, TruncationError
 from cohent.oracle import (
     ProductStateVector,
-    ReducedDensity,
     build_state,
     oracle_concurrence,
-    purity_concurrence,
-    reduced_density,
     schmidt_concurrence,
 )
 
 HALF_GAP = math.sqrt(2.0 * math.log(2.0))  # overlap exactly 1/2
+
+
+def reduced_density(state):
+    """The first mode's reduced density matrix: psi psi^T."""
+    psi = state.matrix()
+    return psi @ psi.T
+
+
+def purity_concurrence(state):
+    """sqrt(2 (1 - Tr rho^2)): the Schmidt route's independent reference."""
+    m = reduced_density(state)
+    return math.sqrt(max(0.0, 2.0 * (1.0 - float(np.einsum("ij,ij->", m, m)))))
+
+
+def schmidt_state(weights):
+    """A normalized state whose Schmidt weights are `weights`."""
+    return ProductStateVector(np.diag(np.sqrt(weights)).ravel(), len(weights), 1.0)
 
 
 def random_state(rng):
@@ -80,7 +94,7 @@ class TestReducedDensity:
     def test_product_state_is_rank_one_projector(self):
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         state = build_state(config, SuperpositionCoeffs(1, 0, 0, 0), truncation=24)
-        rho = reduced_density(state).matrix
+        rho = reduced_density(state)
         np.testing.assert_allclose(rho, rho.T, atol=1e-14)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
         eigenvalues = np.linalg.eigvalsh(rho)
@@ -91,14 +105,14 @@ class TestReducedDensity:
         psi = np.zeros((4, 4))
         psi[0, 0] = psi[1, 1] = 1.0 / math.sqrt(2.0)
         state = ProductStateVector(psi.ravel(), 4, 1.0)
-        rho = reduced_density(state).matrix
+        rho = reduced_density(state)
         np.testing.assert_allclose(rho, np.diag([0.5, 0.5, 0, 0]), atol=1e-15)
 
     def test_symmetry_trace_and_positivity_random(self):
         rng = np.random.default_rng(52)
         for _ in range(25):
             config, coeffs = random_state(rng)
-            rho = reduced_density(build_state(config, coeffs)).matrix
+            rho = reduced_density(build_state(config, coeffs))
             np.testing.assert_allclose(rho, rho.T, atol=1e-12)
             assert np.trace(rho) == pytest.approx(1.0, abs=1e-10)
             eigenvalues = np.linalg.eigvalsh(rho)
@@ -106,48 +120,39 @@ class TestReducedDensity:
             # Schmidt rank <= 2: third-largest eigenvalue is numerically zero
             assert eigenvalues[-3] < 1e-9
 
-    def test_subsystem_symmetry(self):
-        rng = np.random.default_rng(53)
-        for _ in range(25):
-            config, coeffs = random_state(rng)
-            state = build_state(config, coeffs)
-            c_first = purity_concurrence(reduced_density(state, keep="first"))
-            c_second = purity_concurrence(reduced_density(state, keep="second"))
-            assert abs(c_first - c_second) < 1e-10
 
-    def test_rejects_bad_keep(self):
-        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        state = build_state(config, SuperpositionCoeffs(1, 0, 0, 1), truncation=32)
-        with pytest.raises(DomainError):
-            reduced_density(state, keep="third")
+class TestSchmidtConcurrence:
+    def test_product_state_is_zero(self):
+        assert schmidt_concurrence(schmidt_state([1.0, 0.0, 0.0])) == 0.0
+
+    def test_embedded_bell_pair(self):
+        state = schmidt_state([0.5, 0.5, 0.0, 0.0])
+        assert schmidt_concurrence(state) == pytest.approx(1.0, abs=1e-15)
+
+    def test_skewed_spectrum(self):
+        assert schmidt_concurrence(schmidt_state([0.9, 0.1])) == pytest.approx(
+            0.6, abs=1e-15)
+
+    def test_rejects_rank_three(self):
+        with pytest.raises(ConsistencyError, match="third Schmidt weight"):
+            schmidt_concurrence(schmidt_state([0.5, 0.3, 0.2]))
 
 
 class TestPurityConcurrence:
-    def test_rank_one(self):
-        rho = ReducedDensity(np.diag([1.0, 0.0, 0.0]))
-        assert purity_concurrence(rho) == 0.0
-
     def test_balanced_bell(self):
-        rho = ReducedDensity(np.diag([0.5, 0.5]))
-        assert purity_concurrence(rho) == pytest.approx(1.0, abs=1e-15)
-
-    def test_skewed_spectrum(self):
-        rho = ReducedDensity(np.diag([0.9, 0.1]))
-        assert purity_concurrence(rho) == pytest.approx(0.6, abs=1e-15)
-
-    def test_rank_check_rejects_rank_three(self):
-        rho = ReducedDensity(np.diag([0.5, 0.3, 0.2]))
-        with pytest.raises(ConsistencyError):
-            purity_concurrence(rho, check_rank=True)
+        state = schmidt_state([0.5, 0.5])
+        assert purity_concurrence(state) == pytest.approx(1.0, abs=1e-15)
+        assert schmidt_concurrence(state) == pytest.approx(1.0, abs=1e-15)
 
     def test_purity_identity_for_bell_like_state(self):
         # (1,0,0,1) at p = e^{-1/2}: C = (1 - e^-1)/(1 + e^-1), Tr rho^2 = 1 - C^2/2
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         state = build_state(config, SuperpositionCoeffs(1, 0, 0, 1))
-        m = reduced_density(state).matrix
+        m = reduced_density(state)
         purity = float(np.einsum("ij,ij->", m, m))
         c = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))
         assert purity == pytest.approx(1.0 - c * c / 2.0, abs=1e-12)
+        assert schmidt_concurrence(state) == pytest.approx(c, abs=1e-12)
 
 
 class TestOracleConcurrence:
@@ -172,7 +177,7 @@ class TestOracleConcurrence:
             config, coeffs = random_state(rng)
             state = build_state(config, coeffs)
             c_schmidt = schmidt_concurrence(state)
-            c_purity = purity_concurrence(reduced_density(state), check_rank=True)
+            c_purity = purity_concurrence(state)
             # the purity subtraction bottoms out around 1e-7 noise near zero
             assert abs(c_schmidt - c_purity) < 2e-7
 

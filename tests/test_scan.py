@@ -1,22 +1,39 @@
+import csv
 import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cohent import cli
 from cohent import scan as scan_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
-from cohent.classify import check_class_a, check_class_b, class_b_residual
+from cohent.analytic import _maximality_residual
+from cohent.classify import (
+    VERDICTS,
+    check_class_a,
+    check_class_b,
+    class_b_residual,
+    classify,
+    classify_columns,
+    family_checks,
+)
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DomainError, GridSizeError
 from cohent.scan import (
+    REFINE_FLOOR,
+    DisjointnessReport,
     ScanConfig,
+    ScanHits,
     ScanRecord,
     config_for_overlap,
     grid_scan,
     oracle_spot_check,
     refine,
+    refine_hits,
     run_scan,
     verify_disjoint_classes,
 )
@@ -86,9 +103,9 @@ class TestGridScan:
             concurrence_threshold=0.9999,
         )
         hits, _ = grid_scan(config)
-        assert hits
+        assert len(hits)
         step = 4.0 / 80.0
-        for record in hits:
+        for record in hits.records():
             near_a = abs(record.lam + record.rho + 1.0) <= step
             near_b = abs(record.lam - record.rho) <= step and abs(
                 record.lam + record.rho + 4.0
@@ -104,7 +121,8 @@ class TestGridScan:
             x_values=(0.5,),
             concurrence_threshold=0.999,
         )
-        assert grid_scan(config) == ([], 0)
+        hits, evaluated = grid_scan(config)
+        assert (len(hits), evaluated) == (0, 0)
 
     def test_single_point_antisymmetric(self):
         config = ScanConfig(
@@ -116,12 +134,12 @@ class TestGridScan:
         )
         hits, _ = grid_scan(config)
         assert len(hits) == 1
-        assert class_b_residual(hits[0].coefficients(), 0.3) == 0.0
-        assert hits[0].concurrence >= 1.0 - 1e-9
+        assert class_b_residual(hits.record(0).coefficients(), 0.3) == 0.0
+        assert hits.concurrence[0] >= 1.0 - 1e-9
 
     def test_matches_scalar_concurrence(self):
         config = small_config(nu_range=(-2.0, 2.0, 9))
-        for record in grid_scan(config)[0]:
+        for record in grid_scan(config)[0].records():
             scalar = concurrence(record.coefficients(), OverlapPair(record.x, record.x))
             assert record.concurrence == scalar
 
@@ -143,13 +161,16 @@ class TestGridScan:
                 expected.append((lam, rho, nu, c))
         hits, _ = grid_scan(config)
         assert len(hits) == 50
-        assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hits] == expected
+        assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hits.records()] == expected
 
     def test_nan_concurrence_raises(self, monkeypatch):
         ratio = scan_module._concurrence_ratio
         monkeypatch.setattr(scan_module, "_concurrence_ratio",
                             lambda *args: ratio(*args) * np.nan)
-        with pytest.raises(ConsistencyError, match="exceeded 1"):
+        # the first kept row, lam = rho = -2, holds the class (b) point nu = 1
+        with pytest.raises(ConsistencyError,
+                           match=r"^grid_scan: concurrence nan exceeded 1 .* at "
+                                 r"lam=-2\.0 rho=-2\.0 nu=1\.0 x=0\.5$"):
             grid_scan(small_config())
 
     def test_deterministic_across_runs(self):
@@ -160,7 +181,9 @@ class TestGridScan:
             x_values=(0.2, 0.8),
             concurrence_threshold=0.995,
         )
-        assert grid_scan(config) == grid_scan(config)
+        (first, n_first), (second, n_second) = grid_scan(config), grid_scan(config)
+        assert first.records() == second.records()
+        assert n_first == n_second
 
 
 def full_sweep(config):
@@ -203,8 +226,8 @@ class TestGridPruning:
             x_values=(x,),
             concurrence_threshold=threshold,
         )
-        records, evaluated = grid_scan(config)
-        assert records == full_sweep(config)
+        hits, evaluated = grid_scan(config)
+        assert hits.records() == full_sweep(config)
         assert evaluated % 25 == 0 and evaluated <= config.total_points()
 
     @pytest.mark.parametrize("point", [
@@ -217,7 +240,7 @@ class TestGridPruning:
             *((v, v, 1) for v in point), x_values=(0.5,),
             concurrence_threshold=0.999,
         )
-        assert grid_scan(config)[0] == full_sweep(config)
+        assert grid_scan(config)[0].records() == full_sweep(config)
 
     def test_nu_box_excluding_row_maximizer(self):
         # rows near the class (a) line peak at nu = 1, outside this box, so
@@ -229,9 +252,9 @@ class TestGridPruning:
             x_values=(0.5,),
             concurrence_threshold=0.9,
         )
-        records, _ = grid_scan(config)
-        assert records
-        assert records == full_sweep(config)
+        hits, _ = grid_scan(config)
+        assert len(hits)
+        assert hits.records() == full_sweep(config)
 
     def test_wide_box(self):
         config = ScanConfig(
@@ -241,8 +264,8 @@ class TestGridPruning:
             x_values=(0.2, 0.7),
             concurrence_threshold=0.9,
         )
-        records, evaluated = grid_scan(config)
-        assert records == full_sweep(config)
+        hits, evaluated = grid_scan(config)
+        assert hits.records() == full_sweep(config)
         assert evaluated < config.total_points()
 
     def test_near_one_follows_the_exact_value(self):
@@ -260,7 +283,8 @@ class TestGridPruning:
             exact = 2 * abs(nu - lam * rho) * (1 - xm**2) / n_sq
         assert exact < config.concurrence_threshold
         assert len(full_sweep(config)) == 1
-        assert grid_scan(config) == ([], 0)
+        hits, evaluated = grid_scan(config)
+        assert (len(hits), evaluated) == (0, 0)
 
 
 class TestRefine:
@@ -342,6 +366,15 @@ class TestRefine:
             after = refined.nu - refined.lam * refined.rho
             assert (before >= 0.0) == (after >= 0.0)
 
+    def test_lower_concurrence_keeps_the_old_point(self):
+        # claims C = 1 just off the class (a) line; the projection's C rounds
+        # below 1, so the old point comes back, flagged unconverged
+        record = ScanRecord(-0.91, -0.29999999999999993, 1.0, 0.61, 1.0)
+        expected = ScanRecord(-0.91, -0.29999999999999993, 1.0, 0.61, 1.0,
+                              refined=True, refine_converged=False)
+        assert refine(record) == expected
+        assert refine_hits(ScanHits.from_records([record])).records() == [expected]
+
     def test_flags_are_keyword_only(self):
         # a stale call passing two residuals must not bind them to the flags
         with pytest.raises(TypeError):
@@ -353,10 +386,24 @@ class TestRefine:
         with pytest.raises(DomainError):
             refine(record)
 
+    def test_nan_concurrence_raises(self, monkeypatch):
+        ratio = scan_module._concurrence_ratio
+        monkeypatch.setattr(scan_module, "_concurrence_ratio",
+                            lambda *args: ratio(*args) * np.nan)
+        # exact family points, which refine recomputes without moving
+        records = [ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0),
+                   ScanRecord(0.0, 0.0, -1.0, 0.3, 1.0)]
+        message = (r"^refine: recomputed concurrence nan exceeded 1 beyond rounding "
+                   r"slack at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")
+        with pytest.raises(ConsistencyError, match=message):
+            refine(records[0])
+        with pytest.raises(ConsistencyError, match=message):
+            refine_hits(ScanHits.from_records(records))
+
 
 class TestVerifyDisjointClasses:
     def test_empty_input_passes(self):
-        report = verify_disjoint_classes([])
+        report = verify_disjoint_classes(ScanHits.from_records([]))
         assert report.passed
         assert report.n_maximal == 0
 
@@ -374,7 +421,7 @@ class TestVerifyDisjointClasses:
                 ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
                            concurrence(coeffs, OverlapPair(0.5, 0.5)))
             )
-        report = verify_disjoint_classes(records, tol=1e-8)
+        report = verify_disjoint_classes(ScanHits.from_records(records), tol=1e-8)
         assert report.passed
         assert report.n_class_a == 3
         assert report.n_class_b == 2
@@ -382,14 +429,15 @@ class TestVerifyDisjointClasses:
     def test_detects_off_manifold_maximal_record(self):
         # a synthetic impostor: claims C = 1 while sitting on neither family
         impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0)
-        report = verify_disjoint_classes([impostor], tol=1e-8)
+        report = verify_disjoint_classes(ScanHits.from_records([impostor]), tol=1e-8)
         assert not report.passed
         assert report.violations[0][1] == "near-maximal but on neither family"
         assert "DISJOINTNESS VIOLATED" in report.summary()
 
     def test_ignores_sub_maximal_records(self):
-        intermediate = ScanRecord(0.3, -0.2, 0.5, 0.5, 0.95)
-        report = verify_disjoint_classes([intermediate], tol=1e-8)
+        # off both families, and below the default 1 - 1e-10 maximal line
+        records = [ScanRecord(0.3, -0.2, 0.5, 0.5, c) for c in (0.95, 1.0 - 1e-9)]
+        report = verify_disjoint_classes(ScanHits.from_records(records), tol=1e-8)
         assert report.passed
         assert report.n_maximal == 0
 
@@ -404,17 +452,19 @@ class TestOracleSpotCheck:
                 ScanRecord(lam, -1.0 - lam, 1.0, x,
                            concurrence(coeffs, OverlapPair(x, x)))
             )
-        checked, worst = oracle_spot_check(records, fraction=1.0, seed=3)
+        checked, worst = oracle_spot_check(ScanHits.from_records(records),
+                                           fraction=1.0, seed=3)
         assert checked == len(records)
         assert worst < 1e-10
 
     def test_flags_wrong_concurrence(self):
         liar = ScanRecord(-0.5, -0.5, 1.0, 0.5, 0.25)
         with pytest.raises(ConsistencyError):
-            oracle_spot_check([liar], fraction=1.0, seed=3)
+            oracle_spot_check(ScanHits.from_records([liar]), fraction=1.0, seed=3)
 
     def test_empty_records(self):
-        assert oracle_spot_check([], fraction=1.0, seed=3) == (0, 0.0)
+        assert oracle_spot_check(ScanHits.from_records([]), fraction=1.0,
+                                 seed=3) == (0, 0.0)
 
     def test_config_for_overlap_reproduces_x(self):
         for x in (0.1, 0.5, 0.9):
@@ -437,7 +487,7 @@ class TestRunScan:
         )
         outcome = run_scan(config)
         assert outcome.report.passed
-        assert outcome.n_grid_hits == len(outcome.records)
+        assert outcome.n_grid_hits == len(outcome.hits)
         assert outcome.n_refined > 0
         assert outcome.oracle_checked >= 1
         assert outcome.max_oracle_diff < 1e-8
@@ -453,7 +503,7 @@ class TestRunScan:
         )
         first = run_scan(config)
         second = run_scan(config)
-        assert first.records == second.records
+        assert first.hits.records() == second.hits.records()
         assert first.report == second.report
         assert first.max_oracle_diff == second.max_oracle_diff
 
@@ -469,4 +519,155 @@ class TestRunScan:
         assert outcome.report.passed, outcome.report.summary()
         assert outcome.n_grid_hits == 38
         assert (outcome.report.n_class_a, outcome.report.n_class_b) == (22, 16)
-        assert all(record.refine_converged for record in outcome.records)
+        assert outcome.hits.refine_converged.all()
+
+
+def list_refine(record):
+    """refine as it was before hits became columns: scalar arithmetic, one
+    record at a time, with maximality_residual's two branches inline."""
+    def residual(lam, rho, nu, x):
+        if nu >= lam * rho:
+            h = lam + rho + 2.0 * x
+            u = nu - 1.0 + x * h
+            return u * u + (1.0 - x) * (1.0 + x) * h * h
+        w = 1.0 + nu + (lam + rho) * x
+        r = lam - rho
+        return w * w + (1.0 - x) * (1.0 + x) * r * r
+
+    x, lam, rho, nu = record.x, record.lam, record.rho, record.nu
+    if residual(lam, rho, nu, x) > scan_module.REFINE_TARGET:
+        if nu >= lam * rho:
+            s = (lam + rho + 2.0 * x) / 2.0
+            lam, rho, nu = lam - s, rho - s, 1.0
+        else:
+            t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
+            lam, rho, nu = t, t, -1.0 - 2.0 * t * x
+    c = concurrence(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x))
+    if c < record.concurrence:
+        return ScanRecord(record.lam, record.rho, record.nu, x, record.concurrence,
+                          refined=True, refine_converged=False)
+    return ScanRecord(lam, rho, nu, x, c, refined=True,
+                      refine_converged=residual(lam, rho, nu, x)
+                      <= scan_module.REFINE_TARGET)
+
+
+def list_verify(records, tol, maximal_tol=1e-10):
+    """verify_disjoint_classes as it was before hits became columns: one pair
+    of scalar family checks per near-maximal record."""
+    n_a = n_b = n_max = 0
+    violations = []
+    for record in records:
+        if record.concurrence <= 1.0 - maximal_tol:
+            continue
+        n_max += 1
+        a_ok = check_class_a(record.coefficients(), record.x, tol)
+        b_ok = check_class_b(record.coefficients(), record.x, tol)
+        if a_ok and b_ok:
+            violations.append((record, "on both families"))
+        elif not a_ok and not b_ok:
+            violations.append((record, "near-maximal but on neither family"))
+        elif a_ok:
+            n_a += 1
+        else:
+            n_b += 1
+    return DisjointnessReport(not violations, len(records), n_max, n_a, n_b,
+                              tuple(violations), tol, maximal_tol)
+
+
+def list_csv(records, path, tol):
+    """The scan CSV as it was written before: one classify call per row."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lambda", "rho", "nu", "x", "concurrence",
+                         "class_a_residual", "class_b_residual", "verdict"])
+        for record in records:
+            result = classify(record.coefficients(), record.x, tol)
+            writer.writerow(
+                [f"{v:.17g}" for v in (
+                    record.lam, record.rho, record.nu, record.x, record.concurrence,
+                    result.class_a_residual, result.class_b_residual,
+                )] + [result.verdict.value]
+            )
+
+
+def box(lo, hi, steps, x_values, threshold):
+    return ScanConfig((lo, hi, steps), (lo, hi, steps), (lo, hi, steps),
+                      x_values, threshold, seed=3, oracle_fraction=0.01)
+
+
+class TestColumnTail:
+    """Refine, verify and the CSV on columns must equal the per-record tail."""
+
+    @pytest.mark.parametrize("config", [
+        cli._resolve_scan_config("theorem_check.cfg"),
+        box(-3.0, 3.0, 241, (0.2, 0.5, 0.8), 0.999999),  # dense_sweep's box
+        box(-3.0, 3.0, 9, (0.2, 0.5, 0.8), 0.5),  # hits below REFINE_FLOOR
+        box(-1e150, 1e150, 5, (0.5,), 0.5),  # near the 2^500 box limit
+    ], ids=["bundled", "dense", "box9", "huge"])
+    def test_matches_per_record_tail(self, config, tmp_path):
+        tol = 1e-9
+        grid_hits, _ = grid_scan(config)
+        records = [list_refine(r) if r.concurrence >= REFINE_FLOOR else r
+                   for r in grid_hits.records()]
+        list_csv(records, tmp_path / "reference.csv", tol)
+
+        outcome = run_scan(config, verify_tol=tol)
+        cli.write_records_csv(outcome.hits, tmp_path / "columns.csv", tol)
+        assert outcome.hits.records() == records
+        assert outcome.report == list_verify(records, tol)
+        assert outcome.n_refined == sum(r.refined for r in records)
+        assert ((tmp_path / "columns.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+
+def bits(values):
+    """Floats compared by repr, so that 0.0 and -0.0 differ."""
+    return tuple(repr(float(v)) for v in values)
+
+
+@st.composite
+def scan_points(draw):
+    """(lam, rho, nu, x): a family point, perhaps nudged, or a random point."""
+    x = draw(st.floats(0.01, 0.99))
+    f = draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["a", "b", "random"]))
+    if kind == "a":
+        point = [f, -2.0 * x - f, 1.0]
+    elif kind == "b":
+        point = [f, f, -1.0 - 2.0 * f * x]
+    else:
+        point = [draw(st.floats(-3.0, 3.0)) for _ in range(3)]
+    nudge = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]))
+    point = [v + nudge * draw(st.floats(-1.0, 1.0)) for v in point]
+    return (*point, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(scan_points(), min_size=1, max_size=12),
+       st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_scalar_api_matches_columns_bit_for_bit(points, tol):
+    records = [
+        ScanRecord(lam, rho, nu, x, concurrence(SuperpositionCoeffs(1.0, lam, rho, nu),
+                                                OverlapPair(x, x)))
+        for lam, rho, nu, x in points
+    ]
+    hits = ScanHits.from_records(records)
+    refined = refine_hits(hits)
+    res_a, res_b, res_sep, codes = classify_columns(hits.lam, hits.rho, hits.nu,
+                                                    hits.x, tol)
+    on_a, on_b = family_checks(hits.lam, hits.rho, hits.nu, hits.x, tol)
+    residuals = _maximality_residual(hits.lam, hits.rho, hits.nu, hits.x)
+    for i, record in enumerate(records):
+        expected = refine(record) if record.concurrence >= REFINE_FLOOR else record
+        got = refined.record(i)
+        assert bits((got.lam, got.rho, got.nu, got.x, got.concurrence)) == bits(
+            (expected.lam, expected.rho, expected.nu, expected.x, expected.concurrence))
+        assert (got.refined, got.refine_converged) == (expected.refined,
+                                                       expected.refine_converged)
+        coeffs, x = record.coefficients(), record.x
+        result = classify(coeffs, x, tol)
+        assert bits((res_a[i], res_b[i], res_sep[i])) == bits(result.residuals)
+        assert VERDICTS[codes[i]] is result.verdict
+        assert (on_a[i], on_b[i]) == (check_class_a(coeffs, x, tol),
+                                      check_class_b(coeffs, x, tol))
+        assert bits([residuals[i]]) == bits([maximality_residual(coeffs, x)])
