@@ -9,7 +9,6 @@ from .analytic import (
     OrthonormalAmplitudes,
     SuperpositionCoeffs,
     concurrence,
-    concurrence_from_amplitudes,
     gram_norm_squared,
     maximality_residual,
     orthonormal_amplitudes,
@@ -82,7 +81,7 @@ __all__ = [
     "overlap", "overlap_complement", "fock_vector", "default_truncation",
     "SuperpositionCoeffs", "OrthonormalAmplitudes",
     "gram_norm_squared", "orthonormal_amplitudes",
-    "concurrence", "concurrence_from_amplitudes", "maximality_residual",
+    "concurrence", "maximality_residual",
     "Verdict", "ClassificationResult", "RootReport",
     "check_class_a", "check_class_b", "classify",
     "quadratic_roots_case1", "quadratic_roots_case2", "solve_coefficients_for_x",

@@ -1,18 +1,19 @@
-"""Closed-form norm, orthonormal-basis amplitudes and concurrence.
+"""Orthonormal-basis amplitudes and the quantities derived from them.
 
-The state under study is
-
-    |psi> = mu|alpha,beta> + lambda|alpha,delta> + rho|gamma,beta> + nu|gamma,delta>
-
-with real coefficients and real coherent amplitudes.  Orthonormalizing each
-subsystem pair (keep |alpha> resp. |delta>, Gram-Schmidt the partner) turns
-|psi> into an ordinary two-qubit vector, whose concurrence 2|ad - bc| reduces
-to the closed form 2|mu*nu - lambda*rho| sqrt(1-p1^2) sqrt(1-p2^2) / N^2.
+The state |psi> = mu|alpha,beta> + lambda|alpha,delta> + rho|gamma,beta> +
+nu|gamma,delta> has real coefficients and real coherent amplitudes.
+Orthonormalizing each subsystem pair turns it into a two-qubit vector
+(a, b, c, d), computed by one broadcasting kernel, `_amplitudes`.  Then
+N^2 = a^2 + b^2 + c^2 + d^2, C = 2|ad - bc| / N^2 = 2|mu nu - lam rho| n1 n2 / N^2
+and N^2 (1 - C) = min((a - d)^2 + (b + c)^2, (a + d)^2 + (b - c)^2).  Unlike
+the expanded Gram form of N^2, sums of squares do not cancel as the overlaps
+approach 1.  The numerator of C keeps its closed form, exactly 0 when separable.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +21,18 @@ import numpy as np
 from .coherent import OverlapPair, _require_finite
 from .errors import ConsistencyError, DegenerateStateError, DomainError
 
-# Below this the four components are treated as numerically dependent.
-DEGENERATE_NORM_SQ = 1e-14
-
 # Concurrence rounding slack: clamp up to this overshoot, fail beyond 1 + 1e-9.
 _CLAMP_SLACK = 1e-9
 
-# The terms of N^2 sum to at most (|mu| + |lam| + |rho| + |nu|)^2, which
-# overflows once that sum passes 2^512.
+# N^2 <= 4 (|mu| + |lam| + |rho| + |nu|)^2 overflows once that sum passes
+# 2^511, and underflows far below 1; `concurrence` rescales outside these.
 _RESCALE_ABOVE = 2.0 ** 500
+_RESCALE_BELOW = 2.0 ** -400
+
+# Each amplitude sums four terms no larger than the coefficients, so rounding
+# errs it by a few eps (|mu| + |lam| + |rho| + |nu|); a norm N within 4 eps of
+# that sum is rounding noise, and the four components numerically dependent.
+_DEGENERATE_REL = (4.0 * sys.float_info.epsilon) ** 2
 
 
 @dataclass(frozen=True)
@@ -77,14 +81,32 @@ def require_open_unit_interval(x: float, name: str = "x") -> float:
     return x
 
 
-def _norm_sq(mu, lam, rho, nu, p1, p2):
-    """The collapsed Gram form of N^2 (see gram_norm_squared); broadcasts."""
-    return (
-        (mu * mu + lam * lam + rho * rho + nu * nu)
-        + 2.0 * (mu * lam + rho * nu) * p2
-        + 2.0 * (mu * rho + lam * nu) * p1
-        + 2.0 * (mu * nu + lam * rho) * p1 * p2
-    )
+def _amplitudes(mu, lam, rho, nu, p1, p2, n1, n2):
+    """Amplitudes (a, b, c, d) of |psi> in the orthonormalized product basis;
+    broadcasts.
+
+    System 1 keeps |alpha> and orthogonalizes |gamma> against it; system 2
+    keeps |delta> and orthogonalizes |beta>.  In that basis
+
+        a = mu p2 + lam + rho p1 p2 + nu p1,   b = n2 (mu + rho p1),
+        c = n1 (nu + rho p2),                  d = rho n1 n2,
+
+    with n_i = sqrt(1 - p_i^2).
+    """
+    return (mu * p2 + lam + rho * p1 * p2 + nu * p1, n2 * (mu + rho * p1),
+            n1 * (nu + rho * p2), rho * n1 * n2)
+
+
+def _norm_sq(mu, lam, rho, nu, p1, p2, n1, n2):
+    """N^2 = a^2 + b^2 + c^2 + d^2; broadcasts."""
+    a, b, c, d = _amplitudes(mu, lam, rho, nu, p1, p2, n1, n2)
+    return a * a + b * b + c * c + d * d
+
+
+def _degenerate(n_sq, size):
+    """Whether N^2 is rounding noise for coefficients whose magnitudes sum to
+    `size` (see _DEGENERATE_REL); dividing first avoids overflow.  Broadcasts."""
+    return n_sq / size <= _DEGENERATE_REL * size
 
 
 def _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq):
@@ -93,16 +115,13 @@ def _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq):
 
 
 def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
-    """Squared norm N^2 = <psi|psi> of the unnormalized superposition.
-
-    For real parameters the sixteen Gram terms collapse to
-
-        N^2 = (mu^2+lam^2+rho^2+nu^2) + 2(mu*lam+rho*nu) p2
-              + 2(mu*rho+lam*nu) p1 + 2(mu*nu+lam*rho) p1 p2.
+    """Squared norm N^2 = <psi|psi> of the unnormalized superposition, the sum
+    of squares of its amplitudes.  Raises DegenerateStateError when N is
+    rounding noise next to the coefficients (see _DEGENERATE_REL).
     """
-    n_sq = _norm_sq(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
-                    overlaps.p1, overlaps.p2)
-    if n_sq <= DEGENERATE_NORM_SQ:
+    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
+    n_sq = _norm_sq(mu, lam, rho, nu, overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
+    if _degenerate(n_sq, abs(mu) + abs(lam) + abs(rho) + abs(nu)):
         raise DegenerateStateError(
             f"squared norm {n_sq:.3e} is numerically zero; the four components "
             "are linearly dependent at this working precision"
@@ -113,26 +132,11 @@ def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> flo
 def orthonormal_amplitudes(
     coeffs: SuperpositionCoeffs, overlaps: OverlapPair
 ) -> OrthonormalAmplitudes:
-    """Two-qubit amplitudes of |psi> in the orthonormalized product basis.
-
-    System 1 keeps |alpha> and orthogonalizes |gamma| against it; system 2
-    keeps |delta> and orthogonalizes |beta>.  In that basis
-
-        a = mu p2 + lam + rho p1 p2 + nu p1,   b = n2 (mu + rho p1),
-        c = n1 (nu + rho p2),                  d = rho n1 n2,
-
-    with n_i = sqrt(1 - p_i^2).
-    """
-    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
-    p1, p2 = overlaps.p1, overlaps.p2
-    n1, n2 = overlaps.n1, overlaps.n2
+    """Two-qubit amplitudes of |psi> (see _amplitudes) and its norm N."""
+    a, b, c, d = _amplitudes(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
+                             overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
     return OrthonormalAmplitudes(
-        a=mu * p2 + lam + rho * p1 * p2 + nu * p1,
-        b=n2 * (mu + rho * p1),
-        c=n1 * (nu + rho * p2),
-        d=rho * n1 * n2,
-        norm=math.sqrt(gram_norm_squared(coeffs, overlaps)),
-    )
+        a, b, c, d, norm=math.sqrt(gram_norm_squared(coeffs, overlaps)))
 
 
 def _clamp_concurrence(value: float) -> float:
@@ -144,20 +148,14 @@ def _clamp_concurrence(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def concurrence_from_amplitudes(amps: OrthonormalAmplitudes) -> float:
-    """Concurrence 2|ad - bc| / N^2 of the (unnormalized) two-qubit state."""
-    raw = 2.0 * abs(amps.a * amps.d - amps.b * amps.c) / (amps.norm * amps.norm)
-    return _clamp_concurrence(raw)
-
-
 def concurrence(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
     """Closed-form concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to [0, 1].
 
-    Coefficients large enough to overflow N^2 are first scaled by a power of
-    two, which is exact and leaves the scale-invariant concurrence unchanged.
+    Coefficients that would overflow or underflow N^2 are first scaled by a
+    power of two, which is exact and leaves the concurrence unchanged.
     """
     mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
-    if abs(mu) + abs(lam) + abs(rho) + abs(nu) > _RESCALE_ABOVE:
+    if not _RESCALE_BELOW <= abs(mu) + abs(lam) + abs(rho) + abs(nu) <= _RESCALE_ABOVE:
         exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
         coeffs = SuperpositionCoeffs(
             *(math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
@@ -191,33 +189,22 @@ def max_concurrence_over_nu(lam, rho, x):
 
 
 def _maximality_residual(lam, rho, nu, x):
-    """N^2 (1 - C) at mu = 1, p1 = p2 = x; broadcasts (see maximality_residual).
-
-    np.where evaluates both sum-of-squares branches and keeps the one on the
-    point's side of nu = lam rho.
-    """
-    one_minus_x_sq = (1.0 - x) * (1.0 + x)
-    h = lam + rho + 2.0 * x
-    u = nu - 1.0 + x * h
-    w = 1.0 + nu + (lam + rho) * x
-    r = lam - rho
-    return np.where(nu >= lam * rho, u * u + one_minus_x_sq * h * h,
-                    w * w + one_minus_x_sq * r * r)
+    """N^2 (1 - C) at mu = 1, p1 = p2 = x; broadcasts (see maximality_residual)."""
+    n = np.sqrt((1.0 - x) * (1.0 + x))
+    a, b, c, d = _amplitudes(1.0, lam, rho, nu, x, x, n, n)
+    return np.minimum((a - d) * (a - d) + (b + c) * (b + c),
+                      (a + d) * (a + d) + (b - c) * (b - c))
 
 
 def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
-    """N^2 - 2|nu - lam rho|(1 - x^2) at the common overlap p1 = p2 = x.
+    """N^2 - 2|ad - bc| at the common overlap p1 = p2 = x.
 
     Equals N^2 (1 - C), so it is nonnegative and vanishes exactly when the
-    state is maximally entangled.  Requires the mu = 1 gauge.
-
-    The textbook expression cancels catastrophically near its zeros (noise
-    floor ~eps N^2, i.e. family distances of only ~1e-7 resolve), so each
-    branch of |nu - lam rho| is evaluated in its algebraically identical
-    sum-of-squares form, which is accurate down to ~1e-30:
-
-        nu >= lam rho:  (nu - 1 + x h)^2 + (1 - x^2) h^2,  h = lam + rho + 2x
-        nu <= lam rho:  (1 + nu + (lam+rho) x)^2 + (1 - x^2) (lam - rho)^2
+    state is maximally entangled.  Requires the mu = 1 gauge.  That
+    difference cancels near its zeros; since N^2 -+ 2(ad - bc) =
+    (a -+ d)^2 + (b +- c)^2, it is taken as the smaller of two sums of squares,
+    accurate down to ~1e-30.  (a + d)^2 + (b - c)^2 vanishes on class (a),
+    (a - d)^2 + (b + c)^2 on class (b).
     """
     require_unit_mu(coeffs)
     x = require_open_unit_interval(x)

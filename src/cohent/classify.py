@@ -180,8 +180,8 @@ def classify(
 
 
 def _require_positive_tol(tol: float) -> None:
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
 def _solve_quadratic(

@@ -100,13 +100,16 @@ class OverlapPair:
 
     ``c1`` and ``c2`` hold 1 - p^2; when built from a CoherentConfig they are
     computed via expm1 so sqrt(1 - p^2) stays accurate even for p very close
-    to 1.
+    to 1.  ``n1`` and ``n2`` are the normalizers sqrt(1 - p^2) of the
+    orthogonalized system-1 and system-2 basis vectors.
     """
 
     p1: float
     p2: float
     c1: float = field(default=None, repr=False)  # type: ignore[assignment]
     c2: float = field(default=None, repr=False)  # type: ignore[assignment]
+    n1: float = field(init=False, repr=False, compare=False)
+    n2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("p1", "p2"):
@@ -118,6 +121,8 @@ class OverlapPair:
             object.__setattr__(self, "c1", (1.0 - self.p1) * (1.0 + self.p1))
         if self.c2 is None:
             object.__setattr__(self, "c2", (1.0 - self.p2) * (1.0 + self.p2))
+        object.__setattr__(self, "n1", math.sqrt(self.c1))
+        object.__setattr__(self, "n2", math.sqrt(self.c2))
 
     @classmethod
     def from_config(cls, config: CoherentConfig) -> "OverlapPair":
@@ -127,16 +132,6 @@ class OverlapPair:
             c1=overlap_complement(config.alpha, config.gamma),
             c2=overlap_complement(config.delta, config.beta),
         )
-
-    @property
-    def n1(self) -> float:
-        """Normalizer sqrt(1 - p1^2) of the orthogonalized system-1 basis."""
-        return math.sqrt(self.c1)
-
-    @property
-    def n2(self) -> float:
-        """Normalizer sqrt(1 - p2^2) of the orthogonalized system-2 basis."""
-        return math.sqrt(self.c2)
 
     def common_value(self, tol: float = 1e-12) -> float:
         """The shared overlap x when p1 = p2; DomainError if they differ."""

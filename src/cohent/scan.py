@@ -17,10 +17,10 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .analytic import DEGENERATE_NORM_SQ, SuperpositionCoeffs, max_concurrence_over_nu
+from .analytic import SuperpositionCoeffs, max_concurrence_over_nu
 from .analytic import require_open_unit_interval
 from .analytic import _CLAMP_SLACK, _RESCALE_ABOVE, _concurrence_ratio
-from .analytic import _maximality_residual, _norm_sq
+from .analytic import _degenerate, _maximality_residual, _norm_sq
 from .classify import _require_positive_tol, family_checks
 from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
@@ -41,9 +41,10 @@ REFINE_TARGET = 1e-18
 _BLOCK = 1 << 11
 
 # grid_scan skips a row whose exact maximum over nu is this far below the
-# threshold: over 1000x the Gram form's rounding error for x <= 0.999.  Within
-# ~1e-4 of x = 1 that form can overshoot by ~1e-5, so a full sweep could
-# report a point that the exact maximum rules out.
+# threshold.  The grid's C errs by about eps C ((|nu| + |lam rho|) /
+# |nu - lam rho| + S / N), S the coefficient sum (tests/test_edges.py): near
+# the families, with coefficients in [-10, 10] and x up to 1 - 1e-6, at most
+# 3e-11 against 50-digit mpmath, so the margin is over 10^4 times that.
 _PRUNE_MARGIN = 1e-6
 
 
@@ -243,7 +244,7 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
             for i in range(0, len(lam_rows), rows_per_chunk):
                 lam = lam_rows[i:i + rows_per_chunk, None]
                 rho = rho_rows[i:i + rows_per_chunk, None]
-                n_sq = _norm_sq(1.0, lam, rho, nus, x, x)
+                n_sq = _norm_sq(1.0, lam, rho, nus, x, x, n, n)
                 c = _concurrence_ratio(1.0, lam, rho, nus, n, n, n_sq)
                 # Written as a negation so a NaN fails it.
                 if not c.max(initial=0.0) <= 1.0 + _CLAMP_SLACK:
@@ -271,10 +272,11 @@ def _project(lam, rho, nu, x, c):
     """`refine`'s step for columns of near-maximal points; returns the (lam,
     rho, nu, C, converged) columns.
 
-    On either side of nu = lam rho both terms of maximality_residual's
-    sum-of-squares form are affine in (lam, rho, nu) at fixed x, so one
-    least-squares step p - A^+(Ap + b) lands on the residual's zero line:
-    class (a) for nu >= lam rho, class (b) below.
+    Both terms of each of maximality_residual's two sums of squares are
+    affine in (lam, rho, nu) at fixed x, so one least-squares step
+    p - A^+(Ap + b) lands on that sum's zero line.  For nu >= lam rho the
+    smaller sum is (a + d)^2 + (b - c)^2, zero on class (a); below it is
+    (a - d)^2 + (b + c)^2, zero on class (b).
     """
     move = _maximality_residual(lam, rho, nu, x) > REFINE_TARGET
     upper = nu >= lam * rho
@@ -291,8 +293,9 @@ def _project(lam, rho, nu, x, c):
     new_lam[b], new_rho[b], new_nu[b] = t, t, -1.0 - 2.0 * t * xb
 
     n = np.sqrt((1.0 - x) * (1.0 + x))
-    n_sq = _norm_sq(1.0, new_lam, new_rho, new_nu, x, x)
-    degenerate = np.flatnonzero(n_sq <= DEGENERATE_NORM_SQ)
+    n_sq = _norm_sq(1.0, new_lam, new_rho, new_nu, x, x, n, n)
+    degenerate = np.flatnonzero(_degenerate(
+        n_sq, 1.0 + abs(new_lam) + abs(new_rho) + abs(new_nu)))
     if len(degenerate):
         i = degenerate[0]
         raise DegenerateStateError(

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohent import analytic
 from cohent.analytic import (
-    OrthonormalAmplitudes,
     SuperpositionCoeffs,
     concurrence,
-    concurrence_from_amplitudes,
     gram_norm_squared,
     max_concurrence_over_nu,
     maximality_residual,
     orthonormal_amplitudes,
 )
-from cohent.coherent import OverlapPair
+from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 
 # Numerically exact stand-in for the orthogonal-basis limit p1 = p2 = 0.
@@ -33,6 +32,14 @@ def quadratic_form_norm(coeffs, overlaps):
     gram = np.kron(g1, g2)
     v = np.array([coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu])
     return float(v @ gram @ v)
+
+
+def amplitude_route(coeffs, overlaps):
+    """Concurrence 2|ad - bc| / N^2 from the amplitudes, with N^2 taken from
+    the explicit Gram matrix."""
+    amps = orthonormal_amplitudes(coeffs, overlaps)
+    return (2.0 * abs(amps.a * amps.d - amps.b * amps.c)
+            / quadratic_form_norm(coeffs, overlaps))
 
 
 class TestGramNormSquared:
@@ -55,10 +62,23 @@ class TestGramNormSquared:
 
     def test_degenerate_raises(self):
         # (1,-1,-1,1) is the product (|a>-|g>)(|b>-|d>); its norm collapses
-        # like 4(1-x)^2 as the overlaps approach 1.
+        # like 4(1-x)^2 as the overlaps approach 1.  Four ulps below 1, N is
+        # below the rounding error of the amplitude sums.
         coeffs = SuperpositionCoeffs(1, -1, -1, 1)
+        x = 1.0 - 4.0 * 2.0**-53
         with pytest.raises(DegenerateStateError):
-            gram_norm_squared(coeffs, OverlapPair(1 - 1e-8, 1 - 1e-8))
+            gram_norm_squared(coeffs, OverlapPair(x, x))
+
+    def test_small_norm_product_state_is_valid(self):
+        # at 1 - 1e-8 the same product state has an accurate N^2 = 4e-16
+        coeffs = SuperpositionCoeffs(1, -1, -1, 1)
+        pair = OverlapPair(1 - 1e-8, 1 - 1e-8)
+        assert gram_norm_squared(coeffs, pair) == pytest.approx(4e-16, rel=1e-7)
+        assert concurrence(coeffs, pair) == 0.0
+
+    def test_degeneracy_is_relative_to_the_coefficients(self):
+        pair = OverlapPair(0.5, 0.5)
+        assert gram_norm_squared(SuperpositionCoeffs(1e-10, 0, 0, 0), pair) == 1e-20
 
     @settings(max_examples=150, deadline=None)
     @given(mu=coeff_vals, lam=coeff_vals, rho=coeff_vals, nu=coeff_vals,
@@ -118,34 +138,50 @@ class TestOrthonormalAmplitudes:
         assert sum_sq == pytest.approx(amps.norm**2, rel=1e-10, abs=1e-10)
 
 
+class TestNearlyEqualAmplitudes:
+    """(1, 0, 0, -1) is maximal at every overlap.  With the Gram form of N^2
+    a gap of 1e-4 overshot 1 (ConsistencyError) and 2e-8 fell below the old
+    absolute degeneracy limit of 1e-14 (DegenerateStateError)."""
+
+    @pytest.mark.parametrize("gap", [1e-4, 2e-8])
+    def test_antisymmetric_state_is_maximal(self, gap):
+        pair = OverlapPair.from_config(CoherentConfig(0, 0, gap, gap))
+        assert concurrence(SuperpositionCoeffs(1, 0, 0, -1), pair) == 1.0
+
+
 class TestConcurrenceFromAmplitudes:
+    """`concurrence` of states named by their amplitudes, and its clamp."""
+
     def test_bell_state(self):
-        amps = OrthonormalAmplitudes(0, 1, 1, 0, math.sqrt(2))
-        assert concurrence_from_amplitudes(amps) == pytest.approx(1.0, abs=1e-15)
+        # amplitudes (0, 1, 1, 0) / sqrt(2)
+        coeffs = SuperpositionCoeffs(1, 0, 0, 1)
+        assert concurrence(coeffs, OverlapPair(TINY_P, TINY_P)) == 1.0
 
     def test_product_state(self):
-        amps = OrthonormalAmplitudes(1, 0, 0, 0, 1.0)
-        assert concurrence_from_amplitudes(amps) == 0.0
+        # amplitudes (1, 0, 0, 0)
+        coeffs = SuperpositionCoeffs(0, 1, 0, 0)
+        assert concurrence(coeffs, OverlapPair(0.5, 0.5)) == 0.0
 
     def test_symmetric_maximal(self):
-        amps = orthonormal_amplitudes(
-            SuperpositionCoeffs(1, -0.5, -0.5, 1), OverlapPair(0.5, 0.5)
-        )
-        assert concurrence_from_amplitudes(amps) == pytest.approx(1.0, abs=1e-12)
+        coeffs = SuperpositionCoeffs(1, -0.5, -0.5, 1)
+        assert concurrence(coeffs, OverlapPair(0.5, 0.5)) == pytest.approx(1.0, abs=1e-15)
 
-    def test_clamps_float_noise(self):
-        amps = OrthonormalAmplitudes(0, 1, 1, 0, math.sqrt(2) * (1 - 1e-13))
-        assert concurrence_from_amplitudes(amps) == 1.0
+    @staticmethod
+    def _ratio_reads(monkeypatch, value):
+        monkeypatch.setattr(analytic, "_concurrence_ratio", lambda *args: value)
+        return concurrence(SuperpositionCoeffs(1, 0, 0, 1), OverlapPair(0.5, 0.5))
 
-    def test_rejects_gross_overshoot(self):
-        amps = OrthonormalAmplitudes(0, 1, 1, 0, math.sqrt(2) * (1 - 1e-6))
+    def test_clamps_float_noise(self, monkeypatch):
+        assert self._ratio_reads(monkeypatch, 1.0 + 1e-13) == 1.0
+
+    def test_rejects_gross_overshoot(self, monkeypatch):
         with pytest.raises(ConsistencyError):
-            concurrence_from_amplitudes(amps)
+            self._ratio_reads(monkeypatch, 1.0 + 1e-6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite(self, bad):
+    def test_rejects_non_finite(self, monkeypatch, bad):
         with pytest.raises(ConsistencyError):
-            concurrence_from_amplitudes(OrthonormalAmplitudes(bad, 1, 1, 0, 1.0))
+            self._ratio_reads(monkeypatch, bad)
 
 
 class TestConcurrence:
@@ -168,8 +204,7 @@ class TestConcurrence:
         coeffs = SuperpositionCoeffs(1, lam, rho, nu)
         pair = OverlapPair(x, x)
         via_formula = concurrence(coeffs, pair)
-        via_amps = concurrence_from_amplitudes(orthonormal_amplitudes(coeffs, pair))
-        assert abs(via_formula - via_amps) < 1e-11
+        assert abs(via_formula - amplitude_route(coeffs, pair)) < 1e-11
 
     @settings(max_examples=200, deadline=None)
     @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals,
@@ -196,7 +231,8 @@ class TestConcurrence:
         pair = OverlapPair(0.5, 0.5)
         big = concurrence(SuperpositionCoeffs(1e155, 2e155, 3e155, -1e155), pair)
         assert big == pytest.approx(0.6, abs=1e-14)
-        assert big == concurrence(SuperpositionCoeffs(1, 2, 3, -1), pair)
+        # 1e155 is not a power of two, so the last bit may differ
+        assert abs(big - concurrence(SuperpositionCoeffs(1, 2, 3, -1), pair)) <= 2**-52
         assert concurrence(SuperpositionCoeffs(1, 1e200, 0, 0), pair) == 0.0
 
     @pytest.mark.parametrize("exponent", [-1, 1, 600, 1000])
@@ -216,8 +252,7 @@ class TestConcurrence:
             pair = OverlapPair(x, x)
             c = concurrence(coeffs, pair)
             assert 0.0 <= c <= 1.0
-            via_amps = concurrence_from_amplitudes(orthonormal_amplitudes(coeffs, pair))
-            assert abs(c - via_amps) < 1e-11
+            assert abs(c - amplitude_route(coeffs, pair)) < 1e-11
 
 
 def exact_concurrence(lam, rho, nu, x):
@@ -233,8 +268,8 @@ wide_vals = st.floats(-1e4, 1e4)
 
 
 class TestMaxConcurrenceOverNu:
-    # Exact values come from mpmath: near x = 1 the Gram form of N^2 that the
-    # scalar concurrence uses can err by ~1e-5 (it cancels), the bound cannot.
+    # Exact values come from mpmath.  The scalar concurrence is checked
+    # against the bound over the whole range of x a scan accepts.
 
     @settings(max_examples=300, deadline=None)
     @given(lam=wide_vals, rho=wide_vals, nu=wide_vals, x=edge_x)
@@ -260,8 +295,7 @@ class TestMaxConcurrenceOverNu:
         assert abs(peak - bound) <= 1e-12
 
     @settings(max_examples=300, deadline=None)
-    @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals,
-           x=st.floats(1e-6, 0.999))
+    @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals, x=edge_x)
     def test_bounds_scalar_concurrence(self, lam, rho, nu, x):
         c = concurrence(SuperpositionCoeffs(1, lam, rho, nu), OverlapPair(x, x))
         assert c <= max_concurrence_over_nu(lam, rho, x) + 1e-9

@@ -46,6 +46,15 @@ class TestConcurrenceCommand:
         assert payload["analytic_concurrence"] == pytest.approx(1.0, abs=1e-12)
         assert payload["oracle_diff"] < 1e-10
 
+    def test_nearly_equal_amplitudes_reach_one(self, tmp_path, capsys):
+        # exit 3 ("concurrence evaluated to 1.000000001077471") with the Gram
+        # form of N^2
+        path = write(tmp_path, "s.txt", AMP_STATE.replace("1\n", "1e-4\n", 2))
+        assert cli.main(["concurrence", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analytic_concurrence"] == 1.0
+        assert payload["oracle_diff"] < 1e-10
+
     def test_known_value(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt",
                      "p1 = 0.5\np2 = 0.5\nlambda = 0\nrho = 0\nnu = 1\n")
@@ -206,6 +215,26 @@ class TestScanCommand:
         assert cli.main(["scan", config, str(out), "--tol", tol]) == 2
         assert "tol must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinite_tol_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", "inf"]) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        state = write(tmp_path, "s.txt", OVERLAP_STATE)
+        assert cli.main(["classify", state, "--tol", "inf"]) == 2
+
+    def test_overlap_near_one_exits_0(self, tmp_path, capsys):
+        # the 16-term Gram form of N^2 cancelled here, and refine's recomputed
+        # concurrence came out 1.000000001227012 (exit 3)
+        text = "".join(f"{axis}_min = -3\n{axis}_max = 3\n{axis}_steps = 61\n"
+                       for axis in ("lambda", "rho", "nu"))
+        config = write(tmp_path, "scan.cfg",
+                       text + "x_values = 0.999999\nthreshold = 0.999\n")
+        assert cli.main(["scan", config, str(tmp_path / "o.csv"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["disjoint"] is True
+        assert (payload["hits"], payload["class_a"], payload["class_b"]) == (70, 40, 30)
 
     def test_oversized_box_exits_2(self, tmp_path, capsys):
         text = SMALL_SCAN.replace("lambda_max = 0.5", "lambda_max = 4e150")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cohent import cli
 from cohent import scan as scan_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
-from cohent.analytic import _maximality_residual
+from cohent.analytic import _concurrence_ratio, _maximality_residual, _norm_sq
 from cohent.classify import (
     VERDICTS,
     check_class_a,
@@ -37,6 +37,16 @@ from cohent.scan import (
     run_scan,
     verify_disjoint_classes,
 )
+
+
+def exact_concurrence(lam, rho, nu, x):
+    """Concurrence at mu = 1, p1 = p2 = x from the Gram form in 50-digit
+    arithmetic, as a float."""
+    with mpmath.workdps(50):
+        lam, rho, nu, x = (mpmath.mpf(v) for v in (lam, rho, nu, x))
+        n_sq = (1 + lam**2 + rho**2 + nu**2 + 2 * (lam + rho * nu) * x
+                + 2 * (rho + lam * nu) * x + 2 * (nu + lam * rho) * x**2)
+        return float(2 * abs(nu - lam * rho) * (1 - x**2) / n_sq)
 
 
 def small_config(**overrides):
@@ -154,13 +164,22 @@ class TestGridScan:
             concurrence_threshold=0.5,
         )
         expected = []
+        on_threshold = 0
         for lam, rho, nu in itertools.product(*(a.tolist() for a in config.axes())):
             coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
             c = concurrence(coeffs, OverlapPair(0.5, 0.5))
             if c >= 0.5:
                 expected.append((lam, rho, nu, c))
+            exact = exact_concurrence(lam, rho, nu, 0.5)
+            if abs(exact - 0.5) <= 1e-15:
+                on_threshold += 1
+            else:
+                assert (c >= 0.5) == (exact >= 0.5)
         hits, _ = grid_scan(config)
-        assert len(hits) == 50
+        # 12 points have an exact C within 1e-16 of the threshold; rounding
+        # decides those, and 49 points are hits in all.
+        assert on_threshold == 12
+        assert len(hits) == 49
         assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hits.records()] == expected
 
     def test_nan_concurrence_raises(self, monkeypatch):
@@ -187,21 +206,16 @@ class TestGridScan:
 
 
 def full_sweep(config):
-    """Every grid point through the Gram form, one (rho, nu) slab per lam: the
-    sweep as it was before grid_scan skipped rows."""
+    """Every grid point through the production N^2 and ratio, one (rho, nu)
+    slab per lam: the sweep as it was before grid_scan skipped rows."""
     lams, rhos, nus = config.axes()
     rho, nu = rhos[:, None], nus[None, :]
     records = []
     for x in config.x_values:
         n1 = math.sqrt((1.0 - x) * (1.0 + x))
         for lam in lams.tolist():
-            n_sq = (
-                (1.0 + lam * lam + rho * rho + nu * nu)
-                + 2.0 * (lam + rho * nu) * x
-                + 2.0 * (rho + lam * nu) * x
-                + 2.0 * (nu + lam * rho) * x * x
-            )
-            c = 2.0 * np.abs(nu - lam * rho) * n1 * n1 / n_sq
+            n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n1, n1)
+            c = _concurrence_ratio(1.0, lam, rho, nu, n1, n1, n_sq)
             if float(c.max()) > 1.0 + 1e-9:
                 raise ConsistencyError("grid concurrence exceeded 1")
             c = np.minimum(c, 1.0)
@@ -269,20 +283,19 @@ class TestGridPruning:
         assert evaluated < config.total_points()
 
     def test_near_one_follows_the_exact_value(self):
-        # At x = 1 - 1e-6 the Gram form overshoots this point's concurrence by
-        # ~7.5e-6: the full sweep reports it, the exact row maximum is below
-        # the threshold, and the pruned sweep skips the row.
+        # At x = 1 - 1e-6 the expanded Gram form of N^2 overshot this point's
+        # concurrence by 1.3e-5, above the threshold, although the exact value
+        # and the exact row maximum are below it.  The amplitude form follows
+        # the exact value, so neither the full nor the pruned sweep reports it.
         x = 1.0 - 1e-6
         point = (-1.001190630430563, -1.0011786521822075, 1.002367289157893)
         config = ScanConfig(*((v, v, 1) for v in point), x_values=(x,),
                             concurrence_threshold=0.99998)
-        with mpmath.workdps(50):
-            lam, rho, nu, xm = (mpmath.mpf(v) for v in (*point, x))
-            n_sq = (1 + lam**2 + rho**2 + nu**2 + 2 * (lam + rho * nu) * xm
-                    + 2 * (rho + lam * nu) * xm + 2 * (nu + lam * rho) * xm**2)
-            exact = 2 * abs(nu - lam * rho) * (1 - xm**2) / n_sq
+        exact = exact_concurrence(*point, x)
         assert exact < config.concurrence_threshold
-        assert len(full_sweep(config)) == 1
+        c = concurrence(SuperpositionCoeffs(1.0, *point), OverlapPair(x, x))
+        assert abs(c - exact) < 1e-10
+        assert full_sweep(config) == []
         hits, evaluated = grid_scan(config)
         assert (len(hits), evaluated) == (0, 0)
 
@@ -367,10 +380,13 @@ class TestRefine:
             assert (before >= 0.0) == (after >= 0.0)
 
     def test_lower_concurrence_keeps_the_old_point(self):
-        # claims C = 1 just off the class (a) line; the projection's C rounds
-        # below 1, so the old point comes back, flagged unconverged
-        record = ScanRecord(-0.91, -0.29999999999999993, 1.0, 0.61, 1.0)
-        expected = ScanRecord(-0.91, -0.29999999999999993, 1.0, 0.61, 1.0,
+        # claims C = 1 at 0.01 off the class (a) line; the projection's C
+        # rounds below 1, so the old point comes back, flagged unconverged
+        record = ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0)
+        s = (record.lam + record.rho + 2.0 * record.x) / 2.0
+        projected = SuperpositionCoeffs(1.0, record.lam - s, record.rho - s, 1.0)
+        assert concurrence(projected, OverlapPair(0.61, 0.61)) < 1.0
+        expected = ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0,
                               refined=True, refine_converged=False)
         assert refine(record) == expected
         assert refine_hits(ScanHits.from_records([record])).records() == [expected]
@@ -524,15 +540,13 @@ class TestRunScan:
 
 def list_refine(record):
     """refine as it was before hits became columns: scalar arithmetic, one
-    record at a time, with maximality_residual's two branches inline."""
+    record at a time, with maximality_residual's sums of squares inline."""
     def residual(lam, rho, nu, x):
-        if nu >= lam * rho:
-            h = lam + rho + 2.0 * x
-            u = nu - 1.0 + x * h
-            return u * u + (1.0 - x) * (1.0 + x) * h * h
-        w = 1.0 + nu + (lam + rho) * x
-        r = lam - rho
-        return w * w + (1.0 - x) * (1.0 + x) * r * r
+        n = math.sqrt((1.0 - x) * (1.0 + x))
+        a, b = x + lam + rho * x * x + nu * x, n * (1.0 + rho * x)
+        c, d = n * (nu + rho * x), rho * n * n
+        return min((a - d) * (a - d) + (b + c) * (b + c),
+                   (a + d) * (a + d) + (b - c) * (b - c))
 
     x, lam, rho, nu = record.x, record.lam, record.rho, record.nu
     if residual(lam, rho, nu, x) > scan_module.REFINE_TARGET:
