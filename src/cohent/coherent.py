@@ -45,11 +45,17 @@ def overlap_complement(a1: float, a2: float) -> float:
 
 
 def default_truncation(max_amp: float) -> int:
-    """Fock cutoff guaranteeing tail mass < 1e-12 for amplitudes up to max_amp."""
+    """Fock cutoff ceil(a^2 + 9a + 9) for amplitudes up to a = max_amp.
+
+    The mass it discards from |a> is the Poisson tail P(N >= cutoff) with
+    mean a^2, below 1e-16 (under double rounding) for every a <= 8: on a
+    0.001 grid at 40 digits the worst is 1.2e-17, at a ~ 2.446.  A constant
+    term of 8 would leave 9.7e-17 at a ~ 1.603.
+    """
     max_amp = _require_finite("max_amp", max_amp)
     if max_amp < 0:
         raise DomainError(f"max_amp must be >= 0, got {max_amp}")
-    return int(math.ceil(max_amp**2 + 10.0 * max_amp + 20.0))
+    return int(math.ceil(max_amp**2 + 9.0 * max_amp + 9.0))
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,13 @@ class OverlapPair:
     n2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("p1", "p2"):
+        for name, complement in (("p1", self.c1), ("p2", self.c2)):
             value = _require_finite(name, getattr(self, name))
             object.__setattr__(self, name, value)
-            if not 0.0 < value < 1.0:
+            # Below a gap of ~1.05e-8, exp(-gap^2/2) rounds to 1; a positive
+            # complement (from expm1) still places p below 1.
+            if not (0.0 < value < 1.0
+                    or value == 1.0 and complement is not None and complement > 0.0):
                 raise DomainError(f"{name} must lie strictly inside (0, 1), got {value}")
         if self.c1 is None:
             object.__setattr__(self, "c1", (1.0 - self.p1) * (1.0 + self.p1))
@@ -149,7 +158,7 @@ class FockVector:
 
 
 # Bounded because truncation is not capped here; a random oracle sweep over
-# amplitudes up to 2 uses about 25 distinct truncations.
+# amplitudes up to 2 uses at most 23 distinct truncations (9 to 31).
 @functools.lru_cache(maxsize=64)
 def _inv_sqrt_n(truncation: int) -> np.ndarray:
     """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""

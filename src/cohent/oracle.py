@@ -8,6 +8,7 @@ in this package is cross-checked against this module.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ MAX_TRUNCATION = 256
 # A third Schmidt coefficient above this (squared) means the state escaped
 # the 2x2 span it must live in.
 _RANK_LIMIT = 1e-6
+
+# Each joint coefficient sums four products of a superposition coefficient and
+# two unit-vector entries, so rounding errs the norm by a few eps (|mu| + |lam|
+# + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
+_DEGENERATE_REL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +70,11 @@ def build_state(
     psi += np.outer(f_gamma, coeffs.rho * f_beta + coeffs.nu * f_delta)
 
     norm = float(np.linalg.norm(psi))
-    if norm * norm <= 1e-14:
+    size = abs(coeffs.mu) + abs(coeffs.lam) + abs(coeffs.rho) + abs(coeffs.nu)
+    if norm <= _DEGENERATE_REL * size:
         raise DegenerateStateError(
-            f"joint state norm^2 = {norm * norm:.3e} is numerically zero"
+            f"joint state norm = {norm:.3e} is rounding noise next to the "
+            f"coefficient magnitudes, which sum to {size:.3e}"
         )
     psi /= norm
     return ProductStateVector(

@@ -55,6 +55,21 @@ class TestConcurrenceCommand:
         assert payload["analytic_concurrence"] == 1.0
         assert payload["oracle_diff"] < 1e-10
 
+    @pytest.mark.parametrize("gap", ["2e-8", "5e-9"])
+    def test_gaps_near_the_distinct_tol_reach_one(self, tmp_path, capsys, gap):
+        # Both exited 2: at 2e-8 the oracle took norm^2 ~ 8e-16 for zero; at
+        # 5e-9 the overlap rounds to 1.0, which OverlapPair rejected.
+        path = write(tmp_path, "s.txt", AMP_STATE.replace("1\n", f"{gap}\n", 2))
+        assert cli.main(["concurrence", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analytic_concurrence"] == pytest.approx(1.0, abs=1e-12)
+        assert payload["oracle_concurrence"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_overlap_of_exactly_one_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "s.txt", OVERLAP_STATE.replace("p1 = 0.5", "p1 = 1"))
+        assert cli.main(["concurrence", path]) == 2
+        assert "p1 must lie strictly inside (0, 1)" in capsys.readouterr().err
+
     def test_known_value(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt",
                      "p1 = 0.5\np2 = 0.5\nlambda = 0\nrho = 0\nnu = 1\n")

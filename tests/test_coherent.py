@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohent.coherent import (
+    MAX_AMPLITUDE,
     TAIL_MASS_LIMIT,
     CoherentConfig,
     FockVector,
@@ -18,6 +19,7 @@ from cohent.coherent import (
     _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
+from cohent.oracle import MAX_TRUNCATION
 
 finite_amps = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -68,11 +70,30 @@ class TestOverlap:
         )
 
 
+def mp_poisson_tail(a, cutoff):
+    """P(N >= cutoff) for N ~ Poisson(a^2): the mass a Fock cutoff discards
+    from |a>, as a 40-digit regularized lower incomplete gamma function."""
+    with mpmath.workdps(40):
+        if a == 0.0:
+            return mpmath.mpf(0)
+        return mpmath.gammainc(cutoff, 0, mpmath.mpf(a) ** 2, regularized=True)
+
+
 class TestDefaultTruncation:
-    def test_formula_values(self):
-        assert default_truncation(0.0) == 20
-        assert default_truncation(2.0) == 44
-        assert default_truncation(3.0) == 59
+    # A 0.004 grid over [0, 8], plus the worst point of this cutoff (2.446)
+    # and of the rejected constant term 8 (1.603).
+    GRID = sorted({i / 1000 for i in range(0, 8001, 4)} | {1.603, 2.446})
+
+    def test_tail_below_double_rounding(self):
+        worst = max(mp_poisson_tail(a, default_truncation(a)) for a in self.GRID)
+        assert worst < 1e-16
+
+    def test_never_decreases(self):
+        cutoffs = [default_truncation(a) for a in self.GRID]
+        assert cutoffs == sorted(cutoffs)
+
+    def test_largest_amplitude_fits_the_oracle_cap(self):
+        assert default_truncation(MAX_AMPLITUDE) <= MAX_TRUNCATION
 
     def test_tail_mass_below_target(self):
         # Poisson tail beyond the cutoff, summed far past it.
@@ -82,7 +103,7 @@ class TestDefaultTruncation:
             log_terms = -amp * amp + n * np.log(amp * amp) - [
                 math.lgamma(k + 1) for k in n
             ]
-            assert np.exp(log_terms).sum() < 1e-12
+            assert np.exp(log_terms).sum() < 1e-16
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -273,6 +294,19 @@ class TestOverlapPair:
         cfg = CoherentConfig(0.0, 0.0, 1e-6, 1.0)
         pair = OverlapPair.from_config(cfg)
         assert pair.c1 == pytest.approx(1e-12, rel=1e-9)
+
+    def test_overlap_rounding_to_one_needs_a_complement(self):
+        pair = OverlapPair(1.0, 0.5, c1=2.5e-17)
+        assert pair.n1 == pytest.approx(5e-9, rel=1e-15)
+        for c1 in (None, 0.0):
+            with pytest.raises(DomainError):
+                OverlapPair(1.0, 0.5, c1=c1)
+
+    def test_from_config_below_the_rounding_gap(self):
+        # gap 5e-9: exp(-gap^2/2) is 1.0 in floats, 1 - p^2 is 2.5e-17
+        pair = OverlapPair.from_config(CoherentConfig(0.0, 0.0, 5e-9, 5e-9))
+        assert (pair.p1, pair.p2) == (1.0, 1.0)
+        assert pair.c1 == pair.c2 == pytest.approx(2.5e-17, rel=1e-15)
 
     def test_common_value(self):
         assert OverlapPair(0.5, 0.5).common_value() == 0.5

@@ -79,6 +79,15 @@ class TestBuildState:
             n_sq = gram_norm_squared(coeffs, OverlapPair.from_config(config))
             assert state.norm_before_normalization**2 == pytest.approx(n_sq, abs=1e-8)
 
+    def test_small_coefficients_are_not_degenerate(self):
+        # A norm^2 of 2e-20 is not rounding noise when the coefficients are
+        # 1e-10; an absolute limit of 1e-14 rejected this state.
+        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
+        small = SuperpositionCoeffs(1e-10, 0.0, 0.0, -1e-10)
+        c = oracle_concurrence(config, small)
+        assert c == pytest.approx(
+            oracle_concurrence(config, SuperpositionCoeffs(1, 0, 0, -1)), abs=1e-15)
+
     def test_truncation_cap(self):
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -192,9 +201,11 @@ class TestOracleConcurrence:
         assert worst < 1e-8
 
     def test_truncation_convergence(self):
-        config = CoherentConfig(0.0, 0.3, 1.0, 1.3)
-        coeffs = SuperpositionCoeffs(1, -0.7, 0.4, 0.8)
-        base = default_truncation(config.max_amplitude)
-        c1 = oracle_concurrence(config, coeffs, truncation=base)
-        c2 = oracle_concurrence(config, coeffs, truncation=2 * base)
-        assert abs(c1 - c2) < 1e-10
+        # Doubling the default cutoff adds only rounding.
+        rng = np.random.default_rng(56)
+        for _ in range(200):
+            config, coeffs = random_state(rng)
+            base = default_truncation(config.max_amplitude)
+            c1 = oracle_concurrence(config, coeffs, truncation=base)
+            c2 = oracle_concurrence(config, coeffs, truncation=2 * base)
+            assert abs(c1 - c2) < 1e-14
