@@ -25,7 +25,7 @@ from .errors import ConsistencyError, DegenerateStateError, DomainError
 _CLAMP_SLACK = 1e-9
 
 # N^2 <= 4 (|mu| + |lam| + |rho| + |nu|)^2 overflows once that sum passes
-# 2^511, and underflows far below 1; `concurrence` rescales outside these.
+# 2^511, and underflows far below 1; _in_range rescales outside these.
 _RESCALE_ABOVE = 2.0 ** 500
 _RESCALE_BELOW = 2.0 ** -400
 
@@ -33,6 +33,10 @@ _RESCALE_BELOW = 2.0 ** -400
 # errs it by a few eps (|mu| + |lam| + |rho| + |nu|); a norm N within 4 eps of
 # that sum is rounding noise, and the four components numerically dependent.
 _DEGENERATE_REL = (4.0 * sys.float_info.epsilon) ** 2
+
+# nu_windows takes rounding to err a sum by at most this many times the sum
+# of its terms' magnitudes; mpmath puts the worst seen below a fifth of it.
+_WINDOW_SLACK = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,37 @@ def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> flo
     return n_sq
 
 
+def _in_range(coeffs: SuperpositionCoeffs) -> tuple[SuperpositionCoeffs, int]:
+    """`coeffs` times 2^-e, where N^2 neither overflows nor underflows, and e.
+
+    Scaling by a power of two is exact, so e = 0 unless the coefficient sum
+    falls outside [_RESCALE_BELOW, _RESCALE_ABOVE].
+    """
+    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
+    if _RESCALE_BELOW <= abs(mu) + abs(lam) + abs(rho) + abs(nu) <= _RESCALE_ABOVE:
+        return coeffs, 0
+    exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
+    return SuperpositionCoeffs(
+        *(math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))), exponent
+
+
 def orthonormal_amplitudes(
     coeffs: SuperpositionCoeffs, overlaps: OverlapPair
 ) -> OrthonormalAmplitudes:
-    """Two-qubit amplitudes of |psi> (see _amplitudes) and its norm N."""
+    """Two-qubit amplitudes of |psi> (see _amplitudes) and its norm N.
+
+    N is taken from the coefficients scaled into range (see _in_range), so it
+    does not overflow where N^2 would; a norm beyond the float range is inf.
+    """
     a, b, c, d = _amplitudes(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
                              overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
-    return OrthonormalAmplitudes(
-        a, b, c, d, norm=math.sqrt(gram_norm_squared(coeffs, overlaps)))
+    scaled, exponent = _in_range(coeffs)
+    norm = math.sqrt(gram_norm_squared(scaled, overlaps))
+    try:
+        norm = math.ldexp(norm, exponent)
+    except OverflowError:
+        norm = math.inf
+    return OrthonormalAmplitudes(a, b, c, d, norm=norm)
 
 
 def _clamp_concurrence(value: float) -> float:
@@ -154,38 +181,89 @@ def concurrence(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
     Coefficients that would overflow or underflow N^2 are first scaled by a
     power of two, which is exact and leaves the concurrence unchanged.
     """
-    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
-    if not _RESCALE_BELOW <= abs(mu) + abs(lam) + abs(rho) + abs(nu) <= _RESCALE_ABOVE:
-        exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
-        coeffs = SuperpositionCoeffs(
-            *(math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
-        )
+    coeffs, _ = _in_range(coeffs)
     n_sq = gram_norm_squared(coeffs, overlaps)
     return _clamp_concurrence(_concurrence_ratio(
         coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, overlaps.n1, overlaps.n2, n_sq
     ))
 
 
-def max_concurrence_over_nu(lam, rho, x):
-    """Supremum over all real nu of the concurrence at mu = 1, p1 = p2 = x.
+def _row_terms(lam, rho, x):
+    """(n^2, K, D, sqrt M) of the row (lam, rho) at mu = 1, p1 = p2 = x;
+    broadcasts.
 
-    Broadcasts.  With n^2 = 1 - x^2, L = lam rho, K = L + x (lam + rho + x)
-    and u = nu - L, N^2 = u^2 + 2 K u + M where M = N^2 at nu = L, and
-    C = 2 |u| n^2 / N^2 peaks at u = +-sqrt(M) (the sign opposite to K's) at
-    n^2 / (sqrt(M) - |K|) = (sqrt(M) + |K|) / D, since M - K^2 = n^2 D with
-    D = (1 + rho x)^2 + n^2 rho^2 + (x + lam)^2.  Put s = lam + x and
-    t = 1 + rho x: the orthonormal amplitudes at nu = L are (s t, n t,
-    n rho s, rho n^2), so M = (s^2 + n^2)(t^2 + n^2 rho^2), K = s (rho + x)
-    and D = t^2 + n^2 rho^2 + s^2.  Only t can cancel, and then n^2 rho^2
-    dominates it, so the relative error stays near eps / n; D >= n^2.  Each
-    factor of M gets its own square root, so nothing overflows for
-    coefficients inside the scan's 2^500 box limit.
+    With n^2 = 1 - x^2, L = lam rho, K = L + x (lam + rho + x) and u = nu - L,
+    N^2 = u^2 + 2 K u + M where M = N^2 at nu = L, and C = 2 |u| n^2 / N^2;
+    M - K^2 = n^2 D with D = (1 + rho x)^2 + n^2 rho^2 + (x + lam)^2.  Put
+    s = lam + x and t = 1 + rho x: the orthonormal amplitudes at nu = L are
+    (s t, n t, n rho s, rho n^2), so M = (s^2 + n^2)(t^2 + n^2 rho^2),
+    K = s (rho + x) and D = t^2 + n^2 rho^2 + s^2.  Only t can cancel, and
+    then n^2 rho^2 dominates it, so the relative error stays near eps / n;
+    D >= n^2.  Each factor of M gets its own square root, so nothing
+    overflows for coefficients inside the scan's 2^500 box limit.
     """
     n_sq = (1.0 - x) * (1.0 + x)
     s = lam + x
     t = 1.0 + rho * x
     q = t * t + n_sq * rho * rho
-    return (np.sqrt(s * s + n_sq) * np.sqrt(q) + abs(s * (rho + x))) / (q + s * s)
+    return n_sq, s * (rho + x), q + s * s, np.sqrt(s * s + n_sq) * np.sqrt(q)
+
+
+def max_concurrence_over_nu(lam, rho, x):
+    """Supremum over all real nu of the concurrence at mu = 1, p1 = p2 = x.
+
+    Broadcasts.  In the terms of _row_terms, C = 2 |u| n^2 / N^2 peaks at
+    u = +-sqrt(M) (the sign opposite to K's) at
+    n^2 / (sqrt(M) - |K|) = (sqrt(M) + |K|) / D.
+    """
+    _, k, d, root_m = _row_terms(lam, rho, x)
+    return (root_m + abs(k)) / d
+
+
+def nu_windows(lam, rho, x, floor):
+    """The nu intervals of the row (lam, rho) where the concurrence at mu = 1,
+    p1 = p2 = x reaches `floor`: (lo, hi), broadcast over lam and rho, with a
+    last axis for the side below nu = lam rho and the side above it.
+
+    In the terms of _row_terms, on the side sigma = sign(u) with w = |u|,
+    C >= f is the quadratic f w^2 - 2 B w + f M <= 0, B = n^2 - sigma f K.
+    Its discriminant B^2 - f^2 M is taken as n^2 (n^2 - 2 sigma f K - f^2 D),
+    which does not cancel for large coefficients as the textbook form does;
+    a side has a window iff it is >= 0 and B > 0.  The larger root is
+    w+ = (B + sqrt(discriminant)) / f and, since the roots multiply to M, the
+    smaller is sqrt(M) (sqrt(M) / w+).
+
+    Rounding errs the discriminant by up to `err`, a few eps times the terms
+    it sums (K's factor s = lam + x errs by eps (|lam| + x), hence the
+    |rho + x|).  Near the row's maximum, where the discriminant cancels, that
+    moves the roots by sqrt(err) / f; elsewhere they err by a few eps
+    (|lam rho| + w+ + 1).  Each endpoint is widened by both, and a side is
+    kept while its discriminant is above -err.  An empty side is (inf, -inf).
+    Where an endpoint is not finite, or floor <= 0, both sides of the row are
+    the whole axis, (-inf, inf).
+    """
+    lam, rho = np.asarray(lam)[..., None], np.asarray(rho)[..., None]
+    n_sq, k, d, root_m = _row_terms(lam, rho, x)
+    sigma = np.array([-1.0, 1.0])
+    b = n_sq - sigma * floor * k
+    disc = n_sq * (n_sq - 2.0 * sigma * floor * k - floor * floor * d)
+    err = _WINDOW_SLACK * n_sq * (
+        n_sq + 2.0 * abs(floor) * (abs(k) + abs(rho + x)) + floor * floor * d)
+    centre = lam * rho
+    # Overflow and division by zero leave non-finite endpoints, caught below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w_far = (b + np.sqrt(np.maximum(disc, 0.0))) / floor
+        w_near = root_m * (root_m / w_far)
+        slack = _WINDOW_SLACK * (abs(centre) + w_far + 1.0) + np.sqrt(err) / floor
+        near, far = centre + sigma * w_near, centre + sigma * w_far
+        lo = np.minimum(near, far) - slack
+        hi = np.maximum(near, far) + slack
+    # A NaN discriminant or B leaves its side non-empty, so the row is whole.
+    empty = (disc < -err) | (b <= 0.0)
+    whole = (~empty & ~(np.isfinite(lo) & np.isfinite(hi))).any(
+        axis=-1, keepdims=True) | (floor <= 0.0)
+    return (np.where(whole, -np.inf, np.where(empty, np.inf, lo)),
+            np.where(whole, np.inf, np.where(empty, -np.inf, hi)))
 
 
 def _maximality_residual(lam, rho, nu, x):

@@ -171,7 +171,8 @@ def cmd_bell_limit(args) -> int:
     if not 0.0 < x <= 1e-4:
         raise DomainError(f"x-small must lie in (0, 1e-4], got {x}")
     lam = args.lam
-    scale = 1.0 / math.sqrt(2.0 * (1.0 + lam * lam))
+    # 1 / sqrt(2 (1 + lam^2)), without squaring lam, which may overflow
+    scale = 1.0 / math.hypot(math.sqrt(2.0), math.sqrt(2.0) * lam)
     families = [
         ("class_a", SuperpositionCoeffs(1.0, lam, -lam, 1.0),
          (lam * scale, scale, scale, -lam * scale)),

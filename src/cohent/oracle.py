@@ -8,6 +8,7 @@ in this package is cross-checked against this module.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -28,6 +29,14 @@ _RANK_LIMIT = 1e-6
 # two unit-vector entries, so rounding errs the norm by a few eps (|mu| + |lam|
 # + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
+
+# The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|, and
+# the norm sums their squares, which overflow once that sum passes about
+# 2^511.  Outside this range of the sum the state is built from coefficients
+# scaled by a power of two, which is exact and leaves the normalized state
+# unchanged.
+_RESCALE_ABOVE = 2.0 ** 500
+_RESCALE_BELOW = 2.0 ** -400
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,26 +70,36 @@ def build_state(
         raise DomainError(
             f"truncation {truncation} exceeds the supported cap {MAX_TRUNCATION}"
         )
+    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
+    size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
+    exponent = 0
+    if not _RESCALE_BELOW <= size <= _RESCALE_ABOVE:
+        exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
+        mu, lam, rho, nu = (math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
+        size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
     f_alpha = fock_vector(config.alpha, truncation).coefficients
     f_beta = fock_vector(config.beta, truncation).coefficients
     f_gamma = fock_vector(config.gamma, truncation).coefficients
     f_delta = fock_vector(config.delta, truncation).coefficients
 
-    psi = np.outer(f_alpha, coeffs.mu * f_beta + coeffs.lam * f_delta)
-    psi += np.outer(f_gamma, coeffs.rho * f_beta + coeffs.nu * f_delta)
+    psi = np.outer(f_alpha, mu * f_beta + lam * f_delta)
+    psi += np.outer(f_gamma, rho * f_beta + nu * f_delta)
 
     norm = float(np.linalg.norm(psi))
-    size = abs(coeffs.mu) + abs(coeffs.lam) + abs(coeffs.rho) + abs(coeffs.nu)
     if norm <= _DEGENERATE_REL * size:
         raise DegenerateStateError(
             f"joint state norm = {norm:.3e} is rounding noise next to the "
             f"coefficient magnitudes, which sum to {size:.3e}"
         )
     psi /= norm
+    try:
+        unscaled = math.ldexp(norm, exponent)
+    except OverflowError:  # the norm is beyond the float range
+        unscaled = math.inf
     return ProductStateVector(
         coefficients=psi.ravel(),
         truncation=truncation,
-        norm_before_normalization=norm,
+        norm_before_normalization=unscaled,
     )
 
 

@@ -4,10 +4,12 @@ A grid scan sweeps (lam, rho, nu) boxes at fixed overlaps x, keeps every
 point whose concurrence clears a threshold, then projects each hit onto the
 zero line of its maximality residual.  The maximal states lie on two lines,
 so the sweep skips each (lam, rho) row whose exact maximum over nu
-(analytic.max_concurrence_over_nu) misses the threshold.  The refined hits
-empirically confirm the classification: every one lands on exactly one of
-the two maximal families, and a seeded random subsample is re-checked
-against the brute-force Fock oracle.
+(analytic.max_concurrence_over_nu) misses the threshold, and along every
+other row evaluates only the closed-form nu windows, one on each side of
+nu = lam rho, where the concurrence can clear it (analytic.nu_windows).  The
+refined hits empirically confirm the classification: every one lands on
+exactly one of the two maximal families, and a seeded random subsample is
+re-checked against the brute-force Fock oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, max_concurrence_over_nu
+from .analytic import SuperpositionCoeffs, max_concurrence_over_nu, nu_windows
 from .analytic import require_open_unit_interval
 from .analytic import _CLAMP_SLACK, _RESCALE_ABOVE, _concurrence_ratio
 from .analytic import _degenerate, _maximality_residual, _norm_sq
@@ -36,15 +38,18 @@ REFINE_FLOOR = 0.9
 # family up to rounding; refine neither moves such a point nor flags it.
 REFINE_TARGET = 1e-18
 
-# grid_scan bounds at most this many (lam, rho) rows, and evaluates at most
-# this many points (or one longer row), at once: this fixes its peak memory.
-_BLOCK = 1 << 11
+# grid_scan bounds about this many (lam, rho) rows at once (whole lam values,
+# at least one), and evaluates about this many window points (or one longer
+# window) at once: this fixes its peak memory.  Each block costs a fixed
+# few dozen numpy calls, which at 1 << 11 took most of a 241^3 scan's time.
+_BLOCK = 1 << 13
 
 # grid_scan skips a row whose exact maximum over nu is this far below the
-# threshold.  The grid's C errs by about eps C ((|nu| + |lam rho|) /
-# |nu - lam rho| + S / N), S the coefficient sum (tests/test_edges.py): near
-# the families, with coefficients in [-10, 10] and x up to 1 - 1e-6, at most
-# 3e-11 against 50-digit mpmath, so the margin is over 10^4 times that.
+# threshold, and evaluates a kept row only where its exact C reaches the
+# threshold minus this.  The grid's C errs by about eps C ((|nu| + |lam rho|)
+# / |nu - lam rho| + S / N), S the coefficient sum (tests/test_edges.py):
+# near the families, with coefficients in [-10, 10] and x up to 1 - 1e-6, at
+# most 3e-11 against 50-digit mpmath, so the margin is over 10^4 times that.
 _PRUNE_MARGIN = 1e-6
 
 
@@ -217,49 +222,73 @@ def _at(lam, rho, nu, x) -> str:
     return f"lam={float(lam)!r} rho={float(rho)!r} nu={float(nu)!r} x={float(x)!r}"
 
 
+def _window_points(nus, lo, hi):
+    """The grid points inside each row's nu windows (see analytic.nu_windows),
+    widened by one grid point each way, in grid order: yields (row, nu index)
+    columns of about _BLOCK points (or one longer window) at a time.
+
+    `lo` and `hi` have one row per kept (lam, rho) row and one column per
+    side of nu = lam rho, below first.
+    """
+    inside = lo <= hi
+    first = np.where(inside, np.maximum(np.searchsorted(nus, lo) - 1, 0), 0)
+    stop = np.where(inside, np.minimum(
+        np.searchsorted(nus, hi, side="right") + 1, len(nus)), 0)
+    # The side above starts where the side below stops, so no point repeats.
+    first[:, 1] = np.maximum(first[:, 1], stop[:, 0])
+    first, sizes = first.ravel(), np.maximum(stop - first, 0).ravel()
+    cuts = np.searchsorted(np.cumsum(sizes), np.arange(_BLOCK, sizes.sum(), _BLOCK),
+                           side="right").tolist()
+    for begin, end in zip([0, *cuts], [*cuts, len(sizes)]):
+        size = sizes[begin:end]
+        window = np.repeat(np.arange(begin, end), size)
+        if len(window):
+            offset = np.arange(len(window)) - np.repeat(np.cumsum(size) - size, size)
+            yield window // 2, first[window] + offset
+
+
 def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
     """All grid points whose concurrence reaches the threshold, in grid order,
     and the number of points evaluated.
 
     Grid order is row-major over (x, lam, rho, nu).  A (lam, rho) pair is one
     row along the nu axis; rows whose exact maximum over nu lies more than
-    _PRUNE_MARGIN below the threshold are skipped, and the rest are evaluated
-    point by point in blocks of about _BLOCK points.
+    _PRUNE_MARGIN below the threshold are skipped.  Along each other row the
+    concurrence reaches that lowered threshold only inside two closed-form nu
+    windows (analytic.nu_windows), one on each side of nu = lam rho, so only
+    the grid points inside them, widened by one grid point, are evaluated.
     """
     lams, rhos, nus = config.axes()
-    n_rows = len(lams) * len(rhos)
-    floor = config.concurrence_threshold - _PRUNE_MARGIN
-    rows_per_chunk = max(1, _BLOCK // len(nus))
+    threshold = config.concurrence_threshold
+    floor = threshold - _PRUNE_MARGIN
+    lams_per_block = max(1, _BLOCK // len(rhos))
     parts = []
     evaluated = 0
     for x in config.x_values:
         n = math.sqrt((1.0 - x) * (1.0 + x))
-        for start in range(0, n_rows, _BLOCK):
-            rows = np.arange(start, min(start + _BLOCK, n_rows))
-            lam_rows, rho_rows = lams[rows // len(rhos)], rhos[rows % len(rhos)]
+        for start in range(0, len(lams), lams_per_block):
+            lam_block = lams[start:start + lams_per_block, None]
             # Written as a negation so a NaN or infinite bound keeps its row.
-            kept = ~(max_concurrence_over_nu(lam_rows, rho_rows, x) < floor)
-            lam_rows, rho_rows = lam_rows[kept], rho_rows[kept]
-            evaluated += len(lam_rows) * len(nus)
-            for i in range(0, len(lam_rows), rows_per_chunk):
-                lam = lam_rows[i:i + rows_per_chunk, None]
-                rho = rho_rows[i:i + rows_per_chunk, None]
-                n_sq = _norm_sq(1.0, lam, rho, nus, x, x, n, n)
-                c = _concurrence_ratio(1.0, lam, rho, nus, n, n, n_sq)
+            i_lam, i_rho = np.nonzero(
+                ~(max_concurrence_over_nu(lam_block, rhos, x) < floor))
+            lam_rows, rho_rows = lam_block[i_lam, 0], rhos[i_rho]
+            windows = nu_windows(lam_rows, rho_rows, x, floor)
+            for row, nu_index in _window_points(nus, *windows):
+                lam, rho, nu = lam_rows[row], rho_rows[row], nus[nu_index]
+                evaluated += len(nu)
+                n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n, n)
+                c = _concurrence_ratio(1.0, lam, rho, nu, n, n, n_sq)
                 # Written as a negation so a NaN fails it.
-                if not c.max(initial=0.0) <= 1.0 + _CLAMP_SLACK:
-                    ir, iv = np.argwhere(~(c <= 1.0 + _CLAMP_SLACK))[0]
-                    point = _at(lam[ir, 0], rho[ir, 0], nus[iv], x)
+                if not c.max() <= 1.0 + _CLAMP_SLACK:
+                    i = np.flatnonzero(~(c <= 1.0 + _CLAMP_SLACK))[0]
                     raise ConsistencyError(
-                        f"grid_scan: concurrence {float(c[ir, iv])!r} exceeded 1 "
-                        f"beyond rounding slack at {point}"
+                        f"grid_scan: concurrence {float(c[i])!r} exceeded 1 beyond "
+                        f"rounding slack at {_at(lam[i], rho[i], nu[i], x)}"
                     )
-                hit_row, hit_nu = np.nonzero(c >= config.concurrence_threshold)
-                if len(hit_row):
-                    parts.append((
-                        lam[hit_row, 0], rho[hit_row, 0], nus[hit_nu],
-                        np.full(len(hit_row), x), np.minimum(c[hit_row, hit_nu], 1.0),
-                    ))
+                hit = np.flatnonzero(c >= threshold)
+                if len(hit):
+                    parts.append((lam[hit], rho[hit], nu[hit], np.full(len(hit), x),
+                                  np.minimum(c[hit], 1.0)))
     columns = ([np.concatenate(column) for column in zip(*parts)] if parts
                else [np.empty(0) for _ in range(5)])
     count = len(columns[0])

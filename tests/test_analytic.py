@@ -13,6 +13,7 @@ from cohent.analytic import (
     gram_norm_squared,
     max_concurrence_over_nu,
     maximality_residual,
+    nu_windows,
     orthonormal_amplitudes,
 )
 from cohent.coherent import CoherentConfig, OverlapPair
@@ -126,6 +127,17 @@ class TestOrthonormalAmplitudes:
             (lam * scale, scale, scale, -lam * scale),
         ):
             assert got / amps.norm == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 1e300, 1e300, 1.0),  # N^2 ~ 3e600 overflowed: norm inf
+        (1e160, 1e160, 1e160, -1e160),
+        (1e-200, 0.0, 0.0, -1e-200),  # N^2 ~ 1e-400 underflows
+    ])
+    def test_norm_of_out_of_range_coefficients(self, coeffs):
+        amps = orthonormal_amplitudes(SuperpositionCoeffs(*coeffs),
+                                      OverlapPair(0.5, 0.5))
+        assert amps.norm == pytest.approx(math.hypot(amps.a, amps.b, amps.c, amps.d),
+                                          rel=1e-15)
 
     @settings(max_examples=150, deadline=None)
     @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals,
@@ -307,6 +319,109 @@ class TestMaxConcurrenceOverNu:
         assert grid.shape == (2, 3)
         assert grid[0, 0] == float(max_concurrence_over_nu(-0.5, -0.5, 0.5))
         assert grid[0, 0] == pytest.approx(1.0, abs=1e-15)  # class (a) row
+
+
+def outside_candidates(lam, rho, x, lo, hi):
+    """nu values just outside each finite window endpoint, from one ulp to a
+    relative 1e-6, the row's two maximisers nu = lam rho +- sqrt(M), and a
+    spread over the whole span of both windows."""
+    n_sq = (1.0 - x) * (1.0 + x)
+    root_m = (math.sqrt((lam + x) ** 2 + n_sq)
+              * math.sqrt((1.0 + rho * x) ** 2 + n_sq * rho * rho))
+    candidates = [lam * rho - root_m, lam * rho + root_m]
+    finite = [e for e in (*lo, *hi) if math.isfinite(e)]
+    for e in finite:
+        for direction in (-math.inf, math.inf):
+            v = e
+            for _ in range(3):
+                v = math.nextafter(v, direction)
+                candidates.append(v)
+            candidates += [e + math.copysign(r * max(abs(e), 1.0), direction)
+                           for r in (1e-15, 1e-12, 1e-9, 1e-6)]
+    if finite:
+        span = max(finite) - min(finite)
+        candidates += np.linspace(min(finite) - span, max(finite) + span, 41).tolist()
+    return candidates
+
+
+class TestNuWindows:
+    # Every nu whose exact concurrence reaches the floor must lie inside a
+    # returned window; rounding slack in the kernel makes that hold for
+    # floats next to the endpoints too.
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.floats(-1.0, 1.0), rho=st.floats(-1.0, 1.0),
+           scale=st.sampled_from([1.0, 1e3, 1e50, 1e149]), x=edge_x,
+           floor=st.floats(1e-3, 1.0),
+           family=st.sampled_from([None, "a", "b", "t"]),
+           at_peak=st.sampled_from([None, -1e-12, 0.0, 1e-12]))
+    def test_holds_every_nu_reaching_the_floor(self, lam, rho, scale, x, floor,
+                                               family, at_peak):
+        lam *= scale
+        if family == "a":  # at scale 1, rows through a class (a) point
+            rho = -2.0 * x - lam
+        elif family == "b":  # rows through a class (b) point
+            rho = lam
+        elif family == "t":  # t = 1 + rho x cancels to about n rho
+            rho = (rho * math.sqrt((1.0 - x) * (1.0 + x)) - 1.0) / x
+        else:
+            rho *= scale
+        if at_peak is not None:  # where the discriminant cancels
+            peak = float(max_concurrence_over_nu(lam, rho, x))
+            floor = min(max(peak + at_peak, 1e-3), 1.0)
+        lo, hi = nu_windows(lam, rho, x, floor)
+        assert lo.shape == hi.shape == (2,)
+        for nu in outside_candidates(lam, rho, x, lo, hi):
+            if any(a <= nu <= b for a, b in zip(lo, hi)):
+                continue
+            with mpmath.workdps(50):
+                exact = exact_concurrence(*map(mpmath.mpf, (lam, rho, nu, x)))
+            assert exact < floor, (nu, lo, hi)
+        if float(max_concurrence_over_nu(lam, rho, x)) >= floor + 1e-9:
+            assert (lo <= hi).any()
+
+    def test_each_side_surrounds_its_maximal_point(self):
+        # x = 0.5: the row lam = rho = -0.5 meets class (b) at nu = -0.5, below
+        # nu = lam rho = 0.25, and class (a) at nu = 1, above it
+        lo, hi = nu_windows(-0.5, -0.5, 0.5, 0.99)
+        assert lo[0] < -0.5 < hi[0] < 0.25 < lo[1] < 1.0 < hi[1]
+
+    def test_row_below_the_floor_has_no_window(self):
+        assert float(max_concurrence_over_nu(1.0, 3.0, 0.5)) < 0.9
+        lo, hi = nu_windows(1.0, 3.0, 0.5, 0.9)
+        assert lo.tolist() == [math.inf] * 2 and hi.tolist() == [-math.inf] * 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("floor", [0.0, -0.5, 1e-310])
+    def test_whole_axis_when_every_nu_may_qualify_or_roots_overflow(self, floor):
+        # floor <= 0 holds everywhere; a subnormal floor overflows the roots
+        lo, hi = nu_windows(-0.5, -0.5, 0.5, floor)
+        assert lo.tolist() == [-math.inf] * 2 and hi.tolist() == [math.inf] * 2
+
+    def test_floor_at_the_row_peak_keeps_its_maximiser(self):
+        # the discriminant rounds below 0 here although the exact peak
+        # reaches the floor; its rounding allowance keeps the window
+        lam, rho, x = 0.5, 1e-6, 1e-6
+        floor = float(max_concurrence_over_nu(lam, rho, x))
+        nu = -1.118033935965078  # lam rho - sqrt(M)
+        with mpmath.workdps(50):
+            assert exact_concurrence(*map(mpmath.mpf, (lam, rho, nu, x))) >= floor
+        lo, hi = nu_windows(lam, rho, x, floor)
+        assert lo[0] <= nu <= hi[0]
+
+    def test_nan_row_is_whole(self):
+        # as a NaN bound keeps its row, so the grid evaluates it and fails
+        lo, hi = nu_windows(np.nan, -0.5, 0.5, 0.9)
+        assert lo.tolist() == [-math.inf] * 2 and hi.tolist() == [math.inf] * 2
+
+    def test_broadcasts_with_sides_last(self):
+        lam = np.array([[-0.5], [1.0]])
+        rho = np.array([-0.5, 0.0, 2.0])
+        lo, hi = nu_windows(lam, rho, 0.5, 0.9)
+        assert lo.shape == hi.shape == (2, 3, 2)
+        single = nu_windows(1.0, 2.0, 0.5, 0.9)  # a window on one side only
+        assert lo[1, 2].tolist() == single[0].tolist()
+        assert hi[1, 2].tolist() == single[1].tolist()
 
 
 class TestMaximalityResidual:

@@ -65,6 +65,21 @@ class TestConcurrenceCommand:
         assert payload["analytic_concurrence"] == pytest.approx(1.0, abs=1e-12)
         assert payload["oracle_concurrence"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("coeffs", [
+        "lambda = 1e300\nrho = 1e300\nnu = 1\n",
+        "mu = 1e160\nlambda = 1e160\nrho = 1e160\nnu = -1e160\n",
+    ])
+    def test_huge_coefficients_agree_with_the_oracle(self, tmp_path, capsys, coeffs):
+        # Both exited 3: the oracle's joint norm overflowed, so it read C = 0,
+        # and the first printed norm inf, as N^2 overflowed.
+        text = "alpha = 0\nbeta = 0\ngamma = 1\ndelta = 1\n" + coeffs
+        path = write(tmp_path, "s.txt", text)
+        assert cli.main(["concurrence", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["norm"])
+        assert payload["analytic_concurrence"] > 0.4
+        assert payload["oracle_diff"] <= 1e-12
+
     def test_overlap_of_exactly_one_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", OVERLAP_STATE.replace("p1 = 0.5", "p1 = 1"))
         assert cli.main(["concurrence", path]) == 2
@@ -160,6 +175,18 @@ class TestBellLimitCommand:
         assert payload["class_a"]["max_deviation"] < 1e-6
         assert payload["class_b"]["max_deviation"] < 1e-6
 
+    def test_huge_lambda(self, capsys):
+        # lam^2 overflowed the target's scale and N^2 the norm, so every
+        # amplitude and deviation read 0
+        assert cli.main(["bell-limit", "--lam", "1e200", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        root_half = 1.0 / math.sqrt(2.0)
+        assert payload["class_a"]["target"] == pytest.approx(
+            [root_half, 0.0, 0.0, -root_half], abs=1e-15)
+        for name in ("class_a", "class_b"):
+            assert payload[name]["amplitudes"][0] == pytest.approx(root_half, abs=1e-6)
+            assert payload[name]["max_deviation"] < 1e-6
+
     def test_oversized_x_exits_2(self):
         assert cli.main(["bell-limit", "--x-small", "0.1"]) == 2
 
@@ -188,7 +215,7 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["disjoint"] is True
         assert payload["hits"] == payload["class_a"] + payload["class_b"]
-        assert 0 < payload["grid_evaluated"] <= payload["grid_points"]
+        assert 0 < payload["hits"] <= payload["grid_evaluated"] <= payload["grid_points"]
 
     def test_bundled_config_evaluates_under_a_tenth(self, tmp_path, capsys):
         out = tmp_path / "records.csv"
@@ -196,7 +223,7 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["grid_points"] == 680_943
         assert payload["hits"] == 480
-        assert 0 < payload["grid_evaluated"] < 0.1 * payload["grid_points"]
+        assert payload["hits"] <= payload["grid_evaluated"] < 0.1 * payload["grid_points"]
         assert cli.main(["scan", "theorem_check.cfg", str(out)]) == 0
         assert (f"scanned 680943 grid points ({payload['grid_evaluated']} evaluated)"
                 in capsys.readouterr().out)

@@ -79,6 +79,25 @@ class TestBuildState:
             n_sq = gram_norm_squared(coeffs, OverlapPair.from_config(config))
             assert state.norm_before_normalization**2 == pytest.approx(n_sq, abs=1e-8)
 
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 1e300, 1e300, 1.0),
+        (1e160, 1e160, 1e160, -1e160),
+        (1e308, 1e308, 1e308, -1e308),  # the coefficient sum overflows
+        (1e-300, 0.0, 0.0, -1e-300),
+    ])
+    def test_out_of_range_coefficients_match_the_closed_form(self, coeffs):
+        # The joint norm overflowed past about 1e154, so the state came out
+        # all zeros (C = 0); at 1e308, and at 1e-300 where its squares
+        # underflow, it raised DegenerateStateError.
+        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
+        coeffs = SuperpositionCoeffs(*coeffs)
+        state = build_state(config, coeffs)
+        assert np.dot(state.coefficients, state.coefficients) == pytest.approx(
+            1.0, abs=1e-12)
+        c = concurrence(coeffs, OverlapPair.from_config(config))
+        assert c > 0.4
+        assert abs(schmidt_concurrence(state) - c) <= 1e-12
+
     def test_small_coefficients_are_not_degenerate(self):
         # A norm^2 of 2e-20 is not rounding noise when the coefficients are
         # 1e-10; an absolute limit of 1e-14 rejected this state.
