@@ -171,12 +171,17 @@ def cmd_bell_limit(args) -> int:
     if not 0.0 < x <= 1e-4:
         raise DomainError(f"x-small must lie in (0, 1e-4], got {x}")
     lam = args.lam
-    # 1 / sqrt(2 (1 + lam^2)), without squaring lam, which may overflow
-    scale = 1.0 / math.hypot(math.sqrt(2.0), math.sqrt(2.0) * lam)
+    # 1 / sqrt(2 (1 + lam^2)), without forming a multiple of lam above |lam|,
+    # which may overflow; exact at lam = 0 and 1
+    scale = 0.5 / math.hypot(math.sqrt(0.5), math.sqrt(0.5) * lam)
+    # The normalized amplitudes are unchanged by a common power of two; this
+    # one keeps the amplitudes and N finite when lam nears the float range.
+    shift = max(0, math.frexp(lam)[1] - 500)
+    one, lam_c = math.ldexp(1.0, -shift), math.ldexp(lam, -shift)
     families = [
-        ("class_a", SuperpositionCoeffs(1.0, lam, -lam, 1.0),
+        ("class_a", SuperpositionCoeffs(one, lam_c, -lam_c, one),
          (lam * scale, scale, scale, -lam * scale)),
-        ("class_b", SuperpositionCoeffs(1.0, lam, lam, -1.0 - 2.0 * lam * x),
+        ("class_b", SuperpositionCoeffs(one, lam_c, lam_c, -one - lam_c * (2.0 * x)),
          (lam * scale, scale, -scale, lam * scale)),
     ]
     payload = {"lambda": lam, "x_small": x}

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
@@ -175,10 +176,12 @@ class TestBellLimitCommand:
         assert payload["class_a"]["max_deviation"] < 1e-6
         assert payload["class_b"]["max_deviation"] < 1e-6
 
-    def test_huge_lambda(self, capsys):
-        # lam^2 overflowed the target's scale and N^2 the norm, so every
-        # amplitude and deviation read 0
-        assert cli.main(["bell-limit", "--lam", "1e200", "--json"]) == 0
+    @pytest.mark.parametrize("lam", ["1e200", "1.5e308", repr(sys.float_info.max)])
+    def test_huge_lambda(self, capsys, lam):
+        # At 1e200 lam^2 overflowed the target's scale and N^2 the norm, so
+        # every amplitude and deviation read 0; at 1.5e308 sqrt(2) lam and
+        # 2 lam overflowed as well
+        assert cli.main(["bell-limit", "--lam", lam, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         root_half = 1.0 / math.sqrt(2.0)
         assert payload["class_a"]["target"] == pytest.approx(

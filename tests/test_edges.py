@@ -12,7 +12,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cohent.analytic import SuperpositionCoeffs, concurrence
@@ -54,15 +54,19 @@ def bound(mu, lam, rho, nu, c, norm):
     S, so N^2 errs by a relative ~eps S / N.  Over 20,000 samples near the
     families the error never passed 1.5x this model; the bound is 8x it.  A
     product of coefficients that underflows errs by up to the smallest
-    normal float, which adds that over N^2.  `concurrence` forms the products
-    at the coefficients' own scale, or after scaling the largest to about 1,
-    so the smaller N of those two scales bounds both.
+    normal float, which adds that over the N^2 `concurrence` forms.  It
+    forms it at the coefficients' own scale, or, when their magnitudes sum
+    outside [2^-400, 2^500] (`analytic._in_range`), after scaling the largest
+    into [1/2, 1) by a power of two.
     """
     if norm == 0.0:
         return math.inf
     top = max(abs(mu), abs(lam), abs(rho), abs(nu))
-    low = min(norm, norm / top)
-    underflow = 8.0 * sys.float_info.min / low / low
+    if 2.0 ** -400 <= abs(mu) + abs(lam) + abs(rho) + abs(nu) <= 2.0 ** 500:
+        formed = norm
+    else:
+        formed = math.ldexp(norm, -math.frexp(top)[1])
+    underflow = 8.0 * sys.float_info.min / formed / formed
     mu, lam, rho, nu, norm = (v / top for v in (mu, lam, rho, nu, norm))
     size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
     diff = abs(mu * nu - lam * rho)
@@ -108,6 +112,8 @@ def test_concurrence_near_the_families(point):
 
 @settings(max_examples=200, deadline=None)
 @given(near_family(scale=st.floats(1e150, 1e300) | st.floats(-1e300, -1e150)))
+# C is subnormal here, one ulp off; its products are formed after rescaling
+@example((5.458915783827469e+157, 0.0, 0.0, 5.045419583098643e-151, 0.999))
 def test_huge_coefficients_take_the_rescaling_path(point):
     *coeffs, x = point
     assert_close(concurrence(SuperpositionCoeffs(*coeffs), OverlapPair(x, x)),
