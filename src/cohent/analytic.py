@@ -222,8 +222,9 @@ def max_concurrence_over_nu(lam, rho, x):
 
 def nu_windows(lam, rho, x, floor):
     """The nu intervals of the row (lam, rho) where the concurrence at mu = 1,
-    p1 = p2 = x reaches `floor`: (lo, hi), broadcast over lam and rho, with a
-    last axis for the side below nu = lam rho and the side above it.
+    p1 = p2 = x reaches `floor`: (lo, hi), broadcast over lam, rho and x, with
+    a last axis for the side below nu = lam rho and the side above it.  For
+    one x per row, pass x with a trailing axis of length 1 (x[:, None]).
 
     In the terms of _row_terms, on the side sigma = sign(u) with w = |u|,
     C >= f is the quadratic f w^2 - 2 B w + f M <= 0, B = n^2 - sigma f K.

@@ -53,7 +53,7 @@ def _fmt(value) -> str:
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
     if as_json:
-        print(json.dumps({k: v for k, v in pairs}, indent=2))
+        print(json.dumps({k: v for k, v in pairs}, indent=2, allow_nan=False))
     else:
         for key, value in pairs:
             print(f"{key:<{_KEY_WIDTH}} {_fmt(value)}")
@@ -75,6 +75,10 @@ def cmd_concurrence(args) -> int:
         ("p1", overlaps.p1),
         ("p2", overlaps.p2),
     ]
+    outside = [name for name, value in pairs if not math.isfinite(value)]
+    if outside:
+        raise DomainError(f"{', '.join(outside)} overflow the float range; "
+                          "scale all four coefficients down")
     status = EXIT_OK
     if spec.has_amplitudes:
         c_oracle = oracle_concurrence(spec.config(), coeffs, spec.truncation)

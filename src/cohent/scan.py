@@ -6,10 +6,11 @@ zero line of its maximality residual.  The maximal states lie on two lines,
 so the sweep skips each (lam, rho) row whose exact maximum over nu
 (analytic.max_concurrence_over_nu) misses the threshold, and along every
 other row evaluates only the closed-form nu windows, one on each side of
-nu = lam rho, where the concurrence can clear it (analytic.nu_windows).  The
-refined hits empirically confirm the classification: every one lands on
-exactly one of the two maximal families, and a seeded random subsample is
-re-checked against the brute-force Fock oracle.
+nu = lam rho, where the concurrence can clear it (analytic.nu_windows),
+windowing the kept rows of all x values in batches.  The refined hits
+empirically confirm the classification: every one lands on exactly one of
+the two maximal families, and a seeded random subsample is re-checked
+against the brute-force Fock oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ REFINE_FLOOR = 0.9
 REFINE_TARGET = 1e-18
 
 # grid_scan bounds about this many (lam, rho) rows at once (whole lam values,
-# at least one), and evaluates about this many window points (or one longer
-# window) at once: this fixes its peak memory.  Each block costs a fixed
-# few dozen numpy calls, which at 1 << 11 took most of a 241^3 scan's time.
+# at least one), windows the kept rows in batches of at least this many (fewer
+# than this plus one bound block's rows; the last batch may be shorter), and
+# evaluates about this many window points (or one longer window) at once: this
+# fixes its peak memory.  Each block, batch or chunk costs a fixed few dozen
+# numpy calls, which at 1 << 11 took most of a 241^3 scan's time.
 _BLOCK = 1 << 13
 
 # grid_scan skips a row whose exact maximum over nu is this far below the
@@ -227,7 +230,7 @@ def _window_points(nus, lo, hi):
     widened by one grid point each way, in grid order: yields (row, nu index)
     columns of about _BLOCK points (or one longer window) at a time.
 
-    `lo` and `hi` have one row per kept (lam, rho) row and one column per
+    `lo` and `hi` have one row per kept (lam, rho, x) row and one column per
     side of nu = lam rho, below first.
     """
     inside = lo <= hi
@@ -247,6 +250,27 @@ def _window_points(nus, lo, hi):
             yield window // 2, first[window] + offset
 
 
+def _kept_rows(config: ScanConfig, floor: float):
+    """The (lam, rho, x) rows whose exact maximum over nu is not below
+    `floor`, in grid order, as column batches sized as _BLOCK describes."""
+    lams, rhos, _ = config.axes()
+    lams_per_block = max(1, _BLOCK // len(rhos))
+    batch, size = [], 0
+    for x in config.x_values:
+        for start in range(0, len(lams), lams_per_block):
+            lam_block = lams[start:start + lams_per_block, None]
+            # Written as a negation so a NaN or infinite bound keeps its row.
+            i_lam, i_rho = np.nonzero(
+                ~(max_concurrence_over_nu(lam_block, rhos, x) < floor))
+            batch.append((lam_block[i_lam, 0], rhos[i_rho], np.full(len(i_lam), x)))
+            size += len(i_lam)
+            if size >= _BLOCK:
+                yield [np.concatenate(column) for column in zip(*batch)]
+                batch, size = [], 0
+    if size:
+        yield [np.concatenate(column) for column in zip(*batch)]
+
+
 def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
     """All grid points whose concurrence reaches the threshold, in grid order,
     and the number of points evaluated.
@@ -257,38 +281,33 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
     concurrence reaches that lowered threshold only inside two closed-form nu
     windows (analytic.nu_windows), one on each side of nu = lam rho, so only
     the grid points inside them, widened by one grid point, are evaluated.
+    Kept rows are windowed and evaluated in batches (see _kept_rows), across
+    lam blocks and x values, with x as a column.
     """
-    lams, rhos, nus = config.axes()
+    nus = config.axes()[2]
     threshold = config.concurrence_threshold
     floor = threshold - _PRUNE_MARGIN
-    lams_per_block = max(1, _BLOCK // len(rhos))
     parts = []
     evaluated = 0
-    for x in config.x_values:
-        n = math.sqrt((1.0 - x) * (1.0 + x))
-        for start in range(0, len(lams), lams_per_block):
-            lam_block = lams[start:start + lams_per_block, None]
-            # Written as a negation so a NaN or infinite bound keeps its row.
-            i_lam, i_rho = np.nonzero(
-                ~(max_concurrence_over_nu(lam_block, rhos, x) < floor))
-            lam_rows, rho_rows = lam_block[i_lam, 0], rhos[i_rho]
-            windows = nu_windows(lam_rows, rho_rows, x, floor)
-            for row, nu_index in _window_points(nus, *windows):
-                lam, rho, nu = lam_rows[row], rho_rows[row], nus[nu_index]
-                evaluated += len(nu)
-                n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n, n)
-                c = _concurrence_ratio(1.0, lam, rho, nu, n, n, n_sq)
-                # Written as a negation so a NaN fails it.
-                if not c.max() <= 1.0 + _CLAMP_SLACK:
-                    i = np.flatnonzero(~(c <= 1.0 + _CLAMP_SLACK))[0]
-                    raise ConsistencyError(
-                        f"grid_scan: concurrence {float(c[i])!r} exceeded 1 beyond "
-                        f"rounding slack at {_at(lam[i], rho[i], nu[i], x)}"
-                    )
-                hit = np.flatnonzero(c >= threshold)
-                if len(hit):
-                    parts.append((lam[hit], rho[hit], nu[hit], np.full(len(hit), x),
-                                  np.minimum(c[hit], 1.0)))
+    for lam_rows, rho_rows, x_rows in _kept_rows(config, floor):
+        windows = nu_windows(lam_rows, rho_rows, x_rows[:, None], floor)
+        for row, nu_index in _window_points(nus, *windows):
+            lam, rho, nu, x = lam_rows[row], rho_rows[row], nus[nu_index], x_rows[row]
+            evaluated += len(nu)
+            n = np.sqrt((1.0 - x) * (1.0 + x))
+            n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n, n)
+            c = _concurrence_ratio(1.0, lam, rho, nu, n, n, n_sq)
+            # Written as a negation so a NaN fails it.
+            if not c.max() <= 1.0 + _CLAMP_SLACK:
+                i = np.flatnonzero(~(c <= 1.0 + _CLAMP_SLACK))[0]
+                raise ConsistencyError(
+                    f"grid_scan: concurrence {float(c[i])!r} exceeded 1 beyond "
+                    f"rounding slack at {_at(lam[i], rho[i], nu[i], x[i])}"
+                )
+            hit = np.flatnonzero(c >= threshold)
+            if len(hit):
+                parts.append((lam[hit], rho[hit], nu[hit], x[hit],
+                              np.minimum(c[hit], 1.0)))
     columns = ([np.concatenate(column) for column in zip(*parts)] if parts
                else [np.empty(0) for _ in range(5)])
     count = len(columns[0])

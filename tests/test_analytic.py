@@ -423,6 +423,22 @@ class TestNuWindows:
         assert lo[1, 2].tolist() == single[0].tolist()
         assert hi[1, 2].tolist() == single[1].tolist()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("floor", [0.9, 0.0, 1e-310])
+    def test_x_column_matches_scalar_calls_bit_for_bit(self, floor):
+        # one x per row, as grid_scan passes its kept rows: rows with two
+        # windows, one, none, a NaN row, and (at floor 0 or a subnormal
+        # floor) whole-axis rows
+        lam = np.array([-0.5, 1.0, 1.0, np.nan, -0.5, 0.25, -2.0])
+        rho = np.array([-0.5, 2.0, 3.0, -0.5, -0.5, -0.75, 1.5])
+        x = np.array([0.5, 0.5, 0.5, 0.5, 1e-6, 0.999, 1.0 - 1e-6])
+        lo, hi = nu_windows(lam, rho, x[:, None], floor)
+        assert lo.shape == hi.shape == (len(x), 2)
+        for i in range(len(x)):
+            single = nu_windows(lam[i], rho[i], float(x[i]), floor)
+            assert lo[i].tobytes() == single[0].tobytes()
+            assert hi[i].tobytes() == single[1].tobytes()
+
 
 class TestMaximalityResidual:
     def test_class_a_point_is_zero(self):

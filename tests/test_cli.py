@@ -26,6 +26,10 @@ SMALL_SCAN = (
 )
 
 
+def strict_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -80,6 +84,33 @@ class TestConcurrenceCommand:
         assert math.isfinite(payload["norm"])
         assert payload["analytic_concurrence"] > 0.4
         assert payload["oracle_diff"] <= 1e-12
+
+    def test_amplitudes_beyond_the_float_range_exit_2(self, tmp_path, capsys):
+        # Exited 0 and printed "amplitude_a": Infinity and "norm": Infinity,
+        # which is not JSON.
+        text = ("alpha = 0\nbeta = 0\ngamma = 1\ndelta = 1\n"
+                "mu = 1e308\nlambda = 1e308\nrho = 1e308\nnu = -1e308\n")
+        path = write(tmp_path, "s.txt", text)
+        assert cli.main(["concurrence", path, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "amplitude_a, norm overflow the float range" in err
+
+    def test_json_output_is_strict(self, tmp_path, capsys):
+        path = write(tmp_path, "s.txt", AMP_STATE)
+        assert cli.main(["concurrence", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=strict_json_constant)
+        assert list(payload) == [
+            "analytic_concurrence", "amplitude_a", "amplitude_b", "amplitude_c",
+            "amplitude_d", "norm", "p1", "p2", "oracle_concurrence", "oracle_diff"]
+        assert payload["analytic_concurrence"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_emit_refuses_non_finite_json(self, capsys):
+        with pytest.raises(ValueError):
+            cli._emit([("norm", math.inf)], True)
+        cli._emit([("norm", math.inf)], False)
+        assert capsys.readouterr().out.split() == ["norm", "inf"]
 
     def test_overlap_of_exactly_one_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", OVERLAP_STATE.replace("p1 = 0.5", "p1 = 1"))

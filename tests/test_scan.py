@@ -232,6 +232,20 @@ def box(lo, hi, steps, x_values, threshold):
                       x_values, threshold, seed=3, oracle_fraction=0.01)
 
 
+@pytest.fixture
+def nu_windows_calls(monkeypatch):
+    """The x column of every grid_scan call to nu_windows, in call order."""
+    calls = []
+    windows = scan_module.nu_windows
+
+    def counted(lam, rho, x, floor):
+        calls.append(np.ravel(x))
+        return windows(lam, rho, x, floor)
+
+    monkeypatch.setattr(scan_module, "nu_windows", counted)
+    return calls
+
+
 class TestGridPruning:
     """Skipping rows by their exact maximum over nu must not change a record."""
 
@@ -253,21 +267,44 @@ class TestGridPruning:
         (cli._resolve_scan_config("theorem_check.cfg"), 2_000),
         (box(-3.0, 3.0, 241, (0.2, 0.5, 0.8), 0.999999), 5_000),  # dense_sweep's
     ], ids=["bundled", "dense"])
-    def test_benchmark_boxes_match_full_sweep(self, config, most_evaluated):
+    def test_benchmark_boxes_match_full_sweep(self, config, most_evaluated,
+                                              nu_windows_calls):
         # whole kept rows were 30,195 and 318,843 points
         hits, evaluated = grid_scan(config)
         assert hits.records() == full_sweep(config)
         assert len(hits) <= evaluated <= most_evaluated
+        # the kept rows of every lam block and x value are windowed at once
+        assert len(nu_windows_calls) == 1
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_small_blocks_match_full_sweep(self, monkeypatch, block):
-        # many row blocks and point chunks, and windows longer than a chunk
-        config = box(-3.0, 3.0, 13, (0.3, 0.9), 0.6)
-        evaluated = grid_scan(config)[1]
+    @pytest.mark.parametrize("block", [1, 7, 64, 1024])
+    def test_small_blocks_match_full_sweep(self, monkeypatch, block, nu_windows_calls):
+        # many row blocks, row batches and point chunks, windows longer than a
+        # chunk, and (at 1024) one batch holding every kept row
+        config = box(-3.0, 3.0, 13, (0.3, 0.6, 0.9), 0.6)
+        default_hits, evaluated = grid_scan(config)
         monkeypatch.setattr(scan_module, "_BLOCK", block)
+        nu_windows_calls.clear()
         hits, small_evaluated = grid_scan(config)
-        assert hits.records() == full_sweep(config)
+        assert hits.records() == full_sweep(config) == default_hits.records()
         assert small_evaluated == evaluated
+        # from 64 up, some batch spans two x values
+        assert any(len(set(x.tolist())) > 1 for x in nu_windows_calls) == (block >= 64)
+
+    @pytest.mark.parametrize("block", [7, 64, 200])
+    def test_batches_stay_bounded_when_every_row_is_kept(self, monkeypatch, block,
+                                                         nu_windows_calls):
+        # floor = threshold - _PRUNE_MARGIN = 0 keeps every row, and makes each
+        # row's window the whole nu axis
+        config = box(-3.0, 3.0, 13, (0.3, 0.6, 0.9), scan_module._PRUNE_MARGIN)
+        monkeypatch.setattr(scan_module, "_BLOCK", block)
+        hits, evaluated = grid_scan(config)
+        rows_per_block = max(1, block // 13) * 13
+        sizes = [len(x) for x in nu_windows_calls]
+        assert sum(sizes) == 3 * 13 * 13
+        assert all(block <= size < block + rows_per_block for size in sizes[:-1])
+        assert 0 < sizes[-1] < block + rows_per_block
+        assert evaluated == config.total_points()
+        assert hits.records() == full_sweep(config)
 
     @pytest.mark.parametrize("point", [
         (-0.5, -0.5, 1.0),   # class (a) at x = 0.5
