@@ -34,8 +34,9 @@ _RESCALE_BELOW = 2.0 ** -400
 # that sum is rounding noise, and the four components numerically dependent.
 _DEGENERATE_REL = (4.0 * sys.float_info.epsilon) ** 2
 
-# nu_windows takes rounding to err a sum by at most this many times the sum
-# of its terms' magnitudes; mpmath puts the worst seen below a fifth of it.
+# nu_windows and rho_windows take rounding to err a sum by at most this many
+# times the sum of its terms' magnitudes; mpmath puts the worst nu_windows saw
+# below a fifth of it.
 _WINDOW_SLACK = 8.0 * sys.float_info.epsilon
 
 
@@ -218,6 +219,68 @@ def max_concurrence_over_nu(lam, rho, x):
     """
     _, k, d, root_m = _row_terms(lam, rho, x)
     return (root_m + abs(k)) / d
+
+
+def rho_windows(lam, x, floor):
+    """Two rho intervals that hold every row (lam, rho) whose maximum
+    concurrence over nu at mu = 1, p1 = p2 = x (max_concurrence_over_nu) can
+    reach `floor`: (lo, hi), broadcast over lam and x, with a last axis for
+    the interval below rho = -x and the one above it.
+
+    In the terms of _row_terms put u = rho + x, w = |u|, sigma = |s| and
+    A = s^2 + n^2.  Then q = t^2 + n^2 rho^2 = u^2 + n^2, so D = w^2 + A,
+    sqrt M = sqrt A sqrt(w^2 + n^2) and |K| = sigma w, and with
+    h(w) = w sqrt(w^2 + n^2)
+
+        D^2 - (sqrt M + |K|)^2 = (h(w) - h(sigma))^2.
+
+    So sqrt M + |K| <= D, and the row bound B = (sqrt M + |K|) / D has
+    1 - B = (D^2 - (sqrt M + |K|)^2) / (D (D + sqrt M + |K|)) >=
+    (h(w) - h(sigma))^2 / (2 D^2).  As h(w) - w^2 = w n^2 / (sqrt(w^2 + n^2) + w)
+    grows with w (from 0 up to n^2 / 2), |h(w) - h(sigma)| >= |w^2 - sigma^2|,
+    and B >= f only if
+
+        |w^2 - sigma^2| <= e (w^2 + sigma^2 + n^2),   e = sqrt(2 (1 - f)).
+
+    For e < 1 that is w_lo^2 <= w^2 <= w_hi^2, with
+    w_lo^2 = (sigma^2 (1 - e) - e n^2) / (1 + e) and
+    w_hi^2 = (sigma^2 (1 + e) + e n^2) / (1 - e): the intervals
+    rho = -x -+ [w_lo, w_hi], around rho = -lam - 2x (class a) and rho = lam
+    (class b).  tests/test_symbolic.py proves the identities.
+
+    Rounding: max_concurrence_over_nu errs B by at most eps (11 + 1.5 / n)
+    to first order.  t = 1 + rho x loses up to eps |rho x| <= eps x sqrt(q) / n,
+    which errs q, and so D and sqrt M, by up to a relative 2 eps / n; every
+    other step errs a few eps relative, and B <= 1.  So e is taken at
+    f - delta, delta = _WINDOW_SLACK (2 + 1 / n), and rounded up by a relative
+    _WINDOW_SLACK; w_hi^2 is raised and w_lo^2 lowered by _WINDOW_SLACK times
+    the magnitudes of their terms, and each endpoint is widened by
+    _WINDOW_SLACK (x + w_hi) for the final addition.  Against 50-digit
+    mpmath, the worst error of B over 60,000 sampled rows (x near 0 and 1, t
+    cancelling, rows on and beside both lines, scales up to 1e149) was a
+    twelfth of delta.  Where e >= 1 or w_hi is not finite, both intervals
+    are the whole axis, (-inf, inf).
+    """
+    lam, x = np.asarray(lam)[..., None], np.asarray(x)[..., None]
+    n_sq = (1.0 - x) * (1.0 + x)
+    delta = _WINDOW_SLACK * (2.0 + 1.0 / np.sqrt(n_sq))
+    e = np.sqrt(np.maximum(2.0 * (1.0 - floor + delta), 0.0)) * (1.0 + _WINDOW_SLACK)
+    side = np.array([-1.0, 1.0])
+    # e >= 1 makes w_hi^2 negative or infinite, so w_hi NaN or inf, as do a
+    # NaN input and overflow; while w_hi is finite, so are w_lo and e.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = lam + x
+        sigma_sq, e_n_sq = s * s, e * n_sq
+        w_hi = np.sqrt((sigma_sq * (1.0 + e) + e_n_sq) / (1.0 - e)
+                       * (1.0 + _WINDOW_SLACK))
+        w_lo = np.sqrt(np.maximum((sigma_sq * (1.0 - e) - e_n_sq) / (1.0 + e)
+                                  - _WINDOW_SLACK * (sigma_sq + n_sq), 0.0))
+        slack = _WINDOW_SLACK * (x + w_hi)
+        near, far = side * w_lo - x, side * w_hi - x
+        lo = np.minimum(near, far) - slack
+        hi = np.maximum(near, far) + slack
+    whole = ~np.isfinite(w_hi)
+    return np.where(whole, -np.inf, lo), np.where(whole, np.inf, hi)
 
 
 def nu_windows(lam, rho, x, floor):

@@ -259,6 +259,8 @@ def cmd_scan(args) -> int:
             {
                 "grid_points": config.total_points(),
                 "grid_evaluated": outcome.n_grid_evaluated,
+                "grid_rows_bounded": outcome.n_grid_rows_bounded,
+                "grid_rows_kept": outcome.n_grid_rows_kept,
                 "hits": outcome.n_grid_hits,
                 "refined": outcome.n_refined,
                 "class_a": outcome.report.n_class_a,
@@ -274,6 +276,8 @@ def cmd_scan(args) -> int:
         print(f"scanned {config.total_points()} grid points "
               f"({outcome.n_grid_evaluated} evaluated): "
               f"{outcome.n_grid_hits} hits, {outcome.n_refined} refined")
+        print(f"bounded {outcome.n_grid_rows_bounded} (lambda, rho, x) rows, "
+              f"kept {outcome.n_grid_rows_kept}")
         print(f"oracle spot-checked {outcome.oracle_checked} records, "
               f"max |analytic - oracle| = {_fmt(outcome.max_oracle_diff)}")
         print(outcome.report.summary())

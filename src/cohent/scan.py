@@ -3,7 +3,9 @@
 A grid scan sweeps (lam, rho, nu) boxes at fixed overlaps x, keeps every
 point whose concurrence clears a threshold, then projects each hit onto the
 zero line of its maximality residual.  The maximal states lie on two lines,
-so the sweep skips each (lam, rho) row whose exact maximum over nu
+over rho = -lam - 2x and rho = lam at each x, so the sweep bounds only the
+(lam, rho) rows inside a closed-form rho window around each of those
+(analytic.rho_windows), skips each of those whose exact maximum over nu
 (analytic.max_concurrence_over_nu) misses the threshold, and along every
 other row evaluates only the closed-form nu windows, one on each side of
 nu = lam rho, where the concurrence can clear it (analytic.nu_windows),
@@ -21,7 +23,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, max_concurrence_over_nu, nu_windows
-from .analytic import require_open_unit_interval
+from .analytic import require_open_unit_interval, rho_windows
 from .analytic import _CLAMP_SLACK, _RESCALE_ABOVE, _concurrence_ratio
 from .analytic import _degenerate, _maximality_residual, _norm_sq
 from .classify import _require_positive_tol, family_checks
@@ -39,12 +41,13 @@ REFINE_FLOOR = 0.9
 # family up to rounding; refine neither moves such a point nor flags it.
 REFINE_TARGET = 1e-18
 
-# grid_scan bounds about this many (lam, rho) rows at once (whole lam values,
-# at least one), windows the kept rows in batches of at least this many (fewer
-# than this plus one bound block's rows; the last batch may be shorter), and
-# evaluates about this many window points (or one longer window) at once: this
-# fixes its peak memory.  Each block, batch or chunk costs a fixed few dozen
-# numpy calls, which at 1 << 11 took most of a 241^3 scan's time.
+# grid_scan takes the rho windows of this many (lam, x) pairs at once, bounds
+# about this many of the rows inside them (or one longer window) at once,
+# windows the kept rows in batches of at least this many (fewer than twice
+# this plus one rho window's rows; the last batch may be shorter), and
+# evaluates about this many nu window points (or one longer window) at once:
+# this fixes its peak memory.  Each block, batch or chunk costs a fixed few
+# dozen numpy calls, which at 1 << 11 took most of a 241^3 scan's time.
 _BLOCK = 1 << 13
 
 # grid_scan skips a row whose exact maximum over nu is this far below the
@@ -225,18 +228,18 @@ def _at(lam, rho, nu, x) -> str:
     return f"lam={float(lam)!r} rho={float(rho)!r} nu={float(nu)!r} x={float(x)!r}"
 
 
-def _window_points(nus, lo, hi):
-    """The grid points inside each row's nu windows (see analytic.nu_windows),
-    widened by one grid point each way, in grid order: yields (row, nu index)
-    columns of about _BLOCK points (or one longer window) at a time.
+def _window_points(axis, lo, hi):
+    """The grid points of `axis` inside each row's two windows, widened by
+    one grid point each way, in grid order: yields (row, axis index) columns
+    of about _BLOCK points (or one longer window) at a time.
 
-    `lo` and `hi` have one row per kept (lam, rho, x) row and one column per
-    side of nu = lam rho, below first.
+    `lo` and `hi` have one row per window pair and one column per side, below
+    first, as analytic.rho_windows and analytic.nu_windows return them.
     """
     inside = lo <= hi
-    first = np.where(inside, np.maximum(np.searchsorted(nus, lo) - 1, 0), 0)
+    first = np.where(inside, np.maximum(np.searchsorted(axis, lo) - 1, 0), 0)
     stop = np.where(inside, np.minimum(
-        np.searchsorted(nus, hi, side="right") + 1, len(nus)), 0)
+        np.searchsorted(axis, hi, side="right") + 1, len(axis)), 0)
     # The side above starts where the side below stops, so no point repeats.
     first[:, 1] = np.maximum(first[:, 1], stop[:, 0])
     first, sizes = first.ravel(), np.maximum(stop - first, 0).ravel()
@@ -250,46 +253,62 @@ def _window_points(nus, lo, hi):
             yield window // 2, first[window] + offset
 
 
-def _kept_rows(config: ScanConfig, floor: float):
-    """The (lam, rho, x) rows whose exact maximum over nu is not below
-    `floor`, in grid order, as column batches sized as _BLOCK describes."""
-    lams, rhos, _ = config.axes()
-    lams_per_block = max(1, _BLOCK // len(rhos))
-    batch, size = [], 0
-    for x in config.x_values:
-        for start in range(0, len(lams), lams_per_block):
-            lam_block = lams[start:start + lams_per_block, None]
+def _kept_rows(lams, rhos, x_values, floor: float):
+    """The (lam, rho, x) rows of a grid whose exact maximum over nu is not
+    below `floor`, in grid order: yields (lam, rho, x) column batches sized as
+    _BLOCK describes, each with the number of rows bounded to find it.
+
+    Only the grid rho inside the (lam, x) pair's two closed-form windows
+    (analytic.rho_windows), widened by one grid point, are bounded; the
+    pairs are windowed _BLOCK at a time, x major.
+    """
+    xs = np.array(x_values)
+    pairs = len(xs) * len(lams)
+    batch, size, bounded = [], 0, 0
+    for start in range(0, pairs, _BLOCK):
+        pair = np.arange(start, min(start + _BLOCK, pairs))
+        lam_pairs, x_pairs = lams[pair % len(lams)], xs[pair // len(lams)]
+        windows = rho_windows(lam_pairs, x_pairs, floor)
+        for row, rho_index in _window_points(rhos, *windows):
+            lam, rho, x = lam_pairs[row], rhos[rho_index], x_pairs[row]
             # Written as a negation so a NaN or infinite bound keeps its row.
-            i_lam, i_rho = np.nonzero(
-                ~(max_concurrence_over_nu(lam_block, rhos, x) < floor))
-            batch.append((lam_block[i_lam, 0], rhos[i_rho], np.full(len(i_lam), x)))
-            size += len(i_lam)
+            keep = np.flatnonzero(~(max_concurrence_over_nu(lam, rho, x) < floor))
+            batch.append((lam[keep], rho[keep], x[keep]))
+            size += len(keep)
+            bounded += len(row)
             if size >= _BLOCK:
-                yield [np.concatenate(column) for column in zip(*batch)]
-                batch, size = [], 0
-    if size:
-        yield [np.concatenate(column) for column in zip(*batch)]
+                yield [np.concatenate(column) for column in zip(*batch)], bounded
+                batch, size, bounded = [], 0, 0
+    if batch:
+        yield [np.concatenate(column) for column in zip(*batch)], bounded
 
 
-def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
+def grid_scan(config: ScanConfig) -> tuple[ScanHits, int, int, int]:
     """All grid points whose concurrence reaches the threshold, in grid order,
-    and the number of points evaluated.
+    then the number of points evaluated, of (lam, rho, x) rows bounded and of
+    rows kept.
 
     Grid order is row-major over (x, lam, rho, nu).  A (lam, rho) pair is one
     row along the nu axis; rows whose exact maximum over nu lies more than
-    _PRUNE_MARGIN below the threshold are skipped.  Along each other row the
-    concurrence reaches that lowered threshold only inside two closed-form nu
+    _PRUNE_MARGIN below the threshold are skipped.  That maximum can reach
+    the lowered threshold only inside two closed-form rho windows per
+    (lam, x) (analytic.rho_windows), so only the grid rows inside them,
+    widened by one grid point, are bounded (see _kept_rows).  Along each
+    kept row the concurrence reaches it only inside two closed-form nu
     windows (analytic.nu_windows), one on each side of nu = lam rho, so only
     the grid points inside them, widened by one grid point, are evaluated.
-    Kept rows are windowed and evaluated in batches (see _kept_rows), across
-    lam blocks and x values, with x as a column.
+    Kept rows are windowed and evaluated in batches, across lam values and
+    x values, with x as a column.
     """
-    nus = config.axes()[2]
+    lams, rhos, nus = config.axes()
     threshold = config.concurrence_threshold
     floor = threshold - _PRUNE_MARGIN
     parts = []
-    evaluated = 0
-    for lam_rows, rho_rows, x_rows in _kept_rows(config, floor):
+    evaluated = rows_bounded = rows_kept = 0
+    for (lam_rows, rho_rows, x_rows), bounded in _kept_rows(lams, rhos,
+                                                           config.x_values, floor):
+        rows_bounded += bounded
+        rows_kept += len(lam_rows)
         windows = nu_windows(lam_rows, rho_rows, x_rows[:, None], floor)
         for row, nu_index in _window_points(nus, *windows):
             lam, rho, nu, x = lam_rows[row], rho_rows[row], nus[nu_index], x_rows[row]
@@ -313,7 +332,7 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int]:
     count = len(columns[0])
     hits = ScanHits(*columns, refined=np.zeros(count, dtype=bool),
                     refine_converged=np.ones(count, dtype=bool))
-    return hits, evaluated
+    return hits, evaluated, rows_bounded, rows_kept
 
 
 def _project(lam, rho, nu, x, c):
@@ -480,6 +499,8 @@ class ScanOutcome:
     report: DisjointnessReport
     n_grid_hits: int
     n_grid_evaluated: int
+    n_grid_rows_bounded: int
+    n_grid_rows_kept: int
     n_refined: int
     oracle_checked: int
     max_oracle_diff: float
@@ -492,7 +513,15 @@ def run_scan(
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
     _require_positive_tol(verify_tol)
-    grid_hits, evaluated = grid_scan(config)
+    # At tol >= 1 - x the point (lam, rho, nu) = (-1, -x, x) passes both
+    # family checks, so the verdicts could no longer be disjoint.
+    tol_limit = 1.0 - max(config.x_values)
+    if verify_tol >= tol_limit:
+        raise DomainError(
+            f"verify tol {verify_tol} cannot separate the two families: it must "
+            f"lie below 1 - max(x_values) = {tol_limit!r}"
+        )
+    grid_hits, evaluated, rows_bounded, rows_kept = grid_scan(config)
     hits = refine_hits(grid_hits)
     report = verify_disjoint_classes(hits, tol=verify_tol)
     checked, worst = oracle_spot_check(
@@ -503,6 +532,8 @@ def run_scan(
         report=report,
         n_grid_hits=len(hits),
         n_grid_evaluated=evaluated,
+        n_grid_rows_bounded=rows_bounded,
+        n_grid_rows_kept=rows_kept,
         n_refined=int(np.count_nonzero(hits.refined)),
         oracle_checked=checked,
         max_oracle_diff=worst,

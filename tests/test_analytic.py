@@ -15,6 +15,7 @@ from cohent.analytic import (
     maximality_residual,
     nu_windows,
     orthonormal_amplitudes,
+    rho_windows,
 )
 from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
@@ -275,6 +276,20 @@ def exact_concurrence(lam, rho, nu, x):
     return 2 * abs(nu - lam * rho) * (one - x**2) / n_sq
 
 
+def exact_row_peak(lam, rho, x):
+    """The concurrence of the row (lam, rho) at its maximisers
+    nu = lam rho +- sqrt(M), with M = N^2 at nu = lam rho, in 50-digit
+    arithmetic."""
+    with mpmath.workdps(50):
+        lam, rho, x = map(mpmath.mpf, (lam, rho, x))
+        prod = lam * rho
+        root_m = mpmath.sqrt(
+            (1 + lam**2 + rho**2 + prod**2 + 2 * (lam + rho * prod) * x
+             + 2 * (rho + lam * prod) * x + 4 * prod * x**2)
+        )
+        return max(exact_concurrence(lam, rho, prod + s * root_m, x) for s in (1, -1))
+
+
 edge_x = st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]), st.floats(1e-6, 1.0 - 1e-6))
 wide_vals = st.floats(-1e4, 1e4)
 
@@ -295,16 +310,7 @@ class TestMaxConcurrenceOverNu:
     @given(lam=wide_vals, rho=wide_vals, x=edge_x)
     def test_reached_at_l_plus_minus_root_m(self, lam, rho, x):
         bound = float(max_concurrence_over_nu(lam, rho, x))
-        with mpmath.workdps(50):
-            lam_m, rho_m, x_m = map(mpmath.mpf, (lam, rho, x))
-            prod = lam_m * rho_m
-            root_m = mpmath.sqrt(
-                (1 + lam_m**2 + rho_m**2 + prod**2 + 2 * (lam_m + rho_m * prod) * x_m
-                 + 2 * (rho_m + lam_m * prod) * x_m + 4 * prod * x_m**2)
-            )
-            peak = max(exact_concurrence(lam_m, rho_m, prod + s * root_m, x_m)
-                       for s in (1, -1))
-        assert abs(peak - bound) <= 1e-12
+        assert abs(exact_row_peak(lam, rho, x) - bound) <= 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals, x=edge_x)
@@ -322,13 +328,19 @@ class TestMaxConcurrenceOverNu:
 
 
 def outside_candidates(lam, rho, x, lo, hi):
-    """nu values just outside each finite window endpoint, from one ulp to a
-    relative 1e-6, the row's two maximisers nu = lam rho +- sqrt(M), and a
-    spread over the whole span of both windows."""
+    """nu values just outside each finite window endpoint and a spread over
+    both windows (see beside_endpoints), and the row's two maximisers
+    nu = lam rho +- sqrt(M)."""
     n_sq = (1.0 - x) * (1.0 + x)
     root_m = (math.sqrt((lam + x) ** 2 + n_sq)
               * math.sqrt((1.0 + rho * x) ** 2 + n_sq * rho * rho))
-    candidates = [lam * rho - root_m, lam * rho + root_m]
+    return [lam * rho - root_m, lam * rho + root_m, *beside_endpoints(lo, hi)]
+
+
+def beside_endpoints(lo, hi):
+    """Values just outside each finite window endpoint, from one ulp to a
+    relative 1e-6, and a 41-point grid over twice the span of the windows."""
+    candidates = []
     finite = [e for e in (*lo, *hi) if math.isfinite(e)]
     for e in finite:
         for direction in (-math.inf, math.inf):
@@ -438,6 +450,71 @@ class TestNuWindows:
             single = nu_windows(lam[i], rho[i], float(x[i]), floor)
             assert lo[i].tobytes() == single[0].tobytes()
             assert hi[i].tobytes() == single[1].tobytes()
+
+
+class TestRhoWindows:
+    # Every row whose bound reaches the floor must lie inside a returned rho
+    # window: the rows just outside one have an exact bound below the floor,
+    # and so does the float bound that grid_scan tests.
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.floats(-1.0, 1.0), scale=st.sampled_from([1.0, 1e3, 1e50, 1e149]),
+           x=edge_x, floor=st.one_of(st.floats(1e-3, 1.0), st.sampled_from(
+               [1.0, 1.0 - 1e-12, 0.999998, 0.5 + 1e-9])),
+           near_t=st.booleans())
+    def test_rows_just_outside_are_below_the_floor(self, lam, scale, x, floor,
+                                                   near_t):
+        # near_t: the class (b) window rho ~ lam holds rho = -1 / x, where
+        # t = 1 + rho x cancels
+        lam = -1.0 / x + lam if near_t else lam * scale
+        lo, hi = rho_windows(lam, x, floor)
+        assert lo.shape == hi.shape == (2,)
+        for rho in beside_endpoints(lo, hi):
+            # a scan box keeps |rho| below 2^500, where the bound is finite
+            if any(a <= rho <= b for a, b in zip(lo, hi)) or abs(rho) > 2.0 ** 500:
+                continue
+            assert exact_row_peak(lam, rho, x) < floor, (rho, lo, hi)
+            assert float(max_concurrence_over_nu(lam, rho, x)) < floor, (rho, lo, hi)
+
+    def test_each_interval_surrounds_its_family_line(self):
+        # x = 0.5, lam = 1: class (a) at rho = -lam - 2x = -2, below rho = -x,
+        # class (b) at rho = lam = 1, above it
+        lo, hi = rho_windows(1.0, 0.5, 0.99)
+        assert lo[0] < -2.0 < hi[0] < -0.5 < lo[1] < 1.0 < hi[1]
+        assert max_concurrence_over_nu(1.0, np.array([-2.0, 1.0]), 0.5) == \
+            pytest.approx(1.0, abs=1e-15)
+
+    def test_intervals_shrink_onto_the_lines_as_the_floor_rises(self):
+        widths = [np.subtract(*rho_windows(1.0, 0.5, floor)[::-1])
+                  for floor in (0.9, 0.99, 0.999999, 1.0)]
+        assert all((wide > narrow).all() for wide, narrow in zip(widths, widths[1:]))
+        assert (widths[-1] < 1e-6).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam, floor", [
+        (1.0, 0.5),     # e = sqrt(2 (1 - f)) reaches 1
+        (1.0, 0.0),
+        (1.0, -0.5),
+        (1.0, np.nan),
+        (1e200, 0.9),   # sigma^2 overflows
+        (np.nan, 0.9),  # as a NaN bound keeps its row
+    ])
+    def test_whole_axis_when_e_reaches_one_or_an_endpoint_is_not_finite(self, lam,
+                                                                        floor):
+        lo, hi = rho_windows(lam, 0.5, floor)
+        assert lo.tolist() == [-math.inf] * 2 and hi.tolist() == [math.inf] * 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("floor", [0.9, 0.5, 1.0])
+    def test_broadcasts_with_sides_last_bit_for_bit(self, floor):
+        lam = np.array([[-0.5], [1.0], [np.nan], [-1e6]])
+        x = np.array([0.5, 1e-6, 0.999, 1.0 - 1e-6])
+        lo, hi = rho_windows(lam, x, floor)
+        assert lo.shape == hi.shape == (4, 4, 2)
+        for i, j in np.ndindex(4, 4):
+            single = rho_windows(float(lam[i, 0]), float(x[j]), floor)
+            assert lo[i, j].tobytes() == single[0].tobytes()
+            assert hi[i, j].tobytes() == single[1].tobytes()
 
 
 class TestMaximalityResidual:

@@ -258,9 +258,30 @@ class TestScanCommand:
         assert payload["grid_points"] == 680_943
         assert payload["hits"] == 480
         assert payload["hits"] <= payload["grid_evaluated"] < 0.1 * payload["grid_points"]
+        # of the 11,163 (lambda, rho, x) rows, those inside the rho windows
+        assert (payload["grid_rows_bounded"], payload["grid_rows_kept"]) == (1_189, 495)
         assert cli.main(["scan", "theorem_check.cfg", str(out)]) == 0
+        text = capsys.readouterr().out
         assert (f"scanned 680943 grid points ({payload['grid_evaluated']} evaluated)"
-                in capsys.readouterr().out)
+                in text)
+        assert "bounded 1189 (lambda, rho, x) rows, kept 495" in text
+
+    @pytest.mark.parametrize("tol", ["0.2", "1"])
+    def test_tol_that_joins_the_families_exits_2(self, tmp_path, capsys, tol):
+        # at tol >= 1 - x, (lam, rho, nu) = (-1, -x, x) passes both family
+        # checks; the bundled box's largest x is 0.8 (tol 1 exited 5)
+        out = tmp_path / "o.csv"
+        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol]) == 2
+        assert "below 1 - max(x_values) = 0.19999999999999996" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tol_below_that_bound_still_separates_the_families(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", "0.1",
+                         "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["hits"], payload["class_a"], payload["class_b"],
+                payload["disjoint"]) == (480, 237, 243, True)
 
     def test_csv_residuals_and_verdict_come_from_classify(self, tmp_path):
         text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
@@ -335,7 +356,8 @@ class TestScanCommand:
         )
         fake = ScanOutcome(hits=ScanHits.from_records([impostor]), report=report,
                            n_grid_hits=1,
-                           n_grid_evaluated=1, n_refined=0, oracle_checked=0,
+                           n_grid_evaluated=1, n_grid_rows_bounded=1,
+                           n_grid_rows_kept=1, n_refined=0, oracle_checked=0,
                            max_oracle_diff=0.0)
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
@@ -349,7 +371,7 @@ class TestScanCommand:
         def fake_run(config, verify_tol=1e-8):
             seen["points"] = config.total_points()
             report = DisjointnessReport(True, 0, 0, 0, 0, (), verify_tol, 1e-10)
-            return ScanOutcome(ScanHits.from_records([]), report, 0, 0, 0, 0, 0.0)
+            return ScanOutcome(ScanHits.from_records([]), report, 0, 0, 0, 0, 0, 0, 0.0)
 
         monkeypatch.setattr(cli, "run_scan", fake_run)
         assert cli.main(["scan", "theorem_check.cfg", str(tmp_path / "o.csv")]) == 0

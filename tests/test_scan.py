@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from cohent import cli
 from cohent import scan as scan_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
 from cohent.analytic import _concurrence_ratio, _maximality_residual, _norm_sq
+from cohent.analytic import max_concurrence_over_nu
 from cohent.classify import (
     VERDICTS,
     check_class_a,
@@ -112,7 +114,7 @@ class TestGridScan:
             x_values=(0.5,),
             concurrence_threshold=0.9999,
         )
-        hits, _ = grid_scan(config)
+        hits = grid_scan(config)[0]
         assert len(hits)
         step = 4.0 / 80.0
         for record in hits.records():
@@ -131,7 +133,7 @@ class TestGridScan:
             x_values=(0.5,),
             concurrence_threshold=0.999,
         )
-        hits, evaluated = grid_scan(config)
+        hits, evaluated, *_ = grid_scan(config)
         assert (len(hits), evaluated) == (0, 0)
 
     def test_single_point_antisymmetric(self):
@@ -142,7 +144,7 @@ class TestGridScan:
             x_values=(0.3,),
             concurrence_threshold=1.0 - 1e-9,
         )
-        hits, _ = grid_scan(config)
+        hits = grid_scan(config)[0]
         assert len(hits) == 1
         assert class_b_residual(hits.record(0).coefficients(), 0.3) == 0.0
         assert hits.concurrence[0] >= 1.0 - 1e-9
@@ -175,7 +177,7 @@ class TestGridScan:
                 on_threshold += 1
             else:
                 assert (c >= 0.5) == (exact >= 0.5)
-        hits, _ = grid_scan(config)
+        hits = grid_scan(config)[0]
         # 12 points have an exact C within 1e-16 of the threshold; rounding
         # decides those, and 49 points are hits in all.
         assert on_threshold == 12
@@ -200,7 +202,7 @@ class TestGridScan:
             x_values=(0.2, 0.8),
             concurrence_threshold=0.995,
         )
-        (first, n_first), (second, n_second) = grid_scan(config), grid_scan(config)
+        (first, *n_first), (second, *n_second) = grid_scan(config), grid_scan(config)
         assert first.records() == second.records()
         assert n_first == n_second
 
@@ -259,50 +261,58 @@ class TestGridPruning:
             x_values=(x,),
             concurrence_threshold=threshold,
         )
-        hits, evaluated = grid_scan(config)
+        hits, evaluated, *_ = grid_scan(config)
         assert hits.records() == full_sweep(config)
         assert len(hits) <= evaluated <= config.total_points()
 
-    @pytest.mark.parametrize("config, most_evaluated", [
-        (cli._resolve_scan_config("theorem_check.cfg"), 2_000),
-        (box(-3.0, 3.0, 241, (0.2, 0.5, 0.8), 0.999999), 5_000),  # dense_sweep's
+    @pytest.mark.parametrize("config, most_evaluated, rows", [
+        (cli._resolve_scan_config("theorem_check.cfg"), 2_000, (1_189, 495)),
+        # dense_sweep's box
+        (box(-3.0, 3.0, 241, (0.2, 0.5, 0.8), 0.999999), 5_000, (4_086, 1_323)),
     ], ids=["bundled", "dense"])
-    def test_benchmark_boxes_match_full_sweep(self, config, most_evaluated,
+    def test_benchmark_boxes_match_full_sweep(self, config, most_evaluated, rows,
                                               nu_windows_calls):
-        # whole kept rows were 30,195 and 318,843 points
-        hits, evaluated = grid_scan(config)
+        # whole kept rows were 30,195 and 318,843 points, and every one of the
+        # 11,163 and 174,243 (lam, rho, x) rows was bounded
+        hits, evaluated, *counts = grid_scan(config)
         assert hits.records() == full_sweep(config)
         assert len(hits) <= evaluated <= most_evaluated
-        # the kept rows of every lam block and x value are windowed at once
+        assert tuple(counts) == rows
+        # the kept rows of every lam value and x value are windowed at once
         assert len(nu_windows_calls) == 1
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1024])
     def test_small_blocks_match_full_sweep(self, monkeypatch, block, nu_windows_calls):
-        # many row blocks, row batches and point chunks, windows longer than a
-        # chunk, and (at 1024) one batch holding every kept row
+        # many (lam, x) pair blocks, row chunks, row batches and point chunks,
+        # windows longer than a chunk, and (at 1024) one batch holding every
+        # kept row
         config = box(-3.0, 3.0, 13, (0.3, 0.6, 0.9), 0.6)
-        default_hits, evaluated = grid_scan(config)
+        default_hits, *default_counts = grid_scan(config)
         monkeypatch.setattr(scan_module, "_BLOCK", block)
         nu_windows_calls.clear()
-        hits, small_evaluated = grid_scan(config)
+        hits, *counts = grid_scan(config)
         assert hits.records() == full_sweep(config) == default_hits.records()
-        assert small_evaluated == evaluated
-        # from 64 up, some batch spans two x values
-        assert any(len(set(x.tolist())) > 1 for x in nu_windows_calls) == (block >= 64)
+        # points evaluated, rows bounded and rows kept do not depend on the block
+        assert counts == default_counts == [counts[0], 489, 387]
+        # At block 1 each batch holds the kept rows of one rho window, so of
+        # one x; from 7 up, the pair blocks and batches cross x values.
+        assert any(len(set(x.tolist())) > 1 for x in nu_windows_calls) == (block > 1)
+        assert (len(nu_windows_calls) == 1) == (block == 1024)
 
     @pytest.mark.parametrize("block", [7, 64, 200])
     def test_batches_stay_bounded_when_every_row_is_kept(self, monkeypatch, block,
                                                          nu_windows_calls):
         # floor = threshold - _PRUNE_MARGIN = 0 keeps every row, and makes each
-        # row's window the whole nu axis
+        # row's rho and nu windows the whole axis
         config = box(-3.0, 3.0, 13, (0.3, 0.6, 0.9), scan_module._PRUNE_MARGIN)
         monkeypatch.setattr(scan_module, "_BLOCK", block)
-        hits, evaluated = grid_scan(config)
-        rows_per_block = max(1, block // 13) * 13
+        hits, evaluated, bounded, kept = grid_scan(config)
         sizes = [len(x) for x in nu_windows_calls]
-        assert sum(sizes) == 3 * 13 * 13
-        assert all(block <= size < block + rows_per_block for size in sizes[:-1])
-        assert 0 < sizes[-1] < block + rows_per_block
+        assert sum(sizes) == bounded == kept == 3 * 13 * 13
+        # A batch is yielded once it holds `block` rows; the rows it gains last
+        # come from one chunk of at most `block` rows plus one 13-point window.
+        assert all(block <= size < 2 * block + 13 for size in sizes[:-1])
+        assert 0 < sizes[-1] < 2 * block + 13
         assert evaluated == config.total_points()
         assert hits.records() == full_sweep(config)
 
@@ -328,7 +338,7 @@ class TestGridPruning:
             x_values=(0.5,),
             concurrence_threshold=0.9,
         )
-        hits, _ = grid_scan(config)
+        hits = grid_scan(config)[0]
         assert len(hits)
         assert hits.records() == full_sweep(config)
 
@@ -340,7 +350,7 @@ class TestGridPruning:
             x_values=(0.2, 0.7),
             concurrence_threshold=0.9,
         )
-        hits, evaluated = grid_scan(config)
+        hits, evaluated, *_ = grid_scan(config)
         assert hits.records() == full_sweep(config)
         assert evaluated < config.total_points()
 
@@ -358,7 +368,7 @@ class TestGridPruning:
         c = concurrence(SuperpositionCoeffs(1.0, *point), OverlapPair(x, x))
         assert abs(c - exact) < 1e-10
         assert full_sweep(config) == []
-        hits, evaluated = grid_scan(config)
+        hits, evaluated, *_ = grid_scan(config)
         assert (len(hits), evaluated) == (0, 0)
 
 
@@ -397,9 +407,69 @@ def scan_boxes(draw):
 @settings(max_examples=200, deadline=None)
 @given(scan_boxes())
 def test_windows_keep_every_record_of_the_full_sweep(config):
-    hits, evaluated = grid_scan(config)
+    hits, evaluated, *_ = grid_scan(config)
     assert hits.records() == full_sweep(config)
     assert len(hits) <= evaluated <= config.total_points()
+
+
+def all_kept_rows(config):
+    """The (lam, rho, x) rows whose bound is not below the grid's floor,
+    bounding every row of the box: the rows grid_scan kept before it bounded
+    only those inside the rho windows."""
+    lams, rhos, _ = config.axes()
+    floor = config.concurrence_threshold - scan_module._PRUNE_MARGIN
+    rows = []
+    for x in config.x_values:
+        i_lam, i_rho = np.nonzero(
+            ~(max_concurrence_over_nu(lams[:, None], rhos, x) < floor))
+        rows += zip(lams[i_lam].tolist(), rhos[i_rho].tolist(), [x] * len(i_lam))
+    return rows
+
+
+@st.composite
+def row_boxes(draw):
+    """A (lam, rho) box around the rho lines of one lam, or around a random
+    point, at a scale up to 1e149 or at the 2^500 box limit, with one to
+    three overlaps and thresholds over (0, 1]: those up to 1/2 + _PRUNE_MARGIN
+    make every rho window the whole axis."""
+    scale = draw(st.one_of(st.integers(0, 149).map(lambda k: 10.0 ** k),
+                           st.just(2.0 ** 497)))
+    xs = draw(st.lists(st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]),
+                                 st.floats(1e-6, 1.0 - 1e-6)),
+                       min_size=1, max_size=3))
+    lam = draw(st.floats(-1.0, 1.0)) * scale
+    kind = draw(st.sampled_from(["a", "b", "random"]))
+    if kind == "a":
+        rho = -2.0 * xs[0] - lam
+    elif kind == "b":
+        rho = lam
+    else:
+        rho = draw(st.floats(-1.0, 1.0)) * scale
+    ranges = []
+    for centre, choices in ((lam, [1, 2, 5, 9]), (rho, [1, 2, 5, 13, 40])):
+        steps = draw(st.sampled_from(choices))
+        width = 0.0 if steps == 1 else abs(centre) * 10.0 ** draw(
+            st.floats(-12.0, 0.0)) + 10.0 ** draw(st.floats(-6.0, 0.0))
+        ranges.append((centre - width, centre + width, steps))
+    threshold = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([1.0, 1.0 - 1e-12, 0.999999, 0.5 + 2e-6, 0.5 + 1e-6, 1e-7])))
+    return ScanConfig(*ranges, (0.0, 0.0, 1), x_values=xs,
+                      concurrence_threshold=threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_boxes(), st.sampled_from([1, 5, scan_module._BLOCK]))
+def test_rho_windows_keep_every_row_the_full_bound_keeps(config, block):
+    floor = config.concurrence_threshold - scan_module._PRUNE_MARGIN
+    with mock.patch.object(scan_module, "_BLOCK", block):
+        batches = list(scan_module._kept_rows(*config.axes()[:2], config.x_values,
+                                              floor))
+    kept = [row for (lam, rho, x), _ in batches
+            for row in zip(lam.tolist(), rho.tolist(), x.tolist())]
+    assert kept == all_kept_rows(config)
+    assert len(kept) <= sum(bounded for _, bounded in batches) <= len(
+        config.x_values) * config.lam_range[2] * config.rho_range[2]
 
 
 class TestRefine:
@@ -606,9 +676,22 @@ class TestRunScan:
         outcome = run_scan(config)
         assert outcome.report.passed
         assert outcome.n_grid_hits == len(outcome.hits)
+        assert (outcome.n_grid_rows_bounded, outcome.n_grid_rows_kept) == grid_scan(
+            config)[2:]
         assert outcome.n_refined > 0
         assert outcome.oracle_checked >= 1
         assert outcome.max_oracle_diff < 1e-8
+
+    @pytest.mark.parametrize("x", [0.2, 0.8, 1.0 - 1e-6])
+    def test_tol_that_joins_the_families_is_rejected(self, x):
+        # (lam, rho, nu) = (-1, -x, x) lies 1 - x from both families in every
+        # term, so at a tol of 1 - x it would pass both family checks
+        assert family_checks(-1.0, -x, x, x, (1.0 - x) * (1.0 + 1e-12)) == (True, True)
+        config = ScanConfig((-1.0, 1.0, 3), (-1.0, 1.0, 3), (-1.0, 1.0, 3),
+                            x_values=(x, 0.1), concurrence_threshold=0.999)
+        with pytest.raises(DomainError, match=r"below 1 - max\(x_values\) = "):
+            run_scan(config, verify_tol=1.0 - x)
+        assert run_scan(config, verify_tol=(1.0 - x) * 0.5).report.passed
 
     def test_pipeline_deterministic(self):
         config = ScanConfig(
@@ -717,7 +800,7 @@ class TestColumnTail:
     ], ids=["bundled", "dense", "box9", "huge"])
     def test_matches_per_record_tail(self, config, tmp_path):
         tol = 1e-9
-        grid_hits, _ = grid_scan(config)
+        grid_hits = grid_scan(config)[0]
         records = [list_refine(r) if r.concurrence >= REFINE_FLOOR else r
                    for r in grid_hits.records()]
         list_csv(records, tmp_path / "reference.csv", tol)
