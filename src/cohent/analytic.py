@@ -70,15 +70,6 @@ class OrthonormalAmplitudes:
     norm: float
 
 
-def require_unit_mu(coeffs: SuperpositionCoeffs, tol: float = 1e-12) -> None:
-    """Classification formulas are written in the mu = 1 gauge; enforce it."""
-    if abs(coeffs.mu - 1.0) > tol:
-        raise DomainError(
-            f"operation requires the mu = 1 gauge, got mu = {coeffs.mu}; "
-            "rescale all four coefficients by 1/mu first"
-        )
-
-
 def require_open_unit_interval(x: float, name: str = "x") -> float:
     x = _require_finite(name, x)
     if not 0.0 < x < 1.0:
@@ -330,10 +321,10 @@ def nu_windows(lam, rho, x, floor):
             np.where(whole, np.inf, np.where(empty, -np.inf, hi)))
 
 
-def _maximality_residual(lam, rho, nu, x):
-    """N^2 (1 - C) at mu = 1, p1 = p2 = x; broadcasts (see maximality_residual)."""
+def _maximality_residual(mu, lam, rho, nu, x):
+    """N^2 (1 - C) at p1 = p2 = x; broadcasts (see maximality_residual)."""
     n = np.sqrt((1.0 - x) * (1.0 + x))
-    a, b, c, d = _amplitudes(1.0, lam, rho, nu, x, x, n, n)
+    a, b, c, d = _amplitudes(mu, lam, rho, nu, x, x, n, n)
     return np.minimum((a - d) * (a - d) + (b + c) * (b + c),
                       (a + d) * (a + d) + (b - c) * (b - c))
 
@@ -342,12 +333,11 @@ def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     """N^2 - 2|ad - bc| at the common overlap p1 = p2 = x.
 
     Equals N^2 (1 - C), so it is nonnegative and vanishes exactly when the
-    state is maximally entangled.  Requires the mu = 1 gauge.  That
-    difference cancels near its zeros; since N^2 -+ 2(ad - bc) =
-    (a -+ d)^2 + (b +- c)^2, it is taken as the smaller of two sums of squares,
-    accurate down to ~1e-30.  (a + d)^2 + (b - c)^2 vanishes on class (a),
-    (a - d)^2 + (b + c)^2 on class (b).
+    state is maximally entangled.  That difference cancels near its zeros;
+    since N^2 -+ 2(ad - bc) = (a -+ d)^2 + (b +- c)^2, it is taken as the
+    smaller of two sums of squares, accurate down to ~1e-30 at max|v| ~ 1.
+    (a + d)^2 + (b - c)^2 vanishes on class (a), (a - d)^2 + (b + c)^2 on
+    class (b).
     """
-    require_unit_mu(coeffs)
     x = require_open_unit_interval(x)
-    return float(_maximality_residual(coeffs.lam, coeffs.rho, coeffs.nu, x))
+    return float(_maximality_residual(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x))

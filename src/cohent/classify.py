@@ -1,15 +1,31 @@
 """Classification of maximal entanglement and the quadratic-root analysis.
 
-With mu = 1 and a common overlap x = p1 = p2 in (0, 1), a state is maximally
-entangled exactly when one of two disjoint coefficient families holds:
+The concurrence depends only on the ray of v = (mu, lam, rho, nu).  At a
+common overlap x = p1 = p2 in (0, 1), a state is maximally entangled exactly
+when v lies on one of two planes through the origin, ker P_a(x) and
+ker P_b(x), with rows (-1, 0, 0, 1), (2x, 1, 1, 0) and (0, 1, -1, 0),
+(1, 2x, 0, 1):
 
-    class (a): nu = 1      and lam + rho = -2x,
-    class (b): lam = rho   and nu + 1    = -2 lam x.
+    class (a): nu - mu = 0     and lam + rho + 2x mu = 0,
+    class (b): lam - rho = 0   and nu + mu + 2x lam  = 0.
 
-Both families fall out of requiring the concurrence to reach 1, which reduces
-to a quadratic in x on either side of the kink |nu - lam rho|; the feasibility
-of those quadratics over 0 < x < 1 is what `quadratic_roots_case1/2` report.
-Separability is the opposite corner: C = 0 exactly when nu = lam rho.
+At mu = 1 these are nu = 1, lam + rho = -2x and lam = rho, nu + 1 = -2 lam x.
+det [P_a; P_b] = 4 (1 - x^2), so the planes meet only at v = 0 and the two
+families are disjoint; tests/test_symbolic.py proves this, and that the
+planes are the zero sets of maximality_residual's two sums of squares.
+Separability is the opposite corner: C = 0 exactly when mu nu = lam rho.
+
+The tolerance is scale-free.  v passes a family's test at `tol` when both
+of its terms are at most tol max|v|, and the separability test when
+|mu nu - lam rho| <= tol max|v|^2; where the largest |coefficient| is mu = 1
+that is an absolute tol.  Both family tests pass at once only for
+tol >= 1 - x: the point (1, -1, -x, x), max|v| = 1, has all four terms equal
+to 1 - x, and a linear program over max|v| = 1 finds no point that passes
+both at a lower tol.
+
+Maximality reduces to a quadratic in x on either side of the kink
+|nu - lam rho| (mu = 1); the feasibility of those quadratics over 0 < x < 1
+is what `quadratic_roots_case1/2` report.
 """
 
 from __future__ import annotations
@@ -24,7 +40,6 @@ from .analytic import (
     SuperpositionCoeffs,
     concurrence,
     require_open_unit_interval,
-    require_unit_mu,
 )
 from .coherent import OverlapPair
 from .errors import DomainError
@@ -73,35 +88,44 @@ class RootReport:
     identically_zero: bool = False
 
 
-def _class_a_terms(lam, rho, nu, x):
-    """|nu - 1| and |lam + rho + 2x|, both zero exactly on class (a); broadcasts."""
-    return abs(nu - 1.0), abs(lam + rho + 2.0 * x)
+def _family_terms(mu, lam, rho, nu, x):
+    """P_a v and P_b v, the two terms of each family, and mu nu - lam rho, of
+    v = (mu, lam, rho, nu) at the overlap x; broadcasts."""
+    return ((nu - mu, lam + rho + 2.0 * x * mu), (lam - rho, nu + mu + 2.0 * x * lam),
+            mu * nu - lam * rho)
 
 
-def _class_b_terms(lam, rho, nu, x):
-    """|lam - rho| and |nu + 1 + 2 lam x|, both zero exactly on class (b);
-    broadcasts."""
-    return abs(lam - rho), abs(nu + 1.0 + 2.0 * lam * x)
+def _ray_columns(mu, lam, rho, nu, x, tol):
+    """The class (a), class (b) and separability residuals of v, and whether
+    v passes the class (a), class (b) and separability tests at `tol` (see
+    the module docstring); broadcasts.
+
+    The terms are formed from v times 2^-e, with e chosen to put max|v| in
+    [1, 2), so none overflows; a power of two scales them exactly (short of
+    subnormal coefficients), so the tests and residuals are those of v
+    itself, and e = 0 when max|v| = |mu| = 1.  A residual beyond the float
+    range is inf.
+    """
+    size = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
+    e = np.frexp(size)[1] - 1
+    (a1, a2), (b1, b2), sep = _family_terms(
+        *(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), x)
+    a1, a2, b1, b2, sep = abs(a1), abs(a2), abs(b1), abs(b2), abs(sep)
+    size = np.ldexp(size, -e)
+    bound = tol * size
+    with np.errstate(over="ignore"):
+        residuals = (np.ldexp(a1 + a2, e), np.ldexp(b1 + b2, e), np.ldexp(sep, 2 * e))
+    return (*residuals, (a1 <= bound) & (a2 <= bound), (b1 <= bound) & (b2 <= bound),
+            sep <= bound * size)
 
 
-def _separability(lam, rho, nu):
-    """|nu - lam rho|; broadcasts."""
-    return abs(nu - lam * rho)
-
-
-def _within(terms, tol):
-    first, second = terms
-    return (first <= tol) & (second <= tol)
-
-
-def family_checks(lam, rho, nu, x, tol: float = DEFAULT_TOL):
-    """check_class_a and check_class_b of mu = 1 points at once; broadcasts.
+def family_checks(mu, lam, rho, nu, x, tol: float = DEFAULT_TOL):
+    """check_class_a and check_class_b of many points at once; broadcasts.
 
     `x` must already lie inside (0, 1); `tol` is validated here.
     """
     _require_positive_tol(tol)
-    return (_within(_class_a_terms(lam, rho, nu, x), tol),
-            _within(_class_b_terms(lam, rho, nu, x), tol))
+    return _ray_columns(mu, lam, rho, nu, x, tol)[3:5]
 
 
 # classify_columns's verdict codes index this tuple.
@@ -109,8 +133,8 @@ VERDICTS = (Verdict.SEPARABLE, Verdict.MAXIMAL_CLASS_A, Verdict.MAXIMAL_CLASS_B,
             Verdict.INTERMEDIATE)
 
 
-def classify_columns(lam, rho, nu, x, tol: float = DEFAULT_TOL):
-    """classify's residuals and verdict for mu = 1 points at once; broadcasts.
+def classify_columns(mu, lam, rho, nu, x, tol: float = DEFAULT_TOL):
+    """classify's residuals and verdict for many points at once; broadcasts.
 
     Returns the class (a), class (b) and separability residuals and a verdict
     code per point, an index into VERDICTS.  The tests run in classify's
@@ -118,43 +142,20 @@ def classify_columns(lam, rho, nu, x, tol: float = DEFAULT_TOL):
     `x` must already lie inside (0, 1); `tol` is validated here.
     """
     _require_positive_tol(tol)
-    a_terms = _class_a_terms(lam, rho, nu, x)
-    b_terms = _class_b_terms(lam, rho, nu, x)
-    sep = _separability(lam, rho, nu)
-    code = np.select([sep <= tol, _within(a_terms, tol), _within(b_terms, tol)],
-                     [0, 1, 2], 3)
-    return a_terms[0] + a_terms[1], b_terms[0] + b_terms[1], sep, code
-
-
-def class_a_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
-    """|nu - 1| + |lam + rho + 2x|; zero exactly on the class (a) family."""
-    first, second = _class_a_terms(coeffs.lam, coeffs.rho, coeffs.nu, x)
-    return first + second
-
-
-def class_b_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
-    """|lam - rho| + |nu + 1 + 2 lam x|; zero exactly on the class (b) family."""
-    first, second = _class_b_terms(coeffs.lam, coeffs.rho, coeffs.nu, x)
-    return first + second
-
-
-def separability_residual(coeffs: SuperpositionCoeffs) -> float:
-    """|nu - lam rho|; zero exactly for separable states (mu = 1 gauge)."""
-    return _separability(coeffs.lam, coeffs.rho, coeffs.nu)
+    res_a, res_b, sep, on_a, on_b, separable = _ray_columns(mu, lam, rho, nu, x, tol)
+    return res_a, res_b, sep, np.select([separable, on_a, on_b], [0, 1, 2], 3)
 
 
 def check_class_a(coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |nu - 1| <= tol and |lam + rho + 2x| <= tol."""
-    require_unit_mu(coeffs)
+    """True iff |nu - mu| and |lam + rho + 2x mu| are at most tol max|v|."""
     x = require_open_unit_interval(x)
-    return bool(family_checks(coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[0])
+    return bool(family_checks(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[0])
 
 
 def check_class_b(coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |lam - rho| <= tol and |nu + 1 + 2 lam x| <= tol."""
-    require_unit_mu(coeffs)
+    """True iff |lam - rho| and |nu + mu + 2 lam x| are at most tol max|v|."""
     x = require_open_unit_interval(x)
-    return bool(family_checks(coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[1])
+    return bool(family_checks(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[1])
 
 
 def classify(
@@ -163,13 +164,13 @@ def classify(
     """Tagged verdict at the common overlap x, with all residuals reported.
 
     Near-degenerate inputs are resolved deterministically: separability is
-    checked first, then class (a), then class (b); the residuals let callers
-    re-decide with their own tolerance.
+    checked first, then class (a), then class (b); the residuals, of v as
+    given, let callers re-decide with their own tolerance.  mu need not be
+    1, and may be 0.
     """
-    require_unit_mu(coeffs)
     x = require_open_unit_interval(x)
     res_a, res_b, res_sep, code = classify_columns(
-        coeffs.lam, coeffs.rho, coeffs.nu, x, tol)
+        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, tol)
     return ClassificationResult(
         verdict=VERDICTS[int(code)],
         concurrence=concurrence(coeffs, OverlapPair(x, x)),

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input error, 3 analytic/oracle inconsistency,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
-from .analytic import orthonormal_amplitudes, require_unit_mu
+from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import VERDICTS, Verdict, classify, classify_columns
 from .coherent import CoherentConfig, OverlapPair
@@ -52,6 +53,11 @@ def _fmt(value) -> str:
 
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
+    outside = [key for key, value in pairs
+               if isinstance(value, float) and not math.isfinite(value)]
+    if outside:
+        raise DomainError(f"{', '.join(outside)} overflow the float range; "
+                          "scale all four coefficients down")
     if as_json:
         print(json.dumps({k: v for k, v in pairs}, indent=2, allow_nan=False))
     else:
@@ -75,10 +81,6 @@ def cmd_concurrence(args) -> int:
         ("p1", overlaps.p1),
         ("p2", overlaps.p2),
     ]
-    outside = [name for name, value in pairs if not math.isfinite(value)]
-    if outside:
-        raise DomainError(f"{', '.join(outside)} overflow the float range; "
-                          "scale all four coefficients down")
     status = EXIT_OK
     if spec.has_amplitudes:
         c_oracle = oracle_concurrence(spec.config(), coeffs, spec.truncation)
@@ -99,7 +101,6 @@ def cmd_concurrence(args) -> int:
 def cmd_classify(args) -> int:
     spec = load_state_file(args.spec)
     coeffs = spec.coefficients()
-    require_unit_mu(coeffs)
     overlaps = spec.overlaps()
     if abs(overlaps.p1 - overlaps.p2) > 1e-12:
         raise ScopeError(
@@ -236,7 +237,8 @@ _CSV_BLOCK = 256
 
 
 def write_records_csv(hits, path, tol: float) -> None:
-    res_a, res_b, _, codes = classify_columns(hits.lam, hits.rho, hits.nu, hits.x, tol)
+    res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu, hits.x,
+                                              tol)
     names = [verdict.value for verdict in VERDICTS]
     columns = (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, res_a, res_b)
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -338,7 +340,9 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cohent",
         description="Concurrence and entanglement classification for two-qubit "

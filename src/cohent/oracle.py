@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, _clamp_concurrence
+from .analytic import SuperpositionCoeffs, _clamp_concurrence, _in_range
 from .coherent import CoherentConfig, default_truncation, fock_vector
 from .errors import ConsistencyError, DegenerateStateError, DomainError
 
@@ -29,14 +29,6 @@ _RANK_LIMIT = 1e-6
 # two unit-vector entries, so rounding errs the norm by a few eps (|mu| + |lam|
 # + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
-
-# The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|, and
-# the norm sums their squares, which overflow once that sum passes about
-# 2^511.  Outside this range of the sum the state is built from coefficients
-# scaled by a power of two, which is exact and leaves the normalized state
-# unchanged.
-_RESCALE_ABOVE = 2.0 ** 500
-_RESCALE_BELOW = 2.0 ** -400
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +62,13 @@ def build_state(
         raise DomainError(
             f"truncation {truncation} exceeds the supported cap {MAX_TRUNCATION}"
         )
-    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
+    # The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|,
+    # and the norm sums their squares, so the state is built from the
+    # coefficients scaled into range by a power of two (analytic._in_range),
+    # which is exact and leaves the normalized state unchanged.
+    scaled, exponent = _in_range(coeffs)
+    mu, lam, rho, nu = scaled.mu, scaled.lam, scaled.rho, scaled.nu
     size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
-    exponent = 0
-    if not _RESCALE_BELOW <= size <= _RESCALE_ABOVE:
-        exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
-        mu, lam, rho, nu = (math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
-        size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
     f_alpha = fock_vector(config.alpha, truncation).coefficients
     f_beta = fock_vector(config.beta, truncation).coefficients
     f_gamma = fock_vector(config.gamma, truncation).coefficients

@@ -345,7 +345,7 @@ def _project(lam, rho, nu, x, c):
     smaller sum is (a + d)^2 + (b - c)^2, zero on class (a); below it is
     (a - d)^2 + (b + c)^2, zero on class (b).
     """
-    move = _maximality_residual(lam, rho, nu, x) > REFINE_TARGET
+    move = _maximality_residual(1.0, lam, rho, nu, x) > REFINE_TARGET
     upper = nu >= lam * rho
     new_lam, new_rho, new_nu = lam.copy(), rho.copy(), nu.copy()
     # The step never crosses the branch boundary: on the class (a) line
@@ -382,7 +382,7 @@ def _project(lam, rho, nu, x, c):
     # A projection that lowers C keeps its old point, flagged unconverged.
     worse = new_c < c
     converged = ~worse & (
-        _maximality_residual(new_lam, new_rho, new_nu, x) <= REFINE_TARGET)
+        _maximality_residual(1.0, new_lam, new_rho, new_nu, x) <= REFINE_TARGET)
     return (np.where(worse, lam, new_lam), np.where(worse, rho, new_rho),
             np.where(worse, nu, new_nu), np.where(worse, c, new_c), converged)
 
@@ -432,7 +432,7 @@ def verify_disjoint_classes(
     """
     # Written as a negation so a NaN concurrence is tested, and fails.
     maximal = np.flatnonzero(~(hits.concurrence <= 1.0 - maximal_tol))
-    on_a, on_b = family_checks(hits.lam[maximal], hits.rho[maximal],
+    on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
                                hits.nu[maximal], hits.x[maximal], tol)
     failed = on_a == on_b
     violations = tuple(
@@ -513,8 +513,10 @@ def run_scan(
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
     _require_positive_tol(verify_tol)
-    # At tol >= 1 - x the point (lam, rho, nu) = (-1, -x, x) passes both
-    # family checks, so the verdicts could no longer be disjoint.
+    # At tol >= 1 - x the point (mu, lam, rho, nu) = (1, -1, -x, x), whose
+    # largest |coefficient| is 1, passes both family checks, so the verdicts
+    # could no longer be disjoint; below it no point does (classify's
+    # module docstring).
     tol_limit = 1.0 - max(config.x_values)
     if verify_tol >= tol_limit:
         raise DomainError(

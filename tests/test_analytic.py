@@ -530,9 +530,11 @@ class TestMaximalityResidual:
         coeffs = SuperpositionCoeffs(1, -1, -1, 0)
         assert maximality_residual(coeffs, 0.5) == pytest.approx(0.0, abs=1e-15)
 
-    def test_requires_unit_mu(self):
-        with pytest.raises(DomainError):
-            maximality_residual(SuperpositionCoeffs(2, 0, 0, 1), 0.5)
+    def test_scales_with_the_ray(self):
+        # raised DomainError for mu != 1; N^2 (1 - C) has degree 2 in v
+        assert maximality_residual(SuperpositionCoeffs(2, 0, 0, 2), 0.5) == 4.0
+        assert maximality_residual(SuperpositionCoeffs(2, -1, -1, 2), 0.5) <= 1e-30
+        assert maximality_residual(SuperpositionCoeffs(0, 1, -1, 0), 0.5) <= 1e-30
 
     def test_requires_open_interval(self):
         with pytest.raises(DomainError):

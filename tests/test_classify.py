@@ -59,8 +59,6 @@ class TestClassChecks:
             check_class_a(SuperpositionCoeffs(1, 0, 0, 1), 1.5, 1e-9)
         with pytest.raises(DomainError):
             check_class_b(SuperpositionCoeffs(1, 0, 0, 1), 0.5, 0.0)
-        with pytest.raises(DomainError):
-            check_class_a(SuperpositionCoeffs(2, 0, 0, 1), 0.5, 1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(lam=coeff_vals, rho=coeff_vals, nu=coeff_vals, x=x_vals)
@@ -157,6 +155,15 @@ class TestClassify:
     def test_rejects_bad_x(self):
         with pytest.raises(DomainError):
             classify(SuperpositionCoeffs(1, 0, 0, 1), -0.5)
+
+    @pytest.mark.parametrize("coeffs", [(2, -1, -1, 2), (0, 1, -1, 0)],
+                             ids=["mu=2", "mu=0"])
+    def test_class_a_off_the_mu_1_gauge(self, coeffs):
+        # raised DomainError: classify took only mu = 1
+        result = classify(SuperpositionCoeffs(*coeffs), 0.5)
+        assert result.verdict is Verdict.MAXIMAL_CLASS_A
+        assert result.concurrence == pytest.approx(1.0, abs=1e-12)
+        assert result.class_a_residual == 0.0
 
 
 class TestSeparabilityIff:

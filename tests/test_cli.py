@@ -8,6 +8,7 @@ import pytest
 from cohent import cli
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import classify
+from cohent.errors import DomainError
 from cohent.scan import (
     REFINE_FLOOR,
     DisjointnessReport,
@@ -107,10 +108,12 @@ class TestConcurrenceCommand:
         assert payload["analytic_concurrence"] == pytest.approx(1.0, abs=1e-12)
 
     def test_emit_refuses_non_finite_json(self, capsys):
-        with pytest.raises(ValueError):
-            cli._emit([("norm", math.inf)], True)
-        cli._emit([("norm", math.inf)], False)
-        assert capsys.readouterr().out.split() == ["norm", "inf"]
+        # text mode printed "norm inf"; both modes now name the key
+        for as_json in (True, False):
+            with pytest.raises(DomainError, match="^norm, p1 overflow the float range"):
+                cli._emit([("norm", math.inf), ("verdict", "x"), ("p1", math.nan)],
+                          as_json)
+        assert capsys.readouterr().out == ""
 
     def test_overlap_of_exactly_one_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", OVERLAP_STATE.replace("p1 = 0.5", "p1 = 1"))
@@ -166,10 +169,27 @@ class TestClassifyCommand:
         assert cli.main(["classify", path]) == 4
         assert "equal overlaps" in capsys.readouterr().err
 
-    def test_non_unit_mu_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("coeffs", ["mu = 2\nlambda = -1\nrho = -1\nnu = 2\n",
+                                        "mu = 0\nlambda = 1\nrho = -1\nnu = 0\n"],
+                             ids=["mu=2", "mu=0"])
+    def test_non_unit_mu_verdict(self, tmp_path, capsys, coeffs):
+        # exited 2: classify took only the mu = 1 gauge
+        path = write(tmp_path, "s.txt", "p1 = 0.5\np2 = 0.5\n" + coeffs)
+        assert cli.main(["classify", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "MaximalClassA"
+        assert payload["concurrence"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+    def test_residual_beyond_the_float_range_exits_2(self, tmp_path, capsys, mode):
+        # |mu nu - lam rho| = 1e400: --json raised an untyped ValueError
+        # (exit 1), and text mode printed inf
         path = write(tmp_path, "s.txt",
-                     "p1 = 0.5\np2 = 0.5\nmu = 2\nlambda = -1\nrho = -1\nnu = 2\n")
-        assert cli.main(["classify", path]) == 2
+                     "p1 = 0.5\np2 = 0.5\nlambda = 1e200\nrho = 1e200\nnu = 0\n")
+        assert cli.main(["classify", path, *mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "separability_residual overflow the float range" in err
 
 
 class TestExamplesCommand:
@@ -332,6 +352,17 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["disjoint"] is True
         assert (payload["hits"], payload["class_a"], payload["class_b"]) == (70, 40, 30)
+
+    def test_box_near_the_size_limit_exits_0(self, tmp_path, capsys):
+        # hits such as (lam, rho, nu) = (-1e150, 1e150, 1) lie 1 from class
+        # (a) in one term, 7e-151 of max|v|; an absolute tol exited 5
+        text = "".join(f"{axis}_min = -1e150\n{axis}_max = 1e150\n{axis}_steps = 5\n"
+                       for axis in ("lambda", "rho", "nu"))
+        config = write(tmp_path, "scan.cfg", text + "x_values = 0.5\nthreshold = 0.5\n")
+        assert cli.main(["scan", config, str(tmp_path / "o.csv"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["class_a"], payload["class_b"],
+                payload["disjoint"]) == (4, 4, True)
 
     def test_oversized_box_exits_2(self, tmp_path, capsys):
         text = SMALL_SCAN.replace("lambda_max = 0.5", "lambda_max = 4e150")

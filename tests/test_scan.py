@@ -18,7 +18,6 @@ from cohent.classify import (
     VERDICTS,
     check_class_a,
     check_class_b,
-    class_b_residual,
     classify,
     classify_columns,
     family_checks,
@@ -146,7 +145,7 @@ class TestGridScan:
         )
         hits = grid_scan(config)[0]
         assert len(hits) == 1
-        assert class_b_residual(hits.record(0).coefficients(), 0.3) == 0.0
+        assert classify(hits.record(0).coefficients(), 0.3).class_b_residual == 0.0
         assert hits.concurrence[0] >= 1.0 - 1e-9
 
     def test_matches_scalar_concurrence(self):
@@ -684,9 +683,10 @@ class TestRunScan:
 
     @pytest.mark.parametrize("x", [0.2, 0.8, 1.0 - 1e-6])
     def test_tol_that_joins_the_families_is_rejected(self, x):
-        # (lam, rho, nu) = (-1, -x, x) lies 1 - x from both families in every
-        # term, so at a tol of 1 - x it would pass both family checks
-        assert family_checks(-1.0, -x, x, x, (1.0 - x) * (1.0 + 1e-12)) == (True, True)
+        # (mu, lam, rho, nu) = (1, -1, -x, x) lies 1 - x from both families in
+        # every term, so at a tol of 1 - x it would pass both family checks
+        assert family_checks(1.0, -1.0, -x, x, x,
+                             (1.0 - x) * (1.0 + 1e-12)) == (True, True)
         config = ScanConfig((-1.0, 1.0, 3), (-1.0, 1.0, 3), (-1.0, 1.0, 3),
                             x_values=(x, 0.1), concurrence_threshold=0.999)
         with pytest.raises(DomainError, match=r"below 1 - max\(x_values\) = "):
@@ -847,10 +847,10 @@ def test_scalar_api_matches_columns_bit_for_bit(points, tol):
     ]
     hits = ScanHits.from_records(records)
     refined = refine_hits(hits)
-    res_a, res_b, res_sep, codes = classify_columns(hits.lam, hits.rho, hits.nu,
+    res_a, res_b, res_sep, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
                                                     hits.x, tol)
-    on_a, on_b = family_checks(hits.lam, hits.rho, hits.nu, hits.x, tol)
-    residuals = _maximality_residual(hits.lam, hits.rho, hits.nu, hits.x)
+    on_a, on_b = family_checks(1.0, hits.lam, hits.rho, hits.nu, hits.x, tol)
+    residuals = _maximality_residual(1.0, hits.lam, hits.rho, hits.nu, hits.x)
     for i, record in enumerate(records):
         expected = refine(record) if record.concurrence >= REFINE_FLOOR else record
         got = refined.record(i)

@@ -1,5 +1,8 @@
-"""Symbolic certificates for the closed forms behind the scan's row bound and
-its rho windows (analytic._row_terms, max_concurrence_over_nu, rho_windows).
+"""Symbolic certificates for the closed forms behind the scan's row bound,
+its rho and nu windows (analytic._row_terms, max_concurrence_over_nu,
+rho_windows, nu_windows), and the two maximal families (classify's
+_family_terms): at p1 = p2 = x they are exactly the states of C = 1, and
+they meet only at v = 0.
 
 Each test proves an identity exactly with sympy; the float code still needs
 its rounding bounds, which the numeric and mpmath tests check.
@@ -8,6 +11,7 @@ its rounding bounds, which the numeric and mpmath tests check.
 import sympy as sp
 
 from cohent.analytic import _amplitudes
+from cohent.classify import _family_terms
 
 lam, rho, nu = sp.symbols("lam rho nu", real=True)
 x = sp.symbols("x", positive=True)
@@ -92,3 +96,56 @@ def test_window_endpoints_solve_the_condition():
     w_lo_sq = (sigma**2 * (1 - e) - e * n**2) / (1 + e)
     assert sp.simplify(w**2 - sigma**2 - e * total - (1 - e) * (w**2 - w_hi_sq)) == 0
     assert sp.simplify(sigma**2 - w**2 - e * total - (1 + e) * (w_lo_sq - w**2)) == 0
+
+
+# The amplitudes at any mu, and the family terms P_a v, P_b v and
+# mu nu - lam rho; the code's factor 2.0 is exact, so nsimplify makes it 2.
+mu = sp.symbols("mu", real=True)
+V = (mu, lam, rho, nu)
+A4, B4, C4, D4 = _amplitudes(mu, lam, rho, nu, x, x, N_X, N_X)
+(PA1, PA2), (PB1, PB2), SEP = _family_terms(mu, lam, rho, nu, x)
+PA1, PA2, PB1, PB2, SEP = map(sp.nsimplify, (PA1, PA2, PB1, PB2, SEP))
+
+
+def all_zero(matrix):
+    return all(is_zero(entry) for entry in matrix)
+
+
+def test_family_terms_are_the_planes_rows():
+    rows = sp.Matrix([PA1, PA2, PB1, PB2]).jacobian(V)
+    assert rows == sp.Matrix([[-1, 0, 0, 1], [2 * x, 1, 1, 0],
+                              [0, 1, -1, 0], [1, 2 * x, 0, 1]])
+    assert all_zero(sp.Matrix([PA1, PA2, PB1, PB2]) - rows * sp.Matrix(V))
+
+
+def test_families_are_the_zero_sets_of_the_residual_squares():
+    # L_- v = (a + d, b - c) = M_a P_a v and L_+ v = (a - d, b + c) = M_b P_b v
+    # with det M_a = det M_b = n > 0, so ker L_- = ker P_a and ker L_+ = ker P_b:
+    # maximality_residual's two sums of squares vanish exactly on class (a)
+    # and on class (b)
+    m_a = sp.Matrix([[x, 1], [-N_X, 0]])
+    m_b = sp.Matrix([[1 - 2 * x**2, x], [-2 * x * N_X, N_X]])
+    assert all_zero(sp.Matrix([A4 + D4, B4 - C4]) - m_a * sp.Matrix([PA1, PA2]))
+    assert all_zero(sp.Matrix([A4 - D4, B4 + C4]) - m_b * sp.Matrix([PB1, PB2]))
+    assert is_zero(m_a.det() - N_X)
+    assert is_zero(m_b.det() - N_X)
+
+
+def test_separability_term_is_the_concurrence_numerator():
+    # ad - bc = -n^2 (mu nu - lam rho), so C = 0 exactly when the term is 0
+    assert is_zero(A4 * D4 - B4 * C4 + (1 - x**2) * SEP)
+
+
+def test_the_two_planes_meet_only_at_zero():
+    # det [P_a; P_b] = 4 (1 - x^2) > 0 on 0 < x < 1
+    rows = sp.Matrix([PA1, PA2, PB1, PB2]).jacobian(V)
+    assert is_zero(rows.det() - 4 * (1 - x**2))
+
+
+def test_nu_window_discriminant():
+    # with B = n^2 - sigma f K, B^2 - f^2 M = n^2 (n^2 - 2 sigma f K - f^2 D)
+    f = sp.symbols("f", positive=True)
+    n_sq = 1 - x**2
+    for sigma in (1, -1):
+        b = n_sq - sigma * f * K
+        assert is_zero(b**2 - f**2 * M - n_sq * (n_sq - 2 * sigma * f * K - f**2 * D))
