@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from .analytic import orthonormal_amplitudes
 from .catalog import example_states
-from .classify import VERDICTS, Verdict, classify, classify_columns
+from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
 from .coherent import CoherentConfig, OverlapPair
 from .errors import (
     CohentError,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .oracle import build_state, oracle_concurrence
 from .scan import run_scan
-from .statespec import load_scan_file, load_state_file, parse_scan_text
+from .statespec import load_state_file, parse_scan_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -212,17 +212,16 @@ def cmd_bell_limit(args) -> int:
 
 def _resolve_scan_config(path: str):
     try:
-        return load_scan_file(path)
-    except InputFileError as err:
-        if "cannot read" not in str(err):
-            raise
-    packaged = resources.files("cohent").joinpath("configs").joinpath(path)
-    try:
-        text = packaged.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError):
-        raise InputFileError(
-            f"cannot read {path} (not a file, and no bundled config of that name)"
-        ) from None
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        packaged = resources.files("cohent").joinpath("configs").joinpath(path)
+        try:
+            text = packaged.read_text(encoding="utf-8")
+        except OSError:
+            raise InputFileError(
+                f"cannot read {path} (not a file, and no bundled config of that name)"
+            ) from None
     return parse_scan_text(text)
 
 
@@ -256,6 +255,7 @@ def cmd_scan(args) -> int:
     config = _resolve_scan_config(args.config)
     outcome = run_scan(config, verify_tol=args.tol)
     write_records_csv(outcome.hits, args.out, args.tol)
+    unconverged = int(np.count_nonzero(~outcome.hits.refine_converged))
     if args.json:
         print(json.dumps(
             {
@@ -265,6 +265,7 @@ def cmd_scan(args) -> int:
                 "grid_rows_kept": outcome.n_grid_rows_kept,
                 "hits": outcome.n_grid_hits,
                 "refined": outcome.n_refined,
+                "refine_unconverged": unconverged,
                 "class_a": outcome.report.n_class_a,
                 "class_b": outcome.report.n_class_b,
                 "oracle_checked": outcome.oracle_checked,
@@ -277,7 +278,8 @@ def cmd_scan(args) -> int:
     else:
         print(f"scanned {config.total_points()} grid points "
               f"({outcome.n_grid_evaluated} evaluated): "
-              f"{outcome.n_grid_hits} hits, {outcome.n_refined} refined")
+              f"{outcome.n_grid_hits} hits, {outcome.n_refined} refined, "
+              f"{unconverged} unconverged")
         print(f"bounded {outcome.n_grid_rows_bounded} (lambda, rho, x) rows, "
               f"kept {outcome.n_grid_rows_kept}")
         print(f"oracle spot-checked {outcome.oracle_checked} records, "
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="verdict and residuals at p1 = p2")
     p.add_argument("spec", help="state file (key = value lines)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-squared", type=float, default=1.0,
                    help="(alpha - gamma)^2 used to instantiate the states")
     p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_examples)
 
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scan config file, or the name of a bundled one "
                                   "(theorem_check.cfg)")
     p.add_argument("out", help="output CSV path")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scan)
 

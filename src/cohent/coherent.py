@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, TruncationError
 
 MAX_AMPLITUDE = 8.0
-DEFAULT_DISTINCT_TOL = 1e-9
+DISTINCT_TOL = 1e-9
 
 # Construction rejects a truncation whose discarded tail mass reaches this.
 TAIL_MASS_LIMIT = 1e-10
@@ -72,7 +72,6 @@ class CoherentConfig:
     beta: float
     gamma: float
     delta: float
-    distinct_tol: float = DEFAULT_DISTINCT_TOL
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
@@ -82,16 +81,14 @@ class CoherentConfig:
                 raise DomainError(
                     f"|{name}| = {abs(value)} exceeds the supported bound {MAX_AMPLITUDE}"
                 )
-        if not 0 < self.distinct_tol < 1:
-            raise DomainError(f"distinct_tol must lie in (0, 1), got {self.distinct_tol}")
-        if abs(self.alpha - self.gamma) <= self.distinct_tol:
+        if abs(self.alpha - self.gamma) <= DISTINCT_TOL:
             raise DomainError(
-                f"alpha and gamma must differ by more than {self.distinct_tol} "
+                f"alpha and gamma must differ by more than {DISTINCT_TOL} "
                 f"(got {self.alpha} and {self.gamma})"
             )
-        if abs(self.beta - self.delta) <= self.distinct_tol:
+        if abs(self.beta - self.delta) <= DISTINCT_TOL:
             raise DomainError(
-                f"beta and delta must differ by more than {self.distinct_tol} "
+                f"beta and delta must differ by more than {DISTINCT_TOL} "
                 f"(got {self.beta} and {self.delta})"
             )
 

@@ -25,7 +25,7 @@ import numpy as np
 from .analytic import SuperpositionCoeffs, max_concurrence_over_nu, nu_windows
 from .analytic import require_open_unit_interval, rho_windows
 from .analytic import _CLAMP_SLACK, _RESCALE_ABOVE, _concurrence_ratio
-from .analytic import _degenerate, _maximality_residual, _norm_sq
+from .analytic import _degenerate, _norm_sq
 from .classify import _require_positive_tol, family_checks
 from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
@@ -37,9 +37,15 @@ MAX_GRID_POINTS = 100_000_000
 # candidates only.
 REFINE_FLOOR = 0.9
 
-# A maximality residual N^2 (1 - C) at or below this puts a point on its
-# family up to rounding; refine neither moves such a point nor flags it.
-REFINE_TARGET = 1e-18
+# Refine moves a point only if family_checks at this tol, scale-free like
+# verify's, passes it on neither family, and a step has converged when the
+# projected point passes; one that has not keeps the old point, flagged.
+REFINE_TARGET = 1e-12
+
+# verify_disjoint_classes tests the hits with C > 1 - MAXIMAL_TOL; the oracle
+# spot check fails on a difference in C above SPOT_CHECK_MAX_DIFF.
+MAXIMAL_TOL = 1e-10
+SPOT_CHECK_MAX_DIFF = 1e-8
 
 # grid_scan takes the rho windows of this many (lam, x) pairs at once, bounds
 # about this many of the rows inside them (or one longer window) at once,
@@ -343,9 +349,10 @@ def _project(lam, rho, nu, x, c):
     affine in (lam, rho, nu) at fixed x, so one least-squares step
     p - A^+(Ap + b) lands on that sum's zero line.  For nu >= lam rho the
     smaller sum is (a + d)^2 + (b - c)^2, zero on class (a); below it is
-    (a - d)^2 + (b + c)^2, zero on class (b).
+    (a - d)^2 + (b + c)^2, zero on class (b).  REFINE_TARGET says which
+    points move and which steps converge.
     """
-    move = _maximality_residual(1.0, lam, rho, nu, x) > REFINE_TARGET
+    move = ~np.logical_or(*family_checks(1.0, lam, rho, nu, x, REFINE_TARGET))
     upper = nu >= lam * rho
     new_lam, new_rho, new_nu = lam.copy(), rho.copy(), nu.copy()
     # The step never crosses the branch boundary: on the class (a) line
@@ -378,13 +385,11 @@ def _project(lam, rho, nu, x, c):
             f"refine: recomputed concurrence {float(new_c[i])!r} exceeded 1 beyond "
             f"rounding slack at {_at(new_lam[i], new_rho[i], new_nu[i], x[i])}"
         )
-    new_c = np.clip(new_c, 0.0, 1.0)
-    # A projection that lowers C keeps its old point, flagged unconverged.
-    worse = new_c < c
-    converged = ~worse & (
-        _maximality_residual(1.0, new_lam, new_rho, new_nu, x) <= REFINE_TARGET)
-    return (np.where(worse, lam, new_lam), np.where(worse, rho, new_rho),
-            np.where(worse, nu, new_nu), np.where(worse, c, new_c), converged)
+    converged = np.logical_or(*family_checks(1.0, new_lam, new_rho, new_nu, x,
+                                             REFINE_TARGET))
+    return (np.where(converged, new_lam, lam), np.where(converged, new_rho, rho),
+            np.where(converged, new_nu, nu),
+            np.where(converged, np.minimum(new_c, 1.0), c), converged)
 
 
 def refine(record: ScanRecord) -> ScanRecord:
@@ -392,9 +397,9 @@ def refine(record: ScanRecord) -> ScanRecord:
 
     The step is the exact projection onto the zero line of the hit's branch
     of maximality_residual: class (a) for nu >= lam rho, class (b) below.  A
-    point within REFINE_TARGET is not moved; a result with less concurrence
-    than the input is returned flagged, never dropped.  This is `refine_hits`
-    on one record.
+    point that family_checks passes at REFINE_TARGET is not moved; a
+    projection that it does not pass leaves the old point, flagged
+    unconverged, never dropped.  This is `refine_hits` on one record.
     """
     if record.concurrence < REFINE_FLOOR:
         raise DomainError(
@@ -420,18 +425,14 @@ def refine_hits(hits: ScanHits) -> ScanHits:
     return ScanHits(lam, rho, nu, hits.x, c, refined, converged)
 
 
-def verify_disjoint_classes(
-    hits: ScanHits,
-    tol: float = 1e-8,
-    maximal_tol: float = 1e-10,
-) -> DisjointnessReport:
+def verify_disjoint_classes(hits: ScanHits, tol: float = 1e-8) -> DisjointnessReport:
     """Check every near-maximal hit sits on exactly one of the two families.
 
-    Only hits with concurrence > 1 - maximal_tol are tested; each must
+    Only hits with concurrence > 1 - MAXIMAL_TOL are tested; each must
     satisfy class (a) or class (b) at `tol`, and never both.
     """
     # Written as a negation so a NaN concurrence is tested, and fails.
-    maximal = np.flatnonzero(~(hits.concurrence <= 1.0 - maximal_tol))
+    maximal = np.flatnonzero(~(hits.concurrence <= 1.0 - MAXIMAL_TOL))
     on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
                                hits.nu[maximal], hits.x[maximal], tol)
     failed = on_a == on_b
@@ -448,7 +449,7 @@ def verify_disjoint_classes(
         n_class_b=int(np.count_nonzero(on_b & ~on_a)),
         violations=violations,
         tol=tol,
-        maximal_tol=maximal_tol,
+        maximal_tol=MAXIMAL_TOL,
     )
 
 
@@ -459,15 +460,12 @@ def config_for_overlap(x: float) -> CoherentConfig:
 
 
 def oracle_spot_check(
-    hits: ScanHits,
-    fraction: float = 0.01,
-    seed: int = 0,
-    max_diff: float = 1e-8,
+    hits: ScanHits, fraction: float = 0.01, seed: int = 0
 ) -> tuple[int, float]:
     """Re-check a seeded random subsample of hits against the Fock oracle.
 
     Returns (checked count, worst |analytic - oracle|); raises
-    ConsistencyError if any difference exceeds `max_diff`.
+    ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.
     """
     if not len(hits) or fraction <= 0.0:
         return 0, 0.0
@@ -482,7 +480,7 @@ def oracle_spot_check(
                                       record.coefficients())
         diff = abs(oracle_c - record.concurrence)
         worst = max(worst, diff)
-        if diff > max_diff:
+        if diff > SPOT_CHECK_MAX_DIFF:
             raise ConsistencyError(
                 f"oracle disagrees with scan record by {diff:.3e} at "
                 f"lam={record.lam!r} rho={record.rho!r} nu={record.nu!r} "

@@ -285,6 +285,8 @@ class TestScanCommand:
         assert (f"scanned 680943 grid points ({payload['grid_evaluated']} evaluated)"
                 in text)
         assert "bounded 1189 (lambda, rho, x) rows, kept 495" in text
+        assert payload["refine_unconverged"] == 0
+        assert f"480 hits, {payload['refined']} refined, 0 unconverged" in text
 
     @pytest.mark.parametrize("tol", ["0.2", "1"])
     def test_tol_that_joins_the_families_exits_2(self, tmp_path, capsys, tol):
@@ -361,8 +363,8 @@ class TestScanCommand:
         config = write(tmp_path, "scan.cfg", text + "x_values = 0.5\nthreshold = 0.5\n")
         assert cli.main(["scan", config, str(tmp_path / "o.csv"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["class_a"], payload["class_b"],
-                payload["disjoint"]) == (4, 4, True)
+        assert (payload["class_a"], payload["class_b"], payload["disjoint"],
+                payload["refine_unconverged"]) == (4, 4, True, 0)
 
     def test_oversized_box_exits_2(self, tmp_path, capsys):
         text = SMALL_SCAN.replace("lambda_max = 0.5", "lambda_max = 4e150")
@@ -375,8 +377,21 @@ class TestScanCommand:
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_missing_config_and_not_bundled_exits_2(self, tmp_path):
+    def test_missing_config_and_not_bundled_exits_2(self, tmp_path, capsys):
         assert cli.main(["scan", "no_such.cfg", str(tmp_path / "o.csv")]) == 2
+        assert "no bundled config of that name" in capsys.readouterr().err
+
+    def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # the key's name is "cannot read", but the file itself was read; a
+        # relative path, since the bundled-config lookup of an absolute one
+        # reads the same file
+        write(tmp_path, "bad.cfg", "cannot read = 1\n" + SMALL_SCAN)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["scan", "bad.cfg", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: unknown key 'cannot read'" in err
+        assert "bundled" not in err
 
     def test_disjointness_violation_exits_5(self, tmp_path, monkeypatch):
         impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0)

@@ -256,11 +256,6 @@ class TestCoherentConfig:
         with pytest.raises(DomainError):
             CoherentConfig(0.0, 0.5, 1.0, 0.5)
 
-    def test_distinct_tol_configurable(self):
-        CoherentConfig(0.0, 0.0, 1e-6, 1.0, distinct_tol=1e-7)
-        with pytest.raises(DomainError):
-            CoherentConfig(0.0, 0.0, 1e-6, 1.0, distinct_tol=1e-5)
-
     def test_rejects_oversized_amplitude(self):
         with pytest.raises(DomainError):
             CoherentConfig(0.0, 0.0, 9.0, 1.0)

@@ -173,9 +173,12 @@ def test_oracle_at_the_largest_amplitudes(amps, coeffs):
 
 @settings(max_examples=150, deadline=None)
 @given(near_family(), st.sampled_from([0.5, 0.999, 1.0 - 1e-9]))
-# 1.0e-8 off class (a), and refine's projection lowers C by 2 ulps, so the
-# point stays; against an absolute 1e-8 it was "on neither family"
+# 1.0e-8 off class (a): against an absolute 1e-8 it was "on neither family"
 @example((1.0, 9.75, -10.74999999, 1.0, 0.5), 0.5)
+# 8.6e-8 off class (b), past 1e-8 max|v|, with C rounding to 1; its
+# projection's C rounds 2 ulps lower, and a refine that kept the point with
+# the higher C left it "on neither family"
+@example((1.0, 6.0000002734375, 6.00000025, -7.0000001875, 0.5), 0.5)
 def test_one_point_scan(point, threshold):
     _, lam, rho, nu, x = point
     try:

@@ -550,17 +550,33 @@ class TestRefine:
             after = refined.nu - refined.lam * refined.rho
             assert (before >= 0.0) == (after >= 0.0)
 
-    def test_lower_concurrence_keeps_the_old_point(self):
+    def test_off_family_point_moves_onto_its_family(self):
         # claims C = 1 at 0.01 off the class (a) line; the projection's C
-        # rounds below 1, so the old point comes back, flagged unconverged
+        # rounds below 1, but the projected point is on the family, so it
+        # replaces the old one
         record = ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0)
         s = (record.lam + record.rho + 2.0 * record.x) / 2.0
         projected = SuperpositionCoeffs(1.0, record.lam - s, record.rho - s, 1.0)
-        assert concurrence(projected, OverlapPair(0.61, 0.61)) < 1.0
-        expected = ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0,
-                              refined=True, refine_converged=False)
+        c = concurrence(projected, OverlapPair(0.61, 0.61))
+        assert c < 1.0
+        assert check_class_a(projected, 0.61, scan_module.REFINE_TARGET)
+        expected = ScanRecord(projected.lam, projected.rho, 1.0, 0.61, c,
+                              refined=True, refine_converged=True)
         assert refine(record) == expected
         assert refine_hits(ScanHits.from_records([record])).records() == [expected]
+
+    def test_unconverged_projection_keeps_the_old_point(self, monkeypatch):
+        # a family test that passes nothing: every point moves, and no
+        # projection converges, so each old point comes back, flagged
+        monkeypatch.setattr(scan_module, "family_checks",
+                            lambda mu, lam, *rest: (np.zeros(len(lam), bool),) * 2)
+        records = [ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0),
+                   ScanRecord(0.3, 0.2, -1.5, 0.4, 0.95)]
+        expected = [ScanRecord(r.lam, r.rho, r.nu, r.x, r.concurrence,
+                               refined=True, refine_converged=False)
+                    for r in records]
+        assert [refine(r) for r in records] == expected
+        assert refine_hits(ScanHits.from_records(records)).records() == expected
 
     def test_flags_are_keyword_only(self):
         # a stale call passing two residuals must not bind them to the flags
@@ -722,32 +738,37 @@ class TestRunScan:
         assert (outcome.report.n_class_a, outcome.report.n_class_b) == (22, 16)
         assert outcome.hits.refine_converged.all()
 
+    def test_box_near_the_size_limit_converges(self):
+        # max|v| = 1e150: an absolute bound on N^2 (1 - C) flagged all 8
+        # refined hits unconverged, though each lies on its family
+        outcome = run_scan(box(-1e150, 1e150, 5, (0.5,), 0.5))
+        assert outcome.report.passed, outcome.report.summary()
+        assert (outcome.report.n_class_a, outcome.report.n_class_b) == (4, 4)
+        assert outcome.n_refined == 8
+        assert outcome.hits.refine_converged.all()
+
 
 def list_refine(record):
     """refine as it was before hits became columns: scalar arithmetic, one
-    record at a time, with maximality_residual's sums of squares inline."""
-    def residual(lam, rho, nu, x):
-        n = math.sqrt((1.0 - x) * (1.0 + x))
-        a, b = x + lam + rho * x * x + nu * x, n * (1.0 + rho * x)
-        c, d = n * (nu + rho * x), rho * n * n
-        return min((a - d) * (a - d) + (b + c) * (b + c),
-                   (a + d) * (a + d) + (b - c) * (b - c))
+    record at a time, with the scalar family checks at REFINE_TARGET."""
+    def on_a_family(lam, rho, nu):
+        coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
+        return (check_class_a(coeffs, x, scan_module.REFINE_TARGET)
+                or check_class_b(coeffs, x, scan_module.REFINE_TARGET))
 
     x, lam, rho, nu = record.x, record.lam, record.rho, record.nu
-    if residual(lam, rho, nu, x) > scan_module.REFINE_TARGET:
+    if not on_a_family(lam, rho, nu):
         if nu >= lam * rho:
             s = (lam + rho + 2.0 * x) / 2.0
             lam, rho, nu = lam - s, rho - s, 1.0
         else:
             t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
             lam, rho, nu = t, t, -1.0 - 2.0 * t * x
-    c = concurrence(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x))
-    if c < record.concurrence:
+    if not on_a_family(lam, rho, nu):
         return ScanRecord(record.lam, record.rho, record.nu, x, record.concurrence,
                           refined=True, refine_converged=False)
-    return ScanRecord(lam, rho, nu, x, c, refined=True,
-                      refine_converged=residual(lam, rho, nu, x)
-                      <= scan_module.REFINE_TARGET)
+    c = concurrence(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x))
+    return ScanRecord(lam, rho, nu, x, c, refined=True)
 
 
 def list_verify(records, tol, maximal_tol=1e-10):
