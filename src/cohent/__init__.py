@@ -48,7 +48,6 @@ from .oracle import (
     ProductStateVector,
     build_state,
     oracle_concurrence,
-    oracle_concurrences,
     schmidt_concurrence,
 )
 from .scan import (
@@ -87,7 +86,6 @@ __all__ = [
     "check_class_a", "check_class_b", "classify",
     "quadratic_roots_case1", "quadratic_roots_case2", "solve_coefficients_for_x",
     "ProductStateVector", "build_state", "schmidt_concurrence", "oracle_concurrence",
-    "oracle_concurrences",
     "ScanConfig", "ScanRecord", "ScanHits", "ScanOutcome", "DisjointnessReport",
     "grid_scan", "refine", "refine_hits", "verify_disjoint_classes",
     "oracle_spot_check",

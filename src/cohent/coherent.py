@@ -158,8 +158,8 @@ class FockVector:
 # amplitudes up to 2 uses at most 23 distinct truncations (9 to 31).
 @functools.lru_cache(maxsize=64)
 def _inv_sqrt_n(truncation: int) -> np.ndarray:
-    """Read-only [1, 1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""
-    table = 1.0 / np.sqrt(np.maximum(np.arange(float(truncation)), 1.0))
+    """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""
+    table = 1.0 / np.sqrt(np.arange(1.0, truncation))
     table.flags.writeable = False
     return table
 
@@ -180,11 +180,12 @@ def fock_vector(a: float, truncation: int) -> FockVector:
     if truncation < 1:
         raise DomainError(f"truncation must be >= 1, got {truncation}")
 
-    factors = _inv_sqrt_n(truncation) * a
+    factors = np.empty(truncation)
     factors[0] = math.exp(-0.5 * a * a)
+    np.multiply(_inv_sqrt_n(truncation), a, out=factors[1:])
     coeffs = factors.cumprod()
 
-    captured = float(coeffs.dot(coeffs))
+    captured = float(np.dot(coeffs, coeffs))
     tail = max(0.0, 1.0 - captured)
     if tail >= TAIL_MASS_LIMIT:
         raise TruncationError(

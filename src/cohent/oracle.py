@@ -4,9 +4,6 @@ Completely independent of the closed-form path: the four-component state is
 assembled as an explicit truncation^2 vector of number-state coefficients,
 and its entanglement is read off the Schmidt spectrum.  Every analytic result
 in this package is cross-checked against this module.
-
-`oracle_concurrences` does the same for many states of one configuration, as
-one stack and one batched SVD, through the kernels the one-state API uses.
 """
 
 from __future__ import annotations
@@ -19,14 +16,10 @@ import numpy as np
 
 from .analytic import SuperpositionCoeffs, _clamp_concurrence, _in_range
 from .coherent import CoherentConfig, default_truncation, fock_vector
-from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
+from .errors import ConsistencyError, DegenerateStateError, DomainError
 
 # Keeps the joint vector (truncation^2 entries) desk-scale.
 MAX_TRUNCATION = 256
-
-# oracle_concurrences holds the joint coefficients of at most about this many
-# entries (8 bytes each) at once, or of one state if that is larger.
-_BATCH_ENTRIES = 1 << 19
 
 # A third Schmidt coefficient above this (squared) means the state escaped
 # the 2x2 span it must live in.
@@ -51,84 +44,17 @@ class ProductStateVector:
         return self.coefficients.reshape(self.truncation, self.truncation)
 
 
-def _joint_matrices(config: CoherentConfig, mu, lam, rho, nu, truncation: int):
-    """Joint Fock coefficients of mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d>,
-    unnormalized; broadcasts: floats give one T x T matrix, (k, 1) columns a
-    (k, T, T) stack.
-
-    The coefficient at (m, n) is the corresponding combination of
-    single-mode Fock coefficients; each state is rank <= 2 across the split,
-    so it is the sum of two outer products.
-    """
-    f_alpha = fock_vector(config.alpha, truncation).coefficients
-    f_beta = fock_vector(config.beta, truncation).coefficients
-    f_gamma = fock_vector(config.gamma, truncation).coefficients
-    f_delta = fock_vector(config.delta, truncation).coefficients
-    psi = f_alpha[:, None] * (mu * f_beta + lam * f_delta)[..., None, :]
-    psi += f_gamma[:, None] * (rho * f_beta + nu * f_delta)[..., None, :]
-    return psi
-
-
-def _normalize(flat: np.ndarray, scaled: SuperpositionCoeffs, exponent: int) -> float:
-    """Divide one state's flattened joint coefficients, built from `scaled`
-    (the coefficients times 2^-exponent), by their norm in place; returns the
-    norm of the unscaled state, inf beyond the float range.
-
-    The norm is sqrt(flat . flat), as np.linalg.norm takes it.
-    """
-    norm = math.sqrt(flat.dot(flat))
-    size = abs(scaled.mu) + abs(scaled.lam) + abs(scaled.rho) + abs(scaled.nu)
-    if norm <= _DEGENERATE_REL * size:
-        raise DegenerateStateError(
-            f"joint state norm = {norm:.3e} is rounding noise next to the "
-            f"coefficient magnitudes, which sum to {size:.3e}"
-        )
-    flat /= norm
-    try:
-        return math.ldexp(norm, exponent)
-    except OverflowError:  # the norm is beyond the float range
-        return math.inf
-
-
-def _checked_concurrence(svals: np.ndarray) -> float:
-    """2 s1 s2 from one state's singular values, after the rank check; a
-    single Fock level per mode (one singular value) holds only products."""
-    top = svals[:3].tolist() + [0.0, 0.0]
-    if top[2] ** 2 > _RANK_LIMIT:
-        raise ConsistencyError(
-            f"third Schmidt weight {top[2]**2:.3e} exceeds {_RANK_LIMIT}; "
-            "state is not confined to a 2x2 span"
-        )
-    return _clamp_concurrence(2.0 * top[0] * top[1])
-
-
-def _tagged(err: CohentError, i: int) -> CohentError:
-    """`err` again, naming the index i of its state in a batch."""
-    tagged = type(err)(f"state {i}: {err}")
-    tagged.index = i
-    return tagged
-
-
-def _schmidt_concurrences(psi: np.ndarray, first: int = 0) -> list[float]:
-    """`schmidt_concurrence` of each matrix of a (k, T, T) stack, from one
-    batched SVD; a failed check names its state, counting from `first` (see
-    _tagged)."""
-    out = []
-    for i, svals in enumerate(np.linalg.svd(psi, compute_uv=False), first):
-        try:
-            out.append(_checked_concurrence(svals))
-        except ConsistencyError as err:
-            raise _tagged(err, i) from err
-    return out
-
-
 def build_state(
     config: CoherentConfig,
     coeffs: SuperpositionCoeffs,
     truncation: int | None = None,
 ) -> ProductStateVector:
-    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> in the joint Fock basis
-    (see _joint_matrices)."""
+    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> in the joint Fock basis.
+
+    The joint coefficient at (m, n) is the corresponding combination of
+    single-mode Fock coefficients; the state is rank <= 2 across the split,
+    so it is built from two outer products.
+    """
     if truncation is None:
         truncation = default_truncation(config.max_amplitude)
     truncation = int(truncation)
@@ -141,13 +67,34 @@ def build_state(
     # coefficients scaled into range by a power of two (analytic._in_range),
     # which is exact and leaves the normalized state unchanged.
     scaled, exponent = _in_range(coeffs)
-    psi = _joint_matrices(config, scaled.mu, scaled.lam, scaled.rho, scaled.nu,
-                          truncation)
+    mu, lam, rho, nu = scaled.mu, scaled.lam, scaled.rho, scaled.nu
+    size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
+    f_alpha = fock_vector(config.alpha, truncation).coefficients
+    f_beta = fock_vector(config.beta, truncation).coefficients
+    f_gamma = fock_vector(config.gamma, truncation).coefficients
+    f_delta = fock_vector(config.delta, truncation).coefficients
+
+    # Broadcast outer products, and the norm as the dot product that
+    # np.linalg.norm takes: bit-identical, without either call's overhead.
+    psi = f_alpha[:, None] * (mu * f_beta + lam * f_delta)
+    psi += f_gamma[:, None] * (rho * f_beta + nu * f_delta)
     flat = psi.ravel()
+
+    norm = math.sqrt(flat.dot(flat))
+    if norm <= _DEGENERATE_REL * size:
+        raise DegenerateStateError(
+            f"joint state norm = {norm:.3e} is rounding noise next to the "
+            f"coefficient magnitudes, which sum to {size:.3e}"
+        )
+    flat /= norm
+    try:
+        unscaled = math.ldexp(norm, exponent)
+    except OverflowError:  # the norm is beyond the float range
+        unscaled = math.inf
     return ProductStateVector(
         coefficients=flat,
         truncation=truncation,
-        norm_before_normalization=_normalize(flat, scaled, exponent),
+        norm_before_normalization=unscaled,
     )
 
 
@@ -159,7 +106,15 @@ def schmidt_concurrence(state: ProductStateVector) -> float:
     Schmidt coefficient is essentially zero, so separable states come out at
     ~1e-15 instead of the purity subtraction's ~1e-7.
     """
-    return _checked_concurrence(np.linalg.svd(state.matrix(), compute_uv=False))
+    # Padded with zeros: one Fock level per mode (a single singular value)
+    # holds only products.
+    svals = np.linalg.svd(state.matrix(), compute_uv=False)[:3].tolist() + [0.0, 0.0]
+    if svals[2] ** 2 > _RANK_LIMIT:
+        raise ConsistencyError(
+            f"third Schmidt weight {svals[2]**2:.3e} exceeds {_RANK_LIMIT}; "
+            "state is not confined to a 2x2 span"
+        )
+    return _clamp_concurrence(2.0 * svals[0] * svals[1])
 
 
 def oracle_concurrence(
@@ -169,32 +124,3 @@ def oracle_concurrence(
 ) -> float:
     """End-to-end brute-force concurrence of the assembled Fock-space state."""
     return schmidt_concurrence(build_state(config, coeffs, truncation))
-
-
-def oracle_concurrences(config: CoherentConfig, mu, lam, rho, nu) -> np.ndarray:
-    """`oracle_concurrence` of the states with coefficient columns (mu, lam,
-    rho, nu), all in `config` at the default truncation; bit-identical to
-    it, state by state.
-
-    The joint matrices are built as one stack, at most about _BATCH_ENTRIES
-    coefficients at a time, and go through one batched SVD.  A state that
-    fails a per-state check raises its DegenerateStateError or
-    ConsistencyError with "state i" in the message and `index` = i, its
-    position in the columns.
-    """
-    truncation = default_truncation(config.max_amplitude)
-    rows = [_in_range(SuperpositionCoeffs(*v)) for v in zip(mu, lam, rho, nu)]
-    chunk = max(1, _BATCH_ENTRIES // truncation ** 2)
-    out = []
-    for start in range(0, len(rows), chunk):
-        part = rows[start:start + chunk]
-        columns = np.array([(s.mu, s.lam, s.rho, s.nu) for s, _ in part])
-        psi = _joint_matrices(config, *columns.T[..., None], truncation)
-        for i, (flat, (scaled, exponent)) in enumerate(
-                zip(psi.reshape(len(part), -1), part), start):
-            try:
-                _normalize(flat, scaled, exponent)
-            except DegenerateStateError as err:
-                raise _tagged(err, i) from err
-        out += _schmidt_concurrences(psi, start)
-    return np.array(out)

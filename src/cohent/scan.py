@@ -29,7 +29,7 @@ from .analytic import _degenerate, _norm_sq
 from .classify import _require_positive_tol, family_checks
 from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
-from .oracle import oracle_concurrences
+from .oracle import oracle_concurrence
 
 MAX_GRID_POINTS = 100_000_000
 
@@ -465,9 +465,9 @@ def oracle_spot_check(
     """Re-check a seeded random subsample of hits against the Fock oracle.
 
     Returns (checked count, worst |analytic - oracle|); raises
-    ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.  The
-    sampled records are grouped by x, and each group goes through one
-    `oracle_concurrences` call in `config_for_overlap(x)`.
+    ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.  Every
+    error, the oracle's own included, starts with "oracle spot check" and
+    names the record.
     """
     if not len(hits) or fraction <= 0.0:
         return 0, 0.0
@@ -475,29 +475,25 @@ def oracle_spot_check(
     count = max(1, int(round(fraction * len(hits))))
     count = min(count, len(hits))
     indices = sorted(rng.choice(len(hits), size=count, replace=False).tolist())
-    groups: dict[float, list[int]] = {}
-    for i, x in zip(indices, hits.x[indices].tolist()):
-        groups.setdefault(x, []).append(i)
     worst = 0.0
-    for x, group in groups.items():
-        lam, rho, nu = hits.lam[group], hits.rho[group], hits.nu[group]
+    for i in indices:
+        record = hits.record(i)
         try:
-            oracle_c = oracle_concurrences(config_for_overlap(x), [1.0] * len(group),
-                                           lam, rho, nu)
+            oracle_c = oracle_concurrence(config_for_overlap(record.x),
+                                          record.coefficients())
         except (ConsistencyError, DegenerateStateError) as err:
-            j = err.index
             raise type(err)(
-                f"oracle spot check: {err} at {_at(lam[j], rho[j], nu[j], x)}"
+                f"oracle spot check: {err} at "
+                f"{_at(record.lam, record.rho, record.nu, record.x)}"
             ) from err
-        diffs = np.abs(oracle_c - hits.concurrence[group]).tolist()
-        worst = max(worst, *diffs)
-        for j, diff in enumerate(diffs):
-            # Written as a negation so a NaN concurrence fails.
-            if not diff <= SPOT_CHECK_MAX_DIFF:
-                raise ConsistencyError(
-                    f"oracle spot check: oracle disagrees with scan record by "
-                    f"{diff:.3e} at {_at(lam[j], rho[j], nu[j], x)}"
-                )
+        diff = abs(oracle_c - record.concurrence)
+        worst = max(worst, diff)
+        # Written as a negation so a NaN concurrence fails.
+        if not diff <= SPOT_CHECK_MAX_DIFF:
+            raise ConsistencyError(
+                f"oracle spot check: oracle disagrees with scan record by "
+                f"{diff:.3e} at {_at(record.lam, record.rho, record.nu, record.x)}"
+            )
     return count, worst
 
 

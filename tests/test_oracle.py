@@ -3,21 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cohent import oracle as oracle_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation, fock_vector
-from cohent.errors import (
-    ConsistencyError,
-    DegenerateStateError,
-    DomainError,
-    TruncationError,
-)
+from cohent.errors import ConsistencyError, DomainError, TruncationError
 from cohent.oracle import (
     ProductStateVector,
-    _schmidt_concurrences,
     build_state,
     oracle_concurrence,
-    oracle_concurrences,
     schmidt_concurrence,
 )
 
@@ -49,16 +41,6 @@ def random_state(rng):
     config = CoherentConfig(alpha, beta, gamma, delta)
     lam, rho, nu = rng.uniform(-3, 3, size=3)
     return config, SuperpositionCoeffs(1.0, lam, rho, nu)
-
-
-# Coefficients whose joint norm overflowed or underflowed before the state was
-# built from coefficients scaled into range.
-OUT_OF_RANGE = [
-    (1.0, 1e300, 1e300, 1.0),
-    (1e160, 1e160, 1e160, -1e160),
-    (1e308, 1e308, 1e308, -1e308),  # the coefficient sum overflows
-    (1e-300, 0.0, 0.0, -1e-300),
-]
 
 
 class TestBuildState:
@@ -97,7 +79,12 @@ class TestBuildState:
             n_sq = gram_norm_squared(coeffs, OverlapPair.from_config(config))
             assert state.norm_before_normalization**2 == pytest.approx(n_sq, abs=1e-8)
 
-    @pytest.mark.parametrize("coeffs", OUT_OF_RANGE)
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 1e300, 1e300, 1.0),
+        (1e160, 1e160, 1e160, -1e160),
+        (1e308, 1e308, 1e308, -1e308),  # the coefficient sum overflows
+        (1e-300, 0.0, 0.0, -1e-300),
+    ])
     def test_out_of_range_coefficients_match_the_closed_form(self, coeffs):
         # The joint norm overflowed past about 1e154, so the state came out
         # all zeros (C = 0); at 1e308, and at 1e-300 where its squares
@@ -252,7 +239,7 @@ class TestOracleConcurrence:
 
 def outer_reference(config, coeffs):
     """build_state's coefficients and norm, assembled with np.outer and
-    np.linalg.norm as a single state."""
+    np.linalg.norm."""
     t = default_truncation(config.max_amplitude)
     f_alpha, f_beta, f_gamma, f_delta = (
         fock_vector(a, t).coefficients
@@ -263,73 +250,13 @@ def outer_reference(config, coeffs):
     return (psi / norm).ravel(), norm
 
 
-def batch_and_singles(config, rows):
-    """oracle_concurrences of `rows`, and oracle_concurrence of each row."""
-    batch = oracle_concurrences(config, *zip(*rows))
-    singles = [oracle_concurrence(config, SuperpositionCoeffs(*row)) for row in rows]
-    return batch, singles
-
-
-class TestOracleConcurrences:
-    def test_build_state_matches_the_outer_product_reference(self):
-        rng = np.random.default_rng(57)
-        for _ in range(50):
-            config, coeffs = random_state(rng)
-            state = build_state(config, coeffs)
-            coefficients, norm = outer_reference(config, coeffs)
-            np.testing.assert_array_equal(state.coefficients, coefficients)
-            assert state.norm_before_normalization == norm
-
-    def test_bit_identical_to_one_state_at_a_time(self):
-        # 200 states in groups sharing a configuration: one group of one,
-        # rows with mu = 0 and rows of +-1e150.
-        rng = np.random.default_rng(58)
-        sizes = [1, 40, 2, 57, 25, 75]
-        assert sum(sizes) == 200
-        for size in sizes:
-            config, _ = random_state(rng)
-            rows = [(1.0, *rng.uniform(-3, 3, size=3)) for _ in range(size)]
-            if size > 1:
-                rows[0] = (0.0, *rng.uniform(-3, 3, size=3))
-                rows[-1] = (1.0, *(1e150 * rng.choice([-1.0, 1.0], size=3)))
-            batch, singles = batch_and_singles(config, rows)
-            assert batch.tolist() == singles
-
-    @pytest.mark.parametrize("coeffs", [*OUT_OF_RANGE, (1e-10, 0.0, 0.0, -1e-10)])
-    def test_degeneracy_cases_beside_a_healthy_state(self, coeffs):
-        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        batch, singles = batch_and_singles(config, [(1.0, 0.3, -0.2, 0.8), coeffs])
-        assert batch.tolist() == singles
-
-    def test_degenerate_state_is_named_by_its_index(self):
-        # (|a> - |g>)(|b> - |d>) at a gap of 2e-9 has a norm of about 4e-18,
-        # rounding noise next to coefficients summing to 4.
-        config = CoherentConfig(0.0, 0.0, 2e-9, 2e-9)
-        state = (1.0, -1.0, -1.0, 1.0)
-        with pytest.raises(DegenerateStateError, match="^joint state norm"):
-            build_state(config, SuperpositionCoeffs(*state))
-        with pytest.raises(DegenerateStateError, match="^state 1: joint state norm") as err:
-            oracle_concurrences(config, *zip((1.0, 0.0, 0.0, 0.0), state))
-        assert err.value.index == 1
-
-    def test_third_schmidt_weight_is_named_by_its_index(self):
-        healthy = schmidt_state([0.5, 0.5, 0.0]).matrix()
-        rank_three = schmidt_state([0.5, 0.3, 0.2]).matrix()
-        assert _schmidt_concurrences(healthy[None]) == [pytest.approx(1.0, abs=1e-15)]
-        for index, stack in ((1, [healthy, rank_three]), (0, [rank_three, healthy])):
-            with pytest.raises(ConsistencyError,
-                               match=f"^state {index}: third Schmidt weight") as err:
-                _schmidt_concurrences(np.stack(stack))
-            assert err.value.index == index
-
-    def test_chunks_count_states_across_the_columns(self, monkeypatch):
-        # One state per chunk: the results do not change, and a failure is
-        # named by its index in the columns, not in its chunk.
-        config = CoherentConfig(0.0, 0.0, 2e-9, 2e-9)
-        rows = [(1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 1.0), (1.0, -1.0, -1.0, 1.0)]
-        whole = oracle_concurrences(config, *zip(*rows[:2]))
-        monkeypatch.setattr(oracle_module, "_BATCH_ENTRIES", 1)
-        assert oracle_concurrences(config, *zip(*rows[:2])).tolist() == whole.tolist()
-        with pytest.raises(DegenerateStateError, match="^state 2: ") as err:
-            oracle_concurrences(config, *zip(*rows))
-        assert err.value.index == 2
+def test_build_state_matches_the_outer_product_reference():
+    # Broadcasting and the dot-product norm leave every coefficient and the
+    # norm bit for bit as np.outer and np.linalg.norm give them.
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        config, coeffs = random_state(rng)
+        state = build_state(config, coeffs)
+        coefficients, norm = outer_reference(config, coeffs)
+        np.testing.assert_array_equal(state.coefficients, coefficients)
+        assert state.norm_before_normalization == norm

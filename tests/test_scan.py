@@ -1,8 +1,6 @@
 import csv
-import dataclasses
 import itertools
 import math
-from importlib import resources
 from unittest import mock
 
 import mpmath
@@ -27,7 +25,6 @@ from cohent.classify import (
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.errors import GridSizeError
-from cohent.oracle import oracle_concurrence
 from cohent.scan import (
     REFINE_FLOOR,
     DisjointnessReport,
@@ -42,7 +39,6 @@ from cohent.scan import (
     run_scan,
     verify_disjoint_classes,
 )
-from cohent.statespec import parse_scan_text
 
 
 def exact_concurrence(lam, rho, nu, x):
@@ -674,7 +670,7 @@ class TestOracleSpotCheck:
             oracle_spot_check(ScanHits.from_records([honest, liar]), fraction=1.0,
                               seed=3)
 
-    def test_degenerate_record_names_the_stage_state_and_record(self):
+    def test_degenerate_record_names_the_stage_and_record(self):
         # At x one ulp below 1 the amplitude gap is 1.5e-8, and the product
         # state (|a> - |g>)(|b> - |d>) has a joint norm of about 2e-16,
         # rounding noise next to coefficients summing to 4.
@@ -682,7 +678,7 @@ class TestOracleSpotCheck:
         records = [ScanRecord(0.0, 0.0, 1.0, x, 0.0),
                    ScanRecord(-1.0, -1.0, 1.0, x, 0.0)]
         with pytest.raises(DegenerateStateError, match=(
-                r"^oracle spot check: state 1: joint state norm .* at "
+                r"^oracle spot check: joint state norm .* at "
                 r"lam=-1\.0 rho=-1\.0 nu=1\.0 x=0\.9999999999999999$")):
             oracle_spot_check(ScanHits.from_records(records), fraction=1.0, seed=3)
 
@@ -690,25 +686,6 @@ class TestOracleSpotCheck:
         record = ScanRecord(0.0, 0.0, 1.0, 0.5, math.nan)
         with pytest.raises(ConsistencyError, match="^oracle spot check: "):
             oracle_spot_check(ScanHits.from_records([record]), fraction=1.0, seed=3)
-
-    def test_matches_a_per_record_loop_on_a_wide_box(self):
-        # The bundled box at threshold 0.9: 50,217 hits, 502 of them checked,
-        # about 170 at each x.
-        bundled = resources.files("cohent").joinpath("configs").joinpath(
-            "theorem_check.cfg")
-        config = dataclasses.replace(parse_scan_text(bundled.read_text()),
-                                     concurrence_threshold=0.9)
-        hits = refine_hits(grid_scan(config)[0])
-        got = oracle_spot_check(hits, fraction=config.oracle_fraction, seed=config.seed)
-        rng = np.random.default_rng(config.seed)
-        count = max(1, int(round(config.oracle_fraction * len(hits))))
-        worst = 0.0
-        for i in rng.choice(len(hits), size=count, replace=False).tolist():
-            record = hits.record(i)
-            c = oracle_concurrence(config_for_overlap(record.x), record.coefficients())
-            worst = max(worst, abs(c - record.concurrence))
-        assert (len(hits), count) == (50_217, 502)
-        assert got == (count, worst)
 
     def test_empty_records(self):
         assert oracle_spot_check(ScanHits.from_records([]), fraction=1.0,
