@@ -158,13 +158,51 @@ def orthonormal_amplitudes(
     return OrthonormalAmplitudes(a, b, c, d, norm=norm)
 
 
+def _within_slack(value):
+    """Whether a concurrence, never negative, is at most 1 plus rounding
+    slack, so neither NaN nor inf; broadcasts."""
+    return value <= 1.0 + _CLAMP_SLACK
+
+
 def _clamp_concurrence(value: float) -> float:
-    if not math.isfinite(value) or value > 1.0 + _CLAMP_SLACK:
+    if not _within_slack(value):
         raise ConsistencyError(
             f"concurrence evaluated to {value}, beyond rounding slack above 1; "
             "this indicates a bug rather than float noise"
         )
     return min(max(value, 0.0), 1.0)
+
+
+def _at(lam, rho, nu, x) -> str:
+    return f"lam={float(lam)!r} rho={float(rho)!r} nu={float(nu)!r} x={float(x)!r}"
+
+
+def concurrence_columns(lam, rho, nu, x, stage: str):
+    """The concurrence at mu = 1, p1 = p2 = x of columns of points, clamped
+    to 1.
+
+    Raises DegenerateStateError where N^2 is rounding noise (_degenerate),
+    and ConsistencyError where C exceeds 1 beyond rounding slack or is NaN;
+    each message starts with `stage` and names the first such point.
+    """
+    n = np.sqrt((1.0 - x) * (1.0 + x))
+    n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n, n)
+    degenerate = np.flatnonzero(_degenerate(n_sq, 1.0 + abs(lam) + abs(rho) + abs(nu)))
+    if len(degenerate):
+        i = degenerate[0]
+        raise DegenerateStateError(
+            f"{stage} squared norm {float(n_sq[i]):.3e} is numerically zero at "
+            f"{_at(lam[i], rho[i], nu[i], x[i])}"
+        )
+    c = _concurrence_ratio(1.0, lam, rho, nu, n, n, n_sq)
+    bad = np.flatnonzero(~_within_slack(c))
+    if len(bad):
+        i = bad[0]
+        raise ConsistencyError(
+            f"{stage} concurrence {float(c[i])!r} exceeded 1 beyond rounding "
+            f"slack at {_at(lam[i], rho[i], nu[i], x[i])}"
+        )
+    return np.minimum(c, 1.0)
 
 
 def concurrence(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:

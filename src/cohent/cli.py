@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: concurrence, classify, examples, bell-limit, scan, oracle-check.
-Exit codes: 0 success, 2 input error, 3 analytic/oracle inconsistency,
+Exit codes: 0 success, 2 input error (an unreadable or invalid input file, or
+an unwritable output file among them), 3 analytic/oracle inconsistency,
 4 outside classification scope (p1 != p2), 5 disjointness violation in a scan.
 """
 
@@ -21,17 +22,10 @@ from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
 from .coherent import CoherentConfig, OverlapPair
-from .errors import (
-    CohentError,
-    ConsistencyError,
-    DomainError,
-    InputFileError,
-    ScopeError,
-    TruncationError,
-)
+from .errors import CohentError, ConsistencyError, DomainError, InputFileError, ScopeError
 from .oracle import build_state, oracle_concurrence
 from .scan import run_scan
-from .statespec import load_state_file, parse_scan_text
+from .statespec import load_scan_file, load_state_file, parse_scan_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -212,16 +206,18 @@ def cmd_bell_limit(args) -> int:
 
 def _resolve_scan_config(path: str):
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        return load_scan_file(path)
+    except InputFileError as err:
+        # Only a path that cannot be opened may name a bundled config.
+        if not isinstance(err.__cause__, OSError):
+            raise
+    packaged = resources.files("cohent").joinpath("configs").joinpath(path)
+    try:
+        text = packaged.read_text(encoding="utf-8")
     except OSError:
-        packaged = resources.files("cohent").joinpath("configs").joinpath(path)
-        try:
-            text = packaged.read_text(encoding="utf-8")
-        except OSError:
-            raise InputFileError(
-                f"cannot read {path} (not a file, and no bundled config of that name)"
-            ) from None
+        raise InputFileError(
+            f"cannot read {path} (not a file, and no bundled config of that name)"
+        ) from None
     return parse_scan_text(text)
 
 
@@ -240,15 +236,16 @@ def write_records_csv(hits, path, tol: float) -> None:
                                               tol)
     names = [verdict.value for verdict in VERDICTS]
     columns = (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, res_a, res_b)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(_CSV_HEADER)
-        for start in range(0, len(codes), _CSV_BLOCK):
-            block = slice(start, start + _CSV_BLOCK)
-            handle.writelines(
-                _CSV_ROW % (*row, names[code])
-                for *row, code in zip(*(column[block].tolist() for column in columns),
-                                      codes[block].tolist())
-            )
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(_CSV_HEADER)
+            for start in range(0, len(codes), _CSV_BLOCK):
+                block = slice(start, start + _CSV_BLOCK)
+                rows = zip(*(column[block].tolist() for column in columns),
+                           codes[block].tolist())
+                handle.writelines(_CSV_ROW % (*row, names[code]) for *row, code in rows)
+    except OSError as err:
+        raise InputFileError(f"cannot write {path}: {err}") from None
 
 
 def cmd_scan(args) -> int:
@@ -408,18 +405,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFileError, DomainError, TruncationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ScopeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCOPE
-    except ConsistencyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except CohentError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(err, ScopeError):
+            return EXIT_SCOPE
+        return EXIT_INCONSISTENT if isinstance(err, ConsistencyError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

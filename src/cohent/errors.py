@@ -30,7 +30,8 @@ class ScopeError(CohentError):
 
 
 class InputFileError(CohentError):
-    """A state or scan document could not be parsed."""
+    """A state or scan document could not be read or parsed, or the output
+    file could not be written."""
 
 
 class GridSizeError(DomainError):

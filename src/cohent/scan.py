@@ -9,10 +9,10 @@ over rho = -lam - 2x and rho = lam at each x, so the sweep bounds only the
 (analytic.max_concurrence_over_nu) misses the threshold, and along every
 other row evaluates only the closed-form nu windows, one on each side of
 nu = lam rho, where the concurrence can clear it (analytic.nu_windows),
-windowing the kept rows of all x values in batches.  The refined hits
-empirically confirm the classification: every one lands on exactly one of
-the two maximal families, and a seeded random subsample is re-checked
-against the brute-force Fock oracle.
+a chunk of bounded rows at a time.  The refined hits empirically confirm the
+classification: every one lands on exactly one of the two maximal families,
+and a seeded random subsample is re-checked against the brute-force Fock
+oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, max_concurrence_over_nu, nu_windows
-from .analytic import require_open_unit_interval, rho_windows
-from .analytic import _CLAMP_SLACK, _RESCALE_ABOVE, _concurrence_ratio
-from .analytic import _degenerate, _norm_sq
+from .analytic import SuperpositionCoeffs, concurrence_columns, max_concurrence_over_nu
+from .analytic import nu_windows, require_open_unit_interval, rho_windows
+from .analytic import _RESCALE_ABOVE, _at
 from .classify import _require_positive_tol, family_checks
 from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
@@ -48,12 +47,11 @@ MAXIMAL_TOL = 1e-10
 SPOT_CHECK_MAX_DIFF = 1e-8
 
 # grid_scan takes the rho windows of this many (lam, x) pairs at once, bounds
-# about this many of the rows inside them (or one longer window) at once,
-# windows the kept rows in batches of at least this many (fewer than twice
-# this plus one rho window's rows; the last batch may be shorter), and
-# evaluates about this many nu window points (or one longer window) at once:
-# this fixes its peak memory.  Each block, batch or chunk costs a fixed few
-# dozen numpy calls, which at 1 << 11 took most of a 241^3 scan's time.
+# about this many of the rows inside them (or one longer window) at once and
+# takes the nu windows of that chunk's kept rows, and evaluates about this
+# many nu window points (or one longer window) at once: this fixes its peak
+# memory.  Each block or chunk costs a fixed few dozen numpy calls, which at
+# 1 << 11 took most of a 241^3 scan's time.
 _BLOCK = 1 << 13
 
 # grid_scan skips a row whose exact maximum over nu is this far below the
@@ -221,17 +219,11 @@ class DisjointnessReport:
             f"near-maximal records failed"
         ]
         for record, reason in self.violations[:20]:
-            lines.append(
-                f"  {reason}: lam={record.lam!r} rho={record.rho!r} "
-                f"nu={record.nu!r} x={record.x!r} C={record.concurrence!r}"
-            )
+            where = _at(record.lam, record.rho, record.nu, record.x)
+            lines.append(f"  {reason}: {where} C={record.concurrence!r}")
         if len(self.violations) > 20:
             lines.append(f"  ... and {len(self.violations) - 20} more")
         return "\n".join(lines)
-
-
-def _at(lam, rho, nu, x) -> str:
-    return f"lam={float(lam)!r} rho={float(rho)!r} nu={float(nu)!r} x={float(x)!r}"
 
 
 def _window_points(axis, lo, hi):
@@ -259,36 +251,6 @@ def _window_points(axis, lo, hi):
             yield window // 2, first[window] + offset
 
 
-def _kept_rows(lams, rhos, x_values, floor: float):
-    """The (lam, rho, x) rows of a grid whose exact maximum over nu is not
-    below `floor`, in grid order: yields (lam, rho, x) column batches sized as
-    _BLOCK describes, each with the number of rows bounded to find it.
-
-    Only the grid rho inside the (lam, x) pair's two closed-form windows
-    (analytic.rho_windows), widened by one grid point, are bounded; the
-    pairs are windowed _BLOCK at a time, x major.
-    """
-    xs = np.array(x_values)
-    pairs = len(xs) * len(lams)
-    batch, size, bounded = [], 0, 0
-    for start in range(0, pairs, _BLOCK):
-        pair = np.arange(start, min(start + _BLOCK, pairs))
-        lam_pairs, x_pairs = lams[pair % len(lams)], xs[pair // len(lams)]
-        windows = rho_windows(lam_pairs, x_pairs, floor)
-        for row, rho_index in _window_points(rhos, *windows):
-            lam, rho, x = lam_pairs[row], rhos[rho_index], x_pairs[row]
-            # Written as a negation so a NaN or infinite bound keeps its row.
-            keep = np.flatnonzero(~(max_concurrence_over_nu(lam, rho, x) < floor))
-            batch.append((lam[keep], rho[keep], x[keep]))
-            size += len(keep)
-            bounded += len(row)
-            if size >= _BLOCK:
-                yield [np.concatenate(column) for column in zip(*batch)], bounded
-                batch, size, bounded = [], 0, 0
-    if batch:
-        yield [np.concatenate(column) for column in zip(*batch)], bounded
-
-
 def grid_scan(config: ScanConfig) -> tuple[ScanHits, int, int, int]:
     """All grid points whose concurrence reaches the threshold, in grid order,
     then the number of points evaluated, of (lam, rho, x) rows bounded and of
@@ -299,40 +261,39 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int, int, int]:
     _PRUNE_MARGIN below the threshold are skipped.  That maximum can reach
     the lowered threshold only inside two closed-form rho windows per
     (lam, x) (analytic.rho_windows), so only the grid rows inside them,
-    widened by one grid point, are bounded (see _kept_rows).  Along each
-    kept row the concurrence reaches it only inside two closed-form nu
-    windows (analytic.nu_windows), one on each side of nu = lam rho, so only
-    the grid points inside them, widened by one grid point, are evaluated.
-    Kept rows are windowed and evaluated in batches, across lam values and
-    x values, with x as a column.
+    widened by one grid point, are bounded, _BLOCK (lam, x) pairs at a time,
+    x major.  Along each kept row the concurrence reaches it only inside two
+    closed-form nu windows (analytic.nu_windows), one on each side of
+    nu = lam rho, so only the grid points inside them, widened by one grid
+    point, are evaluated.  Each chunk of bounded rows is windowed and
+    evaluated as it comes, across lam values and x values, with x as a column.
     """
     lams, rhos, nus = config.axes()
+    xs = np.array(config.x_values)
     threshold = config.concurrence_threshold
     floor = threshold - _PRUNE_MARGIN
     parts = []
     evaluated = rows_bounded = rows_kept = 0
-    for (lam_rows, rho_rows, x_rows), bounded in _kept_rows(lams, rhos,
-                                                           config.x_values, floor):
-        rows_bounded += bounded
-        rows_kept += len(lam_rows)
-        windows = nu_windows(lam_rows, rho_rows, x_rows[:, None], floor)
-        for row, nu_index in _window_points(nus, *windows):
-            lam, rho, nu, x = lam_rows[row], rho_rows[row], nus[nu_index], x_rows[row]
-            evaluated += len(nu)
-            n = np.sqrt((1.0 - x) * (1.0 + x))
-            n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n, n)
-            c = _concurrence_ratio(1.0, lam, rho, nu, n, n, n_sq)
-            # Written as a negation so a NaN fails it.
-            if not c.max() <= 1.0 + _CLAMP_SLACK:
-                i = np.flatnonzero(~(c <= 1.0 + _CLAMP_SLACK))[0]
-                raise ConsistencyError(
-                    f"grid_scan: concurrence {float(c[i])!r} exceeded 1 beyond "
-                    f"rounding slack at {_at(lam[i], rho[i], nu[i], x[i])}"
-                )
-            hit = np.flatnonzero(c >= threshold)
-            if len(hit):
-                parts.append((lam[hit], rho[hit], nu[hit], x[hit],
-                              np.minimum(c[hit], 1.0)))
+    pairs = len(xs) * len(lams)
+    for start in range(0, pairs, _BLOCK):
+        pair = np.arange(start, min(start + _BLOCK, pairs))
+        lam_pairs, x_pairs = lams[pair % len(lams)], xs[pair // len(lams)]
+        windows = rho_windows(lam_pairs, x_pairs, floor)
+        for row, rho_index in _window_points(rhos, *windows):
+            rows_bounded += len(row)
+            lam, rho, x = lam_pairs[row], rhos[rho_index], x_pairs[row]
+            # Written as a negation so a NaN or infinite bound keeps its row.
+            keep = np.flatnonzero(~(max_concurrence_over_nu(lam, rho, x) < floor))
+            lam, rho, x = lam[keep], rho[keep], x[keep]
+            rows_kept += len(keep)
+            windows = nu_windows(lam, rho, x[:, None], floor)
+            for point, nu_index in _window_points(nus, *windows):
+                nu = nus[nu_index]
+                evaluated += len(nu)
+                c = concurrence_columns(lam[point], rho[point], nu, x[point], "grid_scan:")
+                hit = np.flatnonzero(c >= threshold)
+                at = point[hit]
+                parts.append((lam[at], rho[at], nu[hit], x[at], c[hit]))
     columns = ([np.concatenate(column) for column in zip(*parts)] if parts
                else [np.empty(0) for _ in range(5)])
     count = len(columns[0])
@@ -366,30 +327,12 @@ def _project(lam, rho, nu, x, c):
     t = (lam[b] + rho[b] - 2.0 * xb * (nu[b] + 1.0)) / (2.0 + 4.0 * xb * xb)
     new_lam[b], new_rho[b], new_nu[b] = t, t, -1.0 - 2.0 * t * xb
 
-    n = np.sqrt((1.0 - x) * (1.0 + x))
-    n_sq = _norm_sq(1.0, new_lam, new_rho, new_nu, x, x, n, n)
-    degenerate = np.flatnonzero(_degenerate(
-        n_sq, 1.0 + abs(new_lam) + abs(new_rho) + abs(new_nu)))
-    if len(degenerate):
-        i = degenerate[0]
-        raise DegenerateStateError(
-            f"refine: squared norm {float(n_sq[i]):.3e} is numerically zero at "
-            f"{_at(new_lam[i], new_rho[i], new_nu[i], x[i])}"
-        )
-    new_c = _concurrence_ratio(1.0, new_lam, new_rho, new_nu, n, n, n_sq)
-    # The ratio is never negative, so this negation also rejects NaN and inf.
-    bad = np.flatnonzero(~(new_c <= 1.0 + _CLAMP_SLACK))
-    if len(bad):
-        i = bad[0]
-        raise ConsistencyError(
-            f"refine: recomputed concurrence {float(new_c[i])!r} exceeded 1 beyond "
-            f"rounding slack at {_at(new_lam[i], new_rho[i], new_nu[i], x[i])}"
-        )
+    new_c = concurrence_columns(new_lam, new_rho, new_nu, x, "refine: recomputed")
     converged = np.logical_or(*family_checks(1.0, new_lam, new_rho, new_nu, x,
                                              REFINE_TARGET))
     return (np.where(converged, new_lam, lam), np.where(converged, new_rho, rho),
             np.where(converged, new_nu, nu),
-            np.where(converged, np.minimum(new_c, 1.0), c), converged)
+            np.where(converged, new_c, c), converged)
 
 
 def refine(record: ScanRecord) -> ScanRecord:

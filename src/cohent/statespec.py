@@ -130,13 +130,23 @@ def parse_state_text(text: str) -> StateSpec:
     return StateSpec(**kwargs)
 
 
-def load_state_file(path) -> StateSpec:
+def read_document(path) -> str:
+    """The text of the UTF-8 file at `path`.
+
+    Raises InputFileError if the file cannot be opened, caused by the
+    OSError, or if it is not UTF-8.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as err:
-        raise InputFileError(f"cannot read {path}: {err}") from None
-    return parse_state_text(text)
+        raise InputFileError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InputFileError(f"cannot read {path}: not UTF-8 text ({err})") from None
+
+
+def load_state_file(path) -> StateSpec:
+    return parse_state_text(read_document(path))
 
 
 def dump_state_text(spec: StateSpec) -> str:
@@ -194,9 +204,4 @@ def parse_scan_text(text: str) -> ScanConfig:
 
 
 def load_scan_file(path) -> ScanConfig:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise InputFileError(f"cannot read {path}: {err}") from None
-    return parse_scan_text(text)
+    return parse_scan_text(read_document(path))

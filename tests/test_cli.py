@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import sys
+from importlib import resources
 
 import pytest
 
@@ -162,6 +164,12 @@ class TestClassifyCommand:
                      "p1 = 0.5\np2 = 0.5\nlambda = 1\nrho = 1\nnu = 1\n")
         assert cli.main(["classify", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "Separable"
+
+    def test_state_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_bytes(OVERLAP_STATE.encode() + b"# \xff\n")
+        assert cli.main(["classify", str(path)]) == 2
+        assert f"cannot read {path}: not UTF-8 text" in capsys.readouterr().err
 
     def test_unequal_overlaps_exit_4(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt",
@@ -381,6 +389,23 @@ class TestScanCommand:
         assert cli.main(["scan", "no_such.cfg", str(tmp_path / "o.csv")]) == 2
         assert "no bundled config of that name" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys):
+        # named like the bundled config, which must not stand in for a file
+        # that opens but does not decode
+        (tmp_path / "theorem_check.cfg").write_bytes(b"\xff" + SMALL_SCAN.encode())
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["scan", "theorem_check.cfg", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read theorem_check.cfg: not UTF-8 text" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("out", ["missing/o.csv", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_output_exits_2(self, tmp_path, monkeypatch, capsys, out):
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["scan", config, out]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
     def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
                                                    capsys):
         # the key's name is "cannot read", but the file itself was read; a
@@ -485,3 +510,21 @@ class TestDeterminism:
         assert cli.main(["scan", config, str(out1)]) == 0
         assert cli.main(["scan", config, str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    # SHA-256 of the CSVs of the bundled box and of the dense_sweep box
+    # (241^3): the grid uses only correctly rounded elementwise operations,
+    # so any numpy should write these bytes, and a record moved by one ulp
+    # fails here.
+    @pytest.mark.parametrize("steps, threshold, digest", [
+        (61, "0.999", "5fdadb60ad257affc88142fd2f3d0a48ae9345daf7bf7672bf5d8ee5317f853f"),
+        (241, "0.999999",
+         "5db3ca94d90156c6533f0f79b24b09eec7a8bcb999d2b3041e70b53df0c493f2"),
+    ], ids=["bundled", "dense"])
+    def test_scan_csv_digest(self, tmp_path, steps, threshold, digest):
+        text = resources.files("cohent").joinpath("configs").joinpath(
+            "theorem_check.cfg").read_text(encoding="utf-8")
+        text = text.replace("_steps = 61", f"_steps = {steps}").replace(
+            "threshold = 0.999", f"threshold = {threshold}")
+        out = tmp_path / "records.csv"
+        assert cli.main(["scan", write(tmp_path, "scan.cfg", text), str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

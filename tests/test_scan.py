@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohent import cli
+from cohent import analytic, cli
 from cohent import scan as scan_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
 from cohent.analytic import _concurrence_ratio, _maximality_residual, _norm_sq
@@ -185,8 +185,8 @@ class TestGridScan:
         assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hits.records()] == expected
 
     def test_nan_concurrence_raises(self, monkeypatch):
-        ratio = scan_module._concurrence_ratio
-        monkeypatch.setattr(scan_module, "_concurrence_ratio",
+        ratio = analytic._concurrence_ratio
+        monkeypatch.setattr(analytic, "_concurrence_ratio",
                             lambda *args: ratio(*args) * np.nan)
         # the first kept row, lam = rho = -2, holds the class (b) point nu = 1
         with pytest.raises(ConsistencyError,
@@ -309,10 +309,9 @@ class TestGridPruning:
         hits, evaluated, bounded, kept = grid_scan(config)
         sizes = [len(x) for x in nu_windows_calls]
         assert sum(sizes) == bounded == kept == 3 * 13 * 13
-        # A batch is yielded once it holds `block` rows; the rows it gains last
-        # come from one chunk of at most `block` rows plus one 13-point window.
-        assert all(block <= size < 2 * block + 13 for size in sizes[:-1])
-        assert 0 < sizes[-1] < 2 * block + 13
+        # Each chunk of bounded rows is windowed as it comes: it ends with the
+        # 13-point rho window that takes it to `block` rows or past.
+        assert all(0 < size < block + 13 for size in sizes)
         assert evaluated == config.total_points()
         assert hits.records() == full_sweep(config)
 
@@ -461,14 +460,21 @@ def row_boxes(draw):
 @settings(max_examples=300, deadline=None)
 @given(row_boxes(), st.sampled_from([1, 5, scan_module._BLOCK]))
 def test_rho_windows_keep_every_row_the_full_bound_keeps(config, block):
-    floor = config.concurrence_threshold - scan_module._PRUNE_MARGIN
-    with mock.patch.object(scan_module, "_BLOCK", block):
-        batches = list(scan_module._kept_rows(*config.axes()[:2], config.x_values,
-                                              floor))
-    kept = [row for (lam, rho, x), _ in batches
-            for row in zip(lam.tolist(), rho.tolist(), x.tolist())]
+    calls = []
+    windows = scan_module.nu_windows
+
+    def recorded(lam, rho, x, floor):
+        calls.append((lam, rho, x))
+        return windows(lam, rho, x, floor)
+
+    with mock.patch.object(scan_module, "_BLOCK", block), \
+            mock.patch.object(scan_module, "nu_windows", recorded):
+        _, _, bounded, rows_kept = grid_scan(config)
+    # the kept rows are the rows grid_scan takes the nu windows of
+    kept = [row for lam, rho, x in calls
+            for row in zip(lam.tolist(), rho.tolist(), np.ravel(x).tolist())]
     assert kept == all_kept_rows(config)
-    assert len(kept) <= sum(bounded for _, bounded in batches) <= len(
+    assert len(kept) == rows_kept <= bounded <= len(
         config.x_values) * config.lam_range[2] * config.rho_range[2]
 
 
@@ -591,8 +597,8 @@ class TestRefine:
             refine(record)
 
     def test_nan_concurrence_raises(self, monkeypatch):
-        ratio = scan_module._concurrence_ratio
-        monkeypatch.setattr(scan_module, "_concurrence_ratio",
+        ratio = analytic._concurrence_ratio
+        monkeypatch.setattr(analytic, "_concurrence_ratio",
                             lambda *args: ratio(*args) * np.nan)
         # exact family points, which refine recomputes without moving
         records = [ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0),

@@ -9,6 +9,7 @@ from cohent.errors import DomainError, InputFileError
 from cohent.statespec import (
     StateSpec,
     dump_state_text,
+    load_scan_file,
     load_state_file,
     parse_scan_text,
     parse_state_text,
@@ -100,6 +101,15 @@ class TestRoundTrip:
         assert load_state_file(path).nu == 1.0
         with pytest.raises(InputFileError, match="cannot read"):
             load_state_file(tmp_path / "absent.txt")
+
+    @pytest.mark.parametrize("load", [load_state_file, load_scan_file])
+    def test_file_that_is_not_utf8(self, tmp_path, load):
+        path = tmp_path / "doc.txt"
+        path.write_bytes(b"lambda = 0\n# caf\xe9\n")
+        with pytest.raises(InputFileError, match=r"not UTF-8 text .*byte 0xe9") as info:
+            load(path)
+        # no OSError cause, so the CLI does not try a bundled config instead
+        assert info.value.__cause__ is None
 
 
 class TestParseScanText:
