@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -245,11 +246,28 @@ def write_records_csv(hits, path, tol: float) -> None:
                            codes[block].tolist())
                 handle.writelines(_CSV_ROW % (*row, names[code]) for *row, code in rows)
     except OSError as err:
-        raise InputFileError(f"cannot write {path}: {err}") from None
+        raise InputFileError(f"cannot write {path}: {err.strerror}") from None
+
+
+def _check_writable(path) -> None:
+    """Raise InputFileError now if `path` cannot be opened for writing.
+
+    Opening for append leaves an existing file as it is; a file the check
+    creates is removed again, so a scan that fails leaves nothing behind.
+    """
+    created = not os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as err:
+        raise InputFileError(f"cannot write {path}: {err.strerror}") from None
+    if created:
+        os.remove(path)
 
 
 def cmd_scan(args) -> int:
     config = _resolve_scan_config(args.config)
+    _check_writable(args.out)
     outcome = run_scan(config, verify_tol=args.tol)
     write_records_csv(outcome.hits, args.out, args.tol)
     unconverged = int(np.count_nonzero(~outcome.hits.refine_converged))

@@ -164,22 +164,12 @@ def _inv_sqrt_n(truncation: int) -> np.ndarray:
     return table
 
 
-def fock_vector(a: float, truncation: int) -> FockVector:
-    """Number-state coefficients e^(-a^2/2) a^n / sqrt(n!) for n < truncation.
-
-    Coefficients are the cumulative product of the factors
-    [e^(-a^2/2), a/sqrt(1), ..., a/sqrt(truncation - 1)], the recurrence
-    c_{n+1} = c_n * a / sqrt(n+1), which stays stable for cutoffs in the
-    hundreds; they are then renormalized.  Raises TruncationError when the
-    discarded tail mass is not negligible.
-    """
-    a = _require_finite("a", a)
-    if abs(a) > MAX_AMPLITUDE:
-        raise DomainError(f"|a| = {abs(a)} exceeds the supported bound {MAX_AMPLITUDE}")
-    truncation = int(truncation)
-    if truncation < 1:
-        raise DomainError(f"truncation must be >= 1, got {truncation}")
-
+# Bounded by count, like _inv_sqrt_n.  The sign is part of the key because
+# -0.0 == 0.0 would otherwise share one entry, and the expansion of -0.0
+# carries negative zeros at odd n.
+@functools.lru_cache(maxsize=64)
+def _expansion(a: float, truncation: int, sign: float) -> np.ndarray:
+    """Read-only normalized expansion of |a>, checked against its tail mass."""
     factors = np.empty(truncation)
     factors[0] = math.exp(-0.5 * a * a)
     np.multiply(_inv_sqrt_n(truncation), a, out=factors[1:])
@@ -195,4 +185,29 @@ def fock_vector(a: float, truncation: int) -> FockVector:
             tail_mass=tail,
         )
     coeffs /= math.sqrt(captured)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def fock_vector(a: float, truncation: int) -> FockVector:
+    """Number-state coefficients e^(-a^2/2) a^n / sqrt(n!) for n < truncation.
+
+    Coefficients are the cumulative product of the factors
+    [e^(-a^2/2), a/sqrt(1), ..., a/sqrt(truncation - 1)], the recurrence
+    c_{n+1} = c_n * a / sqrt(n+1), which stays stable for cutoffs in the
+    hundreds; they are then renormalized.  Raises TruncationError when the
+    discarded tail mass is not negligible.
+
+    Every call validates its arguments and returns a fresh, writable copy of
+    the expansion.  The expansions themselves are memoised for the 64 most
+    recent (amplitude, truncation) pairs, so a state built again soon after
+    reuses them; errors are not memoised, and are raised on every call.
+    """
+    a = _require_finite("a", a)
+    if abs(a) > MAX_AMPLITUDE:
+        raise DomainError(f"|a| = {abs(a)} exceeds the supported bound {MAX_AMPLITUDE}")
+    truncation = int(truncation)
+    if truncation < 1:
+        raise DomainError(f"truncation must be >= 1, got {truncation}")
+    coeffs = _expansion(a, truncation, math.copysign(1.0, a)).copy()
     return FockVector(coefficients=coeffs, truncation=truncation)

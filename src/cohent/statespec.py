@@ -140,7 +140,7 @@ def read_document(path) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as err:
-        raise InputFileError(f"cannot read {path}: {err}") from err
+        raise InputFileError(f"cannot read {path}: {err.strerror}") from err
     except UnicodeDecodeError as err:
         raise InputFileError(f"cannot read {path}: not UTF-8 text ({err})") from None
 

@@ -10,7 +10,7 @@ import pytest
 from cohent import cli
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import classify
-from cohent.errors import DomainError
+from cohent.errors import ConsistencyError, DomainError
 from cohent.scan import (
     REFINE_FLOOR,
     DisjointnessReport,
@@ -134,8 +134,12 @@ class TestConcurrenceCommand:
         assert cli.main(["concurrence", path]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert cli.main(["concurrence", str(tmp_path / "none.txt")]) == 2
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "none.txt")
+        assert cli.main(["concurrence", path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {path}: No such file or directory" in err
+        assert err.count(path) == 1
 
     def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
         # exercise the inconsistency branch: fake a broken oracle
@@ -403,8 +407,36 @@ class TestScanCommand:
     def test_unwritable_output_exits_2(self, tmp_path, monkeypatch, capsys, out):
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_scan", self._must_not_scan)
         assert cli.main(["scan", config, out]) == 2
-        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err
+        assert err.count(out) == 1
+
+    @staticmethod
+    def _must_not_scan(*args, **kwargs):
+        pytest.fail("scanned although the output cannot be written")
+
+    @pytest.mark.parametrize("error, code", [(DomainError, 2), (ConsistencyError, 3)])
+    def test_failed_scan_leaves_no_output(self, tmp_path, monkeypatch, error, code):
+        def failing_run(config, verify_tol=1e-8):
+            raise error("scan failed")
+
+        monkeypatch.setattr(cli, "run_scan", failing_run)
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == code
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_failed_scan_leaves_an_existing_output_as_it_was(self, tmp_path,
+                                                             monkeypatch):
+        def failing_run(config, verify_tol=1e-8):
+            raise ConsistencyError("scan failed")
+
+        monkeypatch.setattr(cli, "run_scan", failing_run)
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        out = write(tmp_path, "o.csv", "earlier records\n")
+        assert cli.main(["scan", config, out]) == 3
+        assert (tmp_path / "o.csv").read_text() == "earlier records\n"
 
     def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -433,6 +465,9 @@ class TestScanCommand:
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 5
+        # the records that broke the claim are written, not an empty file
+        rows = list(csv.DictReader((tmp_path / "o.csv").read_text().splitlines()))
+        assert [(float(row["lambda"]), float(row["rho"])) for row in rows] == [(0.3, -0.2)]
 
     def test_bundled_config_resolves(self, tmp_path, monkeypatch):
         # resolve the packaged grid but swap in a light pipeline to keep the

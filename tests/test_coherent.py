@@ -16,10 +16,12 @@ from cohent.coherent import (
     fock_vector,
     overlap,
     overlap_complement,
+    _expansion,
     _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
-from cohent.oracle import MAX_TRUNCATION
+from cohent.analytic import SuperpositionCoeffs
+from cohent.oracle import MAX_TRUNCATION, build_state
 
 finite_amps = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -241,6 +243,52 @@ class TestFockVectorAliasing:
             _inv_sqrt_n(truncation)
         assert _inv_sqrt_n.cache_info().currsize <= limit
         assert fock_vector(1.3, 40).coefficients.flags.writeable
+
+
+class TestFockVectorMemo:
+    def test_negative_zero_keeps_its_signed_zeros(self):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            _expansion.cache_clear()
+            fock_vector(first, 5)
+            got = fock_vector(second, 5).coefficients
+            expected = loop_fock_coefficients(second, 5)
+            assert got.tobytes() == expected.tobytes()
+        assert np.signbit(fock_vector(-0.0, 5).coefficients).tolist() == [
+            False, True, False, True, False]
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                fock_vector(3.0, 10)
+            with pytest.raises(DomainError):
+                fock_vector(8.5, 200)
+            with pytest.raises(DomainError):
+                fock_vector(math.nan, 10)
+            with pytest.raises(DomainError):
+                fock_vector(1.0, 0)
+
+    def test_cache_stays_bounded(self):
+        limit = _expansion.cache_info().maxsize
+        assert limit is not None and limit <= 64
+        for a in np.linspace(-2.0, 2.0, 2 * limit + 1):
+            fock_vector(a, 31)
+        assert _expansion.cache_info().currsize <= limit
+
+    def test_cached_expansion_is_read_only(self):
+        fock_vector(1.3, 40)
+        with pytest.raises(ValueError):
+            _expansion(1.3, 40, 1.0)[0] = 2.0
+
+    def test_build_state_same_bits_cold_and_warm(self):
+        config = CoherentConfig(0.7, -1.1, -0.4, 1.6)
+        coeffs = SuperpositionCoeffs(1.0, -0.3, 2.2, 0.9)
+        _expansion.cache_clear()
+        cold = build_state(config, coeffs)
+        assert _expansion.cache_info().hits == 0
+        warm = build_state(config, coeffs)
+        assert _expansion.cache_info().hits == 4
+        assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
+        assert cold.norm_before_normalization == warm.norm_before_normalization
 
 
 class TestCoherentConfig:
