@@ -417,26 +417,20 @@ class TestScanCommand:
     def _must_not_scan(*args, **kwargs):
         pytest.fail("scanned although the output cannot be written")
 
+    @pytest.mark.parametrize("earlier", [None, "earlier records\n"], ids=["new", "existing"])
     @pytest.mark.parametrize("error, code", [(DomainError, 2), (ConsistencyError, 3)])
-    def test_failed_scan_leaves_no_output(self, tmp_path, monkeypatch, error, code):
+    def test_failed_scan_leaves_the_output_as_it_was(self, tmp_path, monkeypatch,
+                                                     error, code, earlier):
         def failing_run(config, verify_tol=1e-8):
             raise error("scan failed")
 
         monkeypatch.setattr(cli, "run_scan", failing_run)
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
-        assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == code
-        assert not (tmp_path / "o.csv").exists()
-
-    def test_failed_scan_leaves_an_existing_output_as_it_was(self, tmp_path,
-                                                             monkeypatch):
-        def failing_run(config, verify_tol=1e-8):
-            raise ConsistencyError("scan failed")
-
-        monkeypatch.setattr(cli, "run_scan", failing_run)
-        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
-        out = write(tmp_path, "o.csv", "earlier records\n")
-        assert cli.main(["scan", config, out]) == 3
-        assert (tmp_path / "o.csv").read_text() == "earlier records\n"
+        out = tmp_path / "o.csv"
+        if earlier is not None:
+            out.write_text(earlier)
+        assert cli.main(["scan", config, str(out)]) == code
+        assert (out.read_text() if out.exists() else None) == earlier
 
     def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
                                                    capsys):

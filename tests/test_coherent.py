@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohent.analytic import SuperpositionCoeffs
 from cohent.coherent import (
     MAX_AMPLITUDE,
     TAIL_MASS_LIMIT,
@@ -20,7 +21,6 @@ from cohent.coherent import (
     _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
-from cohent.analytic import SuperpositionCoeffs
 from cohent.oracle import MAX_TRUNCATION, build_state
 
 finite_amps = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
