@@ -307,8 +307,14 @@ def cmd_scan(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.spec is None and args.trials is None:
         raise DomainError("supply a state file, or --trials N for a random sweep")
+    if args.spec is not None:
+        for flag, value in (("--trials", args.trials), ("--truncation", args.truncation)):
+            if value is not None:
+                raise DomainError(f"{flag} cannot be combined with a state file")
     if args.trials is not None and args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.max_diff) and args.max_diff >= 0):
         raise DomainError(f"--max-diff must be a finite number >= 0, got {args.max_diff}")
     worst = 0.0
@@ -344,12 +350,10 @@ def cmd_oracle_check(args) -> int:
                     - gram_norm_squared(coeffs, overlaps)),
             )
             checked += 1
-    pairs = [
-        ("states_checked", checked),
-        ("max_concurrence_diff", worst),
-        ("max_norm_sq_diff", norm_worst),
-        ("max_allowed_diff", args.max_diff),
-    ]
+    pairs = [("states_checked", checked), ("max_concurrence_diff", worst)]
+    if args.spec is None:  # a state file's norm is not checked
+        pairs.append(("max_norm_sq_diff", norm_worst))
+    pairs.append(("max_allowed_diff", args.max_diff))
     _emit(pairs, args.json)
     if worst > args.max_diff or norm_worst > args.max_diff:
         print("error: oracle disagreement beyond the allowed bound", file=sys.stderr)
@@ -370,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concurrence", help="analytic concurrence of one state, "
                                            "oracle-checked when amplitudes are given")
     p.add_argument("spec", help="state file (key = value lines)")
-    p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_concurrence)
 

@@ -19,6 +19,10 @@ from .errors import DomainError, TruncationError
 MAX_AMPLITUDE = 8.0
 DISTINCT_TOL = 1e-9
 
+# Keeps the oracle's joint vector (truncation^2 entries) desk-scale, and each
+# cached expansion or table below at most 2 KB.
+MAX_TRUNCATION = 256
+
 # Construction rejects a truncation whose discarded tail mass reaches this.
 TAIL_MASS_LIMIT = 1e-10
 
@@ -146,16 +150,8 @@ class OverlapPair:
         return self.p1
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """Unit-norm number-state expansion of a coherent state, cut at `truncation`."""
-
-    coefficients: np.ndarray
-    truncation: int
-
-
-# Bounded because truncation is not capped here; a random oracle sweep over
-# amplitudes up to 2 uses at most 23 distinct truncations (9 to 31).
+# A random oracle sweep over amplitudes up to 2 uses at most 23 distinct
+# truncations (9 to 31).
 @functools.lru_cache(maxsize=64)
 def _inv_sqrt_n(truncation: int) -> np.ndarray:
     """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""
@@ -164,7 +160,7 @@ def _inv_sqrt_n(truncation: int) -> np.ndarray:
     return table
 
 
-# Bounded by count, like _inv_sqrt_n.  The sign is part of the key because
+# Bounded like _inv_sqrt_n.  The sign is part of the key because
 # -0.0 == 0.0 would otherwise share one entry, and the expansion of -0.0
 # carries negative zeros at odd n.
 @functools.lru_cache(maxsize=64)
@@ -189,7 +185,7 @@ def _expansion(a: float, truncation: int, sign: float) -> np.ndarray:
     return coeffs
 
 
-def fock_vector(a: float, truncation: int) -> FockVector:
+def fock_vector(a: float, truncation: int) -> np.ndarray:
     """Number-state coefficients e^(-a^2/2) a^n / sqrt(n!) for n < truncation.
 
     Coefficients are the cumulative product of the factors
@@ -198,10 +194,11 @@ def fock_vector(a: float, truncation: int) -> FockVector:
     hundreds; they are then renormalized.  Raises TruncationError when the
     discarded tail mass is not negligible.
 
-    Every call validates its arguments and returns a fresh, writable copy of
-    the expansion.  The expansions themselves are memoised for the 64 most
-    recent (amplitude, truncation) pairs, so a state built again soon after
-    reuses them; errors are not memoised, and are raised on every call.
+    Every call validates its arguments (truncation from 1 to MAX_TRUNCATION)
+    and returns a fresh, writable copy of the expansion.  The expansions
+    themselves are memoised for the 64 most recent (amplitude, truncation)
+    pairs, so a state built again soon after reuses them; errors are not
+    memoised, and are raised on every call.
     """
     a = _require_finite("a", a)
     if abs(a) > MAX_AMPLITUDE:
@@ -209,5 +206,8 @@ def fock_vector(a: float, truncation: int) -> FockVector:
     truncation = int(truncation)
     if truncation < 1:
         raise DomainError(f"truncation must be >= 1, got {truncation}")
-    coeffs = _expansion(a, truncation, math.copysign(1.0, a)).copy()
-    return FockVector(coefficients=coeffs, truncation=truncation)
+    if truncation > MAX_TRUNCATION:
+        raise DomainError(
+            f"truncation {truncation} exceeds the supported cap {MAX_TRUNCATION}"
+        )
+    return _expansion(a, truncation, math.copysign(1.0, a)).copy()

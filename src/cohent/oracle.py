@@ -16,10 +16,7 @@ import numpy as np
 
 from .analytic import SuperpositionCoeffs, _clamp_concurrence, _in_range
 from .coherent import CoherentConfig, default_truncation, fock_vector
-from .errors import ConsistencyError, DegenerateStateError, DomainError
-
-# Keeps the joint vector (truncation^2 entries) desk-scale.
-MAX_TRUNCATION = 256
+from .errors import ConsistencyError, DegenerateStateError
 
 # A third Schmidt coefficient above this (squared) means the state escaped
 # the 2x2 span it must live in.
@@ -58,10 +55,6 @@ def build_state(
     if truncation is None:
         truncation = default_truncation(config.max_amplitude)
     truncation = int(truncation)
-    if truncation > MAX_TRUNCATION:
-        raise DomainError(
-            f"truncation {truncation} exceeds the supported cap {MAX_TRUNCATION}"
-        )
     # The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|,
     # and the norm sums their squares, so the state is built from the
     # coefficients scaled into range by a power of two (analytic._in_range),
@@ -69,10 +62,10 @@ def build_state(
     scaled, exponent = _in_range(coeffs)
     mu, lam, rho, nu = scaled.mu, scaled.lam, scaled.rho, scaled.nu
     size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
-    f_alpha = fock_vector(config.alpha, truncation).coefficients
-    f_beta = fock_vector(config.beta, truncation).coefficients
-    f_gamma = fock_vector(config.gamma, truncation).coefficients
-    f_delta = fock_vector(config.delta, truncation).coefficients
+    f_alpha = fock_vector(config.alpha, truncation)
+    f_beta = fock_vector(config.beta, truncation)
+    f_gamma = fock_vector(config.gamma, truncation)
+    f_delta = fock_vector(config.delta, truncation)
 
     # Broadcast outer products, and the norm as the dot product that
     # np.linalg.norm takes: bit-identical, without either call's overhead.

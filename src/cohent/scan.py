@@ -173,6 +173,8 @@ class ScanConfig:
             raise DomainError(
                 f"oracle_fraction must lie in [0, 1], got {self.oracle_fraction}"
             )
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         total = self.total_points()
         if total > MAX_GRID_POINTS:
             raise GridSizeError(

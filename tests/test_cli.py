@@ -2,11 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import cohent
 from cohent import cli
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import classify
@@ -128,6 +131,14 @@ class TestConcurrenceCommand:
         assert cli.main(["concurrence", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["analytic_concurrence"] == pytest.approx(0.6, abs=1e-14)
+
+    def test_truncation_flag_is_refused(self, tmp_path, capsys):
+        # It was ignored: the state file's truncation key is the one source.
+        path = write(tmp_path, "s.txt", AMP_STATE)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["concurrence", path, "--truncation", "3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --truncation 3" in capsys.readouterr().err
 
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "lambda = 0\nrho = 0\nnu = 1\n")
@@ -384,6 +395,14 @@ class TestScanCommand:
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 2
         assert "2^500" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_before_scanning(self, tmp_path, monkeypatch, capsys):
+        # The scan ran, then np.random.default_rng(-1) raised ValueError (exit 1).
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN.replace("seed = 7", "seed = -1"))
+        monkeypatch.setattr(cli, "run_scan", self._must_not_scan)
+        assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         config = write(tmp_path, "scan.cfg", "lambda_min = -1\n")
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 2
@@ -483,8 +502,20 @@ class TestOracleCheckCommand:
         path = write(tmp_path, "s.txt", AMP_STATE)
         assert cli.main(["oracle-check", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        # A state file's norm is not checked, so no norm diff is reported.
+        assert list(payload) == [
+            "states_checked", "max_concurrence_diff", "max_allowed_diff"]
         assert payload["states_checked"] == 1
         assert payload["max_concurrence_diff"] < 1e-10
+
+    @pytest.mark.parametrize("flag", ["--trials", "--truncation"])
+    def test_sweep_flags_with_a_state_file_exit_2(self, tmp_path, capsys, flag):
+        # Both were ignored: --trials 5 still reported states_checked 1.
+        path = write(tmp_path, "s.txt", AMP_STATE)
+        assert cli.main(["oracle-check", path, flag, "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} cannot be combined with a state file" in captured.err
 
     def test_random_trials(self, capsys):
         assert cli.main(["oracle-check", "--trials", "25", "--seed", "5",
@@ -515,6 +546,13 @@ class TestOracleCheckCommand:
     def test_non_positive_trials_exit_2(self, trials, capsys):
         assert cli.main(["oracle-check", "--trials", trials]) == 2
         assert "--trials" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        # np.random.default_rng(-1) raised ValueError (exit 1).
+        assert cli.main(["oracle-check", "--trials", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed must be >= 0, got -1" in captured.err
 
     @pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
     def test_invalid_max_diff_exits_2(self, tmp_path, bound, capsys):
@@ -557,3 +595,13 @@ class TestDeterminism:
         out = tmp_path / "records.csv"
         assert cli.main(["scan", write(tmp_path, "scan.cfg", text), str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_package_root_exports_the_readme_library_names():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    imported = re.search(r"from cohent import \(([^)]*)\)", readme).group(1)
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert sorted(cohent.__all__) == sorted(names + ["__version__"])
+    namespace = {}
+    exec("from cohent import *", namespace)
+    assert all(name in namespace for name in cohent.__all__)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from cohent.analytic import SuperpositionCoeffs
 from cohent.coherent import (
     MAX_AMPLITUDE,
+    MAX_TRUNCATION,
     TAIL_MASS_LIMIT,
     CoherentConfig,
-    FockVector,
     OverlapPair,
     default_truncation,
     fock_vector,
@@ -21,7 +21,7 @@ from cohent.coherent import (
     _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
-from cohent.oracle import MAX_TRUNCATION, build_state
+from cohent.oracle import build_state
 
 finite_amps = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -115,25 +115,25 @@ class TestDefaultTruncation:
 class TestFockVector:
     def test_vacuum(self):
         v = fock_vector(0.0, 8)
-        assert v.coefficients[0] == 1.0
-        assert np.all(v.coefficients[1:] == 0.0)
+        assert v[0] == 1.0
+        assert np.all(v[1:] == 0.0)
 
     def test_unit_norm_after_construction(self):
         for a in (-2.5, 0.3, 1.0, 3.0):
             v = fock_vector(a, default_truncation(abs(a)))
-            assert abs(np.dot(v.coefficients, v.coefficients) - 1.0) < 1e-12
+            assert abs(np.dot(v, v) - 1.0) < 1e-12
 
     def test_inner_product_matches_overlap(self):
         va = fock_vector(0.0, 64)
         vb = fock_vector(1.0, 64)
-        ip = float(np.dot(va.coefficients, vb.coefficients))
+        ip = float(np.dot(va, vb))
         assert ip == pytest.approx(math.exp(-0.5), abs=1e-10)
 
     def test_peak_at_mean_photon_number(self):
         # Poisson weights tie at n = a^2 - 1 and n = a^2 for integer a^2;
         # n = 4 must be among the largest-magnitude coefficients.
         v = fock_vector(2.0, 64)
-        mags = np.abs(v.coefficients)
+        mags = np.abs(v)
         assert mags[4] == mags.max()
 
     def test_inadequate_truncation_rejected(self):
@@ -155,7 +155,7 @@ class TestFockVector:
         cut = default_truncation(max(abs(a), abs(b)))
         va = fock_vector(a, cut)
         vb = fock_vector(b, cut)
-        ip = float(np.dot(va.coefficients, vb.coefficients))
+        ip = float(np.dot(va, vb))
         assert abs(ip - overlap(a, b)) < 1e-10
 
 
@@ -193,7 +193,7 @@ class TestFockVectorAccuracy:
         with mpmath.workdps(50):
             norm = mpmath.sqrt(mpmath.fsum(c * c for c in terms))
             expected = np.array([float(c / norm) for c in terms])
-        got = fock_vector(a, truncation).coefficients
+        got = fock_vector(a, truncation)
         assert np.max(np.abs(got - expected)) <= 1e-14
 
     @pytest.mark.parametrize("a", [0.5, -2.0, 3.7, -8.0])
@@ -206,7 +206,7 @@ class TestFockVectorAccuracy:
             truncation += 1
         accepted = max(tails)
         rejected = max(t for t, tail in tails.items() if tail > 2 * TAIL_MASS_LIMIT)
-        assert fock_vector(a, accepted).truncation == accepted
+        assert len(fock_vector(a, accepted)) == accepted
         with pytest.raises(TruncationError) as err:
             fock_vector(a, rejected)
         assert err.value.tail_mass == pytest.approx(tails[rejected], rel=1e-4)
@@ -216,22 +216,22 @@ class TestFockVectorAccuracy:
     def test_matches_loop_recurrence(self, a, wide):
         # Only the rounding of a / sqrt(n) changes, so a few ulps at most.
         truncation = 256 if wide else default_truncation(abs(a))
-        got = fock_vector(a, truncation).coefficients
+        got = fock_vector(a, truncation)
         expected = loop_fock_coefficients(a, truncation)
         assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps
 
 
 class TestFockVectorAliasing:
     def test_calls_return_fresh_writable_arrays(self):
-        first = fock_vector(1.3, 40).coefficients
-        second = fock_vector(1.3, 40).coefficients
+        first = fock_vector(1.3, 40)
+        second = fock_vector(1.3, 40)
         assert not np.shares_memory(first, second)
         assert first.flags.writeable and second.flags.writeable
         expected = second.copy()
         first *= 3.0
         second *= -2.0
-        assert np.array_equal(fock_vector(1.3, 40).coefficients, expected)
-        assert np.array_equal(fock_vector(-1.3, 40).coefficients[1::2],
+        assert np.array_equal(fock_vector(1.3, 40), expected)
+        assert np.array_equal(fock_vector(-1.3, 40)[1::2],
                               -expected[1::2])
 
     def test_shared_table_is_read_only_and_bounded(self):
@@ -242,7 +242,7 @@ class TestFockVectorAliasing:
         for truncation in range(1, 2 * limit + 2):
             _inv_sqrt_n(truncation)
         assert _inv_sqrt_n.cache_info().currsize <= limit
-        assert fock_vector(1.3, 40).coefficients.flags.writeable
+        assert fock_vector(1.3, 40).flags.writeable
 
 
 class TestFockVectorMemo:
@@ -250,10 +250,10 @@ class TestFockVectorMemo:
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
             _expansion.cache_clear()
             fock_vector(first, 5)
-            got = fock_vector(second, 5).coefficients
+            got = fock_vector(second, 5)
             expected = loop_fock_coefficients(second, 5)
             assert got.tobytes() == expected.tobytes()
-        assert np.signbit(fock_vector(-0.0, 5).coefficients).tolist() == [
+        assert np.signbit(fock_vector(-0.0, 5)).tolist() == [
             False, True, False, True, False]
 
     def test_errors_are_raised_on_every_call(self):
@@ -273,6 +273,17 @@ class TestFockVectorMemo:
         for a in np.linspace(-2.0, 2.0, 2 * limit + 1):
             fock_vector(a, 31)
         assert _expansion.cache_info().currsize <= limit
+
+    def test_truncation_above_the_cap_is_rejected_before_caching(self):
+        # Only build_state checked the cap, so a large truncation filled both
+        # caches: 64 calls at 50,000 held 25 MB.
+        _inv_sqrt_n.cache_clear()
+        _expansion.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="exceeds the supported cap 256"):
+                fock_vector(1.0, 257)
+        assert _inv_sqrt_n.cache_info().currsize == 0
+        assert _expansion.cache_info().currsize == 0
 
     def test_cached_expansion_is_read_only(self):
         fock_vector(1.3, 40)

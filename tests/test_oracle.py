@@ -242,7 +242,7 @@ def outer_reference(config, coeffs):
     np.linalg.norm."""
     t = default_truncation(config.max_amplitude)
     f_alpha, f_beta, f_gamma, f_delta = (
-        fock_vector(a, t).coefficients
+        fock_vector(a, t)
         for a in (config.alpha, config.beta, config.gamma, config.delta))
     psi = np.outer(f_alpha, coeffs.mu * f_beta + coeffs.lam * f_delta)
     psi += np.outer(f_gamma, coeffs.rho * f_beta + coeffs.nu * f_delta)
