@@ -91,10 +91,3 @@ def example_states(gap_squared: float = 1.0) -> list[ExampleState]:
         ))
     return states
 
-
-def maximal_states(gap_squared: float = 1.0) -> list[ExampleState]:
-    return [s for s in example_states(gap_squared) if s.expected is not Verdict.SEPARABLE]
-
-
-def separable_states(gap_squared: float = 1.0) -> list[ExampleState]:
-    return [s for s in example_states(gap_squared) if s.expected is Verdict.SEPARABLE]

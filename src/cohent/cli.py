@@ -126,8 +126,8 @@ def cmd_examples(args) -> int:
     for state in states:
         overlaps = OverlapPair.from_config(state.config)
         c_analytic = concurrence(state.coeffs, overlaps)
-        c_oracle = oracle_concurrence(state.config, state.coeffs, args.truncation)
-        verdict = classify(state.coeffs, overlaps.common_value(), args.tol).verdict
+        c_oracle = oracle_concurrence(state.config, state.coeffs)
+        verdict = classify(state.coeffs, overlaps.common_value()).verdict
         if state.expected is Verdict.SEPARABLE:
             ok = c_analytic <= 1e-10 and c_oracle <= 1e-8
         else:
@@ -278,7 +278,7 @@ def cmd_scan(args) -> int:
                 "grid_evaluated": outcome.n_grid_evaluated,
                 "grid_rows_bounded": outcome.n_grid_rows_bounded,
                 "grid_rows_kept": outcome.n_grid_rows_kept,
-                "hits": outcome.n_grid_hits,
+                "hits": len(outcome.hits),
                 "refined": outcome.n_refined,
                 "refine_unconverged": unconverged,
                 "class_a": outcome.report.n_class_a,
@@ -293,7 +293,7 @@ def cmd_scan(args) -> int:
     else:
         print(f"scanned {config.total_points()} grid points "
               f"({outcome.n_grid_evaluated} evaluated): "
-              f"{outcome.n_grid_hits} hits, {outcome.n_refined} refined, "
+              f"{len(outcome.hits)} hits, {outcome.n_refined} refined, "
               f"{unconverged} unconverged")
         print(f"bounded {outcome.n_grid_rows_bounded} (lambda, rho, x) rows, "
               f"kept {outcome.n_grid_rows_kept}")
@@ -308,12 +308,13 @@ def cmd_oracle_check(args) -> int:
     if args.spec is None and args.trials is None:
         raise DomainError("supply a state file, or --trials N for a random sweep")
     if args.spec is not None:
-        for flag, value in (("--trials", args.trials), ("--truncation", args.truncation)):
+        for flag, value in (("--trials", args.trials), ("--seed", args.seed),
+                            ("--truncation", args.truncation)):
             if value is not None:
                 raise DomainError(f"{flag} cannot be combined with a state file")
     if args.trials is not None and args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.max_diff) and args.max_diff >= 0):
         raise DomainError(f"--max-diff must be a finite number >= 0, got {args.max_diff}")
@@ -330,7 +331,7 @@ def cmd_oracle_check(args) -> int:
         worst = abs(c_analytic - c_oracle)
         checked = 1
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(args.seed or 0)
         for _ in range(args.trials):
             while True:
                 alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
@@ -387,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                                         "separable states")
     p.add_argument("--gap-squared", type=float, default=1.0,
                    help="(alpha - gamma)^2 used to instantiate the states")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_examples)
 
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state file with amplitudes (omit when using --trials)")
     p.add_argument("--trials", type=int, default=None,
                    help="number of random states to draw instead of a file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="sweep seed (default 0)")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--max-diff", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")

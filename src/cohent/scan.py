@@ -18,7 +18,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,33 +63,14 @@ _BLOCK = 1 << 13
 _PRUNE_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One grid hit: coefficients, overlap, concurrence and refinement flags.
-
-    The verdict and class residuals are not stored; `classify` derives them
-    from `coefficients()` and `x`.
-    """
-
-    lam: float
-    rho: float
-    nu: float
-    x: float
-    concurrence: float
-    _: KW_ONLY
-    refined: bool = False
-    refine_converged: bool = True
-
-    def coefficients(self) -> SuperpositionCoeffs:
-        return SuperpositionCoeffs(1.0, self.lam, self.rho, self.nu)
-
-
 @dataclass(frozen=True, eq=False)
 class ScanHits:
-    """Scan hits as equal-length numpy columns; row i is `record(i)`.
+    """Scan hits as equal-length numpy columns, the one form a hit takes.
 
     The pipeline carries hits in this form from the grid to the CSV, so each
     stage runs as a few broadcast steps instead of a Python loop per hit.
+    The verdict and class residuals are not stored; `classify_columns`
+    derives them from the coefficients and x.
     """
 
     lam: np.ndarray
@@ -97,32 +78,18 @@ class ScanHits:
     nu: np.ndarray
     x: np.ndarray
     concurrence: np.ndarray
-    refined: np.ndarray
     refine_converged: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lam)
 
-    def record(self, i: int) -> ScanRecord:
-        return ScanRecord(
-            float(self.lam[i]), float(self.rho[i]), float(self.nu[i]),
-            float(self.x[i]), float(self.concurrence[i]),
-            refined=bool(self.refined[i]),
-            refine_converged=bool(self.refine_converged[i]),
-        )
-
-    def records(self) -> list[ScanRecord]:
-        return [self.record(i) for i in range(len(self))]
-
     @classmethod
-    def from_records(cls, records) -> "ScanHits":
-        """The columns of a sequence of ScanRecord, in order."""
-        return cls(*(
-            np.array([getattr(r, name) for r in records],
-                     dtype=bool if name.startswith("refine") else float)
-            for name in ("lam", "rho", "nu", "x", "concurrence",
-                         "refined", "refine_converged")
-        ))
+    def unrefined(cls, lam, rho, nu, x, concurrence) -> "ScanHits":
+        """Fresh hits from five equal-length float sequences, every one
+        marked converged."""
+        columns = [np.asarray(column, dtype=float)
+                   for column in (lam, rho, nu, x, concurrence)]
+        return cls(*columns, np.ones(len(columns[0]), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -198,16 +165,19 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class DisjointnessReport:
-    """Outcome of checking that near-maximal records split into two classes."""
+    """Outcome of checking that near-maximal hits split into two classes;
+    each violation is (reason, lam, rho, nu, x, concurrence)."""
 
-    passed: bool
-    n_records: int
     n_maximal: int
     n_class_a: int
     n_class_b: int
-    violations: tuple[tuple[ScanRecord, str], ...]
+    violations: tuple[tuple[str, float, float, float, float, float], ...]
     tol: float
     maximal_tol: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def summary(self) -> str:
         if self.passed:
@@ -220,9 +190,8 @@ class DisjointnessReport:
             f"DISJOINTNESS VIOLATED: {len(self.violations)} of {self.n_maximal} "
             f"near-maximal records failed"
         ]
-        for record, reason in self.violations[:20]:
-            where = _at(record.lam, record.rho, record.nu, record.x)
-            lines.append(f"  {reason}: {where} C={record.concurrence!r}")
+        for reason, lam, rho, nu, x, c in self.violations[:20]:
+            lines.append(f"  {reason}: {_at(lam, rho, nu, x)} C={c!r}")
         if len(self.violations) > 20:
             lines.append(f"  ... and {len(self.violations) - 20} more")
         return "\n".join(lines)
@@ -298,10 +267,7 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int, int, int]:
                 parts.append((lam[at], rho[at], nu[hit], x[at], c[hit]))
     columns = ([np.concatenate(column) for column in zip(*parts)] if parts
                else [np.empty(0) for _ in range(5)])
-    count = len(columns[0])
-    hits = ScanHits(*columns, refined=np.zeros(count, dtype=bool),
-                    refine_converged=np.ones(count, dtype=bool))
-    return hits, evaluated, rows_bounded, rows_kept
+    return ScanHits.unrefined(*columns), evaluated, rows_bounded, rows_kept
 
 
 def _project(lam, rho, nu, x, c):
@@ -337,37 +303,44 @@ def _project(lam, rho, nu, x, c):
             np.where(converged, new_c, c), converged)
 
 
-def refine(record: ScanRecord) -> ScanRecord:
-    """Project a near-maximal hit onto the nearest point of its family.
+def refine(lam: float, rho: float, nu: float, x: float, concurrence: float):
+    """Project a near-maximal hit onto the nearest point of its family;
+    returns (lam, rho, nu, concurrence, converged).
 
     The step is the exact projection onto the zero line of the hit's branch
     of maximality_residual: class (a) for nu >= lam rho, class (b) below.  A
     point that family_checks passes at REFINE_TARGET is not moved; a
     projection that it does not pass leaves the old point, flagged
-    unconverged, never dropped.  This is `refine_hits` on one record.
+    unconverged, never dropped.  This is `refine_hits` on one hit.
     """
-    if record.concurrence < REFINE_FLOOR:
+    # Written as a negation so a NaN concurrence is refused.
+    if not concurrence >= REFINE_FLOOR:
         raise DomainError(
-            f"refine expects a near-maximal record (C >= {REFINE_FLOOR}), "
-            f"got C = {record.concurrence}"
+            f"refine expects a near-maximal hit (C >= {REFINE_FLOOR}), "
+            f"got C = {concurrence}"
         )
-    record.coefficients()  # rejects non-finite coefficients
-    require_open_unit_interval(record.x)
-    return refine_hits(ScanHits.from_records([record])).record(0)
+    SuperpositionCoeffs(1.0, lam, rho, nu)  # rejects non-finite coefficients
+    require_open_unit_interval(x)
+    hit = refine_hits(ScanHits.unrefined([lam], [rho], [nu], [x], [concurrence]))
+    return tuple(column.item() for column in
+                 (hit.lam, hit.rho, hit.nu, hit.concurrence, hit.refine_converged))
+
+
+def _to_refine(hits: ScanHits) -> np.ndarray:
+    """The indices of the hits that refine_hits projects."""
+    return np.flatnonzero(hits.concurrence >= REFINE_FLOOR)
 
 
 def refine_hits(hits: ScanHits) -> ScanHits:
     """`refine` applied to every hit with C >= REFINE_FLOOR; the others pass
-    through unrefined."""
-    todo = np.flatnonzero(hits.concurrence >= REFINE_FLOOR)
-    lam, rho, nu, c = (column.copy() for column in
-                       (hits.lam, hits.rho, hits.nu, hits.concurrence))
-    refined, converged = hits.refined.copy(), hits.refine_converged.copy()
+    through as they are."""
+    todo = _to_refine(hits)
+    lam, rho, nu, c, converged = (column.copy() for column in (
+        hits.lam, hits.rho, hits.nu, hits.concurrence, hits.refine_converged))
     lam[todo], rho[todo], nu[todo], c[todo], converged[todo] = _project(
         hits.lam[todo], hits.rho[todo], hits.nu[todo], hits.x[todo],
         hits.concurrence[todo])
-    refined[todo] = True
-    return ScanHits(lam, rho, nu, hits.x, c, refined, converged)
+    return ScanHits(lam, rho, nu, hits.x, c, converged)
 
 
 def verify_disjoint_classes(hits: ScanHits, tol: float = 1e-8) -> DisjointnessReport:
@@ -381,14 +354,12 @@ def verify_disjoint_classes(hits: ScanHits, tol: float = 1e-8) -> DisjointnessRe
     on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
                                hits.nu[maximal], hits.x[maximal], tol)
     failed = on_a == on_b
-    violations = tuple(
-        (hits.record(i), "on both families" if both
-         else "near-maximal but on neither family")
-        for i, both in zip(maximal[failed].tolist(), on_a[failed].tolist())
-    )
+    reasons = np.where(on_a[failed], "on both families",
+                       "near-maximal but on neither family")
+    bad = maximal[failed]
+    violations = tuple(zip(reasons.tolist(), *(column[bad].tolist() for column in (
+        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))))
     return DisjointnessReport(
-        passed=not violations,
-        n_records=len(hits),
         n_maximal=len(maximal),
         n_class_a=int(np.count_nonzero(on_a & ~on_b)),
         n_class_b=int(np.count_nonzero(on_b & ~on_a)),
@@ -412,32 +383,29 @@ def oracle_spot_check(
     Returns (checked count, worst |analytic - oracle|); raises
     ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.  Every
     error, the oracle's own included, starts with "oracle spot check" and
-    names the record.
+    names the point.
     """
     if not len(hits) or fraction <= 0.0:
         return 0, 0.0
     rng = np.random.default_rng(seed)
-    count = max(1, int(round(fraction * len(hits))))
-    count = min(count, len(hits))
+    count = min(max(1, round(fraction * len(hits))), len(hits))
     indices = sorted(rng.choice(len(hits), size=count, replace=False).tolist())
     worst = 0.0
-    for i in indices:
-        record = hits.record(i)
+    for lam, rho, nu, x, c in zip(*(column[indices].tolist() for column in (
+            hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))):
         try:
-            oracle_c = oracle_concurrence(config_for_overlap(record.x),
-                                          record.coefficients())
+            oracle_c = oracle_concurrence(config_for_overlap(x),
+                                          SuperpositionCoeffs(1.0, lam, rho, nu))
         except (ConsistencyError, DegenerateStateError) as err:
             raise type(err)(
-                f"oracle spot check: {err} at "
-                f"{_at(record.lam, record.rho, record.nu, record.x)}"
-            ) from err
-        diff = abs(oracle_c - record.concurrence)
+                f"oracle spot check: {err} at {_at(lam, rho, nu, x)}") from err
+        diff = abs(oracle_c - c)
         worst = max(worst, diff)
         # Written as a negation so a NaN concurrence fails.
         if not diff <= SPOT_CHECK_MAX_DIFF:
             raise ConsistencyError(
                 f"oracle spot check: oracle disagrees with scan record by "
-                f"{diff:.3e} at {_at(record.lam, record.rho, record.nu, record.x)}"
+                f"{diff:.3e} at {_at(lam, rho, nu, x)}"
             )
     return count, worst
 
@@ -448,7 +416,6 @@ class ScanOutcome:
 
     hits: ScanHits
     report: DisjointnessReport
-    n_grid_hits: int
     n_grid_evaluated: int
     n_grid_rows_bounded: int
     n_grid_rows_kept: int
@@ -457,10 +424,7 @@ class ScanOutcome:
     max_oracle_diff: float
 
 
-def run_scan(
-    config: ScanConfig,
-    verify_tol: float = 1e-8,
-) -> ScanOutcome:
+def run_scan(config: ScanConfig, verify_tol: float = 1e-8) -> ScanOutcome:
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
     _require_positive_tol(verify_tol)
@@ -483,11 +447,10 @@ def run_scan(
     return ScanOutcome(
         hits=hits,
         report=report,
-        n_grid_hits=len(hits),
         n_grid_evaluated=evaluated,
         n_grid_rows_bounded=rows_bounded,
         n_grid_rows_kept=rows_kept,
-        n_refined=int(np.count_nonzero(hits.refined)),
+        n_refined=len(_to_refine(grid_hits)),
         oracle_checked=checked,
         max_oracle_diff=worst,
     )

@@ -122,14 +122,15 @@ def test_criterion_4_theorem_reverse_direction_empirical():
     assert outcome.report.maximal_tol == 1e-10
     assert outcome.report.n_class_a > 0
     assert outcome.report.n_class_b > 0
-    for record in outcome.hits.records():
-        if record.concurrence > 1.0 - 1e-10:
-            on_a = check_class_a(record.coefficients(), record.x, 1e-8)
-            on_b = check_class_b(record.coefficients(), record.x, 1e-8)
-            assert on_a != on_b
+    hits = outcome.hits
+    for lam, rho, nu, x, c in zip(*(column.tolist() for column in (
+            hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))):
+        if c > 1.0 - 1e-10:
+            coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
+            assert check_class_a(coeffs, x, 1e-8) != check_class_b(coeffs, x, 1e-8)
     assert outcome.max_oracle_diff < 1e-8
     assert elapsed < 600.0
-    report(4, f"61^3 x 3 grid: {outcome.n_grid_hits} hits refined onto the two "
+    report(4, f"61^3 x 3 grid: {len(hits)} hits refined onto the two "
               f"families ({outcome.report.n_class_a} class a, "
               f"{outcome.report.n_class_b} class b), none off-family, "
               f"in {elapsed:.1f}s single-threaded")

@@ -19,7 +19,6 @@ from cohent.scan import (
     DisjointnessReport,
     ScanHits,
     ScanOutcome,
-    ScanRecord,
 )
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
@@ -230,6 +229,14 @@ class TestExamplesCommand:
 
     def test_bad_gap_exits_2(self):
         assert cli.main(["examples", "--gap-squared", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--tol", "1e-3"], ["--truncation", "40"]])
+    def test_tol_and_truncation_flags_are_refused(self, capsys, argv):
+        # Neither is documented; the states are checked at the defaults.
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["examples", *argv])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 class TestBellLimitCommand:
@@ -464,15 +471,14 @@ class TestScanCommand:
         assert "bundled" not in err
 
     def test_disjointness_violation_exits_5(self, tmp_path, monkeypatch):
-        impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0)
+        impostor = (0.3, -0.2, 0.5, 0.5, 1.0)
         report = DisjointnessReport(
-            passed=False, n_records=1, n_maximal=1, n_class_a=0, n_class_b=0,
-            violations=((impostor, "near-maximal but on neither family"),),
+            n_maximal=1, n_class_a=0, n_class_b=0,
+            violations=(("near-maximal but on neither family", *impostor),),
             tol=1e-8, maximal_tol=1e-10,
         )
-        fake = ScanOutcome(hits=ScanHits.from_records([impostor]), report=report,
-                           n_grid_hits=1,
-                           n_grid_evaluated=1, n_grid_rows_bounded=1,
+        fake = ScanOutcome(hits=ScanHits.unrefined(*([v] for v in impostor)),
+                           report=report, n_grid_evaluated=1, n_grid_rows_bounded=1,
                            n_grid_rows_kept=1, n_refined=0, oracle_checked=0,
                            max_oracle_diff=0.0)
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
@@ -489,8 +495,9 @@ class TestScanCommand:
 
         def fake_run(config, verify_tol=1e-8):
             seen["points"] = config.total_points()
-            report = DisjointnessReport(True, 0, 0, 0, 0, (), verify_tol, 1e-10)
-            return ScanOutcome(ScanHits.from_records([]), report, 0, 0, 0, 0, 0, 0, 0.0)
+            report = DisjointnessReport(0, 0, 0, (), verify_tol, 1e-10)
+            return ScanOutcome(ScanHits.unrefined([], [], [], [], []), report,
+                               0, 0, 0, 0, 0, 0.0)
 
         monkeypatch.setattr(cli, "run_scan", fake_run)
         assert cli.main(["scan", "theorem_check.cfg", str(tmp_path / "o.csv")]) == 0
@@ -508,9 +515,9 @@ class TestOracleCheckCommand:
         assert payload["states_checked"] == 1
         assert payload["max_concurrence_diff"] < 1e-10
 
-    @pytest.mark.parametrize("flag", ["--trials", "--truncation"])
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--truncation"])
     def test_sweep_flags_with_a_state_file_exit_2(self, tmp_path, capsys, flag):
-        # Both were ignored: --trials 5 still reported states_checked 1.
+        # All three were ignored: --trials 5 still reported states_checked 1.
         path = write(tmp_path, "s.txt", AMP_STATE)
         assert cli.main(["oracle-check", path, flag, "5"]) == 2
         captured = capsys.readouterr()
@@ -524,6 +531,14 @@ class TestOracleCheckCommand:
         assert payload["states_checked"] == 25
         assert payload["max_concurrence_diff"] < 1e-8
         assert payload["max_norm_sq_diff"] < 1e-8
+
+    def test_trials_without_a_seed_draw_with_seed_0(self, capsys):
+        assert cli.main(["oracle-check", "--trials", "3", "--json"]) == 0
+        unseeded = capsys.readouterr().out
+        assert cli.main(["oracle-check", "--trials", "3", "--seed", "0", "--json"]) == 0
+        assert capsys.readouterr().out == unseeded
+        assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 0
+        assert capsys.readouterr().out != unseeded
 
     @staticmethod
     def _offset_oracle(monkeypatch):

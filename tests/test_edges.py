@@ -191,7 +191,8 @@ def test_one_point_scan(point, threshold):
     c, norm = exact(1.0, lam, rho, nu, x, x)
     if abs(c - threshold) > bound(1.0, lam, rho, nu, c, norm):
         assert len(outcome.hits) == (c >= threshold)
-    for record in outcome.hits.records():
-        assert_close(record.concurrence, 1.0, record.lam, record.rho, record.nu,
-                     x, x)
+    hits = outcome.hits
+    for lam, rho, nu, c in zip(hits.lam.tolist(), hits.rho.tolist(), hits.nu.tolist(),
+                               hits.concurrence.tolist()):
+        assert_close(c, 1.0, lam, rho, nu, x, x)
 

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import mpmath
@@ -30,7 +31,6 @@ from cohent.scan import (
     DisjointnessReport,
     ScanConfig,
     ScanHits,
-    ScanRecord,
     config_for_overlap,
     grid_scan,
     oracle_spot_check,
@@ -39,6 +39,32 @@ from cohent.scan import (
     run_scan,
     verify_disjoint_classes,
 )
+
+
+class Hit(NamedTuple):
+    """One scan hit as plain floats: the per-hit reference the columns must
+    match."""
+
+    lam: float
+    rho: float
+    nu: float
+    x: float
+    concurrence: float
+    refine_converged: bool = True
+
+    def coefficients(self):
+        return SuperpositionCoeffs(1.0, self.lam, self.rho, self.nu)
+
+
+def hit_list(hits):
+    """The hits of a ScanHits, in order."""
+    return [Hit(*row) for row in zip(*(column.tolist() for column in (
+        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, hits.refine_converged)))]
+
+
+def columns(points):
+    """Fresh ScanHits from a sequence of Hit, in order."""
+    return ScanHits.unrefined(*([point[i] for point in points] for i in range(5)))
 
 
 def exact_concurrence(lam, rho, nu, x):
@@ -117,7 +143,7 @@ class TestGridScan:
         hits = grid_scan(config)[0]
         assert len(hits)
         step = 4.0 / 80.0
-        for record in hits.records():
+        for record in hit_list(hits):
             near_a = abs(record.lam + record.rho + 1.0) <= step
             near_b = abs(record.lam - record.rho) <= step and abs(
                 record.lam + record.rho + 4.0
@@ -146,12 +172,12 @@ class TestGridScan:
         )
         hits = grid_scan(config)[0]
         assert len(hits) == 1
-        assert classify(hits.record(0).coefficients(), 0.3).class_b_residual == 0.0
+        assert classify(hit_list(hits)[0].coefficients(), 0.3).class_b_residual == 0.0
         assert hits.concurrence[0] >= 1.0 - 1e-9
 
     def test_matches_scalar_concurrence(self):
         config = small_config(nu_range=(-2.0, 2.0, 9))
-        for record in grid_scan(config)[0].records():
+        for record in hit_list(grid_scan(config)[0]):
             scalar = concurrence(record.coefficients(), OverlapPair(record.x, record.x))
             assert record.concurrence == scalar
 
@@ -182,7 +208,7 @@ class TestGridScan:
         # decides those, and 49 points are hits in all.
         assert on_threshold == 12
         assert len(hits) == 49
-        assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hits.records()] == expected
+        assert [(r.lam, r.rho, r.nu, r.concurrence) for r in hit_list(hits)] == expected
 
     def test_nan_concurrence_raises(self, monkeypatch):
         ratio = analytic._concurrence_ratio
@@ -203,7 +229,7 @@ class TestGridScan:
             concurrence_threshold=0.995,
         )
         (first, *n_first), (second, *n_second) = grid_scan(config), grid_scan(config)
-        assert first.records() == second.records()
+        assert hit_list(first) == hit_list(second)
         assert n_first == n_second
 
 
@@ -223,9 +249,8 @@ def full_sweep(config):
             c = np.minimum(c, 1.0)
             hit_rho, hit_nu = np.nonzero(c >= config.concurrence_threshold)
             for ir, iv in zip(hit_rho.tolist(), hit_nu.tolist()):
-                records.append(ScanRecord(
-                    lam, float(rhos[ir]), float(nus[iv]), x, float(c[ir, iv]),
-                ))
+                records.append(Hit(lam, float(rhos[ir]), float(nus[iv]), x,
+                                   float(c[ir, iv])))
     return records
 
 
@@ -262,7 +287,7 @@ class TestGridPruning:
             concurrence_threshold=threshold,
         )
         hits, evaluated, *_ = grid_scan(config)
-        assert hits.records() == full_sweep(config)
+        assert hit_list(hits) == full_sweep(config)
         assert len(hits) <= evaluated <= config.total_points()
 
     @pytest.mark.parametrize("config, most_evaluated, rows", [
@@ -275,7 +300,7 @@ class TestGridPruning:
         # whole kept rows were 30,195 and 318,843 points, and every one of the
         # 11,163 and 174,243 (lam, rho, x) rows was bounded
         hits, evaluated, *counts = grid_scan(config)
-        assert hits.records() == full_sweep(config)
+        assert hit_list(hits) == full_sweep(config)
         assert len(hits) <= evaluated <= most_evaluated
         assert tuple(counts) == rows
         # the kept rows of every lam value and x value are windowed at once
@@ -291,7 +316,7 @@ class TestGridPruning:
         monkeypatch.setattr(scan_module, "_BLOCK", block)
         nu_windows_calls.clear()
         hits, *counts = grid_scan(config)
-        assert hits.records() == full_sweep(config) == default_hits.records()
+        assert hit_list(hits) == full_sweep(config) == hit_list(default_hits)
         # points evaluated, rows bounded and rows kept do not depend on the block
         assert counts == default_counts == [counts[0], 489, 387]
         # At block 1 each batch holds the kept rows of one rho window, so of
@@ -313,7 +338,7 @@ class TestGridPruning:
         # 13-point rho window that takes it to `block` rows or past.
         assert all(0 < size < block + 13 for size in sizes)
         assert evaluated == config.total_points()
-        assert hits.records() == full_sweep(config)
+        assert hit_list(hits) == full_sweep(config)
 
     @pytest.mark.parametrize("point", [
         (-0.5, -0.5, 1.0),   # class (a) at x = 0.5
@@ -325,7 +350,7 @@ class TestGridPruning:
             *((v, v, 1) for v in point), x_values=(0.5,),
             concurrence_threshold=0.999,
         )
-        assert grid_scan(config)[0].records() == full_sweep(config)
+        assert hit_list(grid_scan(config)[0]) == full_sweep(config)
 
     def test_nu_box_excluding_row_maximizer(self):
         # rows near the class (a) line peak at nu = 1, outside this box, so
@@ -339,7 +364,7 @@ class TestGridPruning:
         )
         hits = grid_scan(config)[0]
         assert len(hits)
-        assert hits.records() == full_sweep(config)
+        assert hit_list(hits) == full_sweep(config)
 
     def test_wide_box(self):
         config = ScanConfig(
@@ -350,7 +375,7 @@ class TestGridPruning:
             concurrence_threshold=0.9,
         )
         hits, evaluated, *_ = grid_scan(config)
-        assert hits.records() == full_sweep(config)
+        assert hit_list(hits) == full_sweep(config)
         assert evaluated < config.total_points()
 
     def test_near_one_follows_the_exact_value(self):
@@ -407,7 +432,7 @@ def scan_boxes(draw):
 @given(scan_boxes())
 def test_windows_keep_every_record_of_the_full_sweep(config):
     hits, evaluated, *_ = grid_scan(config)
-    assert hits.records() == full_sweep(config)
+    assert hit_list(hits) == full_sweep(config)
     assert len(hits) <= evaluated <= config.total_points()
 
 
@@ -478,16 +503,21 @@ def test_rho_windows_keep_every_row_the_full_bound_keeps(config, block):
         config.x_values) * config.lam_range[2] * config.rho_range[2]
 
 
+def refine_hit(hit):
+    """The scalar refine of one Hit, as a Hit."""
+    lam, rho, nu, c, converged = refine(*hit[:5])
+    return Hit(lam, rho, nu, hit.x, c, converged)
+
+
 class TestRefine:
     def test_grid_hit_lands_on_class_a(self):
-        record = ScanRecord(
+        record = Hit(
             lam=-0.49, rho=-0.51, nu=1.0, x=0.5,
             concurrence=concurrence(
                 SuperpositionCoeffs(1, -0.49, -0.51, 1.0), OverlapPair(0.5, 0.5)
             ),
         )
-        refined = refine(record)
-        assert refined.refined
+        refined = refine_hit(record)
         assert refined.refine_converged
         assert maximality_residual(refined.coefficients(), 0.5) < 1e-12
         assert check_class_a(refined.coefficients(), 0.5, 1e-8)
@@ -495,8 +525,8 @@ class TestRefine:
     def test_exact_manifold_point_unchanged(self):
         # one exact point per family: class (a), then class (b)
         for point in ((-0.5, -0.5, 1.0), (-0.5, -0.5, -0.5)):
-            record = ScanRecord(*point, x=0.5, concurrence=1.0)
-            refined = refine(record)
+            record = Hit(*point, x=0.5, concurrence=1.0)
+            refined = refine_hit(record)
             assert (refined.lam, refined.rho, refined.nu) == point
             assert refined.refine_converged
 
@@ -506,8 +536,8 @@ class TestRefine:
         x = 0.709
         c0 = concurrence(coeffs, OverlapPair(x, x))
         assert 0.9 < c0 < 0.97
-        record = ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, x, c0)
-        refined = refine(record)
+        record = Hit(coeffs.lam, coeffs.rho, coeffs.nu, x, c0)
+        refined = refine_hit(record)
         assert refined.concurrence > 1.0 - 1e-10
         assert check_class_a(refined.coefficients(), x, 1e-8) or check_class_b(
             refined.coefficients(), x, 1e-8
@@ -523,8 +553,8 @@ class TestRefine:
             if c < 0.9:
                 continue
             tested += 1
-            record = ScanRecord(lam, rho, nu, x, c)
-            assert refine(record).concurrence >= c
+            record = Hit(lam, rho, nu, x, c)
+            assert refine_hit(record).concurrence >= c
 
     @staticmethod
     def _random_hits(seed, count):
@@ -535,12 +565,12 @@ class TestRefine:
             x = rng.uniform(0.1, 0.9)
             c = concurrence(SuperpositionCoeffs(1, lam, rho, nu), OverlapPair(x, x))
             if c >= 0.9:
-                hits.append(ScanRecord(lam, rho, nu, x, c))
+                hits.append(Hit(lam, rho, nu, x, c))
         return hits
 
     def test_step_is_orthogonal_to_family(self):
         for record in self._random_hits(seed=17, count=40):
-            refined = refine(record)
+            refined = refine_hit(record)
             assert refined.refine_converged
             step = np.array([refined.lam - record.lam, refined.rho - record.rho,
                              refined.nu - record.nu])
@@ -552,7 +582,7 @@ class TestRefine:
 
     def test_keeps_branch_sign(self):
         for record in self._random_hits(seed=23, count=40):
-            refined = refine(record)
+            refined = refine_hit(record)
             before = record.nu - record.lam * record.rho
             after = refined.nu - refined.lam * refined.rho
             assert (before >= 0.0) == (after >= 0.0)
@@ -561,59 +591,55 @@ class TestRefine:
         # claims C = 1 at 0.01 off the class (a) line; the projection's C
         # rounds below 1, but the projected point is on the family, so it
         # replaces the old one
-        record = ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0)
+        record = Hit(-0.61, -0.6, 1.0, 0.61, 1.0)
         s = (record.lam + record.rho + 2.0 * record.x) / 2.0
         projected = SuperpositionCoeffs(1.0, record.lam - s, record.rho - s, 1.0)
         c = concurrence(projected, OverlapPair(0.61, 0.61))
         assert c < 1.0
         assert check_class_a(projected, 0.61, scan_module.REFINE_TARGET)
-        expected = ScanRecord(projected.lam, projected.rho, 1.0, 0.61, c,
-                              refined=True, refine_converged=True)
-        assert refine(record) == expected
-        assert refine_hits(ScanHits.from_records([record])).records() == [expected]
+        assert refine(-0.61, -0.6, 1.0, 0.61, 1.0) == (projected.lam, projected.rho,
+                                                        1.0, c, True)
+        expected = Hit(projected.lam, projected.rho, 1.0, 0.61, c)
+        assert hit_list(refine_hits(columns([record]))) == [expected]
 
     def test_unconverged_projection_keeps_the_old_point(self, monkeypatch):
         # a family test that passes nothing: every point moves, and no
         # projection converges, so each old point comes back, flagged
         monkeypatch.setattr(scan_module, "family_checks",
                             lambda mu, lam, *rest: (np.zeros(len(lam), bool),) * 2)
-        records = [ScanRecord(-0.61, -0.6, 1.0, 0.61, 1.0),
-                   ScanRecord(0.3, 0.2, -1.5, 0.4, 0.95)]
-        expected = [ScanRecord(r.lam, r.rho, r.nu, r.x, r.concurrence,
-                               refined=True, refine_converged=False)
-                    for r in records]
-        assert [refine(r) for r in records] == expected
-        assert refine_hits(ScanHits.from_records(records)).records() == expected
-
-    def test_flags_are_keyword_only(self):
-        # a stale call passing two residuals must not bind them to the flags
-        with pytest.raises(TypeError):
-            ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0, 0.0, 0.0)
-        assert not ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0).refined
+        records = [Hit(-0.61, -0.6, 1.0, 0.61, 1.0),
+                   Hit(0.3, 0.2, -1.5, 0.4, 0.95)]
+        expected = [r._replace(refine_converged=False) for r in records]
+        assert [refine_hit(r) for r in records] == expected
+        assert hit_list(refine_hits(columns(records))) == expected
 
     def test_rejects_low_concurrence(self):
-        record = ScanRecord(0.0, 0.0, 0.5, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            refine(record)
+        with pytest.raises(DomainError, match=r"^refine expects a near-maximal hit"):
+            refine(0.0, 0.0, 0.5, 0.5, 0.5)
+
+    def test_rejects_nan_concurrence(self):
+        # refine_hits would pass a NaN C through unrefined, so refine refuses it
+        with pytest.raises(DomainError, match=r"got C = nan$"):
+            refine(-0.5, -0.5, 1.0, 0.5, math.nan)
 
     def test_nan_concurrence_raises(self, monkeypatch):
         ratio = analytic._concurrence_ratio
         monkeypatch.setattr(analytic, "_concurrence_ratio",
                             lambda *args: ratio(*args) * np.nan)
         # exact family points, which refine recomputes without moving
-        records = [ScanRecord(-0.5, -0.5, 1.0, 0.5, 1.0),
-                   ScanRecord(0.0, 0.0, -1.0, 0.3, 1.0)]
+        records = [Hit(-0.5, -0.5, 1.0, 0.5, 1.0),
+                   Hit(0.0, 0.0, -1.0, 0.3, 1.0)]
         message = (r"^refine: recomputed concurrence nan exceeded 1 beyond rounding "
                    r"slack at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")
         with pytest.raises(ConsistencyError, match=message):
-            refine(records[0])
+            refine_hit(records[0])
         with pytest.raises(ConsistencyError, match=message):
-            refine_hits(ScanHits.from_records(records))
+            refine_hits(columns(records))
 
 
 class TestVerifyDisjointClasses:
     def test_empty_input_passes(self):
-        report = verify_disjoint_classes(ScanHits.from_records([]))
+        report = verify_disjoint_classes(columns([]))
         assert report.passed
         assert report.n_maximal == 0
 
@@ -622,32 +648,49 @@ class TestVerifyDisjointClasses:
         for lam in (-0.2, -0.7, 0.4):
             coeffs = SuperpositionCoeffs(1, lam, -1.0 - lam, 1.0)  # class (a), x=0.5
             records.append(
-                ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
-                           concurrence(coeffs, OverlapPair(0.5, 0.5)))
+                Hit(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
+                    concurrence(coeffs, OverlapPair(0.5, 0.5)))
             )
         for lam in (0.0, -1.0):
             coeffs = SuperpositionCoeffs(1, lam, lam, -1.0 - 2 * lam * 0.5)
             records.append(
-                ScanRecord(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
-                           concurrence(coeffs, OverlapPair(0.5, 0.5)))
+                Hit(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
+                    concurrence(coeffs, OverlapPair(0.5, 0.5)))
             )
-        report = verify_disjoint_classes(ScanHits.from_records(records), tol=1e-8)
+        report = verify_disjoint_classes(columns(records), tol=1e-8)
         assert report.passed
         assert report.n_class_a == 3
         assert report.n_class_b == 2
 
     def test_detects_off_manifold_maximal_record(self):
         # a synthetic impostor: claims C = 1 while sitting on neither family
-        impostor = ScanRecord(0.3, -0.2, 0.5, 0.5, 1.0)
-        report = verify_disjoint_classes(ScanHits.from_records([impostor]), tol=1e-8)
+        impostor = Hit(0.3, -0.2, 0.5, 0.5, 1.0)
+        report = verify_disjoint_classes(columns([impostor]), tol=1e-8)
         assert not report.passed
-        assert report.violations[0][1] == "near-maximal but on neither family"
+        assert report.violations == (
+            ("near-maximal but on neither family", 0.3, -0.2, 0.5, 0.5, 1.0),)
         assert "DISJOINTNESS VIOLATED" in report.summary()
+
+    def test_summary_lists_twenty_violations_and_counts_the_rest(self):
+        # at tol 0.6 >= 1 - x, (lam, rho, nu) = (-1, -x, x) passes both family
+        # checks; the 20 others are on neither family
+        hits = [Hit(-1.0, -0.5, 0.5, 0.5, 1.0)]
+        hits += [Hit(0.3 + i, -0.2, 0.5, 0.5, 1.0) for i in range(20)]
+        report = verify_disjoint_classes(columns(hits), tol=0.6)
+        lines = report.summary().splitlines()
+        assert lines[:3] == [
+            "DISJOINTNESS VIOLATED: 21 of 21 near-maximal records failed",
+            "  on both families: lam=-1.0 rho=-0.5 nu=0.5 x=0.5 C=1.0",
+            "  near-maximal but on neither family: lam=0.3 rho=-0.2 nu=0.5 x=0.5 C=1.0",
+        ]
+        assert len(lines) == 22
+        assert lines[-2].startswith("  near-maximal but on neither family: lam=18.3 ")
+        assert lines[-1] == "  ... and 1 more"
 
     def test_ignores_sub_maximal_records(self):
         # off both families, and below the default 1 - 1e-10 maximal line
-        records = [ScanRecord(0.3, -0.2, 0.5, 0.5, c) for c in (0.95, 1.0 - 1e-9)]
-        report = verify_disjoint_classes(ScanHits.from_records(records), tol=1e-8)
+        records = [Hit(0.3, -0.2, 0.5, 0.5, c) for c in (0.95, 1.0 - 1e-9)]
+        report = verify_disjoint_classes(columns(records), tol=1e-8)
         assert report.passed
         assert report.n_maximal == 0
 
@@ -659,43 +702,40 @@ class TestOracleSpotCheck:
         for lam in (-0.3, -0.5, -0.8):
             coeffs = SuperpositionCoeffs(1, lam, -1.0 - lam, 1.0)
             records.append(
-                ScanRecord(lam, -1.0 - lam, 1.0, x,
-                           concurrence(coeffs, OverlapPair(x, x)))
+                Hit(lam, -1.0 - lam, 1.0, x,
+                    concurrence(coeffs, OverlapPair(x, x)))
             )
-        checked, worst = oracle_spot_check(ScanHits.from_records(records),
-                                           fraction=1.0, seed=3)
+        checked, worst = oracle_spot_check(columns(records), fraction=1.0, seed=3)
         assert checked == len(records)
         assert worst < 1e-10
 
     def test_flags_wrong_concurrence(self):
-        liar = ScanRecord(-0.5, -0.5, 1.0, 0.5, 0.25)
-        honest = ScanRecord(0.0, 0.0, 0.0, 0.2, 0.0)
+        liar = Hit(-0.5, -0.5, 1.0, 0.5, 0.25)
+        honest = Hit(0.0, 0.0, 0.0, 0.2, 0.0)
         with pytest.raises(ConsistencyError, match=(
                 r"^oracle spot check: oracle disagrees with scan record by .* "
                 r"at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")):
-            oracle_spot_check(ScanHits.from_records([honest, liar]), fraction=1.0,
-                              seed=3)
+            oracle_spot_check(columns([honest, liar]), fraction=1.0, seed=3)
 
     def test_degenerate_record_names_the_stage_and_record(self):
         # At x one ulp below 1 the amplitude gap is 1.5e-8, and the product
         # state (|a> - |g>)(|b> - |d>) has a joint norm of about 2e-16,
         # rounding noise next to coefficients summing to 4.
         x = 1.0 - 2.0**-53
-        records = [ScanRecord(0.0, 0.0, 1.0, x, 0.0),
-                   ScanRecord(-1.0, -1.0, 1.0, x, 0.0)]
+        records = [Hit(0.0, 0.0, 1.0, x, 0.0),
+                   Hit(-1.0, -1.0, 1.0, x, 0.0)]
         with pytest.raises(DegenerateStateError, match=(
                 r"^oracle spot check: joint state norm .* at "
                 r"lam=-1\.0 rho=-1\.0 nu=1\.0 x=0\.9999999999999999$")):
-            oracle_spot_check(ScanHits.from_records(records), fraction=1.0, seed=3)
+            oracle_spot_check(columns(records), fraction=1.0, seed=3)
 
     def test_nan_concurrence_fails(self):
-        record = ScanRecord(0.0, 0.0, 1.0, 0.5, math.nan)
+        record = Hit(0.0, 0.0, 1.0, 0.5, math.nan)
         with pytest.raises(ConsistencyError, match="^oracle spot check: "):
-            oracle_spot_check(ScanHits.from_records([record]), fraction=1.0, seed=3)
+            oracle_spot_check(columns([record]), fraction=1.0, seed=3)
 
     def test_empty_records(self):
-        assert oracle_spot_check(ScanHits.from_records([]), fraction=1.0,
-                                 seed=3) == (0, 0.0)
+        assert oracle_spot_check(columns([]), fraction=1.0, seed=3) == (0, 0.0)
 
     def test_config_for_overlap_reproduces_x(self):
         for x in (0.1, 0.5, 0.9):
@@ -718,7 +758,6 @@ class TestRunScan:
         )
         outcome = run_scan(config)
         assert outcome.report.passed
-        assert outcome.n_grid_hits == len(outcome.hits)
         assert (outcome.n_grid_rows_bounded, outcome.n_grid_rows_kept) == grid_scan(
             config)[2:]
         assert outcome.n_refined > 0
@@ -748,7 +787,7 @@ class TestRunScan:
         )
         first = run_scan(config)
         second = run_scan(config)
-        assert first.hits.records() == second.hits.records()
+        assert hit_list(first.hits) == hit_list(second.hits)
         assert first.report == second.report
         assert first.max_oracle_diff == second.max_oracle_diff
 
@@ -762,7 +801,7 @@ class TestRunScan:
         )
         outcome = run_scan(config)
         assert outcome.report.passed, outcome.report.summary()
-        assert outcome.n_grid_hits == 38
+        assert len(outcome.hits) == 38
         assert (outcome.report.n_class_a, outcome.report.n_class_b) == (22, 16)
         assert outcome.hits.refine_converged.all()
 
@@ -793,10 +832,9 @@ def list_refine(record):
             t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
             lam, rho, nu = t, t, -1.0 - 2.0 * t * x
     if not on_a_family(lam, rho, nu):
-        return ScanRecord(record.lam, record.rho, record.nu, x, record.concurrence,
-                          refined=True, refine_converged=False)
+        return record._replace(refine_converged=False)
     c = concurrence(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x))
-    return ScanRecord(lam, rho, nu, x, c, refined=True)
+    return Hit(lam, rho, nu, x, c)
 
 
 def list_verify(records, tol, maximal_tol=1e-10):
@@ -810,16 +848,16 @@ def list_verify(records, tol, maximal_tol=1e-10):
         n_max += 1
         a_ok = check_class_a(record.coefficients(), record.x, tol)
         b_ok = check_class_b(record.coefficients(), record.x, tol)
+        point = (record.lam, record.rho, record.nu, record.x, record.concurrence)
         if a_ok and b_ok:
-            violations.append((record, "on both families"))
+            violations.append(("on both families", *point))
         elif not a_ok and not b_ok:
-            violations.append((record, "near-maximal but on neither family"))
+            violations.append(("near-maximal but on neither family", *point))
         elif a_ok:
             n_a += 1
         else:
             n_b += 1
-    return DisjointnessReport(not violations, len(records), n_max, n_a, n_b,
-                              tuple(violations), tol, maximal_tol)
+    return DisjointnessReport(n_max, n_a, n_b, tuple(violations), tol, maximal_tol)
 
 
 def list_csv(records, path, tol):
@@ -849,16 +887,17 @@ class TestColumnTail:
     ], ids=["bundled", "dense", "box9", "huge"])
     def test_matches_per_record_tail(self, config, tmp_path):
         tol = 1e-9
-        grid_hits = grid_scan(config)[0]
-        records = [list_refine(r) if r.concurrence >= REFINE_FLOOR else r
-                   for r in grid_hits.records()]
+        grid_records = hit_list(grid_scan(config)[0])
+        to_refine = [r.concurrence >= REFINE_FLOOR for r in grid_records]
+        records = [list_refine(r) if refine_it else r
+                   for r, refine_it in zip(grid_records, to_refine)]
         list_csv(records, tmp_path / "reference.csv", tol)
 
         outcome = run_scan(config, verify_tol=tol)
         cli.write_records_csv(outcome.hits, tmp_path / "columns.csv", tol)
-        assert outcome.hits.records() == records
+        assert hit_list(outcome.hits) == records
         assert outcome.report == list_verify(records, tol)
-        assert outcome.n_refined == sum(r.refined for r in records)
+        assert outcome.n_refined == sum(to_refine)
         assert ((tmp_path / "columns.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
@@ -890,23 +929,22 @@ def scan_points(draw):
        st.sampled_from([1e-12, 1e-9, 1e-6]))
 def test_scalar_api_matches_columns_bit_for_bit(points, tol):
     records = [
-        ScanRecord(lam, rho, nu, x, concurrence(SuperpositionCoeffs(1.0, lam, rho, nu),
-                                                OverlapPair(x, x)))
+        Hit(lam, rho, nu, x, concurrence(SuperpositionCoeffs(1.0, lam, rho, nu),
+                                         OverlapPair(x, x)))
         for lam, rho, nu, x in points
     ]
-    hits = ScanHits.from_records(records)
-    refined = refine_hits(hits)
+    hits = columns(records)
+    refined = hit_list(refine_hits(hits))
     res_a, res_b, res_sep, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
                                                     hits.x, tol)
     on_a, on_b = family_checks(1.0, hits.lam, hits.rho, hits.nu, hits.x, tol)
     residuals = _maximality_residual(1.0, hits.lam, hits.rho, hits.nu, hits.x)
     for i, record in enumerate(records):
-        expected = refine(record) if record.concurrence >= REFINE_FLOOR else record
-        got = refined.record(i)
-        assert bits((got.lam, got.rho, got.nu, got.x, got.concurrence)) == bits(
-            (expected.lam, expected.rho, expected.nu, expected.x, expected.concurrence))
-        assert (got.refined, got.refine_converged) == (expected.refined,
-                                                       expected.refine_converged)
+        expected = (refine_hit(record) if record.concurrence >= REFINE_FLOOR
+                    else record)
+        got = refined[i]
+        assert bits(got[:5]) == bits(expected[:5])
+        assert got.refine_converged == expected.refine_converged
         coeffs, x = record.coefficients(), record.x
         result = classify(coeffs, x, tol)
         assert bits((res_a[i], res_b[i], res_sep[i])) == bits(result.residuals)
