@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: concurrence, classify, examples, bell-limit, scan, oracle-check.
-Exit codes: 0 success, 2 input error (an unreadable or invalid input file, or
-an unwritable output file among them), 3 analytic/oracle inconsistency,
-4 outside classification scope (p1 != p2), 5 disjointness violation in a scan.
+Exit codes: 0 success, 2 input error (an unreadable or invalid input file, an
+unwritable output file, or a closed stdout among them), 3 analytic/oracle
+inconsistency, 4 outside classification scope (p1 != p2), 5 disjointness
+violation in a scan.
 """
 
 from __future__ import annotations
@@ -225,26 +226,38 @@ def _resolve_scan_config(path: str):
 # Rows end in \r\n, as csv.writer ends them.  A row holds seven
 # 17-significant-digit floats and the verdict, none of which needs quoting.
 _CSV_HEADER = "lambda,rho,nu,x,concurrence,class_a_residual,class_b_residual,verdict\r\n"
-_CSV_ROW = ",".join(["%.17g"] * 7 + ["%s"]) + "\r\n"
 
-# Rows are formatted this many at a time, so the Python floats in flight
+# Rows are joined this many at a time, so the Python strings in flight
 # stay few however many hits a scan has.
 _CSV_BLOCK = 256
+
+
+def _float_texts(column):
+    """The "%.17g" text of each distinct value of a float column, once each,
+    and the index of every row's text.  Values are told apart by their bits,
+    so -0.0 still prints as "-0" beside 0.0."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % value for value in bits.view(np.float64).tolist()],
+                     dtype=object)
+    return texts, index
 
 
 def write_records_csv(hits, path, tol: float) -> None:
     res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu, hits.x,
                                               tol)
-    names = [verdict.value for verdict in VERDICTS]
-    columns = (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, res_a, res_b)
+    # Scan columns repeat their values (the grid axes, x, C = 1, zero
+    # residuals), so each distinct value is formatted once and rows index it.
+    columns = [_float_texts(column) for column in
+               (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, res_a, res_b)]
+    columns.append((np.array([verdict.value + "\r\n" for verdict in VERDICTS],
+                             dtype=object), codes))
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(_CSV_HEADER)
             for start in range(0, len(codes), _CSV_BLOCK):
                 block = slice(start, start + _CSV_BLOCK)
-                rows = zip(*(column[block].tolist() for column in columns),
-                           codes[block].tolist())
-                handle.writelines(_CSV_ROW % (*row, names[code]) for *row, code in rows)
+                fields = [texts[index[block]].tolist() for texts, index in columns]
+                handle.writelines(map(",".join, zip(*fields)))
     except OSError as err:
         raise InputFileError(f"cannot write {path}: {err.strerror}") from None
 
@@ -424,12 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return status
     except CohentError as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, ScopeError):
             return EXIT_SCOPE
         return EXIT_INCONSISTENT if isinstance(err, ConsistencyError) else EXIT_INPUT
+    except BrokenPipeError:
+        # Nothing reads stdout any more (as with `| head`).  Point it at
+        # devnull, so that the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to standard output: the pipe is closed",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -428,6 +428,14 @@ def run_scan(config: ScanConfig, verify_tol: float = 1e-8) -> ScanOutcome:
     """Grid scan, refinement of near-maximal hits, disjointness verification,
     and the seeded oracle spot-check, in one deterministic pipeline."""
     _require_positive_tol(verify_tol)
+    # Refine guarantees only that a converged hit passes the family checks at
+    # REFINE_TARGET.  A hit it left alone, because it passed there, may fail
+    # a lower tol and be reported as a violation it is not.
+    if verify_tol < REFINE_TARGET:
+        raise DomainError(
+            f"verify tol {verify_tol} lies below refine's target: it must be at "
+            f"least {REFINE_TARGET!r}"
+        )
     # At tol >= 1 - x the point (mu, lam, rho, nu) = (1, -1, -x, x), whose
     # largest |coefficient| is 1, passes both family checks, so the verdicts
     # could no longer be disjoint; below it no point does (classify's

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -16,6 +18,7 @@ from cohent.classify import classify
 from cohent.errors import ConsistencyError, DomainError
 from cohent.scan import (
     REFINE_FLOOR,
+    REFINE_TARGET,
     DisjointnessReport,
     ScanHits,
     ScanOutcome,
@@ -327,13 +330,24 @@ class TestScanCommand:
         assert "below 1 - max(x_values) = 0.19999999999999996" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["1e-13", "1e-16", "1e-300"])
+    def test_tol_below_the_refine_target_exits_2(self, tmp_path, capsys, tol):
+        # refine only makes converged hits pass the family checks at
+        # REFINE_TARGET; below it, unmoved hits were reported as violations
+        # (--tol 1e-16 exited 5 with 87 + 201 of 480 hits classified)
+        out = tmp_path / "o.csv"
+        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol]) == 2
+        assert f"it must be at least {REFINE_TARGET!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_below_that_bound_still_separates_the_families(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", "0.1",
-                         "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert (payload["hits"], payload["class_a"], payload["class_b"],
-                payload["disjoint"]) == (480, 237, 243, True)
+        for tol in ("0.1", repr(REFINE_TARGET)):  # REFINE_TARGET is the lowest
+            assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol,
+                             "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["hits"], payload["class_a"], payload["class_b"],
+                    payload["disjoint"]) == (480, 237, 243, True)
 
     def test_csv_residuals_and_verdict_come_from_classify(self, tmp_path):
         text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
@@ -593,15 +607,17 @@ class TestDeterminism:
         assert cli.main(["scan", config, str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    # SHA-256 of the CSVs of the bundled box and of the dense_sweep box
-    # (241^3): the grid uses only correctly rounded elementwise operations,
+    # SHA-256 of the CSVs of the bundled box, of the dense_sweep box (241^3)
+    # and of the bundled box at threshold 0.9 (50,217 hits, CI's wide smoke
+    # scan): the grid uses only correctly rounded elementwise operations,
     # so any numpy should write these bytes, and a record moved by one ulp
     # fails here.
     @pytest.mark.parametrize("steps, threshold, digest", [
         (61, "0.999", "5fdadb60ad257affc88142fd2f3d0a48ae9345daf7bf7672bf5d8ee5317f853f"),
         (241, "0.999999",
          "5db3ca94d90156c6533f0f79b24b09eec7a8bcb999d2b3041e70b53df0c493f2"),
-    ], ids=["bundled", "dense"])
+        (61, "0.9", "834e26116df7c306a749f0702f513f81db82fc74a89ac513993d7217772c3b34"),
+    ], ids=["bundled", "dense", "wide"])
     def test_scan_csv_digest(self, tmp_path, steps, threshold, digest):
         text = resources.files("cohent").joinpath("configs").joinpath(
             "theorem_check.cfg").read_text(encoding="utf-8")
@@ -610,6 +626,34 @@ class TestDeterminism:
         out = tmp_path / "records.csv"
         assert cli.main(["scan", write(tmp_path, "scan.cfg", text), str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["examples"],
+    ["oracle-check", "--trials", "3", "--json"],
+    ["scan", "theorem_check.cfg", "out.csv", "--json"],
+], ids=["examples", "oracle-check", "scan"])
+def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
+    # stdout's reader is gone before anything is written, as with `| head`:
+    # these exited 1 with a BrokenPipeError traceback (unbuffered), or 120
+    # at the interpreter's final flush (buffered)
+    src = str(Path(cli.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        result = subprocess.run([sys.executable, "-m", "cohent.cli", *argv],
+                                stdout=writer, stderr=subprocess.PIPE, cwd=tmp_path,
+                                env=env, timeout=300)
+    finally:
+        os.close(writer)
+    assert result.returncode == 2
+    assert result.stderr == b"error: cannot write to standard output: the pipe is closed\n"
 
 
 def test_package_root_exports_the_readme_library_names():

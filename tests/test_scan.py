@@ -901,6 +901,29 @@ class TestColumnTail:
         assert ((tmp_path / "columns.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
+    @pytest.mark.parametrize("n", [0, 2 * cli._CSV_BLOCK + 3])
+    def test_csv_of_repeated_and_signed_zero_values(self, n, tmp_path):
+        # The writer formats each distinct value of a column once; no scan
+        # output has a -0, so only this test sees 0.0 and -0.0 in one column.
+        rng = np.random.default_rng(5)
+        hits = ScanHits.unrefined(
+            rng.choice([0.0, -0.0, 0.5, -1.25, 1.0 / 3.0], n),
+            rng.choice([-0.0, 0.0, 2.0, 1e-300], n),
+            rng.uniform(-3.0, 3.0, n),
+            rng.choice([0.2, 0.5, 0.8], n),
+            rng.choice([1.0, 0.0, -0.0, 0.9999999999999999], n),
+        )
+        tol = 1e-9
+        cli.write_records_csv(hits, tmp_path / "columns.csv", tol)
+        list_csv(hit_list(hits), tmp_path / "reference.csv", tol)
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        lams = {line.split(b",")[0] for line in written.splitlines()[1:]}
+        assert lams == ({b"0", b"-0", b"0.5", b"-1.25", b"0.33333333333333331"}
+                        if n else set())
+        if not n:
+            assert written == cli._CSV_HEADER.encode()
+
 
 def bits(values):
     """Floats compared by repr, so that 0.0 and -0.0 differ."""
