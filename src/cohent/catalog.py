@@ -60,34 +60,16 @@ def example_states(gap_squared: float = 1.0) -> list[ExampleState]:
         ("paired rho=-0.8", (1.0, -0.8, -0.8)),
     ]
 
-    states = []
-    for label, (lam, rho, nu) in a_patterns:
-        states.append(ExampleState(
-            label=f"class-a {label}",
-            expected=Verdict.MAXIMAL_CLASS_A,
-            coeffs=SuperpositionCoeffs(1.0, lam, rho, nu),
-            config=generic,
-        ))
-    for label, (lam, rho, nu) in a_patterns:
-        states.append(ExampleState(
-            label=f"class-a {label} (cat: beta=alpha, delta=gamma)",
-            expected=Verdict.MAXIMAL_CLASS_A,
-            coeffs=SuperpositionCoeffs(1.0, lam, rho, nu),
-            config=cat,
-        ))
-    for label, (lam, rho, nu) in b_patterns:
-        states.append(ExampleState(
-            label=f"class-b {label}",
-            expected=Verdict.MAXIMAL_CLASS_B,
-            coeffs=SuperpositionCoeffs(1.0, lam, rho, nu),
-            config=generic,
-        ))
-    for label, (lam, rho, nu) in sep_patterns:
-        states.append(ExampleState(
-            label=f"separable {label}",
-            expected=Verdict.SEPARABLE,
-            coeffs=SuperpositionCoeffs(1.0, lam, rho, nu),
-            config=generic,
-        ))
-    return states
-
+    table = [
+        ("class-a {}", Verdict.MAXIMAL_CLASS_A, a_patterns, generic),
+        ("class-a {} (cat: beta=alpha, delta=gamma)", Verdict.MAXIMAL_CLASS_A,
+         a_patterns, cat),
+        ("class-b {}", Verdict.MAXIMAL_CLASS_B, b_patterns, generic),
+        ("separable {}", Verdict.SEPARABLE, sep_patterns, generic),
+    ]
+    return [
+        ExampleState(label=form.format(label), expected=expected,
+                     coeffs=SuperpositionCoeffs(1.0, lam, rho, nu), config=config)
+        for form, expected, patterns, config in table
+        for label, (lam, rho, nu) in patterns
+    ]

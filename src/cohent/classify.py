@@ -185,34 +185,38 @@ def _require_positive_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
-def _solve_quadratic(
-    a: float, b: float, c: float, disc_raw: float
-) -> tuple[tuple[float, ...], bool]:
-    """Real roots of a x^2 + b x + c, with stable cancellation handling.
+def _square(v: float) -> float:
+    """v ** 2, or inf where that leaves the float range (** raises there)."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
-    `disc_raw` is b^2 - 4ac supplied in an algebraically factored form, which
+
+def _root_report(case_tag: str, a: float, b: float, c: float, disc: float) -> RootReport:
+    """Real roots of a x^2 + b x + c, stably, and those inside (0, 1).
+
+    `disc` is (b^2 - 4ac) / 4 supplied in an algebraically factored form, which
     keeps tangent configurations (exact double roots) from being lost to the
-    rounding of the textbook subtraction.  Returns (roots, identically_zero);
-    a double root is reported once.
+    rounding of the textbook subtraction; a double root is reported once.  A
+    non-finite coefficient always leaves c non-finite, so the check below
+    refuses it with the terms beyond the float range.
     """
+    if not all(map(math.isfinite, (a, b, c, disc))):
+        raise DomainError(f"{case_tag}: the quadratic's terms leave the float range; "
+                          "lam, rho and nu must be finite and smaller")
     if a == 0.0:
-        if b == 0.0:
-            return (), c == 0.0
-        return ((-c / b,), False)
-    if disc_raw < 0.0:
-        return (), False
-    if disc_raw == 0.0:
-        return ((-b / (2.0 * a),), False)
-    sq = math.sqrt(disc_raw)
-    q = -0.5 * (b + math.copysign(sq, b))
-    r1 = q / a
-    r2 = c / q if q != 0.0 else -b / (2.0 * a)
-    roots = tuple(sorted(r for r in (r1, r2) if math.isfinite(r)))
-    return roots, False
-
-
-def _feasible(roots: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(r for r in roots if BOUNDARY_TOL < r < 1.0 - BOUNDARY_TOL)
+        roots = (-c / b,) if b != 0.0 else ()
+    elif disc < 0.0:
+        roots = ()
+    elif disc == 0.0:
+        roots = (-b / (2.0 * a),)
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(4.0 * disc), b))
+        r2 = c / q if q != 0.0 else -b / (2.0 * a)
+        roots = tuple(sorted(r for r in (q / a, r2) if math.isfinite(r)))
+    feasible = tuple(r for r in roots if BOUNDARY_TOL < r < 1.0 - BOUNDARY_TOL)
+    return RootReport(case_tag, disc, roots, feasible, a == b == c == 0.0)
 
 
 def quadratic_roots_case1(lam: float, rho: float, nu: float) -> RootReport:
@@ -222,21 +226,15 @@ def quadratic_roots_case1(lam: float, rho: float, nu: float) -> RootReport:
     discriminant is the factored form (1-nu)^2 ((lam+rho)^2 - 4 nu); a root in
     the open interval (0, 1) exists only for nu = 1 with lam + rho in (-2, 0),
     where the double root is -(lam+rho)/2.  The nu = 0 instance degenerates to
-    a linear equation whose root is never feasible.
+    a linear equation whose root is never feasible.  Raises DomainError when
+    a term is not finite.
     """
     s = lam + rho
     a = 4.0 * nu
     b = 2.0 * s * (1.0 + nu)
-    c = (1.0 - nu) ** 2 + s * s
-    disc = (1.0 - nu) ** 2 * (s * s - 4.0 * nu)
-    roots, ident = _solve_quadratic(a, b, c, 4.0 * disc)
-    return RootReport(
-        case_tag="Case1",
-        discriminant=disc,
-        roots=roots,
-        feasible_roots=_feasible(roots),
-        identically_zero=ident,
-    )
+    c = _square(1.0 - nu) + s * s
+    disc = _square(1.0 - nu) * (s * s - 4.0 * nu)
+    return _root_report("Case1", a, b, c, disc)
 
 
 def quadratic_roots_case2(lam: float, rho: float, nu: float) -> RootReport:
@@ -246,21 +244,15 @@ def quadratic_roots_case2(lam: float, rho: float, nu: float) -> RootReport:
     (lam-rho)^2 ((1+nu)^2 - 4 lam rho).  Feasible roots exist only for
     lam = rho with x = -(1+nu)/(2 lam) inside (0, 1).  With lam = rho = 0 and
     nu = -1 the polynomial vanishes identically (every x solves it); that is
-    the antisymmetric state, maximal at every overlap.
+    the antisymmetric state, maximal at every overlap.  Raises DomainError
+    when a term is not finite.
     """
     s = lam + rho
     a = 4.0 * lam * rho
     b = 2.0 * s * (1.0 + nu)
-    c = (1.0 + nu) ** 2 + (lam - rho) ** 2
-    disc = (lam - rho) ** 2 * ((1.0 + nu) ** 2 - 4.0 * lam * rho)
-    roots, ident = _solve_quadratic(a, b, c, 4.0 * disc)
-    return RootReport(
-        case_tag="Case2",
-        discriminant=disc,
-        roots=roots,
-        feasible_roots=_feasible(roots),
-        identically_zero=ident,
-    )
+    c = _square(1.0 + nu) + _square(lam - rho)
+    disc = _square(lam - rho) * (_square(1.0 + nu) - 4.0 * lam * rho)
+    return _root_report("Case2", a, b, c, disc)
 
 
 def solve_coefficients_for_x(

@@ -123,19 +123,14 @@ def cmd_examples(args) -> int:
     states = example_states(args.gap_squared)
     x = math.exp(-0.5 * args.gap_squared)
     rows = []
-    failures = []
     for state in states:
         overlaps = OverlapPair.from_config(state.config)
         c_analytic = concurrence(state.coeffs, overlaps)
         c_oracle = oracle_concurrence(state.config, state.coeffs)
         verdict = classify(state.coeffs, overlaps.common_value()).verdict
-        if state.expected is Verdict.SEPARABLE:
-            ok = c_analytic <= 1e-10 and c_oracle <= 1e-8
-        else:
-            ok = abs(c_analytic - 1.0) <= 1e-10 and abs(c_oracle - 1.0) <= 1e-8
-        ok = ok and verdict is state.expected
-        if not ok:
-            failures.append(state.label)
+        target = 0.0 if state.expected is Verdict.SEPARABLE else 1.0
+        ok = (abs(c_analytic - target) <= 1e-10 and abs(c_oracle - target) <= 1e-8
+              and verdict is state.expected)
         rows.append(
             {
                 "label": state.label,
@@ -148,6 +143,7 @@ def cmd_examples(args) -> int:
                 "ok": ok,
             }
         )
+    failures = [row["label"] for row in rows if not row["ok"]]
     if args.json:
         print(json.dumps({"gap_squared": args.gap_squared, "x": x, "states": rows},
                          indent=2))
@@ -435,8 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help's text, so that a closed stdout fails here
+            raise
         status = args.func(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return status

@@ -3,6 +3,7 @@
 Each test prints a single summary line so a verbose run reads as a checklist.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -28,6 +29,16 @@ from cohent.scan import ScanConfig, run_scan
 
 def report(n: int, message: str) -> None:
     print(f"ACCEPTANCE CRITERION {n}: PASS - {message}")
+
+
+@pytest.mark.parametrize("gap_squared, digest", [
+    (1.0, "7f93f63dd5dc7157c3810e6ac844064f7a4123d66d847ffb671e8525c8e55a99"),
+    (2.5, "ca2925a93cbebe739460da8ceba0c2dca100d5b025bdddf327abb5fe0a05736e"),
+])
+def test_reference_states_are_pinned(gap_squared, digest):
+    # labels, order, verdicts, coefficients and configurations, bit for bit
+    states = example_states(gap_squared)
+    assert hashlib.sha256(repr(states).encode()).hexdigest() == digest
 
 
 def test_criterion_1_reference_state_reproduction():

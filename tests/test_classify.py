@@ -321,6 +321,22 @@ class TestCase2Roots:
             assert interior.min() > 1e-8
 
 
+@pytest.mark.parametrize("case, args", [
+    (quadratic_roots_case1, (1e200, 0.0, 1.0)),
+    (quadratic_roots_case2, (1e200, 1e200, 0.0)),
+    (quadratic_roots_case2, (0.0, 0.0, math.nan)),
+    (quadratic_roots_case1, (0.0, 0.0, 1e200)),
+    (quadratic_roots_case2, (1e200, -1e200, 0.0)),
+    (quadratic_roots_case2, (-1e200, -1e200, 1e200)),  # class (b) at x = 0.5
+], ids=["case1-nan-disc", "case2-nan-disc", "case2-nan-nu", "case1-overflow",
+        "case2-overflow", "case2-class-b-overflow"])
+def test_roots_beyond_the_float_range_raise_domain_error(case, args):
+    # the first two reported a NaN discriminant, the third a NaN root, and
+    # the last three raised a bare OverflowError from ** 2
+    with pytest.raises(DomainError, match="leave the float range"):
+        case(*args)
+
+
 class TestSolveCoefficients:
     def test_class_a_example(self):
         coeffs = solve_coefficients_for_x("A", 0.5, -0.5)

@@ -628,16 +628,9 @@ class TestDeterminism:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [
-    ["examples"],
-    ["oracle-check", "--trials", "3", "--json"],
-    ["scan", "theorem_check.cfg", "out.csv", "--json"],
-], ids=["examples", "oracle-check", "scan"])
-def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
-    # stdout's reader is gone before anything is written, as with `| head`:
-    # these exited 1 with a BrokenPipeError traceback (unbuffered), or 120
-    # at the interpreter's final flush (buffered)
+def _run_with_closed_stdout(tmp_path, argv, unbuffered):
+    """`python -m cohent.cli ARGV` with stdout's reader gone before anything
+    is written, as with `| head`."""
     src = str(Path(cli.__file__).parents[1])
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONUNBUFFERED"}
@@ -647,13 +640,46 @@ def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
     reader, writer = os.pipe()
     os.close(reader)
     try:
-        result = subprocess.run([sys.executable, "-m", "cohent.cli", *argv],
-                                stdout=writer, stderr=subprocess.PIPE, cwd=tmp_path,
-                                env=env, timeout=300)
+        return subprocess.run([sys.executable, "-m", "cohent.cli", *argv],
+                              stdout=writer, stderr=subprocess.PIPE, cwd=tmp_path,
+                              env=env, timeout=300)
     finally:
         os.close(writer)
+
+
+_CLOSED_STDOUT_ERROR = b"error: cannot write to standard output: the pipe is closed\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["examples"],
+    ["oracle-check", "--trials", "3", "--json"],
+    ["scan", "theorem_check.cfg", "out.csv", "--json"],
+], ids=["examples", "oracle-check", "scan"])
+def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
+    # these exited 1 with a BrokenPipeError traceback (unbuffered), or 120
+    # at the interpreter's final flush (buffered)
+    result = _run_with_closed_stdout(tmp_path, argv, unbuffered)
     assert result.returncode == 2
-    assert result.stderr == b"error: cannot write to standard output: the pipe is closed\n"
+    assert result.stderr == _CLOSED_STDOUT_ERROR
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]], ids=["help", "scan-help"])
+def test_help_to_closed_stdout_exits_2(tmp_path, argv):
+    # argparse exits before any command runs, and the interpreter's final
+    # flush failed: exit 120.  (Unbuffered, argparse itself drops the write
+    # error.)
+    result = _run_with_closed_stdout(tmp_path, argv, unbuffered=False)
+    assert result.returncode == 2
+    assert result.stderr == _CLOSED_STDOUT_ERROR
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]], ids=["help", "scan-help"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cohent")
 
 
 def test_package_root_exports_the_readme_library_names():
