@@ -1,31 +1,34 @@
 """Classification of maximal entanglement and the quadratic-root analysis.
 
-The concurrence depends only on the ray of v = (mu, lam, rho, nu).  At a
-common overlap x = p1 = p2 in (0, 1), a state is maximally entangled exactly
-when v lies on one of two planes through the origin, ker P_a(x) and
-ker P_b(x), with rows (-1, 0, 0, 1), (2x, 1, 1, 0) and (0, 1, -1, 0),
-(1, 2x, 0, 1):
+The concurrence depends only on the ray of v = (mu, lam, rho, nu).  At
+overlaps p_i = cos theta_i in (0, 1), n_i = sin theta_i, a state is maximally
+entangled exactly when v lies on one of two planes through the origin,
+ker P_a and ker P_b (their rows are _family_terms').  The amplitudes of
+analytic._amplitudes give (a + d, b - c) = M_a P_a v, M_a = [[p1, 1], [-n1, 0]],
+and (a - d, b + c) = M_b P_b v, M_b = [[-cos(theta1 + theta2), p1],
+[-sin(theta1 + theta2), n1]], whose squared singular values are 1 +- p1 and
+1 +- p2.  N^2 (1 - C) is the smaller of |M_a P_a v|^2 and |M_b P_b v|^2, so
+C = 1 exactly on the planes; det [P_a; P_b] = 4 n1 n2 > 0, so they meet only
+at v = 0.  At p1 = p2 = x they are the paper's planes:
 
     class (a): nu - mu = 0     and lam + rho + 2x mu = 0,
     class (b): lam - rho = 0   and nu + mu + 2x lam  = 0.
 
 At mu = 1 these are nu = 1, lam + rho = -2x and lam = rho, nu + 1 = -2 lam x.
-det [P_a; P_b] = 4 (1 - x^2), so the planes meet only at v = 0 and the two
-families are disjoint; tests/test_symbolic.py proves this, and that the
-planes are the zero sets of maximality_residual's two sums of squares.
-Separability is the opposite corner: C = 0 exactly when mu nu = lam rho.
+tests/test_symbolic.py proves all of this.  Separability is the opposite
+corner: C = 0 exactly when mu nu = lam rho.
 
 The tolerance is scale-free.  v passes a family's test at `tol` when both
 of its terms are at most tol max|v|, and the separability test when
 |mu nu - lam rho| <= tol max|v|^2; where the largest |coefficient| is mu = 1
-that is an absolute tol.  Both family tests pass at once only for
-tol >= 1 - x: the point (1, -1, -x, x), max|v| = 1, has all four terms equal
-to 1 - x, and a linear program over max|v| = 1 finds no point that passes
-both at a lower tol.
+that is an absolute tol.  At p1 = p2 = x both family tests pass at once only
+for tol >= 1 - x: the point (1, -1, -x, x), max|v| = 1, has all four terms
+equal to 1 - x, and a linear program over max|v| = 1 finds no point that
+passes both at a lower tol.  This limit is proven at p1 = p2 only.
 
-Maximality reduces to a quadratic in x on either side of the kink
-|nu - lam rho| (mu = 1); the feasibility of those quadratics over 0 < x < 1
-is what `quadratic_roots_case1/2` report.
+Maximality at p1 = p2 reduces to a quadratic in x on either side of the
+kink |nu - lam rho| (mu = 1); the feasibility of those quadratics over
+0 < x < 1 is what `quadratic_roots_case1/2` report.
 """
 
 from __future__ import annotations
@@ -88,14 +91,18 @@ class RootReport:
     identically_zero: bool = False
 
 
-def _family_terms(mu, lam, rho, nu, x):
+def _family_terms(mu, lam, rho, nu, p1, p2, n1, n2):
     """P_a v and P_b v, the two terms of each family, and mu nu - lam rho, of
-    v = (mu, lam, rho, nu) at the overlap x; broadcasts."""
-    return ((nu - mu, lam + rho + 2.0 * x * mu), (lam - rho, nu + mu + 2.0 * x * lam),
+    v = (mu, lam, rho, nu) at the overlaps (p1, p2), n_i = sqrt(1 - p_i^2);
+    broadcasts.  At p1 = p2, r = s = 1.0 exactly, so each |term| is bit for
+    bit that of the rows at x = p1 in the module docstring."""
+    r, s = n2 / n1, n1 / n2
+    return ((nu - r * mu + (p2 - r * p1) * rho, lam + r * rho + (p2 + r * p1) * mu),
+            (s * lam - rho + (s * p2 - p1) * mu, nu + s * mu + (p1 + s * p2) * lam),
             mu * nu - lam * rho)
 
 
-def _ray_columns(mu, lam, rho, nu, x, tol):
+def _ray_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol):
     """The class (a), class (b) and separability residuals of v, and whether
     v passes the class (a), class (b) and separability tests at `tol` (see
     the module docstring); broadcasts.
@@ -109,7 +116,7 @@ def _ray_columns(mu, lam, rho, nu, x, tol):
     size = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
     e = np.frexp(size)[1] - 1
     (a1, a2), (b1, b2), sep = _family_terms(
-        *(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), x)
+        *(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), p1, p2, n1, n2)
     a1, a2, b1, b2, sep = abs(a1), abs(a2), abs(b1), abs(b2), abs(sep)
     size = np.ldexp(size, -e)
     bound = tol * size
@@ -119,13 +126,15 @@ def _ray_columns(mu, lam, rho, nu, x, tol):
             sep <= bound * size)
 
 
-def family_checks(mu, lam, rho, nu, x, tol: float = DEFAULT_TOL):
-    """check_class_a and check_class_b of many points at once; broadcasts.
+def family_checks(mu, lam, rho, nu, p1, p2, n1, n2, tol: float = DEFAULT_TOL):
+    """Whether each point passes the class (a) and the class (b) test at
+    `tol`: both terms of the family at most tol max|v|; broadcasts.
 
-    `x` must already lie inside (0, 1); `tol` is validated here.
+    The overlaps (p1, p2 in (0, 1), n_i = sqrt(1 - p_i^2)) are not checked
+    here; `tol` is.
     """
     _require_positive_tol(tol)
-    return _ray_columns(mu, lam, rho, nu, x, tol)[3:5]
+    return _ray_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol)[3:5]
 
 
 # classify_columns's verdict codes index this tuple.
@@ -133,47 +142,37 @@ VERDICTS = (Verdict.SEPARABLE, Verdict.MAXIMAL_CLASS_A, Verdict.MAXIMAL_CLASS_B,
             Verdict.INTERMEDIATE)
 
 
-def classify_columns(mu, lam, rho, nu, x, tol: float = DEFAULT_TOL):
+def classify_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol: float = DEFAULT_TOL):
     """classify's residuals and verdict for many points at once; broadcasts.
 
     Returns the class (a), class (b) and separability residuals and a verdict
     code per point, an index into VERDICTS.  The tests run in classify's
     order: separable, then class (a), then class (b), else intermediate.
-    `x` must already lie inside (0, 1); `tol` is validated here.
+    The overlaps (p1, p2 in (0, 1), n_i = sqrt(1 - p_i^2)) are not checked
+    here; `tol` is.
     """
     _require_positive_tol(tol)
-    res_a, res_b, sep, on_a, on_b, separable = _ray_columns(mu, lam, rho, nu, x, tol)
+    res_a, res_b, sep, on_a, on_b, separable = _ray_columns(
+        mu, lam, rho, nu, p1, p2, n1, n2, tol)
     return res_a, res_b, sep, np.select([separable, on_a, on_b], [0, 1, 2], 3)
 
 
-def check_class_a(coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |nu - mu| and |lam + rho + 2x mu| are at most tol max|v|."""
-    x = require_open_unit_interval(x)
-    return bool(family_checks(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[0])
-
-
-def check_class_b(coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL) -> bool:
-    """True iff |lam - rho| and |nu + mu + 2 lam x| are at most tol max|v|."""
-    x = require_open_unit_interval(x)
-    return bool(family_checks(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, tol)[1])
-
-
 def classify(
-    coeffs: SuperpositionCoeffs, x: float, tol: float = DEFAULT_TOL
+    coeffs: SuperpositionCoeffs, overlaps: OverlapPair, tol: float = DEFAULT_TOL
 ) -> ClassificationResult:
-    """Tagged verdict at the common overlap x, with all residuals reported.
+    """Tagged verdict at the overlaps (p1, p2), with all residuals reported.
 
     Near-degenerate inputs are resolved deterministically: separability is
     checked first, then class (a), then class (b); the residuals, of v as
     given, let callers re-decide with their own tolerance.  mu need not be
     1, and may be 0.
     """
-    x = require_open_unit_interval(x)
     res_a, res_b, res_sep, code = classify_columns(
-        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, tol)
+        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
+        overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2, tol)
     return ClassificationResult(
         verdict=VERDICTS[int(code)],
-        concurrence=concurrence(coeffs, OverlapPair(x, x)),
+        concurrence=concurrence(coeffs, overlaps),
         class_a_residual=res_a,
         class_b_residual=res_b,
         separability_residual=res_sep,
@@ -198,9 +197,10 @@ def _root_report(case_tag: str, a: float, b: float, c: float, disc: float) -> Ro
 
     `disc` is (b^2 - 4ac) / 4 supplied in an algebraically factored form, which
     keeps tangent configurations (exact double roots) from being lost to the
-    rounding of the textbook subtraction; a double root is reported once.  A
-    non-finite coefficient always leaves c non-finite, so the check below
-    refuses it with the terms beyond the float range.
+    rounding of the textbook subtraction; a double root is reported once, and
+    a root beyond the float range not at all.  A non-finite coefficient always
+    leaves c non-finite, so the check below refuses it with the terms beyond
+    the float range.
     """
     if not all(map(math.isfinite, (a, b, c, disc))):
         raise DomainError(f"{case_tag}: the quadratic's terms leave the float range; "
@@ -213,8 +213,8 @@ def _root_report(case_tag: str, a: float, b: float, c: float, disc: float) -> Ro
         roots = (-b / (2.0 * a),)
     else:
         q = -0.5 * (b + math.copysign(math.sqrt(4.0 * disc), b))
-        r2 = c / q if q != 0.0 else -b / (2.0 * a)
-        roots = tuple(sorted(r for r in (q / a, r2) if math.isfinite(r)))
+        roots = (q / a, c / q if q != 0.0 else -b / (2.0 * a))
+    roots = tuple(sorted(r for r in roots if math.isfinite(r)))
     feasible = tuple(r for r in roots if BOUNDARY_TOL < r < 1.0 - BOUNDARY_TOL)
     return RootReport(case_tag, disc, roots, feasible, a == b == c == 0.0)
 

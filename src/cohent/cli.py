@@ -3,8 +3,11 @@
 Subcommands: concurrence, classify, examples, bell-limit, scan, oracle-check.
 Exit codes: 0 success, 2 input error (an unreadable or invalid input file, an
 unwritable output file, or a closed stdout among them), 3 analytic/oracle
-inconsistency, 4 outside classification scope (p1 != p2), 5 disjointness
-violation in a scan.
+inconsistency, 5 disjointness violation in a scan.
+
+`classify` answers at any overlaps (p1, p2), on cohent.classify's planes:
+(a + d, b - c) = M_a P_a v and (a - d, b + c) = M_b P_b v, the squared singular
+values of M_a and M_b being 1 +- p1 and 1 +- p2.  `scan` stays at p1 = p2 = x.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
 from .coherent import CoherentConfig, OverlapPair
-from .errors import CohentError, ConsistencyError, DomainError, InputFileError, ScopeError
+from .errors import CohentError, ConsistencyError, DomainError, InputFileError
 from .oracle import build_state, oracle_concurrence
 from .scan import run_scan
 from .statespec import load_scan_file, load_state_file, parse_scan_text
@@ -32,7 +35,6 @@ from .statespec import load_scan_file, load_state_file, parse_scan_text
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
-EXIT_SCOPE = 4
 EXIT_DISJOINTNESS = 5
 
 # Oracle disagreement beyond this on a single CLI computation is treated as
@@ -98,12 +100,7 @@ def cmd_classify(args) -> int:
     spec = load_state_file(args.spec)
     coeffs = spec.coefficients()
     overlaps = spec.overlaps()
-    if abs(overlaps.p1 - overlaps.p2) > 1e-12:
-        raise ScopeError(
-            f"classification covers equal overlaps only; got p1 = {overlaps.p1!r}, "
-            f"p2 = {overlaps.p2!r}"
-        )
-    result = classify(coeffs, overlaps.p1, args.tol)
+    result = classify(coeffs, overlaps, args.tol)
     _emit(
         [
             ("verdict", result.verdict.value),
@@ -111,7 +108,8 @@ def cmd_classify(args) -> int:
             ("class_a_residual", result.class_a_residual),
             ("class_b_residual", result.class_b_residual),
             ("separability_residual", result.separability_residual),
-            ("x", overlaps.p1),
+            ("p1", overlaps.p1),
+            ("p2", overlaps.p2),
             ("tol", args.tol),
         ],
         args.json,
@@ -127,7 +125,7 @@ def cmd_examples(args) -> int:
         overlaps = OverlapPair.from_config(state.config)
         c_analytic = concurrence(state.coeffs, overlaps)
         c_oracle = oracle_concurrence(state.config, state.coeffs)
-        verdict = classify(state.coeffs, overlaps.common_value()).verdict
+        verdict = classify(state.coeffs, overlaps).verdict
         target = 0.0 if state.expected is Verdict.SEPARABLE else 1.0
         ok = (abs(c_analytic - target) <= 1e-10 and abs(c_oracle - target) <= 1e-8
               and verdict is state.expected)
@@ -239,8 +237,9 @@ def _float_texts(column):
 
 
 def write_records_csv(hits, path, tol: float) -> None:
-    res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu, hits.x,
-                                              tol)
+    n = np.sqrt((1.0 - hits.x) * (1.0 + hits.x))
+    res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
+                                              hits.x, hits.x, n, n, tol)
     # Scan columns repeat their values (the grid axes, x, C = 1, zero
     # residuals), so each distinct value is formatted once and rows index it.
     columns = [_float_texts(column) for column in
@@ -387,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_concurrence)
 
-    p = sub.add_parser("classify", help="verdict and residuals at p1 = p2")
+    p = sub.add_parser("classify", help="verdict and residuals of one state")
     p.add_argument("spec", help="state file (key = value lines)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
@@ -442,8 +441,6 @@ def main(argv=None) -> int:
         return status
     except CohentError as err:
         print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, ScopeError):
-            return EXIT_SCOPE
         return EXIT_INCONSISTENT if isinstance(err, ConsistencyError) else EXIT_INPUT
     except BrokenPipeError:
         # Nothing reads stdout any more (as with `| head`).  Point it at

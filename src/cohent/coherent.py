@@ -143,12 +143,6 @@ class OverlapPair:
             c2=overlap_complement(config.delta, config.beta),
         )
 
-    def common_value(self, tol: float = 1e-12) -> float:
-        """The shared overlap x when p1 = p2; DomainError if they differ."""
-        if abs(self.p1 - self.p2) > tol:
-            raise DomainError(f"p1 = {self.p1} and p2 = {self.p2} differ beyond {tol}")
-        return self.p1
-
 
 # A random oracle sweep over amplitudes up to 2 uses at most 23 distinct
 # truncations (9 to 31).

@@ -25,10 +25,6 @@ class ConsistencyError(CohentError):
     """An internal cross-check failed (float noise beyond bug threshold)."""
 
 
-class ScopeError(CohentError):
-    """Request falls outside the scope of the classification theory (p1 != p2)."""
-
-
 class InputFileError(CohentError):
     """A state or scan document could not be read or parsed, or the output
     file could not be written."""

@@ -281,7 +281,8 @@ def _project(lam, rho, nu, x, c):
     (a - d)^2 + (b + c)^2, zero on class (b).  REFINE_TARGET says which
     points move and which steps converge.
     """
-    move = ~np.logical_or(*family_checks(1.0, lam, rho, nu, x, REFINE_TARGET))
+    n = np.sqrt((1.0 - x) * (1.0 + x))
+    move = ~np.logical_or(*family_checks(1.0, lam, rho, nu, x, x, n, n, REFINE_TARGET))
     upper = nu >= lam * rho
     new_lam, new_rho, new_nu = lam.copy(), rho.copy(), nu.copy()
     # The step never crosses the branch boundary: on the class (a) line
@@ -296,7 +297,7 @@ def _project(lam, rho, nu, x, c):
     new_lam[b], new_rho[b], new_nu[b] = t, t, -1.0 - 2.0 * t * xb
 
     new_c = concurrence_columns(new_lam, new_rho, new_nu, x, "refine: recomputed")
-    converged = np.logical_or(*family_checks(1.0, new_lam, new_rho, new_nu, x,
+    converged = np.logical_or(*family_checks(1.0, new_lam, new_rho, new_nu, x, x, n, n,
                                              REFINE_TARGET))
     return (np.where(converged, new_lam, lam), np.where(converged, new_rho, rho),
             np.where(converged, new_nu, nu),
@@ -351,8 +352,10 @@ def verify_disjoint_classes(hits: ScanHits, tol: float = 1e-8) -> DisjointnessRe
     """
     # Written as a negation so a NaN concurrence is tested, and fails.
     maximal = np.flatnonzero(~(hits.concurrence <= 1.0 - MAXIMAL_TOL))
+    x = hits.x[maximal]
+    n = np.sqrt((1.0 - x) * (1.0 + x))
     on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
-                               hits.nu[maximal], hits.x[maximal], tol)
+                               hits.nu[maximal], x, x, n, n, tol)
     failed = on_a == on_b
     reasons = np.where(on_a[failed], "on both families",
                        "near-maximal but on neither family")

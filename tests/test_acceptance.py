@@ -6,6 +6,7 @@ Each test prints a single summary line so a verbose run reads as a checklist.
 import hashlib
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -16,14 +17,14 @@ from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.catalog import example_states
 from cohent.classify import (
     Verdict,
-    check_class_a,
-    check_class_b,
+    _family_terms,
+    family_checks,
     quadratic_roots_case1,
     quadratic_roots_case2,
     solve_coefficients_for_x,
 )
 from cohent.coherent import CoherentConfig, OverlapPair
-from cohent.oracle import build_state, oracle_concurrence
+from cohent.oracle import build_state, oracle_concurrence, schmidt_concurrence
 from cohent.scan import ScanConfig, run_scan
 
 
@@ -134,11 +135,12 @@ def test_criterion_4_theorem_reverse_direction_empirical():
     assert outcome.report.n_class_a > 0
     assert outcome.report.n_class_b > 0
     hits = outcome.hits
-    for lam, rho, nu, x, c in zip(*(column.tolist() for column in (
-            hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))):
-        if c > 1.0 - 1e-10:
-            coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-            assert check_class_a(coeffs, x, 1e-8) != check_class_b(coeffs, x, 1e-8)
+    maximal = hits.concurrence > 1.0 - 1e-10
+    x = hits.x[maximal]
+    n = np.sqrt((1.0 - x) * (1.0 + x))
+    on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
+                               hits.nu[maximal], x, x, n, n, 1e-8)
+    assert (on_a != on_b).all()
     assert outcome.max_oracle_diff < 1e-8
     assert elapsed < 600.0
     report(4, f"61^3 x 3 grid: {len(hits)} hits refined onto the two "
@@ -284,3 +286,71 @@ def test_criterion_9_normalization_prefactor_resolution():
     assert state.norm_before_normalization**2 == pytest.approx(resolved, abs=1e-12)
     report(9, f"N^2 = 2(1-x^2)^2 = {resolved:.12f} confirmed by closed form and "
               f"oracle; the 2(1-x^2) = {rejected:.12f} prefactor is excluded")
+
+
+def test_criterion_10_two_sided_bound_against_the_oracle():
+    # With (a + d, b - c) = M_a P_a v, (a - d, b + c) = M_b P_b v and the
+    # squared singular values of M_a and M_b 1 +- p1 and 1 +- p2
+    # (tests/test_symbolic.py),
+    #     min_f (1 - p_f) |P_f v|^2 <= N^2 (1 - C) <= min_f (1 + p_f) |P_f v|^2.
+    # N^2 and C come from the Fock oracle, not the closed form; states are
+    # drawn on each family, 1e-1 to 1e-6 from it, and far from both, at
+    # p1 = p2 and p1 != p2.
+    #
+    # The band, from the oracle's operations at truncation T, with
+    # S = sum |v| and delta = T^2 eps (at least the relative error of the
+    # T^2-term dot product behind N^2, of each Fock entry's cumulative
+    # product and renormalization, and of the SVD, and above the discarded
+    # tail mass of 1e-16):
+    # - N^2 - 2 s1 s2 takes delta N^2 from the norm and 2 (s1 + s2) delta N
+    #   <= 2 sqrt 2 delta N^2 from the singular values;
+    # - assembling the joint matrix errs it by at most 4 eps S <= delta S in
+    #   the Frobenius norm, which moves N^2 - 2 s1 s2 by (2 + 2 sqrt 2) N delta S;
+    # - the computed Fock vectors are exact for overlaps and coefficient
+    #   scales off by delta; (a + d, b - c) and (a - d, b + c) have slopes up
+    #   to 2 S (1 + 1 / n) in them, so the square moves by
+    #   4 sqrt(N^2 (1 - C)) S (1 + 1 / min n_i) delta.
+    # Each family term is a sum of at most six rounded operations on
+    # rounded p_i, n_i and r or s, so it errs by at most 8 eps (1 + r) S
+    # (class a) or 8 eps (1 + s) S (class b), and |P_f v| by sqrt 2 times that.
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(1729)
+    drawn = {"on a family": 0, "near a family": 0, "far from both": 0}
+    for trial in range(840):
+        # every (class a, class b, far) x (p1 = p2, p1 != p2) x distance
+        kind, equal, power = trial % 3, trial // 3 % 2, trial // 6 % 7
+        g1, g2 = rng.uniform(0.3, 2.0, size=2)
+        config = CoherentConfig(0.0, 0.0, g1, g1 if equal else g2)
+        pair = OverlapPair.from_config(config)
+        ps, ns = (pair.p1, pair.p2), (pair.n1, pair.n2)
+        ratios = (pair.n2 / pair.n1, pair.n1 / pair.n2)
+        if kind == 2:
+            v = rng.uniform(-2.0, 2.0, size=4)
+            drawn["far from both"] += 1
+        else:
+            # a point of ker P_f, from the kernel's own rows
+            rows = np.array(_family_terms(*np.eye(4), *ps, *ns)[kind])
+            v = np.linalg.svd(rows)[2][2:].T @ rng.normal(size=2)
+            v /= abs(v).max()
+            distance = 10.0 ** -power if power else 0.0
+            u = rng.normal(size=4)
+            v += distance * u / np.linalg.norm(u)
+            drawn["on a family" if distance == 0.0 else "near a family"] += 1
+        coeffs = SuperpositionCoeffs(*v)
+        state = build_state(config, coeffs)
+        n_sq = state.norm_before_normalization ** 2
+        residual = n_sq * (1.0 - schmidt_concurrence(state))
+        size = float(abs(v).sum())
+        delta = state.truncation ** 2 * eps
+        band = delta * ((1.0 + 2.0 * math.sqrt(2.0)) * n_sq
+                        + (2.0 + 2.0 * math.sqrt(2.0)) * math.sqrt(n_sq) * size
+                        + 4.0 * math.sqrt(residual) * size * (1.0 + 1.0 / min(ns)))
+        lower = upper = math.inf
+        for terms, p, ratio in zip(_family_terms(*v, *ps, *ns)[:2], ps, ratios):
+            length = math.hypot(*terms)
+            slack = math.sqrt(2.0) * 8.0 * eps * (1.0 + ratio) * size
+            lower = min(lower, (1.0 - p) * max(length - slack, 0.0) ** 2)
+            upper = min(upper, (1.0 + p) * (length + slack) ** 2)
+        assert lower - band <= residual <= upper + band, (trial, v, config)
+    report(10, f"min_f (1 - p_f)|P_f v|^2 <= N^2 (1 - C) <= min_f (1 + p_f)|P_f v|^2 "
+               f"against the Fock oracle on {drawn}")

@@ -9,13 +9,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cohent
 from cohent import cli
 from cohent.analytic import SuperpositionCoeffs
-from cohent.classify import classify
+from cohent.classify import _family_terms, classify
+from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.errors import ConsistencyError, DomainError
+from cohent.oracle import oracle_concurrence
 from cohent.scan import (
     REFINE_FLOOR,
     REFINE_TARGET,
@@ -188,11 +191,47 @@ class TestClassifyCommand:
         assert cli.main(["classify", str(path)]) == 2
         assert f"cannot read {path}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_unequal_overlaps_exit_4(self, tmp_path, capsys):
+    def test_unequal_overlaps_separable(self, tmp_path, capsys):
+        # mu nu = lam rho, and C = 0: exited 4, as classify took p1 = p2 only
         path = write(tmp_path, "s.txt",
-                     "p1 = 0.5\np2 = 0.6\nlambda = -0.5\nrho = -0.5\nnu = 1\n")
-        assert cli.main(["classify", path]) == 4
-        assert "equal overlaps" in capsys.readouterr().err
+                     "p1 = 0.5\np2 = 0.6\nlambda = 1\nrho = 1\nnu = 1\n")
+        assert cli.main(["classify", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "Separable"
+        assert payload["concurrence"] == 0.0
+        assert (payload["p1"], payload["p2"]) == (0.5, 0.6)
+        assert "x" not in payload
+
+    @pytest.mark.parametrize("kind, verdict", [
+        (0, "MaximalClassA"), (1, "MaximalClassB"), (2, "Separable")])
+    def test_unequal_overlaps_against_the_oracle(self, tmp_path, capsys, kind, verdict):
+        # amplitude files at p1 != p2: states on each family get their class
+        # with the Fock oracle's C within 1e-12 of 1, and states with
+        # mu nu = lam rho are separable
+        rng = np.random.default_rng(53 + kind)
+        for trial in range(20):
+            alpha, beta, gamma, delta = rng.uniform(-1.5, 1.5, size=4).tolist()
+            config = CoherentConfig(alpha, beta, gamma, delta)
+            pair = OverlapPair.from_config(config)
+            if kind == 2:
+                lam, rho = rng.uniform(-2.0, 2.0, size=2)
+                v = np.array([1.0, lam, rho, lam * rho])
+            else:
+                # a point of ker P_f, from the kernel's own rows
+                rows = np.array(_family_terms(*np.eye(4), pair.p1, pair.p2,
+                                              pair.n1, pair.n2)[kind])
+                v = np.linalg.svd(rows)[2][2:].T @ rng.normal(size=2)
+            coeffs = SuperpositionCoeffs(*v)
+            text = "".join(f"{key} = {value!r}\n" for key, value in zip(
+                ("alpha", "beta", "gamma", "delta", "mu", "lambda", "rho", "nu"),
+                (alpha, beta, gamma, delta, *v.tolist())))
+            path = write(tmp_path, f"s{trial}.txt", text)
+            assert cli.main(["classify", path, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["verdict"] == verdict, (trial, text)
+            assert (payload["p1"], payload["p2"]) == (pair.p1, pair.p2)
+            target = 0.0 if kind == 2 else 1.0
+            assert abs(oracle_concurrence(config, coeffs) - target) <= 1e-12
 
     @pytest.mark.parametrize("coeffs", ["mu = 2\nlambda = -1\nrho = -1\nnu = 2\n",
                                         "mu = 0\nlambda = 1\nrho = -1\nnu = 0\n"],
@@ -361,7 +400,8 @@ class TestScanCommand:
         assert min(concurrences) < REFINE_FLOOR <= max(concurrences)
         for row in rows:
             lam, rho, nu, x = (float(row[k]) for k in ("lambda", "rho", "nu", "x"))
-            result = classify(SuperpositionCoeffs(1.0, lam, rho, nu), x, 1e-9)
+            result = classify(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x),
+                              1e-9)
             assert float(row["class_a_residual"]) == result.class_a_residual
             assert float(row["class_b_residual"]) == result.class_b_residual
             assert row["verdict"] == result.verdict.value

@@ -361,8 +361,3 @@ class TestOverlapPair:
         pair = OverlapPair.from_config(CoherentConfig(0.0, 0.0, 5e-9, 5e-9))
         assert (pair.p1, pair.p2) == (1.0, 1.0)
         assert pair.c1 == pair.c2 == pytest.approx(2.5e-17, rel=1e-15)
-
-    def test_common_value(self):
-        assert OverlapPair(0.5, 0.5).common_value() == 0.5
-        with pytest.raises(DomainError):
-            OverlapPair(0.5, 0.6).common_value()

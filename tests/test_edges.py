@@ -131,8 +131,9 @@ def test_verdict_depends_only_on_the_ray(point, k, tol):
     scaled = [math.ldexp(c, k) for c in v]
     assume(all(c == 0.0 or sys.float_info.min <= abs(c)
                and sys.float_info.min <= abs(s) < math.inf for c, s in zip(v, scaled)))
-    assert (classify(SuperpositionCoeffs(*scaled), x, tol).verdict
-            is classify(SuperpositionCoeffs(*v), x, tol).verdict)
+    pair = OverlapPair(x, x)
+    assert (classify(SuperpositionCoeffs(*scaled), pair, tol).verdict
+            is classify(SuperpositionCoeffs(*v), pair, tol).verdict)
 
 
 @settings(max_examples=200, deadline=None)

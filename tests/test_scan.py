@@ -17,8 +17,6 @@ from cohent.analytic import _concurrence_ratio, _maximality_residual, _norm_sq
 from cohent.analytic import max_concurrence_over_nu
 from cohent.classify import (
     VERDICTS,
-    check_class_a,
-    check_class_b,
     classify,
     classify_columns,
     family_checks,
@@ -54,6 +52,13 @@ class Hit(NamedTuple):
 
     def coefficients(self):
         return SuperpositionCoeffs(1.0, self.lam, self.rho, self.nu)
+
+
+def on_families(coeffs, x, tol):
+    """family_checks of one state at p1 = p2 = x: (class (a), class (b))."""
+    n = math.sqrt((1.0 - x) * (1.0 + x))
+    return tuple(bool(flag) for flag in family_checks(
+        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, x, n, n, tol))
 
 
 def hit_list(hits):
@@ -172,7 +177,8 @@ class TestGridScan:
         )
         hits = grid_scan(config)[0]
         assert len(hits) == 1
-        assert classify(hit_list(hits)[0].coefficients(), 0.3).class_b_residual == 0.0
+        assert classify(hit_list(hits)[0].coefficients(),
+                        OverlapPair(0.3, 0.3)).class_b_residual == 0.0
         assert hits.concurrence[0] >= 1.0 - 1e-9
 
     def test_matches_scalar_concurrence(self):
@@ -520,7 +526,7 @@ class TestRefine:
         refined = refine_hit(record)
         assert refined.refine_converged
         assert maximality_residual(refined.coefficients(), 0.5) < 1e-12
-        assert check_class_a(refined.coefficients(), 0.5, 1e-8)
+        assert on_families(refined.coefficients(), 0.5, 1e-8)[0]
 
     def test_exact_manifold_point_unchanged(self):
         # one exact point per family: class (a), then class (b)
@@ -539,9 +545,7 @@ class TestRefine:
         record = Hit(coeffs.lam, coeffs.rho, coeffs.nu, x, c0)
         refined = refine_hit(record)
         assert refined.concurrence > 1.0 - 1e-10
-        assert check_class_a(refined.coefficients(), x, 1e-8) or check_class_b(
-            refined.coefficients(), x, 1e-8
-        )
+        assert any(on_families(refined.coefficients(), x, 1e-8))
 
     def test_never_decreases_concurrence(self):
         rng = np.random.default_rng(61)
@@ -596,7 +600,7 @@ class TestRefine:
         projected = SuperpositionCoeffs(1.0, record.lam - s, record.rho - s, 1.0)
         c = concurrence(projected, OverlapPair(0.61, 0.61))
         assert c < 1.0
-        assert check_class_a(projected, 0.61, scan_module.REFINE_TARGET)
+        assert on_families(projected, 0.61, scan_module.REFINE_TARGET)[0]
         assert refine(-0.61, -0.6, 1.0, 0.61, 1.0) == (projected.lam, projected.rho,
                                                         1.0, c, True)
         expected = Hit(projected.lam, projected.rho, 1.0, 0.61, c)
@@ -768,7 +772,8 @@ class TestRunScan:
     def test_tol_that_joins_the_families_is_rejected(self, x):
         # (mu, lam, rho, nu) = (1, -1, -x, x) lies 1 - x from both families in
         # every term, so at a tol of 1 - x it would pass both family checks
-        assert family_checks(1.0, -1.0, -x, x, x,
+        n = math.sqrt((1.0 - x) * (1.0 + x))
+        assert family_checks(1.0, -1.0, -x, x, x, x, n, n,
                              (1.0 - x) * (1.0 + 1e-12)) == (True, True)
         config = ScanConfig((-1.0, 1.0, 3), (-1.0, 1.0, 3), (-1.0, 1.0, 3),
                             x_values=(x, 0.1), concurrence_threshold=0.999)
@@ -820,8 +825,7 @@ def list_refine(record):
     record at a time, with the scalar family checks at REFINE_TARGET."""
     def on_a_family(lam, rho, nu):
         coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-        return (check_class_a(coeffs, x, scan_module.REFINE_TARGET)
-                or check_class_b(coeffs, x, scan_module.REFINE_TARGET))
+        return any(on_families(coeffs, x, scan_module.REFINE_TARGET))
 
     x, lam, rho, nu = record.x, record.lam, record.rho, record.nu
     if not on_a_family(lam, rho, nu):
@@ -846,8 +850,7 @@ def list_verify(records, tol, maximal_tol=1e-10):
         if record.concurrence <= 1.0 - maximal_tol:
             continue
         n_max += 1
-        a_ok = check_class_a(record.coefficients(), record.x, tol)
-        b_ok = check_class_b(record.coefficients(), record.x, tol)
+        a_ok, b_ok = on_families(record.coefficients(), record.x, tol)
         point = (record.lam, record.rho, record.nu, record.x, record.concurrence)
         if a_ok and b_ok:
             violations.append(("on both families", *point))
@@ -867,7 +870,8 @@ def list_csv(records, path, tol):
         writer.writerow(["lambda", "rho", "nu", "x", "concurrence",
                          "class_a_residual", "class_b_residual", "verdict"])
         for record in records:
-            result = classify(record.coefficients(), record.x, tol)
+            result = classify(record.coefficients(), OverlapPair(record.x, record.x),
+                              tol)
             writer.writerow(
                 [f"{v:.17g}" for v in (
                     record.lam, record.rho, record.nu, record.x, record.concurrence,
@@ -958,9 +962,11 @@ def test_scalar_api_matches_columns_bit_for_bit(points, tol):
     ]
     hits = columns(records)
     refined = hit_list(refine_hits(hits))
+    n = np.sqrt((1.0 - hits.x) * (1.0 + hits.x))
     res_a, res_b, res_sep, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
-                                                    hits.x, tol)
-    on_a, on_b = family_checks(1.0, hits.lam, hits.rho, hits.nu, hits.x, tol)
+                                                    hits.x, hits.x, n, n, tol)
+    on_a, on_b = family_checks(1.0, hits.lam, hits.rho, hits.nu, hits.x, hits.x, n, n,
+                               tol)
     residuals = _maximality_residual(1.0, hits.lam, hits.rho, hits.nu, hits.x)
     for i, record in enumerate(records):
         expected = (refine_hit(record) if record.concurrence >= REFINE_FLOOR
@@ -969,9 +975,8 @@ def test_scalar_api_matches_columns_bit_for_bit(points, tol):
         assert bits(got[:5]) == bits(expected[:5])
         assert got.refine_converged == expected.refine_converged
         coeffs, x = record.coefficients(), record.x
-        result = classify(coeffs, x, tol)
+        result = classify(coeffs, OverlapPair(x, x), tol)
         assert bits((res_a[i], res_b[i], res_sep[i])) == bits(result.residuals)
         assert VERDICTS[codes[i]] is result.verdict
-        assert (on_a[i], on_b[i]) == (check_class_a(coeffs, x, tol),
-                                      check_class_b(coeffs, x, tol))
+        assert (on_a[i], on_b[i]) == on_families(coeffs, x, tol)
         assert bits([residuals[i]]) == bits([maximality_residual(coeffs, x)])

@@ -1,8 +1,8 @@
 """Symbolic certificates for the closed forms behind the scan's row bound,
 its rho and nu windows (analytic._row_terms, max_concurrence_over_nu,
 rho_windows, nu_windows), and the two maximal families (classify's
-_family_terms): at p1 = p2 = x they are exactly the states of C = 1, and
-they meet only at v = 0.
+_family_terms): at any overlaps (p1, p2) they are exactly the states of
+C = 1, they meet only at v = 0, and at p1 = p2 = x they are the paper's.
 
 Each test proves an identity exactly with sympy; the float code still needs
 its rounding bounds, which the numeric and mpmath tests check.
@@ -99,12 +99,11 @@ def test_window_endpoints_solve_the_condition():
 
 
 # The amplitudes at any mu, and the family terms P_a v, P_b v and
-# mu nu - lam rho; the code's factor 2.0 is exact, so nsimplify makes it 2.
+# mu nu - lam rho, at p1 = p2 = x.
 mu = sp.symbols("mu", real=True)
 V = (mu, lam, rho, nu)
 A4, B4, C4, D4 = _amplitudes(mu, lam, rho, nu, x, x, N_X, N_X)
-(PA1, PA2), (PB1, PB2), SEP = _family_terms(mu, lam, rho, nu, x)
-PA1, PA2, PB1, PB2, SEP = map(sp.nsimplify, (PA1, PA2, PB1, PB2, SEP))
+(PA1, PA2), (PB1, PB2), SEP = _family_terms(mu, lam, rho, nu, x, x, N_X, N_X)
 
 
 def all_zero(matrix):
@@ -149,3 +148,52 @@ def test_nu_window_discriminant():
     for sigma in (1, -1):
         b = n_sq - sigma * f * K
         assert is_zero(b**2 - f**2 * M - n_sq * (n_sq - 2 * sigma * f * K - f**2 * D))
+
+
+# The same at any overlaps: p_i = cos theta_i and n_i = sin theta_i, with
+# theta_i in (0, pi/2).
+THETA1, THETA2 = sp.symbols("theta1 theta2", positive=True)
+P1, P2, N1, N2 = sp.cos(THETA1), sp.cos(THETA2), sp.sin(THETA1), sp.sin(THETA2)
+AG, BG, CG, DG = _amplitudes(mu, lam, rho, nu, P1, P2, N1, N2)
+(GA1, GA2), (GB1, GB2), SEP_G = _family_terms(mu, lam, rho, nu, P1, P2, N1, N2)
+M_A = sp.Matrix([[P1, 1], [-N1, 0]])
+M_B = sp.Matrix([[-sp.cos(THETA1 + THETA2), P1], [-sp.sin(THETA1 + THETA2), N1]])
+
+
+def trig_zero(expr):
+    return sp.trigsimp(sp.expand(sp.expand_trig(expr))) == 0
+
+
+def test_general_terms_factor_the_residual_squares():
+    # (a + d, b - c) = M_a P_a v and (a - d, b + c) = M_b P_b v at any overlaps
+    class_a = sp.Matrix([AG + DG, BG - CG]) - M_A * sp.Matrix([GA1, GA2])
+    class_b = sp.Matrix([AG - DG, BG + CG]) - M_B * sp.Matrix([GB1, GB2])
+    assert all(map(trig_zero, class_a))
+    assert all(map(trig_zero, class_b))
+
+
+def test_general_singular_values():
+    # M M^T has trace 2 and determinant n1^2 (class a) or n2^2 (class b), so
+    # the squared singular values are 1 +- p1 and 1 +- p2: with
+    # N^2 (1 - C) = min_f |M_f P_f v|^2, C = 1 exactly on ker P_a and ker P_b
+    t = sp.symbols("t")
+    for m, p, n in ((M_A, P1, N1), (M_B, P2, N2)):
+        gram = m * m.T
+        assert trig_zero(gram.trace() - 2)
+        assert trig_zero(gram.det() - n**2)
+        assert trig_zero(gram.charpoly(t).as_expr() - (t - 1 - p) * (t - 1 + p))
+
+
+def test_general_planes_meet_only_at_zero():
+    # det [P_a; P_b] = 4 n1 n2 > 0 for theta_i in (0, pi/2)
+    rows = sp.Matrix([GA1, GA2, GB1, GB2]).jacobian(V)
+    assert trig_zero(rows.det() - 4 * N1 * N2)
+    assert all_zero(sp.Matrix([GA1, GA2, GB1, GB2]) - rows * sp.Matrix(V))
+
+
+def test_general_rows_reduce_to_the_common_overlap_rows():
+    # at theta1 = theta2 the rows are exactly those at p1 = p2 = cos theta1
+    rows = sp.Matrix([GA1, GA2, GB1, GB2]).jacobian(V).subs(THETA2, THETA1)
+    common = sp.Matrix([PA1, PA2, PB1, PB2]).jacobian(V).subs(x, P1)
+    assert rows == common
+    assert is_zero(SEP_G - SEP)
