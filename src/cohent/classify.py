@@ -39,11 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    SuperpositionCoeffs,
-    concurrence,
-    require_open_unit_interval,
-)
+from .analytic import SuperpositionCoeffs, concurrence
 from .coherent import OverlapPair
 from .errors import DomainError
 
@@ -102,23 +98,29 @@ def _family_terms(mu, lam, rho, nu, p1, p2, n1, n2):
             mu * nu - lam * rho)
 
 
+def _unit_ray(mu, lam, rho, nu):
+    """(v times 2^-e, e), with e chosen to put max|v| in [1, 2), so that no
+    square or product of the scaled coefficients overflows; broadcasts.  A
+    power of two scales exactly (short of subnormal coefficients), and
+    e = 0 when max|v| = |mu| = 1."""
+    size = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
+    e = np.frexp(size)[1] - 1
+    return tuple(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), e
+
+
 def _ray_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol):
     """The class (a), class (b) and separability residuals of v, and whether
     v passes the class (a), class (b) and separability tests at `tol` (see
     the module docstring); broadcasts.
 
-    The terms are formed from v times 2^-e, with e chosen to put max|v| in
-    [1, 2), so none overflows; a power of two scales them exactly (short of
-    subnormal coefficients), so the tests and residuals are those of v
-    itself, and e = 0 when max|v| = |mu| = 1.  A residual beyond the float
-    range is inf.
+    The terms are formed from v on its unit ray (_unit_ray), so none
+    overflows, and the tests and residuals are those of v itself.  A
+    residual beyond the float range is inf.
     """
-    size = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
-    e = np.frexp(size)[1] - 1
-    (a1, a2), (b1, b2), sep = _family_terms(
-        *(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), p1, p2, n1, n2)
+    v, e = _unit_ray(mu, lam, rho, nu)
+    (a1, a2), (b1, b2), sep = _family_terms(*v, p1, p2, n1, n2)
     a1, a2, b1, b2, sep = abs(a1), abs(a2), abs(b1), abs(b2), abs(sep)
-    size = np.ldexp(size, -e)
+    size = np.maximum(np.maximum(abs(v[0]), abs(v[1])), np.maximum(abs(v[2]), abs(v[3])))
     bound = tol * size
     with np.errstate(over="ignore"):
         residuals = (np.ldexp(a1 + a2, e), np.ldexp(b1 + b2, e), np.ldexp(sep, 2 * e))
@@ -254,19 +256,3 @@ def quadratic_roots_case2(lam: float, rho: float, nu: float) -> RootReport:
     disc = _square(lam - rho) * (_square(1.0 + nu) - 4.0 * lam * rho)
     return _root_report("Case2", a, b, c, disc)
 
-
-def solve_coefficients_for_x(
-    class_tag: str, x: float, free_param: float
-) -> SuperpositionCoeffs:
-    """Coefficients guaranteed maximal at overlap x, one free parameter.
-
-    Class "A" returns (1, f, -2x - f, 1); class "B" returns (1, f, f, -1 - 2fx).
-    """
-    x = require_open_unit_interval(x)
-    f = float(free_param)
-    tag = class_tag.strip().upper()
-    if tag == "A":
-        return SuperpositionCoeffs(1.0, f, -2.0 * x - f, 1.0)
-    if tag == "B":
-        return SuperpositionCoeffs(1.0, f, f, -1.0 - 2.0 * f * x)
-    raise DomainError(f"class_tag must be 'A' or 'B', got {class_tag!r}")

@@ -3,7 +3,7 @@
 Subcommands: concurrence, classify, examples, bell-limit, scan, oracle-check.
 Exit codes: 0 success, 2 input error (an unreadable or invalid input file, an
 unwritable output file, or a closed stdout among them), 3 analytic/oracle
-inconsistency, 5 disjointness violation in a scan.
+inconsistency, 5 a scan hit outside the theorem's two-sided bound.
 
 `classify` answers at any overlaps (p1, p2), on cohent.classify's planes:
 (a + d, b - c) = M_a P_a v and (a - d, b + c) = M_b P_b v, the squared singular
@@ -26,10 +26,11 @@ from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
+from .classify import _require_positive_tol
 from .coherent import CoherentConfig, OverlapPair
 from .errors import CohentError, ConsistencyError, DomainError, InputFileError
 from .oracle import build_state, oracle_concurrence
-from .scan import run_scan
+from .scan import FAMILIES, run_scan
 from .statespec import load_scan_file, load_state_file, parse_scan_text
 
 EXIT_OK = 0
@@ -218,8 +219,10 @@ def _resolve_scan_config(path: str):
 
 
 # Rows end in \r\n, as csv.writer ends them.  A row holds seven
-# 17-significant-digit floats and the verdict, none of which needs quoting.
-_CSV_HEADER = "lambda,rho,nu,x,concurrence,class_a_residual,class_b_residual,verdict\r\n"
+# 17-significant-digit floats, the verdict and the family, none of which
+# needs quoting.
+_CSV_HEADER = ("lambda,rho,nu,x,concurrence,class_a_residual,class_b_residual,verdict,"
+               "family\r\n")
 
 # Rows are joined this many at a time, so the Python strings in flight
 # stay few however many hits a scan has.
@@ -236,16 +239,21 @@ def _float_texts(column):
     return texts, index
 
 
-def write_records_csv(hits, path, tol: float) -> None:
+def write_records_csv(hits, family, path, tol: float) -> None:
+    """One row per hit: its coordinates and C, `classify`'s residuals and
+    verdict at `tol`, and its family, named by its code in `family` (an
+    index into scan.FAMILIES)."""
     n = np.sqrt((1.0 - hits.x) * (1.0 + hits.x))
     res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
                                               hits.x, hits.x, n, n, tol)
-    # Scan columns repeat their values (the grid axes, x, C = 1, zero
-    # residuals), so each distinct value is formatted once and rows index it.
+    # Scan columns repeat their values (the grid axes, x, C = 1), so each
+    # distinct value is formatted once and rows index it.
     columns = [_float_texts(column) for column in
                (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, res_a, res_b)]
-    columns.append((np.array([verdict.value + "\r\n" for verdict in VERDICTS],
-                             dtype=object), codes))
+    columns.append((np.array([verdict.value for verdict in VERDICTS], dtype=object),
+                    codes))
+    columns.append((np.array([name + "\r\n" for name in FAMILIES], dtype=object),
+                    family))
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(_CSV_HEADER)
@@ -274,11 +282,12 @@ def _check_writable(path) -> None:
 
 
 def cmd_scan(args) -> int:
+    _require_positive_tol(args.tol)
     config = _resolve_scan_config(args.config)
     _check_writable(args.out)
-    outcome = run_scan(config, verify_tol=args.tol)
-    write_records_csv(outcome.hits, args.out, args.tol)
-    unconverged = int(np.count_nonzero(~outcome.hits.refine_converged))
+    outcome = run_scan(config)
+    report = outcome.report
+    write_records_csv(outcome.hits, report.family, args.out, args.tol)
     if args.json:
         print(json.dumps(
             {
@@ -287,13 +296,13 @@ def cmd_scan(args) -> int:
                 "grid_rows_bounded": outcome.n_grid_rows_bounded,
                 "grid_rows_kept": outcome.n_grid_rows_kept,
                 "hits": len(outcome.hits),
-                "refined": outcome.n_refined,
-                "refine_unconverged": unconverged,
-                "class_a": outcome.report.n_class_a,
-                "class_b": outcome.report.n_class_b,
+                "class_a": report.n_class_a,
+                "class_b": report.n_class_b,
+                "ambiguous": report.n_ambiguous,
+                "worst_lower_bound_ratio": report.worst_ratio,
                 "oracle_checked": outcome.oracle_checked,
                 "max_oracle_diff": outcome.max_oracle_diff,
-                "disjoint": outcome.report.passed,
+                "disjoint": report.passed,
                 "out": str(args.out),
             },
             indent=2,
@@ -301,15 +310,14 @@ def cmd_scan(args) -> int:
     else:
         print(f"scanned {config.total_points()} grid points "
               f"({outcome.n_grid_evaluated} evaluated): "
-              f"{len(outcome.hits)} hits, {outcome.n_refined} refined, "
-              f"{unconverged} unconverged")
+              f"{len(outcome.hits)} hits")
         print(f"bounded {outcome.n_grid_rows_bounded} (lambda, rho, x) rows, "
               f"kept {outcome.n_grid_rows_kept}")
         print(f"oracle spot-checked {outcome.oracle_checked} records, "
               f"max |analytic - oracle| = {_fmt(outcome.max_oracle_diff)}")
-        print(outcome.report.summary())
+        print(report.summary())
         print(f"records written to {args.out}")
-    return EXIT_OK if outcome.report.passed else EXIT_DISJOINTNESS
+    return EXIT_OK if report.passed else EXIT_DISJOINTNESS
 
 
 def cmd_oracle_check(args) -> int:
@@ -406,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bell_limit)
 
-    p = sub.add_parser("scan", help="grid scan + refinement + disjointness report")
+    p = sub.add_parser("scan", help="grid scan, the theorem's bound tested on "
+                                    "every hit, oracle spot check")
     p.add_argument("config", help="scan config file, or the name of a bundled one "
                                   "(theorem_check.cfg)")
     p.add_argument("out", help="output CSV path")

@@ -1,50 +1,73 @@
-"""Parameter-space scanning: locate near-maximal states and pin them down.
+"""Parameter-space scanning: locate near-maximal states and test the theorem
+on them.
 
-A grid scan sweeps (lam, rho, nu) boxes at fixed overlaps x, keeps every
-point whose concurrence clears a threshold, then projects each hit onto the
-zero line of its maximality residual.  The maximal states lie on two lines,
-over rho = -lam - 2x and rho = lam at each x, so the sweep bounds only the
-(lam, rho) rows inside a closed-form rho window around each of those
+A grid scan sweeps (lam, rho, nu) boxes at fixed overlaps x and keeps every
+point whose concurrence clears a threshold.  The maximal states lie on two
+lines, over rho = -lam - 2x and rho = lam at each x, so the sweep bounds only
+the (lam, rho) rows inside a closed-form rho window around each of those
 (analytic.rho_windows), skips each of those whose exact maximum over nu
 (analytic.max_concurrence_over_nu) misses the threshold, and along every
 other row evaluates only the closed-form nu windows, one on each side of
 nu = lam rho, where the concurrence can clear it (analytic.nu_windows),
-a chunk of bounded rows at a time.  The refined hits empirically confirm the
-classification: every one lands on exactly one of the two maximal families,
-and a seeded random subsample is re-checked against the brute-force Fock
+a chunk of bounded rows at a time.
+
+The hits are tested as the grid found them.  With P_a v and P_b v the
+family terms of v = (1, lam, rho, nu) (classify._family_terms), the theorem
+says
+
+    (1 - x) min_f |P_f v|^2  <=  N^2 (1 - C)  <=  (1 + x) min_f |P_f v|^2
+
+(tests/test_symbolic.py proves it), so every hit must satisfy both sides
+with its own C, and the lower side names the one family a hit can be near.
+A seeded random subsample is re-checked against the brute-force Fock
 oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence_columns, max_concurrence_over_nu
 from .analytic import nu_windows, require_open_unit_interval, rho_windows
-from .analytic import _RESCALE_ABOVE, _at
-from .classify import _require_positive_tol, family_checks
+from .analytic import _RESCALE_ABOVE, _at, _norm_sq
+from .classify import _family_terms, _unit_ray, family_checks
 from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
 from .oracle import oracle_concurrence
 
 MAX_GRID_POINTS = 100_000_000
 
-# Hits below this concurrence are kept as-is; refinement targets near-maximal
-# candidates only.
+# refine takes hits with C >= REFINE_FLOOR, and a point passes its family
+# test (family_checks) at REFINE_TARGET.
 REFINE_FLOOR = 0.9
-
-# Refine moves a point only if family_checks at this tol, scale-free like
-# verify's, passes it on neither family, and a step has converged when the
-# projected point passes; one that has not keeps the old point, flagged.
 REFINE_TARGET = 1e-12
 
-# verify_disjoint_classes tests the hits with C > 1 - MAXIMAL_TOL; the oracle
-# spot check fails on a difference in C above SPOT_CHECK_MAX_DIFF.
-MAXIMAL_TOL = 1e-10
+# The oracle spot check fails on a difference in C above this.
 SPOT_CHECK_MAX_DIFF = 1e-8
+
+# verify_disjoint_classes compares N^2 (1 - C) with (1 -+ x) |P_f v|^2 on
+# the unit ray of v (classify._unit_ray), so max|v| is in [1, 2); with
+# S = |mu| + |lam| + |rho| + |nu|, N <= 2 S and |mu nu| + |lam rho| <= S^2 / 4,
+# each side errs by at most
+#   - the grid's C, which errs by 8 eps C (cancel + S / N + 1)
+#     (tests/test_edges.py), times N^2: 8 eps (2 n^2 (|mu nu| + |lam rho|)
+#     + C S N + C N^2) <= 52 eps S^2;
+#   - N^2, whose four amplitudes each err by 4 eps S: 8 eps S (2 N) plus
+#     3 eps N^2, <= 44 eps S^2, and the roundings of 1 - C and of the
+#     product, <= 8 eps S^2;
+#   - (1 -+ x) |P_f v|^2: each term errs by 3 eps times its magnitude sum
+#     T_i, with T_1 + T_2 <= 2 S, so |P_f v|^2 errs by 9 eps (T_1^2 + T_2^2)
+#     <= 36 eps S^2; times 1 -+ x <= 2, plus that product's roundings,
+#     <= 88 eps S^2.
+# A hit is out of the bound only beyond the sum, _BAND S^2.
+_BAND = 192.0 * sys.float_info.epsilon
+
+# The family column of the CSV: verify's family codes index this tuple.
+FAMILIES = ("a", "b", "ambiguous")
 
 # grid_scan takes the rho windows of this many (lam, x) pairs at once, bounds
 # about this many of the rows inside them (or one longer window) at once and
@@ -78,18 +101,9 @@ class ScanHits:
     nu: np.ndarray
     x: np.ndarray
     concurrence: np.ndarray
-    refine_converged: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lam)
-
-    @classmethod
-    def unrefined(cls, lam, rho, nu, x, concurrence) -> "ScanHits":
-        """Fresh hits from five equal-length float sequences, every one
-        marked converged."""
-        columns = [np.asarray(column, dtype=float)
-                   for column in (lam, rho, nu, x, concurrence)]
-        return cls(*columns, np.ones(len(columns[0]), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -165,15 +179,22 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class DisjointnessReport:
-    """Outcome of checking that near-maximal hits split into two classes;
-    each violation is (reason, lam, rho, nu, x, concurrence)."""
+    """Outcome of testing every hit against the two-sided bound.
+
+    `n_maximal` counts the hits tested; each violation is (reason, lam, rho,
+    nu, x, concurrence).  `family` holds each hit's FAMILIES code, and
+    `worst_ratio` is the least (N^2 (1 - C) + band) / ((1 - x) min_f |P_f v|^2),
+    at least 1 where the lower side holds, over the hits off both families;
+    None if there are none.
+    """
 
     n_maximal: int
     n_class_a: int
     n_class_b: int
+    n_ambiguous: int
+    worst_ratio: float | None
     violations: tuple[tuple[str, float, float, float, float, float], ...]
-    tol: float
-    maximal_tol: float
+    family: np.ndarray = field(compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -181,14 +202,16 @@ class DisjointnessReport:
 
     def summary(self) -> str:
         if self.passed:
+            ratio = "none" if self.worst_ratio is None else f"{self.worst_ratio:.17g}"
             return (
-                f"classes disjoint: {self.n_maximal} near-maximal records "
-                f"({self.n_class_a} class a, {self.n_class_b} class b), "
-                f"0 violations"
+                f"verify: classes disjoint: {self.n_maximal} records "
+                f"({self.n_class_a} class a, {self.n_class_b} class b, "
+                f"{self.n_ambiguous} ambiguous), 0 violations, worst lower-bound "
+                f"ratio {ratio}"
             )
         lines = [
-            f"DISJOINTNESS VIOLATED: {len(self.violations)} of {self.n_maximal} "
-            f"near-maximal records failed"
+            f"verify: DISJOINTNESS VIOLATED: {len(self.violations)} of "
+            f"{self.n_maximal} records outside the two-sided bound"
         ]
         for reason, lam, rho, nu, x, c in self.violations[:20]:
             lines.append(f"  {reason}: {_at(lam, rho, nu, x)} C={c!r}")
@@ -267,52 +290,19 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int, int, int]:
                 parts.append((lam[at], rho[at], nu[hit], x[at], c[hit]))
     columns = ([np.concatenate(column) for column in zip(*parts)] if parts
                else [np.empty(0) for _ in range(5)])
-    return ScanHits.unrefined(*columns), evaluated, rows_bounded, rows_kept
-
-
-def _project(lam, rho, nu, x, c):
-    """`refine`'s step for columns of near-maximal points; returns the (lam,
-    rho, nu, C, converged) columns.
-
-    Both terms of each of maximality_residual's two sums of squares are
-    affine in (lam, rho, nu) at fixed x, so one least-squares step
-    p - A^+(Ap + b) lands on that sum's zero line.  For nu >= lam rho the
-    smaller sum is (a + d)^2 + (b - c)^2, zero on class (a); below it is
-    (a - d)^2 + (b + c)^2, zero on class (b).  REFINE_TARGET says which
-    points move and which steps converge.
-    """
-    n = np.sqrt((1.0 - x) * (1.0 + x))
-    move = ~np.logical_or(*family_checks(1.0, lam, rho, nu, x, x, n, n, REFINE_TARGET))
-    upper = nu >= lam * rho
-    new_lam, new_rho, new_nu = lam.copy(), rho.copy(), nu.copy()
-    # The step never crosses the branch boundary: on the class (a) line
-    # nu - lam rho = 1 - lam rho >= 1 - x^2 > 0, and on the class (b) line
-    # nu - lam rho = -(t + x)^2 - (1 - x^2) < 0.
-    a = np.flatnonzero(move & upper)
-    s = (lam[a] + rho[a] + 2.0 * x[a]) / 2.0
-    new_lam[a], new_rho[a], new_nu[a] = lam[a] - s, rho[a] - s, 1.0
-    b = np.flatnonzero(move & ~upper)
-    xb = x[b]
-    t = (lam[b] + rho[b] - 2.0 * xb * (nu[b] + 1.0)) / (2.0 + 4.0 * xb * xb)
-    new_lam[b], new_rho[b], new_nu[b] = t, t, -1.0 - 2.0 * t * xb
-
-    new_c = concurrence_columns(new_lam, new_rho, new_nu, x, "refine: recomputed")
-    converged = np.logical_or(*family_checks(1.0, new_lam, new_rho, new_nu, x, x, n, n,
-                                             REFINE_TARGET))
-    return (np.where(converged, new_lam, lam), np.where(converged, new_rho, rho),
-            np.where(converged, new_nu, nu),
-            np.where(converged, new_c, c), converged)
+    return ScanHits(*columns), evaluated, rows_bounded, rows_kept
 
 
 def refine(lam: float, rho: float, nu: float, x: float, concurrence: float):
     """Project a near-maximal hit onto the nearest point of its family;
-    returns (lam, rho, nu, concurrence, converged).
+    returns (lam, rho, nu, concurrence, converged).  No scan stage calls it.
 
-    The step is the exact projection onto the zero line of the hit's branch
-    of maximality_residual: class (a) for nu >= lam rho, class (b) below.  A
-    point that family_checks passes at REFINE_TARGET is not moved; a
-    projection that it does not pass leaves the old point, flagged
-    unconverged, never dropped.  This is `refine_hits` on one hit.
+    Both terms of each of the two sums of squares whose smaller is
+    N^2 (1 - C) are affine in (lam, rho, nu) at fixed x, so one least-squares
+    step lands on that sum's zero line: class (a) for nu >= lam rho, class
+    (b) below.  A point that family_checks passes at REFINE_TARGET is not
+    moved; a projection that it does not pass leaves the old point, flagged
+    unconverged.
     """
     # Written as a negation so a NaN concurrence is refused.
     if not concurrence >= REFINE_FLOOR:
@@ -321,54 +311,67 @@ def refine(lam: float, rho: float, nu: float, x: float, concurrence: float):
             f"got C = {concurrence}"
         )
     SuperpositionCoeffs(1.0, lam, rho, nu)  # rejects non-finite coefficients
-    require_open_unit_interval(x)
-    hit = refine_hits(ScanHits.unrefined([lam], [rho], [nu], [x], [concurrence]))
-    return tuple(column.item() for column in
-                 (hit.lam, hit.rho, hit.nu, hit.concurrence, hit.refine_converged))
+    n = math.sqrt((1.0 - require_open_unit_interval(x)) * (1.0 + x))
+
+    def on_a_family(lam, rho, nu):
+        return any(family_checks(1.0, lam, rho, nu, x, x, n, n, REFINE_TARGET))
+
+    new = (lam, rho, nu)
+    # The step never crosses the branch boundary: on the class (a) line
+    # nu - lam rho = 1 - lam rho >= 1 - x^2 > 0, and on the class (b) line
+    # nu - lam rho = -(t + x)^2 - (1 - x^2) < 0.
+    if not on_a_family(lam, rho, nu):
+        if nu >= lam * rho:
+            s = (lam + rho + 2.0 * x) / 2.0
+            new = (lam - s, rho - s, 1.0)
+        else:
+            t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
+            new = (t, t, -1.0 - 2.0 * t * x)
+    if not on_a_family(*new):
+        return lam, rho, nu, concurrence, False
+    c = concurrence_columns(*(np.array([v]) for v in (*new, x)), "refine: recomputed")
+    return (*new, c.item(), True)
 
 
-def _to_refine(hits: ScanHits) -> np.ndarray:
-    """The indices of the hits that refine_hits projects."""
-    return np.flatnonzero(hits.concurrence >= REFINE_FLOOR)
+def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
+    """Test every hit, with its own C, against the two-sided bound (module
+    docstring), within the rounding band _BAND S^2.
 
-
-def refine_hits(hits: ScanHits) -> ScanHits:
-    """`refine` applied to every hit with C >= REFINE_FLOOR; the others pass
-    through as they are."""
-    todo = _to_refine(hits)
-    lam, rho, nu, c, converged = (column.copy() for column in (
-        hits.lam, hits.rho, hits.nu, hits.concurrence, hits.refine_converged))
-    lam[todo], rho[todo], nu[todo], c[todo], converged[todo] = _project(
-        hits.lam[todo], hits.rho[todo], hits.nu[todo], hits.x[todo],
-        hits.concurrence[todo])
-    return ScanHits(lam, rho, nu, hits.x, c, converged)
-
-
-def verify_disjoint_classes(hits: ScanHits, tol: float = 1e-8) -> DisjointnessReport:
-    """Check every near-maximal hit sits on exactly one of the two families.
-
-    Only hits with concurrence > 1 - MAXIMAL_TOL are tested; each must
-    satisfy class (a) or class (b) at `tol`, and never both.
+    A hit is class (a) when (1 - x) |P_b v|^2 > N^2 (1 - C) + band, so that
+    it cannot be near class (b); class (b) in the mirror case; and ambiguous,
+    within reach of both, otherwise.
     """
-    # Written as a negation so a NaN concurrence is tested, and fails.
-    maximal = np.flatnonzero(~(hits.concurrence <= 1.0 - MAXIMAL_TOL))
-    x = hits.x[maximal]
+    x = hits.x
     n = np.sqrt((1.0 - x) * (1.0 + x))
-    on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
-                               hits.nu[maximal], x, x, n, n, tol)
-    failed = on_a == on_b
-    reasons = np.where(on_a[failed], "on both families",
-                       "near-maximal but on neither family")
-    bad = maximal[failed]
-    violations = tuple(zip(reasons.tolist(), *(column[bad].tolist() for column in (
+    v, _ = _unit_ray(1.0, hits.lam, hits.rho, hits.nu)
+    (a1, a2), (b1, b2), _ = _family_terms(*v, x, x, n, n)
+    to_a, to_b = a1 * a1 + a2 * a2, b1 * b1 + b2 * b2
+    size = abs(v[0]) + abs(v[1]) + abs(v[2]) + abs(v[3])
+    band = _BAND * size * size
+    residual = _norm_sq(*v, x, x, n, n) * (1.0 - hits.concurrence)
+    ceiling = residual + band
+    nearest = np.minimum(to_a, to_b)
+    lower = (1.0 - x) * nearest
+    # Written as negations so a NaN concurrence is a violation.
+    below = ~(lower <= ceiling)
+    failed = below | ~(residual <= (1.0 + x) * nearest + band)
+    family = np.select([(1.0 - x) * to_b > ceiling, (1.0 - x) * to_a > ceiling],
+                       [0, 1], 2)
+    counts = np.bincount(family, minlength=3).tolist()
+    measured = np.flatnonzero(lower > 0.0)
+    reasons = np.where(below[failed], "N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
+                       "N^2 (1 - C) above (1 + x) min_f |P_f v|^2")
+    violations = tuple(zip(reasons.tolist(), *(column[failed].tolist() for column in (
         hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))))
     return DisjointnessReport(
-        n_maximal=len(maximal),
-        n_class_a=int(np.count_nonzero(on_a & ~on_b)),
-        n_class_b=int(np.count_nonzero(on_b & ~on_a)),
+        n_maximal=len(hits),
+        n_class_a=counts[0],
+        n_class_b=counts[1],
+        n_ambiguous=counts[2],
+        worst_ratio=(float((ceiling[measured] / lower[measured]).min())
+                     if len(measured) else None),
         violations=violations,
-        tol=tol,
-        maximal_tol=MAXIMAL_TOL,
+        family=family,
     )
 
 
@@ -422,36 +425,15 @@ class ScanOutcome:
     n_grid_evaluated: int
     n_grid_rows_bounded: int
     n_grid_rows_kept: int
-    n_refined: int
     oracle_checked: int
     max_oracle_diff: float
 
 
-def run_scan(config: ScanConfig, verify_tol: float = 1e-8) -> ScanOutcome:
-    """Grid scan, refinement of near-maximal hits, disjointness verification,
-    and the seeded oracle spot-check, in one deterministic pipeline."""
-    _require_positive_tol(verify_tol)
-    # Refine guarantees only that a converged hit passes the family checks at
-    # REFINE_TARGET.  A hit it left alone, because it passed there, may fail
-    # a lower tol and be reported as a violation it is not.
-    if verify_tol < REFINE_TARGET:
-        raise DomainError(
-            f"verify tol {verify_tol} lies below refine's target: it must be at "
-            f"least {REFINE_TARGET!r}"
-        )
-    # At tol >= 1 - x the point (mu, lam, rho, nu) = (1, -1, -x, x), whose
-    # largest |coefficient| is 1, passes both family checks, so the verdicts
-    # could no longer be disjoint; below it no point does (classify's
-    # module docstring).
-    tol_limit = 1.0 - max(config.x_values)
-    if verify_tol >= tol_limit:
-        raise DomainError(
-            f"verify tol {verify_tol} cannot separate the two families: it must "
-            f"lie below 1 - max(x_values) = {tol_limit!r}"
-        )
-    grid_hits, evaluated, rows_bounded, rows_kept = grid_scan(config)
-    hits = refine_hits(grid_hits)
-    report = verify_disjoint_classes(hits, tol=verify_tol)
+def run_scan(config: ScanConfig) -> ScanOutcome:
+    """Grid scan, verification of the grid's hits against the two-sided
+    bound, and the seeded oracle spot-check, in one deterministic pipeline."""
+    hits, evaluated, rows_bounded, rows_kept = grid_scan(config)
+    report = verify_disjoint_classes(hits)
     checked, worst = oracle_spot_check(
         hits, fraction=config.oracle_fraction, seed=config.seed
     )
@@ -461,7 +443,6 @@ def run_scan(config: ScanConfig, verify_tol: float = 1e-8) -> ScanOutcome:
         n_grid_evaluated=evaluated,
         n_grid_rows_bounded=rows_bounded,
         n_grid_rows_kept=rows_kept,
-        n_refined=len(_to_refine(grid_hits)),
         oracle_checked=checked,
         max_oracle_diff=worst,
     )

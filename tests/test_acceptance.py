@@ -21,7 +21,6 @@ from cohent.classify import (
     family_checks,
     quadratic_roots_case1,
     quadratic_roots_case2,
-    solve_coefficients_for_x,
 )
 from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.oracle import build_state, oracle_concurrence, schmidt_concurrence
@@ -108,7 +107,8 @@ def test_criterion_3_theorem_forward_direction():
         for _ in range(1000):
             x = rng.uniform(0.05, 0.95)
             free = rng.uniform(-4.0, 4.0)
-            coeffs = solve_coefficients_for_x(tag, x, free)
+            coeffs = (SuperpositionCoeffs(1.0, free, -2.0 * x - free, 1.0) if tag == "A"
+                      else SuperpositionCoeffs(1.0, free, free, -1.0 - 2.0 * free * x))
             c = concurrence(coeffs, OverlapPair(x, x))
             worst = max(worst, abs(c - 1.0))
             assert abs(c - 1.0) <= 1e-10
@@ -127,13 +127,17 @@ def test_criterion_4_theorem_reverse_direction_empirical():
         seed=2024,
         oracle_fraction=0.01,
     )
-    outcome = run_scan(config, verify_tol=1e-8)
+    outcome = run_scan(config)
     elapsed = time.monotonic() - start
-    # every refined state with C > 1 - 1e-10 sits on exactly one family
-    assert outcome.report.passed, outcome.report.summary()
-    assert outcome.report.maximal_tol == 1e-10
-    assert outcome.report.n_class_a > 0
-    assert outcome.report.n_class_b > 0
+    # every raw grid hit lies inside the two-sided bound, within reach of
+    # exactly one family
+    verify = outcome.report
+    assert verify.passed, verify.summary()
+    assert (verify.n_maximal, verify.n_class_a, verify.n_class_b,
+            verify.n_ambiguous) == (480, 237, 243, 0)
+    assert verify.worst_ratio >= 1.0
+    # the hits with C > 1 - 1e-10, as the grid found them, each pass
+    # exactly one family check
     hits = outcome.hits
     maximal = hits.concurrence > 1.0 - 1e-10
     x = hits.x[maximal]
@@ -141,12 +145,14 @@ def test_criterion_4_theorem_reverse_direction_empirical():
     on_a, on_b = family_checks(1.0, hits.lam[maximal], hits.rho[maximal],
                                hits.nu[maximal], x, x, n, n, 1e-8)
     assert (on_a != on_b).all()
+    assert (int(on_a.sum()), int(on_b.sum())) == (153, 72)
+    assert (verify.family[maximal] == np.where(on_a, 0, 1)).all()
     assert outcome.max_oracle_diff < 1e-8
     assert elapsed < 600.0
-    report(4, f"61^3 x 3 grid: {len(hits)} hits refined onto the two "
-              f"families ({outcome.report.n_class_a} class a, "
-              f"{outcome.report.n_class_b} class b), none off-family, "
-              f"in {elapsed:.1f}s single-threaded")
+    report(4, f"61^3 x 3 grid: all {len(hits)} raw hits inside the two-sided "
+              f"bound ({verify.n_class_a} near class a, {verify.n_class_b} near "
+              f"class b, 0 ambiguous); the {int(maximal.sum())} with "
+              f"C > 1 - 1e-10 each on one family, in {elapsed:.1f}s")
 
 
 def test_criterion_5_quadratic_feasibility_analysis():

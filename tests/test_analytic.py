@@ -198,7 +198,8 @@ class TestConcurrenceFromAmplitudes:
 
 
 class TestConcurrenceColumns:
-    """The grid's and refine's kernel: C at mu = 1 for columns, checked."""
+    """The grid's and the scalar refine's kernel: C at mu = 1 for columns,
+    checked."""
 
     def test_matches_the_scalar_concurrence_bit_for_bit(self):
         rng = np.random.default_rng(5)

@@ -13,7 +13,6 @@ from cohent.classify import (
     family_checks,
     quadratic_roots_case1,
     quadratic_roots_case2,
-    solve_coefficients_for_x,
 )
 from cohent.coherent import OverlapPair
 from cohent.errors import DomainError
@@ -46,6 +45,14 @@ def on_a(coeffs, x):
 
 def on_b(coeffs, x):
     return on_families(coeffs, OverlapPair(x, x))[1]
+
+
+def maximal_at(tag, x, free):
+    """The class (a) point (1, f, -2x - f, 1) or the class (b) point
+    (1, f, f, -1 - 2fx) at the common overlap x, f = free."""
+    if tag == "A":
+        return SuperpositionCoeffs(1.0, free, -2.0 * x - free, 1.0)
+    return SuperpositionCoeffs(1.0, free, free, -1.0 - 2.0 * free * x)
 
 
 def family_point(tag, pair, free):
@@ -100,7 +107,7 @@ class TestClassChecks:
     @given(x=x_vals, free=coeff_vals)
     def test_classes_disjoint_on_manifolds(self, x, free):
         for tag in ("A", "B"):
-            coeffs = solve_coefficients_for_x(tag, x, free)
+            coeffs = maximal_at(tag, x, free)
             assert on_a(coeffs, x) != on_b(coeffs, x)
 
     @settings(max_examples=200, deadline=None)
@@ -140,7 +147,7 @@ class TestClassChecks:
             x = rng.uniform(0.05, 0.95)
             free = rng.uniform(-4, 4)
             tag = "A" if rng.integers(2) else "B"
-            base = solve_coefficients_for_x(tag, x, free)
+            base = maximal_at(tag, x, free)
             jitter = rng.uniform(-1e-7, 1e-7, size=3)
             n_near += assert_on_family(
                 base.lam + jitter[0], base.rho + jitter[1], base.nu + jitter[2], x
@@ -415,25 +422,25 @@ def test_linear_root_beyond_the_float_range_is_dropped(case):
 
 
 class TestSolveCoefficients:
+    """The family points solved for x, maximal_at's (1, f, -2x - f, 1) and
+    (1, f, f, -1 - 2fx)."""
+
     def test_class_a_example(self):
-        coeffs = solve_coefficients_for_x("A", 0.5, -0.5)
+        coeffs = maximal_at("A", 0.5, -0.5)
         assert (coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu) == (1.0, -0.5, -0.5, 1.0)
+        assert classify(coeffs, HALF).verdict is Verdict.MAXIMAL_CLASS_A
 
     def test_class_b_antisymmetric(self):
-        coeffs = solve_coefficients_for_x("B", 0.5, 0.0)
+        coeffs = maximal_at("B", 0.5, 0.0)
         assert (coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu) == (1.0, 0.0, 0.0, -1.0)
+        assert classify(coeffs, HALF).verdict is Verdict.MAXIMAL_CLASS_B
 
     def test_class_a_bell_limit_family(self):
-        coeffs = solve_coefficients_for_x("A", 1e-8, 0.7)
-        assert coeffs.lam == 0.7
+        coeffs = maximal_at("A", 1e-8, 0.7)
         assert coeffs.rho == pytest.approx(-0.7, abs=1e-7)
-        assert coeffs.nu == 1.0
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            solve_coefficients_for_x("A", 1.0, 0.0)
-        with pytest.raises(DomainError):
-            solve_coefficients_for_x("C", 0.5, 0.0)
+        pair = OverlapPair(1e-8, 1e-8)
+        assert concurrence(coeffs, pair) == pytest.approx(1.0, abs=1e-12)
+        assert classify(coeffs, pair).verdict is Verdict.MAXIMAL_CLASS_A
 
     def test_soundness_via_concurrence_and_classify(self):
         rng = np.random.default_rng(41)
@@ -441,7 +448,7 @@ class TestSolveCoefficients:
             x = rng.uniform(0.05, 0.95)
             free = rng.uniform(-4, 4)
             tag = "A" if rng.integers(2) else "B"
-            coeffs = solve_coefficients_for_x(tag, x, free)
+            coeffs = maximal_at(tag, x, free)
             assert concurrence(coeffs, OverlapPair(x, x)) > 1.0 - 1e-10
             assert maximality_residual(coeffs, x) < 1e-10
             expected = Verdict.MAXIMAL_CLASS_A if tag == "A" else Verdict.MAXIMAL_CLASS_B

@@ -13,19 +13,13 @@ import numpy as np
 import pytest
 
 import cohent
-from cohent import cli
+from cohent import analytic, cli
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import _family_terms, classify
 from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.errors import ConsistencyError, DomainError
 from cohent.oracle import oracle_concurrence
-from cohent.scan import (
-    REFINE_FLOOR,
-    REFINE_TARGET,
-    DisjointnessReport,
-    ScanHits,
-    ScanOutcome,
-)
+from cohent.scan import DisjointnessReport, ScanHits, ScanOutcome
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
 AMP_STATE = "alpha = 0\nbeta = 0\ngamma = 1\ndelta = 1\nlambda = 0\nrho = 0\nnu = -1\n"
@@ -326,10 +320,12 @@ class TestScanCommand:
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["lambda", "rho", "nu", "x", "concurrence",
-                           "class_a_residual", "class_b_residual", "verdict"]
+                           "class_a_residual", "class_b_residual", "verdict", "family"]
         assert len(rows) > 1
+        # in the nu = 1 slice every hit is a grid point of the class (a) line
+        # lam + rho = -1
         for row in rows[1:]:
-            assert row[-1] == "MaximalClassA"
+            assert row[-2:] == ["MaximalClassA", "a"]
             assert float(row[4]) > 0.999
             # 17 significant digits round-trip
             assert float(row[0]) == float(f"{float(row[0]):.17g}")
@@ -341,6 +337,8 @@ class TestScanCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["disjoint"] is True
         assert payload["hits"] == payload["class_a"] + payload["class_b"]
+        assert payload["ambiguous"] == 0
+        assert payload["worst_lower_bound_ratio"] >= 1.0
         assert 0 < payload["hits"] <= payload["grid_evaluated"] <= payload["grid_points"]
 
     def test_bundled_config_evaluates_under_a_tenth(self, tmp_path, capsys):
@@ -357,36 +355,28 @@ class TestScanCommand:
         assert (f"scanned 680943 grid points ({payload['grid_evaluated']} evaluated)"
                 in text)
         assert "bounded 1189 (lambda, rho, x) rows, kept 495" in text
-        assert payload["refine_unconverged"] == 0
-        assert f"480 hits, {payload['refined']} refined, 0 unconverged" in text
+        assert "refine" not in json.dumps(payload)
+        assert payload["ambiguous"] == 0
+        assert (f"verify: classes disjoint: 480 records (237 class a, 243 class b, "
+                f"0 ambiguous), 0 violations, worst lower-bound ratio "
+                f"{payload['worst_lower_bound_ratio']:.17g}") in text
 
-    @pytest.mark.parametrize("tol", ["0.2", "1"])
-    def test_tol_that_joins_the_families_exits_2(self, tmp_path, capsys, tol):
-        # at tol >= 1 - x, (lam, rho, nu) = (-1, -x, x) passes both family
-        # checks; the bundled box's largest x is 0.8 (tol 1 exited 5)
+    def test_tol_sets_only_the_csv_verdicts(self, tmp_path, capsys):
+        # --tol 1e-16 exited 2 (below refine's target) and 0.5 exited 2 (at
+        # least 1 - max(x)); verify no longer reads it
         out = tmp_path / "o.csv"
-        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol]) == 2
-        assert "below 1 - max(x_values) = 0.19999999999999996" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("tol", ["1e-13", "1e-16", "1e-300"])
-    def test_tol_below_the_refine_target_exits_2(self, tmp_path, capsys, tol):
-        # refine only makes converged hits pass the family checks at
-        # REFINE_TARGET; below it, unmoved hits were reported as violations
-        # (--tol 1e-16 exited 5 with 87 + 201 of 480 hits classified)
-        out = tmp_path / "o.csv"
-        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol]) == 2
-        assert f"it must be at least {REFINE_TARGET!r}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_tol_below_that_bound_still_separates_the_families(self, tmp_path, capsys):
-        out = tmp_path / "o.csv"
-        for tol in ("0.1", repr(REFINE_TARGET)):  # REFINE_TARGET is the lowest
+        reports, verdicts = [], []
+        for tol in ("1e-16", "1e-9", "0.5"):
             assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol,
                              "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
-            assert (payload["hits"], payload["class_a"], payload["class_b"],
-                    payload["disjoint"]) == (480, 237, 243, True)
+            reports.append({key: payload[key] for key in (
+                "hits", "class_a", "class_b", "ambiguous", "disjoint")})
+            with open(out, newline="") as handle:
+                verdicts.append(sorted(row["verdict"] for row in csv.DictReader(handle)))
+        assert reports == [dict(hits=480, class_a=237, class_b=243, ambiguous=0,
+                                disjoint=True)] * 3
+        assert verdicts[0] != verdicts[2]
 
     def test_csv_residuals_and_verdict_come_from_classify(self, tmp_path):
         text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
@@ -397,7 +387,7 @@ class TestScanCommand:
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         concurrences = [float(row["concurrence"]) for row in rows]
-        assert min(concurrences) < REFINE_FLOOR <= max(concurrences)
+        assert min(concurrences) < 0.9 <= max(concurrences)
         for row in rows:
             lam, rho, nu, x = (float(row[k]) for k in ("lambda", "rho", "nu", "x"))
             result = classify(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x),
@@ -428,27 +418,28 @@ class TestScanCommand:
         assert cli.main(["classify", state, "--tol", "inf"]) == 2
 
     def test_overlap_near_one_exits_0(self, tmp_path, capsys):
-        # the 16-term Gram form of N^2 cancelled here, and refine's recomputed
-        # concurrence came out 1.000000001227012 (exit 3)
+        # the 16-term Gram form of N^2 cancelled here, and a concurrence
+        # recomputed at a moved point came out 1.000000001227012 (exit 3)
         text = "".join(f"{axis}_min = -3\n{axis}_max = 3\n{axis}_steps = 61\n"
                        for axis in ("lambda", "rho", "nu"))
         config = write(tmp_path, "scan.cfg",
                        text + "x_values = 0.999999\nthreshold = 0.999\n")
         assert cli.main(["scan", config, str(tmp_path / "o.csv"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["disjoint"] is True
-        assert (payload["hits"], payload["class_a"], payload["class_b"]) == (70, 40, 30)
+        assert (payload["hits"], payload["class_a"], payload["class_b"],
+                payload["ambiguous"], payload["disjoint"]) == (70, 40, 30, 0, True)
 
     def test_box_near_the_size_limit_exits_0(self, tmp_path, capsys):
         # hits such as (lam, rho, nu) = (-1e150, 1e150, 1) lie 1 from class
-        # (a) in one term, 7e-151 of max|v|; an absolute tol exited 5
+        # (a) in one term, 7e-151 of max|v|; an absolute tol exited 5, and
+        # squares of the unscaled terms would overflow
         text = "".join(f"{axis}_min = -1e150\n{axis}_max = 1e150\n{axis}_steps = 5\n"
                        for axis in ("lambda", "rho", "nu"))
         config = write(tmp_path, "scan.cfg", text + "x_values = 0.5\nthreshold = 0.5\n")
         assert cli.main(["scan", config, str(tmp_path / "o.csv"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["class_a"], payload["class_b"], payload["disjoint"],
-                payload["refine_unconverged"]) == (4, 4, True, 0)
+        assert (payload["hits"], payload["class_a"], payload["class_b"],
+                payload["ambiguous"], payload["disjoint"]) == (49, 28, 21, 0, True)
 
     def test_oversized_box_exits_2(self, tmp_path, capsys):
         text = SMALL_SCAN.replace("lambda_max = 0.5", "lambda_max = 4e150")
@@ -501,7 +492,7 @@ class TestScanCommand:
     @pytest.mark.parametrize("error, code", [(DomainError, 2), (ConsistencyError, 3)])
     def test_failed_scan_leaves_the_output_as_it_was(self, tmp_path, monkeypatch,
                                                      error, code, earlier):
-        def failing_run(config, verify_tol=1e-8):
+        def failing_run(config):
             raise error("scan failed")
 
         monkeypatch.setattr(cli, "run_scan", failing_run)
@@ -527,14 +518,13 @@ class TestScanCommand:
     def test_disjointness_violation_exits_5(self, tmp_path, monkeypatch):
         impostor = (0.3, -0.2, 0.5, 0.5, 1.0)
         report = DisjointnessReport(
-            n_maximal=1, n_class_a=0, n_class_b=0,
-            violations=(("near-maximal but on neither family", *impostor),),
-            tol=1e-8, maximal_tol=1e-10,
+            n_maximal=1, n_class_a=0, n_class_b=0, n_ambiguous=1, worst_ratio=0.0,
+            violations=(("N^2 (1 - C) below (1 - x) min_f |P_f v|^2", *impostor),),
+            family=np.array([2]),
         )
-        fake = ScanOutcome(hits=ScanHits.unrefined(*([v] for v in impostor)),
+        fake = ScanOutcome(hits=ScanHits(*(np.array([v]) for v in impostor)),
                            report=report, n_grid_evaluated=1, n_grid_rows_bounded=1,
-                           n_grid_rows_kept=1, n_refined=0, oracle_checked=0,
-                           max_oracle_diff=0.0)
+                           n_grid_rows_kept=1, oracle_checked=0, max_oracle_diff=0.0)
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 5
@@ -542,16 +532,37 @@ class TestScanCommand:
         rows = list(csv.DictReader((tmp_path / "o.csv").read_text().splitlines()))
         assert [(float(row["lambda"]), float(row["rho"])) for row in rows] == [(0.3, -0.2)]
 
+    def test_grid_hit_off_both_families_exits_5(self, tmp_path, monkeypatch, capsys):
+        # the grid's C raised to 1 at (lam, rho, nu) = (-0.5, -0.5, -2), which
+        # is off both families: |P_a v|^2 = 9, |P_b v|^2 = 2.25
+        ratio = analytic._concurrence_ratio
+
+        def raised(mu, lam, rho, nu, n1, n2, n_sq):
+            return np.where((lam == -0.5) & (rho == -0.5) & (nu == -2.0), 1.0,
+                            ratio(mu, lam, rho, nu, n1, n2, n_sq))
+
+        monkeypatch.setattr(analytic, "_concurrence_ratio", raised)
+        text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
+                                  "nu_min = -2\nnu_max = 1\nnu_steps = 2")
+        config = write(tmp_path, "scan.cfg", text.replace("oracle_fraction = 0.2",
+                                                          "oracle_fraction = 0"))
+        assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == ("verify: DISJOINTNESS VIOLATED: 1 of 22 records outside "
+                            "the two-sided bound")
+        assert lines[4] == ("  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: lam=-0.5 "
+                            "rho=-0.5 nu=-2.0 x=0.5 C=1.0")
+
     def test_bundled_config_resolves(self, tmp_path, monkeypatch):
         # resolve the packaged grid but swap in a light pipeline to keep the
         # unit test quick; the full bundled run is exercised in acceptance
         seen = {}
 
-        def fake_run(config, verify_tol=1e-8):
+        def fake_run(config):
             seen["points"] = config.total_points()
-            report = DisjointnessReport(0, 0, 0, (), verify_tol, 1e-10)
-            return ScanOutcome(ScanHits.unrefined([], [], [], [], []), report,
-                               0, 0, 0, 0, 0, 0.0)
+            report = DisjointnessReport(0, 0, 0, 0, None, (), np.array([], dtype=int))
+            return ScanOutcome(ScanHits(*(np.array([]) for _ in range(5))), report,
+                               0, 0, 0, 0, 0.0)
 
         monkeypatch.setattr(cli, "run_scan", fake_run)
         assert cli.main(["scan", "theorem_check.cfg", str(tmp_path / "o.csv")]) == 0
@@ -653,10 +664,10 @@ class TestDeterminism:
     # so any numpy should write these bytes, and a record moved by one ulp
     # fails here.
     @pytest.mark.parametrize("steps, threshold, digest", [
-        (61, "0.999", "5fdadb60ad257affc88142fd2f3d0a48ae9345daf7bf7672bf5d8ee5317f853f"),
+        (61, "0.999", "9b7e80eda8e68f8f4177dad2f96bb2ed622db5bce78d7f95ec5e9c4b63d405e2"),
         (241, "0.999999",
-         "5db3ca94d90156c6533f0f79b24b09eec7a8bcb999d2b3041e70b53df0c493f2"),
-        (61, "0.9", "834e26116df7c306a749f0702f513f81db82fc74a89ac513993d7217772c3b34"),
+         "860b7579490126449b15bcf675432f73e717d96ca2179c21e990b89028d2916e"),
+        (61, "0.9", "ad9fa941b57597918f677b5f2c90e09385dd279746829e9bcc4db158e15fc65d"),
     ], ids=["bundled", "dense", "wide"])
     def test_scan_csv_digest(self, tmp_path, steps, threshold, digest):
         text = resources.files("cohent").joinpath("configs").joinpath(

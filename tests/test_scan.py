@@ -17,6 +17,7 @@ from cohent.analytic import _concurrence_ratio, _maximality_residual, _norm_sq
 from cohent.analytic import max_concurrence_over_nu
 from cohent.classify import (
     VERDICTS,
+    _family_terms,
     classify,
     classify_columns,
     family_checks,
@@ -25,7 +26,7 @@ from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.errors import GridSizeError
 from cohent.scan import (
-    REFINE_FLOOR,
+    FAMILIES,
     DisjointnessReport,
     ScanConfig,
     ScanHits,
@@ -33,7 +34,6 @@ from cohent.scan import (
     grid_scan,
     oracle_spot_check,
     refine,
-    refine_hits,
     run_scan,
     verify_disjoint_classes,
 )
@@ -48,7 +48,6 @@ class Hit(NamedTuple):
     nu: float
     x: float
     concurrence: float
-    refine_converged: bool = True
 
     def coefficients(self):
         return SuperpositionCoeffs(1.0, self.lam, self.rho, self.nu)
@@ -64,12 +63,13 @@ def on_families(coeffs, x, tol):
 def hit_list(hits):
     """The hits of a ScanHits, in order."""
     return [Hit(*row) for row in zip(*(column.tolist() for column in (
-        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, hits.refine_converged)))]
+        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence)))]
 
 
 def columns(points):
     """Fresh ScanHits from a sequence of Hit, in order."""
-    return ScanHits.unrefined(*([point[i] for point in points] for i in range(5)))
+    return ScanHits(*(np.array([point[i] for point in points], dtype=float)
+                      for i in range(5)))
 
 
 def exact_concurrence(lam, rho, nu, x):
@@ -510,9 +510,10 @@ def test_rho_windows_keep_every_row_the_full_bound_keeps(config, block):
 
 
 def refine_hit(hit):
-    """The scalar refine of one Hit, as a Hit."""
-    lam, rho, nu, c, converged = refine(*hit[:5])
-    return Hit(lam, rho, nu, hit.x, c, converged)
+    """The scalar refine of one Hit: the refined Hit and whether it
+    converged."""
+    lam, rho, nu, c, converged = refine(*hit)
+    return Hit(lam, rho, nu, hit.x, c), converged
 
 
 class TestRefine:
@@ -523,8 +524,8 @@ class TestRefine:
                 SuperpositionCoeffs(1, -0.49, -0.51, 1.0), OverlapPair(0.5, 0.5)
             ),
         )
-        refined = refine_hit(record)
-        assert refined.refine_converged
+        refined, converged = refine_hit(record)
+        assert converged
         assert maximality_residual(refined.coefficients(), 0.5) < 1e-12
         assert on_families(refined.coefficients(), 0.5, 1e-8)[0]
 
@@ -532,9 +533,9 @@ class TestRefine:
         # one exact point per family: class (a), then class (b)
         for point in ((-0.5, -0.5, 1.0), (-0.5, -0.5, -0.5)):
             record = Hit(*point, x=0.5, concurrence=1.0)
-            refined = refine_hit(record)
+            refined, converged = refine_hit(record)
             assert (refined.lam, refined.rho, refined.nu) == point
-            assert refined.refine_converged
+            assert converged
 
     def test_far_start_reaches_a_family(self):
         # C ~ 0.95, well off both manifolds
@@ -543,7 +544,7 @@ class TestRefine:
         c0 = concurrence(coeffs, OverlapPair(x, x))
         assert 0.9 < c0 < 0.97
         record = Hit(coeffs.lam, coeffs.rho, coeffs.nu, x, c0)
-        refined = refine_hit(record)
+        refined, _ = refine_hit(record)
         assert refined.concurrence > 1.0 - 1e-10
         assert any(on_families(refined.coefficients(), x, 1e-8))
 
@@ -558,7 +559,7 @@ class TestRefine:
                 continue
             tested += 1
             record = Hit(lam, rho, nu, x, c)
-            assert refine_hit(record).concurrence >= c
+            assert refine_hit(record)[0].concurrence >= c
 
     @staticmethod
     def _random_hits(seed, count):
@@ -574,8 +575,8 @@ class TestRefine:
 
     def test_step_is_orthogonal_to_family(self):
         for record in self._random_hits(seed=17, count=40):
-            refined = refine_hit(record)
-            assert refined.refine_converged
+            refined, converged = refine_hit(record)
+            assert converged
             step = np.array([refined.lam - record.lam, refined.rho - record.rho,
                              refined.nu - record.nu])
             if record.nu >= record.lam * record.rho:
@@ -586,7 +587,7 @@ class TestRefine:
 
     def test_keeps_branch_sign(self):
         for record in self._random_hits(seed=23, count=40):
-            refined = refine_hit(record)
+            refined, _ = refine_hit(record)
             before = record.nu - record.lam * record.rho
             after = refined.nu - refined.lam * refined.rho
             assert (before >= 0.0) == (after >= 0.0)
@@ -603,26 +604,21 @@ class TestRefine:
         assert on_families(projected, 0.61, scan_module.REFINE_TARGET)[0]
         assert refine(-0.61, -0.6, 1.0, 0.61, 1.0) == (projected.lam, projected.rho,
                                                         1.0, c, True)
-        expected = Hit(projected.lam, projected.rho, 1.0, 0.61, c)
-        assert hit_list(refine_hits(columns([record]))) == [expected]
 
     def test_unconverged_projection_keeps_the_old_point(self, monkeypatch):
         # a family test that passes nothing: every point moves, and no
         # projection converges, so each old point comes back, flagged
         monkeypatch.setattr(scan_module, "family_checks",
-                            lambda mu, lam, *rest: (np.zeros(len(lam), bool),) * 2)
+                            lambda *args: (np.False_, np.False_))
         records = [Hit(-0.61, -0.6, 1.0, 0.61, 1.0),
                    Hit(0.3, 0.2, -1.5, 0.4, 0.95)]
-        expected = [r._replace(refine_converged=False) for r in records]
-        assert [refine_hit(r) for r in records] == expected
-        assert hit_list(refine_hits(columns(records))) == expected
+        assert [refine_hit(r) for r in records] == [(r, False) for r in records]
 
     def test_rejects_low_concurrence(self):
         with pytest.raises(DomainError, match=r"^refine expects a near-maximal hit"):
             refine(0.0, 0.0, 0.5, 0.5, 0.5)
 
     def test_rejects_nan_concurrence(self):
-        # refine_hits would pass a NaN C through unrefined, so refine refuses it
         with pytest.raises(DomainError, match=r"got C = nan$"):
             refine(-0.5, -0.5, 1.0, 0.5, math.nan)
 
@@ -630,73 +626,131 @@ class TestRefine:
         ratio = analytic._concurrence_ratio
         monkeypatch.setattr(analytic, "_concurrence_ratio",
                             lambda *args: ratio(*args) * np.nan)
-        # exact family points, which refine recomputes without moving
-        records = [Hit(-0.5, -0.5, 1.0, 0.5, 1.0),
-                   Hit(0.0, 0.0, -1.0, 0.3, 1.0)]
+        # an exact family point, which refine recomputes without moving
         message = (r"^refine: recomputed concurrence nan exceeded 1 beyond rounding "
                    r"slack at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")
         with pytest.raises(ConsistencyError, match=message):
-            refine_hit(records[0])
-        with pytest.raises(ConsistencyError, match=message):
-            refine_hits(columns(records))
+            refine_hit(Hit(-0.5, -0.5, 1.0, 0.5, 1.0))
+
+
+def honest(lam, rho, nu, x):
+    """A Hit at (lam, rho, nu, x) with the grid's own C."""
+    c = analytic.concurrence_columns(*(np.array([v]) for v in (lam, rho, nu, x)), "")
+    return Hit(lam, rho, nu, x, c.item())
 
 
 class TestVerifyDisjointClasses:
     def test_empty_input_passes(self):
         report = verify_disjoint_classes(columns([]))
         assert report.passed
-        assert report.n_maximal == 0
+        assert (report.n_maximal, report.n_ambiguous, report.worst_ratio) == (0, 0, None)
+        assert "worst lower-bound ratio none" in report.summary()
 
     def test_mixed_sweep_counts_both_classes(self):
-        records = []
-        for lam in (-0.2, -0.7, 0.4):
-            coeffs = SuperpositionCoeffs(1, lam, -1.0 - lam, 1.0)  # class (a), x=0.5
-            records.append(
-                Hit(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
-                    concurrence(coeffs, OverlapPair(0.5, 0.5)))
-            )
-        for lam in (0.0, -1.0):
-            coeffs = SuperpositionCoeffs(1, lam, lam, -1.0 - 2 * lam * 0.5)
-            records.append(
-                Hit(coeffs.lam, coeffs.rho, coeffs.nu, 0.5,
-                    concurrence(coeffs, OverlapPair(0.5, 0.5)))
-            )
-        report = verify_disjoint_classes(columns(records), tol=1e-8)
+        records = [honest(lam, -1.0 - lam, 1.0, 0.5)  # class (a), x = 0.5
+                   for lam in (-0.2, -0.7, 0.4)]
+        records += [honest(lam, lam, -1.0 - 2 * lam * 0.5, 0.5)  # class (b)
+                    for lam in (0.0, -1.0)]
+        report = verify_disjoint_classes(columns(records))
         assert report.passed
-        assert report.n_class_a == 3
-        assert report.n_class_b == 2
+        assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (3, 2, 0)
+        assert report.family.tolist() == [0, 0, 0, 1, 1]
+        assert report.worst_ratio >= 1.0
+        assert report.summary() == (
+            "verify: classes disjoint: 5 records (3 class a, 2 class b, 0 ambiguous), "
+            f"0 violations, worst lower-bound ratio {report.worst_ratio:.17g}")
+        # a hit on its family to the last bit gives no ratio
+        exact = verify_disjoint_classes(columns([honest(-0.5, -0.5, 1.0, 0.5)]))
+        assert (exact.n_class_a, exact.worst_ratio) == (1, None)
+
+    def test_hit_within_reach_of_both_families_is_ambiguous(self):
+        # (lam, rho, nu) = (-1, -x, x) has |P_a v|^2 = |P_b v|^2 = 2 (1 - x)^2
+        report = verify_disjoint_classes(columns([honest(-1.0, -0.5, 0.5, 0.5)]))
+        assert report.passed
+        assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (0, 0, 1)
+        assert [FAMILIES[code] for code in report.family] == ["ambiguous"]
+        # it attains the upper side, (1 + x) / (1 - x) times the lower one
+        assert report.worst_ratio == pytest.approx(3.0)
 
     def test_detects_off_manifold_maximal_record(self):
         # a synthetic impostor: claims C = 1 while sitting on neither family
         impostor = Hit(0.3, -0.2, 0.5, 0.5, 1.0)
-        report = verify_disjoint_classes(columns([impostor]), tol=1e-8)
+        report = verify_disjoint_classes(columns([impostor]))
         assert not report.passed
         assert report.violations == (
-            ("near-maximal but on neither family", 0.3, -0.2, 0.5, 0.5, 1.0),)
-        assert "DISJOINTNESS VIOLATED" in report.summary()
+            ("N^2 (1 - C) below (1 - x) min_f |P_f v|^2", 0.3, -0.2, 0.5, 0.5, 1.0),)
+        assert report.summary().startswith("verify: DISJOINTNESS VIOLATED")
+        assert report.worst_ratio < 1e-12
 
     def test_summary_lists_twenty_violations_and_counts_the_rest(self):
-        # at tol 0.6 >= 1 - x, (lam, rho, nu) = (-1, -x, x) passes both family
-        # checks; the 20 others are on neither family
-        hits = [Hit(-1.0, -0.5, 0.5, 0.5, 1.0)]
+        # the first hit lies on class (a) but claims C = 0.5, above the
+        # upper bound; the 20 others claim C = 1 on neither family
+        hits = [Hit(-0.5, -0.5, 1.0, 0.5, 0.5)]
         hits += [Hit(0.3 + i, -0.2, 0.5, 0.5, 1.0) for i in range(20)]
-        report = verify_disjoint_classes(columns(hits), tol=0.6)
+        report = verify_disjoint_classes(columns(hits))
         lines = report.summary().splitlines()
         assert lines[:3] == [
-            "DISJOINTNESS VIOLATED: 21 of 21 near-maximal records failed",
-            "  on both families: lam=-1.0 rho=-0.5 nu=0.5 x=0.5 C=1.0",
-            "  near-maximal but on neither family: lam=0.3 rho=-0.2 nu=0.5 x=0.5 C=1.0",
+            "verify: DISJOINTNESS VIOLATED: 21 of 21 records outside the two-sided "
+            "bound",
+            "  N^2 (1 - C) above (1 + x) min_f |P_f v|^2: lam=-0.5 rho=-0.5 nu=1.0 "
+            "x=0.5 C=0.5",
+            "  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: lam=0.3 rho=-0.2 nu=0.5 "
+            "x=0.5 C=1.0",
         ]
         assert len(lines) == 22
-        assert lines[-2].startswith("  near-maximal but on neither family: lam=18.3 ")
+        assert lines[-2].startswith("  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: "
+                                    "lam=18.3 ")
         assert lines[-1] == "  ... and 1 more"
 
-    def test_ignores_sub_maximal_records(self):
-        # off both families, and below the default 1 - 1e-10 maximal line
-        records = [Hit(0.3, -0.2, 0.5, 0.5, c) for c in (0.95, 1.0 - 1e-9)]
-        report = verify_disjoint_classes(columns(records), tol=1e-8)
+    def test_nan_concurrence_is_a_violation(self):
+        report = verify_disjoint_classes(columns([Hit(-0.5, -0.5, 1.0, 0.5, math.nan)]))
+        assert len(report.violations) == 1
+
+    def test_tests_sub_maximal_records(self):
+        # off both families: its own C passes, a C of 1 - 1e-9 does not
+        record = honest(0.3, -0.2, 0.5, 0.5)
+        assert record.concurrence < 0.95
+        report = verify_disjoint_classes(columns([record]))
         assert report.passed
-        assert report.n_maximal == 0
+        assert report.n_maximal == 1
+        lying = record._replace(concurrence=1.0 - 1e-9)
+        assert not verify_disjoint_classes(columns([lying])).passed
+
+
+@st.composite
+def bound_points(draw):
+    """(lam, rho, nu, x) at mu = 1: a point on a family, near one or far
+    from both, at x near 1e-6, 1/2 or 1 - 1e-6, with coefficients up to
+    about 1e149, inside the 2^500 box limit."""
+    x = draw(st.sampled_from([1e-6, 2e-6, 0.5, 1.0 - 2e-6, 1.0 - 1e-6]))
+    f = draw(st.floats(-10.0, 10.0)) * draw(st.sampled_from([1.0, 1e-100, 1e100, 1e148]))
+    kind = draw(st.sampled_from(["a", "b", "random"]))
+    if kind == "a":
+        point = [f, -2.0 * x - f, 1.0]
+    elif kind == "b":
+        point = [f, f, -1.0 - 2.0 * f * x]
+    else:
+        point = [f * draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    nudge = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3]))
+    size = max(1.0, *map(abs, point))
+    return (*(v + nudge * size * draw(st.floats(-1.0, 1.0)) for v in point), x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(bound_points(), min_size=1, max_size=8))
+def test_band_never_flags_a_correct_hit(points):
+    # a run must never exit 5 from float trouble
+    hits = []
+    for point in points:
+        try:
+            hits.append(honest(*point))
+        except DegenerateStateError:
+            continue
+    report = verify_disjoint_classes(columns(hits))
+    assert report.passed, report.summary()
+    assert report.n_class_a + report.n_class_b + report.n_ambiguous == len(hits)
+    if report.worst_ratio is not None:
+        assert report.worst_ratio >= 1.0
 
 
 class TestOracleSpotCheck:
@@ -764,22 +818,8 @@ class TestRunScan:
         assert outcome.report.passed
         assert (outcome.n_grid_rows_bounded, outcome.n_grid_rows_kept) == grid_scan(
             config)[2:]
-        assert outcome.n_refined > 0
         assert outcome.oracle_checked >= 1
         assert outcome.max_oracle_diff < 1e-8
-
-    @pytest.mark.parametrize("x", [0.2, 0.8, 1.0 - 1e-6])
-    def test_tol_that_joins_the_families_is_rejected(self, x):
-        # (mu, lam, rho, nu) = (1, -1, -x, x) lies 1 - x from both families in
-        # every term, so at a tol of 1 - x it would pass both family checks
-        n = math.sqrt((1.0 - x) * (1.0 + x))
-        assert family_checks(1.0, -1.0, -x, x, x, x, n, n,
-                             (1.0 - x) * (1.0 + 1e-12)) == (True, True)
-        config = ScanConfig((-1.0, 1.0, 3), (-1.0, 1.0, 3), (-1.0, 1.0, 3),
-                            x_values=(x, 0.1), concurrence_threshold=0.999)
-        with pytest.raises(DomainError, match=r"below 1 - max\(x_values\) = "):
-            run_scan(config, verify_tol=1.0 - x)
-        assert run_scan(config, verify_tol=(1.0 - x) * 0.5).report.passed
 
     def test_pipeline_deterministic(self):
         config = ScanConfig(
@@ -807,101 +847,88 @@ class TestRunScan:
         outcome = run_scan(config)
         assert outcome.report.passed, outcome.report.summary()
         assert len(outcome.hits) == 38
-        assert (outcome.report.n_class_a, outcome.report.n_class_b) == (22, 16)
-        assert outcome.hits.refine_converged.all()
+        report = outcome.report
+        assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (22, 16, 0)
 
-    def test_box_near_the_size_limit_converges(self):
-        # max|v| = 1e150: an absolute bound on N^2 (1 - C) flagged all 8
-        # refined hits unconverged, though each lies on its family
+    def test_box_near_the_size_limit_stays_in_the_bound(self):
+        # max|v| = 1e150: the terms are formed on the unit ray, where their
+        # squares cannot overflow
         outcome = run_scan(box(-1e150, 1e150, 5, (0.5,), 0.5))
-        assert outcome.report.passed, outcome.report.summary()
-        assert (outcome.report.n_class_a, outcome.report.n_class_b) == (4, 4)
-        assert outcome.n_refined == 8
-        assert outcome.hits.refine_converged.all()
+        report = outcome.report
+        assert report.passed, report.summary()
+        assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (28, 21, 0)
 
 
-def list_refine(record):
-    """refine as it was before hits became columns: scalar arithmetic, one
-    record at a time, with the scalar family checks at REFINE_TARGET."""
-    def on_a_family(lam, rho, nu):
-        coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-        return any(on_families(coeffs, x, scan_module.REFINE_TARGET))
-
-    x, lam, rho, nu = record.x, record.lam, record.rho, record.nu
-    if not on_a_family(lam, rho, nu):
-        if nu >= lam * rho:
-            s = (lam + rho + 2.0 * x) / 2.0
-            lam, rho, nu = lam - s, rho - s, 1.0
+def list_verify(records):
+    """verify_disjoint_classes one record at a time, in scalar arithmetic."""
+    counts, ratios, violations, family = [0, 0, 0], [], [], []
+    for lam, rho, nu, x, c in records:
+        e = math.frexp(max(1.0, abs(lam), abs(rho), abs(nu)))[1] - 1
+        v = [math.ldexp(coefficient, -e) for coefficient in (1.0, lam, rho, nu)]
+        n = math.sqrt((1.0 - x) * (1.0 + x))
+        (a1, a2), (b1, b2), _ = _family_terms(*v, x, x, n, n)
+        to_a, to_b = a1 * a1 + a2 * a2, b1 * b1 + b2 * b2
+        size = sum(map(abs, v))
+        band = scan_module._BAND * size * size
+        residual = _norm_sq(*v, x, x, n, n) * (1.0 - c)
+        lower = (1.0 - x) * min(to_a, to_b)
+        if not lower <= residual + band:
+            violations.append(("N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
+                               lam, rho, nu, x, c))
+        elif not residual <= (1.0 + x) * min(to_a, to_b) + band:
+            violations.append(("N^2 (1 - C) above (1 + x) min_f |P_f v|^2",
+                               lam, rho, nu, x, c))
+        if (1.0 - x) * to_b > residual + band:
+            family.append(0)
+        elif (1.0 - x) * to_a > residual + band:
+            family.append(1)
         else:
-            t = (lam + rho - 2.0 * x * (nu + 1.0)) / (2.0 + 4.0 * x * x)
-            lam, rho, nu = t, t, -1.0 - 2.0 * t * x
-    if not on_a_family(lam, rho, nu):
-        return record._replace(refine_converged=False)
-    c = concurrence(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x))
-    return Hit(lam, rho, nu, x, c)
+            family.append(2)
+        counts[family[-1]] += 1
+        if lower > 0.0:
+            ratios.append((residual + band) / lower)
+    return DisjointnessReport(len(records), *counts, min(ratios, default=None),
+                              tuple(violations), np.array(family, dtype=int))
 
 
-def list_verify(records, tol, maximal_tol=1e-10):
-    """verify_disjoint_classes as it was before hits became columns: one pair
-    of scalar family checks per near-maximal record."""
-    n_a = n_b = n_max = 0
-    violations = []
-    for record in records:
-        if record.concurrence <= 1.0 - maximal_tol:
-            continue
-        n_max += 1
-        a_ok, b_ok = on_families(record.coefficients(), record.x, tol)
-        point = (record.lam, record.rho, record.nu, record.x, record.concurrence)
-        if a_ok and b_ok:
-            violations.append(("on both families", *point))
-        elif not a_ok and not b_ok:
-            violations.append(("near-maximal but on neither family", *point))
-        elif a_ok:
-            n_a += 1
-        else:
-            n_b += 1
-    return DisjointnessReport(n_max, n_a, n_b, tuple(violations), tol, maximal_tol)
-
-
-def list_csv(records, path, tol):
-    """The scan CSV as it was written before: one classify call per row."""
+def list_csv(records, family, path, tol):
+    """The scan CSV one classify call per row, as csv.writer writes it."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lambda", "rho", "nu", "x", "concurrence",
-                         "class_a_residual", "class_b_residual", "verdict"])
-        for record in records:
+                         "class_a_residual", "class_b_residual", "verdict", "family"])
+        for record, code in zip(records, family):
             result = classify(record.coefficients(), OverlapPair(record.x, record.x),
                               tol)
             writer.writerow(
                 [f"{v:.17g}" for v in (
                     record.lam, record.rho, record.nu, record.x, record.concurrence,
                     result.class_a_residual, result.class_b_residual,
-                )] + [result.verdict.value]
+                )] + [result.verdict.value, FAMILIES[code]]
             )
 
 
 class TestColumnTail:
-    """Refine, verify and the CSV on columns must equal the per-record tail."""
+    """Verify and the CSV on columns must equal the per-record tail."""
 
     @pytest.mark.parametrize("config", [
         cli._resolve_scan_config("theorem_check.cfg"),
         box(-3.0, 3.0, 241, (0.2, 0.5, 0.8), 0.999999),  # dense_sweep's box
-        box(-3.0, 3.0, 9, (0.2, 0.5, 0.8), 0.5),  # hits below REFINE_FLOOR
+        box(-3.0, 3.0, 9, (0.2, 0.5, 0.8), 0.5),  # hits far below C = 1
         box(-1e150, 1e150, 5, (0.5,), 0.5),  # near the 2^500 box limit
     ], ids=["bundled", "dense", "box9", "huge"])
     def test_matches_per_record_tail(self, config, tmp_path):
         tol = 1e-9
-        grid_records = hit_list(grid_scan(config)[0])
-        to_refine = [r.concurrence >= REFINE_FLOOR for r in grid_records]
-        records = [list_refine(r) if refine_it else r
-                   for r, refine_it in zip(grid_records, to_refine)]
-        list_csv(records, tmp_path / "reference.csv", tol)
+        records = hit_list(grid_scan(config)[0])
+        reference = list_verify(records)
+        list_csv(records, reference.family, tmp_path / "reference.csv", tol)
 
-        outcome = run_scan(config, verify_tol=tol)
-        cli.write_records_csv(outcome.hits, tmp_path / "columns.csv", tol)
+        outcome = run_scan(config)
+        cli.write_records_csv(outcome.hits, outcome.report.family,
+                              tmp_path / "columns.csv", tol)
         assert hit_list(outcome.hits) == records
-        assert outcome.report == list_verify(records, tol)
-        assert outcome.n_refined == sum(to_refine)
+        assert outcome.report == reference
+        assert outcome.report.family.tolist() == reference.family.tolist()
         assert ((tmp_path / "columns.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
@@ -910,16 +937,17 @@ class TestColumnTail:
         # The writer formats each distinct value of a column once; no scan
         # output has a -0, so only this test sees 0.0 and -0.0 in one column.
         rng = np.random.default_rng(5)
-        hits = ScanHits.unrefined(
+        hits = ScanHits(
             rng.choice([0.0, -0.0, 0.5, -1.25, 1.0 / 3.0], n),
             rng.choice([-0.0, 0.0, 2.0, 1e-300], n),
             rng.uniform(-3.0, 3.0, n),
             rng.choice([0.2, 0.5, 0.8], n),
             rng.choice([1.0, 0.0, -0.0, 0.9999999999999999], n),
         )
+        family = rng.integers(0, len(FAMILIES), n)
         tol = 1e-9
-        cli.write_records_csv(hits, tmp_path / "columns.csv", tol)
-        list_csv(hit_list(hits), tmp_path / "reference.csv", tol)
+        cli.write_records_csv(hits, family, tmp_path / "columns.csv", tol)
+        list_csv(hit_list(hits), family, tmp_path / "reference.csv", tol)
         written = (tmp_path / "columns.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         lams = {line.split(b",")[0] for line in written.splitlines()[1:]}
@@ -961,7 +989,6 @@ def test_scalar_api_matches_columns_bit_for_bit(points, tol):
         for lam, rho, nu, x in points
     ]
     hits = columns(records)
-    refined = hit_list(refine_hits(hits))
     n = np.sqrt((1.0 - hits.x) * (1.0 + hits.x))
     res_a, res_b, res_sep, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
                                                     hits.x, hits.x, n, n, tol)
@@ -969,11 +996,6 @@ def test_scalar_api_matches_columns_bit_for_bit(points, tol):
                                tol)
     residuals = _maximality_residual(1.0, hits.lam, hits.rho, hits.nu, hits.x)
     for i, record in enumerate(records):
-        expected = (refine_hit(record) if record.concurrence >= REFINE_FLOOR
-                    else record)
-        got = refined[i]
-        assert bits(got[:5]) == bits(expected[:5])
-        assert got.refine_converged == expected.refine_converged
         coeffs, x = record.coefficients(), record.x
         result = classify(coeffs, OverlapPair(x, x), tol)
         assert bits((res_a[i], res_b[i], res_sep[i])) == bits(result.residuals)
