@@ -26,7 +26,6 @@ from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
-from .classify import _require_positive_tol
 from .coherent import CoherentConfig, OverlapPair
 from .errors import CohentError, ConsistencyError, DomainError, InputFileError
 from .oracle import build_state, oracle_concurrence
@@ -66,10 +65,8 @@ def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
 
 def cmd_concurrence(args) -> int:
     spec = load_state_file(args.spec)
-    coeffs = spec.coefficients()
-    overlaps = spec.overlaps()
-    amps = orthonormal_amplitudes(coeffs, overlaps)
-    c_analytic = concurrence(coeffs, overlaps)
+    amps = orthonormal_amplitudes(spec.coeffs, spec.overlaps)
+    c_analytic = concurrence(spec.coeffs, spec.overlaps)
     pairs: list[tuple[str, object]] = [
         ("analytic_concurrence", c_analytic),
         ("amplitude_a", amps.a),
@@ -77,12 +74,12 @@ def cmd_concurrence(args) -> int:
         ("amplitude_c", amps.c),
         ("amplitude_d", amps.d),
         ("norm", amps.norm),
-        ("p1", overlaps.p1),
-        ("p2", overlaps.p2),
+        ("p1", spec.overlaps.p1),
+        ("p2", spec.overlaps.p2),
     ]
     status = EXIT_OK
-    if spec.has_amplitudes:
-        c_oracle = oracle_concurrence(spec.config(), coeffs, spec.truncation)
+    if spec.config is not None:
+        c_oracle = oracle_concurrence(spec.config, spec.coeffs, spec.truncation)
         diff = abs(c_oracle - c_analytic)
         pairs += [("oracle_concurrence", c_oracle), ("oracle_diff", diff)]
         if diff > SINGLE_STATE_ORACLE_TOL:
@@ -99,9 +96,7 @@ def cmd_concurrence(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = load_state_file(args.spec)
-    coeffs = spec.coefficients()
-    overlaps = spec.overlaps()
-    result = classify(coeffs, overlaps, args.tol)
+    result = classify(spec.coeffs, spec.overlaps, args.tol)
     _emit(
         [
             ("verdict", result.verdict.value),
@@ -109,8 +104,8 @@ def cmd_classify(args) -> int:
             ("class_a_residual", result.class_a_residual),
             ("class_b_residual", result.class_b_residual),
             ("separability_residual", result.separability_residual),
-            ("p1", overlaps.p1),
-            ("p2", overlaps.p2),
+            ("p1", spec.overlaps.p1),
+            ("p2", spec.overlaps.p2),
             ("tol", args.tol),
         ],
         args.json,
@@ -239,13 +234,13 @@ def _float_texts(column):
     return texts, index
 
 
-def write_records_csv(hits, family, path, tol: float) -> None:
+def write_records_csv(hits, family, path) -> None:
     """One row per hit: its coordinates and C, `classify`'s residuals and
-    verdict at `tol`, and its family, named by its code in `family` (an
-    index into scan.FAMILIES)."""
+    verdict at DEFAULT_TOL, and its family, named by its code in `family`
+    (an index into scan.FAMILIES)."""
     n = np.sqrt((1.0 - hits.x) * (1.0 + hits.x))
     res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
-                                              hits.x, hits.x, n, n, tol)
+                                              hits.x, hits.x, n, n)
     # Scan columns repeat their values (the grid axes, x, C = 1), so each
     # distinct value is formatted once and rows index it.
     columns = [_float_texts(column) for column in
@@ -282,12 +277,11 @@ def _check_writable(path) -> None:
 
 
 def cmd_scan(args) -> int:
-    _require_positive_tol(args.tol)
     config = _resolve_scan_config(args.config)
     _check_writable(args.out)
     outcome = run_scan(config)
     report = outcome.report
-    write_records_csv(outcome.hits, report.family, args.out, args.tol)
+    write_records_csv(outcome.hits, report.family, args.out)
     if args.json:
         print(json.dumps(
             {
@@ -339,11 +333,10 @@ def cmd_oracle_check(args) -> int:
     checked = 0
     if args.spec is not None:
         spec = load_state_file(args.spec)
-        if not spec.has_amplitudes:
+        if spec.config is None:
             raise DomainError("oracle-check needs amplitudes, not overlaps")
-        coeffs = spec.coefficients()
-        c_analytic = concurrence(coeffs, spec.overlaps())
-        c_oracle = oracle_concurrence(spec.config(), coeffs, spec.truncation)
+        c_analytic = concurrence(spec.coeffs, spec.overlaps)
+        c_oracle = oracle_concurrence(spec.config, spec.coeffs, spec.truncation)
         worst = abs(c_analytic - c_oracle)
         checked = 1
     else:
@@ -419,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scan config file, or the name of a bundled one "
                                   "(theorem_check.cfg)")
     p.add_argument("out", help="output CSV path")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scan)
 

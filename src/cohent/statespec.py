@@ -1,13 +1,14 @@
 """Plain-text input documents: one `key = value` assignment per line.
 
 Two document kinds share the format: a state spec (coefficients plus either
-four amplitudes or two overlaps) and a scan config (grid ranges).  Floats are
-serialized with repr, so a dumped document re-parses to bit-identical values.
+four amplitudes or two overlaps) and a scan config (grid ranges).  Each parses
+straight into the validated objects the commands use; a float written with
+repr loads back bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .coherent import CoherentConfig, OverlapPair
 from .analytic import SuperpositionCoeffs
@@ -64,51 +65,14 @@ def _as_int(key: str, value: str) -> int:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """One input state: coefficients plus amplitudes or overlaps."""
+    """One input state, validated: its coefficients and overlaps and, when
+    the file gives amplitudes, their config (None for an overlap file) and
+    the oracle's Fock truncation (None for the default)."""
 
-    lam: float
-    rho: float
-    nu: float
-    mu: float = 1.0
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    delta: float | None = None
-    p1: float | None = None
-    p2: float | None = None
+    coeffs: SuperpositionCoeffs
+    overlaps: OverlapPair
+    config: CoherentConfig | None = None
     truncation: int | None = None
-
-    def __post_init__(self):
-        amps = (self.alpha, self.beta, self.gamma, self.delta)
-        n_amps = sum(a is not None for a in amps)
-        if n_amps not in (0, 4):
-            raise DomainError(
-                "amplitudes must be given all together (alpha, beta, gamma, delta)"
-            )
-        n_overlaps = sum(p is not None for p in (self.p1, self.p2))
-        if n_overlaps == 1:
-            raise DomainError("overlaps must be given together (p1 and p2)")
-        if (n_amps == 4) == (n_overlaps == 2):
-            raise DomainError(
-                "exactly one of {alpha,beta,gamma,delta} or {p1,p2} must be present"
-            )
-
-    @property
-    def has_amplitudes(self) -> bool:
-        return self.alpha is not None
-
-    def coefficients(self) -> SuperpositionCoeffs:
-        return SuperpositionCoeffs(self.mu, self.lam, self.rho, self.nu)
-
-    def config(self) -> CoherentConfig:
-        if not self.has_amplitudes:
-            raise DomainError("this spec carries overlaps, not amplitudes")
-        return CoherentConfig(self.alpha, self.beta, self.gamma, self.delta)
-
-    def overlaps(self) -> OverlapPair:
-        if self.has_amplitudes:
-            return OverlapPair.from_config(self.config())
-        return OverlapPair(self.p1, self.p2)
 
 
 def parse_state_text(text: str) -> StateSpec:
@@ -116,18 +80,31 @@ def parse_state_text(text: str) -> StateSpec:
     for key in ("lambda", "rho", "nu"):
         if key not in values:
             raise InputFileError(f"missing required key {key!r}")
-    kwargs = {
-        "lam": _as_float("lambda", values["lambda"]),
-        "rho": _as_float("rho", values["rho"]),
-        "nu": _as_float("nu", values["nu"]),
-        "mu": _as_float("mu", values["mu"]) if "mu" in values else 1.0,
-    }
-    for key in ("alpha", "beta", "gamma", "delta", "p1", "p2"):
-        if key in values:
-            kwargs[key] = _as_float(key, values[key])
-    if "truncation" in values:
-        kwargs["truncation"] = _as_int("truncation", values["truncation"])
-    return StateSpec(**kwargs)
+    number = {key: _as_float(key, value) for key, value in values.items()
+              if key != "truncation"}
+    amps = [number.get(key) for key in ("alpha", "beta", "gamma", "delta")]
+    pair = [number.get(key) for key in ("p1", "p2")]
+    if amps.count(None) not in (0, 4):
+        raise DomainError(
+            "amplitudes must be given all together (alpha, beta, gamma, delta)"
+        )
+    if pair.count(None) == 1:
+        raise DomainError("overlaps must be given together (p1 and p2)")
+    if (None in amps) == (None in pair):
+        raise DomainError(
+            "exactly one of {alpha,beta,gamma,delta} or {p1,p2} must be present"
+        )
+    coeffs = SuperpositionCoeffs(number.get("mu", 1.0), number["lambda"],
+                                 number["rho"], number["nu"])
+    if None in amps:
+        if "truncation" in values:
+            raise InputFileError("key 'truncation' sets the oracle's Fock cutoff, "
+                                 "so it needs amplitudes, not overlaps")
+        return StateSpec(coeffs, OverlapPair(*pair))
+    config = CoherentConfig(*amps)
+    truncation = (_as_int("truncation", values["truncation"])
+                  if "truncation" in values else None)
+    return StateSpec(coeffs, OverlapPair.from_config(config), config, truncation)
 
 
 def read_document(path) -> str:
@@ -147,18 +124,6 @@ def read_document(path) -> str:
 
 def load_state_file(path) -> StateSpec:
     return parse_state_text(read_document(path))
-
-
-def dump_state_text(spec: StateSpec) -> str:
-    """Serialize a StateSpec so that re-parsing reproduces it bit-for-bit."""
-    lines = []
-    rename = {"lam": "lambda"}
-    for field in fields(StateSpec):
-        value = getattr(spec, field.name)
-        if value is None:
-            continue
-        lines.append(f"{rename.get(field.name, field.name)} = {value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_scan_text(text: str) -> ScanConfig:

@@ -238,6 +238,14 @@ class TestClassifyCommand:
         assert payload["verdict"] == "MaximalClassA"
         assert payload["concurrence"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_non_positive_tol_exits_2(self, tmp_path, capsys, tol):
+        state = write(tmp_path, "s.txt", OVERLAP_STATE)
+        assert cli.main(["classify", state, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: tol must be positive and finite, got {float(tol)}" in err
+
     @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
     def test_residual_beyond_the_float_range_exits_2(self, tmp_path, capsys, mode):
         # |mu nu - lam rho| = 1e400: --json raised an untyped ValueError
@@ -361,29 +369,22 @@ class TestScanCommand:
                 f"0 ambiguous), 0 violations, worst lower-bound ratio "
                 f"{payload['worst_lower_bound_ratio']:.17g}") in text
 
-    def test_tol_sets_only_the_csv_verdicts(self, tmp_path, capsys):
-        # --tol 1e-16 exited 2 (below refine's target) and 0.5 exited 2 (at
-        # least 1 - max(x)); verify no longer reads it
+    def test_tol_flag_is_refused(self, tmp_path, capsys):
+        # It set only the CSV's verdicts, and a loose one wrote Separable
+        # beside family a or b; the CSV's verdicts are at the default tol.
         out = tmp_path / "o.csv"
-        reports, verdicts = [], []
-        for tol in ("1e-16", "1e-9", "0.5"):
-            assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", tol,
-                             "--json"]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            reports.append({key: payload[key] for key in (
-                "hits", "class_a", "class_b", "ambiguous", "disjoint")})
-            with open(out, newline="") as handle:
-                verdicts.append(sorted(row["verdict"] for row in csv.DictReader(handle)))
-        assert reports == [dict(hits=480, class_a=237, class_b=243, ambiguous=0,
-                                disjoint=True)] * 3
-        assert verdicts[0] != verdicts[2]
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["scan", "theorem_check.cfg", str(out), "--tol", "1e-3"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_residuals_and_verdict_come_from_classify(self, tmp_path):
         text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
                                   "nu_min = -1.5\nnu_max = 1.5\nnu_steps = 7")
         config = write(tmp_path, "scan.cfg", text.replace("0.999", "0.5"))
         out = tmp_path / "records.csv"
-        assert cli.main(["scan", config, str(out), "--tol", "1e-9"]) == 0
+        assert cli.main(["scan", config, str(out)]) == 0
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         concurrences = [float(row["concurrence"]) for row in rows]
@@ -396,26 +397,11 @@ class TestScanCommand:
             assert float(row["class_b_residual"]) == result.class_b_residual
             assert row["verdict"] == result.verdict.value
 
-    @pytest.mark.parametrize("steps, threshold", [(3, 1.0), (9, 0.5)],
-                             ids=["no-hits", "hits"])
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-    def test_non_positive_tol_exits_2(self, tmp_path, capsys, tol, steps, threshold):
-        text = "".join(f"{axis}_min = -3\n{axis}_max = 3\n{axis}_steps = {steps}\n"
-                       for axis in ("lambda", "rho", "nu"))
-        config = write(tmp_path, "scan.cfg",
-                       text + f"x_values = 0.5\nthreshold = {threshold}\n")
-        out = tmp_path / "o.csv"
-        assert cli.main(["scan", config, str(out), "--tol", tol]) == 2
-        assert "tol must be positive" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_infinite_tol_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "o.csv"
-        assert cli.main(["scan", "theorem_check.cfg", str(out), "--tol", "inf"]) == 2
-        assert "tol must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
+        # scan takes no --tol; classify's must be finite
         state = write(tmp_path, "s.txt", OVERLAP_STATE)
         assert cli.main(["classify", state, "--tol", "inf"]) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
 
     def test_overlap_near_one_exits_0(self, tmp_path, capsys):
         # the 16-term Gram form of N^2 cancelled here, and a concurrence
@@ -648,6 +634,30 @@ class TestOracleCheckCommand:
     def test_overlap_spec_rejected(self, tmp_path):
         path = write(tmp_path, "s.txt", OVERLAP_STATE)
         assert cli.main(["oracle-check", path]) == 2
+
+
+# Each file is refused by a domain type as it loads, before any command runs.
+@pytest.mark.parametrize("text, error", [
+    (AMP_STATE.replace("alpha = 0", "alpha = 9"),
+     "|alpha| = 9.0 exceeds the supported bound 8.0"),
+    (AMP_STATE.replace("alpha = 0", "alpha = 1"), "alpha and gamma must differ"),
+    (OVERLAP_STATE.replace("p1 = 0.5", "p1 = 1"), "p1 must lie strictly inside (0, 1)"),
+    (AMP_STATE.replace("nu = -1", "mu = 0\nnu = 0"),
+     "at least one coefficient must be nonzero"),
+    (AMP_STATE.replace("rho = 0", "rho = nan"), "rho must be a finite real, got nan"),
+    # it ran, and the key was ignored: only the oracle reads it, and the
+    # oracle needs amplitudes
+    (OVERLAP_STATE + "truncation = 40\n",
+     "key 'truncation' sets the oracle's Fock cutoff, so it needs amplitudes"),
+], ids=["|alpha|>8", "alpha=gamma", "p1=1", "all-zero", "nan", "truncation"])
+@pytest.mark.parametrize("command", ["concurrence", "classify", "oracle-check"])
+def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
+    path = write(tmp_path, "s.txt", text)
+    assert cli.main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {error}")
+    assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -891,15 +891,14 @@ def list_verify(records):
                               tuple(violations), np.array(family, dtype=int))
 
 
-def list_csv(records, family, path, tol):
+def list_csv(records, family, path):
     """The scan CSV one classify call per row, as csv.writer writes it."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lambda", "rho", "nu", "x", "concurrence",
                          "class_a_residual", "class_b_residual", "verdict", "family"])
         for record, code in zip(records, family):
-            result = classify(record.coefficients(), OverlapPair(record.x, record.x),
-                              tol)
+            result = classify(record.coefficients(), OverlapPair(record.x, record.x))
             writer.writerow(
                 [f"{v:.17g}" for v in (
                     record.lam, record.rho, record.nu, record.x, record.concurrence,
@@ -918,14 +917,13 @@ class TestColumnTail:
         box(-1e150, 1e150, 5, (0.5,), 0.5),  # near the 2^500 box limit
     ], ids=["bundled", "dense", "box9", "huge"])
     def test_matches_per_record_tail(self, config, tmp_path):
-        tol = 1e-9
         records = hit_list(grid_scan(config)[0])
         reference = list_verify(records)
-        list_csv(records, reference.family, tmp_path / "reference.csv", tol)
+        list_csv(records, reference.family, tmp_path / "reference.csv")
 
         outcome = run_scan(config)
         cli.write_records_csv(outcome.hits, outcome.report.family,
-                              tmp_path / "columns.csv", tol)
+                              tmp_path / "columns.csv")
         assert hit_list(outcome.hits) == records
         assert outcome.report == reference
         assert outcome.report.family.tolist() == reference.family.tolist()
@@ -945,9 +943,8 @@ class TestColumnTail:
             rng.choice([1.0, 0.0, -0.0, 0.9999999999999999], n),
         )
         family = rng.integers(0, len(FAMILIES), n)
-        tol = 1e-9
-        cli.write_records_csv(hits, family, tmp_path / "columns.csv", tol)
-        list_csv(hit_list(hits), family, tmp_path / "reference.csv", tol)
+        cli.write_records_csv(hits, family, tmp_path / "columns.csv")
+        list_csv(hit_list(hits), family, tmp_path / "reference.csv")
         written = (tmp_path / "columns.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         lams = {line.split(b",")[0] for line in written.splitlines()[1:]}

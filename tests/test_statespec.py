@@ -1,14 +1,15 @@
 import math
+from dataclasses import astuple
 
 import pytest
 
-from cohent.analytic import concurrence
+from cohent.analytic import SuperpositionCoeffs, concurrence
 from cohent.catalog import example_states
 from cohent.classify import Verdict
+from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.errors import DomainError, InputFileError
 from cohent.statespec import (
     StateSpec,
-    dump_state_text,
     load_scan_file,
     load_state_file,
     parse_scan_text,
@@ -21,20 +22,18 @@ class TestParseStateText:
         spec = parse_state_text(
             "# class (a) point\np1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
         )
-        assert spec.lam == -0.5
-        assert spec.mu == 1.0
-        assert not spec.has_amplitudes
-        assert spec.overlaps().p1 == 0.5
+        assert spec == StateSpec(SuperpositionCoeffs(1.0, -0.5, -0.5, 1.0),
+                                 OverlapPair(0.5, 0.5))
 
     def test_amplitude_document(self):
         spec = parse_state_text(
             "alpha = 0\nbeta = 0.3\ngamma = 1\ndelta = 1.3\n"
             "lambda = 0\nrho = 0\nnu = -1\ntruncation = 40\n"
         )
-        assert spec.has_amplitudes
+        assert spec.config == CoherentConfig(0.0, 0.3, 1.0, 1.3)
         assert spec.truncation == 40
-        assert spec.config().gamma == 1.0
-        assert spec.overlaps().p1 == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert spec.overlaps == OverlapPair.from_config(spec.config)
+        assert spec.overlaps.p1 == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_missing_coefficient(self):
         with pytest.raises(InputFileError, match="lambda"):
@@ -72,33 +71,39 @@ class TestParseStateText:
             parse_state_text("lambda = 0\nrho = 0\nnu = 1\n")
 
 
+COEFF_KEYS = ("mu", "lambda", "rho", "nu")
+AMP_KEYS = ("alpha", "beta", "gamma", "delta")
+
+
+def repr_text(keys, values):
+    """A state file with every value written by repr."""
+    return "".join(f"{key} = {value!r}\n" for key, value in zip(keys, values))
+
+
 class TestRoundTrip:
     def test_bit_for_bit_reproduction(self):
-        spec = StateSpec(
-            lam=-0.1234567890123456,
-            rho=2.718281828459045,
-            nu=-1.0 / 3.0,
-            mu=1.0,
-            p1=0.6065306597126334,
-            p2=0.6065306597126334,
-        )
-        again = parse_state_text(dump_state_text(spec))
-        assert again == spec
-        c1 = concurrence(spec.coefficients(), spec.overlaps())
-        c2 = concurrence(again.coefficients(), again.overlaps())
-        assert c1 == c2  # bit-for-bit
+        # Every float written with repr loads back bit for bit.
+        coeffs = SuperpositionCoeffs(0.1 + 0.2, -0.1234567890123456,
+                                     2.718281828459045, -1.0 / 3.0)
+        overlaps = OverlapPair(0.6065306597126334, 1.0 - 2.0**-53)
+        spec = parse_state_text(repr_text(COEFF_KEYS + ("p1", "p2"),
+                                          astuple(coeffs) + (overlaps.p1, overlaps.p2)))
+        assert spec == StateSpec(coeffs, overlaps)
+        assert concurrence(spec.coeffs, spec.overlaps) == concurrence(coeffs, overlaps)
 
     def test_amplitude_round_trip(self):
-        spec = StateSpec(
-            lam=0.3, rho=0.7, nu=0.21,
-            alpha=0.0, beta=0.3, gamma=1.0, delta=1.3, truncation=48,
-        )
-        assert parse_state_text(dump_state_text(spec)) == spec
+        config = CoherentConfig(-1.0 / 7.0, 0.3, 1.0 + 2.0**-52, 1.3)
+        coeffs = SuperpositionCoeffs(1.0, 0.3, 0.7, 0.21)
+        spec = parse_state_text(repr_text(AMP_KEYS + COEFF_KEYS + ("truncation",),
+                                          astuple(config) + astuple(coeffs) + (48,)))
+        overlaps = OverlapPair.from_config(config)
+        assert spec == StateSpec(coeffs, overlaps, config, 48)
+        assert concurrence(spec.coeffs, spec.overlaps) == concurrence(coeffs, overlaps)
 
     def test_load_state_file(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("p1 = 0.5\np2 = 0.5\nlambda = 0\nrho = 0\nnu = 1\n")
-        assert load_state_file(path).nu == 1.0
+        assert load_state_file(path).coeffs.nu == 1.0
         with pytest.raises(InputFileError, match="cannot read"):
             load_state_file(tmp_path / "absent.txt")
 
