@@ -50,8 +50,9 @@ class SuperpositionCoeffs:
     nu: float
 
     def __post_init__(self):
-        for name in ("mu", "lam", "rho", "nu"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        # An error names lam as lambda, the key a state file gives it.
+        for name, key in zip(("mu", "lam", "rho", "nu"), ("mu", "lambda", "rho", "nu")):
+            object.__setattr__(self, name, _require_finite(key, getattr(self, name)))
         if self.mu == 0.0 and self.lam == 0.0 and self.rho == 0.0 and self.nu == 0.0:
             raise DomainError("at least one coefficient must be nonzero")
 

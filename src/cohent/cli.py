@@ -41,6 +41,10 @@ EXIT_DISJOINTNESS = 5
 # an internal inconsistency rather than expected float noise.
 SINGLE_STATE_ORACLE_TOL = 1e-6
 
+# `oracle-check` fails when a random state's C or N^2 differs by more than
+# this between the closed form and the oracle.
+SWEEP_ORACLE_TOL = 1e-8
+
 _KEY_WIDTH = 26
 
 
@@ -50,14 +54,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
-    outside = [key for key, value in pairs
-               if isinstance(value, float) and not math.isfinite(value)]
+def _non_finite_keys(value, key: str = "") -> list[str]:
+    """The paths (`states[0].oracle_concurrence`) of the non-finite floats
+    in an output payload."""
+    if isinstance(value, dict):
+        return [path for name, item in value.items()
+                for path in _non_finite_keys(item, f"{key}.{name}" if key else name)]
+    if isinstance(value, list):
+        return [path for i, item in enumerate(value)
+                for path in _non_finite_keys(item, f"{key}[{i}]")]
+    return [key] if isinstance(value, float) and not math.isfinite(value) else []
+
+
+def _check_finite(payload: dict, advice: str = "") -> None:
+    """Raise DomainError naming every non-finite value of `payload`, so that
+    no output, JSON or text, carries one."""
+    outside = _non_finite_keys(payload)
     if outside:
-        raise DomainError(f"{', '.join(outside)} overflow the float range; "
-                          "scale all four coefficients down")
+        raise DomainError(f"{', '.join(outside)} overflow the float range{advice}")
+
+
+def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
+    payload = dict(pairs)
+    _check_finite(payload, "; scale all four coefficients down")
     if as_json:
-        print(json.dumps({k: v for k, v in pairs}, indent=2, allow_nan=False))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for key, value in pairs:
             print(f"{key:<{_KEY_WIDTH}} {_fmt(value)}")
@@ -79,7 +100,7 @@ def cmd_concurrence(args) -> int:
     ]
     status = EXIT_OK
     if spec.config is not None:
-        c_oracle = oracle_concurrence(spec.config, spec.coeffs, spec.truncation)
+        c_oracle = oracle_concurrence(spec.config, spec.coeffs)
         diff = abs(c_oracle - c_analytic)
         pairs += [("oracle_concurrence", c_oracle), ("oracle_diff", diff)]
         if diff > SINGLE_STATE_ORACLE_TOL:
@@ -138,9 +159,10 @@ def cmd_examples(args) -> int:
             }
         )
     failures = [row["label"] for row in rows if not row["ok"]]
+    payload = {"gap_squared": args.gap_squared, "x": x, "states": rows}
+    _check_finite(payload)
     if args.json:
-        print(json.dumps({"gap_squared": args.gap_squared, "x": x, "states": rows},
-                         indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"reference states at (alpha-gamma)^2 = {_fmt(args.gap_squared)} "
               f"(x = {_fmt(x)})")
@@ -190,7 +212,8 @@ def cmd_bell_limit(args) -> int:
             pairs.append((f"{name}_{component}", normalized[i]))
         pairs.append((f"{name}_max_deviation", deviation))
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _check_finite(payload)
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         _emit(pairs, False)
     return EXIT_OK
@@ -281,26 +304,25 @@ def cmd_scan(args) -> int:
     _check_writable(args.out)
     outcome = run_scan(config)
     report = outcome.report
+    payload = {
+        "grid_points": config.total_points(),
+        "grid_evaluated": outcome.n_grid_evaluated,
+        "grid_rows_bounded": outcome.n_grid_rows_bounded,
+        "grid_rows_kept": outcome.n_grid_rows_kept,
+        "hits": len(outcome.hits),
+        "class_a": report.n_class_a,
+        "class_b": report.n_class_b,
+        "ambiguous": report.n_ambiguous,
+        "worst_lower_bound_ratio": report.worst_ratio,
+        "oracle_checked": outcome.oracle_checked,
+        "max_oracle_diff": outcome.max_oracle_diff,
+        "disjoint": report.passed,
+        "out": str(args.out),
+    }
+    _check_finite(payload)  # before the CSV, so that an error leaves no file
     write_records_csv(outcome.hits, report.family, args.out)
     if args.json:
-        print(json.dumps(
-            {
-                "grid_points": config.total_points(),
-                "grid_evaluated": outcome.n_grid_evaluated,
-                "grid_rows_bounded": outcome.n_grid_rows_bounded,
-                "grid_rows_kept": outcome.n_grid_rows_kept,
-                "hits": len(outcome.hits),
-                "class_a": report.n_class_a,
-                "class_b": report.n_class_b,
-                "ambiguous": report.n_ambiguous,
-                "worst_lower_bound_ratio": report.worst_ratio,
-                "oracle_checked": outcome.oracle_checked,
-                "max_oracle_diff": outcome.max_oracle_diff,
-                "disjoint": report.passed,
-                "out": str(args.out),
-            },
-            indent=2,
-        ))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"scanned {config.total_points()} grid points "
               f"({outcome.n_grid_evaluated} evaluated): "
@@ -315,57 +337,34 @@ def cmd_scan(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.spec is None and args.trials is None:
-        raise DomainError("supply a state file, or --trials N for a random sweep")
-    if args.spec is not None:
-        for flag, value in (("--trials", args.trials), ("--seed", args.seed),
-                            ("--truncation", args.truncation)):
-            if value is not None:
-                raise DomainError(f"{flag} cannot be combined with a state file")
-    if args.trials is not None and args.trials < 1:
+    if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
-    if not (math.isfinite(args.max_diff) and args.max_diff >= 0):
-        raise DomainError(f"--max-diff must be a finite number >= 0, got {args.max_diff}")
     worst = 0.0
     norm_worst = 0.0
-    checked = 0
-    if args.spec is not None:
-        spec = load_state_file(args.spec)
-        if spec.config is None:
-            raise DomainError("oracle-check needs amplitudes, not overlaps")
-        c_analytic = concurrence(spec.coeffs, spec.overlaps)
-        c_oracle = oracle_concurrence(spec.config, spec.coeffs, spec.truncation)
-        worst = abs(c_analytic - c_oracle)
-        checked = 1
-    else:
-        rng = np.random.default_rng(args.seed or 0)
-        for _ in range(args.trials):
-            while True:
-                alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
-                if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
-                    break
-            lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
-            config = CoherentConfig(alpha, beta, gamma, delta)
-            coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-            overlaps = OverlapPair.from_config(config)
-            state = build_state(config, coeffs, args.truncation)
-            c_analytic = concurrence(coeffs, overlaps)
-            c_oracle = oracle_concurrence(config, coeffs, args.truncation)
-            worst = max(worst, abs(c_analytic - c_oracle))
-            norm_worst = max(
-                norm_worst,
-                abs(state.norm_before_normalization**2
-                    - gram_norm_squared(coeffs, overlaps)),
-            )
-            checked += 1
-    pairs = [("states_checked", checked), ("max_concurrence_diff", worst)]
-    if args.spec is None:  # a state file's norm is not checked
-        pairs.append(("max_norm_sq_diff", norm_worst))
-    pairs.append(("max_allowed_diff", args.max_diff))
-    _emit(pairs, args.json)
-    if worst > args.max_diff or norm_worst > args.max_diff:
+    rng = np.random.default_rng(args.seed)
+    for _ in range(args.trials):
+        while True:
+            alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
+            if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
+                break
+        lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
+        config = CoherentConfig(alpha, beta, gamma, delta)
+        coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
+        overlaps = OverlapPair.from_config(config)
+        state = build_state(config, coeffs)
+        c_analytic = concurrence(coeffs, overlaps)
+        c_oracle = oracle_concurrence(config, coeffs)
+        worst = max(worst, abs(c_analytic - c_oracle))
+        norm_worst = max(
+            norm_worst,
+            abs(state.norm_before_normalization**2 - gram_norm_squared(coeffs, overlaps)),
+        )
+    _emit([("states_checked", args.trials), ("max_concurrence_diff", worst),
+           ("max_norm_sq_diff", norm_worst), ("max_allowed_diff", SWEEP_ORACLE_TOL)],
+          args.json)
+    if worst > SWEEP_ORACLE_TOL or norm_worst > SWEEP_ORACLE_TOL:
         print("error: oracle disagreement beyond the allowed bound", file=sys.stderr)
         return EXIT_INCONSISTENT
     return EXIT_OK
@@ -416,14 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("oracle-check", help="compare analytic and brute-force "
-                                            "concurrence")
-    p.add_argument("spec", nargs="?", default=None,
-                   help="state file with amplitudes (omit when using --trials)")
-    p.add_argument("--trials", type=int, default=None,
-                   help="number of random states to draw instead of a file")
-    p.add_argument("--seed", type=int, default=None, help="sweep seed (default 0)")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--max-diff", type=float, default=1e-8)
+                                            "concurrence on random states")
+    p.add_argument("--trials", type=int, required=True,
+                   help="number of random states to draw")
+    p.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle_check)
 

@@ -184,8 +184,9 @@ class DisjointnessReport:
     `n_maximal` counts the hits tested; each violation is (reason, lam, rho,
     nu, x, concurrence).  `family` holds each hit's FAMILIES code, and
     `worst_ratio` is the least (N^2 (1 - C) + band) / ((1 - x) min_f |P_f v|^2),
-    at least 1 where the lower side holds, over the hits off both families;
-    None if there are none.
+    at least 1 where the lower side holds, over the hits off both families,
+    those whose (1 - x) min_f |P_f v|^2 exceeds the band; None if there are
+    none.
     """
 
     n_maximal: int
@@ -358,7 +359,9 @@ def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
     family = np.select([(1.0 - x) * to_b > ceiling, (1.0 - x) * to_a > ceiling],
                        [0, 1], 2)
     counts = np.bincount(family, minlength=3).tolist()
-    measured = np.flatnonzero(lower > 0.0)
+    # Within the band the lower side cannot fail, and a ratio to a lower
+    # bound near zero would overflow.
+    measured = np.flatnonzero(lower > band)
     reasons = np.where(below[failed], "N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
                        "N^2 (1 - C) above (1 + x) min_f |P_f v|^2")
     violations = tuple(zip(reasons.tolist(), *(column[failed].tolist() for column in (

@@ -17,7 +17,7 @@ from .scan import ScanConfig
 
 _STATE_KEYS = {
     "alpha", "beta", "gamma", "delta", "p1", "p2",
-    "mu", "lambda", "rho", "nu", "truncation",
+    "mu", "lambda", "rho", "nu",
 }
 
 _SCAN_KEYS = {
@@ -66,13 +66,11 @@ def _as_int(key: str, value: str) -> int:
 @dataclass(frozen=True)
 class StateSpec:
     """One input state, validated: its coefficients and overlaps and, when
-    the file gives amplitudes, their config (None for an overlap file) and
-    the oracle's Fock truncation (None for the default)."""
+    the file gives amplitudes, their config (None for an overlap file)."""
 
     coeffs: SuperpositionCoeffs
     overlaps: OverlapPair
     config: CoherentConfig | None = None
-    truncation: int | None = None
 
 
 def parse_state_text(text: str) -> StateSpec:
@@ -80,8 +78,7 @@ def parse_state_text(text: str) -> StateSpec:
     for key in ("lambda", "rho", "nu"):
         if key not in values:
             raise InputFileError(f"missing required key {key!r}")
-    number = {key: _as_float(key, value) for key, value in values.items()
-              if key != "truncation"}
+    number = {key: _as_float(key, value) for key, value in values.items()}
     amps = [number.get(key) for key in ("alpha", "beta", "gamma", "delta")]
     pair = [number.get(key) for key in ("p1", "p2")]
     if amps.count(None) not in (0, 4):
@@ -97,14 +94,9 @@ def parse_state_text(text: str) -> StateSpec:
     coeffs = SuperpositionCoeffs(number.get("mu", 1.0), number["lambda"],
                                  number["rho"], number["nu"])
     if None in amps:
-        if "truncation" in values:
-            raise InputFileError("key 'truncation' sets the oracle's Fock cutoff, "
-                                 "so it needs amplitudes, not overlaps")
         return StateSpec(coeffs, OverlapPair(*pair))
     config = CoherentConfig(*amps)
-    truncation = (_as_int("truncation", values["truncation"])
-                  if "truncation" in values else None)
-    return StateSpec(coeffs, OverlapPair.from_config(config), config, truncation)
+    return StateSpec(coeffs, OverlapPair.from_config(config), config)
 
 
 def read_document(path) -> str:

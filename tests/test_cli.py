@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -132,7 +133,8 @@ class TestConcurrenceCommand:
         assert payload["analytic_concurrence"] == pytest.approx(0.6, abs=1e-14)
 
     def test_truncation_flag_is_refused(self, tmp_path, capsys):
-        # It was ignored: the state file's truncation key is the one source.
+        # It was ignored: the oracle's cutoff is always derived from the
+        # amplitudes.
         path = write(tmp_path, "s.txt", AMP_STATE)
         with pytest.raises(SystemExit) as exited:
             cli.main(["concurrence", path, "--truncation", "3"])
@@ -346,7 +348,9 @@ class TestScanCommand:
         assert payload["disjoint"] is True
         assert payload["hits"] == payload["class_a"] + payload["class_b"]
         assert payload["ambiguous"] == 0
-        assert payload["worst_lower_bound_ratio"] >= 1.0
+        # every hit lies on its family within the rounding band, so none
+        # has a lower bound to take a ratio to
+        assert payload["worst_lower_bound_ratio"] is None
         assert 0 < payload["hits"] <= payload["grid_evaluated"] <= payload["grid_points"]
 
     def test_bundled_config_evaluates_under_a_tenth(self, tmp_path, capsys):
@@ -556,24 +560,17 @@ class TestScanCommand:
 
 
 class TestOracleCheckCommand:
-    def test_single_state(self, tmp_path, capsys):
-        path = write(tmp_path, "s.txt", AMP_STATE)
-        assert cli.main(["oracle-check", path, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        # A state file's norm is not checked, so no norm diff is reported.
-        assert list(payload) == [
-            "states_checked", "max_concurrence_diff", "max_allowed_diff"]
-        assert payload["states_checked"] == 1
-        assert payload["max_concurrence_diff"] < 1e-10
-
     @pytest.mark.parametrize("flag", ["--trials", "--seed", "--truncation"])
     def test_sweep_flags_with_a_state_file_exit_2(self, tmp_path, capsys, flag):
-        # All three were ignored: --trials 5 still reported states_checked 1.
+        # A state file is checked by `concurrence`, which reports the
+        # oracle's C; `oracle-check` only sweeps.
         path = write(tmp_path, "s.txt", AMP_STATE)
-        assert cli.main(["oracle-check", path, flag, "5"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["oracle-check", "--trials", "3", path, flag, "5"])
+        assert exited.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {flag} cannot be combined with a state file" in captured.err
+        assert f"unrecognized arguments: {path}" in captured.err
 
     def test_random_trials(self, capsys):
         assert cli.main(["oracle-check", "--trials", "25", "--seed", "5",
@@ -582,6 +579,7 @@ class TestOracleCheckCommand:
         assert payload["states_checked"] == 25
         assert payload["max_concurrence_diff"] < 1e-8
         assert payload["max_norm_sq_diff"] < 1e-8
+        assert payload["max_allowed_diff"] == cli.SWEEP_ORACLE_TOL == 1e-8
 
     def test_trials_without_a_seed_draw_with_seed_0(self, capsys):
         assert cli.main(["oracle-check", "--trials", "3", "--json"]) == 0
@@ -591,22 +589,23 @@ class TestOracleCheckCommand:
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 0
         assert capsys.readouterr().out != unseeded
 
-    @staticmethod
-    def _offset_oracle(monkeypatch):
-        # A deterministic 1e-9 disagreement, independent of float noise.
+    def test_strict_bound_exits_3(self, monkeypatch, capsys):
+        # The N^2 bound: a deterministic disagreement of twice the bound.
+        real = cli.gram_norm_squared
+        monkeypatch.setattr(cli, "gram_norm_squared",
+                            lambda *a: real(*a) + 2.0 * cli.SWEEP_ORACLE_TOL)
+        assert cli.main(["oracle-check", "--trials", "3", "--seed", "1"]) == 3
+        assert "error: oracle disagreement" in capsys.readouterr().err
+
+    def test_strict_bound_exits_3_on_trials(self, monkeypatch, capsys):
+        # The C bound: a deterministic disagreement of twice the bound.
         real = cli.oracle_concurrence
         monkeypatch.setattr(cli, "oracle_concurrence",
-                            lambda *a, **k: real(*a, **k) + 1e-9)
-
-    def test_strict_bound_exits_3(self, tmp_path, monkeypatch):
-        self._offset_oracle(monkeypatch)
-        path = write(tmp_path, "s.txt", AMP_STATE)
-        assert cli.main(["oracle-check", path, "--max-diff", "1e-10"]) == 3
-
-    def test_strict_bound_exits_3_on_trials(self, monkeypatch):
-        self._offset_oracle(monkeypatch)
-        assert cli.main(["oracle-check", "--trials", "3", "--seed", "1",
-                         "--max-diff", "1e-10"]) == 3
+                            lambda *a: real(*a) + 2.0 * cli.SWEEP_ORACLE_TOL)
+        assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["max_concurrence_diff"] > cli.SWEEP_ORACLE_TOL
+        assert "error: oracle disagreement" in err
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_2(self, trials, capsys):
@@ -620,20 +619,34 @@ class TestOracleCheckCommand:
         assert captured.out == ""
         assert "--seed must be >= 0, got -1" in captured.err
 
-    @pytest.mark.parametrize("bound", ["nan", "-1", "inf"])
-    def test_invalid_max_diff_exits_2(self, tmp_path, bound, capsys):
-        path = write(tmp_path, "s.txt", AMP_STATE)
-        assert cli.main(["oracle-check", path, "--max-diff", bound]) == 2
+    @pytest.mark.parametrize("bound", ["nan", "-1", "inf", "1e-10"])
+    def test_invalid_max_diff_exits_2(self, bound, capsys):
+        # The flag is gone: the bound is SWEEP_ORACLE_TOL.
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["oracle-check", "--trials", "3", "--max-diff", bound])
+        assert exited.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--max-diff" in captured.err
+        assert f"unrecognized arguments: --max-diff {bound}" in captured.err
 
-    def test_requires_spec_or_trials(self):
-        assert cli.main(["oracle-check"]) == 2
+    @pytest.mark.parametrize("argv", [[], ["FILE", "--json"], ["--truncation", "40"]],
+                             ids=["nothing", "state-file", "truncation"])
+    def test_requires_trials(self, tmp_path, capsys, argv):
+        # --truncation set the oracle's cutoff, which is now always derived.
+        path = write(tmp_path, "s.txt", AMP_STATE)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["oracle-check", *(path if arg == "FILE" else arg for arg in argv)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --trials" in captured.err
 
-    def test_overlap_spec_rejected(self, tmp_path):
+    def test_overlap_spec_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", OVERLAP_STATE)
-        assert cli.main(["oracle-check", path]) == 2
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["oracle-check", "--trials", "3", path])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {path}" in capsys.readouterr().err
 
 
 # Each file is refused by a domain type as it loads, before any command runs.
@@ -645,12 +658,13 @@ class TestOracleCheckCommand:
     (AMP_STATE.replace("nu = -1", "mu = 0\nnu = 0"),
      "at least one coefficient must be nonzero"),
     (AMP_STATE.replace("rho = 0", "rho = nan"), "rho must be a finite real, got nan"),
-    # it ran, and the key was ignored: only the oracle reads it, and the
-    # oracle needs amplitudes
-    (OVERLAP_STATE + "truncation = 40\n",
-     "key 'truncation' sets the oracle's Fock cutoff, so it needs amplitudes"),
-], ids=["|alpha|>8", "alpha=gamma", "p1=1", "all-zero", "nan", "truncation"])
-@pytest.mark.parametrize("command", ["concurrence", "classify", "oracle-check"])
+    # the key is the file's, not the field's (lam)
+    (OVERLAP_STATE.replace("lambda = -0.5", "lambda = nan"),
+     "lambda must be a finite real, got nan"),
+    # the oracle's Fock cutoff is always derived from the amplitudes
+    (AMP_STATE + "truncation = 40\n", "line 8: unknown key 'truncation'"),
+], ids=["|alpha|>8", "alpha=gamma", "p1=1", "all-zero", "nan", "lambda-nan", "truncation"])
+@pytest.mark.parametrize("command", ["concurrence", "classify"])
 def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
     path = write(tmp_path, "s.txt", text)
     assert cli.main([command, path]) == 2
@@ -658,6 +672,31 @@ def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
     assert out == ""
     assert err.startswith(f"error: {error}")
     assert err.count("\n") == 1
+
+
+# One value of each command's payload patched to inf: as with _emit, the
+# command exits 2 with one error line naming the key, and prints nothing.
+@pytest.mark.parametrize("argv, target, patch, key", [
+    (["scan", "CONFIG", "OUT", "--json"], "run_scan",
+     lambda real: lambda config: dataclasses.replace(real(config), max_oracle_diff=math.inf),
+     "max_oracle_diff"),
+    (["examples", "--json"], "oracle_concurrence", lambda real: lambda *a: math.inf,
+     "states[0].oracle_concurrence"),
+    (["bell-limit", "--json"], "orthonormal_amplitudes",
+     lambda real: lambda *a: dataclasses.replace(real(*a), a=math.inf),
+     "class_a.amplitudes[0]"),
+], ids=["scan", "examples", "bell-limit"])
+def test_json_output_refuses_non_finite_values(tmp_path, monkeypatch, capsys,
+                                               argv, target, patch, key):
+    monkeypatch.setattr(cli, target, patch(getattr(cli, target)))
+    out = tmp_path / "records.csv"
+    paths = {"CONFIG": write(tmp_path, "scan.cfg", SMALL_SCAN), "OUT": str(out)}
+    assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()  # a scan checks its report before it writes
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohent import analytic, cli
@@ -655,13 +655,15 @@ class TestVerifyDisjointClasses:
         assert report.passed
         assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (3, 2, 0)
         assert report.family.tolist() == [0, 0, 0, 1, 1]
-        assert report.worst_ratio >= 1.0
+        # each lies on its family within the rounding band, so gives no ratio
         assert report.summary() == (
             "verify: classes disjoint: 5 records (3 class a, 2 class b, 0 ambiguous), "
-            f"0 violations, worst lower-bound ratio {report.worst_ratio:.17g}")
-        # a hit on its family to the last bit gives no ratio
-        exact = verify_disjoint_classes(columns([honest(-0.5, -0.5, 1.0, 0.5)]))
-        assert (exact.n_class_a, exact.worst_ratio) == (1, None)
+            "0 violations, worst lower-bound ratio none")
+        # a hit off both families gives one, at least 1
+        report = verify_disjoint_classes(columns(records + [honest(0.3, -0.2, 0.5, 0.5)]))
+        assert report.worst_ratio >= 1.0
+        assert report.summary().endswith(
+            f"worst lower-bound ratio {report.worst_ratio:.17g}")
 
     def test_hit_within_reach_of_both_families_is_ambiguous(self):
         # (lam, rho, nu) = (-1, -x, x) has |P_a v|^2 = |P_b v|^2 = 2 (1 - x)^2
@@ -738,6 +740,8 @@ def bound_points(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(bound_points(), min_size=1, max_size=8))
+# a lower bound of 5e-324: its ratio overflowed to inf, with a RuntimeWarning
+@example([(0.0, 7.24808378e-162, -1.0, 1e-6)])
 def test_band_never_flags_a_correct_hit(points):
     # a run must never exit 5 from float trouble
     hits = []
@@ -885,7 +889,7 @@ def list_verify(records):
         else:
             family.append(2)
         counts[family[-1]] += 1
-        if lower > 0.0:
+        if lower > band:
             ratios.append((residual + band) / lower)
     return DisjointnessReport(len(records), *counts, min(ratios, default=None),
                               tuple(violations), np.array(family, dtype=int))

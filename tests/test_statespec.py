@@ -28,10 +28,9 @@ class TestParseStateText:
     def test_amplitude_document(self):
         spec = parse_state_text(
             "alpha = 0\nbeta = 0.3\ngamma = 1\ndelta = 1.3\n"
-            "lambda = 0\nrho = 0\nnu = -1\ntruncation = 40\n"
+            "lambda = 0\nrho = 0\nnu = -1\n"
         )
         assert spec.config == CoherentConfig(0.0, 0.3, 1.0, 1.3)
-        assert spec.truncation == 40
         assert spec.overlaps == OverlapPair.from_config(spec.config)
         assert spec.overlaps.p1 == pytest.approx(math.exp(-0.5), abs=1e-15)
 
@@ -94,10 +93,10 @@ class TestRoundTrip:
     def test_amplitude_round_trip(self):
         config = CoherentConfig(-1.0 / 7.0, 0.3, 1.0 + 2.0**-52, 1.3)
         coeffs = SuperpositionCoeffs(1.0, 0.3, 0.7, 0.21)
-        spec = parse_state_text(repr_text(AMP_KEYS + COEFF_KEYS + ("truncation",),
-                                          astuple(config) + astuple(coeffs) + (48,)))
+        spec = parse_state_text(repr_text(AMP_KEYS + COEFF_KEYS,
+                                          astuple(config) + astuple(coeffs)))
         overlaps = OverlapPair.from_config(config)
-        assert spec == StateSpec(coeffs, overlaps, config, 48)
+        assert spec == StateSpec(coeffs, overlaps, config)
         assert concurrence(spec.coeffs, spec.overlaps) == concurrence(coeffs, overlaps)
 
     def test_load_state_file(self, tmp_path):
