@@ -27,8 +27,9 @@ from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
 from .coherent import CoherentConfig, OverlapPair
-from .errors import CohentError, ConsistencyError, DomainError, InputFileError
-from .oracle import build_state, oracle_concurrence
+from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
+from .errors import InputFileError
+from .oracle import build_state, oracle_concurrence, schmidt_concurrences
 from .scan import FAMILIES, run_scan
 from .statespec import load_scan_file, load_state_file, parse_scan_text
 
@@ -44,6 +45,11 @@ SINGLE_STATE_ORACLE_TOL = 1e-6
 # `oracle-check` fails when a random state's C or N^2 differs by more than
 # this between the closed form and the oracle.
 SWEEP_ORACLE_TOL = 1e-8
+
+# `oracle-check` takes the Schmidt spectra of this many states at a time.
+# Their cutoffs are at most T(2) = 31, so a block's matrices take at most
+# 64 x 31^2 x 8 B, about 0.5 MB, and their stacked copies as much again.
+_SWEEP_BLOCK = 64
 
 _KEY_WIDTH = 26
 
@@ -336,6 +342,13 @@ def cmd_scan(args) -> int:
     return EXIT_OK if report.passed else EXIT_DISJOINTNESS
 
 
+def _trial_error(err, trial: int, draw) -> CohentError:
+    """`err` again, its message naming the sweep's trial and its draw."""
+    at = " ".join(f"{name}={float(value)!r}" for name, value in zip(
+        ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"), draw))
+    return type(err)(f"oracle-check trial {trial}: {err} at {at}")
+
+
 def cmd_oracle_check(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
@@ -344,23 +357,37 @@ def cmd_oracle_check(args) -> int:
     worst = 0.0
     norm_worst = 0.0
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.trials):
-        while True:
-            alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
-            if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
-                break
-        lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
-        config = CoherentConfig(alpha, beta, gamma, delta)
-        coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-        overlaps = OverlapPair.from_config(config)
-        state = build_state(config, coeffs)
-        c_analytic = concurrence(coeffs, overlaps)
-        c_oracle = oracle_concurrence(config, coeffs)
-        worst = max(worst, abs(c_analytic - c_oracle))
-        norm_worst = max(
-            norm_worst,
-            abs(state.norm_before_normalization**2 - gram_norm_squared(coeffs, overlaps)),
-        )
+    for start in range(1, args.trials + 1, _SWEEP_BLOCK):
+        # Each state is built once: its norm is checked here, and its matrix
+        # joins the block's stacked SVDs.
+        drawn, states = [], []
+        for trial in range(start, min(start + _SWEEP_BLOCK, args.trials + 1)):
+            while True:
+                alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
+                if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
+                    break
+            lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
+            draw = (alpha, beta, gamma, delta, lam, rho, nu)
+            config = CoherentConfig(alpha, beta, gamma, delta)
+            coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
+            overlaps = OverlapPair.from_config(config)
+            try:
+                state = build_state(config, coeffs)
+                c_analytic = concurrence(coeffs, overlaps)
+                n_sq = gram_norm_squared(coeffs, overlaps)
+            except (ConsistencyError, DegenerateStateError) as err:
+                raise _trial_error(err, trial, draw) from err
+            norm_worst = max(norm_worst,
+                             abs(state.norm_before_normalization**2 - n_sq))
+            drawn.append((trial, draw, c_analytic))
+            states.append(state)
+        oracle = schmidt_concurrences(states)
+        for trial, draw, c_analytic in drawn:
+            try:
+                c_oracle = next(oracle)
+            except ConsistencyError as err:
+                raise _trial_error(err, trial, draw) from err
+            worst = max(worst, abs(c_analytic - c_oracle))
     _emit([("states_checked", args.trials), ("max_concurrence_diff", worst),
            ("max_norm_sq_diff", norm_worst), ("max_allowed_diff", SWEEP_ORACLE_TOL)],
           args.json)

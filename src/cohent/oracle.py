@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,22 @@ def build_state(
     )
 
 
+def _spectrum_concurrence(svals: np.ndarray) -> float:
+    """2 sigma_1 sigma_2 from a descending Schmidt spectrum, checked.
+
+    The one place the per-state rules live, for one state and for a stack.
+    """
+    # Padded with zeros: one Fock level per mode (a single singular value)
+    # holds only products.
+    top = svals[:3].tolist() + [0.0, 0.0]
+    if top[2] ** 2 > _RANK_LIMIT:
+        raise ConsistencyError(
+            f"third Schmidt weight {top[2]**2:.3e} exceeds {_RANK_LIMIT}; "
+            "state is not confined to a 2x2 span"
+        )
+    return _clamp_concurrence(2.0 * top[0] * top[1])
+
+
 def schmidt_concurrence(state: ProductStateVector) -> float:
     """2 sigma_1 sigma_2 from the singular values of the coefficient matrix.
 
@@ -99,15 +116,27 @@ def schmidt_concurrence(state: ProductStateVector) -> float:
     Schmidt coefficient is essentially zero, so separable states come out at
     ~1e-15 instead of the purity subtraction's ~1e-7.
     """
-    # Padded with zeros: one Fock level per mode (a single singular value)
-    # holds only products.
-    svals = np.linalg.svd(state.matrix(), compute_uv=False)[:3].tolist() + [0.0, 0.0]
-    if svals[2] ** 2 > _RANK_LIMIT:
-        raise ConsistencyError(
-            f"third Schmidt weight {svals[2]**2:.3e} exceeds {_RANK_LIMIT}; "
-            "state is not confined to a 2x2 span"
-        )
-    return _clamp_concurrence(2.0 * svals[0] * svals[1])
+    return _spectrum_concurrence(np.linalg.svd(state.matrix(), compute_uv=False))
+
+
+def schmidt_concurrences(states: list[ProductStateVector]) -> Iterator[float]:
+    """schmidt_concurrence of each state, yielded in order, from one stacked
+    SVD per cutoff.
+
+    LAPACK factors each matrix of a stack on its own, so every value is
+    bit-identical to the one-state call.  A state that fails a check raises
+    when its turn comes, so the caller knows which state it was.
+    """
+    by_cutoff: dict[int, list[int]] = {}
+    for i, state in enumerate(states):
+        by_cutoff.setdefault(state.truncation, []).append(i)
+    spectra = [None] * len(states)
+    for members in by_cutoff.values():
+        stack = np.stack([states[i].matrix() for i in members])
+        for i, svals in zip(members, np.linalg.svd(stack, compute_uv=False)):
+            spectra[i] = svals
+    for svals in spectra:
+        yield _spectrum_concurrence(svals)
 
 
 def oracle_concurrence(

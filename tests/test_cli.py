@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from cohent import analytic, cli
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import _family_terms, classify
 from cohent.coherent import CoherentConfig, OverlapPair
-from cohent.errors import ConsistencyError, DomainError
+from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.oracle import oracle_concurrence
 from cohent.scan import DisjointnessReport, ScanHits, ScanOutcome
 
@@ -598,14 +599,54 @@ class TestOracleCheckCommand:
         assert "error: oracle disagreement" in capsys.readouterr().err
 
     def test_strict_bound_exits_3_on_trials(self, monkeypatch, capsys):
-        # The C bound: a deterministic disagreement of twice the bound.
-        real = cli.oracle_concurrence
-        monkeypatch.setattr(cli, "oracle_concurrence",
-                            lambda *a: real(*a) + 2.0 * cli.SWEEP_ORACLE_TOL)
+        # The C bound: a deterministic disagreement of twice the bound, in
+        # every C of the stacked kernel.
+        real = cli.schmidt_concurrences
+        monkeypatch.setattr(cli, "schmidt_concurrences", lambda states: (
+            c + 2.0 * cli.SWEEP_ORACLE_TOL for c in real(states)))
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 3
         out, err = capsys.readouterr()
         assert json.loads(out)["max_concurrence_diff"] > cli.SWEEP_ORACLE_TOL
         assert "error: oracle disagreement" in err
+
+    @pytest.mark.parametrize("target, error, status", [
+        ("schmidt_concurrences", ConsistencyError, 3),
+        ("build_state", DegenerateStateError, 2),
+    ])
+    def test_failed_state_names_its_trial(self, monkeypatch, capsys, target,
+                                          error, status):
+        # The third state of the second block fails a per-state check.
+        failing = cli._SWEEP_BLOCK + 3
+        real = getattr(cli, target)
+        seen = itertools.count(1)
+        if target == "build_state":
+            def patched(*args):
+                if next(seen) == failing:
+                    raise error("check failed")
+                return real(*args)
+        else:
+            def patched(states):
+                for c in real(states):
+                    if next(seen) == failing:
+                        raise error("check failed")
+                    yield c
+        monkeypatch.setattr(cli, target, patched)
+        assert cli.main(["oracle-check", "--trials", str(failing + 5),
+                         "--seed", "4", "--json"]) == status
+        out, err = capsys.readouterr()
+        assert out == ""
+        # The sweep's draws, redone: four amplitudes, then three coefficients.
+        rng = np.random.default_rng(4)
+        for _ in range(failing):
+            while True:
+                alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
+                if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
+                    break
+            lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
+        at = " ".join(f"{name}={float(value)!r}" for name, value in zip(
+            ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"),
+            (alpha, beta, gamma, delta, lam, rho, nu)))
+        assert err == f"error: oracle-check trial {failing}: check failed at {at}\n"
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_2(self, trials, capsys):

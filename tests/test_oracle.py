@@ -11,6 +11,7 @@ from cohent.oracle import (
     build_state,
     oracle_concurrence,
     schmidt_concurrence,
+    schmidt_concurrences,
 )
 
 HALF_GAP = math.sqrt(2.0 * math.log(2.0))  # overlap exactly 1/2
@@ -171,6 +172,29 @@ class TestSchmidtConcurrence:
     def test_rejects_rank_three(self):
         with pytest.raises(ConsistencyError, match="third Schmidt weight"):
             schmidt_concurrence(schmidt_state([0.5, 0.3, 0.2]))
+
+
+class TestSchmidtConcurrences:
+    def test_stacked_equals_one_state_bit_for_bit(self):
+        rng = np.random.default_rng(58)
+        states = [build_state(*random_state(rng)) for _ in range(300)]
+        assert len({state.truncation for state in states}) >= 15
+        assert list(schmidt_concurrences(states)) == [
+            schmidt_concurrence(state) for state in states]
+
+    def test_one_level_per_mode_in_a_stack_is_a_product(self):
+        config = CoherentConfig(0.0, 0.0, 1e-6, 1e-6)
+        states = [build_state(config, SuperpositionCoeffs(1, 0, 0, nu), 1)
+                  for nu in (1.0, 0.5)] + [schmidt_state([0.5, 0.5])]
+        assert list(schmidt_concurrences(states)) == [0.0, 0.0, 1.0]
+
+    def test_rank_three_state_raises_among_fine_stack_mates(self):
+        fine = schmidt_state([0.6, 0.4, 0.0])
+        oracle = schmidt_concurrences([fine, schmidt_state([0.5, 0.3, 0.2]), fine])
+        # The fine state before it is yielded; the check fails on its turn.
+        assert next(oracle) == schmidt_concurrence(fine)
+        with pytest.raises(ConsistencyError, match="third Schmidt weight"):
+            next(oracle)
 
 
 class TestPurityConcurrence:
