@@ -1,4 +1,4 @@
-"""Classification of maximal entanglement and the quadratic-root analysis.
+"""Classification of maximal entanglement.
 
 The concurrence depends only on the ray of v = (mu, lam, rho, nu).  At
 overlaps p_i = cos theta_i in (0, 1), n_i = sin theta_i, a state is maximally
@@ -26,9 +26,9 @@ for tol >= 1 - x: the point (1, -1, -x, x), max|v| = 1, has all four terms
 equal to 1 - x, and a linear program over max|v| = 1 finds no point that
 passes both at a lower tol.  This limit is proven at p1 = p2 only.
 
-Maximality at p1 = p2 reduces to a quadratic in x on either side of the
-kink |nu - lam rho| (mu = 1); the feasibility of those quadratics over
-0 < x < 1 is what `quadratic_roots_case1/2` report.
+The paper's two feasibility quadratics in x are the residual squares
+|M_a P_a v|^2 and |M_b P_b v|^2 at mu = 1 and p1 = p2 = x, as
+tests/test_symbolic.py proves.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from .coherent import OverlapPair
 from .errors import DomainError
 
 DEFAULT_TOL = 1e-9
-
-# Roots this close to 0 or 1 sit on the excluded boundary of the open interval.
-BOUNDARY_TOL = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -65,26 +62,6 @@ class ClassificationResult:
     class_a_residual: float
     class_b_residual: float
     separability_residual: float
-
-    @property
-    def residuals(self) -> tuple[float, float, float]:
-        return (self.class_a_residual, self.class_b_residual, self.separability_residual)
-
-
-@dataclass(frozen=True)
-class RootReport:
-    """Roots of one feasibility quadratic and the subset inside (0, 1).
-
-    `identically_zero` marks the degenerate coefficient choice that makes the
-    quadratic vanish for every x (case 2 with lam = rho = 0, nu = -1); the
-    root lists stay empty in that case since every interior x qualifies.
-    """
-
-    case_tag: str
-    discriminant: float
-    roots: tuple[float, ...]
-    feasible_roots: tuple[float, ...]
-    identically_zero: bool = False
 
 
 def _family_terms(mu, lam, rho, nu, p1, p2, n1, n2):
@@ -184,75 +161,3 @@ def classify(
 def _require_positive_tol(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-
-
-def _square(v: float) -> float:
-    """v ** 2, or inf where that leaves the float range (** raises there)."""
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _root_report(case_tag: str, a: float, b: float, c: float, disc: float) -> RootReport:
-    """Real roots of a x^2 + b x + c, stably, and those inside (0, 1).
-
-    `disc` is (b^2 - 4ac) / 4 supplied in an algebraically factored form, which
-    keeps tangent configurations (exact double roots) from being lost to the
-    rounding of the textbook subtraction; a double root is reported once, and
-    a root beyond the float range not at all.  A non-finite coefficient always
-    leaves c non-finite, so the check below refuses it with the terms beyond
-    the float range.
-    """
-    if not all(map(math.isfinite, (a, b, c, disc))):
-        raise DomainError(f"{case_tag}: the quadratic's terms leave the float range; "
-                          "lam, rho and nu must be finite and smaller")
-    if a == 0.0:
-        roots = (-c / b,) if b != 0.0 else ()
-    elif disc < 0.0:
-        roots = ()
-    elif disc == 0.0:
-        roots = (-b / (2.0 * a),)
-    else:
-        q = -0.5 * (b + math.copysign(math.sqrt(4.0 * disc), b))
-        roots = (q / a, c / q if q != 0.0 else -b / (2.0 * a))
-    roots = tuple(sorted(r for r in roots if math.isfinite(r)))
-    feasible = tuple(r for r in roots if BOUNDARY_TOL < r < 1.0 - BOUNDARY_TOL)
-    return RootReport(case_tag, disc, roots, feasible, a == b == c == 0.0)
-
-
-def quadratic_roots_case1(lam: float, rho: float, nu: float) -> RootReport:
-    """Analyze 4 nu x^2 + 2(lam+rho)(1+nu) x + (1-nu)^2 + (lam+rho)^2 = 0.
-
-    This is the maximality condition on the nu > lam*rho side.  The reported
-    discriminant is the factored form (1-nu)^2 ((lam+rho)^2 - 4 nu); a root in
-    the open interval (0, 1) exists only for nu = 1 with lam + rho in (-2, 0),
-    where the double root is -(lam+rho)/2.  The nu = 0 instance degenerates to
-    a linear equation whose root is never feasible.  Raises DomainError when
-    a term is not finite.
-    """
-    s = lam + rho
-    a = 4.0 * nu
-    b = 2.0 * s * (1.0 + nu)
-    c = _square(1.0 - nu) + s * s
-    disc = _square(1.0 - nu) * (s * s - 4.0 * nu)
-    return _root_report("Case1", a, b, c, disc)
-
-
-def quadratic_roots_case2(lam: float, rho: float, nu: float) -> RootReport:
-    """Analyze 4 lam rho x^2 + 2(lam+rho)(1+nu) x + (1+nu)^2 + (lam-rho)^2 = 0.
-
-    The nu < lam*rho side of the maximality condition; discriminant factors as
-    (lam-rho)^2 ((1+nu)^2 - 4 lam rho).  Feasible roots exist only for
-    lam = rho with x = -(1+nu)/(2 lam) inside (0, 1).  With lam = rho = 0 and
-    nu = -1 the polynomial vanishes identically (every x solves it); that is
-    the antisymmetric state, maximal at every overlap.  Raises DomainError
-    when a term is not finite.
-    """
-    s = lam + rho
-    a = 4.0 * lam * rho
-    b = 2.0 * s * (1.0 + nu)
-    c = _square(1.0 + nu) + _square(lam - rho)
-    disc = _square(lam - rho) * (_square(1.0 + nu) - 4.0 * lam * rho)
-    return _root_report("Case2", a, b, c, disc)
-

@@ -42,20 +42,15 @@ class ProductStateVector:
         return self.coefficients.reshape(self.truncation, self.truncation)
 
 
-def build_state(
-    config: CoherentConfig,
-    coeffs: SuperpositionCoeffs,
-    truncation: int | None = None,
-) -> ProductStateVector:
-    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> in the joint Fock basis.
+def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductStateVector:
+    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> in the joint Fock basis,
+    at the cutoff default_truncation derives from the largest amplitude.
 
     The joint coefficient at (m, n) is the corresponding combination of
     single-mode Fock coefficients; the state is rank <= 2 across the split,
     so it is built from two outer products.
     """
-    if truncation is None:
-        truncation = default_truncation(config.max_amplitude)
-    truncation = int(truncation)
+    truncation = default_truncation(config.max_amplitude)
     # The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|,
     # and the norm sums their squares, so the state is built from the
     # coefficients scaled into range by a power of two (analytic._in_range),
@@ -85,11 +80,7 @@ def build_state(
         unscaled = math.ldexp(norm, exponent)
     except OverflowError:  # the norm is beyond the float range
         unscaled = math.inf
-    return ProductStateVector(
-        coefficients=flat,
-        truncation=truncation,
-        norm_before_normalization=unscaled,
-    )
+    return ProductStateVector(flat, truncation, unscaled)
 
 
 def _spectrum_concurrence(svals: np.ndarray) -> float:
@@ -139,10 +130,6 @@ def schmidt_concurrences(states: list[ProductStateVector]) -> Iterator[float]:
         yield _spectrum_concurrence(svals)
 
 
-def oracle_concurrence(
-    config: CoherentConfig,
-    coeffs: SuperpositionCoeffs,
-    truncation: int | None = None,
-) -> float:
+def oracle_concurrence(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> float:
     """End-to-end brute-force concurrence of the assembled Fock-space state."""
-    return schmidt_concurrence(build_state(config, coeffs, truncation))
+    return schmidt_concurrence(build_state(config, coeffs))

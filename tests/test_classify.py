@@ -11,8 +11,6 @@ from cohent.classify import (
     _family_terms,
     classify,
     family_checks,
-    quadratic_roots_case1,
-    quadratic_roots_case2,
 )
 from cohent.coherent import OverlapPair
 from cohent.errors import DomainError
@@ -20,16 +18,6 @@ from cohent.errors import DomainError
 coeff_vals = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 x_vals = st.floats(min_value=0.05, max_value=0.95)
 HALF = OverlapPair(0.5, 0.5)
-
-
-def case1_poly(lam, rho, nu, x):
-    s = lam + rho
-    return 4 * nu * x * x + 2 * s * (1 + nu) * x + (1 - nu) ** 2 + s * s
-
-
-def case2_poly(lam, rho, nu, x):
-    s = lam + rho
-    return 4 * lam * rho * x * x + 2 * s * (1 + nu) * x + (1 + nu) ** 2 + (lam - rho) ** 2
 
 
 def on_families(coeffs, pair, tol=1e-9):
@@ -197,11 +185,6 @@ class TestClassify:
         assert result.class_a_residual > 0
         assert result.class_b_residual > 0
         assert result.separability_residual > 0
-        assert result.residuals == (
-            result.class_a_residual,
-            result.class_b_residual,
-            result.separability_residual,
-        )
 
     def test_separable_takes_priority_at_loose_tol(self):
         result = classify(SuperpositionCoeffs(1, 0.3, 0.7, 0.21), HALF, tol=100.0)
@@ -264,161 +247,6 @@ class TestSeparabilityIff:
             expected = 2e-11 * pair.n1 * pair.n2 / gram_norm_squared(coeffs, pair)
             assert got > 0.0
             assert got == pytest.approx(expected, rel=1e-3)
-
-
-class TestCase1Roots:
-    def test_tangent_root_on_manifold(self):
-        report = quadratic_roots_case1(-0.6, -0.6, 1.0)
-        assert report.case_tag == "Case1"
-        assert report.discriminant == pytest.approx(0.0, abs=1e-15)
-        assert report.roots == (0.6,)
-        assert report.feasible_roots == (0.6,)
-
-    def test_linear_branch_root_at_boundary(self):
-        # nu = 0, lam + rho = -1: root (1 + s^2)/(-2s) = 1 sits on the excluded edge
-        report = quadratic_roots_case1(-1.0, 0.0, 0.0)
-        assert report.roots == (1.0,)
-        assert report.feasible_roots == ()
-
-    def test_negative_discriminant(self):
-        report = quadratic_roots_case1(0.0, 0.0, 2.0)
-        assert report.discriminant < 0
-        assert report.roots == ()
-        assert report.feasible_roots == ()
-
-    def test_never_identically_zero(self):
-        # c = 0 forces nu = 1 and lam = -rho, which makes the leading term 4
-        report = quadratic_roots_case1(1.0, -1.0, 1.0)
-        assert not report.identically_zero
-        assert report.roots == (0.0,)
-        assert report.feasible_roots == ()
-
-    def test_feasible_iff_manifold_conditions(self):
-        rng = np.random.default_rng(21)
-        n_feasible = 0
-        for _ in range(10_000):
-            lam, rho, nu = rng.uniform(-4, 4, size=3)
-            report = quadratic_roots_case1(lam, rho, nu)
-            if report.feasible_roots:
-                n_feasible += 1
-                assert abs(nu - 1.0) <= 1e-9
-                for root in report.feasible_roots:
-                    assert abs(lam + rho + 2.0 * root) <= 1e-9
-        # random nu is never exactly 1, so no draw may produce a feasible root
-        assert n_feasible == 0
-
-    def test_planted_manifold_points_feasible(self):
-        rng = np.random.default_rng(22)
-        for _ in range(2_000):
-            x = rng.uniform(1e-3, 1 - 1e-3)
-            lam = rng.uniform(-4, 4)
-            rho = -2.0 * x - lam
-            report = quadratic_roots_case1(lam, rho, 1.0)
-            assert report.feasible_roots == (pytest.approx(x, abs=1e-12),)
-            assert report.feasible_roots[0] == pytest.approx(-(lam + rho) / 2, abs=1e-12)
-
-    def test_planted_outside_interval_infeasible(self):
-        for s in (-4.0, -2.0, 0.0, 1.5):
-            report = quadratic_roots_case1(s / 2, s / 2, 1.0)
-            assert report.feasible_roots == ()
-
-    def test_roots_vanish_quadratic(self):
-        rng = np.random.default_rng(23)
-        for _ in range(2_000):
-            lam, rho, nu = rng.uniform(-4, 4, size=3)
-            report = quadratic_roots_case1(lam, rho, nu)
-            for root in report.roots:
-                if abs(root) < 10:  # bounded roots; huge ones lose absolute accuracy
-                    assert abs(case1_poly(lam, rho, nu, root)) < 1e-10
-
-
-class TestCase2Roots:
-    def test_tangent_root_on_manifold(self):
-        report = quadratic_roots_case2(-1.0, -1.0, 0.0)
-        assert report.case_tag == "Case2"
-        assert report.roots == (0.5,)
-        assert report.feasible_roots == (0.5,)
-
-    def test_boundary_root_excluded(self):
-        report = quadratic_roots_case2(1.0, 1.0, -1.0)
-        assert report.roots == (0.0,)
-        assert report.feasible_roots == ()
-
-    def test_no_feasible_root_off_manifold(self):
-        report = quadratic_roots_case2(1.0, 2.0, 0.0)
-        assert report.feasible_roots == ()
-        # dense independent sweep: the polynomial never vanishes inside (0, 1)
-        xs = np.arange(1e-4, 1.0, 1e-4)
-        values = case2_poly(1.0, 2.0, 0.0, xs)
-        assert np.abs(values).min() > 1e-6
-
-    def test_identically_zero_for_antisymmetric_point(self):
-        report = quadratic_roots_case2(0.0, 0.0, -1.0)
-        assert report.identically_zero
-        assert report.roots == ()
-        # every interior x solves it; spot-check the polynomial is flat zero
-        assert case2_poly(0.0, 0.0, -1.0, 0.37) == 0.0
-
-    def test_feasible_iff_manifold_conditions(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10_000):
-            lam, rho, nu = rng.uniform(-4, 4, size=3)
-            report = quadratic_roots_case2(lam, rho, nu)
-            if report.feasible_roots:
-                assert abs(lam - rho) <= 1e-9
-                for root in report.feasible_roots:
-                    assert abs(nu + 1.0 + 2.0 * lam * root) <= 1e-9
-
-    def test_planted_manifold_points_feasible(self):
-        rng = np.random.default_rng(32)
-        for _ in range(2_000):
-            x = rng.uniform(1e-3, 1 - 1e-3)
-            lam = rng.uniform(-4, 4)
-            if abs(lam) < 1e-2:
-                continue
-            nu = -1.0 - 2.0 * lam * x
-            report = quadratic_roots_case2(lam, lam, nu)
-            assert len(report.feasible_roots) == 1
-            assert report.feasible_roots[0] == pytest.approx(x, abs=1e-9)
-
-    def test_dense_sweep_confirms_off_manifold_infeasibility(self):
-        rng = np.random.default_rng(33)
-        xs = np.arange(1e-4, 1.0, 1e-4)
-        for _ in range(200):
-            lam, rho, nu = rng.uniform(-4, 4, size=3)
-            if abs(lam - rho) < 1e-3:
-                continue
-            report = quadratic_roots_case2(lam, rho, nu)
-            assert report.feasible_roots == ()
-            values = case2_poly(lam, rho, nu, xs)
-            # strictly interior minimum stays away from zero; the boundary
-            # x = 1 can be an exact root, so exclude its neighborhood
-            interior = np.abs(values[(xs > 1e-3) & (xs < 1 - 1e-3)])
-            assert interior.min() > 1e-8
-
-
-@pytest.mark.parametrize("case, args", [
-    (quadratic_roots_case1, (1e200, 0.0, 1.0)),
-    (quadratic_roots_case2, (1e200, 1e200, 0.0)),
-    (quadratic_roots_case2, (0.0, 0.0, math.nan)),
-    (quadratic_roots_case1, (0.0, 0.0, 1e200)),
-    (quadratic_roots_case2, (1e200, -1e200, 0.0)),
-    (quadratic_roots_case2, (-1e200, -1e200, 1e200)),  # class (b) at x = 0.5
-], ids=["case1-nan-disc", "case2-nan-disc", "case2-nan-nu", "case1-overflow",
-        "case2-overflow", "case2-class-b-overflow"])
-def test_roots_beyond_the_float_range_raise_domain_error(case, args):
-    # the first two reported a NaN discriminant, the third a NaN root, and
-    # the last three raised a bare OverflowError from ** 2
-    with pytest.raises(DomainError, match="leave the float range"):
-        case(*args)
-
-
-@pytest.mark.parametrize("case", [quadratic_roots_case1, quadratic_roots_case2])
-def test_linear_root_beyond_the_float_range_is_dropped(case):
-    # a = 0, b = 1e-323, c = 1: both reported roots=(-inf,) from finite terms
-    report = case(5e-324, 0.0, 0.0)
-    assert report.roots == ()
-    assert report.feasible_roots == ()
 
 
 class TestSolveCoefficients:

@@ -169,7 +169,7 @@ def test_oracle_at_the_largest_amplitudes(amps, coeffs):
     config = CoherentConfig(*amps)
     state = SuperpositionCoeffs(1.0, *coeffs)
     c, _ = exact(1.0, *coeffs, *exact_overlaps(config))
-    assert abs(oracle_concurrence(config, state, 256) - c) <= 1e-8
+    assert abs(oracle_concurrence(config, state) - c) <= 1e-8
 
 
 @settings(max_examples=150, deadline=None)

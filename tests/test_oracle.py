@@ -5,7 +5,7 @@ import pytest
 
 from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation, fock_vector
-from cohent.errors import ConsistencyError, DomainError, TruncationError
+from cohent.errors import ConsistencyError
 from cohent.oracle import (
     ProductStateVector,
     build_state,
@@ -34,6 +34,12 @@ def schmidt_state(weights):
     return ProductStateVector(np.diag(np.sqrt(weights)).ravel(), len(weights), 1.0)
 
 
+def state_at_cutoff(config, coeffs, t):
+    """The state build_state would give at the Fock cutoff t."""
+    coefficients, norm = outer_reference(config, coeffs, t)
+    return ProductStateVector(coefficients, t, norm)
+
+
 def random_state(rng):
     while True:
         alpha, beta, gamma, delta = rng.uniform(-2, 2, size=4)
@@ -47,9 +53,9 @@ def random_state(rng):
 class TestBuildState:
     def test_single_term_product(self):
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        state = build_state(config, SuperpositionCoeffs(1, 0, 0, 0), truncation=32)
+        state = build_state(config, SuperpositionCoeffs(1, 0, 0, 0))
         assert state.norm_before_normalization == pytest.approx(1.0, abs=1e-12)
-        f0 = np.zeros(32)
+        f0 = np.zeros(state.truncation)
         f0[0] = 1.0
         np.testing.assert_allclose(state.matrix(), np.outer(f0, f0), atol=1e-12)
 
@@ -108,21 +114,11 @@ class TestBuildState:
         assert c == pytest.approx(
             oracle_concurrence(config, SuperpositionCoeffs(1, 0, 0, -1)), abs=1e-15)
 
-    def test_truncation_cap(self):
-        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            build_state(config, SuperpositionCoeffs(1, 0, 0, 1), truncation=512)
-
-    def test_inadequate_truncation_propagates(self):
-        config = CoherentConfig(0.0, 0.0, 3.0, 3.0)
-        with pytest.raises(TruncationError):
-            build_state(config, SuperpositionCoeffs(1, 0, 0, 1), truncation=8)
-
 
 class TestReducedDensity:
     def test_product_state_is_rank_one_projector(self):
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        state = build_state(config, SuperpositionCoeffs(1, 0, 0, 0), truncation=24)
+        state = build_state(config, SuperpositionCoeffs(1, 0, 0, 0))
         rho = reduced_density(state)
         np.testing.assert_allclose(rho, rho.T, atol=1e-14)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
@@ -167,7 +163,8 @@ class TestSchmidtConcurrence:
         # second raised IndexError.
         assert schmidt_concurrence(schmidt_state([1.0])) == 0.0
         config = CoherentConfig(0.0, 0.0, 1e-6, 1e-6)
-        assert oracle_concurrence(config, SuperpositionCoeffs(1, 0, 0, 1), 1) == 0.0
+        state = state_at_cutoff(config, SuperpositionCoeffs(1, 0, 0, 1), 1)
+        assert schmidt_concurrence(state) == 0.0
 
     def test_rejects_rank_three(self):
         with pytest.raises(ConsistencyError, match="third Schmidt weight"):
@@ -184,7 +181,7 @@ class TestSchmidtConcurrences:
 
     def test_one_level_per_mode_in_a_stack_is_a_product(self):
         config = CoherentConfig(0.0, 0.0, 1e-6, 1e-6)
-        states = [build_state(config, SuperpositionCoeffs(1, 0, 0, nu), 1)
+        states = [state_at_cutoff(config, SuperpositionCoeffs(1, 0, 0, nu), 1)
                   for nu in (1.0, 0.5)] + [schmidt_state([0.5, 0.5])]
         assert list(schmidt_concurrences(states)) == [0.0, 0.0, 1.0]
 
@@ -251,20 +248,21 @@ class TestOracleConcurrence:
         assert worst < 1e-8
 
     def test_truncation_convergence(self):
-        # Doubling the default cutoff adds only rounding.
+        # Doubling the derived cutoff adds only rounding.
         rng = np.random.default_rng(56)
         for _ in range(200):
             config, coeffs = random_state(rng)
-            base = default_truncation(config.max_amplitude)
-            c1 = oracle_concurrence(config, coeffs, truncation=base)
-            c2 = oracle_concurrence(config, coeffs, truncation=2 * base)
-            assert abs(c1 - c2) < 1e-14
+            t = 2 * default_truncation(config.max_amplitude)
+            coefficients, _ = outer_reference(config, coeffs, t)
+            s = np.linalg.svd(coefficients.reshape(t, t), compute_uv=False)
+            assert abs(oracle_concurrence(config, coeffs) - 2.0 * s[0] * s[1]) < 1e-14
 
 
-def outer_reference(config, coeffs):
+def outer_reference(config, coeffs, t=None):
     """build_state's coefficients and norm, assembled with np.outer and
-    np.linalg.norm."""
-    t = default_truncation(config.max_amplitude)
+    np.linalg.norm, at the cutoff t (by default build_state's own)."""
+    if t is None:
+        t = default_truncation(config.max_amplitude)
     f_alpha, f_beta, f_gamma, f_delta = (
         fock_vector(a, t)
         for a in (config.alpha, config.beta, config.gamma, config.delta))

@@ -999,7 +999,8 @@ def test_scalar_api_matches_columns_bit_for_bit(points, tol):
     for i, record in enumerate(records):
         coeffs, x = record.coefficients(), record.x
         result = classify(coeffs, OverlapPair(x, x), tol)
-        assert bits((res_a[i], res_b[i], res_sep[i])) == bits(result.residuals)
+        assert bits((res_a[i], res_b[i], res_sep[i])) == bits(
+            (result.class_a_residual, result.class_b_residual, result.separability_residual))
         assert VERDICTS[codes[i]] is result.verdict
         assert (on_a[i], on_b[i]) == on_families(coeffs, x, tol)
         assert bits([residuals[i]]) == bits([maximality_residual(coeffs, x)])

@@ -3,6 +3,10 @@ its rho and nu windows (analytic._row_terms, max_concurrence_over_nu,
 rho_windows, nu_windows), and the two maximal families (classify's
 _family_terms): at any overlaps (p1, p2) they are exactly the states of
 C = 1, they meet only at v = 0, and at p1 = p2 = x they are the paper's.
+The paper's two feasibility quadratics in x are the families' residual
+squares (a + d)^2 + (b - c)^2 and (a - d)^2 + (b + c)^2 at mu = 1, their
+discriminants factor, and only lam = rho = 0, nu = -1 makes one vanish for
+every x.
 
 Each test proves an identity exactly with sympy; the float code still needs
 its rounding bounds, which the numeric and mpmath tests check.
@@ -128,6 +132,43 @@ def test_families_are_the_zero_sets_of_the_residual_squares():
     assert all_zero(sp.Matrix([A4 - D4, B4 + C4]) - m_b * sp.Matrix([PB1, PB2]))
     assert is_zero(m_a.det() - N_X)
     assert is_zero(m_b.det() - N_X)
+
+
+# The paper's two feasibility quadratics in x at mu = 1, p1 = p2 = x, as
+# (leading, linear, constant) coefficients: case 1 on the nu > lam rho side
+# of the kink |nu - lam rho|, case 2 on the other.
+SUM = lam + rho
+CASE_1 = (4 * nu, 2 * SUM * (1 + nu), (1 - nu) ** 2 + SUM**2)
+CASE_2 = (4 * lam * rho, 2 * SUM * (1 + nu), (1 + nu) ** 2 + (lam - rho) ** 2)
+
+
+def quadratic(coefficients):
+    leading, linear, constant = coefficients
+    return leading * x**2 + linear * x + constant
+
+
+def test_feasibility_quadratics_are_the_residual_squares():
+    # case 1 is (a + d)^2 + (b - c)^2 = |M_a P_a v|^2 and case 2 is
+    # (a - d)^2 + (b + c)^2 = |M_b P_b v|^2, so by
+    # test_families_are_the_zero_sets_of_the_residual_squares a root in
+    # 0 < x < 1 exists exactly on class (a) or class (b) at that x
+    assert is_zero(quadratic(CASE_1) - ((A_ + D_) ** 2 + (B_ - C_) ** 2))
+    assert is_zero(quadratic(CASE_2) - ((A_ - D_) ** 2 + (B_ + C_) ** 2))
+
+
+def test_feasibility_discriminants_factor():
+    # b^2 - 4ac in the factored forms that keep a tangent double root exact
+    factored = (4 * (nu - 1) ** 2 * (SUM**2 - 4 * nu),
+                4 * (lam - rho) ** 2 * ((1 + nu) ** 2 - 4 * lam * rho))
+    for (leading, linear, constant), disc in zip((CASE_1, CASE_2), factored):
+        assert is_zero(linear**2 - 4 * leading * constant - disc)
+
+
+def test_only_the_antisymmetric_state_zeroes_a_quadratic_identically():
+    # case 1 never vanishes for every x; case 2 does only at lam = rho = 0,
+    # nu = -1, the antisymmetric state, maximal at every overlap
+    assert sp.solve(CASE_1, [lam, rho, nu], dict=True) == []
+    assert sp.solve(CASE_2, [lam, rho, nu], dict=True) == [{lam: 0, rho: 0, nu: -1}]
 
 
 def test_separability_term_is_the_concurrence_numerator():
