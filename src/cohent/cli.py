@@ -8,12 +8,16 @@ inconsistency, 5 a scan hit outside the theorem's two-sided bound.
 `classify` answers at any overlaps (p1, p2), on cohent.classify's planes:
 (a + d, b - c) = M_a P_a v and (a - d, b + c) = M_b P_b v, the squared singular
 values of M_a and M_b being 1 +- p1 and 1 +- p2.  `scan` stays at p1 = p2 = x.
+
+Every oracle value comes from oracle.oracle_concurrences; errors name their state.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -29,7 +33,7 @@ from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
 from .coherent import CoherentConfig, OverlapPair
 from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
 from .errors import InputFileError
-from .oracle import build_state, oracle_concurrence, schmidt_concurrences
+from .oracle import oracle_concurrence, oracle_concurrences
 from .scan import FAMILIES, run_scan
 from .statespec import load_scan_file, load_state_file, parse_scan_text
 
@@ -45,11 +49,6 @@ SINGLE_STATE_ORACLE_TOL = 1e-6
 # `oracle-check` fails when a random state's C or N^2 differs by more than
 # this between the closed form and the oracle.
 SWEEP_ORACLE_TOL = 1e-8
-
-# `oracle-check` takes the Schmidt spectra of this many states at a time.
-# Their cutoffs are at most T(2) = 31, so a block's matrices take at most
-# 64 x 31^2 x 8 B, about 0.5 MB, and their stacked copies as much again.
-_SWEEP_BLOCK = 64
 
 _KEY_WIDTH = 26
 
@@ -143,12 +142,16 @@ def cmd_classify(args) -> int:
 def cmd_examples(args) -> int:
     states = example_states(args.gap_squared)
     x = math.exp(-0.5 * args.gap_squared)
+    oracle = oracle_concurrences((state.config, state.coeffs) for state in states)
     rows = []
     for state in states:
         overlaps = OverlapPair.from_config(state.config)
-        c_analytic = concurrence(state.coeffs, overlaps)
-        c_oracle = oracle_concurrence(state.config, state.coeffs)
-        verdict = classify(state.coeffs, overlaps).verdict
+        try:
+            c_analytic = concurrence(state.coeffs, overlaps)
+            c_oracle = next(oracle)[0]
+            verdict = classify(state.coeffs, overlaps).verdict
+        except (ConsistencyError, DegenerateStateError) as err:
+            raise type(err)(f"examples: {state.label}: {err}") from err
         target = 0.0 if state.expected is Verdict.SEPARABLE else 1.0
         ok = (abs(c_analytic - target) <= 1e-10 and abs(c_oracle - target) <= 1e-8
               and verdict is state.expected)
@@ -342,11 +345,17 @@ def cmd_scan(args) -> int:
     return EXIT_OK if report.passed else EXIT_DISJOINTNESS
 
 
-def _trial_error(err, trial: int, draw) -> CohentError:
-    """`err` again, its message naming the sweep's trial and its draw."""
-    at = " ".join(f"{name}={float(value)!r}" for name, value in zip(
-        ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"), draw))
-    return type(err)(f"oracle-check trial {trial}: {err} at {at}")
+def _sweep_jobs(seed: int, trials: int):
+    """The sweep's random (config, coeffs) jobs, drawn lazily."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        while True:
+            alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
+            if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
+                break
+        lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
+        yield (CoherentConfig(alpha, beta, gamma, delta),
+               SuperpositionCoeffs(1.0, lam, rho, nu))
 
 
 def cmd_oracle_check(args) -> int:
@@ -354,40 +363,23 @@ def cmd_oracle_check(args) -> int:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
-    worst = 0.0
-    norm_worst = 0.0
-    rng = np.random.default_rng(args.seed)
-    for start in range(1, args.trials + 1, _SWEEP_BLOCK):
-        # Each state is built once: its norm is checked here, and its matrix
-        # joins the block's stacked SVDs.
-        drawn, states = [], []
-        for trial in range(start, min(start + _SWEEP_BLOCK, args.trials + 1)):
-            while True:
-                alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
-                if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
-                    break
-            lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
-            draw = (alpha, beta, gamma, delta, lam, rho, nu)
-            config = CoherentConfig(alpha, beta, gamma, delta)
-            coeffs = SuperpositionCoeffs(1.0, lam, rho, nu)
-            overlaps = OverlapPair.from_config(config)
-            try:
-                state = build_state(config, coeffs)
-                c_analytic = concurrence(coeffs, overlaps)
-                n_sq = gram_norm_squared(coeffs, overlaps)
-            except (ConsistencyError, DegenerateStateError) as err:
-                raise _trial_error(err, trial, draw) from err
-            norm_worst = max(norm_worst,
-                             abs(state.norm_before_normalization**2 - n_sq))
-            drawn.append((trial, draw, c_analytic))
-            states.append(state)
-        oracle = schmidt_concurrences(states)
-        for trial, draw, c_analytic in drawn:
-            try:
-                c_oracle = next(oracle)
-            except ConsistencyError as err:
-                raise _trial_error(err, trial, draw) from err
-            worst = max(worst, abs(c_analytic - c_oracle))
+    worst = norm_worst = 0.0
+    # The oracle reads a block of jobs ahead; tee holds only those.
+    jobs, drawn = itertools.tee(_sweep_jobs(args.seed, args.trials))
+    oracle = oracle_concurrences(jobs)
+    for trial, (config, coeffs) in enumerate(drawn, 1):
+        overlaps = OverlapPair.from_config(config)
+        try:
+            c_oracle, norm = next(oracle)
+            c_analytic = concurrence(coeffs, overlaps)
+            n_sq = gram_norm_squared(coeffs, overlaps)
+        except (ConsistencyError, DegenerateStateError) as err:
+            at = " ".join(f"{name}={value!r}" for name, value in zip(
+                ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"),
+                (*dataclasses.astuple(config), coeffs.lam, coeffs.rho, coeffs.nu)))
+            raise type(err)(f"oracle-check trial {trial}: {err} at {at}") from err
+        worst = max(worst, abs(c_analytic - c_oracle))
+        norm_worst = max(norm_worst, abs(norm**2 - n_sq))
     _emit([("states_checked", args.trials), ("max_concurrence_diff", worst),
            ("max_norm_sq_diff", norm_worst), ("max_allowed_diff", SWEEP_ORACLE_TOL)],
           args.json)

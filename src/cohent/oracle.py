@@ -3,21 +3,24 @@
 Completely independent of the closed-form path: the four-component state is
 assembled as an explicit truncation^2 vector of number-state coefficients,
 and its entanglement is read off the Schmidt spectrum.  Every analytic result
-in this package is cross-checked against this module.
+in this package is cross-checked against this module.  Every brute-force
+concurrence comes from `oracle_concurrences`, which builds states in blocks
+and takes their spectra in one stacked SVD per cutoff.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, _clamp_concurrence, _in_range
 from .coherent import CoherentConfig, default_truncation, fock_vector
-from .errors import ConsistencyError, DegenerateStateError
+from .errors import CohentError, ConsistencyError, DegenerateStateError
 
 # A third Schmidt coefficient above this (squared) means the state escaped
 # the 2x2 span it must live in.
@@ -27,6 +30,11 @@ _RANK_LIMIT = 1e-6
 # two unit-vector entries, so rounding errs the norm by a few eps (|mu| + |lam|
 # + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
+
+# States are built, and their spectra taken, this many at a time.  At cutoffs
+# up to the sweep's T(2) = 31, a block's matrices take at most 64 x 31^2 x 8 B,
+# about 0.5 MB, and their stacked copies as much again.
+_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,14 +91,15 @@ def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductS
     return ProductStateVector(flat, truncation, unscaled)
 
 
-def _spectrum_concurrence(svals: np.ndarray) -> float:
+def schmidt_concurrence(svals: np.ndarray) -> float:
     """2 sigma_1 sigma_2 from a descending Schmidt spectrum, checked.
 
-    The one place the per-state rules live, for one state and for a stack.
+    Algebraically equal to sqrt(2 (1 - Tr rho^2)) of the reduced state for
+    rank-2 states, but the error stays at machine epsilon even when one
+    Schmidt coefficient is essentially zero, so separable states come out at
+    ~1e-15 instead of the purity subtraction's ~1e-7.
     """
-    # Padded with zeros: one Fock level per mode (a single singular value)
-    # holds only products.
-    top = svals[:3].tolist() + [0.0, 0.0]
+    top = svals[:3].tolist()
     if top[2] ** 2 > _RANK_LIMIT:
         raise ConsistencyError(
             f"third Schmidt weight {top[2]**2:.3e} exceeds {_RANK_LIMIT}; "
@@ -99,37 +108,33 @@ def _spectrum_concurrence(svals: np.ndarray) -> float:
     return _clamp_concurrence(2.0 * top[0] * top[1])
 
 
-def schmidt_concurrence(state: ProductStateVector) -> float:
-    """2 sigma_1 sigma_2 from the singular values of the coefficient matrix.
+def oracle_concurrences(jobs: Iterable) -> Iterator[tuple[float, float]]:
+    """(C, norm_before_normalization) of each (config, coeffs) job, in order.
 
-    Algebraically equal to sqrt(2 (1 - Tr rho^2)) of the reduced state for
-    rank-2 states, but the error stays at machine epsilon even when one
-    Schmidt coefficient is essentially zero, so separable states come out at
-    ~1e-15 instead of the purity subtraction's ~1e-7.
-    """
-    return _spectrum_concurrence(np.linalg.svd(state.matrix(), compute_uv=False))
-
-
-def schmidt_concurrences(states: list[ProductStateVector]) -> Iterator[float]:
-    """schmidt_concurrence of each state, yielded in order, from one stacked
-    SVD per cutoff.
-
-    LAPACK factors each matrix of a stack on its own, so every value is
-    bit-identical to the one-state call.  A state that fails a check raises
-    when its turn comes, so the caller knows which state it was.
-    """
-    by_cutoff: dict[int, list[int]] = {}
-    for i, state in enumerate(states):
-        by_cutoff.setdefault(state.truncation, []).append(i)
-    spectra = [None] * len(states)
-    for members in by_cutoff.values():
-        stack = np.stack([states[i].matrix() for i in members])
-        for i, svals in zip(members, np.linalg.svd(stack, compute_uv=False)):
-            spectra[i] = svals
-    for svals in spectra:
-        yield _spectrum_concurrence(svals)
+    States are built _BLOCK at a time, with one stacked SVD per cutoff (LAPACK
+    factors each matrix on its own, so the bits are a one-matrix SVD's).  A
+    state whose build or check fails raises on its own turn, after those
+    before it, so the caller knows which it was."""
+    jobs = iter(jobs)
+    while block := list(itertools.islice(jobs, _BLOCK)):
+        states, failure = [], None
+        for config, coeffs in block:
+            try:
+                states.append(build_state(config, coeffs))
+            except CohentError as err:
+                failure = err
+                break
+        spectra = {}
+        for cutoff in {state.truncation for state in states}:
+            members = [i for i, state in enumerate(states) if state.truncation == cutoff]
+            stack = np.stack([states[i].matrix() for i in members])
+            spectra.update(zip(members, np.linalg.svd(stack, compute_uv=False)))
+        for i, state in enumerate(states):
+            yield schmidt_concurrence(spectra[i]), state.norm_before_normalization
+        if failure is not None:
+            raise failure
 
 
 def oracle_concurrence(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> float:
     """End-to-end brute-force concurrence of the assembled Fock-space state."""
-    return schmidt_concurrence(build_state(config, coeffs))
+    return next(oracle_concurrences([(config, coeffs)]))[0]

@@ -21,8 +21,8 @@ from cohent.classify import (
     _family_terms,
     family_checks,
 )
-from cohent.coherent import CoherentConfig, OverlapPair
-from cohent.oracle import build_state, oracle_concurrence, schmidt_concurrence
+from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
+from cohent.oracle import build_state, oracle_concurrence, oracle_concurrences
 from cohent.scan import ScanConfig, run_scan
 
 
@@ -388,11 +388,11 @@ def test_criterion_10_two_sided_bound_against_the_oracle():
             v += distance * u / np.linalg.norm(u)
             drawn["on a family" if distance == 0.0 else "near a family"] += 1
         coeffs = SuperpositionCoeffs(*v)
-        state = build_state(config, coeffs)
-        n_sq = state.norm_before_normalization ** 2
-        residual = n_sq * (1.0 - schmidt_concurrence(state))
+        (c, norm), = oracle_concurrences([(config, coeffs)])
+        n_sq = norm ** 2
+        residual = n_sq * (1.0 - c)
         size = float(abs(v).sum())
-        delta = state.truncation ** 2 * eps
+        delta = default_truncation(config.max_amplitude) ** 2 * eps
         band = delta * ((1.0 + 2.0 * math.sqrt(2.0)) * n_sq
                         + (2.0 + 2.0 * math.sqrt(2.0)) * math.sqrt(n_sq) * size
                         + 4.0 * math.sqrt(residual) * size * (1.0 + 1.0 / min(ns)))

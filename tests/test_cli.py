@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import cohent
-from cohent import analytic, cli
+from cohent import analytic, cli, oracle
+from cohent.catalog import example_states
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import _family_terms, classify
 from cohent.coherent import CoherentConfig, OverlapPair
@@ -276,6 +277,34 @@ class TestExamplesCommand:
 
     def test_bad_gap_exits_2(self):
         assert cli.main(["examples", "--gap-squared", "-1"]) == 2
+
+    @pytest.mark.parametrize("gap_squared, status, label, message", [
+        # The closed form's check: C came out beyond the rounding slack.
+        ("1e-14", 3, "class-b reciprocal lam=rho=-1/x", "concurrence evaluated to"),
+        # The closed form's N^2 is rounding noise.
+        ("1e-16", 2, "class-a symmetric pair lam=rho=-x", "squared norm 1.000e-32"),
+    ])
+    def test_failed_state_is_named(self, capsys, gap_squared, status, label, message):
+        # Both errors gave no label, so the failing state was unknown.
+        assert cli.main(["examples", "--gap-squared", gap_squared]) == status
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: examples: {label}: {message}")
+        assert err.count("\n") == 1
+
+    def test_oracle_failure_names_its_state(self, monkeypatch, capsys):
+        real = oracle.schmidt_concurrence
+        seen = itertools.count(1)
+
+        def patched(svals):
+            if next(seen) == 3:
+                raise ConsistencyError("check failed")
+            return real(svals)
+
+        monkeypatch.setattr(oracle, "schmidt_concurrence", patched)
+        assert cli.main(["examples"]) == 3
+        label = example_states()[2].label
+        assert capsys.readouterr().err == f"error: examples: {label}: check failed\n"
 
     @pytest.mark.parametrize("argv", [["--tol", "1e-3"], ["--truncation", "40"]])
     def test_tol_and_truncation_flags_are_refused(self, capsys, argv):
@@ -600,37 +629,32 @@ class TestOracleCheckCommand:
 
     def test_strict_bound_exits_3_on_trials(self, monkeypatch, capsys):
         # The C bound: a deterministic disagreement of twice the bound, in
-        # every C of the stacked kernel.
-        real = cli.schmidt_concurrences
-        monkeypatch.setattr(cli, "schmidt_concurrences", lambda states: (
-            c + 2.0 * cli.SWEEP_ORACLE_TOL for c in real(states)))
+        # every C of the Schmidt rule.
+        real = oracle.schmidt_concurrence
+        monkeypatch.setattr(oracle, "schmidt_concurrence",
+                            lambda svals: real(svals) + 2.0 * cli.SWEEP_ORACLE_TOL)
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 3
         out, err = capsys.readouterr()
         assert json.loads(out)["max_concurrence_diff"] > cli.SWEEP_ORACLE_TOL
         assert "error: oracle disagreement" in err
 
     @pytest.mark.parametrize("target, error, status", [
-        ("schmidt_concurrences", ConsistencyError, 3),
+        ("schmidt_concurrence", ConsistencyError, 3),
         ("build_state", DegenerateStateError, 2),
     ])
     def test_failed_state_names_its_trial(self, monkeypatch, capsys, target,
                                           error, status):
-        # The third state of the second block fails a per-state check.
-        failing = cli._SWEEP_BLOCK + 3
-        real = getattr(cli, target)
+        # The third state of the oracle's second block fails a per-state check.
+        failing = oracle._BLOCK + 3
+        real = getattr(oracle, target)
         seen = itertools.count(1)
-        if target == "build_state":
-            def patched(*args):
-                if next(seen) == failing:
-                    raise error("check failed")
-                return real(*args)
-        else:
-            def patched(states):
-                for c in real(states):
-                    if next(seen) == failing:
-                        raise error("check failed")
-                    yield c
-        monkeypatch.setattr(cli, target, patched)
+
+        def patched(*args):
+            if next(seen) == failing:
+                raise error("check failed")
+            return real(*args)
+
+        monkeypatch.setattr(oracle, target, patched)
         assert cli.main(["oracle-check", "--trials", str(failing + 5),
                          "--seed", "4", "--json"]) == status
         out, err = capsys.readouterr()
@@ -721,7 +745,8 @@ def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
     (["scan", "CONFIG", "OUT", "--json"], "run_scan",
      lambda real: lambda config: dataclasses.replace(real(config), max_oracle_diff=math.inf),
      "max_oracle_diff"),
-    (["examples", "--json"], "oracle_concurrence", lambda real: lambda *a: math.inf,
+    (["examples", "--json"], "oracle_concurrences",
+     lambda real: lambda jobs: ((math.inf, norm) for _, norm in real(jobs)),
      "states[0].oracle_concurrence"),
     (["bell-limit", "--json"], "orthonormal_amplitudes",
      lambda real: lambda *a: dataclasses.replace(real(*a), a=math.inf),

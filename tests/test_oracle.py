@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation, fock_vector
-from cohent.errors import ConsistencyError
+from cohent import oracle
+from cohent.errors import ConsistencyError, DegenerateStateError
 from cohent.oracle import (
     ProductStateVector,
     build_state,
     oracle_concurrence,
+    oracle_concurrences,
     schmidt_concurrence,
-    schmidt_concurrences,
 )
 
 HALF_GAP = math.sqrt(2.0 * math.log(2.0))  # overlap exactly 1/2
@@ -34,10 +36,9 @@ def schmidt_state(weights):
     return ProductStateVector(np.diag(np.sqrt(weights)).ravel(), len(weights), 1.0)
 
 
-def state_at_cutoff(config, coeffs, t):
-    """The state build_state would give at the Fock cutoff t."""
-    coefficients, norm = outer_reference(config, coeffs, t)
-    return ProductStateVector(coefficients, t, norm)
+def spectrum(state):
+    """The state's descending Schmidt spectrum, from its own SVD."""
+    return np.linalg.svd(state.matrix(), compute_uv=False)
 
 
 def random_state(rng):
@@ -103,7 +104,7 @@ class TestBuildState:
             1.0, abs=1e-12)
         c = concurrence(coeffs, OverlapPair.from_config(config))
         assert c > 0.4
-        assert abs(schmidt_concurrence(state) - c) <= 1e-12
+        assert abs(schmidt_concurrence(spectrum(state)) - c) <= 1e-12
 
     def test_small_coefficients_are_not_degenerate(self):
         # A norm^2 of 2e-20 is not rounding noise when the coefficients are
@@ -148,57 +149,76 @@ class TestReducedDensity:
 
 class TestSchmidtConcurrence:
     def test_product_state_is_zero(self):
-        assert schmidt_concurrence(schmidt_state([1.0, 0.0, 0.0])) == 0.0
+        assert schmidt_concurrence(np.array([1.0, 0.0, 0.0])) == 0.0
 
     def test_embedded_bell_pair(self):
-        state = schmidt_state([0.5, 0.5, 0.0, 0.0])
-        assert schmidt_concurrence(state) == pytest.approx(1.0, abs=1e-15)
+        svals = np.sqrt([0.5, 0.5, 0.0, 0.0])
+        assert schmidt_concurrence(svals) == pytest.approx(1.0, abs=1e-15)
 
     def test_skewed_spectrum(self):
-        assert schmidt_concurrence(schmidt_state([0.9, 0.1])) == pytest.approx(
-            0.6, abs=1e-15)
-
-    def test_one_level_per_mode_is_a_product(self):
-        # A 1 x 1 coefficient matrix has one singular value; reading the
-        # second raised IndexError.
-        assert schmidt_concurrence(schmidt_state([1.0])) == 0.0
-        config = CoherentConfig(0.0, 0.0, 1e-6, 1e-6)
-        state = state_at_cutoff(config, SuperpositionCoeffs(1, 0, 0, 1), 1)
-        assert schmidt_concurrence(state) == 0.0
+        c = schmidt_concurrence(np.sqrt([0.9, 0.1, 0.0]))
+        assert type(c) is float
+        assert c == pytest.approx(0.6, abs=1e-15)
 
     def test_rejects_rank_three(self):
         with pytest.raises(ConsistencyError, match="third Schmidt weight"):
-            schmidt_concurrence(schmidt_state([0.5, 0.3, 0.2]))
+            schmidt_concurrence(np.sqrt([0.5, 0.3, 0.2]))
 
 
 class TestSchmidtConcurrences:
     def test_stacked_equals_one_state_bit_for_bit(self):
         rng = np.random.default_rng(58)
-        states = [build_state(*random_state(rng)) for _ in range(300)]
+        jobs = [random_state(rng) for _ in range(300)]
+        states = [build_state(*job) for job in jobs]
         assert len({state.truncation for state in states}) >= 15
-        assert list(schmidt_concurrences(states)) == [
-            schmidt_concurrence(state) for state in states]
+        assert list(oracle_concurrences(jobs)) == [
+            (schmidt_concurrence(spectrum(state)), state.norm_before_normalization)
+            for state in states]
 
-    def test_one_level_per_mode_in_a_stack_is_a_product(self):
-        config = CoherentConfig(0.0, 0.0, 1e-6, 1e-6)
-        states = [state_at_cutoff(config, SuperpositionCoeffs(1, 0, 0, nu), 1)
-                  for nu in (1.0, 0.5)] + [schmidt_state([0.5, 0.5])]
-        assert list(schmidt_concurrences(states)) == [0.0, 0.0, 1.0]
-
-    def test_rank_three_state_raises_among_fine_stack_mates(self):
-        fine = schmidt_state([0.6, 0.4, 0.0])
-        oracle = schmidt_concurrences([fine, schmidt_state([0.5, 0.3, 0.2]), fine])
+    def test_rank_three_state_raises_among_fine_stack_mates(self, monkeypatch):
+        # Hand-made states, one a job: the rank-three one is the second.
+        monkeypatch.setattr(oracle, "build_state",
+                            lambda _, weights: schmidt_state(weights))
+        fine = [0.6, 0.4, 0.0]
+        results = oracle_concurrences([(None, fine), (None, [0.5, 0.3, 0.2]),
+                                       (None, fine)])
         # The fine state before it is yielded; the check fails on its turn.
-        assert next(oracle) == schmidt_concurrence(fine)
+        assert next(results) == (schmidt_concurrence(np.sqrt(fine)), 1.0)
         with pytest.raises(ConsistencyError, match="third Schmidt weight"):
-            next(oracle)
+            next(results)
+
+    def test_states_before_a_failing_build_are_yielded_first(self, monkeypatch):
+        # The third state of the second block fails to build; the block's
+        # first two states, built before it, are yielded before it raises.
+        failing = oracle._BLOCK + 3
+        rng = np.random.default_rng(59)
+        jobs = [random_state(rng) for _ in range(failing + 5)]
+        states = [build_state(*job) for job in jobs[:failing - 1]]
+        expected = [(schmidt_concurrence(spectrum(state)), state.norm_before_normalization)
+                    for state in states]
+        built = itertools.count(1)
+
+        def patched(config, coeffs):
+            if next(built) == failing:
+                raise DegenerateStateError("build failed")
+            return build_state(config, coeffs)
+
+        monkeypatch.setattr(oracle, "build_state", patched)
+        results = oracle_concurrences(jobs)
+        assert [next(results) for _ in range(failing - 1)] == expected
+        with pytest.raises(DegenerateStateError, match="^build failed$"):
+            next(results)
+        assert next(built) == failing + 1  # no job after it was built
+
+    def test_empty_jobs_yield_nothing(self):
+        assert list(oracle_concurrences([])) == []
 
 
 class TestPurityConcurrence:
     def test_balanced_bell(self):
-        state = schmidt_state([0.5, 0.5])
+        state = schmidt_state([0.5, 0.5, 0.0])
         assert purity_concurrence(state) == pytest.approx(1.0, abs=1e-15)
-        assert schmidt_concurrence(state) == pytest.approx(1.0, abs=1e-15)
+        assert schmidt_concurrence(spectrum(state)) == pytest.approx(1.0, abs=1e-15)
 
     def test_purity_identity_for_bell_like_state(self):
         # (1,0,0,1) at p = e^{-1/2}: C = (1 - e^-1)/(1 + e^-1), Tr rho^2 = 1 - C^2/2
@@ -208,13 +228,14 @@ class TestPurityConcurrence:
         purity = float(np.einsum("ij,ij->", m, m))
         c = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))
         assert purity == pytest.approx(1.0 - c * c / 2.0, abs=1e-12)
-        assert schmidt_concurrence(state) == pytest.approx(c, abs=1e-12)
+        assert schmidt_concurrence(spectrum(state)) == pytest.approx(c, abs=1e-12)
 
 
 class TestOracleConcurrence:
     def test_antisymmetric_state_maximal(self):
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         c = oracle_concurrence(config, SuperpositionCoeffs(1, 0, 0, -1))
+        assert type(c) is float
         assert c == pytest.approx(1.0, abs=1e-8)
 
     def test_separable_state_zero(self):
@@ -232,7 +253,7 @@ class TestOracleConcurrence:
         for _ in range(25):
             config, coeffs = random_state(rng)
             state = build_state(config, coeffs)
-            c_schmidt = schmidt_concurrence(state)
+            c_schmidt = schmidt_concurrence(spectrum(state))
             c_purity = purity_concurrence(state)
             # the purity subtraction bottoms out around 1e-7 noise near zero
             assert abs(c_schmidt - c_purity) < 2e-7

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 from typing import NamedTuple
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohent import analytic, cli
+from cohent import oracle as oracle_module
 from cohent import scan as scan_module
 from cohent.analytic import SuperpositionCoeffs, concurrence, maximality_residual
 from cohent.analytic import _concurrence_ratio, _maximality_residual, _norm_sq
@@ -769,7 +771,34 @@ class TestOracleSpotCheck:
             )
         checked, worst = oracle_spot_check(columns(records), fraction=1.0, seed=3)
         assert checked == len(records)
+        assert type(worst) is float
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("target, error", [
+        ("build_state", DegenerateStateError),
+        ("schmidt_concurrence", ConsistencyError),
+    ])
+    def test_failure_past_the_first_block_names_its_record(self, monkeypatch,
+                                                           target, error):
+        # Record 67, the third of the oracle's second block, fails when it
+        # is built or at the Schmidt rule; the error names that record.
+        failing = oracle_module._BLOCK + 3
+        records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
+                   for k in range(1, failing + 4)]
+        real = getattr(oracle_module, target)
+        seen = itertools.count(1)
+
+        def patched(*args):
+            if next(seen) == failing:
+                raise error("check failed")
+            return real(*args)
+
+        monkeypatch.setattr(oracle_module, target, patched)
+        lam, rho, nu, x, _ = records[failing - 1]
+        with pytest.raises(error, match="^" + re.escape(
+                f"oracle spot check: check failed at lam={lam!r} rho={rho!r} "
+                f"nu=1.0 x=0.5") + "$"):
+            oracle_spot_check(columns(records), fraction=1.0, seed=3)
 
     def test_flags_wrong_concurrence(self):
         liar = Hit(-0.5, -0.5, 1.0, 0.5, 0.25)
