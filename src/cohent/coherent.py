@@ -20,7 +20,7 @@ MAX_AMPLITUDE = 8.0
 DISTINCT_TOL = 1e-9
 
 # Keeps the oracle's joint vector (truncation^2 entries) desk-scale, and each
-# cached expansion or table below at most 2 KB.
+# cached table below at most 2 KB.
 MAX_TRUNCATION = 256
 
 # Construction rejects a truncation whose discarded tail mass reaches this.
@@ -154,48 +154,24 @@ def _inv_sqrt_n(truncation: int) -> np.ndarray:
     return table
 
 
-# Bounded like _inv_sqrt_n.  The sign is part of the key because
-# -0.0 == 0.0 would otherwise share one entry, and the expansion of -0.0
-# carries negative zeros at odd n.
-@functools.lru_cache(maxsize=64)
-def _expansion(a: float, truncation: int, sign: float) -> np.ndarray:
-    """Read-only normalized expansion of |a>, checked against its tail mass."""
-    factors = np.empty(truncation)
-    factors[0] = math.exp(-0.5 * a * a)
-    np.multiply(_inv_sqrt_n(truncation), a, out=factors[1:])
-    coeffs = factors.cumprod()
+def fock_vectors(amplitudes, truncation: int) -> np.ndarray:
+    """Number-state coefficients e^(-a^2/2) a^n / sqrt(n!) for n < truncation,
+    one row per amplitude a.
 
-    captured = float(np.dot(coeffs, coeffs))
-    tail = max(0.0, 1.0 - captured)
-    if tail >= TAIL_MASS_LIMIT:
-        raise TruncationError(
-            f"truncation {truncation} keeps only {captured:.12f} of the norm for "
-            f"amplitude {a} (tail mass {tail:.3e}); need at least "
-            f"{default_truncation(abs(a))}",
-            tail_mass=tail,
-        )
-    coeffs /= math.sqrt(captured)
-    coeffs.setflags(write=False)
-    return coeffs
-
-
-def fock_vector(a: float, truncation: int) -> np.ndarray:
-    """Number-state coefficients e^(-a^2/2) a^n / sqrt(n!) for n < truncation.
-
-    Coefficients are the cumulative product of the factors
+    Each row is the cumulative product of the factors
     [e^(-a^2/2), a/sqrt(1), ..., a/sqrt(truncation - 1)], the recurrence
     c_{n+1} = c_n * a / sqrt(n+1), which stays stable for cutoffs in the
-    hundreds; they are then renormalized.  Raises TruncationError when the
-    discarded tail mass is not negligible.
+    hundreds; it is then renormalized.  Raises TruncationError, naming the
+    first such amplitude, when a row's discarded tail mass is not negligible.
 
-    Every call validates its arguments (truncation from 1 to MAX_TRUNCATION)
-    and returns a fresh, writable copy of the expansion.  The expansions
-    themselves are memoised for the 64 most recent (amplitude, truncation)
-    pairs, so a state built again soon after reuses them; errors are not
-    memoised, and are raised on every call.
+    Every amplitude is validated, and so is the truncation (from 1 to
+    MAX_TRUNCATION); the result is a fresh, writable array.
     """
-    a = _require_finite("a", a)
-    if abs(a) > MAX_AMPLITUDE:
+    values = np.array(amplitudes, dtype=float)
+    # Written as a negation so a NaN amplitude fails.
+    rejected = np.flatnonzero(~(np.abs(values) <= MAX_AMPLITUDE))
+    if rejected.size:
+        a = _require_finite("a", values[rejected[0]])
         raise DomainError(f"|a| = {abs(a)} exceeds the supported bound {MAX_AMPLITUDE}")
     truncation = int(truncation)
     if truncation < 1:
@@ -204,4 +180,26 @@ def fock_vector(a: float, truncation: int) -> np.ndarray:
         raise DomainError(
             f"truncation {truncation} exceeds the supported cap {MAX_TRUNCATION}"
         )
-    return _expansion(a, truncation, math.copysign(1.0, a)).copy()
+    factors = np.empty((len(values), truncation))
+    factors[:, 0] = [math.exp(-0.5 * a * a) for a in values.tolist()]
+    np.multiply(values[:, None], _inv_sqrt_n(truncation), out=factors[:, 1:])
+    coeffs = factors.cumprod(axis=1)
+
+    # One dot product a row, as np.dot takes it for a single vector.
+    captured = np.array([row.dot(row) for row in coeffs])
+    short = np.flatnonzero(1.0 - captured >= TAIL_MASS_LIMIT)
+    if short.size:
+        a, kept = values[short[0]].item(), captured[short[0]].item()
+        raise TruncationError(
+            f"truncation {truncation} keeps only {kept:.12f} of the norm for "
+            f"amplitude {a} (tail mass {1.0 - kept:.3e}); need at least "
+            f"{default_truncation(abs(a))}",
+            tail_mass=1.0 - kept,
+        )
+    coeffs /= np.sqrt(captured)[:, None]
+    return coeffs
+
+
+def fock_vector(a: float, truncation: int) -> np.ndarray:
+    """The expansion of the one amplitude a: row 0 of fock_vectors([a], ...)."""
+    return fock_vectors([a], truncation)[0]

@@ -4,8 +4,9 @@ Completely independent of the closed-form path: the four-component state is
 assembled as an explicit truncation^2 vector of number-state coefficients,
 and its entanglement is read off the Schmidt spectrum.  Every analytic result
 in this package is cross-checked against this module.  Every brute-force
-concurrence comes from `oracle_concurrences`, which builds states in blocks
-and takes their spectra in one stacked SVD per cutoff.
+concurrence comes from `oracle_concurrences`, which takes states in blocks
+and, per Fock cutoff in a block, builds them as one array (`build_states`)
+and takes their spectra in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, _clamp_concurrence, _in_range
-from .coherent import CoherentConfig, default_truncation, fock_vector
-from .errors import CohentError, ConsistencyError, DegenerateStateError
+from .coherent import CoherentConfig, default_truncation, fock_vectors
+from .errors import ConsistencyError, DegenerateStateError
 
 # A third Schmidt coefficient above this (squared) means the state escaped
 # the 2x2 span it must live in.
@@ -31,9 +32,10 @@ _RANK_LIMIT = 1e-6
 # + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
 
-# States are built, and their spectra taken, this many at a time.  At cutoffs
-# up to the sweep's T(2) = 31, a block's matrices take at most 64 x 31^2 x 8 B,
-# about 0.5 MB, and their stacked copies as much again.
+# States are built, and their spectra taken, this many at a time.  A block's
+# joint matrices take at most 64 x 145^2 x 8 B, about 10.8 MB, at the
+# amplitude cap's cutoff T(8) = 145 (0.5 MB at the sweep's T(2) = 31), and
+# building them takes one temporary as large.
 _BLOCK = 64
 
 
@@ -50,45 +52,60 @@ class ProductStateVector:
         return self.coefficients.reshape(self.truncation, self.truncation)
 
 
-def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductStateVector:
-    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> in the joint Fock basis,
-    at the cutoff default_truncation derives from the largest amplitude.
+def build_states(
+    jobs: list, truncation: int
+) -> tuple[np.ndarray, list[float], DegenerateStateError | None]:
+    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> for each (config,
+    coeffs) job in the joint Fock basis at one cutoff, from two outer products
+    of single-mode Fock coefficients (the state is rank <= 2 across the split).
 
-    The joint coefficient at (m, n) is the corresponding combination of
-    single-mode Fock coefficients; the state is rank <= 2 across the split,
-    so it is built from two outer products.
+    Returns the normalized states as a (k, truncation, truncation) array and
+    their norms before normalization, both stopping short of the first
+    degenerate state, and that state's DegenerateStateError (else None).
     """
-    truncation = default_truncation(config.max_amplitude)
     # The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|,
-    # and the norm sums their squares, so the state is built from the
+    # and the norm sums their squares, so each state is built from its
     # coefficients scaled into range by a power of two (analytic._in_range),
     # which is exact and leaves the normalized state unchanged.
-    scaled, exponent = _in_range(coeffs)
-    mu, lam, rho, nu = scaled.mu, scaled.lam, scaled.rho, scaled.nu
-    size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
-    f_alpha = fock_vector(config.alpha, truncation)
-    f_beta = fock_vector(config.beta, truncation)
-    f_gamma = fock_vector(config.gamma, truncation)
-    f_delta = fock_vector(config.delta, truncation)
+    scaled = [_in_range(coeffs) for _, coeffs in jobs]
+    mu, lam, rho, nu = np.array(
+        [(c.mu, c.lam, c.rho, c.nu) for c, _ in scaled]).T[:, :, None]
+    f_alpha, f_beta, f_gamma, f_delta = fock_vectors(
+        [a for config, _ in jobs
+         for a in (config.alpha, config.beta, config.gamma, config.delta)],
+        truncation).reshape(len(jobs), 4, truncation).transpose(1, 0, 2)
 
-    # Broadcast outer products, and the norm as the dot product that
+    # Broadcast outer products, and each norm as the dot product that
     # np.linalg.norm takes: bit-identical, without either call's overhead.
-    psi = f_alpha[:, None] * (mu * f_beta + lam * f_delta)
-    psi += f_gamma[:, None] * (rho * f_beta + nu * f_delta)
-    flat = psi.ravel()
+    psi = f_alpha[:, :, None] * (mu * f_beta + lam * f_delta)[:, None, :]
+    psi += f_gamma[:, :, None] * (rho * f_beta + nu * f_delta)[:, None, :]
+    norms, unscaled, failure = [], [], None
+    for flat, (coeffs, exponent) in zip(psi.reshape(len(jobs), -1), scaled):
+        norm = math.sqrt(flat.dot(flat))
+        size = abs(coeffs.mu) + abs(coeffs.lam) + abs(coeffs.rho) + abs(coeffs.nu)
+        if norm <= _DEGENERATE_REL * size:
+            failure = DegenerateStateError(
+                f"joint state norm = {norm:.3e} is rounding noise next to the "
+                f"coefficient magnitudes, which sum to {size:.3e}"
+            )
+            break
+        norms.append(norm)
+        try:
+            unscaled.append(math.ldexp(norm, exponent))
+        except OverflowError:  # the norm is beyond the float range
+            unscaled.append(math.inf)
+    psi[:len(norms)] /= np.array(norms)[:, None, None]
+    return psi[:len(norms)], unscaled, failure
 
-    norm = math.sqrt(flat.dot(flat))
-    if norm <= _DEGENERATE_REL * size:
-        raise DegenerateStateError(
-            f"joint state norm = {norm:.3e} is rounding noise next to the "
-            f"coefficient magnitudes, which sum to {size:.3e}"
-        )
-    flat /= norm
-    try:
-        unscaled = math.ldexp(norm, exponent)
-    except OverflowError:  # the norm is beyond the float range
-        unscaled = math.inf
-    return ProductStateVector(flat, truncation, unscaled)
+
+def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductStateVector:
+    """The one state of build_states, at the cutoff default_truncation
+    derives from the largest amplitude."""
+    truncation = default_truncation(config.max_amplitude)
+    states, norms, failure = build_states([(config, coeffs)], truncation)
+    if failure is not None:
+        raise failure
+    return ProductStateVector(states[0].ravel(), truncation, norms[0])
 
 
 def schmidt_concurrence(svals: np.ndarray) -> float:
@@ -111,26 +128,27 @@ def schmidt_concurrence(svals: np.ndarray) -> float:
 def oracle_concurrences(jobs: Iterable) -> Iterator[tuple[float, float]]:
     """(C, norm_before_normalization) of each (config, coeffs) job, in order.
 
-    States are built _BLOCK at a time, with one stacked SVD per cutoff (LAPACK
+    Jobs are drawn _BLOCK at a time.  Per Fock cutoff in a block, their states
+    are built as one array and their spectra taken in one stacked SVD (LAPACK
     factors each matrix on its own, so the bits are a one-matrix SVD's).  A
     state whose build or check fails raises on its own turn, after those
     before it, so the caller knows which it was."""
     jobs = iter(jobs)
     while block := list(itertools.islice(jobs, _BLOCK)):
-        states, failure = [], None
-        for config, coeffs in block:
-            try:
-                states.append(build_state(config, coeffs))
-            except CohentError as err:
-                failure = err
-                break
-        spectra = {}
-        for cutoff in {state.truncation for state in states}:
-            members = [i for i, state in enumerate(states) if state.truncation == cutoff]
-            stack = np.stack([states[i].matrix() for i in members])
-            spectra.update(zip(members, np.linalg.svd(stack, compute_uv=False)))
-        for i, state in enumerate(states):
-            yield schmidt_concurrence(spectra[i]), state.norm_before_normalization
+        cutoffs = [default_truncation(config.max_amplitude) for config, _ in block]
+        results, stop, failure = {}, len(block), None
+        for cutoff in dict.fromkeys(cutoffs):
+            members = [i for i, t in enumerate(cutoffs) if t == cutoff]
+            # At its derived cutoff no amplitude's Fock tail comes near
+            # TAIL_MASS_LIMIT, so only a degenerate state fails to build.
+            states, norms, error = build_states([block[i] for i in members], cutoff)
+            if error is not None and members[len(norms)] < stop:
+                stop, failure = members[len(norms)], error
+            spectra = np.linalg.svd(states, compute_uv=False)
+            results.update(zip(members, zip(spectra, norms)))
+        for i in range(stop):
+            svals, norm = results[i]
+            yield schmidt_concurrence(svals), norm
         if failure is not None:
             raise failure
 

@@ -25,6 +25,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -401,8 +402,10 @@ def oracle_spot_check(
     indices = sorted(rng.choice(len(hits), size=count, replace=False).tolist())
     records = list(zip(*(column[indices].tolist() for column in (
         hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))))
+    # One configuration per distinct overlap, made when the oracle first draws it.
+    config = functools.cache(config_for_overlap)
     oracle = oracle_concurrences(
-        (config_for_overlap(x), SuperpositionCoeffs(1.0, lam, rho, nu))
+        (config(x), SuperpositionCoeffs(1.0, lam, rho, nu))
         for lam, rho, nu, x, _ in records)
     worst = 0.0
     for lam, rho, nu, x, c in records:

@@ -19,7 +19,7 @@ from cohent import analytic, cli, oracle
 from cohent.catalog import example_states
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import _family_terms, classify
-from cohent.coherent import CoherentConfig, OverlapPair
+from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.oracle import oracle_concurrence
 from cohent.scan import DisjointnessReport, ScanHits, ScanOutcome
@@ -58,6 +58,15 @@ class TestConcurrenceCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["analytic_concurrence"] == pytest.approx(1.0, abs=1e-12)
         assert payload["oracle_diff"] < 1e-10
+
+    def test_amplitude_cap_takes_the_largest_cutoff(self, tmp_path, capsys):
+        # gamma = delta = 8, the amplitude cap: the oracle builds the state at
+        # its largest Fock cutoff, T(8) = 145.
+        assert default_truncation(8.0) == 145
+        path = write(tmp_path, "s.txt", AMP_STATE.replace("1\n", "8\n", 2))
+        assert cli.main(["concurrence", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle_diff"] <= 1e-6
 
     def test_nearly_equal_amplitudes_reach_one(self, tmp_path, capsys):
         # exit 3 ("concurrence evaluated to 1.000000001077471") with the Gram
@@ -640,25 +649,14 @@ class TestOracleCheckCommand:
 
     @pytest.mark.parametrize("target, error, status", [
         ("schmidt_concurrence", ConsistencyError, 3),
-        ("build_state", DegenerateStateError, 2),
+        ("build_states", DegenerateStateError, 2),
     ])
     def test_failed_state_names_its_trial(self, monkeypatch, capsys, target,
                                           error, status):
-        # The third state of the oracle's second block fails a per-state check.
+        # The third state of the oracle's second block fails a per-state
+        # check: on its own call of the Schmidt rule, or in the build of its
+        # cutoff group.
         failing = oracle._BLOCK + 3
-        real = getattr(oracle, target)
-        seen = itertools.count(1)
-
-        def patched(*args):
-            if next(seen) == failing:
-                raise error("check failed")
-            return real(*args)
-
-        monkeypatch.setattr(oracle, target, patched)
-        assert cli.main(["oracle-check", "--trials", str(failing + 5),
-                         "--seed", "4", "--json"]) == status
-        out, err = capsys.readouterr()
-        assert out == ""
         # The sweep's draws, redone: four amplitudes, then three coefficients.
         rng = np.random.default_rng(4)
         for _ in range(failing):
@@ -667,6 +665,30 @@ class TestOracleCheckCommand:
                 if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
                     break
             lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
+        real = getattr(oracle, target)
+        seen = itertools.count(1)
+
+        def schmidt(svals):
+            if next(seen) == failing:
+                raise error("check failed")
+            return real(svals)
+
+        def build(group, truncation):
+            # The failing job is found by its amplitudes.
+            states, norms, failure = real(group, truncation)
+            at = next((i for i, (config, _) in enumerate(group[:len(norms)])
+                       if dataclasses.astuple(config) == (alpha, beta, gamma, delta)),
+                      None)
+            if at is None:
+                return states, norms, failure
+            return states[:at], norms[:at], error("check failed")
+
+        monkeypatch.setattr(oracle, target,
+                            schmidt if target == "schmidt_concurrence" else build)
+        assert cli.main(["oracle-check", "--trials", str(failing + 5),
+                         "--seed", "4", "--json"]) == status
+        out, err = capsys.readouterr()
+        assert out == ""
         at = " ".join(f"{name}={float(value)!r}" for name, value in zip(
             ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"),
             (alpha, beta, gamma, delta, lam, rho, nu)))

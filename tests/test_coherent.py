@@ -15,9 +15,9 @@ from cohent.coherent import (
     OverlapPair,
     default_truncation,
     fock_vector,
+    fock_vectors,
     overlap,
     overlap_complement,
-    _expansion,
     _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
@@ -248,7 +248,6 @@ class TestFockVectorAliasing:
 class TestFockVectorMemo:
     def test_negative_zero_keeps_its_signed_zeros(self):
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            _expansion.cache_clear()
             fock_vector(first, 5)
             got = fock_vector(second, 5)
             expected = loop_fock_coefficients(second, 5)
@@ -267,39 +266,47 @@ class TestFockVectorMemo:
             with pytest.raises(DomainError):
                 fock_vector(1.0, 0)
 
-    def test_cache_stays_bounded(self):
-        limit = _expansion.cache_info().maxsize
-        assert limit is not None and limit <= 64
-        for a in np.linspace(-2.0, 2.0, 2 * limit + 1):
-            fock_vector(a, 31)
-        assert _expansion.cache_info().currsize <= limit
-
     def test_truncation_above_the_cap_is_rejected_before_caching(self):
-        # Only build_state checked the cap, so a large truncation filled both
-        # caches: 64 calls at 50,000 held 25 MB.
+        # Only build_state checked the cap, so a large truncation filled the
+        # cache: 64 calls at 50,000 held 25 MB.
         _inv_sqrt_n.cache_clear()
-        _expansion.cache_clear()
         for _ in range(2):
             with pytest.raises(DomainError, match="exceeds the supported cap 256"):
                 fock_vector(1.0, 257)
         assert _inv_sqrt_n.cache_info().currsize == 0
-        assert _expansion.cache_info().currsize == 0
-
-    def test_cached_expansion_is_read_only(self):
-        fock_vector(1.3, 40)
-        with pytest.raises(ValueError):
-            _expansion(1.3, 40, 1.0)[0] = 2.0
 
     def test_build_state_same_bits_cold_and_warm(self):
+        # Cold and warm for the shared 1/sqrt(n) table.
         config = CoherentConfig(0.7, -1.1, -0.4, 1.6)
         coeffs = SuperpositionCoeffs(1.0, -0.3, 2.2, 0.9)
-        _expansion.cache_clear()
+        _inv_sqrt_n.cache_clear()
         cold = build_state(config, coeffs)
-        assert _expansion.cache_info().hits == 0
+        assert _inv_sqrt_n.cache_info().hits == 0
         warm = build_state(config, coeffs)
-        assert _expansion.cache_info().hits == 4
+        assert _inv_sqrt_n.cache_info().hits == 1
         assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
         assert cold.norm_before_normalization == warm.norm_before_normalization
+
+
+class TestFockVectors:
+    @settings(max_examples=60, deadline=None)
+    @given(amplitudes=st.lists(finite_amps, min_size=1, max_size=12), wide=st.booleans())
+    def test_rows_match_fock_vector_and_the_loop_recurrence(self, amplitudes, wide):
+        truncation = 256 if wide else default_truncation(max(map(abs, amplitudes)))
+        rows = fock_vectors(amplitudes, truncation)
+        assert rows.shape == (len(amplitudes), truncation)
+        for a, row in zip(amplitudes, rows):
+            assert row.tobytes() == fock_vector(a, truncation).tobytes()
+            expected = loop_fock_coefficients(a, truncation)
+            assert np.max(np.abs(row - expected)) <= 4 * np.finfo(float).eps
+
+    def test_first_rejected_amplitude_is_named(self):
+        with pytest.raises(DomainError, match=r"^a must be a finite real, got nan$"):
+            fock_vectors([1.0, math.nan, 9.0], 31)
+        with pytest.raises(DomainError, match=r"^\|a\| = 9\.0 exceeds"):
+            fock_vectors([1.0, -9.0, math.nan], 31)
+        with pytest.raises(TruncationError, match=r"for amplitude -3\.0 "):
+            fock_vectors([0.5, -3.0, 3.5], 10)
 
 
 class TestCoherentConfig:

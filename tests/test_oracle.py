@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
+from cohent.catalog import example_states
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation, fock_vector
 from cohent import oracle
 from cohent.errors import ConsistencyError, DegenerateStateError
 from cohent.oracle import (
     ProductStateVector,
     build_state,
+    build_states,
     oracle_concurrence,
     oracle_concurrences,
     schmidt_concurrence,
@@ -167,48 +169,84 @@ class TestSchmidtConcurrence:
 
 class TestSchmidtConcurrences:
     def test_stacked_equals_one_state_bit_for_bit(self):
+        # Each cutoff group's one array of states and one stacked SVD give
+        # every C and norm as one state's np.outer build and own SVD give them.
         rng = np.random.default_rng(58)
         jobs = [random_state(rng) for _ in range(300)]
-        states = [build_state(*job) for job in jobs]
-        assert len({state.truncation for state in states}) >= 15
-        assert list(oracle_concurrences(jobs)) == [
-            (schmidt_concurrence(spectrum(state)), state.norm_before_normalization)
-            for state in states]
+        examples = [(state.config, state.coeffs) for state in example_states(4.0)]
+        assert {default_truncation(config.max_amplitude)
+                for config, _ in examples} == {31, 35}
+        jobs += examples
+        cutoffs = [default_truncation(config.max_amplitude) for config, _ in jobs]
+        assert len(set(cutoffs)) >= 15 and len(jobs) > 4 * oracle._BLOCK
+        expected = []
+        for (config, coeffs), t in zip(jobs, cutoffs):
+            coefficients, norm = outer_reference(config, coeffs)
+            svals = np.linalg.svd(coefficients.reshape(t, t), compute_uv=False)
+            expected.append((schmidt_concurrence(svals), norm))
+        assert list(oracle_concurrences(jobs)) == expected
 
     def test_rank_three_state_raises_among_fine_stack_mates(self, monkeypatch):
         # Hand-made states, one a job: the rank-three one is the second.
-        monkeypatch.setattr(oracle, "build_state",
-                            lambda _, weights: schmidt_state(weights))
+        monkeypatch.setattr(oracle, "build_states", lambda jobs, _: (
+            np.stack([np.diag(np.sqrt(weights)) for _, weights in jobs]),
+            [1.0] * len(jobs), None))
+        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         fine = [0.6, 0.4, 0.0]
-        results = oracle_concurrences([(None, fine), (None, [0.5, 0.3, 0.2]),
-                                       (None, fine)])
+        results = oracle_concurrences([(config, fine), (config, [0.5, 0.3, 0.2]),
+                                       (config, fine)])
         # The fine state before it is yielded; the check fails on its turn.
         assert next(results) == (schmidt_concurrence(np.sqrt(fine)), 1.0)
         with pytest.raises(ConsistencyError, match="third Schmidt weight"):
             next(results)
 
     def test_states_before_a_failing_build_are_yielded_first(self, monkeypatch):
-        # The third state of the second block fails to build; the block's
-        # first two states, built before it, are yielded before it raises.
+        # The third state of the second block fails to build; the states
+        # before it are yielded before it raises.
         failing = oracle._BLOCK + 3
         rng = np.random.default_rng(59)
-        jobs = [random_state(rng) for _ in range(failing + 5)]
+        jobs = [random_state(rng) for _ in range(2 * oracle._BLOCK + 5)]
         states = [build_state(*job) for job in jobs[:failing - 1]]
         expected = [(schmidt_concurrence(spectrum(state)), state.norm_before_normalization)
                     for state in states]
-        built = itertools.count(1)
 
-        def patched(config, coeffs):
-            if next(built) == failing:
-                raise DegenerateStateError("build failed")
-            return build_state(config, coeffs)
+        def patched(group, truncation):
+            # The failing job is found by identity in its cutoff group.
+            states, norms, failure = build_states(group, truncation)
+            at = next((i for i, job in enumerate(group[:len(norms)])
+                       if job is jobs[failing - 1]), None)
+            if at is None:
+                return states, norms, failure
+            return states[:at], norms[:at], DegenerateStateError("build failed")
 
-        monkeypatch.setattr(oracle, "build_state", patched)
-        results = oracle_concurrences(jobs)
+        monkeypatch.setattr(oracle, "build_states", patched)
+        source = iter(jobs)
+        results = oracle_concurrences(source)
         assert [next(results) for _ in range(failing - 1)] == expected
         with pytest.raises(DegenerateStateError, match="^build failed$"):
             next(results)
-        assert next(built) == failing + 1  # no job after it was built
+        # No job beyond the failing job's block was drawn, and nothing after
+        # the failing job is yielded.
+        assert next(source) is jobs[2 * oracle._BLOCK]
+        assert next(results, None) is None
+
+    def test_degenerate_job_raises_after_earlier_jobs_of_another_cutoff(self):
+        # Amplitudes 0 and 1 take cutoff 19; the degenerate job, whose pairs
+        # differ by 2e-9, takes cutoff 10, as the job after it does.
+        wide = CoherentConfig(0.0, 0.0, 1.0, 1.0)
+        narrow = CoherentConfig(0.0, 0.0, 2e-9, 2e-9)
+        fine = SuperpositionCoeffs(1.0, 0.3, -0.2, 0.5)
+        jobs = [(wide, fine), (wide, SuperpositionCoeffs(1.0, 0.0, 0.0, -1.0)),
+                (narrow, SuperpositionCoeffs(1.0, -1.0, -1.0, 1.0)),
+                (wide, fine), (narrow, fine)]
+        assert [default_truncation(config.max_amplitude)
+                for config, _ in jobs] == [19, 19, 10, 19, 10]
+        expected = [next(oracle_concurrences([job])) for job in jobs[:2]]
+        results = oracle_concurrences(jobs)
+        assert [next(results), next(results)] == expected
+        with pytest.raises(DegenerateStateError, match="^joint state norm = "):
+            next(results)
+        assert next(results, None) is None
 
     def test_empty_jobs_yield_nothing(self):
         assert list(oracle_concurrences([])) == []

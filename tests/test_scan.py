@@ -775,26 +775,37 @@ class TestOracleSpotCheck:
         assert worst < 1e-10
 
     @pytest.mark.parametrize("target, error", [
-        ("build_state", DegenerateStateError),
+        ("build_states", DegenerateStateError),
         ("schmidt_concurrence", ConsistencyError),
     ])
     def test_failure_past_the_first_block_names_its_record(self, monkeypatch,
                                                            target, error):
-        # Record 67, the third of the oracle's second block, fails when it
-        # is built or at the Schmidt rule; the error names that record.
+        # Record 67, the third of the oracle's second block, fails in the
+        # build of its cutoff group or at the Schmidt rule; the error names
+        # that record.
         failing = oracle_module._BLOCK + 3
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
                    for k in range(1, failing + 4)]
+        lam, rho, nu, x, _ = records[failing - 1]
         real = getattr(oracle_module, target)
         seen = itertools.count(1)
 
-        def patched(*args):
+        def schmidt(svals):
             if next(seen) == failing:
                 raise error("check failed")
-            return real(*args)
+            return real(svals)
 
-        monkeypatch.setattr(oracle_module, target, patched)
-        lam, rho, nu, x, _ = records[failing - 1]
+        def build(group, truncation):
+            # The failing job is found by its coefficients.
+            states, norms, failure = real(group, truncation)
+            at = next((i for i, (_, coeffs) in enumerate(group[:len(norms)])
+                       if (coeffs.lam, coeffs.rho) == (lam, rho)), None)
+            if at is None:
+                return states, norms, failure
+            return states[:at], norms[:at], error("check failed")
+
+        monkeypatch.setattr(oracle_module, target,
+                            schmidt if target == "schmidt_concurrence" else build)
         with pytest.raises(error, match="^" + re.escape(
                 f"oracle spot check: check failed at lam={lam!r} rho={rho!r} "
                 f"nu=1.0 x=0.5") + "$"):
