@@ -10,6 +10,8 @@ inconsistency, 5 a scan hit outside the theorem's two-sided bound.
 values of M_a and M_b being 1 +- p1 and 1 +- p2.  `scan` stays at p1 = p2 = x.
 
 Every oracle value comes from oracle.oracle_concurrences; errors name their state.
+Each command builds one payload dict; `_emit`, the one printer, refuses a
+non-finite value in it and prints it as JSON or as the command's text.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from .analytic import orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
-from .coherent import CoherentConfig, OverlapPair
+from .coherent import DISTINCT_TOL, CoherentConfig, OverlapPair
 from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
 from .errors import InputFileError
 from .oracle import oracle_concurrence, oracle_concurrences
@@ -79,63 +81,65 @@ def _check_finite(payload: dict, advice: str = "") -> None:
         raise DomainError(f"{', '.join(outside)} overflow the float range{advice}")
 
 
-def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
-    payload = dict(pairs)
-    _check_finite(payload, "; scale all four coefficients down")
+# Refusal advice for the commands whose values grow with the coefficients.
+_SCALE_ADVICE = "; scale all four coefficients down"
+
+
+def _aligned(pairs) -> str:
+    return "\n".join(f"{key:<{_KEY_WIDTH}} {_fmt(value)}" for key, value in pairs)
+
+
+def _emit(payload: dict, as_json: bool, text: str | None = None,
+          advice: str = "") -> None:
+    """Refuse a non-finite value of `payload` (_check_finite), then print it
+    as JSON, or as `text`, or else as aligned `key value` lines."""
+    _check_finite(payload, advice)
     if as_json:
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
-        for key, value in pairs:
-            print(f"{key:<{_KEY_WIDTH}} {_fmt(value)}")
+        print(_aligned(payload.items()) if text is None else text)
 
 
 def cmd_concurrence(args) -> int:
     spec = load_state_file(args.spec)
     amps = orthonormal_amplitudes(spec.coeffs, spec.overlaps)
     c_analytic = concurrence(spec.coeffs, spec.overlaps)
-    pairs: list[tuple[str, object]] = [
-        ("analytic_concurrence", c_analytic),
-        ("amplitude_a", amps.a),
-        ("amplitude_b", amps.b),
-        ("amplitude_c", amps.c),
-        ("amplitude_d", amps.d),
-        ("norm", amps.norm),
-        ("p1", spec.overlaps.p1),
-        ("p2", spec.overlaps.p2),
-    ]
-    status = EXIT_OK
+    payload = {
+        "analytic_concurrence": c_analytic,
+        "amplitude_a": amps.a,
+        "amplitude_b": amps.b,
+        "amplitude_c": amps.c,
+        "amplitude_d": amps.d,
+        "norm": amps.norm,
+        "p1": spec.overlaps.p1,
+        "p2": spec.overlaps.p2,
+    }
     if spec.config is not None:
         c_oracle = oracle_concurrence(spec.config, spec.coeffs)
-        diff = abs(c_oracle - c_analytic)
-        pairs += [("oracle_concurrence", c_oracle), ("oracle_diff", diff)]
-        if diff > SINGLE_STATE_ORACLE_TOL:
-            status = EXIT_INCONSISTENT
-    _emit(pairs, args.json)
-    if status != EXIT_OK:
-        print(
-            f"error: analytic and oracle concurrence disagree beyond "
-            f"{SINGLE_STATE_ORACLE_TOL}",
-            file=sys.stderr,
-        )
-    return status
+        payload["oracle_concurrence"] = c_oracle
+        payload["oracle_diff"] = abs(c_oracle - c_analytic)
+    _emit(payload, args.json, advice=_SCALE_ADVICE)
+    if payload.get("oracle_diff", 0.0) > SINGLE_STATE_ORACLE_TOL:
+        print(f"error: analytic and oracle concurrence disagree beyond "
+              f"{SINGLE_STATE_ORACLE_TOL}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     spec = load_state_file(args.spec)
     result = classify(spec.coeffs, spec.overlaps, args.tol)
-    _emit(
-        [
-            ("verdict", result.verdict.value),
-            ("concurrence", result.concurrence),
-            ("class_a_residual", result.class_a_residual),
-            ("class_b_residual", result.class_b_residual),
-            ("separability_residual", result.separability_residual),
-            ("p1", spec.overlaps.p1),
-            ("p2", spec.overlaps.p2),
-            ("tol", args.tol),
-        ],
-        args.json,
-    )
+    payload = {
+        "verdict": result.verdict.value,
+        "concurrence": result.concurrence,
+        "class_a_residual": result.class_a_residual,
+        "class_b_residual": result.class_b_residual,
+        "separability_residual": result.separability_residual,
+        "p1": spec.overlaps.p1,
+        "p2": spec.overlaps.p2,
+        "tol": args.tol,
+    }
+    _emit(payload, args.json, advice=_SCALE_ADVICE)
     return EXIT_OK
 
 
@@ -147,40 +151,36 @@ def cmd_examples(args) -> int:
     for state in states:
         overlaps = OverlapPair.from_config(state.config)
         try:
-            c_analytic = concurrence(state.coeffs, overlaps)
+            result = classify(state.coeffs, overlaps)
             c_oracle = next(oracle)[0]
-            verdict = classify(state.coeffs, overlaps).verdict
         except (ConsistencyError, DegenerateStateError) as err:
             raise type(err)(f"examples: {state.label}: {err}") from err
         target = 0.0 if state.expected is Verdict.SEPARABLE else 1.0
-        ok = (abs(c_analytic - target) <= 1e-10 and abs(c_oracle - target) <= 1e-8
-              and verdict is state.expected)
+        ok = (abs(result.concurrence - target) <= 1e-10
+              and abs(c_oracle - target) <= 1e-8 and result.verdict is state.expected)
         rows.append(
             {
                 "label": state.label,
                 "lambda": state.coeffs.lam,
                 "rho": state.coeffs.rho,
                 "nu": state.coeffs.nu,
-                "analytic_concurrence": c_analytic,
+                "analytic_concurrence": result.concurrence,
                 "oracle_concurrence": c_oracle,
-                "verdict": verdict.value,
+                "verdict": result.verdict.value,
                 "ok": ok,
             }
         )
     failures = [row["label"] for row in rows if not row["ok"]]
     payload = {"gap_squared": args.gap_squared, "x": x, "states": rows}
-    _check_finite(payload)
-    if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"reference states at (alpha-gamma)^2 = {_fmt(args.gap_squared)} "
-              f"(x = {_fmt(x)})")
-        for row in rows:
-            print(
-                f"{'ok' if row['ok'] else 'FAIL':4} {row['label']:<50} "
-                f"C(analytic)={row['analytic_concurrence']:.12f} "
-                f"C(oracle)={row['oracle_concurrence']:.12f} {row['verdict']}"
-            )
+    text = "\n".join([
+        f"reference states at (alpha-gamma)^2 = {_fmt(args.gap_squared)} "
+        f"(x = {_fmt(x)})",
+        *(f"{'ok' if row['ok'] else 'FAIL':4} {row['label']:<50} "
+          f"C(analytic)={row['analytic_concurrence']:.12f} "
+          f"C(oracle)={row['oracle_concurrence']:.12f} {row['verdict']}"
+          for row in rows),
+    ])
+    _emit(payload, args.json, text)
     if failures:
         print(f"error: {len(failures)} reference state(s) failed reproduction: "
               f"{', '.join(failures)}", file=sys.stderr)
@@ -207,24 +207,21 @@ def cmd_bell_limit(args) -> int:
          (lam * scale, scale, -scale, lam * scale)),
     ]
     payload = {"lambda": lam, "x_small": x}
-    pairs: list[tuple[str, object]] = [("lambda", lam), ("x_small", x)]
     for name, coeffs, target in families:
         amps = orthonormal_amplitudes(coeffs, OverlapPair(x, x))
-        normalized = tuple(v / amps.norm for v in (amps.a, amps.b, amps.c, amps.d))
-        deviation = max(abs(g - t) for g, t in zip(normalized, target))
+        normalized = [v / amps.norm for v in (amps.a, amps.b, amps.c, amps.d)]
         payload[name] = {
-            "amplitudes": list(normalized),
+            "amplitudes": normalized,
             "target": list(target),
-            "max_deviation": deviation,
+            "max_deviation": max(abs(g - t) for g, t in zip(normalized, target)),
         }
-        for i, component in enumerate("abcd"):
-            pairs.append((f"{name}_{component}", normalized[i]))
-        pairs.append((f"{name}_max_deviation", deviation))
-    if args.json:
-        _check_finite(payload)
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        _emit(pairs, False)
+    # Each family's amplitudes and deviation, as `class_a_a` ... lines.
+    text = _aligned([("lambda", lam), ("x_small", x), *(
+        (f"{name}_{part}", value) for name, _, _ in families
+        for part, value in zip([*"abcd", "max_deviation"],
+                               [*payload[name]["amplitudes"],
+                                payload[name]["max_deviation"]]))])
+    _emit(payload, args.json, text)
     return EXIT_OK
 
 
@@ -330,18 +327,17 @@ def cmd_scan(args) -> int:
     }
     _check_finite(payload)  # before the CSV, so that an error leaves no file
     write_records_csv(outcome.hits, report.family, args.out)
-    if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"scanned {config.total_points()} grid points "
-              f"({outcome.n_grid_evaluated} evaluated): "
-              f"{len(outcome.hits)} hits")
-        print(f"bounded {outcome.n_grid_rows_bounded} (lambda, rho, x) rows, "
-              f"kept {outcome.n_grid_rows_kept}")
-        print(f"oracle spot-checked {outcome.oracle_checked} records, "
-              f"max |analytic - oracle| = {_fmt(outcome.max_oracle_diff)}")
-        print(report.summary())
-        print(f"records written to {args.out}")
+    text = "\n".join([
+        f"scanned {payload['grid_points']} grid points "
+        f"({payload['grid_evaluated']} evaluated): {payload['hits']} hits",
+        f"bounded {payload['grid_rows_bounded']} (lambda, rho, x) rows, "
+        f"kept {payload['grid_rows_kept']}",
+        f"oracle spot-checked {payload['oracle_checked']} records, "
+        f"max |analytic - oracle| = {_fmt(payload['max_oracle_diff'])}",
+        report.summary(),
+        f"records written to {payload['out']}",
+    ])
+    _emit(payload, args.json, text)
     return EXIT_OK if report.passed else EXIT_DISJOINTNESS
 
 
@@ -351,7 +347,9 @@ def _sweep_jobs(seed: int, trials: int):
     for _ in range(trials):
         while True:
             alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
-            if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
+            # CoherentConfig's own bound, so that no draw is refused there
+            if (abs(alpha - gamma) > DISTINCT_TOL
+                    and abs(beta - delta) > DISTINCT_TOL):
                 break
         lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
         yield (CoherentConfig(alpha, beta, gamma, delta),
@@ -380,9 +378,9 @@ def cmd_oracle_check(args) -> int:
             raise type(err)(f"oracle-check trial {trial}: {err} at {at}") from err
         worst = max(worst, abs(c_analytic - c_oracle))
         norm_worst = max(norm_worst, abs(norm**2 - n_sq))
-    _emit([("states_checked", args.trials), ("max_concurrence_diff", worst),
-           ("max_norm_sq_diff", norm_worst), ("max_allowed_diff", SWEEP_ORACLE_TOL)],
-          args.json)
+    payload = {"states_checked": args.trials, "max_concurrence_diff": worst,
+               "max_norm_sq_diff": norm_worst, "max_allowed_diff": SWEEP_ORACLE_TOL}
+    _emit(payload, args.json, advice=_SCALE_ADVICE)
     if worst > SWEEP_ORACLE_TOL or norm_worst > SWEEP_ORACLE_TOL:
         print("error: oracle disagreement beyond the allowed bound", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -386,7 +386,7 @@ def config_for_overlap(x: float) -> CoherentConfig:
 
 
 def oracle_spot_check(
-    hits: ScanHits, fraction: float = 0.01, seed: int = 0
+    hits: ScanHits, *, fraction: float, seed: int
 ) -> tuple[int, float]:
     """Re-check a seeded random subsample of hits against the Fock oracle.
 

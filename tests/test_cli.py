@@ -127,8 +127,7 @@ class TestConcurrenceCommand:
         # text mode printed "norm inf"; both modes now name the key
         for as_json in (True, False):
             with pytest.raises(DomainError, match="^norm, p1 overflow the float range"):
-                cli._emit([("norm", math.inf), ("verdict", "x"), ("p1", math.nan)],
-                          as_json)
+                cli._emit({"norm": math.inf, "verdict": "x", "p1": math.nan}, as_json)
         assert capsys.readouterr().out == ""
 
     def test_overlap_of_exactly_one_exits_2(self, tmp_path, capsys):
@@ -785,6 +784,105 @@ def test_json_output_refuses_non_finite_values(tmp_path, monkeypatch, capsys,
     assert captured.err.startswith(f"error: {key}")
     assert captured.err.count("\n") == 1
     assert not out.exists()  # a scan checks its report before it writes
+
+
+def aligned(payload):
+    """Aligned `key value` lines, a float at 17 significant digits."""
+    return [f"{key:<26} {f'{value:.17g}' if isinstance(value, float) else value}"
+            for key, value in payload.items()]
+
+
+def render_examples(payload):
+    return [f"reference states at (alpha-gamma)^2 = {payload['gap_squared']:.17g} "
+            f"(x = {payload['x']:.17g})"] + [
+        f"{'ok' if row['ok'] else 'FAIL':4} {row['label']:<50} "
+        f"C(analytic)={row['analytic_concurrence']:.12f} "
+        f"C(oracle)={row['oracle_concurrence']:.12f} {row['verdict']}"
+        for row in payload["states"]]
+
+
+def render_bell_limit(payload):
+    lines = {"lambda": payload["lambda"], "x_small": payload["x_small"]}
+    for name in ("class_a", "class_b"):
+        family = payload[name]
+        lines.update(zip([f"{name}_{part}" for part in "abcd"], family["amplitudes"]))
+        lines[f"{name}_max_deviation"] = family["max_deviation"]
+    return aligned(lines)
+
+
+def render_scan(p):
+    ratio = p["worst_lower_bound_ratio"]
+    return [
+        f"scanned {p['grid_points']} grid points ({p['grid_evaluated']} evaluated): "
+        f"{p['hits']} hits",
+        f"bounded {p['grid_rows_bounded']} (lambda, rho, x) rows, "
+        f"kept {p['grid_rows_kept']}",
+        f"oracle spot-checked {p['oracle_checked']} records, "
+        f"max |analytic - oracle| = {p['max_oracle_diff']:.17g}",
+        f"verify: classes disjoint: {p['hits']} records ({p['class_a']} class a, "
+        f"{p['class_b']} class b, {p['ambiguous']} ambiguous), 0 violations, "
+        f"worst lower-bound ratio {'none' if ratio is None else f'{ratio:.17g}'}",
+        f"records written to {p['out']}",
+    ]
+
+
+CONCURRENCE_KEYS = ["analytic_concurrence", "amplitude_a", "amplitude_b", "amplitude_c",
+                    "amplitude_d", "norm", "p1", "p2"]
+CLASSIFY_KEYS = ["verdict", "concurrence", "class_a_residual", "class_b_residual",
+                 "separability_residual", "p1", "p2", "tol"]
+EXAMPLES_ROW_KEYS = ["label", "lambda", "rho", "nu", "analytic_concurrence",
+                     "oracle_concurrence", "verdict", "ok"]
+FAMILY_KEYS = ["amplitudes", "target", "max_deviation"]
+SCAN_KEYS = ["grid_points", "grid_evaluated", "grid_rows_bounded", "grid_rows_kept",
+             "hits", "class_a", "class_b", "ambiguous", "worst_lower_bound_ratio",
+             "oracle_checked", "max_oracle_diff", "disjoint", "out"]
+
+
+# Every command's text output is a rendering of its --json payload on the same
+# input, with the same exit status and stderr.  Each payload's keys are pinned
+# in order, and so are those of its nested dicts (`nested`: a dict, or every
+# row of a list).
+@pytest.mark.parametrize("argv, status, render, keys, nested", [
+    (["concurrence", "OVERLAP"], 0, aligned, CONCURRENCE_KEYS, {}),
+    (["concurrence", "AMP"], 0, aligned,
+     CONCURRENCE_KEYS + ["oracle_concurrence", "oracle_diff"], {}),
+    (["classify", "OVERLAP"], 0, aligned, CLASSIFY_KEYS, {}),
+    (["classify", "AMP"], 0, aligned, CLASSIFY_KEYS, {}),
+    (["oracle-check", "--trials", "20", "--seed", "3"], 0, aligned,
+     ["states_checked", "max_concurrence_diff", "max_norm_sq_diff", "max_allowed_diff"],
+     {}),
+    (["examples"], 0, render_examples, ["gap_squared", "x", "states"],
+     {"states": EXAMPLES_ROW_KEYS}),
+    # three states fail reproduction: FAIL rows, and exit 3 after the table
+    (["examples", "--gap-squared", "1e-8"], 3, render_examples,
+     ["gap_squared", "x", "states"], {"states": EXAMPLES_ROW_KEYS}),
+    (["bell-limit", "--lam", "1", "--x-small", "1e-8"], 0, render_bell_limit,
+     ["lambda", "x_small", "class_a", "class_b"],
+     {"class_a": FAMILY_KEYS, "class_b": FAMILY_KEYS}),
+    # no ratio measured (printed "none", JSON null), then the bundled box's
+    (["scan", "CONFIG", "OUT"], 0, render_scan, SCAN_KEYS, {}),
+    (["scan", "theorem_check.cfg", "OUT"], 0, render_scan, SCAN_KEYS, {}),
+], ids=["concurrence-overlap", "concurrence-amp", "classify-overlap", "classify-amp",
+        "oracle-check", "examples", "examples-failing", "bell-limit", "scan-small",
+        "scan-bundled"])
+def test_text_output_renders_the_json_payload(tmp_path, capsys, argv, status, render,
+                                              keys, nested):
+    paths = {"OVERLAP": write(tmp_path, "ov.txt", OVERLAP_STATE),
+             "AMP": write(tmp_path, "amp.txt", AMP_STATE),
+             "CONFIG": write(tmp_path, "scan.cfg", SMALL_SCAN),
+             "OUT": str(tmp_path / "records.csv")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    assert cli.main(argv + ["--json"]) == status
+    as_json = capsys.readouterr()
+    assert cli.main(argv) == status
+    as_text = capsys.readouterr()
+    payload = json.loads(as_json.out, parse_constant=strict_json_constant)
+    assert list(payload) == keys
+    for key, inner in nested.items():
+        rows = payload[key] if isinstance(payload[key], list) else [payload[key]]
+        assert [list(row) for row in rows] == [inner] * len(rows)
+    assert as_text.out == "\n".join(render(payload)) + "\n"
+    assert as_text.err == as_json.err
 
 
 class TestDeterminism:
