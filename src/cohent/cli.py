@@ -12,6 +12,7 @@ values of M_a and M_b being 1 +- p1 and 1 +- p2.  `scan` stays at p1 = p2 = x.
 Every oracle value comes from oracle.oracle_concurrences; errors name their state.
 Each command builds one payload dict; `_emit`, the one printer, refuses a
 non-finite value in it and prints it as JSON or as the command's text.
+`scan`'s payload is the report that scan.run_scan builds, plus the CSV path.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
-from .analytic import orthonormal_amplitudes
+from .analytic import _at, orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
 from .coherent import DISTINCT_TOL, CoherentConfig, OverlapPair
@@ -308,25 +309,23 @@ def _check_writable(path) -> None:
 def cmd_scan(args) -> int:
     config = _resolve_scan_config(args.config)
     _check_writable(args.out)
-    outcome = run_scan(config)
-    report = outcome.report
-    payload = {
-        "grid_points": config.total_points(),
-        "grid_evaluated": outcome.n_grid_evaluated,
-        "grid_rows_bounded": outcome.n_grid_rows_bounded,
-        "grid_rows_kept": outcome.n_grid_rows_kept,
-        "hits": len(outcome.hits),
-        "class_a": report.n_class_a,
-        "class_b": report.n_class_b,
-        "ambiguous": report.n_ambiguous,
-        "worst_lower_bound_ratio": report.worst_ratio,
-        "oracle_checked": outcome.oracle_checked,
-        "max_oracle_diff": outcome.max_oracle_diff,
-        "disjoint": report.passed,
-        "out": str(args.out),
-    }
+    hits, family, report = run_scan(config)
+    payload = {**report, "out": str(args.out)}
     _check_finite(payload)  # before the CSV, so that an error leaves no file
-    write_records_csv(outcome.hits, report.family, args.out)
+    write_records_csv(hits, family, args.out)
+    ratio, violations = payload["worst_lower_bound_ratio"], payload["violations"]
+    # verify's line, or its first 20 violations and a count of the rest
+    verify = [f"verify: classes disjoint: {payload['hits']} records "
+              f"({payload['class_a']} class a, {payload['class_b']} class b, "
+              f"{payload['ambiguous']} ambiguous), 0 violations, worst lower-bound "
+              f"ratio {'none' if ratio is None else _fmt(ratio)}"]
+    if violations:
+        verify = [f"verify: DISJOINTNESS VIOLATED: {len(violations)} of "
+                  f"{payload['hits']} records outside the two-sided bound", *(
+                      f"  {v['reason']}: {_at(v['lambda'], v['rho'], v['nu'], v['x'])} "
+                      f"C={v['concurrence']!r}" for v in violations[:20])]
+        if len(violations) > 20:
+            verify.append(f"  ... and {len(violations) - 20} more")
     text = "\n".join([
         f"scanned {payload['grid_points']} grid points "
         f"({payload['grid_evaluated']} evaluated): {payload['hits']} hits",
@@ -334,11 +333,11 @@ def cmd_scan(args) -> int:
         f"kept {payload['grid_rows_kept']}",
         f"oracle spot-checked {payload['oracle_checked']} records, "
         f"max |analytic - oracle| = {_fmt(payload['max_oracle_diff'])}",
-        report.summary(),
+        *verify,
         f"records written to {payload['out']}",
     ])
     _emit(payload, args.json, text)
-    return EXIT_OK if report.passed else EXIT_DISJOINTNESS
+    return EXIT_OK if payload["disjoint"] else EXIT_DISJOINTNESS
 
 
 def _sweep_jobs(seed: int, trials: int):

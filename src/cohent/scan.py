@@ -20,7 +20,8 @@ says
 (tests/test_symbolic.py proves it), so every hit must satisfy both sides
 with its own C, and the lower side names the one family a hit can be near.
 A seeded random subsample is re-checked against the brute-force Fock
-oracle.
+oracle.  run_scan runs the three stages and builds the scan report, the one
+dict that `cohent scan` prints as JSON or as text.
 """
 
 from __future__ import annotations
@@ -182,12 +183,12 @@ class ScanConfig:
 class DisjointnessReport:
     """Outcome of testing every hit against the two-sided bound.
 
-    `n_maximal` counts the hits tested; each violation is (reason, lam, rho,
-    nu, x, concurrence).  `family` holds each hit's FAMILIES code, and
-    `worst_ratio` is the least (N^2 (1 - C) + band) / ((1 - x) min_f |P_f v|^2),
-    at least 1 where the lower side holds, over the hits off both families,
-    those whose (1 - x) min_f |P_f v|^2 exceeds the band; None if there are
-    none.
+    `n_maximal` counts the hits tested; each violation is a dict of its
+    reason, lambda, rho, nu, x and concurrence.  `family` holds each hit's
+    FAMILIES code, and `worst_ratio` is the least
+    (N^2 (1 - C) + band) / ((1 - x) min_f |P_f v|^2), at least 1 where the
+    lower side holds, over the hits off both families, those whose
+    (1 - x) min_f |P_f v|^2 exceeds the band; None if there are none.
     """
 
     n_maximal: int
@@ -195,31 +196,8 @@ class DisjointnessReport:
     n_class_b: int
     n_ambiguous: int
     worst_ratio: float | None
-    violations: tuple[tuple[str, float, float, float, float, float], ...]
+    violations: list[dict]
     family: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.passed:
-            ratio = "none" if self.worst_ratio is None else f"{self.worst_ratio:.17g}"
-            return (
-                f"verify: classes disjoint: {self.n_maximal} records "
-                f"({self.n_class_a} class a, {self.n_class_b} class b, "
-                f"{self.n_ambiguous} ambiguous), 0 violations, worst lower-bound "
-                f"ratio {ratio}"
-            )
-        lines = [
-            f"verify: DISJOINTNESS VIOLATED: {len(self.violations)} of "
-            f"{self.n_maximal} records outside the two-sided bound"
-        ]
-        for reason, lam, rho, nu, x, c in self.violations[:20]:
-            lines.append(f"  {reason}: {_at(lam, rho, nu, x)} C={c!r}")
-        if len(self.violations) > 20:
-            lines.append(f"  ... and {len(self.violations) - 20} more")
-        return "\n".join(lines)
 
 
 def _window_points(axis, lo, hi):
@@ -365,8 +343,9 @@ def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
     measured = np.flatnonzero(lower > band)
     reasons = np.where(below[failed], "N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
                        "N^2 (1 - C) above (1 + x) min_f |P_f v|^2")
-    violations = tuple(zip(reasons.tolist(), *(column[failed].tolist() for column in (
-        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))))
+    violations = [dict(zip(("reason", "lambda", "rho", "nu", "x", "concurrence"), row))
+                  for row in zip(reasons.tolist(), *(column[failed].tolist() for column in (
+                      hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence)))]
     return DisjointnessReport(
         n_maximal=len(hits),
         n_class_a=counts[0],
@@ -380,7 +359,10 @@ def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
 
 
 def config_for_overlap(x: float) -> CoherentConfig:
-    """Amplitudes (0, 0, g, g) whose common overlap is exactly-by-construction x."""
+    """Amplitudes (0, 0, g, g) whose common overlap exp(-g^2 / 2) is x up to
+    rounding: exact at 0.2, 0.5 and 0.8, 1.27e-21 low at 1e-6 and 4.2e-17 low
+    at 0.123456789, which moves the oracle's C far less than
+    SPOT_CHECK_MAX_DIFF."""
     gap = math.sqrt(-2.0 * math.log(x))
     return CoherentConfig(0.0, 0.0, gap, gap)
 
@@ -424,33 +406,30 @@ def oracle_spot_check(
     return count, worst
 
 
-@dataclass(frozen=True)
-class ScanOutcome:
-    """Everything the scan pipeline produced."""
-
-    hits: ScanHits
-    report: DisjointnessReport
-    n_grid_evaluated: int
-    n_grid_rows_bounded: int
-    n_grid_rows_kept: int
-    oracle_checked: int
-    max_oracle_diff: float
-
-
-def run_scan(config: ScanConfig) -> ScanOutcome:
+def run_scan(config: ScanConfig) -> tuple[ScanHits, np.ndarray, dict]:
     """Grid scan, verification of the grid's hits against the two-sided
-    bound, and the seeded oracle spot-check, in one deterministic pipeline."""
+    bound, and the seeded oracle spot-check, in one deterministic pipeline.
+
+    Returns the hits, verify's family code of each, and the scan report:
+    the grid's counts, verify's, the spot check's, and every violation.
+    """
     hits, evaluated, rows_bounded, rows_kept = grid_scan(config)
-    report = verify_disjoint_classes(hits)
+    verified = verify_disjoint_classes(hits)
     checked, worst = oracle_spot_check(
         hits, fraction=config.oracle_fraction, seed=config.seed
     )
-    return ScanOutcome(
-        hits=hits,
-        report=report,
-        n_grid_evaluated=evaluated,
-        n_grid_rows_bounded=rows_bounded,
-        n_grid_rows_kept=rows_kept,
-        oracle_checked=checked,
-        max_oracle_diff=worst,
-    )
+    return hits, verified.family, {
+        "grid_points": config.total_points(),
+        "grid_evaluated": evaluated,
+        "grid_rows_bounded": rows_bounded,
+        "grid_rows_kept": rows_kept,
+        "hits": len(hits),
+        "class_a": verified.n_class_a,
+        "class_b": verified.n_class_b,
+        "ambiguous": verified.n_ambiguous,
+        "worst_lower_bound_ratio": verified.worst_ratio,
+        "oracle_checked": checked,
+        "max_oracle_diff": worst,
+        "disjoint": not verified.violations,
+        "violations": verified.violations,
+    }

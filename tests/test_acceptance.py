@@ -126,18 +126,16 @@ def test_criterion_4_theorem_reverse_direction_empirical():
         seed=2024,
         oracle_fraction=0.01,
     )
-    outcome = run_scan(config)
+    hits, family, verify = run_scan(config)
     elapsed = time.monotonic() - start
     # every raw grid hit lies inside the two-sided bound, within reach of
     # exactly one family
-    verify = outcome.report
-    assert verify.passed, verify.summary()
-    assert (verify.n_maximal, verify.n_class_a, verify.n_class_b,
-            verify.n_ambiguous) == (480, 237, 243, 0)
-    assert verify.worst_ratio >= 1.0
+    assert verify["violations"] == []
+    assert (verify["hits"], verify["class_a"], verify["class_b"],
+            verify["ambiguous"]) == (480, 237, 243, 0)
+    assert verify["worst_lower_bound_ratio"] >= 1.0
     # the hits with C > 1 - 1e-10, as the grid found them, each pass
     # exactly one family check
-    hits = outcome.hits
     maximal = hits.concurrence > 1.0 - 1e-10
     x = hits.x[maximal]
     n = np.sqrt((1.0 - x) * (1.0 + x))
@@ -145,11 +143,11 @@ def test_criterion_4_theorem_reverse_direction_empirical():
                                hits.nu[maximal], x, x, n, n, 1e-8)
     assert (on_a != on_b).all()
     assert (int(on_a.sum()), int(on_b.sum())) == (153, 72)
-    assert (verify.family[maximal] == np.where(on_a, 0, 1)).all()
-    assert outcome.max_oracle_diff < 1e-8
+    assert (family[maximal] == np.where(on_a, 0, 1)).all()
+    assert verify["max_oracle_diff"] < 1e-8
     assert elapsed < 600.0
     report(4, f"61^3 x 3 grid: all {len(hits)} raw hits inside the two-sided "
-              f"bound ({verify.n_class_a} near class a, {verify.n_class_b} near "
+              f"bound ({verify['class_a']} near class a, {verify['class_b']} near "
               f"class b, 0 ambiguous); the {int(maximal.sum())} with "
               f"C > 1 - 1e-10 each on one family, in {elapsed:.1f}s")
 

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import cohent
-from cohent import analytic, cli, oracle
+from cohent import analytic, cli, oracle, scan
 from cohent.catalog import example_states
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import _family_terms, classify
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.oracle import oracle_concurrence
-from cohent.scan import DisjointnessReport, ScanHits, ScanOutcome
+from cohent.scan import ScanHits
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
 AMP_STATE = "alpha = 0\nbeta = 0\ngamma = 1\ndelta = 1\nlambda = 0\nrho = 0\nnu = -1\n"
@@ -42,6 +42,27 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def scan_report(**values):
+    """A report as scan.run_scan returns it: an empty scan's, with `values`
+    in place."""
+    return {"grid_points": 0, "grid_evaluated": 0, "grid_rows_bounded": 0,
+            "grid_rows_kept": 0, "hits": 0, "class_a": 0, "class_b": 0, "ambiguous": 0,
+            "worst_lower_bound_ratio": None, "oracle_checked": 0, "max_oracle_diff": 0.0,
+            "disjoint": True, "violations": [], **values}
+
+
+def hit_columns(records):
+    """ScanHits of (lam, rho, nu, x, concurrence) records."""
+    return ScanHits(*(np.array(column, dtype=float) for column in
+                      (zip(*records) if records else [()] * 5)))
+
+
+def honest(lam, rho, nu, x):
+    """A record at (lam, rho, nu, x) with the grid's own C."""
+    c = analytic.concurrence_columns(*(np.array([v]) for v in (lam, rho, nu, x)), "")
+    return lam, rho, nu, x, c.item()
 
 
 class TestConcurrenceCommand:
@@ -545,14 +566,13 @@ class TestScanCommand:
 
     def test_disjointness_violation_exits_5(self, tmp_path, monkeypatch):
         impostor = (0.3, -0.2, 0.5, 0.5, 1.0)
-        report = DisjointnessReport(
-            n_maximal=1, n_class_a=0, n_class_b=0, n_ambiguous=1, worst_ratio=0.0,
-            violations=(("N^2 (1 - C) below (1 - x) min_f |P_f v|^2", *impostor),),
-            family=np.array([2]),
-        )
-        fake = ScanOutcome(hits=ScanHits(*(np.array([v]) for v in impostor)),
-                           report=report, n_grid_evaluated=1, n_grid_rows_bounded=1,
-                           n_grid_rows_kept=1, oracle_checked=0, max_oracle_diff=0.0)
+        violation = dict(zip(("reason", "lambda", "rho", "nu", "x", "concurrence"),
+                             ("N^2 (1 - C) below (1 - x) min_f |P_f v|^2", *impostor)))
+        report = scan_report(grid_points=1, grid_evaluated=1, grid_rows_bounded=1,
+                             grid_rows_kept=1, hits=1, ambiguous=1,
+                             worst_lower_bound_ratio=0.0, disjoint=False,
+                             violations=[violation])
+        fake = (hit_columns([impostor]), np.array([2]), report)
         monkeypatch.setattr(cli, "run_scan", lambda *a, **k: fake)
         config = write(tmp_path, "scan.cfg", SMALL_SCAN)
         assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 5
@@ -574,12 +594,22 @@ class TestScanCommand:
                                   "nu_min = -2\nnu_max = 1\nnu_steps = 2")
         config = write(tmp_path, "scan.cfg", text.replace("oracle_fraction = 0.2",
                                                           "oracle_fraction = 0"))
-        assert cli.main(["scan", config, str(tmp_path / "o.csv")]) == 5
-        lines = capsys.readouterr().out.splitlines()
+        out = str(tmp_path / "o.csv")
+        # --json names the violating record as the text does
+        assert cli.main(["scan", config, out, "--json"]) == 5
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["disjoint"] is False
+        assert payload["violations"] == [{
+            "reason": "N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
+            "lambda": -0.5, "rho": -0.5, "nu": -2.0, "x": 0.5, "concurrence": 1.0}]
+        assert cli.main(["scan", config, out]) == 5
+        text = capsys.readouterr().out
+        lines = text.splitlines()
         assert lines[3] == ("verify: DISJOINTNESS VIOLATED: 1 of 22 records outside "
                             "the two-sided bound")
         assert lines[4] == ("  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: lam=-0.5 "
                             "rho=-0.5 nu=-2.0 x=0.5 C=1.0")
+        assert text == "\n".join(render_scan(payload)) + "\n"
 
     def test_bundled_config_resolves(self, tmp_path, monkeypatch):
         # resolve the packaged grid but swap in a light pipeline to keep the
@@ -588,13 +618,88 @@ class TestScanCommand:
 
         def fake_run(config):
             seen["points"] = config.total_points()
-            report = DisjointnessReport(0, 0, 0, 0, None, (), np.array([], dtype=int))
-            return ScanOutcome(ScanHits(*(np.array([]) for _ in range(5))), report,
-                               0, 0, 0, 0, 0.0)
+            return hit_columns([]), np.array([], dtype=int), scan_report()
 
         monkeypatch.setattr(cli, "run_scan", fake_run)
         assert cli.main(["scan", "theorem_check.cfg", str(tmp_path / "o.csv")]) == 0
         assert seen["points"] == 61 * 61 * 61 * 3
+
+
+class TestScanVerifyText:
+    """scan's verify line(s) on records put in the grid's place: run_scan
+    tests them and reports, and the text renders the report."""
+
+    @staticmethod
+    def scan_text(tmp_path, monkeypatch, capsys, records, status):
+        """The --json payload and the verify lines of the text output."""
+        hits = hit_columns(records)
+        monkeypatch.setattr(scan, "grid_scan", lambda config: (hits, len(hits), 1, 1))
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN.replace(
+            "oracle_fraction = 0.2", "oracle_fraction = 0"))
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["scan", config, out, "--json"]) == status
+        payload = json.loads(capsys.readouterr().out)
+        assert cli.main(["scan", config, out]) == status
+        text = capsys.readouterr().out
+        assert text == "\n".join(render_scan(payload)) + "\n"
+        return payload, text.splitlines()[3:-1]
+
+    def test_no_hits(self, tmp_path, monkeypatch, capsys):
+        payload, lines = self.scan_text(tmp_path, monkeypatch, capsys, [], 0)
+        assert payload["violations"] == []
+        assert lines == ["verify: classes disjoint: 0 records (0 class a, 0 class b, "
+                         "0 ambiguous), 0 violations, worst lower-bound ratio none"]
+
+    def test_counts_both_classes(self, tmp_path, monkeypatch, capsys):
+        records = [honest(lam, -1.0 - lam, 1.0, 0.5)  # class (a), x = 0.5
+                   for lam in (-0.2, -0.7, 0.4)]
+        records += [honest(lam, lam, -1.0 - 2 * lam * 0.5, 0.5)  # class (b)
+                    for lam in (0.0, -1.0)]
+        _, lines = self.scan_text(tmp_path, monkeypatch, capsys, records, 0)
+        # each lies on its family within the rounding band, so gives no ratio
+        assert lines == ["verify: classes disjoint: 5 records (3 class a, 2 class b, "
+                         "0 ambiguous), 0 violations, worst lower-bound ratio none"]
+        # a hit off both families gives one, at least 1
+        records.append(honest(0.3, -0.2, 0.5, 0.5))
+        payload, lines = self.scan_text(tmp_path, monkeypatch, capsys, records, 0)
+        ratio = payload["worst_lower_bound_ratio"]
+        assert ratio >= 1.0
+        assert lines[0].endswith(f"worst lower-bound ratio {ratio:.17g}")
+
+    def test_names_an_off_family_record(self, tmp_path, monkeypatch, capsys):
+        # a synthetic impostor: claims C = 1 while sitting on neither family
+        payload, lines = self.scan_text(tmp_path, monkeypatch, capsys,
+                                        [(0.3, -0.2, 0.5, 0.5, 1.0)], 5)
+        assert payload["violations"] == [{
+            "reason": "N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
+            "lambda": 0.3, "rho": -0.2, "nu": 0.5, "x": 0.5, "concurrence": 1.0}]
+        assert lines == [
+            "verify: DISJOINTNESS VIOLATED: 1 of 1 records outside the two-sided bound",
+            "  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: lam=0.3 rho=-0.2 nu=0.5 "
+            "x=0.5 C=1.0",
+        ]
+
+    def test_lists_twenty_violations_and_counts_the_rest(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # the first hit lies on class (a) but claims C = 0.5, above the
+        # upper bound; the 20 others claim C = 1 on neither family
+        records = [(-0.5, -0.5, 1.0, 0.5, 0.5)]
+        records += [(0.3 + i, -0.2, 0.5, 0.5, 1.0) for i in range(20)]
+        payload, lines = self.scan_text(tmp_path, monkeypatch, capsys, records, 5)
+        # --json lists every one
+        assert [v["lambda"] for v in payload["violations"]] == [r[0] for r in records]
+        assert lines[:3] == [
+            "verify: DISJOINTNESS VIOLATED: 21 of 21 records outside the two-sided "
+            "bound",
+            "  N^2 (1 - C) above (1 + x) min_f |P_f v|^2: lam=-0.5 rho=-0.5 nu=1.0 "
+            "x=0.5 C=0.5",
+            "  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: lam=0.3 rho=-0.2 nu=0.5 "
+            "x=0.5 C=1.0",
+        ]
+        assert len(lines) == 22
+        assert lines[-2].startswith("  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: "
+                                    "lam=18.3 ")
+        assert lines[-1] == "  ... and 1 more"
 
 
 class TestOracleCheckCommand:
@@ -763,9 +868,8 @@ def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
 # One value of each command's payload patched to inf: as with _emit, the
 # command exits 2 with one error line naming the key, and prints nothing.
 @pytest.mark.parametrize("argv, target, patch, key", [
-    (["scan", "CONFIG", "OUT", "--json"], "run_scan",
-     lambda real: lambda config: dataclasses.replace(real(config), max_oracle_diff=math.inf),
-     "max_oracle_diff"),
+    (["scan", "CONFIG", "OUT", "--json"], "run_scan", lambda real: lambda config: (
+        *real(config)[:2], scan_report(max_oracle_diff=math.inf)), "max_oracle_diff"),
     (["examples", "--json"], "oracle_concurrences",
      lambda real: lambda jobs: ((math.inf, norm) for _, norm in real(jobs)),
      "states[0].oracle_concurrence"),
@@ -811,7 +915,19 @@ def render_bell_limit(payload):
 
 
 def render_scan(p):
-    ratio = p["worst_lower_bound_ratio"]
+    ratio, violations = p["worst_lower_bound_ratio"], p["violations"]
+    verify = [
+        f"verify: classes disjoint: {p['hits']} records ({p['class_a']} class a, "
+        f"{p['class_b']} class b, {p['ambiguous']} ambiguous), 0 violations, "
+        f"worst lower-bound ratio {'none' if ratio is None else f'{ratio:.17g}'}"]
+    if violations:
+        # the first 20 records, then a count of the rest
+        verify = [f"verify: DISJOINTNESS VIOLATED: {len(violations)} of {p['hits']} "
+                  f"records outside the two-sided bound"]
+        verify += [f"  {v['reason']}: lam={v['lambda']!r} rho={v['rho']!r} "
+                   f"nu={v['nu']!r} x={v['x']!r} C={v['concurrence']!r}"
+                   for v in violations[:20]]
+        verify += [f"  ... and {len(violations) - 20} more"] * (len(violations) > 20)
     return [
         f"scanned {p['grid_points']} grid points ({p['grid_evaluated']} evaluated): "
         f"{p['hits']} hits",
@@ -819,9 +935,7 @@ def render_scan(p):
         f"kept {p['grid_rows_kept']}",
         f"oracle spot-checked {p['oracle_checked']} records, "
         f"max |analytic - oracle| = {p['max_oracle_diff']:.17g}",
-        f"verify: classes disjoint: {p['hits']} records ({p['class_a']} class a, "
-        f"{p['class_b']} class b, {p['ambiguous']} ambiguous), 0 violations, "
-        f"worst lower-bound ratio {'none' if ratio is None else f'{ratio:.17g}'}",
+        *verify,
         f"records written to {p['out']}",
     ]
 
@@ -835,7 +949,7 @@ EXAMPLES_ROW_KEYS = ["label", "lambda", "rho", "nu", "analytic_concurrence",
 FAMILY_KEYS = ["amplitudes", "target", "max_deviation"]
 SCAN_KEYS = ["grid_points", "grid_evaluated", "grid_rows_bounded", "grid_rows_kept",
              "hits", "class_a", "class_b", "ambiguous", "worst_lower_bound_ratio",
-             "oracle_checked", "max_oracle_diff", "disjoint", "out"]
+             "oracle_checked", "max_oracle_diff", "disjoint", "violations", "out"]
 
 
 # Every command's text output is a rendering of its --json payload on the same

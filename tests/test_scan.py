@@ -644,9 +644,8 @@ def honest(lam, rho, nu, x):
 class TestVerifyDisjointClasses:
     def test_empty_input_passes(self):
         report = verify_disjoint_classes(columns([]))
-        assert report.passed
+        assert report.violations == []
         assert (report.n_maximal, report.n_ambiguous, report.worst_ratio) == (0, 0, None)
-        assert "worst lower-bound ratio none" in report.summary()
 
     def test_mixed_sweep_counts_both_classes(self):
         records = [honest(lam, -1.0 - lam, 1.0, 0.5)  # class (a), x = 0.5
@@ -654,23 +653,19 @@ class TestVerifyDisjointClasses:
         records += [honest(lam, lam, -1.0 - 2 * lam * 0.5, 0.5)  # class (b)
                     for lam in (0.0, -1.0)]
         report = verify_disjoint_classes(columns(records))
-        assert report.passed
+        assert report.violations == []
         assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (3, 2, 0)
         assert report.family.tolist() == [0, 0, 0, 1, 1]
         # each lies on its family within the rounding band, so gives no ratio
-        assert report.summary() == (
-            "verify: classes disjoint: 5 records (3 class a, 2 class b, 0 ambiguous), "
-            "0 violations, worst lower-bound ratio none")
+        assert report.worst_ratio is None
         # a hit off both families gives one, at least 1
         report = verify_disjoint_classes(columns(records + [honest(0.3, -0.2, 0.5, 0.5)]))
         assert report.worst_ratio >= 1.0
-        assert report.summary().endswith(
-            f"worst lower-bound ratio {report.worst_ratio:.17g}")
 
     def test_hit_within_reach_of_both_families_is_ambiguous(self):
         # (lam, rho, nu) = (-1, -x, x) has |P_a v|^2 = |P_b v|^2 = 2 (1 - x)^2
         report = verify_disjoint_classes(columns([honest(-1.0, -0.5, 0.5, 0.5)]))
-        assert report.passed
+        assert report.violations == []
         assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (0, 0, 1)
         assert [FAMILIES[code] for code in report.family] == ["ambiguous"]
         # it attains the upper side, (1 + x) / (1 - x) times the lower one
@@ -680,31 +675,10 @@ class TestVerifyDisjointClasses:
         # a synthetic impostor: claims C = 1 while sitting on neither family
         impostor = Hit(0.3, -0.2, 0.5, 0.5, 1.0)
         report = verify_disjoint_classes(columns([impostor]))
-        assert not report.passed
-        assert report.violations == (
-            ("N^2 (1 - C) below (1 - x) min_f |P_f v|^2", 0.3, -0.2, 0.5, 0.5, 1.0),)
-        assert report.summary().startswith("verify: DISJOINTNESS VIOLATED")
+        assert report.violations == [
+            {"reason": "N^2 (1 - C) below (1 - x) min_f |P_f v|^2", "lambda": 0.3,
+             "rho": -0.2, "nu": 0.5, "x": 0.5, "concurrence": 1.0}]
         assert report.worst_ratio < 1e-12
-
-    def test_summary_lists_twenty_violations_and_counts_the_rest(self):
-        # the first hit lies on class (a) but claims C = 0.5, above the
-        # upper bound; the 20 others claim C = 1 on neither family
-        hits = [Hit(-0.5, -0.5, 1.0, 0.5, 0.5)]
-        hits += [Hit(0.3 + i, -0.2, 0.5, 0.5, 1.0) for i in range(20)]
-        report = verify_disjoint_classes(columns(hits))
-        lines = report.summary().splitlines()
-        assert lines[:3] == [
-            "verify: DISJOINTNESS VIOLATED: 21 of 21 records outside the two-sided "
-            "bound",
-            "  N^2 (1 - C) above (1 + x) min_f |P_f v|^2: lam=-0.5 rho=-0.5 nu=1.0 "
-            "x=0.5 C=0.5",
-            "  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: lam=0.3 rho=-0.2 nu=0.5 "
-            "x=0.5 C=1.0",
-        ]
-        assert len(lines) == 22
-        assert lines[-2].startswith("  N^2 (1 - C) below (1 - x) min_f |P_f v|^2: "
-                                    "lam=18.3 ")
-        assert lines[-1] == "  ... and 1 more"
 
     def test_nan_concurrence_is_a_violation(self):
         report = verify_disjoint_classes(columns([Hit(-0.5, -0.5, 1.0, 0.5, math.nan)]))
@@ -715,10 +689,10 @@ class TestVerifyDisjointClasses:
         record = honest(0.3, -0.2, 0.5, 0.5)
         assert record.concurrence < 0.95
         report = verify_disjoint_classes(columns([record]))
-        assert report.passed
+        assert report.violations == []
         assert report.n_maximal == 1
         lying = record._replace(concurrence=1.0 - 1e-9)
-        assert not verify_disjoint_classes(columns([lying])).passed
+        assert verify_disjoint_classes(columns([lying])).violations
 
 
 @st.composite
@@ -753,7 +727,7 @@ def test_band_never_flags_a_correct_hit(points):
         except DegenerateStateError:
             continue
     report = verify_disjoint_classes(columns(hits))
-    assert report.passed, report.summary()
+    assert report.violations == []
     assert report.n_class_a + report.n_class_b + report.n_ambiguous == len(hits)
     if report.worst_ratio is not None:
         assert report.worst_ratio >= 1.0
@@ -858,12 +832,13 @@ class TestRunScan:
             seed=7,
             oracle_fraction=0.05,
         )
-        outcome = run_scan(config)
-        assert outcome.report.passed
-        assert (outcome.n_grid_rows_bounded, outcome.n_grid_rows_kept) == grid_scan(
+        _, _, report = run_scan(config)
+        assert report["disjoint"]
+        assert report["violations"] == []
+        assert (report["grid_rows_bounded"], report["grid_rows_kept"]) == grid_scan(
             config)[2:]
-        assert outcome.oracle_checked >= 1
-        assert outcome.max_oracle_diff < 1e-8
+        assert report["oracle_checked"] >= 1
+        assert report["max_oracle_diff"] < 1e-8
 
     def test_pipeline_deterministic(self):
         config = ScanConfig(
@@ -876,9 +851,9 @@ class TestRunScan:
         )
         first = run_scan(config)
         second = run_scan(config)
-        assert hit_list(first.hits) == hit_list(second.hits)
-        assert first.report == second.report
-        assert first.max_oracle_diff == second.max_oracle_diff
+        assert hit_list(first[0]) == hit_list(second[0])
+        assert first[1].tolist() == second[1].tolist()
+        assert first[2] == second[2]
 
     def test_overlap_near_one_stays_disjoint(self):
         config = ScanConfig(
@@ -888,19 +863,17 @@ class TestRunScan:
             x_values=(0.999,),
             concurrence_threshold=0.999,
         )
-        outcome = run_scan(config)
-        assert outcome.report.passed, outcome.report.summary()
-        assert len(outcome.hits) == 38
-        report = outcome.report
-        assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (22, 16, 0)
+        _, _, report = run_scan(config)
+        assert report["violations"] == []
+        assert (report["hits"], report["class_a"], report["class_b"],
+                report["ambiguous"]) == (38, 22, 16, 0)
 
     def test_box_near_the_size_limit_stays_in_the_bound(self):
         # max|v| = 1e150: the terms are formed on the unit ray, where their
         # squares cannot overflow
-        outcome = run_scan(box(-1e150, 1e150, 5, (0.5,), 0.5))
-        report = outcome.report
-        assert report.passed, report.summary()
-        assert (report.n_class_a, report.n_class_b, report.n_ambiguous) == (28, 21, 0)
+        _, _, report = run_scan(box(-1e150, 1e150, 5, (0.5,), 0.5))
+        assert report["violations"] == []
+        assert (report["class_a"], report["class_b"], report["ambiguous"]) == (28, 21, 0)
 
 
 def list_verify(records):
@@ -916,12 +889,13 @@ def list_verify(records):
         band = scan_module._BAND * size * size
         residual = _norm_sq(*v, x, x, n, n) * (1.0 - c)
         lower = (1.0 - x) * min(to_a, to_b)
+        point = {"lambda": lam, "rho": rho, "nu": nu, "x": x, "concurrence": c}
         if not lower <= residual + band:
-            violations.append(("N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
-                               lam, rho, nu, x, c))
+            violations.append({"reason": "N^2 (1 - C) below (1 - x) min_f |P_f v|^2",
+                               **point})
         elif not residual <= (1.0 + x) * min(to_a, to_b) + band:
-            violations.append(("N^2 (1 - C) above (1 + x) min_f |P_f v|^2",
-                               lam, rho, nu, x, c))
+            violations.append({"reason": "N^2 (1 - C) above (1 + x) min_f |P_f v|^2",
+                               **point})
         if (1.0 - x) * to_b > residual + band:
             family.append(0)
         elif (1.0 - x) * to_a > residual + band:
@@ -932,7 +906,7 @@ def list_verify(records):
         if lower > band:
             ratios.append((residual + band) / lower)
     return DisjointnessReport(len(records), *counts, min(ratios, default=None),
-                              tuple(violations), np.array(family, dtype=int))
+                              violations, np.array(family, dtype=int))
 
 
 def list_csv(records, family, path):
@@ -965,12 +939,14 @@ class TestColumnTail:
         reference = list_verify(records)
         list_csv(records, reference.family, tmp_path / "reference.csv")
 
-        outcome = run_scan(config)
-        cli.write_records_csv(outcome.hits, outcome.report.family,
-                              tmp_path / "columns.csv")
-        assert hit_list(outcome.hits) == records
-        assert outcome.report == reference
-        assert outcome.report.family.tolist() == reference.family.tolist()
+        hits, family, report = run_scan(config)
+        cli.write_records_csv(hits, family, tmp_path / "columns.csv")
+        assert hit_list(hits) == records
+        assert ([report[key] for key in ("hits", "class_a", "class_b", "ambiguous",
+                                          "worst_lower_bound_ratio", "violations")]
+                == [reference.n_maximal, reference.n_class_a, reference.n_class_b,
+                    reference.n_ambiguous, reference.worst_ratio, reference.violations])
+        assert family.tolist() == reference.family.tolist()
         assert ((tmp_path / "columns.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
