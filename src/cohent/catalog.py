@@ -33,9 +33,10 @@ def example_states(gap_squared: float = 1.0) -> list[ExampleState]:
     if not gap_squared > 0:
         raise DomainError(f"gap_squared must be positive, got {gap_squared}")
     gap = math.sqrt(gap_squared)
-    if _BETA_OFFSET + gap > MAX_AMPLITUDE:
+    if not gap * 0.5 <= MAX_AMPLITUDE:
         raise DomainError(
-            f"gap_squared {gap_squared} pushes amplitudes past {MAX_AMPLITUDE}"
+            f"gap_squared {gap_squared} puts the half-gap {gap * 0.5} past "
+            f"{MAX_AMPLITUDE}"
         )
     x = math.exp(-0.5 * gap_squared)
     generic = CoherentConfig(0.0, _BETA_OFFSET, gap, _BETA_OFFSET + gap)

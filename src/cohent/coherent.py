@@ -70,6 +70,8 @@ class CoherentConfig:
     pair must be distinct so the spans are two-dimensional.  Below the
     distinctness tolerance the basis change becomes numerically singular
     (sqrt(1 - p^2) underflows), so near-equal pairs are rejected outright.
+    The entanglement depends only on the gaps gamma - alpha and delta - beta,
+    so MAX_AMPLITUDE bounds their halves (half_gap), not the amplitudes.
     """
 
     alpha: float
@@ -79,12 +81,13 @@ class CoherentConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta"):
-            value = _require_finite(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if abs(value) > MAX_AMPLITUDE:
-                raise DomainError(
-                    f"|{name}| = {abs(value)} exceeds the supported bound {MAX_AMPLITUDE}"
-                )
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        # Written as a negation so a gap that overflows to inf fails.
+        if not self.half_gap <= MAX_AMPLITUDE:
+            raise DomainError(
+                f"half-gap max(|gamma - alpha|, |delta - beta|) / 2 = {self.half_gap} "
+                f"exceeds the supported bound {MAX_AMPLITUDE}"
+            )
         if abs(self.alpha - self.gamma) <= DISTINCT_TOL:
             raise DomainError(
                 f"alpha and gamma must differ by more than {DISTINCT_TOL} "
@@ -97,8 +100,11 @@ class CoherentConfig:
             )
 
     @property
-    def max_amplitude(self) -> float:
-        return max(abs(self.alpha), abs(self.beta), abs(self.gamma), abs(self.delta))
+    def half_gap(self) -> float:
+        """The larger half-gap max(|gamma - alpha|, |delta - beta|) * 0.5: the
+        largest |amplitude| once each mode is centered on its pair's midpoint.
+        Halving is exact, so its gaps are the ones overlap() squares."""
+        return max(abs(self.gamma - self.alpha), abs(self.delta - self.beta)) * 0.5
 
 
 @dataclass(frozen=True)
@@ -144,8 +150,9 @@ class OverlapPair:
         )
 
 
-# A random oracle sweep over amplitudes up to 2 uses at most 23 distinct
-# truncations (9 to 31).
+# The oracle's cutoffs follow half-gaps: a random sweep over amplitudes up to
+# 2 uses at most 22 distinct truncations (10 to 31), and a spot check at
+# overlaps down to 1e-6 at most 31 (10 to 40).
 @functools.lru_cache(maxsize=64)
 def _inv_sqrt_n(truncation: int) -> np.ndarray:
     """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""

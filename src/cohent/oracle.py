@@ -2,11 +2,14 @@
 
 Completely independent of the closed-form path: the four-component state is
 assembled as an explicit truncation^2 vector of number-state coefficients,
-and its entanglement is read off the Schmidt spectrum.  Every analytic result
-in this package is cross-checked against this module.  Every brute-force
-concurrence comes from `oracle_concurrences`, which takes states in blocks
-and, per Fock cutoff in a block, builds them as one array (`build_states`)
-and takes their spectra in one stacked SVD.
+and its entanglement is read off the Schmidt spectrum.  Each mode is built
+centered on its pair's midpoint m: for real a and m, D(-m)|a> = |a - m>
+exactly, a local unitary, so the Schmidt spectrum is the original state's,
+and the Fock cutoff follows the larger half-gap (CoherentConfig.half_gap).
+Every analytic result in this package is cross-checked against this module.
+Every brute-force concurrence comes from `oracle_concurrences`, which takes
+states in blocks and, per Fock cutoff in a block, builds them as one array
+(`build_states`) and takes their spectra in one stacked SVD.
 """
 
 from __future__ import annotations
@@ -33,15 +36,18 @@ _RANK_LIMIT = 1e-6
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
 
 # States are built, and their spectra taken, this many at a time.  A block's
-# joint matrices take at most 64 x 145^2 x 8 B, about 10.8 MB, at the
-# amplitude cap's cutoff T(8) = 145 (0.5 MB at the sweep's T(2) = 31), and
-# building them takes one temporary as large.
-_BLOCK = 64
+# joint matrices take at most 256 x T^2 x 8 B, and building them takes one
+# temporary as large.  At the half-gap cap's T(8) = 145 that is about 43 MB,
+# which no caller reaches: a random sweep's half-gaps are at most 2, so
+# T <= 31 and about 2 MB; the spot check's overlaps are at least 1e-6, so
+# T <= 40 and about 3.3 MB; `examples` builds 15 states and `concurrence` 1.
+_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
 class ProductStateVector:
-    """Normalized joint Fock coefficients, flattened row-major (m, n)."""
+    """Normalized joint Fock coefficients of the centered state, flattened
+    row-major (m, n)."""
 
     coefficients: np.ndarray
     truncation: int
@@ -57,7 +63,9 @@ def build_states(
 ) -> tuple[np.ndarray, list[float], DegenerateStateError | None]:
     """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> for each (config,
     coeffs) job in the joint Fock basis at one cutoff, from two outer products
-    of single-mode Fock coefficients (the state is rank <= 2 across the split).
+    of single-mode Fock coefficients (the state is rank <= 2 across the split),
+    with mode 1 at a, g = -h1, h1 and mode 2 at b, d = -h2, h2, the half-gaps
+    h1 = (gamma - alpha) * 0.5 and h2 = (delta - beta) * 0.5.
 
     Returns the normalized states as a (k, truncation, truncation) array and
     their norms before normalization, both stopping short of the first
@@ -70,10 +78,15 @@ def build_states(
     scaled = [_in_range(coeffs) for _, coeffs in jobs]
     mu, lam, rho, nu = np.array(
         [(c.mu, c.lam, c.rho, c.nu) for c, _ in scaled]).T[:, :, None]
-    f_alpha, f_beta, f_gamma, f_delta = fock_vectors(
-        [a for config, _ in jobs
-         for a in (config.alpha, config.beta, config.gamma, config.delta)],
-        truncation).reshape(len(jobs), 4, truncation).transpose(1, 0, 2)
+    # f(-h)_n = (-1)^n f(h)_n bit for bit (the cumulative product only flips
+    # signs, and each row's norm is unchanged), so the alpha and beta rows are
+    # the gamma and delta rows times a parity vector.
+    f_gamma, f_delta = fock_vectors(
+        [h for config, _ in jobs for h in ((config.gamma - config.alpha) * 0.5,
+                                           (config.delta - config.beta) * 0.5)],
+        truncation).reshape(len(jobs), 2, truncation).transpose(1, 0, 2)
+    parity = np.resize([1.0, -1.0], truncation)
+    f_alpha, f_beta = f_gamma * parity, f_delta * parity
 
     # Broadcast outer products, and each norm as the dot product that
     # np.linalg.norm takes: bit-identical, without either call's overhead.
@@ -100,8 +113,8 @@ def build_states(
 
 def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductStateVector:
     """The one state of build_states, at the cutoff default_truncation
-    derives from the largest amplitude."""
-    truncation = default_truncation(config.max_amplitude)
+    derives from the larger half-gap."""
+    truncation = default_truncation(config.half_gap)
     states, norms, failure = build_states([(config, coeffs)], truncation)
     if failure is not None:
         raise failure
@@ -135,11 +148,11 @@ def oracle_concurrences(jobs: Iterable) -> Iterator[tuple[float, float]]:
     before it, so the caller knows which it was."""
     jobs = iter(jobs)
     while block := list(itertools.islice(jobs, _BLOCK)):
-        cutoffs = [default_truncation(config.max_amplitude) for config, _ in block]
+        cutoffs = [default_truncation(config.half_gap) for config, _ in block]
         results, stop, failure = {}, len(block), None
         for cutoff in dict.fromkeys(cutoffs):
             members = [i for i, t in enumerate(cutoffs) if t == cutoff]
-            # At its derived cutoff no amplitude's Fock tail comes near
+            # At its derived cutoff no half-gap's Fock tail comes near
             # TAIL_MASS_LIMIT, so only a degenerate state fails to build.
             states, norms, error = build_states([block[i] for i in members], cutoff)
             if error is not None and members[len(norms)] < stop:

@@ -390,7 +390,7 @@ def test_criterion_10_two_sided_bound_against_the_oracle():
         n_sq = norm ** 2
         residual = n_sq * (1.0 - c)
         size = float(abs(v).sum())
-        delta = default_truncation(config.max_amplitude) ** 2 * eps
+        delta = default_truncation(config.half_gap) ** 2 * eps
         band = delta * ((1.0 + 2.0 * math.sqrt(2.0)) * n_sq
                         + (2.0 + 2.0 * math.sqrt(2.0)) * math.sqrt(n_sq) * size
                         + 4.0 * math.sqrt(residual) * size * (1.0 + 1.0 / min(ns)))

@@ -81,13 +81,24 @@ class TestConcurrenceCommand:
         assert payload["oracle_diff"] < 1e-10
 
     def test_amplitude_cap_takes_the_largest_cutoff(self, tmp_path, capsys):
-        # gamma = delta = 8, the amplitude cap: the oracle builds the state at
-        # its largest Fock cutoff, T(8) = 145.
+        # gamma = delta = 16, half-gaps at the cap of 8: the oracle builds the
+        # state at its largest Fock cutoff, T(8) = 145.
         assert default_truncation(8.0) == 145
-        path = write(tmp_path, "s.txt", AMP_STATE.replace("1\n", "8\n", 2))
+        path = write(tmp_path, "s.txt", AMP_STATE.replace("1\n", "16\n", 2))
         assert cli.main(["concurrence", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_diff"] <= 1e-6
+
+    def test_only_the_gaps_count(self, tmp_path, capsys):
+        # alpha = 100 exited 2 while |alpha| was capped; the overlaps and the
+        # centered oracle see gaps 1 and 1, as at alpha = beta = 0.
+        outputs = []
+        shifted = AMP_STATE.replace("alpha = 0", "alpha = 100").replace(
+            "gamma = 1", "gamma = 101")
+        for text in (AMP_STATE, shifted):
+            assert cli.main(["concurrence", write(tmp_path, "s.txt", text), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_nearly_equal_amplitudes_reach_one(self, tmp_path, capsys):
         # exit 3 ("concurrence evaluated to 1.000000001077471") with the Gram
@@ -842,8 +853,11 @@ class TestOracleCheckCommand:
 
 # Each file is refused by a domain type as it loads, before any command runs.
 @pytest.mark.parametrize("text, error", [
-    (AMP_STATE.replace("alpha = 0", "alpha = 9"),
-     "|alpha| = 9.0 exceeds the supported bound 8.0"),
+    (AMP_STATE.replace("gamma = 1", "gamma = 16.000001"),
+     "half-gap max(|gamma - alpha|, |delta - beta|) / 2 = 8.0000005 exceeds the "
+     "supported bound 8.0"),
+    (AMP_STATE.replace("alpha = 0", "alpha = 1e308").replace("gamma = 1", "gamma = -1e308"),
+     "half-gap max(|gamma - alpha|, |delta - beta|) / 2 = inf exceeds"),
     (AMP_STATE.replace("alpha = 0", "alpha = 1"), "alpha and gamma must differ"),
     (OVERLAP_STATE.replace("p1 = 0.5", "p1 = 1"), "p1 must lie strictly inside (0, 1)"),
     (AMP_STATE.replace("nu = -1", "mu = 0\nnu = 0"),
@@ -854,7 +868,7 @@ class TestOracleCheckCommand:
      "lambda must be a finite real, got nan"),
     # the oracle's Fock cutoff is always derived from the amplitudes
     (AMP_STATE + "truncation = 40\n", "line 8: unknown key 'truncation'"),
-], ids=["|alpha|>8", "alpha=gamma", "p1=1", "all-zero", "nan", "lambda-nan", "truncation"])
+], ids=["half-gap>8", "gap-overflow", "alpha=gamma", "p1=1", "all-zero", "nan", "lambda-nan", "truncation"])
 @pytest.mark.parametrize("command", ["concurrence", "classify"])
 def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
     path = write(tmp_path, "s.txt", text)

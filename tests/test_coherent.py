@@ -312,7 +312,7 @@ class TestFockVectors:
 class TestCoherentConfig:
     def test_accepts_distinct_pairs(self):
         cfg = CoherentConfig(0.0, 0.3, 1.0, 1.3)
-        assert cfg.max_amplitude == 1.3
+        assert cfg.half_gap == 0.5
 
     def test_rejects_equal_system1(self):
         with pytest.raises(DomainError):
@@ -323,8 +323,15 @@ class TestCoherentConfig:
             CoherentConfig(0.0, 0.5, 1.0, 0.5)
 
     def test_rejects_oversized_amplitude(self):
-        with pytest.raises(DomainError):
-            CoherentConfig(0.0, 0.0, 9.0, 1.0)
+        # The cap bounds half-gaps, not amplitudes: |alpha| = 100 is accepted,
+        # a half-gap just above 8 is not, and nor is a gap that overflows.
+        assert CoherentConfig(100.0, 0.0, 101.0, 1.0).half_gap == 0.5
+        assert CoherentConfig(0.0, 0.0, 16.0, -16.0).half_gap == MAX_AMPLITUDE
+        with pytest.raises(DomainError, match=r"= 8\.0000005 exceeds the supported "
+                                              r"bound 8\.0$"):
+            CoherentConfig(0.0, 0.0, 16.000001, 1.0)
+        with pytest.raises(DomainError, match=r"= inf exceeds"):
+            CoherentConfig(1e308, 0.0, -1e308, 1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

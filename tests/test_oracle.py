@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -55,12 +56,12 @@ def random_state(rng):
 
 class TestBuildState:
     def test_single_term_product(self):
+        # |alpha, beta> = |0, 0> is built centered, at -h1 and -h2 = -0.5.
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         state = build_state(config, SuperpositionCoeffs(1, 0, 0, 0))
         assert state.norm_before_normalization == pytest.approx(1.0, abs=1e-12)
-        f0 = np.zeros(state.truncation)
-        f0[0] = 1.0
-        np.testing.assert_allclose(state.matrix(), np.outer(f0, f0), atol=1e-12)
+        f = fock_vector(-0.5, state.truncation)
+        np.testing.assert_allclose(state.matrix(), np.outer(f, f), atol=1e-12)
 
     def test_normalized_after_construction(self):
         config = CoherentConfig(0.0, 0.3, 1.0, 1.3)
@@ -172,12 +173,12 @@ class TestSchmidtConcurrences:
         # Each cutoff group's one array of states and one stacked SVD give
         # every C and norm as one state's np.outer build and own SVD give them.
         rng = np.random.default_rng(58)
-        jobs = [random_state(rng) for _ in range(300)]
+        jobs = [random_state(rng) for _ in range(1100)]
+        # Cat and generic configurations share the half-gap 1, so cutoff 19.
         examples = [(state.config, state.coeffs) for state in example_states(4.0)]
-        assert {default_truncation(config.max_amplitude)
-                for config, _ in examples} == {31, 35}
+        assert {default_truncation(config.half_gap) for config, _ in examples} == {19}
         jobs += examples
-        cutoffs = [default_truncation(config.max_amplitude) for config, _ in jobs]
+        cutoffs = [default_truncation(config.half_gap) for config, _ in jobs]
         assert len(set(cutoffs)) >= 15 and len(jobs) > 4 * oracle._BLOCK
         expected = []
         for (config, coeffs), t in zip(jobs, cutoffs):
@@ -231,7 +232,7 @@ class TestSchmidtConcurrences:
         assert next(results, None) is None
 
     def test_degenerate_job_raises_after_earlier_jobs_of_another_cutoff(self):
-        # Amplitudes 0 and 1 take cutoff 19; the degenerate job, whose pairs
+        # Half-gaps 0.5 take cutoff 14; the degenerate job, whose pairs
         # differ by 2e-9, takes cutoff 10, as the job after it does.
         wide = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         narrow = CoherentConfig(0.0, 0.0, 2e-9, 2e-9)
@@ -239,8 +240,8 @@ class TestSchmidtConcurrences:
         jobs = [(wide, fine), (wide, SuperpositionCoeffs(1.0, 0.0, 0.0, -1.0)),
                 (narrow, SuperpositionCoeffs(1.0, -1.0, -1.0, 1.0)),
                 (wide, fine), (narrow, fine)]
-        assert [default_truncation(config.max_amplitude)
-                for config, _ in jobs] == [19, 19, 10, 19, 10]
+        assert [default_truncation(config.half_gap)
+                for config, _ in jobs] == [14, 14, 10, 14, 10]
         expected = [next(oracle_concurrences([job])) for job in jobs[:2]]
         results = oracle_concurrences(jobs)
         assert [next(results), next(results)] == expected
@@ -311,7 +312,7 @@ class TestOracleConcurrence:
         rng = np.random.default_rng(56)
         for _ in range(200):
             config, coeffs = random_state(rng)
-            t = 2 * default_truncation(config.max_amplitude)
+            t = 2 * default_truncation(config.half_gap)
             coefficients, _ = outer_reference(config, coeffs, t)
             s = np.linalg.svd(coefficients.reshape(t, t), compute_uv=False)
             assert abs(oracle_concurrence(config, coeffs) - 2.0 * s[0] * s[1]) < 1e-14
@@ -319,12 +320,12 @@ class TestOracleConcurrence:
 
 def outer_reference(config, coeffs, t=None):
     """build_state's coefficients and norm, assembled with np.outer and
-    np.linalg.norm, at the cutoff t (by default build_state's own)."""
+    np.linalg.norm from one fock_vector per amplitude of the centered modes,
+    -+h1 and -+h2, at the cutoff t (by default build_state's own)."""
     if t is None:
-        t = default_truncation(config.max_amplitude)
-    f_alpha, f_beta, f_gamma, f_delta = (
-        fock_vector(a, t)
-        for a in (config.alpha, config.beta, config.gamma, config.delta))
+        t = default_truncation(config.half_gap)
+    h1, h2 = (config.gamma - config.alpha) * 0.5, (config.delta - config.beta) * 0.5
+    f_alpha, f_beta, f_gamma, f_delta = (fock_vector(a, t) for a in (-h1, -h2, h1, h2))
     psi = np.outer(f_alpha, coeffs.mu * f_beta + coeffs.lam * f_delta)
     psi += np.outer(f_gamma, coeffs.rho * f_beta + coeffs.nu * f_delta)
     norm = float(np.linalg.norm(psi))
@@ -341,3 +342,34 @@ def test_build_state_matches_the_outer_product_reference():
         coefficients, norm = outer_reference(config, coeffs)
         np.testing.assert_array_equal(state.coefficients, coefficients)
         assert state.norm_before_normalization == norm
+
+
+def test_the_cutoff_depends_only_on_the_gaps():
+    # Both configurations have gaps 1 and 1, so both are built at T(0.5) =
+    # 14 with the same bits; the largest |amplitude| gave T(7) = 121.
+    coeffs = SuperpositionCoeffs(1.0, 0.3, -0.2, 0.5)
+    near = build_state(CoherentConfig(0.0, 0.0, 1.0, 1.0), coeffs)
+    far = build_state(CoherentConfig(6.0, -7.0, 7.0, -6.0), coeffs)
+    assert near.truncation == far.truncation == 14
+    assert far.coefficients.tobytes() == near.coefficients.tobytes()
+    assert far.norm_before_normalization == near.norm_before_normalization
+
+
+def test_a_common_shift_leaves_the_concurrence():
+    # D(-m)|a> = |a - m> is a local unitary, so shifting all four amplitudes
+    # by one real m leaves C.  On a 2^-40 grid, with |a + m| < 2^7, the
+    # shifted sums and so their gaps are exact, and C and the norm come out
+    # the same bits.
+    def on_grid(a):
+        return math.ldexp(round(math.ldexp(a, 40)), -40)
+
+    rng = np.random.default_rng(60)
+    jobs, shifted = [], []
+    for _ in range(200):
+        config, coeffs = random_state(rng)
+        config = CoherentConfig(*map(on_grid, dataclasses.astuple(config)))
+        m = on_grid(rng.uniform(-100.0, 100.0))
+        jobs.append((config, coeffs))
+        shifted.append((CoherentConfig(*(a + m for a in dataclasses.astuple(config))),
+                        coeffs))
+    assert list(oracle_concurrences(shifted)) == list(oracle_concurrences(jobs))
