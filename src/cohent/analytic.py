@@ -360,14 +360,6 @@ def nu_windows(lam, rho, x, floor):
             np.where(whole, np.inf, np.where(empty, -np.inf, hi)))
 
 
-def _maximality_residual(mu, lam, rho, nu, x):
-    """N^2 (1 - C) at p1 = p2 = x; broadcasts (see maximality_residual)."""
-    n = np.sqrt((1.0 - x) * (1.0 + x))
-    a, b, c, d = _amplitudes(mu, lam, rho, nu, x, x, n, n)
-    return np.minimum((a - d) * (a - d) + (b + c) * (b + c),
-                      (a + d) * (a + d) + (b - c) * (b - c))
-
-
 def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     """N^2 - 2|ad - bc| at the common overlap p1 = p2 = x.
 
@@ -376,7 +368,10 @@ def maximality_residual(coeffs: SuperpositionCoeffs, x: float) -> float:
     since N^2 -+ 2(ad - bc) = (a -+ d)^2 + (b +- c)^2, it is taken as the
     smaller of two sums of squares, accurate down to ~1e-30 at max|v| ~ 1.
     (a + d)^2 + (b - c)^2 vanishes on class (a), (a - d)^2 + (b + c)^2 on
-    class (b).
+    class (b).  No scan stage calls it.
     """
     x = require_open_unit_interval(x)
-    return float(_maximality_residual(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x))
+    n = math.sqrt((1.0 - x) * (1.0 + x))
+    a, b, c, d = _amplitudes(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, x, x, n, n)
+    return min((a - d) * (a - d) + (b + c) * (b + c),
+               (a + d) * (a + d) + (b - c) * (b - c))

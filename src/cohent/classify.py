@@ -21,10 +21,12 @@ corner: C = 0 exactly when mu nu = lam rho.
 The tolerance is scale-free.  v passes a family's test at `tol` when both
 of its terms are at most tol max|v|, and the separability test when
 |mu nu - lam rho| <= tol max|v|^2; where the largest |coefficient| is mu = 1
-that is an absolute tol.  At p1 = p2 = x both family tests pass at once only
-for tol >= 1 - x: the point (1, -1, -x, x), max|v| = 1, has all four terms
-equal to 1 - x, and a linear program over max|v| = 1 finds no point that
-passes both at a lower tol.  This limit is proven at p1 = p2 only.
+that is an absolute tol.  So `classify` reports the residuals of
+v / max|v|, which compare with tol directly.  At p1 = p2 = x both family
+tests pass at once only for tol >= 1 - x: the point (1, -1, -x, x),
+max|v| = 1, has all four terms equal to 1 - x, and a linear program over
+max|v| = 1 finds no point that passes both at a lower tol.  This limit is
+proven at p1 = p2 only.
 
 The paper's two feasibility quadratics in x are the residual squares
 |M_a P_a v|^2 and |M_b P_b v|^2 at mu = 1 and p1 = p2 = x, as
@@ -55,7 +57,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Verdict plus the concurrence and all three condition residuals."""
+    """Verdict plus the concurrence and all three condition residuals, those
+    of v / max|v| (the sum of each family's two |terms|, and |mu nu - lam rho|)."""
 
     verdict: Verdict
     concurrence: float
@@ -76,32 +79,31 @@ def _family_terms(mu, lam, rho, nu, p1, p2, n1, n2):
 
 
 def _unit_ray(mu, lam, rho, nu):
-    """(v times 2^-e, e), with e chosen to put max|v| in [1, 2), so that no
-    square or product of the scaled coefficients overflows; broadcasts.  A
-    power of two scales exactly (short of subnormal coefficients), and
-    e = 0 when max|v| = |mu| = 1."""
+    """v times 2^-e, with e chosen to put max|v| in [1, 2), so that no square
+    or product of the scaled coefficients overflows; broadcasts.  A power of
+    two scales exactly (short of subnormal coefficients), and e = 0 when
+    max|v| = |mu| = 1."""
     size = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
     e = np.frexp(size)[1] - 1
-    return tuple(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), e
+    return tuple(np.ldexp(v, -e) for v in (mu, lam, rho, nu))
 
 
 def _ray_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol):
-    """The class (a), class (b) and separability residuals of v, and whether
-    v passes the class (a), class (b) and separability tests at `tol` (see
-    the module docstring); broadcasts.
+    """The class (a), class (b) and separability residuals of v / max|v|, and
+    whether v passes the class (a), class (b) and separability tests at `tol`
+    (see the module docstring); broadcasts.
 
     The terms are formed from v on its unit ray (_unit_ray), so none
-    overflows, and the tests and residuals are those of v itself.  A
-    residual beyond the float range is inf.
+    overflows, and the residuals, those of v / max|v|, are finite for every
+    finite v != 0; they are exact where max|v| = 1.
     """
-    v, e = _unit_ray(mu, lam, rho, nu)
+    v = _unit_ray(mu, lam, rho, nu)
     (a1, a2), (b1, b2), sep = _family_terms(*v, p1, p2, n1, n2)
     a1, a2, b1, b2, sep = abs(a1), abs(a2), abs(b1), abs(b2), abs(sep)
     size = np.maximum(np.maximum(abs(v[0]), abs(v[1])), np.maximum(abs(v[2]), abs(v[3])))
     bound = tol * size
-    with np.errstate(over="ignore"):
-        residuals = (np.ldexp(a1 + a2, e), np.ldexp(b1 + b2, e), np.ldexp(sep, 2 * e))
-    return (*residuals, (a1 <= bound) & (a2 <= bound), (b1 <= bound) & (b2 <= bound),
+    return ((a1 + a2) / size, (b1 + b2) / size, sep / size / size,
+            (a1 <= bound) & (a2 <= bound), (b1 <= bound) & (b2 <= bound),
             sep <= bound * size)
 
 
@@ -116,45 +118,34 @@ def family_checks(mu, lam, rho, nu, p1, p2, n1, n2, tol: float = DEFAULT_TOL):
     return _ray_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol)[3:5]
 
 
-# classify_columns's verdict codes index this tuple.
-VERDICTS = (Verdict.SEPARABLE, Verdict.MAXIMAL_CLASS_A, Verdict.MAXIMAL_CLASS_B,
-            Verdict.INTERMEDIATE)
-
-
-def classify_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol: float = DEFAULT_TOL):
-    """classify's residuals and verdict for many points at once; broadcasts.
-
-    Returns the class (a), class (b) and separability residuals and a verdict
-    code per point, an index into VERDICTS.  The tests run in classify's
-    order: separable, then class (a), then class (b), else intermediate.
-    The overlaps (p1, p2 in (0, 1), n_i = sqrt(1 - p_i^2)) are not checked
-    here; `tol` is.
-    """
-    _require_positive_tol(tol)
-    res_a, res_b, sep, on_a, on_b, separable = _ray_columns(
-        mu, lam, rho, nu, p1, p2, n1, n2, tol)
-    return res_a, res_b, sep, np.select([separable, on_a, on_b], [0, 1, 2], 3)
-
-
 def classify(
     coeffs: SuperpositionCoeffs, overlaps: OverlapPair, tol: float = DEFAULT_TOL
 ) -> ClassificationResult:
     """Tagged verdict at the overlaps (p1, p2), with all residuals reported.
 
     Near-degenerate inputs are resolved deterministically: separability is
-    checked first, then class (a), then class (b); the residuals, of v as
-    given, let callers re-decide with their own tolerance.  mu need not be
-    1, and may be 0.
+    checked first, then class (a), then class (b), else the state is
+    intermediate.  The residuals, of v / max|v|, compare with `tol` directly
+    and let callers re-decide with their own.  mu need not be 1, and may be 0.
     """
-    res_a, res_b, res_sep, code = classify_columns(
+    _require_positive_tol(tol)
+    res_a, res_b, res_sep, on_a, on_b, separable = _ray_columns(
         coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
         overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2, tol)
+    if separable:
+        verdict = Verdict.SEPARABLE
+    elif on_a:
+        verdict = Verdict.MAXIMAL_CLASS_A
+    elif on_b:
+        verdict = Verdict.MAXIMAL_CLASS_B
+    else:
+        verdict = Verdict.INTERMEDIATE
     return ClassificationResult(
-        verdict=VERDICTS[int(code)],
+        verdict=verdict,
         concurrence=concurrence(coeffs, overlaps),
-        class_a_residual=res_a,
-        class_b_residual=res_b,
-        separability_residual=res_sep,
+        class_a_residual=float(res_a),
+        class_b_residual=float(res_b),
+        separability_residual=float(res_sep),
     )
 
 

@@ -12,7 +12,9 @@ values of M_a and M_b being 1 +- p1 and 1 +- p2.  `scan` stays at p1 = p2 = x.
 Every oracle value comes from oracle.oracle_concurrences; errors name their state.
 Each command builds one payload dict; `_emit`, the one printer, refuses a
 non-finite value in it and prints it as JSON or as the command's text.
-`scan`'s payload is the report that scan.run_scan builds, plus the CSV path.
+`scan`'s payload is the report that scan.run_scan builds, plus the CSV path;
+its CSV holds each hit's coordinates, C and verify's family, the one
+classification a hit gets.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from .analytic import _at, orthonormal_amplitudes
 from .catalog import example_states
-from .classify import DEFAULT_TOL, VERDICTS, Verdict, classify, classify_columns
+from .classify import DEFAULT_TOL, Verdict, classify
 from .coherent import DISTINCT_TOL, CoherentConfig, OverlapPair
 from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
 from .errors import InputFileError
@@ -140,7 +142,7 @@ def cmd_classify(args) -> int:
         "p2": spec.overlaps.p2,
         "tol": args.tol,
     }
-    _emit(payload, args.json, advice=_SCALE_ADVICE)
+    _emit(payload, args.json)
     return EXIT_OK
 
 
@@ -243,11 +245,9 @@ def _resolve_scan_config(path: str):
     return parse_scan_text(text)
 
 
-# Rows end in \r\n, as csv.writer ends them.  A row holds seven
-# 17-significant-digit floats, the verdict and the family, none of which
-# needs quoting.
-_CSV_HEADER = ("lambda,rho,nu,x,concurrence,class_a_residual,class_b_residual,verdict,"
-               "family\r\n")
+# Rows end in \r\n, as csv.writer ends them.  A row holds five
+# 17-significant-digit floats and the family, none of which needs quoting.
+_CSV_HEADER = "lambda,rho,nu,x,concurrence,family\r\n"
 
 # Rows are joined this many at a time, so the Python strings in flight
 # stay few however many hits a scan has.
@@ -265,24 +265,18 @@ def _float_texts(column):
 
 
 def write_records_csv(hits, family, path) -> None:
-    """One row per hit: its coordinates and C, `classify`'s residuals and
-    verdict at DEFAULT_TOL, and its family, named by its code in `family`
-    (an index into scan.FAMILIES)."""
-    n = np.sqrt((1.0 - hits.x) * (1.0 + hits.x))
-    res_a, res_b, _, codes = classify_columns(1.0, hits.lam, hits.rho, hits.nu,
-                                              hits.x, hits.x, n, n)
+    """One row per hit: its coordinates and C, and its family, named by its
+    code in `family` (an index into scan.FAMILIES)."""
     # Scan columns repeat their values (the grid axes, x, C = 1), so each
     # distinct value is formatted once and rows index it.
     columns = [_float_texts(column) for column in
-               (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence, res_a, res_b)]
-    columns.append((np.array([verdict.value for verdict in VERDICTS], dtype=object),
-                    codes))
+               (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence)]
     columns.append((np.array([name + "\r\n" for name in FAMILIES], dtype=object),
                     family))
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             handle.write(_CSV_HEADER)
-            for start in range(0, len(codes), _CSV_BLOCK):
+            for start in range(0, len(hits), _CSV_BLOCK):
                 block = slice(start, start + _CSV_BLOCK)
                 fields = [texts[index[block]].tolist() for texts, index in columns]
                 handle.writelines(map(",".join, zip(*fields)))

@@ -94,8 +94,8 @@ class ScanHits:
 
     The pipeline carries hits in this form from the grid to the CSV, so each
     stage runs as a few broadcast steps instead of a Python loop per hit.
-    The verdict and class residuals are not stored; `classify_columns`
-    derives them from the coefficients and x.
+    A hit's one classification is its family, which verify_disjoint_classes
+    decides; the CSV writes it beside the hit's coordinates and C.
     """
 
     lam: np.ndarray
@@ -323,7 +323,7 @@ def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
     """
     x = hits.x
     n = np.sqrt((1.0 - x) * (1.0 + x))
-    v, _ = _unit_ray(1.0, hits.lam, hits.rho, hits.nu)
+    v = _unit_ray(1.0, hits.lam, hits.rho, hits.nu)
     (a1, a2), (b1, b2), _ = _family_terms(*v, x, x, n, n)
     to_a, to_b = a1 * a1 + a2 * a2, b1 * b1 + b2 * b2
     size = abs(v[0]) + abs(v[1]) + abs(v[2]) + abs(v[3])

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ import cohent
 from cohent import analytic, cli, oracle, scan
 from cohent.catalog import example_states
 from cohent.analytic import SuperpositionCoeffs
-from cohent.classify import _family_terms, classify
+from cohent.classify import _family_terms
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.oracle import oracle_concurrence
@@ -32,6 +33,11 @@ SMALL_SCAN = (
     "nu_min = 1\nnu_max = 1\nnu_steps = 1\n"
     "x_values = 0.5\nthreshold = 0.999\nseed = 7\noracle_fraction = 0.2\n"
 )
+# A 7^3 box at x = 0.8 and threshold 0.5: 87 hits, 51 of family a, 28 of
+# family b and 8 ambiguous, some far below C = 1.
+FAMILY_SCAN = "".join(f"{axis}_min = -3\n{axis}_max = 3\n{axis}_steps = 7\n"
+                      for axis in ("lambda", "rho", "nu")) + (
+    "x_values = 0.8\nthreshold = 0.5\nseed = 7\noracle_fraction = 0.2\n")
 
 
 def strict_json_constant(name):
@@ -291,15 +297,41 @@ class TestClassifyCommand:
         assert f"error: tol must be positive and finite, got {float(tol)}" in err
 
     @pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
-    def test_residual_beyond_the_float_range_exits_2(self, tmp_path, capsys, mode):
-        # |mu nu - lam rho| = 1e400: --json raised an untyped ValueError
-        # (exit 1), and text mode printed inf
+    def test_residuals_stay_finite_at_any_scale(self, tmp_path, capsys, mode):
+        # |mu nu - lam rho| = 1e400 exited 2 ("separability_residual overflow
+        # the float range") while `concurrence` printed C = 0.6 for the file;
+        # the residuals are those of v / max|v|
         path = write(tmp_path, "s.txt",
-                     "p1 = 0.5\np2 = 0.5\nlambda = 1e200\nrho = 1e200\nnu = 0\n")
-        assert cli.main(["classify", path, *mode]) == 2
+                     "p1 = 0.5\np2 = 0.5\nlambda = 1e200\nrho = 1e200\nnu = 1\n")
+        assert cli.main(["classify", path, *mode]) == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert "separability_residual overflow the float range" in err
+        assert err == ""
+        values = (json.loads(out, parse_constant=strict_json_constant) if mode else
+                  dict(line.split() for line in out.splitlines()))
+        assert [values[key] for key in CLASSIFY_KEYS[1:5]] == (
+            [0.6, 2.0, 1.0, 1.0] if mode else ["0.59999999999999998", "2", "1", "1"])
+
+    def test_residuals_are_those_of_v_over_its_largest_coefficient(self, tmp_path,
+                                                                   capsys):
+        def residuals(text):
+            path = write(tmp_path, "s.txt", "p1 = 0.5\np2 = 0.6\n" + text)
+            assert cli.main(["classify", path, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return [payload[key] for key in CLASSIFY_KEYS[2:5]]
+
+        # max|v| = 1: the sums of the |terms| of v itself, as before
+        n1, n2 = math.sqrt(0.75), 0.8
+        (a1, a2), (b1, b2), sep = _family_terms(1.0, -0.5, 0.25, 0.75, 0.5, 0.6, n1, n2)
+        assert residuals("lambda = -0.5\nrho = 0.25\nnu = 0.75\n") == [
+            abs(a1) + abs(a2), abs(b1) + abs(b2), abs(sep)]
+        # max|v| = 3 divides them by 3, and 9 for separability; so does any
+        # common scale
+        (a1, a2), (b1, b2), sep = _family_terms(1.0, 3.0, -0.5, 2.0, 0.5, 0.6, n1, n2)
+        expected = [(abs(a1) + abs(a2)) / 3, (abs(b1) + abs(b2)) / 3, abs(sep) / 9]
+        for scale in (1.0, 2.0 ** -600, 7.0, 1e300 / 3):
+            text = "".join(f"{key} = {value * scale!r}\n" for key, value in
+                           zip(("mu", "lambda", "rho", "nu"), (1.0, 3.0, -0.5, 2.0)))
+            assert residuals(text) == pytest.approx(expected, rel=1e-15)
 
 
 class TestExamplesCommand:
@@ -399,13 +431,12 @@ class TestScanCommand:
         assert "classes disjoint" in capsys.readouterr().out
         with open(out, newline="") as handle:
             rows = list(csv.reader(handle))
-        assert rows[0] == ["lambda", "rho", "nu", "x", "concurrence",
-                           "class_a_residual", "class_b_residual", "verdict", "family"]
+        assert rows[0] == ["lambda", "rho", "nu", "x", "concurrence", "family"]
         assert len(rows) > 1
         # in the nu = 1 slice every hit is a grid point of the class (a) line
         # lam + rho = -1
         for row in rows[1:]:
-            assert row[-2:] == ["MaximalClassA", "a"]
+            assert row[-1] == "a"
             assert float(row[4]) > 0.999
             # 17 significant digits round-trip
             assert float(row[0]) == float(f"{float(row[0]):.17g}")
@@ -445,7 +476,7 @@ class TestScanCommand:
 
     def test_tol_flag_is_refused(self, tmp_path, capsys):
         # It set only the CSV's verdicts, and a loose one wrote Separable
-        # beside family a or b; the CSV's verdicts are at the default tol.
+        # beside family a or b; the CSV now carries verify's family alone.
         out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exited:
             cli.main(["scan", "theorem_check.cfg", str(out), "--tol", "1e-3"])
@@ -453,23 +484,36 @@ class TestScanCommand:
         assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_csv_residuals_and_verdict_come_from_classify(self, tmp_path):
-        text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",
-                                  "nu_min = -1.5\nnu_max = 1.5\nnu_steps = 7")
-        config = write(tmp_path, "scan.cfg", text.replace("0.999", "0.5"))
+    def test_csv_family_and_concurrence_come_from_run_scan(self, tmp_path):
+        config = write(tmp_path, "scan.cfg", FAMILY_SCAN)
         out = tmp_path / "records.csv"
         assert cli.main(["scan", config, str(out)]) == 0
+        hits, family, _ = scan.run_scan(cli._resolve_scan_config(config))
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        concurrences = [float(row["concurrence"]) for row in rows]
-        assert min(concurrences) < 0.9 <= max(concurrences)
-        for row in rows:
-            lam, rho, nu, x = (float(row[k]) for k in ("lambda", "rho", "nu", "x"))
-            result = classify(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x),
-                              1e-9)
-            assert float(row["class_a_residual"]) == result.class_a_residual
-            assert float(row["class_b_residual"]) == result.class_b_residual
-            assert row["verdict"] == result.verdict.value
+        assert len(rows) == len(hits) == 87
+        assert [row["family"] for row in rows] == [scan.FAMILIES[code] for code in family]
+        assert set(family.tolist()) == {0, 1, 2}
+        concurrences = np.array([float(row["concurrence"]) for row in rows])
+        assert concurrences.min() < 0.9 <= concurrences.max()
+        # "%.17g" round-trips, so the column holds the grid's C bit for bit
+        assert concurrences.view(np.int64).tolist() == (
+            hits.concurrence.view(np.int64).tolist())
+
+    def test_scan_does_not_classify(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan classified a hit")
+
+        # The package re-exports classify, so `cohent.classify` is the function.
+        kernel = importlib.import_module("cohent.classify")
+        for module, name in ((kernel, "classify"), (kernel, "_ray_columns"),
+                             (cohent, "classify"), (cli, "classify")):
+            monkeypatch.setattr(module, name, refuse)
+        config = write(tmp_path, "scan.cfg", FAMILY_SCAN)
+        out = tmp_path / "records.csv"
+        assert cli.main(["scan", config, str(out), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["hits"] == len(out.read_text().splitlines()) - 1 > 0
 
     def test_infinite_tol_exits_2(self, tmp_path, capsys):
         # scan takes no --tol; classify's must be finite
@@ -1023,14 +1067,14 @@ class TestDeterminism:
 
     # SHA-256 of the CSVs of the bundled box, of the dense_sweep box (241^3)
     # and of the bundled box at threshold 0.9 (50,217 hits, CI's wide smoke
-    # scan): the grid uses only correctly rounded elementwise operations,
-    # so any numpy should write these bytes, and a record moved by one ulp
-    # fails here.
+    # scan), in the six columns lambda,rho,nu,x,concurrence,family: the grid
+    # uses only correctly rounded elementwise operations, so any numpy
+    # should write these bytes, and a record moved by one ulp fails here.
     @pytest.mark.parametrize("steps, threshold, digest", [
-        (61, "0.999", "9b7e80eda8e68f8f4177dad2f96bb2ed622db5bce78d7f95ec5e9c4b63d405e2"),
+        (61, "0.999", "88ccb391babb54d121132979dafee7abcf754ef4ec52a72ee60abe72da8fa234"),
         (241, "0.999999",
-         "860b7579490126449b15bcf675432f73e717d96ca2179c21e990b89028d2916e"),
-        (61, "0.9", "ad9fa941b57597918f677b5f2c90e09385dd279746829e9bcc4db158e15fc65d"),
+         "f56c75f1db411515db7c375f6468997b3400c317a7cbb4f8ab0152b42b74e60e"),
+        (61, "0.9", "b4e16a48dd1981a358bfb37cb833b1513dddfec285f9ccffddb2b440237f6149"),
     ], ids=["bundled", "dense", "wide"])
     def test_scan_csv_digest(self, tmp_path, steps, threshold, digest):
         text = resources.files("cohent").joinpath("configs").joinpath(
