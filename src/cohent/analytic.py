@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import OverlapPair, _require_finite
-from .errors import ConsistencyError, DegenerateStateError, DomainError
+from .errors import ConsistencyError, DegenerateStateError, DomainError, indexed
 
 # Concurrence rounding slack: clamp up to this overshoot, fail beyond 1 + 1e-9.
 _CLAMP_SLACK = 1e-9
 
 # N^2 <= 4 (|mu| + |lam| + |rho| + |nu|)^2 overflows once that sum passes
-# 2^511, and underflows far below 1; _in_range rescales outside these.
+# 2^511, and underflows far below 1; _into_range rescales outside these.
 _RESCALE_ABOVE = 2.0 ** 500
 _RESCALE_BELOW = 2.0 ** -400
 
@@ -113,31 +113,31 @@ def _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq):
 
 def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
     """Squared norm N^2 = <psi|psi> of the unnormalized superposition, the sum
-    of squares of its amplitudes.  Raises DegenerateStateError when N is
-    rounding noise next to the coefficients (see _DEGENERATE_REL).
+    of squares of its amplitudes: concurrence_and_norm_sq on one state, so
+    it raises as that does.
     """
-    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
-    n_sq = _norm_sq(mu, lam, rho, nu, overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
-    if _degenerate(n_sq, abs(mu) + abs(lam) + abs(rho) + abs(nu)):
-        raise DegenerateStateError(
-            f"squared norm {n_sq:.3e} is numerically zero; the four components "
-            "are linearly dependent at this working precision"
-        )
-    return n_sq
+    return float(_one_state(coeffs, overlaps)[1])
 
 
-def _in_range(coeffs: SuperpositionCoeffs) -> tuple[SuperpositionCoeffs, int]:
-    """`coeffs` times 2^-e, where N^2 neither overflows nor underflows, and e.
+def _into_range(mu, lam, rho, nu):
+    """The coefficients times 2^-e, where N^2 neither overflows nor
+    underflows, e, and the sum of their magnitudes; broadcasts, and returns
+    coefficients already in range as given.
 
     Scaling by a power of two is exact, so e = 0 unless the coefficient sum
-    falls outside [_RESCALE_BELOW, _RESCALE_ABOVE].
+    falls outside [_RESCALE_BELOW, _RESCALE_ABOVE]; else 2^-e scales the
+    largest |coefficient| into [1/2, 1).
     """
-    mu, lam, rho, nu = coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu
-    if _RESCALE_BELOW <= abs(mu) + abs(lam) + abs(rho) + abs(nu) <= _RESCALE_ABOVE:
-        return coeffs, 0
-    exponent = math.frexp(max(abs(mu), abs(lam), abs(rho), abs(nu)))[1]
-    return SuperpositionCoeffs(
-        *(math.ldexp(v, -exponent) for v in (mu, lam, rho, nu))), exponent
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        size = np.abs(mu) + np.abs(lam) + np.abs(rho) + np.abs(nu)
+    outside = ~((_RESCALE_BELOW <= size) & (size <= _RESCALE_ABOVE))
+    if not outside.any():
+        return mu, lam, rho, nu, np.zeros(size.shape, dtype=int), size
+    top = np.maximum(np.maximum(np.abs(mu), np.abs(lam)),
+                     np.maximum(np.abs(rho), np.abs(nu)))
+    exponent = np.where(outside, np.frexp(top)[1], 0)
+    mu, lam, rho, nu = (np.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
+    return mu, lam, rho, nu, exponent, np.abs(mu) + np.abs(lam) + np.abs(rho) + np.abs(nu)
 
 
 def orthonormal_amplitudes(
@@ -145,15 +145,17 @@ def orthonormal_amplitudes(
 ) -> OrthonormalAmplitudes:
     """Two-qubit amplitudes of |psi> (see _amplitudes) and its norm N.
 
-    N is taken from the coefficients scaled into range (see _in_range), so it
-    does not overflow where N^2 would; a norm beyond the float range is inf.
+    N is taken from the coefficients scaled into range (see _into_range), so
+    it does not overflow where N^2 would; a norm beyond the float range is inf.
     """
     a, b, c, d = _amplitudes(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
                              overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
-    scaled, exponent = _in_range(coeffs)
-    norm = math.sqrt(gram_norm_squared(scaled, overlaps))
+    *scaled, exponent, _ = _into_range(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu)
+    _, n_sq = concurrence_and_norm_sq(*scaled, overlaps.p1, overlaps.p2,
+                                      overlaps.n1, overlaps.n2)
+    norm = math.sqrt(n_sq)
     try:
-        norm = math.ldexp(norm, exponent)
+        norm = math.ldexp(norm, int(exponent))
     except OverflowError:
         norm = math.inf
     return OrthonormalAmplitudes(a, b, c, d, norm=norm)
@@ -165,13 +167,16 @@ def _within_slack(value):
     return value <= 1.0 + _CLAMP_SLACK
 
 
-def _clamp_concurrence(value: float) -> float:
-    if not _within_slack(value):
-        raise ConsistencyError(
-            f"concurrence evaluated to {value}, beyond rounding slack above 1; "
-            "this indicates a bug rather than float noise"
-        )
-    return min(max(value, 0.0), 1.0)
+def _clamped(values):
+    """Concurrences clamped to [0, 1]; broadcasts.  Raises ConsistencyError,
+    indexed, for the first beyond rounding slack above 1 or NaN."""
+    beyond = np.flatnonzero(~_within_slack(values))
+    if len(beyond):
+        raise indexed(ConsistencyError(
+            f"concurrence evaluated to {np.ravel(values)[beyond[0]].item()}, beyond "
+            "rounding slack above 1; this indicates a bug rather than float noise"
+        ), beyond[0])
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
 def _at(lam, rho, nu, x) -> str:
@@ -206,17 +211,45 @@ def concurrence_columns(lam, rho, nu, x, stage: str):
     return np.minimum(c, 1.0)
 
 
-def concurrence(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
-    """Closed-form concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to [0, 1].
+def concurrence_and_norm_sq(mu, lam, rho, nu, p1, p2, n1, n2):
+    """The concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to [0, 1],
+    and N^2 of columns of states; broadcasts.
 
-    Coefficients that would overflow or underflow N^2 are first scaled by a
-    power of two, which is exact and leaves the concurrence unchanged.
+    Both come from the coefficients scaled into range (_into_range), which
+    is exact and leaves C unchanged; N^2 is then scaled back, to inf past
+    the float range.  Raises DegenerateStateError where N^2 is rounding
+    noise next to the coefficients (see _DEGENERATE_REL), and
+    ConsistencyError where C exceeds 1 beyond rounding slack; the error is
+    indexed by the first state that fails, and a state's norm is tested
+    before its C.
     """
-    coeffs, _ = _in_range(coeffs)
-    n_sq = gram_norm_squared(coeffs, overlaps)
-    return _clamp_concurrence(_concurrence_ratio(
-        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu, overlaps.n1, overlaps.n2, n_sq
-    ))
+    mu, lam, rho, nu, exponent, size = _into_range(mu, lam, rho, nu)
+    n_sq = _norm_sq(mu, lam, rho, nu, p1, p2, n1, n2)
+    degenerate = np.flatnonzero(_degenerate(n_sq, size))
+    stop = degenerate[0] if len(degenerate) else None
+    # A degenerate N^2 may be 0; its C is cut off before the check.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq)
+    c = _clamped(np.ravel(ratio)[:stop])
+    if stop is not None:
+        raise indexed(DegenerateStateError(
+            f"squared norm {np.ravel(n_sq)[stop].item():.3e} is numerically zero; "
+            "the four components are linearly dependent at this working precision"
+        ), stop)
+    with np.errstate(over="ignore"):
+        return c.reshape(np.shape(n_sq)), np.ldexp(n_sq, 2 * exponent)
+
+
+def _one_state(coeffs: SuperpositionCoeffs, overlaps: OverlapPair):
+    return concurrence_and_norm_sq(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
+                                   overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
+
+
+def concurrence(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> float:
+    """Closed-form concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to
+    [0, 1]: concurrence_and_norm_sq on one state, so it raises as that does.
+    """
+    return float(_one_state(coeffs, overlaps)[0])
 
 
 def _row_terms(lam, rho, x):

@@ -20,9 +20,7 @@ classification a hit gets.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -31,11 +29,11 @@ from importlib import resources
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
+from .analytic import SuperpositionCoeffs, concurrence, concurrence_and_norm_sq
 from .analytic import _at, orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, Verdict, classify
-from .coherent import DISTINCT_TOL, CoherentConfig, OverlapPair
+from .coherent import OverlapPair, distinct, half_gaps, overlap_columns
 from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
 from .errors import InputFileError
 from .oracle import oracle_concurrence, oracle_concurrences
@@ -149,15 +147,25 @@ def cmd_classify(args) -> int:
 def cmd_examples(args) -> int:
     states = example_states(args.gap_squared)
     x = math.exp(-0.5 * args.gap_squared)
-    oracle = oracle_concurrences((state.config, state.coeffs) for state in states)
-    rows = []
-    for state in states:
-        overlaps = OverlapPair.from_config(state.config)
+    try:
+        oracle, _ = oracle_concurrences(*zip(*(
+            (*state.config.half_gaps, state.coeffs.mu, state.coeffs.lam,
+             state.coeffs.rho, state.coeffs.nu) for state in states)))
+        failure = None
+    except (ConsistencyError, DegenerateStateError) as err:
+        failure = err
+    # Each state is classified before its oracle error is raised, so the
+    # error named is the first state's to fail either.
+    results = []
+    for i, state in enumerate(states):
         try:
-            result = classify(state.coeffs, overlaps)
-            c_oracle = next(oracle)[0]
+            results.append(classify(state.coeffs, OverlapPair.from_config(state.config)))
+            if failure is not None and i == failure.index:
+                raise failure
         except (ConsistencyError, DegenerateStateError) as err:
             raise type(err)(f"examples: {state.label}: {err}") from err
+    rows = []
+    for state, result, c_oracle in zip(states, results, oracle.tolist()):
         target = 0.0 if state.expected is Verdict.SEPARABLE else 1.0
         ok = (abs(result.concurrence - target) <= 1e-10
               and abs(c_oracle - target) <= 1e-8 and result.verdict is state.expected)
@@ -334,19 +342,48 @@ def cmd_scan(args) -> int:
     return EXIT_OK if payload["disjoint"] else EXIT_DISJOINTNESS
 
 
-def _sweep_jobs(seed: int, trials: int):
-    """The sweep's random (config, coeffs) jobs, drawn lazily."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        while True:
-            alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
-            # CoherentConfig's own bound, so that no draw is refused there
-            if (abs(alpha - gamma) > DISTINCT_TOL
-                    and abs(beta - delta) > DISTINCT_TOL):
-                break
-        lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
-        yield (CoherentConfig(alpha, beta, gamma, delta),
-               SuperpositionCoeffs(1.0, lam, rho, nu))
+# The sweep draws, checks and compares this many trials at a time, so its
+# columns take a few hundred KB however many trials it runs.
+_SWEEP_CHUNK = 1024
+
+# Each trial draws alpha, beta, gamma, delta from [-2, 2), then lambda, rho,
+# nu from [-3, 3); mu = 1.
+_SWEEP_LOW = [-2.0] * 4 + [-3.0] * 3
+_SWEEP_HIGH = [2.0] * 4 + [3.0] * 3
+_SWEEP_NAMES = ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu")
+
+
+def _sweep_diffs(rows, first_trial: int) -> tuple[float, float]:
+    """The largest |analytic - oracle| difference in C and in N^2 over
+    `rows` of drawn trials, the first of them trial `first_trial`.
+
+    An error of either side names the earliest trial that fails, the
+    oracle's before the closed form's on the same trial, and its values.
+    """
+    alpha, beta, gamma, delta, lam, rho, nu = rows.T
+    failures = []
+    try:
+        c_oracle, norm = oracle_concurrences(
+            *half_gaps(alpha, beta, gamma, delta), 1.0, lam, rho, nu)
+    except (ConsistencyError, DegenerateStateError) as err:
+        failures.append(err)
+    (p1, c1), (p2, c2) = overlap_columns(alpha, gamma), overlap_columns(delta, beta)
+    try:
+        c_analytic, n_sq = concurrence_and_norm_sq(
+            1.0, lam, rho, nu, p1, p2, np.sqrt(c1), np.sqrt(c2))
+    except (ConsistencyError, DegenerateStateError) as err:
+        failures.append(err)
+    if failures:
+        err = min(failures, key=lambda error: error.index)
+        at = " ".join(f"{name}={value!r}" for name, value in zip(
+            _SWEEP_NAMES, rows[err.index].tolist()))
+        raise type(err)(
+            f"oracle-check trial {first_trial + err.index}: {err} at {at}") from err
+    # norm ** 2 as Python squares it, which differs from norm * norm on
+    # about 0.1% of values.
+    norm_sq = np.array([value ** 2 for value in norm.tolist()])
+    return (np.max(abs(c_analytic - c_oracle), initial=0.0).item(),
+            np.max(abs(norm_sq - n_sq), initial=0.0).item())
 
 
 def cmd_oracle_check(args) -> int:
@@ -354,23 +391,20 @@ def cmd_oracle_check(args) -> int:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    rng = np.random.default_rng(args.seed)
     worst = norm_worst = 0.0
-    # The oracle reads a block of jobs ahead; tee holds only those.
-    jobs, drawn = itertools.tee(_sweep_jobs(args.seed, args.trials))
-    oracle = oracle_concurrences(jobs)
-    for trial, (config, coeffs) in enumerate(drawn, 1):
-        overlaps = OverlapPair.from_config(config)
-        try:
-            c_oracle, norm = next(oracle)
-            c_analytic = concurrence(coeffs, overlaps)
-            n_sq = gram_norm_squared(coeffs, overlaps)
-        except (ConsistencyError, DegenerateStateError) as err:
-            at = " ".join(f"{name}={value!r}" for name, value in zip(
-                ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"),
-                (*dataclasses.astuple(config), coeffs.lam, coeffs.rho, coeffs.nu)))
-            raise type(err)(f"oracle-check trial {trial}: {err} at {at}") from err
-        worst = max(worst, abs(c_analytic - c_oracle))
-        norm_worst = max(norm_worst, abs(norm**2 - n_sq))
+    done = 0
+    while done < args.trials:
+        # One row of seven draws a trial: the stream that per-trial draws of
+        # four and then three values take.  A row whose pairs CoherentConfig
+        # would refuse as not distinct is dropped, and the next chunk draws
+        # in its place.
+        rows = rng.uniform(_SWEEP_LOW, _SWEEP_HIGH,
+                           size=(min(_SWEEP_CHUNK, args.trials - done), 7))
+        rows = rows[distinct(rows[:, 0], rows[:, 2]) & distinct(rows[:, 1], rows[:, 3])]
+        diff, norm_diff = _sweep_diffs(rows, done + 1)
+        worst, norm_worst = max(worst, diff), max(norm_worst, norm_diff)
+        done += len(rows)
     payload = {"states_checked": args.trials, "max_concurrence_diff": worst,
                "max_norm_sq_diff": norm_worst, "max_allowed_diff": SWEEP_ORACLE_TOL}
     _emit(payload, args.json, advice=_SCALE_ADVICE)

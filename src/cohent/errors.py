@@ -2,7 +2,19 @@
 
 
 class CohentError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A check over columns of states raises for the first state that fails it
+    and sets `index` to that state's position (see `indexed`).
+    """
+
+    index: int | None = None
+
+
+def indexed(error: CohentError, index) -> CohentError:
+    """`error`, its `index` set to the position of the state it is about."""
+    error.index = int(index)
+    return error
 
 
 class DomainError(CohentError, ValueError):

@@ -381,29 +381,35 @@ def oracle_spot_check(
         return 0, 0.0
     rng = np.random.default_rng(seed)
     count = min(max(1, round(fraction * len(hits))), len(hits))
-    indices = sorted(rng.choice(len(hits), size=count, replace=False).tolist())
-    records = list(zip(*(column[indices].tolist() for column in (
-        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))))
-    # One configuration per distinct overlap, made when the oracle first draws it.
+    indices = np.sort(rng.choice(len(hits), size=count, replace=False))
+    lam, rho, nu, x, c = (column[indices] for column in (
+        hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))
+    # One configuration per distinct overlap.
     config = functools.cache(config_for_overlap)
-    oracle = oracle_concurrences(
-        (config(x), SuperpositionCoeffs(1.0, lam, rho, nu))
-        for lam, rho, nu, x, _ in records)
-    worst = 0.0
-    for lam, rho, nu, x, c in records:
-        try:
-            diff = abs(next(oracle)[0] - c)
-        except (ConsistencyError, DegenerateStateError) as err:
-            raise type(err)(
-                f"oracle spot check: {err} at {_at(lam, rho, nu, x)}") from err
-        worst = max(worst, diff)
-        # Written as a negation so a NaN concurrence fails.
-        if not diff <= SPOT_CHECK_MAX_DIFF:
-            raise ConsistencyError(
-                f"oracle spot check: oracle disagrees with scan record by "
-                f"{diff:.3e} at {_at(lam, rho, nu, x)}"
-            )
-    return count, worst
+    h1, h2 = np.array([config(value).half_gaps for value in x.tolist()]).T
+    try:
+        found, _ = oracle_concurrences(h1, h2, 1.0, lam, rho, nu)
+        failure = None
+    except (ConsistencyError, DegenerateStateError) as err:
+        # The records before the failing one are still compared, so the
+        # error named is the first record's to fail either way.
+        failure, k = err, err.index
+        found, _ = oracle_concurrences(h1[:k], h2[:k], 1.0, lam[:k], rho[:k], nu[:k])
+    diff = abs(found - c[:len(found)])
+    # Written as a negation so a NaN concurrence fails.
+    off = np.flatnonzero(~(diff <= SPOT_CHECK_MAX_DIFF))
+    if len(off):
+        i = off[0]
+        raise ConsistencyError(
+            f"oracle spot check: oracle disagrees with scan record by "
+            f"{diff[i]:.3e} at {_at(lam[i], rho[i], nu[i], x[i])}"
+        )
+    if failure is not None:
+        i = failure.index
+        raise type(failure)(
+            f"oracle spot check: {failure} at {_at(lam[i], rho[i], nu[i], x[i])}"
+        ) from failure
+    return count, diff.max().item()
 
 
 def run_scan(config: ScanConfig) -> tuple[ScanHits, np.ndarray, dict]:

@@ -386,7 +386,7 @@ def test_criterion_10_two_sided_bound_against_the_oracle():
             v += distance * u / np.linalg.norm(u)
             drawn["on a family" if distance == 0.0 else "near a family"] += 1
         coeffs = SuperpositionCoeffs(*v)
-        (c, norm), = oracle_concurrences([(config, coeffs)])
+        (c,), (norm,) = oracle_concurrences(*config.half_gaps, *v)
         n_sq = norm ** 2
         residual = n_sq * (1.0 - c)
         size = float(abs(v).sum())

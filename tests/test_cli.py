@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import hashlib
 import importlib
-import itertools
 import json
 import math
 import os
@@ -16,13 +15,14 @@ import numpy as np
 import pytest
 
 import cohent
-from cohent import analytic, cli, oracle, scan
+from cohent import analytic, cli, coherent, oracle, scan
 from cohent.catalog import example_states
 from cohent.analytic import SuperpositionCoeffs
 from cohent.classify import _family_terms
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
-from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
+from cohent.errors import ConsistencyError, DegenerateStateError, DomainError, indexed
 from cohent.oracle import oracle_concurrence
+from faults import failing_build, failing_schmidt, spectrum_of
 from cohent.scan import ScanHits
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
@@ -42,6 +42,22 @@ FAMILY_SCAN = "".join(f"{axis}_min = -3\n{axis}_max = 3\n{axis}_steps = 7\n"
 
 def strict_json_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def sweep_draws(seed, trials):
+    """oracle-check's first `trials` draws, redone one trial at a time: four
+    amplitudes, drawn again until both pairs are distinct, then three
+    coefficients."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        while True:
+            alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4).tolist()
+            if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
+                break
+        draws.append((alpha, beta, gamma, delta,
+                      *rng.uniform(-3.0, 3.0, size=3).tolist()))
+    return draws
 
 
 def write(tmp_path, name, text):
@@ -365,17 +381,12 @@ class TestExamplesCommand:
         assert err.count("\n") == 1
 
     def test_oracle_failure_names_its_state(self, monkeypatch, capsys):
-        real = oracle.schmidt_concurrence
-        seen = itertools.count(1)
-
-        def patched(svals):
-            if next(seen) == 3:
-                raise ConsistencyError("check failed")
-            return real(svals)
-
-        monkeypatch.setattr(oracle, "schmidt_concurrence", patched)
+        # The third state fails the Schmidt rule's check.
+        state = example_states()[2]
+        monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+            spectrum_of(state.config, state.coeffs), ConsistencyError))
         assert cli.main(["examples"]) == 3
-        label = example_states()[2].label
+        label = state.label
         assert capsys.readouterr().err == f"error: examples: {label}: check failed\n"
 
     @pytest.mark.parametrize("argv", [["--tol", "1e-3"], ["--truncation", "40"]])
@@ -789,17 +800,21 @@ class TestOracleCheckCommand:
 
     def test_strict_bound_exits_3(self, monkeypatch, capsys):
         # The N^2 bound: a deterministic disagreement of twice the bound.
-        real = cli.gram_norm_squared
-        monkeypatch.setattr(cli, "gram_norm_squared",
-                            lambda *a: real(*a) + 2.0 * cli.SWEEP_ORACLE_TOL)
+        real = cli.concurrence_and_norm_sq
+
+        def shifted(*columns):
+            c, n_sq = real(*columns)
+            return c, n_sq + 2.0 * cli.SWEEP_ORACLE_TOL
+
+        monkeypatch.setattr(cli, "concurrence_and_norm_sq", shifted)
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1"]) == 3
         assert "error: oracle disagreement" in capsys.readouterr().err
 
     def test_strict_bound_exits_3_on_trials(self, monkeypatch, capsys):
         # The C bound: a deterministic disagreement of twice the bound, in
         # every C of the Schmidt rule.
-        real = oracle.schmidt_concurrence
-        monkeypatch.setattr(oracle, "schmidt_concurrence",
+        real = oracle.schmidt_concurrences
+        monkeypatch.setattr(oracle, "schmidt_concurrences",
                             lambda svals: real(svals) + 2.0 * cli.SWEEP_ORACLE_TOL)
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 3
         out, err = capsys.readouterr()
@@ -812,46 +827,106 @@ class TestOracleCheckCommand:
     ])
     def test_failed_state_names_its_trial(self, monkeypatch, capsys, target,
                                           error, status):
-        # The third state of the oracle's second block fails a per-state
-        # check: on its own call of the Schmidt rule, or in the build of its
-        # cutoff group.
-        failing = oracle._BLOCK + 3
-        # The sweep's draws, redone: four amplitudes, then three coefficients.
-        rng = np.random.default_rng(4)
-        for _ in range(failing):
-            while True:
-                alpha, beta, gamma, delta = rng.uniform(-2.0, 2.0, size=4)
-                if abs(alpha - gamma) > 1e-9 and abs(beta - delta) > 1e-9:
-                    break
-            lam, rho, nu = rng.uniform(-3.0, 3.0, size=3)
-        real = getattr(oracle, target)
-        seen = itertools.count(1)
-
-        def schmidt(svals):
-            if next(seen) == failing:
-                raise error("check failed")
-            return real(svals)
-
-        def build(group, truncation):
-            # The failing job is found by its amplitudes.
-            states, norms, failure = real(group, truncation)
-            at = next((i for i, (config, _) in enumerate(group[:len(norms)])
-                       if dataclasses.astuple(config) == (alpha, beta, gamma, delta)),
-                      None)
-            if at is None:
-                return states, norms, failure
-            return states[:at], norms[:at], error("check failed")
-
-        monkeypatch.setattr(oracle, target,
-                            schmidt if target == "schmidt_concurrence" else build)
+        # A state of the second draw chunk fails a per-state check: the
+        # Schmidt rule's (oracle.schmidt_concurrences), or the build of its
+        # stack.  The error names its trial, counted from 1, and its draws.
+        failing = cli._SWEEP_CHUNK + 3
+        draws = sweep_draws(4, failing)[-1]
+        alpha, beta, gamma, delta, lam, rho, nu = draws
+        if target == "schmidt_concurrence":
+            spectrum = spectrum_of(CoherentConfig(alpha, beta, gamma, delta),
+                                   SuperpositionCoeffs(1.0, lam, rho, nu))
+            monkeypatch.setattr(oracle, "schmidt_concurrences",
+                                failing_schmidt(spectrum, error))
+        else:
+            monkeypatch.setattr(oracle, "build_states", failing_build([lam], error))
         assert cli.main(["oracle-check", "--trials", str(failing + 5),
                          "--seed", "4", "--json"]) == status
         out, err = capsys.readouterr()
         assert out == ""
-        at = " ".join(f"{name}={float(value)!r}" for name, value in zip(
-            ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"),
-            (alpha, beta, gamma, delta, lam, rho, nu)))
+        at = " ".join(f"{name}={value!r}" for name, value in zip(
+            ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"), draws))
         assert err == f"error: oracle-check trial {failing}: check failed at {at}\n"
+
+    @pytest.mark.parametrize("oracle_trial, analytic_trial, status, message", [
+        (5, 7, 2, "check failed"),
+        (7, 5, 3, "closed form failed"),
+        (5, 5, 2, "check failed"),
+    ])
+    def test_earliest_failing_trial_is_named_across_both_sides(
+            self, monkeypatch, capsys, oracle_trial, analytic_trial, status, message):
+        # The oracle and the closed form each fail one trial: the earlier
+        # is named and, on one trial, the oracle's error, which a trial
+        # met first.
+        draws = sweep_draws(2, 9)
+        real = cli.concurrence_and_norm_sq
+
+        def analytic_fails(mu, lam, *rest):
+            real(mu, lam, *rest)
+            at = np.flatnonzero(lam == draws[analytic_trial - 1][4])[0]
+            raise indexed(ConsistencyError("closed form failed"), at)
+
+        monkeypatch.setattr(cli, "concurrence_and_norm_sq", analytic_fails)
+        monkeypatch.setattr(oracle, "build_states", failing_build(
+            [draws[oracle_trial - 1][4]], DegenerateStateError))
+        assert cli.main(["oracle-check", "--trials", "9", "--seed", "2"]) == status
+        trial = min(oracle_trial, analytic_trial)
+        assert capsys.readouterr().err.startswith(
+            f"error: oracle-check trial {trial}: {message} at "
+            f"alpha={draws[trial - 1][0]!r} ")
+
+    def test_draws_are_the_per_trial_stream_across_chunks(self, monkeypatch):
+        # One (n, 7) draw a chunk gives the values that per-trial draws of
+        # four and then three take, across chunk boundaries.
+        seen = []
+        real = cli.oracle_concurrences
+
+        def recording(h1, h2, mu, lam, rho, nu):
+            seen.append(np.column_stack([h1, h2, lam, rho, nu]))
+            return real(h1, h2, mu, lam, rho, nu)
+
+        monkeypatch.setattr(cli, "oracle_concurrences", recording)
+        trials = cli._SWEEP_CHUNK + 40
+        assert cli.main(["oracle-check", "--trials", str(trials), "--seed", "9",
+                         "--json"]) == 0
+        assert [len(chunk) for chunk in seen] == [cli._SWEEP_CHUNK, 40]
+        draws = np.array(sweep_draws(9, trials))
+        expected = np.column_stack([(draws[:, 2] - draws[:, 0]) * 0.5,
+                                    (draws[:, 3] - draws[:, 1]) * 0.5, draws[:, 4:]])
+        assert np.array_equal(np.concatenate(seen), expected)
+
+    def test_rows_refused_as_not_distinct_are_drawn_again(self, monkeypatch, capsys):
+        # With DISTINCT_TOL at 1, about half the rows are refused; every
+        # trial checked is one CoherentConfig accepts, and there are --trials
+        # of them.
+        seen = []
+        real = cli.oracle_concurrences
+
+        def recording(h1, h2, *rest):
+            seen.append(np.column_stack([h1, h2]))
+            return real(h1, h2, *rest)
+
+        monkeypatch.setattr(coherent, "DISTINCT_TOL", 1.0)
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK", 16)
+        monkeypatch.setattr(cli, "oracle_concurrences", recording)
+        assert cli.main(["oracle-check", "--trials", "100", "--seed", "3",
+                         "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["states_checked"] == 100
+        half_gaps = np.concatenate(seen)
+        assert len(half_gaps) == 100
+        assert len(seen) > 100 // 16 + 1  # some chunks came up short
+        assert (2.0 * abs(half_gaps) > 1.0).all()
+
+    def test_benchmark_sweep_reports_the_pinned_diffs(self, capsys):
+        # The benchmark's oracle_sweep run, 2000 trials in two draw chunks,
+        # gives the diffs of the one-state-at-a-time sweep it replaced.  Both
+        # rest on LAPACK's SVD and BLAS's dot product; these are the values
+        # with numpy 2.4's bundled OpenBLAS.
+        assert cli.main(["oracle-check", "--trials", "2000", "--seed", "1333878482",
+                         "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["max_concurrence_diff"] == 1.1102230246251565e-15
+        assert payload["max_norm_sq_diff"] == 4.263256414560601e-14
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_2(self, trials, capsys):
@@ -929,7 +1004,7 @@ def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
     (["scan", "CONFIG", "OUT", "--json"], "run_scan", lambda real: lambda config: (
         *real(config)[:2], scan_report(max_oracle_diff=math.inf)), "max_oracle_diff"),
     (["examples", "--json"], "oracle_concurrences",
-     lambda real: lambda jobs: ((math.inf, norm) for _, norm in real(jobs)),
+     lambda real: lambda *columns: (np.full(15, math.inf), real(*columns)[1]),
      "states[0].oracle_concurrence"),
     (["bell-limit", "--json"], "orthonormal_amplitudes",
      lambda real: lambda *a: dataclasses.replace(real(*a), a=math.inf),
@@ -1084,6 +1159,14 @@ class TestDeterminism:
         out = tmp_path / "records.csv"
         assert cli.main(["scan", write(tmp_path, "scan.cfg", text), str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_examples_digest(self, capsys):
+        # SHA-256 of `examples --json`, as the one-state-at-a-time oracle
+        # printed it; its oracle C values rest on LAPACK's SVD, here numpy
+        # 2.4's bundled OpenBLAS.
+        assert cli.main(["examples", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "dc299a90f606b3659456176aecb4f6d4f60465116b22fead9955810b7ef04e23"
 
 
 def _run_with_closed_stdout(tmp_path, argv, unbuffered):

@@ -9,6 +9,7 @@ violation).  The points sit near the two maximal families, at overlaps from
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -57,7 +58,7 @@ def bound(mu, lam, rho, nu, c, norm):
     product of coefficients that underflows errs by up to the smallest
     normal float, which adds that over the N^2 `concurrence` forms.  It
     forms it at the coefficients' own scale, or, when their magnitudes sum
-    outside [2^-400, 2^500] (`analytic._in_range`), after scaling the largest
+    outside [2^-400, 2^500] (`analytic._into_range`), after scaling the largest
     into [1/2, 1) by a power of two.
     """
     if norm == 0.0:
@@ -68,17 +69,25 @@ def bound(mu, lam, rho, nu, c, norm):
     else:
         formed = math.ldexp(norm, -math.frexp(top)[1])
     underflow = 8.0 * sys.float_info.min / formed / formed
+    products, diff = _products(mu, lam, rho, nu)
+    cancel = float(products / diff) if diff * 2 ** 1000 > products else math.inf
     mu, lam, rho, nu, norm = (v / top for v in (mu, lam, rho, nu, norm))
     size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
-    diff = abs(mu * nu - lam * rho)
-    cancel = (abs(mu * nu) + abs(lam * rho)) / diff if diff else math.inf
     return 8.0 * EPS * c * (cancel + size / norm + 1.0) + underflow
+
+
+def _products(mu, lam, rho, nu):
+    """|mu nu| + |lam rho| and |mu nu - lam rho|, exactly: in floats a
+    product of a subnormal coefficient rounds, or underflows to 0."""
+    mu, lam, rho, nu = map(Fraction, (mu, lam, rho, nu))
+    return abs(mu * nu) + abs(lam * rho), abs(mu * nu - lam * rho)
 
 
 def assert_close(got, mu, lam, rho, nu, p1, p2):
     assert not math.isnan(got)
     c, norm = exact(mu, lam, rho, nu, p1, p2)
-    if c == 0.0:
+    # C is exactly 0 only on mu nu = lam rho; a nonzero C can round to 0.0.
+    if _products(mu, lam, rho, nu)[1] == 0:
         assert got == 0.0
     else:
         assert abs(got - c) <= bound(mu, lam, rho, nu, c, norm)
@@ -141,6 +150,10 @@ def test_verdict_depends_only_on_the_ray(point, k, tol):
        rho=st.floats(-10.0, 10.0), nu=st.floats(-10.0, 10.0),
        alpha=st.floats(-8.0, 8.0), beta=st.floats(-8.0, 8.0),
        gap1=st.sampled_from(GAPS), gap2=st.sampled_from(GAPS))
+# With a subnormal rho, C (exactly 1.9e-324, then 3.1e-324) is within its
+# underflow term of 5e-324 or 0
+@example(0.0, 1.0, 5e-324, 1.0, 0.0, 0.0, 1.0, 1.0)
+@example(0.0, 2.0, 5e-324, 0.0, 0.0, 0.0, 1.0, 1.0)
 def test_concurrence_at_nearly_equal_amplitudes(mu, lam, rho, nu, alpha, beta,
                                                 gap1, gap2):
     assume(max(abs(mu), abs(lam), abs(rho), abs(nu)) > 0.0)

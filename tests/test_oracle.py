@@ -1,5 +1,5 @@
+import collections
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -8,8 +8,10 @@ import pytest
 from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.catalog import example_states
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation, fock_vector
+from cohent.coherent import fock_vectors
 from cohent import oracle
-from cohent.errors import ConsistencyError, DegenerateStateError
+from cohent.errors import ConsistencyError, DegenerateStateError, indexed
+from faults import failing_build
 from cohent.oracle import (
     ProductStateVector,
     build_state,
@@ -168,68 +170,119 @@ class TestSchmidtConcurrence:
             schmidt_concurrence(np.sqrt([0.5, 0.3, 0.2]))
 
 
+def columns(jobs):
+    """The six oracle columns (h1, h2, mu, lam, rho, nu) of (config, coeffs)
+    jobs."""
+    return [np.array(column, dtype=float) for column in zip(*(
+        (*config.half_gaps, coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu)
+        for config, coeffs in jobs))]
+
+
 class TestSchmidtConcurrences:
     def test_stacked_equals_one_state_bit_for_bit(self):
-        # Each cutoff group's one array of states and one stacked SVD give
-        # every C and norm as one state's np.outer build and own SVD give them.
+        # Each stack's one array of states and one stacked SVD give every C
+        # and norm as one state's np.outer build and own SVD give them.
         rng = np.random.default_rng(58)
         jobs = [random_state(rng) for _ in range(1100)]
         # Cat and generic configurations share the half-gap 1, so cutoff 19.
         examples = [(state.config, state.coeffs) for state in example_states(4.0)]
         assert {default_truncation(config.half_gap) for config, _ in examples} == {19}
         jobs += examples
-        cutoffs = [default_truncation(config.half_gap) for config, _ in jobs]
-        assert len(set(cutoffs)) >= 15 and len(jobs) > 4 * oracle._BLOCK
+        cutoffs = collections.Counter(
+            default_truncation(config.half_gap) for config, _ in jobs)
+        # Some cutoffs take more than one stack.
+        assert len(cutoffs) >= 15 and max(cutoffs.values()) > oracle._STACK
         expected = []
-        for (config, coeffs), t in zip(jobs, cutoffs):
+        for config, coeffs in jobs:
             coefficients, norm = outer_reference(config, coeffs)
+            t = default_truncation(config.half_gap)
             svals = np.linalg.svd(coefficients.reshape(t, t), compute_uv=False)
             expected.append((schmidt_concurrence(svals), norm))
-        assert list(oracle_concurrences(jobs)) == expected
+        c, norm = oracle_concurrences(*columns(jobs))
+        assert list(zip(c.tolist(), norm.tolist())) == expected
+
+    def test_fock_rows_are_built_once_per_half_gap(self, monkeypatch):
+        # A stack at one overlap needs one Fock row for each sign of its
+        # half-gap, and the states come out as their one-state builds.
+        # Half-gaps are told apart by their bits, so -0.0 gets its own row.
+        seen = []
+
+        def recording(amplitudes, truncation):
+            seen.append(len(amplitudes))
+            return fock_vectors(amplitudes, truncation)
+
+        rng = np.random.default_rng(61)
+        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 100))
+        h = np.where(np.arange(100) % 2, 0.75, -0.75)
+        expected = [oracle_concurrence(CoherentConfig(0.0, 0.0, 2.0 * a, 2.0 * a),
+                                       SuperpositionCoeffs(1.0, *v))
+                    for a, *v in zip(h.tolist(), lam, rho, nu)]
+        monkeypatch.setattr(oracle, "fock_vectors", recording)
+        c, _ = oracle_concurrences(h, h, 1.0, lam, rho, nu)
+        assert c.tolist() == expected
+        # Each stack holds both signs of 0.75, however many states it has.
+        assert seen == [2] * -(-100 // oracle._STACK)
+        seen.clear()
+        coeffs = ([1.0] * 2, [0.3] * 2, [-0.2] * 2, [0.5] * 2)
+        states, _, _ = build_states([0.0, -0.0], [0.5] * 2, *coeffs, 14)
+        assert seen == [3]
+        for i, h1 in enumerate([0.0, -0.0]):
+            alone, _, _ = build_states([h1], [0.5], *(v[:1] for v in coeffs), 14)
+            assert states[i].tobytes() == alone[0].tobytes()
 
     def test_rank_three_state_raises_among_fine_stack_mates(self, monkeypatch):
-        # Hand-made states, one a job: the rank-three one is the second.
-        monkeypatch.setattr(oracle, "build_states", lambda jobs, _: (
-            np.stack([np.diag(np.sqrt(weights)) for _, weights in jobs]),
-            [1.0] * len(jobs), None))
-        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        fine = [0.6, 0.4, 0.0]
-        results = oracle_concurrences([(config, fine), (config, [0.5, 0.3, 0.2]),
-                                       (config, fine)])
-        # The fine state before it is yielded; the check fails on its turn.
-        assert next(results) == (schmidt_concurrence(np.sqrt(fine)), 1.0)
-        with pytest.raises(ConsistencyError, match="third Schmidt weight"):
-            next(results)
+        # Hand-made states, whose mu picks their Schmidt weights: the
+        # rank-three one is the second of the stack.
+        fine, escaped = [0.6, 0.4, 0.0], [0.5, 0.3, 0.2]
+        monkeypatch.setattr(oracle, "build_states", lambda h1, h2, mu, *_: (
+            np.stack([np.diag(np.sqrt(escaped if m else fine)) for m in mu]),
+            np.ones(len(mu)), None))
+        c, _ = oracle_concurrences(0.5, 0.5, [0.0, 0.0], 0.0, 0.0, 0.0)
+        assert c.tolist() == [schmidt_concurrence(np.sqrt(fine))] * 2
+        with pytest.raises(ConsistencyError, match="third Schmidt weight") as raised:
+            oracle_concurrences(0.5, 0.5, [0.0, 1.0, 0.0], 0.0, 0.0, 0.0)
+        assert raised.value.index == 1
 
-    def test_states_before_a_failing_build_are_yielded_first(self, monkeypatch):
-        # The third state of the second block fails to build; the states
-        # before it are yielded before it raises.
-        failing = oracle._BLOCK + 3
+    def test_states_before_a_failing_build_are_checked_first(self, monkeypatch):
+        # Every state shares one cutoff; the third state of its second stack
+        # fails to build, and the error is indexed by it.  When the state
+        # before it, in its stack, fails the Schmidt check, that error is
+        # raised instead.
+        failing = oracle._STACK + 2
         rng = np.random.default_rng(59)
-        jobs = [random_state(rng) for _ in range(2 * oracle._BLOCK + 5)]
-        states = [build_state(*job) for job in jobs[:failing - 1]]
-        expected = [(schmidt_concurrence(spectrum(state)), state.norm_before_normalization)
-                    for state in states]
+        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 2 * oracle._STACK + 5))
+        monkeypatch.setattr(oracle, "build_states",
+                            failing_build([lam[failing]], DegenerateStateError))
+        with pytest.raises(DegenerateStateError, match="^check failed$") as raised:
+            oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
+        assert raised.value.index == failing
 
-        def patched(group, truncation):
-            # The failing job is found by identity in its cutoff group.
-            states, norms, failure = build_states(group, truncation)
-            at = next((i for i, job in enumerate(group[:len(norms)])
-                       if job is jobs[failing - 1]), None)
-            if at is None:
-                return states, norms, failure
-            return states[:at], norms[:at], DegenerateStateError("build failed")
+        real = oracle.schmidt_concurrences
 
-        monkeypatch.setattr(oracle, "build_states", patched)
-        source = iter(jobs)
-        results = oracle_concurrences(source)
-        assert [next(results) for _ in range(failing - 1)] == expected
-        with pytest.raises(DegenerateStateError, match="^build failed$"):
-            next(results)
-        # No job beyond the failing job's block was drawn, and nothing after
-        # the failing job is yielded.
-        assert next(source) is jobs[2 * oracle._BLOCK]
-        assert next(results, None) is None
+        def schmidt(svals):
+            # The failing state's stack is cut to the two states before it.
+            if len(svals) == 2:
+                raise indexed(ConsistencyError("rank check failed"), 1)
+            return real(svals)
+
+        monkeypatch.setattr(oracle, "schmidt_concurrences", schmidt)
+        with pytest.raises(ConsistencyError, match="^rank check failed$") as raised:
+            oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
+        assert raised.value.index == failing - 1
+
+    def test_the_earliest_failing_state_is_named_across_cutoffs(self, monkeypatch):
+        # Cutoffs are taken in ascending order, so the later state (index 3,
+        # cutoff 10) fails before the earlier one (index 1, cutoff 14) is
+        # built; the error names the earlier one.
+        calls = []
+        monkeypatch.setattr(oracle, "build_states", failing_build(
+            [-0.25, -0.75], DegenerateStateError, calls))
+        h = [0.5, 0.5, 1e-9, 1e-9, 0.5]
+        lam = [0.1, -0.25, 0.1, -0.75, 0.1]
+        with pytest.raises(DegenerateStateError, match="^check failed$") as raised:
+            oracle_concurrences(h, h, 1.0, lam, 0.2, 0.3)
+        assert calls == [10, 14]
+        assert raised.value.index == 1
 
     def test_degenerate_job_raises_after_earlier_jobs_of_another_cutoff(self):
         # Half-gaps 0.5 take cutoff 14; the degenerate job, whose pairs
@@ -242,15 +295,14 @@ class TestSchmidtConcurrences:
                 (wide, fine), (narrow, fine)]
         assert [default_truncation(config.half_gap)
                 for config, _ in jobs] == [14, 14, 10, 14, 10]
-        expected = [next(oracle_concurrences([job])) for job in jobs[:2]]
-        results = oracle_concurrences(jobs)
-        assert [next(results), next(results)] == expected
-        with pytest.raises(DegenerateStateError, match="^joint state norm = "):
-            next(results)
-        assert next(results, None) is None
+        oracle_concurrences(*columns(jobs[:2]))
+        with pytest.raises(DegenerateStateError, match="^joint state norm = ") as raised:
+            oracle_concurrences(*columns(jobs))
+        assert raised.value.index == 2
 
     def test_empty_jobs_yield_nothing(self):
-        assert list(oracle_concurrences([])) == []
+        c, norm = oracle_concurrences([], [], [], [], [], [])
+        assert c.shape == norm.shape == (0,)
 
 
 class TestPurityConcurrence:
@@ -372,4 +424,5 @@ def test_a_common_shift_leaves_the_concurrence():
         jobs.append((config, coeffs))
         shifted.append((CoherentConfig(*(a + m for a in dataclasses.astuple(config))),
                         coeffs))
-    assert list(oracle_concurrences(shifted)) == list(oracle_concurrences(jobs))
+    assert np.array_equal(oracle_concurrences(*columns(shifted)),
+                          oracle_concurrences(*columns(jobs)))

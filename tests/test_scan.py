@@ -20,6 +20,7 @@ from cohent.classify import Verdict, _family_terms, classify, family_checks
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.errors import GridSizeError
+from faults import failing_build, failing_schmidt, spectrum_of
 from cohent.scan import (
     FAMILIES,
     DisjointnessReport,
@@ -747,35 +748,39 @@ class TestOracleSpotCheck:
     ])
     def test_failure_past_the_first_block_names_its_record(self, monkeypatch,
                                                            target, error):
-        # Record 67, the third of the oracle's second block, fails in the
-        # build of its cutoff group or at the Schmidt rule; the error names
-        # that record.
-        failing = oracle_module._BLOCK + 3
+        # Every record is at x = 0.5, so at one Fock cutoff.  The third
+        # record of the oracle's second stack fails in the build of its
+        # stack or at the Schmidt rule; the error names that record.
+        failing = oracle_module._STACK + 3
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
                    for k in range(1, failing + 4)]
         lam, rho, nu, x, _ = records[failing - 1]
-        real = getattr(oracle_module, target)
-        seen = itertools.count(1)
-
-        def schmidt(svals):
-            if next(seen) == failing:
-                raise error("check failed")
-            return real(svals)
-
-        def build(group, truncation):
-            # The failing job is found by its coefficients.
-            states, norms, failure = real(group, truncation)
-            at = next((i for i, (_, coeffs) in enumerate(group[:len(norms)])
-                       if (coeffs.lam, coeffs.rho) == (lam, rho)), None)
-            if at is None:
-                return states, norms, failure
-            return states[:at], norms[:at], error("check failed")
-
-        monkeypatch.setattr(oracle_module, target,
-                            schmidt if target == "schmidt_concurrence" else build)
+        if target == "schmidt_concurrence":
+            spectra = [spectrum_of(config_for_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
+                       for r in records]
+            spectrum = spectra[failing - 1]
+            # The fault finds the record by its spectrum, which no other has.
+            assert sum(np.array_equal(s, spectrum) for s in spectra) == 1
+            monkeypatch.setattr(oracle_module, "schmidt_concurrences",
+                                failing_schmidt(spectrum, error))
+        else:
+            monkeypatch.setattr(oracle_module, "build_states",
+                                failing_build([lam], error))
         with pytest.raises(error, match="^" + re.escape(
                 f"oracle spot check: check failed at lam={lam!r} rho={rho!r} "
                 f"nu=1.0 x=0.5") + "$"):
+            oracle_spot_check(columns(records), fraction=1.0, seed=3)
+
+    def test_disagreement_before_an_oracle_failure_is_named_first(self, monkeypatch):
+        # The oracle fails record 5; record 2 disagrees with the oracle, and
+        # is named.
+        records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5) for k in range(1, 8)]
+        records[1] = records[1]._replace(concurrence=0.5)
+        monkeypatch.setattr(oracle_module, "build_states",
+                            failing_build([records[4].lam], DegenerateStateError))
+        with pytest.raises(ConsistencyError, match=(
+                r"^oracle spot check: oracle disagrees with scan record by .* "
+                f"at lam={records[1].lam!r} ")):
             oracle_spot_check(columns(records), fraction=1.0, seed=3)
 
     def test_flags_wrong_concurrence(self):
