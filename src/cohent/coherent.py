@@ -184,9 +184,9 @@ class OverlapPair:
         )
 
 
-# The oracle's cutoffs follow half-gaps: a random sweep over amplitudes up to
-# 2 uses at most 22 distinct truncations (10 to 31), and a spot check at
-# overlaps down to 1e-6 at most 31 (10 to 40).
+# The oracle's cutoffs follow each mode's half-gap in quarter steps: a random
+# sweep over amplitudes up to 2 uses at most 8 distinct truncations (12 to
+# 31), and a spot check at overlaps down to 1e-6 at most 11 (12 to 42).
 @functools.lru_cache(maxsize=64)
 def _inv_sqrt_n(truncation: int) -> np.ndarray:
     """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""

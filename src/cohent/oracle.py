@@ -1,18 +1,20 @@
 """Brute-force concurrence in a truncated two-mode Fock space.
 
 Completely independent of the closed-form path: the four-component state is
-assembled as an explicit truncation^2 vector of number-state coefficients,
-and its entanglement is read off the Schmidt spectrum.  Each mode is built
+assembled as an explicit T1 x T2 matrix of number-state coefficients, and
+its entanglement is read off the Schmidt spectrum.  Each mode is built
 centered on its pair's midpoint m: for real a and m, D(-m)|a> = |a - m>
 exactly, a local unitary, so the Schmidt spectrum is the original state's,
 and a state is given by its signed half-gaps h1 = (gamma - alpha) / 2 and
-h2 = (delta - beta) / 2 (coherent.half_gaps) and its coefficients.  The Fock
-cutoff follows the larger |half-gap|.
+h2 = (delta - beta) / 2 (coherent.half_gaps) and its coefficients.  Each
+mode's Fock cutoff follows its own |half-gap| (mode_cutoffs).
 Every analytic result in this package is cross-checked against this module.
 Every brute-force concurrence comes from `oracle_concurrences`, which takes
-states as columns, groups them by Fock cutoff over the whole call and, for
-each stack of at most _STACK states of one cutoff, builds them as one array
-(`build_states`) and takes their spectra in one stacked SVD.
+states as columns.  Once per call it checks them, scales their coefficients
+into range and expands each distinct half-gap in the Fock basis; it then
+builds the states in stacks of at most _STACK of one (T1, T2) shape
+(`joint_states`), takes each stack's spectra in one stacked SVD, and checks
+every state once, after the last stack.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .analytic import SuperpositionCoeffs, _clamped, _into_range
 from .coherent import MAX_TRUNCATION, CoherentConfig, _truncations, check_amplitudes
-from .coherent import default_truncation, fock_vectors
+from .coherent import fock_vectors
 from .errors import ConsistencyError, DegenerateStateError, indexed
 
 # A third Schmidt coefficient above this (squared) means the state escaped
@@ -36,13 +38,13 @@ _RANK_LIMIT = 1e-6
 # + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
 
-# States of one cutoff are built, and their spectra taken, this many at a
-# time.  A stack's joint matrices take at most 32 x T^2 x 8 B, and building
-# them takes one temporary as large: 0.25 MB in a random sweep, whose
-# half-gaps are at most 2 (T <= 31); 0.4 MB in the spot check, whose
-# overlaps are at least 1e-6 (T <= 40); 5.4 MB at the half-gap cap's
-# T(8) = 145.  The SVDs take most of a sweep's time whatever the stack, and
-# 64 kept 0.3-0.6 MB more resident for no measurable gain.
+# States of one (T1, T2) shape are built, and their spectra taken, this many
+# at a time.  A stack's joint matrices take at most 32 x T1 x T2 x 8 B, and
+# building them takes one temporary as large: 0.25 MB in a random sweep,
+# whose half-gaps are at most 2 (T <= 31); 0.45 MB in the spot check, whose
+# overlaps are at least 1e-6 (T <= 42); 5.4 MB at the half-gap cap's
+# T(8) = 145 on both modes.  The SVDs take most of a sweep's time whatever
+# the stack, and 64 kept 0.3-0.6 MB more resident for no measurable gain.
 _STACK = 32
 
 # (-1)^n for n < MAX_TRUNCATION.
@@ -52,68 +54,127 @@ _PARITY = np.resize([1.0, -1.0], MAX_TRUNCATION)
 @dataclass(frozen=True, eq=False)
 class ProductStateVector:
     """Normalized joint Fock coefficients of the centered state, flattened
-    row-major (m, n)."""
+    row-major (m, n), with `shape` the two modes' cutoffs (T1, T2)."""
 
     coefficients: np.ndarray
-    truncation: int
+    shape: tuple[int, int]
     norm_before_normalization: float
 
+    @property
+    def truncation(self) -> int:
+        """The larger cutoff: a square matrix of this side holds the state."""
+        return max(self.shape)
+
     def matrix(self) -> np.ndarray:
-        """View of the coefficients as the truncation x truncation matrix."""
-        return self.coefficients.reshape(self.truncation, self.truncation)
+        """View of the coefficients as the T1 x T2 matrix."""
+        return self.coefficients.reshape(self.shape)
 
 
-def build_states(
-    h1, h2, mu, lam, rho, nu, truncation: int
-) -> tuple[np.ndarray, np.ndarray, DegenerateStateError | None]:
-    """Assemble mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> for each state of the
-    columns in the joint Fock basis at one cutoff, from two outer products of
-    single-mode Fock coefficients (the state is rank <= 2 across the split),
-    with mode 1 at a, g = -h1, h1 and mode 2 at b, d = -h2, h2.
+def mode_cutoffs(half_gaps) -> np.ndarray:
+    """The Fock cutoff of each mode: default_truncation at its |half-gap|
+    rounded up to a quarter, ceil(4 |h|) / 4; broadcasts.
 
-    Returns the normalized states as a (k, truncation, truncation) array and
-    their norms before normalization, both stopping short of the first
-    degenerate state, and that state's DegenerateStateError, indexed k
-    (else None).
+    The cutoff grows with the amplitude, and the Poisson tail it discards
+    shrinks as the cutoff grows, so each mode loses less of its norm than at
+    default_truncation(|h|): below 1e-16.  Quarter steps let states share a
+    (T1, T2) shape: a sweep over half-gaps up to 2 takes 8 cutoffs a mode.
     """
-    # The joint coefficients are no larger than |mu| + |lam| + |rho| + |nu|,
-    # and the norm sums their squares, so each state is built from its
-    # coefficients scaled into range by a power of two (analytic._into_range),
-    # which is exact and leaves the normalized state unchanged.
-    mu, lam, rho, nu, exponent, size = _into_range(
-        *(np.asarray(v, dtype=float) for v in (mu, lam, rho, nu)))
-    count = len(mu)
-    # One Fock row per distinct half-gap, in order of first use, told apart
-    # by its bits so that -0.0 keeps its own row.  f(-h)_n = (-1)^n f(h)_n bit
-    # for bit (the cumulative product only flips signs, and each row's norm
-    # is unchanged), so the alpha and beta rows are the gamma and delta rows
-    # times (-1)^n.
-    row_of = {}
-    rows = [row_of.setdefault(bits, len(row_of)) for bits in
-            np.concatenate([h1, h2]).astype(float).view(np.int64).tolist()]
-    halves = np.array(list(row_of), dtype=np.int64).view(np.float64)
-    gamma_delta = fock_vectors(halves, truncation)[np.reshape(rows, (2, count))]
-    f_gamma, f_delta = gamma_delta
-    f_alpha, f_beta = gamma_delta * _PARITY[:truncation]
+    return _truncations(np.ceil(4.0 * np.abs(half_gaps)) * 0.25)
 
+
+def joint_states(f_gamma, f_delta, mu, lam, rho, nu) -> tuple[np.ndarray, np.ndarray]:
+    """mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> of each state in the joint Fock
+    basis, as a (k, T1, T2) array, and its norm, with mode 1 at a, g = -h1, h1
+    and mode 2 at b, d = -h2, h2; from two outer products of single-mode Fock
+    coefficients (the state is rank <= 2 across the split).
+
+    `f_gamma` and `f_delta` hold the Fock rows of h1 and h2, one a state.
+    f(-h)_n = (-1)^n f(h)_n bit for bit (the cumulative product only flips
+    signs, and each row's norm is unchanged), so the alpha and beta rows are
+    the gamma and delta rows times (-1)^n.
+    """
+    f_alpha = f_gamma * _PARITY[:f_gamma.shape[1]]
+    f_beta = f_delta * _PARITY[:f_delta.shape[1]]
     # Broadcast outer products, and each norm as the dot product that
     # np.linalg.norm takes: bit-identical, without either call's overhead.
     mu, lam, rho, nu = (v[:, None] for v in (mu, lam, rho, nu))
     psi = f_alpha[:, :, None] * (mu * f_beta + lam * f_delta)[:, None, :]
     psi += f_gamma[:, :, None] * (rho * f_beta + nu * f_delta)[:, None, :]
-    norms = np.sqrt([flat.dot(flat) for flat in psi.reshape(count, -1)])
-    degenerate = np.flatnonzero(norms <= _DEGENERATE_REL * size)
-    stop, failure = count, None
-    if len(degenerate):
-        stop = degenerate[0]
-        failure = indexed(DegenerateStateError(
-            f"joint state norm = {norms[stop]:.3e} is rounding noise next to the "
-            f"coefficient magnitudes, which sum to {size[stop]:.3e}"
-        ), stop)
-    psi, norms = psi[:stop], norms[:stop]
-    psi /= norms[:, None, None]
-    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        return psi, np.ldexp(norms, exponent[:stop]), failure
+    return psi, np.sqrt([flat.dot(flat) for flat in psi.reshape(len(psi), -1)])
+
+
+def _degenerate(norms, size):
+    """Whether each norm is rounding noise next to its coefficient sum."""
+    return norms <= _DEGENERATE_REL * size
+
+
+def degenerate_norms(norms, size) -> DegenerateStateError | None:
+    """The DegenerateStateError of the first state whose norm is rounding
+    noise next to `size`, the sum of its coefficient magnitudes, indexed by
+    it; None if there is none."""
+    degenerate = np.flatnonzero(_degenerate(norms, size))
+    if not len(degenerate):
+        return None
+    first = degenerate[0]
+    return indexed(DegenerateStateError(
+        f"joint state norm = {norms[first]:.3e} is rounding noise next to the "
+        f"coefficient magnitudes, which sum to {size[first]:.3e}"
+    ), first)
+
+
+class _Call:
+    """The work of one call that does not depend on the stack: its states
+    checked, their coefficients scaled into range, each mode's cutoff, and
+    one Fock row per distinct half-gap of each cutoff."""
+
+    def __init__(self, h1, h2, mu, lam, rho, nu):
+        # The six columns, as the rows of one array.
+        columns = np.array(np.broadcast_arrays(h1, h2, mu, lam, rho, nu),
+                           dtype=float).reshape(6, -1)
+        check_amplitudes(columns[:2].ravel(order="F"))  # in input order
+        # The joint coefficients are no larger than |mu| + |lam| + |rho| +
+        # |nu|, and the norm sums their squares, so each state is built from
+        # its coefficients scaled into range by a power of two
+        # (analytic._into_range), which is exact and leaves the normalized
+        # state unchanged.
+        *coefficients, self.exponent, self.size = _into_range(*columns[2:])
+        self.coefficients = np.array(coefficients)
+        # One Fock row per distinct half-gap, told apart by its bits so that
+        # -0.0 keeps its own row, and one fock_vectors call per cutoff, on
+        # its half-gaps.
+        row_of = {}
+        rows = [row_of.setdefault(bits, len(row_of))
+                for bits in columns[:2].view(np.int64).ravel().tolist()]
+        halves = np.array(list(row_of), dtype=np.int64).view(np.float64)
+        cutoffs = mode_cutoffs(halves)
+        local, self.tables = np.empty(len(halves), dtype=np.intp), {}
+        for cutoff in dict.fromkeys(cutoffs.tolist()):
+            members = np.flatnonzero(cutoffs == cutoff)
+            local[members] = np.arange(len(members))
+            self.tables[cutoff] = fock_vectors(halves[members], cutoff)
+        rows = np.array(rows, dtype=np.intp).reshape(2, -1)
+        self.cutoffs, self.rows = cutoffs[rows], local[rows]
+
+    def stacks(self):
+        """(T1, T2, stack) for each stack of at most _STACK states of one
+        shape, whose indices ascend within it."""
+        t1, t2 = self.cutoffs
+        keys = t1 * (MAX_TRUNCATION + 1) + t2
+        order = np.argsort(keys, kind="stable")
+        return [(*divmod(keys[group[0]].item(), MAX_TRUNCATION + 1),
+                 group[start:start + _STACK])
+                for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+                if len(group) for start in range(0, len(group), _STACK)]
+
+    def states(self, t1, t2, stack):
+        """The stack's states as a (k, T1, T2) array, normalized, and their
+        norms before normalization, scaled by 2^-exponent.  A degenerate
+        state is left unnormalized, so the array stays finite."""
+        r1, r2 = self.rows[:, stack]
+        psi, norms = joint_states(self.tables[t1][r1], self.tables[t2][r2],
+                                  *self.coefficients[:, stack])
+        psi /= np.where(_degenerate(norms, self.size[stack]), 1.0, norms)[:, None, None]
+        return psi, norms
 
 
 def _state_columns(config: CoherentConfig, coeffs: SuperpositionCoeffs):
@@ -123,18 +184,22 @@ def _state_columns(config: CoherentConfig, coeffs: SuperpositionCoeffs):
 
 
 def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductStateVector:
-    """The one state of build_states, at the cutoff default_truncation
-    derives from the larger half-gap."""
-    truncation = default_truncation(config.half_gap)
-    states, norms, failure = build_states(*_state_columns(config, coeffs), truncation)
+    """The one state as oracle_concurrences builds it, at the cutoffs
+    mode_cutoffs gives its half-gaps.  Raises DegenerateStateError, indexed
+    0, when its norm is rounding noise."""
+    call = _Call(*_state_columns(config, coeffs))
+    psi, norms = call.states(*call.stacks()[0])
+    failure = degenerate_norms(norms, call.size)
     if failure is not None:
         raise failure
-    return ProductStateVector(states[0].ravel(), truncation, float(norms[0]))
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        norm = float(np.ldexp(norms[0], call.exponent[0]))
+    return ProductStateVector(psi[0].ravel(), psi.shape[1:], norm)
 
 
 def schmidt_concurrences(svals: np.ndarray) -> np.ndarray:
     """2 sigma_1 sigma_2 of each descending Schmidt spectrum, a row of
-    `svals`, checked.
+    `svals` (its largest three values or more), checked.
 
     Algebraically equal to sqrt(2 (1 - Tr rho^2)) of the reduced state for
     rank-2 states, but the error stays at machine epsilon even when one
@@ -166,40 +231,27 @@ def oracle_concurrences(h1, h2, mu, lam, rho, nu) -> tuple[np.ndarray, np.ndarra
     input order.
 
     A state is given by its signed half-gaps h1 and h2 and its coefficients;
-    the six columns broadcast.  States are grouped by the Fock cutoff of
-    their larger |half-gap| over the whole call, and each group is built and
-    checked in stacks of at most _STACK, one stacked SVD each (LAPACK
-    factors each matrix on its own, so the bits are a one-matrix SVD's).
-    Every check of build_states and schmidt_concurrences, and fock_vectors'
-    check of the half-gaps, is applied to every state; the error of the
-    earliest state to fail, in input order, is raised, indexed by it.
+    the six columns broadcast.  States are grouped by the (T1, T2) cutoffs of
+    their modes over the whole call, and each group is built in stacks of at
+    most _STACK, one stacked SVD each (LAPACK factors each matrix on its own,
+    so the bits are a one-matrix SVD's).  After the last stack every state
+    is checked: the half-gaps (fock_vectors' check, before any is built),
+    then degenerate_norms and schmidt_concurrences.  The error of the
+    earliest state to fail, in input order, is raised, indexed by it; a state
+    whose norm fails raises that error, not its Schmidt rule's.
     """
-    # The six columns, as the rows of one array.
-    columns = np.array(np.broadcast_arrays(h1, h2, mu, lam, rho, nu),
-                       dtype=float).reshape(6, -1)
-    check_amplitudes(columns[:2].ravel(order="F"))  # in input order
-    cutoffs = _truncations(abs(columns[:2]).max(axis=0))
-    c, norm = np.empty(columns.shape[1]), np.empty(columns.shape[1])
-    failure = None
-    for cutoff in sorted(set(cutoffs.tolist())):
-        members = np.flatnonzero(cutoffs == cutoff)
-        for start in range(0, len(members), _STACK):
-            stack = members[start:start + _STACK]
-            if failure is not None and stack[0] > failure.index:
-                break  # no later stack of this cutoff can fail earlier
-            states, norms, error = build_states(*columns[:, stack], cutoff)
-            built = stack[:len(norms)]
-            norm[built] = norms
-            try:
-                c[built] = schmidt_concurrences(np.linalg.svd(states, compute_uv=False))
-            except ConsistencyError as err:
-                error = err
-            if error is not None and (failure is None
-                                      or stack[error.index] < failure.index):
-                failure = indexed(error, stack[error.index])
+    call = _Call(h1, h2, mu, lam, rho, nu)
+    count = len(call.size)
+    norms, svals = np.empty(count), np.empty((count, 3))
+    for t1, t2, stack in call.stacks():
+        psi, norms[stack] = call.states(t1, t2, stack)
+        svals[stack] = np.linalg.svd(psi, compute_uv=False)[:, :3]
+    failure = degenerate_norms(norms, call.size)
+    c = schmidt_concurrences(svals[:count if failure is None else failure.index])
     if failure is not None:
         raise failure
-    return c, norm
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return c, np.ldexp(norms, call.exponent)
 
 
 def oracle_concurrence(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> float:

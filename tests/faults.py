@@ -1,9 +1,9 @@
-"""Faults injected into the oracle's per-stack steps, for the tests that
+"""Faults injected into the oracle's once-per-call checks, for the tests that
 check which state a failure names.
 
-The oracle builds and checks states in stacks of one Fock cutoff, in no
-fixed order across stacks, so a fault finds its state by its values, not by
-counting calls.
+The oracle builds states in stacks of one (T1, T2) shape, in no fixed order
+across stacks, and checks them once per call, so a fault finds its state by
+its values, not by counting calls or positions.
 """
 
 import numpy as np
@@ -12,36 +12,33 @@ from cohent import oracle
 from cohent.errors import indexed
 
 
-def failing_build(lam, error, calls=None):
-    """An oracle.build_states that fails, as a degenerate state fails it, the
-    first state of its stack whose lambda is one of `lam`; `calls`, if
-    given, collects the cutoff of every call."""
-    real = oracle.build_states
+def failing_norms(norms, error):
+    """An oracle.degenerate_norms that fails, as a degenerate state fails it,
+    the first state whose norm is one of `norms` (norm_of), unless a truly
+    degenerate state comes before it."""
+    real = oracle.degenerate_norms
 
-    def patched(h1, h2, mu, lam_column, rho, nu, truncation):
-        if calls is not None:
-            calls.append(truncation)
-        states, norms, failure = real(h1, h2, mu, lam_column, rho, nu, truncation)
-        hit = np.flatnonzero(np.isin(np.asarray(lam_column)[:len(norms)], lam))
-        if not hit.size:
-            return states, norms, failure
-        at = hit[0]
-        return states[:at], norms[:at], indexed(error("check failed"), at)
+    def patched(values, size):
+        failure = real(values, size)
+        hit = np.flatnonzero(np.isin(values, norms))
+        if hit.size and (failure is None or hit[0] < failure.index):
+            return indexed(error("check failed"), hit[0])
+        return failure
 
     return patched
 
 
 def failing_schmidt(spectrum, error):
-    """An oracle.schmidt_concurrences that fails the first row of its stack
-    equal to `spectrum`, the Schmidt spectrum of the state to fail."""
+    """An oracle.schmidt_concurrences that fails the first row of its call
+    whose three largest values are those of `spectrum`, the Schmidt spectrum
+    of the state to fail."""
     real = oracle.schmidt_concurrences
 
     def patched(svals):
         c = real(svals)
-        if svals.shape[1] == len(spectrum):
-            hit = np.flatnonzero((svals == spectrum).all(axis=1))
-            if hit.size:
-                raise indexed(error("check failed"), hit[0])
+        hit = np.flatnonzero((svals == spectrum[:3]).all(axis=1))
+        if hit.size:
+            raise indexed(error("check failed"), hit[0])
         return c
 
     return patched
@@ -51,3 +48,10 @@ def spectrum_of(config, coeffs):
     """The Schmidt spectrum of one state as the oracle builds it."""
     state = oracle.build_state(config, coeffs)
     return np.linalg.svd(state.matrix(), compute_uv=False)
+
+
+def norm_of(config, coeffs):
+    """The norm of one state as the oracle builds it, before normalization:
+    the value degenerate_norms sees when the coefficients sum to between
+    2^-400 and 2^500, where they are not rescaled."""
+    return oracle.build_state(config, coeffs).norm_before_normalization

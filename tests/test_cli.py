@@ -22,7 +22,7 @@ from cohent.classify import _family_terms
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError, indexed
 from cohent.oracle import oracle_concurrence
-from faults import failing_build, failing_schmidt, spectrum_of
+from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
 from cohent.scan import ScanHits
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
@@ -823,23 +823,25 @@ class TestOracleCheckCommand:
 
     @pytest.mark.parametrize("target, error, status", [
         ("schmidt_concurrence", ConsistencyError, 3),
-        ("build_states", DegenerateStateError, 2),
+        ("degenerate_norms", DegenerateStateError, 2),
     ])
     def test_failed_state_names_its_trial(self, monkeypatch, capsys, target,
                                           error, status):
         # A state of the second draw chunk fails a per-state check: the
-        # Schmidt rule's (oracle.schmidt_concurrences), or the build of its
-        # stack.  The error names its trial, counted from 1, and its draws.
+        # Schmidt rule's (oracle.schmidt_concurrences), or its norm's
+        # (oracle.degenerate_norms).  The error names its trial, counted
+        # from 1, and its draws.
         failing = cli._SWEEP_CHUNK + 3
         draws = sweep_draws(4, failing)[-1]
         alpha, beta, gamma, delta, lam, rho, nu = draws
+        state = (CoherentConfig(alpha, beta, gamma, delta),
+                 SuperpositionCoeffs(1.0, lam, rho, nu))
         if target == "schmidt_concurrence":
-            spectrum = spectrum_of(CoherentConfig(alpha, beta, gamma, delta),
-                                   SuperpositionCoeffs(1.0, lam, rho, nu))
             monkeypatch.setattr(oracle, "schmidt_concurrences",
-                                failing_schmidt(spectrum, error))
+                                failing_schmidt(spectrum_of(*state), error))
         else:
-            monkeypatch.setattr(oracle, "build_states", failing_build([lam], error))
+            monkeypatch.setattr(oracle, "degenerate_norms",
+                                failing_norms([norm_of(*state)], error))
         assert cli.main(["oracle-check", "--trials", str(failing + 5),
                          "--seed", "4", "--json"]) == status
         out, err = capsys.readouterr()
@@ -866,9 +868,12 @@ class TestOracleCheckCommand:
             at = np.flatnonzero(lam == draws[analytic_trial - 1][4])[0]
             raise indexed(ConsistencyError("closed form failed"), at)
 
+        alpha, beta, gamma, delta, lam, rho, nu = draws[oracle_trial - 1]
+        norm = norm_of(CoherentConfig(alpha, beta, gamma, delta),
+                       SuperpositionCoeffs(1.0, lam, rho, nu))
         monkeypatch.setattr(cli, "concurrence_and_norm_sq", analytic_fails)
-        monkeypatch.setattr(oracle, "build_states", failing_build(
-            [draws[oracle_trial - 1][4]], DegenerateStateError))
+        monkeypatch.setattr(oracle, "degenerate_norms",
+                            failing_norms([norm], DegenerateStateError))
         assert cli.main(["oracle-check", "--trials", "9", "--seed", "2"]) == status
         trial = min(oracle_trial, analytic_trial)
         assert capsys.readouterr().err.startswith(
@@ -919,13 +924,13 @@ class TestOracleCheckCommand:
 
     def test_benchmark_sweep_reports_the_pinned_diffs(self, capsys):
         # The benchmark's oracle_sweep run, 2000 trials in two draw chunks,
-        # gives the diffs of the one-state-at-a-time sweep it replaced.  Both
-        # rest on LAPACK's SVD and BLAS's dot product; these are the values
-        # with numpy 2.4's bundled OpenBLAS.
+        # each mode at its own Fock cutoff.  Both diffs rest on LAPACK's SVD
+        # and BLAS's dot product; these are the values with numpy 2.4's
+        # bundled OpenBLAS.
         assert cli.main(["oracle-check", "--trials", "2000", "--seed", "1333878482",
                          "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["max_concurrence_diff"] == 1.1102230246251565e-15
+        assert payload["max_concurrence_diff"] == 1.3322676295501878e-15
         assert payload["max_norm_sq_diff"] == 4.263256414560601e-14
 
     @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -276,14 +276,16 @@ class TestFockVectorMemo:
         assert _inv_sqrt_n.cache_info().currsize == 0
 
     def test_build_state_same_bits_cold_and_warm(self):
-        # Cold and warm for the shared 1/sqrt(n) table.
+        # Cold and warm for the shared 1/sqrt(n) tables, one for each mode's
+        # cutoff: T = 17 at the half-gap 0.55, T = 25 at 1.35.
         config = CoherentConfig(0.7, -1.1, -0.4, 1.6)
         coeffs = SuperpositionCoeffs(1.0, -0.3, 2.2, 0.9)
         _inv_sqrt_n.cache_clear()
         cold = build_state(config, coeffs)
+        assert cold.shape == (17, 25)
         assert _inv_sqrt_n.cache_info().hits == 0
         warm = build_state(config, coeffs)
-        assert _inv_sqrt_n.cache_info().hits == 1
+        assert _inv_sqrt_n.cache_info().hits == 2
         assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
         assert cold.norm_before_normalization == warm.norm_before_normalization
 

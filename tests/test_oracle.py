@@ -2,20 +2,21 @@ import collections
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.catalog import example_states
-from cohent.coherent import CoherentConfig, OverlapPair, default_truncation, fock_vector
-from cohent.coherent import fock_vectors
+from cohent.coherent import MAX_AMPLITUDE, MAX_TRUNCATION, CoherentConfig, OverlapPair
+from cohent.coherent import default_truncation, fock_vector, fock_vectors, half_gaps
 from cohent import oracle
-from cohent.errors import ConsistencyError, DegenerateStateError, indexed
-from faults import failing_build
+from cohent.errors import ConsistencyError, DegenerateStateError
+from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
 from cohent.oracle import (
     ProductStateVector,
     build_state,
-    build_states,
+    mode_cutoffs,
     oracle_concurrence,
     oracle_concurrences,
     schmidt_concurrence,
@@ -38,7 +39,7 @@ def purity_concurrence(state):
 
 def schmidt_state(weights):
     """A normalized state whose Schmidt weights are `weights`."""
-    return ProductStateVector(np.diag(np.sqrt(weights)).ravel(), len(weights), 1.0)
+    return ProductStateVector(np.diag(np.sqrt(weights)).ravel(), (len(weights),) * 2, 1.0)
 
 
 def spectrum(state):
@@ -135,7 +136,7 @@ class TestReducedDensity:
     def test_embedded_bell_pair(self):
         psi = np.zeros((4, 4))
         psi[0, 0] = psi[1, 1] = 1.0 / math.sqrt(2.0)
-        state = ProductStateVector(psi.ravel(), 4, 1.0)
+        state = ProductStateVector(psi.ravel(), (4, 4), 1.0)
         rho = reduced_density(state)
         np.testing.assert_allclose(rho, np.diag([0.5, 0.5, 0, 0]), atol=1e-15)
 
@@ -184,32 +185,40 @@ class TestSchmidtConcurrences:
         # and norm as one state's np.outer build and own SVD give them.
         rng = np.random.default_rng(58)
         jobs = [random_state(rng) for _ in range(1100)]
-        # Cat and generic configurations share the half-gap 1, so cutoff 19.
+        # Cat and generic configurations share the half-gap 1, so the shape
+        # (19, 19).
         examples = [(state.config, state.coeffs) for state in example_states(4.0)]
-        assert {default_truncation(config.half_gap) for config, _ in examples} == {19}
+        assert {shape_of(config) for config, _ in examples} == {(19, 19)}
         jobs += examples
-        cutoffs = collections.Counter(
-            default_truncation(config.half_gap) for config, _ in jobs)
-        # Some cutoffs take more than one stack.
-        assert len(cutoffs) >= 15 and max(cutoffs.values()) > oracle._STACK
+        shapes = collections.Counter(shape_of(config) for config, _ in jobs)
+        # Most shapes are not square, and some take more than one stack.
+        assert len(shapes) >= 40 and max(shapes.values()) > oracle._STACK
+        assert sum(t1 != t2 for t1, t2 in shapes) > len(shapes) // 2
         expected = []
         for config, coeffs in jobs:
             coefficients, norm = outer_reference(config, coeffs)
-            t = default_truncation(config.half_gap)
-            svals = np.linalg.svd(coefficients.reshape(t, t), compute_uv=False)
+            svals = np.linalg.svd(coefficients.reshape(shape_of(config)),
+                                  compute_uv=False)
             expected.append((schmidt_concurrence(svals), norm))
         c, norm = oracle_concurrences(*columns(jobs))
         assert list(zip(c.tolist(), norm.tolist())) == expected
 
     def test_fock_rows_are_built_once_per_half_gap(self, monkeypatch):
-        # A stack at one overlap needs one Fock row for each sign of its
-        # half-gap, and the states come out as their one-state builds.
-        # Half-gaps are told apart by their bits, so -0.0 gets its own row.
-        seen = []
+        # A call at one overlap needs one Fock row for each sign of its
+        # half-gap, in one fock_vectors call however many stacks it takes,
+        # and the states come out as their one-state builds.
+        seen, built = [], []
 
         def recording(amplitudes, truncation):
-            seen.append(len(amplitudes))
+            seen.append((len(amplitudes), truncation))
             return fock_vectors(amplitudes, truncation)
+
+        real = oracle.joint_states
+
+        def joint(*args):
+            psi, norms = real(*args)
+            built.append(psi.copy())
+            return psi, norms
 
         rng = np.random.default_rng(61)
         lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 100))
@@ -218,25 +227,29 @@ class TestSchmidtConcurrences:
                                        SuperpositionCoeffs(1.0, *v))
                     for a, *v in zip(h.tolist(), lam, rho, nu)]
         monkeypatch.setattr(oracle, "fock_vectors", recording)
+        monkeypatch.setattr(oracle, "joint_states", joint)
         c, _ = oracle_concurrences(h, h, 1.0, lam, rho, nu)
         assert c.tolist() == expected
-        # Each stack holds both signs of 0.75, however many states it has.
-        assert seen == [2] * -(-100 // oracle._STACK)
+        assert seen == [(2, 17)] and len(built) == -(-100 // oracle._STACK)
+        # Half-gaps are told apart by their bits, so -0.0 gets its own row:
+        # mode 1's cutoff T(0) = 9 expands 0.0 and -0.0, mode 2's T(0.5) = 14
+        # expands 0.5.
         seen.clear()
-        coeffs = ([1.0] * 2, [0.3] * 2, [-0.2] * 2, [0.5] * 2)
-        states, _, _ = build_states([0.0, -0.0], [0.5] * 2, *coeffs, 14)
-        assert seen == [3]
+        built.clear()
+        oracle_concurrences([0.0, -0.0], 0.5, 1.0, 0.3, -0.2, 0.5)
+        assert seen == [(2, 9), (1, 14)]
+        pair = built.pop()
         for i, h1 in enumerate([0.0, -0.0]):
-            alone, _, _ = build_states([h1], [0.5], *(v[:1] for v in coeffs), 14)
-            assert states[i].tobytes() == alone[0].tobytes()
+            oracle_concurrences(h1, 0.5, 1.0, 0.3, -0.2, 0.5)
+            assert built.pop()[0].tobytes() == pair[i].tobytes()
 
     def test_rank_three_state_raises_among_fine_stack_mates(self, monkeypatch):
         # Hand-made states, whose mu picks their Schmidt weights: the
         # rank-three one is the second of the stack.
         fine, escaped = [0.6, 0.4, 0.0], [0.5, 0.3, 0.2]
-        monkeypatch.setattr(oracle, "build_states", lambda h1, h2, mu, *_: (
+        monkeypatch.setattr(oracle, "joint_states", lambda f_gamma, f_delta, mu, *_: (
             np.stack([np.diag(np.sqrt(escaped if m else fine)) for m in mu]),
-            np.ones(len(mu)), None))
+            np.ones(len(mu))))
         c, _ = oracle_concurrences(0.5, 0.5, [0.0, 0.0], 0.0, 0.0, 0.0)
         assert c.tolist() == [schmidt_concurrence(np.sqrt(fine))] * 2
         with pytest.raises(ConsistencyError, match="third Schmidt weight") as raised:
@@ -244,65 +257,171 @@ class TestSchmidtConcurrences:
         assert raised.value.index == 1
 
     def test_states_before_a_failing_build_are_checked_first(self, monkeypatch):
-        # Every state shares one cutoff; the third state of its second stack
-        # fails to build, and the error is indexed by it.  When the state
-        # before it, in its stack, fails the Schmidt check, that error is
-        # raised instead.
+        # Every state shares one shape; the norm of the third state of its
+        # second stack fails, and the error is indexed by it.  When the state
+        # before it fails the Schmidt check, that error is raised instead;
+        # when the failing state itself fails it too, its norm's error is.
         failing = oracle._STACK + 2
         rng = np.random.default_rng(59)
         lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 2 * oracle._STACK + 5))
-        monkeypatch.setattr(oracle, "build_states",
-                            failing_build([lam[failing]], DegenerateStateError))
+        config = CoherentConfig(0.0, 0.0, 1.0, 1.0)  # half-gaps 0.5
+        states = [SuperpositionCoeffs(1.0, *v) for v in zip(lam, rho, nu)]
+        spectra = {i: spectrum_of(config, states[i]) for i in (failing - 1, failing)}
+        monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(
+            [norm_of(config, states[failing])], DegenerateStateError))
         with pytest.raises(DegenerateStateError, match="^check failed$") as raised:
             oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
         assert raised.value.index == failing
 
-        real = oracle.schmidt_concurrences
-
-        def schmidt(svals):
-            # The failing state's stack is cut to the two states before it.
-            if len(svals) == 2:
-                raise indexed(ConsistencyError("rank check failed"), 1)
-            return real(svals)
-
-        monkeypatch.setattr(oracle, "schmidt_concurrences", schmidt)
-        with pytest.raises(ConsistencyError, match="^rank check failed$") as raised:
-            oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
-        assert raised.value.index == failing - 1
+        for schmidt_fails, error in ((failing - 1, ConsistencyError),
+                                     (failing, DegenerateStateError)):
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+                    spectra[schmidt_fails], ConsistencyError))
+                with pytest.raises(error, match="^check failed$") as raised:
+                    oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
+            assert raised.value.index == schmidt_fails
 
     def test_the_earliest_failing_state_is_named_across_cutoffs(self, monkeypatch):
-        # Cutoffs are taken in ascending order, so the later state (index 3,
-        # cutoff 10) fails before the earlier one (index 1, cutoff 14) is
-        # built; the error names the earlier one.
-        calls = []
-        monkeypatch.setattr(oracle, "build_states", failing_build(
-            [-0.25, -0.75], DegenerateStateError, calls))
+        # Shapes are taken in ascending order, so the later state (index 3,
+        # shape (12, 12)) is built before the earlier one (index 1, shape
+        # (14, 14)); the error names the earlier one.
+        shapes = record_shapes(monkeypatch)
         h = [0.5, 0.5, 1e-9, 1e-9, 0.5]
         lam = [0.1, -0.25, 0.1, -0.75, 0.1]
+        norms = [oracle_concurrences(h[i], h[i], 1.0, lam[i], 0.2, 0.3)[1][0]
+                 for i in (1, 3)]
+        shapes.clear()
+        monkeypatch.setattr(oracle, "degenerate_norms",
+                            failing_norms(norms, DegenerateStateError))
         with pytest.raises(DegenerateStateError, match="^check failed$") as raised:
             oracle_concurrences(h, h, 1.0, lam, 0.2, 0.3)
-        assert calls == [10, 14]
+        assert shapes == [(12, 12), (14, 14)]
         assert raised.value.index == 1
 
+    def test_the_earliest_degenerate_state_is_named_across_shapes(self, monkeypatch):
+        # Two states are degenerate, each a product whose first factor
+        # |a> - |g> is rounding noise: index 1, at half-gaps 1e-17 and 2, of
+        # shape (12, 31), and index 2, at 1e-9 and 1e-9, of shape (12, 12),
+        # whose stack is built first.  The error is index 1's, as it raises
+        # alone.
+        shapes = record_shapes(monkeypatch)
+        h1, h2 = [0.5, 1e-17, 1e-9, 1e-9], [0.5, 2.0, 1e-9, 1e-9]
+        lam, rho, nu = [0.3, 1.0, -1.0, 0.3], [-0.2, -1.0, -1.0, -0.2], [0.5, -1.0, 1.0, 0.5]
+        with pytest.raises(DegenerateStateError) as alone:
+            oracle_concurrences(1e-17, 2.0, 1.0, 1.0, -1.0, -1.0)
+        shapes.clear()
+        with pytest.raises(DegenerateStateError, match="^joint state norm = ") as raised:
+            oracle_concurrences(h1, h2, 1.0, lam, rho, nu)
+        assert shapes == [(12, 12), (12, 31), (14, 14)]
+        assert raised.value.index == 1
+        assert str(raised.value) == str(alone.value)
+        with pytest.raises(DegenerateStateError) as raised:
+            oracle_concurrences(h1[2:], h2[2:], 1.0, lam[2:], rho[2:], nu[2:])
+        assert raised.value.index == 0
+
     def test_degenerate_job_raises_after_earlier_jobs_of_another_cutoff(self):
-        # Half-gaps 0.5 take cutoff 14; the degenerate job, whose pairs
-        # differ by 2e-9, takes cutoff 10, as the job after it does.
+        # Half-gaps 0.5 take the shape (14, 14); the degenerate job, whose
+        # pairs differ by 2e-9, takes (12, 12), as the job after it does.
         wide = CoherentConfig(0.0, 0.0, 1.0, 1.0)
         narrow = CoherentConfig(0.0, 0.0, 2e-9, 2e-9)
         fine = SuperpositionCoeffs(1.0, 0.3, -0.2, 0.5)
         jobs = [(wide, fine), (wide, SuperpositionCoeffs(1.0, 0.0, 0.0, -1.0)),
                 (narrow, SuperpositionCoeffs(1.0, -1.0, -1.0, 1.0)),
                 (wide, fine), (narrow, fine)]
-        assert [default_truncation(config.half_gap)
-                for config, _ in jobs] == [14, 14, 10, 14, 10]
+        assert [shape_of(config) for config, _ in jobs] == [
+            (14, 14), (14, 14), (12, 12), (14, 14), (12, 12)]
         oracle_concurrences(*columns(jobs[:2]))
         with pytest.raises(DegenerateStateError, match="^joint state norm = ") as raised:
             oracle_concurrences(*columns(jobs))
         assert raised.value.index == 2
 
-    def test_empty_jobs_yield_nothing(self):
+    def test_empty_jobs_yield_nothing(self, monkeypatch):
+        shapes = record_shapes(monkeypatch)
         c, norm = oracle_concurrences([], [], [], [], [], [])
         assert c.shape == norm.shape == (0,)
+        assert shapes == []
+
+
+def shape_of(config):
+    """The (T1, T2) cutoffs the oracle builds a configuration at."""
+    return tuple(mode_cutoffs(config.half_gaps).tolist())
+
+
+def record_shapes(monkeypatch):
+    """The (T1, T2) shape of each stack oracle.joint_states builds, in order,
+    as a list that fills as they are built."""
+    shapes = []
+    real = oracle.joint_states
+
+    def recording(f_gamma, f_delta, *rest):
+        shapes.append((f_gamma.shape[1], f_delta.shape[1]))
+        return real(f_gamma, f_delta, *rest)
+
+    monkeypatch.setattr(oracle, "joint_states", recording)
+    return shapes
+
+
+class TestModeCutoffs:
+    GRID = np.arange(0, 8001) * 1e-3
+
+    def test_at_least_the_bound_at_the_half_gap_and_nondecreasing(self):
+        cutoffs = mode_cutoffs(self.GRID)
+        assert cutoffs.dtype.kind == "i"
+        assert all(t >= default_truncation(a)
+                   for a, t in zip(self.GRID.tolist(), cutoffs.tolist()))
+        assert (np.diff(cutoffs) >= 0).all()
+        assert mode_cutoffs(MAX_AMPLITUDE) == 145 <= MAX_TRUNCATION
+        assert np.array_equal(mode_cutoffs(-self.GRID), cutoffs)
+
+    def test_quarter_steps(self):
+        # A sweep's half-gaps, at most 2, take eight cutoffs, 12 to 31.
+        assert sorted(set(mode_cutoffs(self.GRID[1:2001]).tolist())) == [
+            12, 14, 17, 19, 22, 25, 28, 31]
+
+    def test_build_state_takes_each_modes_own_cutoff(self):
+        # Half-gaps 8 and 0.1, each mode at its own cutoff: a 145 x 12 matrix.
+        config = CoherentConfig(0.0, 0.0, 16.0, 0.2)
+        coeffs = SuperpositionCoeffs(1.0, 0.0, 0.0, -1.0)
+        state = build_state(config, coeffs)
+        assert state.shape == (145, 12) and state.matrix().shape == (145, 12)
+        assert type(state.truncation) is int and state.truncation == 145
+        assert state.coefficients.size == 145 * 12
+        assert abs(oracle_concurrence(config, coeffs)
+                   - concurrence(coeffs, OverlapPair.from_config(config))) <= 1e-15
+
+
+def exact_state(h1, h2, mu, lam, rho, nu):
+    """(C, N) of the closed form at the half-gaps h1 and h2, whose overlaps
+    are exp(-2 h^2), at 50 digits, as floats."""
+    with mpmath.workdps(50):
+        h1, h2, mu, lam, rho, nu = map(mpmath.mpf, (h1, h2, mu, lam, rho, nu))
+        p1, p2 = mpmath.exp(-2 * h1**2), mpmath.exp(-2 * h2**2)
+        n_sq = (mu**2 + lam**2 + rho**2 + nu**2 + 2 * (mu * lam + rho * nu) * p2
+                + 2 * (mu * rho + lam * nu) * p1 + 2 * (mu * nu + lam * rho) * p1 * p2)
+        c = 2 * abs(mu * nu - lam * rho) * mpmath.sqrt((1 - p1**2) * (1 - p2**2)) / n_sq
+        return float(c), float(mpmath.sqrt(n_sq))
+
+
+def test_oracle_matches_the_closed_form_at_fifty_digits():
+    # 200 states drawn as oracle-check draws them, and states whose two
+    # half-gaps are far apart, each mode at its own cutoff.
+    rng = np.random.default_rng(62)
+    draws = rng.uniform([-2.0] * 4 + [-3.0] * 3, [2.0] * 4 + [3.0] * 3, size=(200, 7))
+    alpha, beta, gamma, delta, lam, rho, nu = draws.T
+    h1, h2 = half_gaps(alpha, beta, gamma, delta)
+    unequal = np.array([(0.05, 2.0), (2.0, 0.05), (8.0, 0.1), (-0.1, -8.0)])
+    extra = rng.uniform(-3.0, 3.0, size=(len(unequal), 3))
+    h1, h2 = np.append(h1, unequal[:, 0]), np.append(h2, unequal[:, 1])
+    lam, rho, nu = (np.append(v, e) for v, e in zip((lam, rho, nu), extra.T))
+    c, norm = oracle_concurrences(h1, h2, 1.0, lam, rho, nu)
+    exact = np.array([exact_state(*v, 1.0, *w) for v, w in zip(
+        zip(h1.tolist(), h2.tolist()), zip(lam.tolist(), rho.tolist(), nu.tolist()))])
+    assert np.max(abs(c - exact[:, 0])) <= 2e-15
+    # Rounding errs the norm on the scale of the coefficient sum S, so the
+    # bound is relative to N, or to S / 4 where N has cancelled below it.
+    size = 1.0 + abs(lam) + abs(rho) + abs(nu)
+    assert np.max(abs(norm - exact[:, 1]) / np.maximum(exact[:, 1], size / 4)) <= 1e-15
 
 
 class TestPurityConcurrence:
@@ -365,19 +484,20 @@ class TestOracleConcurrence:
         for _ in range(200):
             config, coeffs = random_state(rng)
             t = 2 * default_truncation(config.half_gap)
-            coefficients, _ = outer_reference(config, coeffs, t)
+            coefficients, _ = outer_reference(config, coeffs, (t, t))
             s = np.linalg.svd(coefficients.reshape(t, t), compute_uv=False)
             assert abs(oracle_concurrence(config, coeffs) - 2.0 * s[0] * s[1]) < 1e-14
 
 
-def outer_reference(config, coeffs, t=None):
+def outer_reference(config, coeffs, shape=None):
     """build_state's coefficients and norm, assembled with np.outer and
     np.linalg.norm from one fock_vector per amplitude of the centered modes,
-    -+h1 and -+h2, at the cutoff t (by default build_state's own)."""
-    if t is None:
-        t = default_truncation(config.half_gap)
+    -+h1 at the cutoff t1 and -+h2 at t2, with (t1, t2) = `shape` (by
+    default build_state's own)."""
+    t1, t2 = shape_of(config) if shape is None else shape
     h1, h2 = (config.gamma - config.alpha) * 0.5, (config.delta - config.beta) * 0.5
-    f_alpha, f_beta, f_gamma, f_delta = (fock_vector(a, t) for a in (-h1, -h2, h1, h2))
+    f_alpha, f_gamma = fock_vector(-h1, t1), fock_vector(h1, t1)
+    f_beta, f_delta = fock_vector(-h2, t2), fock_vector(h2, t2)
     psi = np.outer(f_alpha, coeffs.mu * f_beta + coeffs.lam * f_delta)
     psi += np.outer(f_gamma, coeffs.rho * f_beta + coeffs.nu * f_delta)
     norm = float(np.linalg.norm(psi))
@@ -402,7 +522,7 @@ def test_the_cutoff_depends_only_on_the_gaps():
     coeffs = SuperpositionCoeffs(1.0, 0.3, -0.2, 0.5)
     near = build_state(CoherentConfig(0.0, 0.0, 1.0, 1.0), coeffs)
     far = build_state(CoherentConfig(6.0, -7.0, 7.0, -6.0), coeffs)
-    assert near.truncation == far.truncation == 14
+    assert near.shape == far.shape == (14, 14)
     assert far.coefficients.tobytes() == near.coefficients.tobytes()
     assert far.norm_before_normalization == near.norm_before_normalization
 

@@ -20,7 +20,7 @@ from cohent.classify import Verdict, _family_terms, classify, family_checks
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.errors import GridSizeError
-from faults import failing_build, failing_schmidt, spectrum_of
+from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
 from cohent.scan import (
     FAMILIES,
     DisjointnessReport,
@@ -743,29 +743,33 @@ class TestOracleSpotCheck:
         assert worst < 1e-10
 
     @pytest.mark.parametrize("target, error", [
-        ("build_states", DegenerateStateError),
+        ("degenerate_norms", DegenerateStateError),
         ("schmidt_concurrence", ConsistencyError),
     ])
     def test_failure_past_the_first_block_names_its_record(self, monkeypatch,
                                                            target, error):
         # Every record is at x = 0.5, so at one Fock cutoff.  The third
-        # record of the oracle's second stack fails in the build of its
-        # stack or at the Schmidt rule; the error names that record.
+        # record of the oracle's second stack fails its norm's check or the
+        # Schmidt rule; the error names that record.
         failing = oracle_module._STACK + 3
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
                    for k in range(1, failing + 4)]
         lam, rho, nu, x, _ = records[failing - 1]
+        states = [(config_for_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
+                  for r in records]
         if target == "schmidt_concurrence":
-            spectra = [spectrum_of(config_for_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
-                       for r in records]
+            spectra = [spectrum_of(*state) for state in states]
             spectrum = spectra[failing - 1]
             # The fault finds the record by its spectrum, which no other has.
             assert sum(np.array_equal(s, spectrum) for s in spectra) == 1
             monkeypatch.setattr(oracle_module, "schmidt_concurrences",
                                 failing_schmidt(spectrum, error))
         else:
-            monkeypatch.setattr(oracle_module, "build_states",
-                                failing_build([lam], error))
+            norms = [norm_of(*state) for state in states]
+            # The fault finds the record by its norm, which no other has.
+            assert norms.count(norms[failing - 1]) == 1
+            monkeypatch.setattr(oracle_module, "degenerate_norms",
+                                failing_norms([norms[failing - 1]], error))
         with pytest.raises(error, match="^" + re.escape(
                 f"oracle spot check: check failed at lam={lam!r} rho={rho!r} "
                 f"nu=1.0 x=0.5") + "$"):
@@ -776,8 +780,9 @@ class TestOracleSpotCheck:
         # is named.
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5) for k in range(1, 8)]
         records[1] = records[1]._replace(concurrence=0.5)
-        monkeypatch.setattr(oracle_module, "build_states",
-                            failing_build([records[4].lam], DegenerateStateError))
+        norm = norm_of(config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4][:3]))
+        monkeypatch.setattr(oracle_module, "degenerate_norms",
+                            failing_norms([norm], DegenerateStateError))
         with pytest.raises(ConsistencyError, match=(
                 r"^oracle spot check: oracle disagrees with scan record by .* "
                 f"at lam={records[1].lam!r} ")):
