@@ -343,8 +343,10 @@ def cmd_scan(args) -> int:
 
 
 # The sweep draws, checks and compares this many trials at a time, so its
-# columns take a few hundred KB however many trials it runs.
-_SWEEP_CHUNK = 1024
+# columns take a few hundred KB however many trials it runs.  Each chunk pays
+# one oracle call's set-up, and a partly filled last stack in each of up to
+# 64 (T1, T2) shapes.
+_SWEEP_CHUNK = 2048
 
 # Each trial draws alpha, beta, gamma, delta from [-2, 2), then lambda, rho,
 # nu from [-3, 3); mu = 1.

@@ -12,7 +12,7 @@ Every analytic result in this package is cross-checked against this module.
 Every brute-force concurrence comes from `oracle_concurrences`, which takes
 states as columns.  Once per call it checks them, scales their coefficients
 into range and expands each distinct half-gap in the Fock basis; it then
-builds the states in stacks of at most _STACK of one (T1, T2) shape
+builds the states in stacks of one (T1, T2) shape, each within _STACK_BYTES
 (`joint_states`), takes each stack's spectra in one stacked SVD, and checks
 every state once, after the last stack.
 """
@@ -38,14 +38,20 @@ _RANK_LIMIT = 1e-6
 # + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
 _DEGENERATE_REL = 4.0 * sys.float_info.epsilon
 
-# States of one (T1, T2) shape are built, and their spectra taken, this many
-# at a time.  A stack's joint matrices take at most 32 x T1 x T2 x 8 B, and
-# building them takes one temporary as large: 0.25 MB in a random sweep,
-# whose half-gaps are at most 2 (T <= 31); 0.45 MB in the spot check, whose
-# overlaps are at least 1e-6 (T <= 42); 5.4 MB at the half-gap cap's
-# T(8) = 145 on both modes.  The SVDs take most of a sweep's time whatever
-# the stack, and 64 kept 0.3-0.6 MB more resident for no measurable gain.
-_STACK = 32
+# A stack of states of one (T1, T2) shape holds as many as fit in this many
+# bytes of joint matrices, and at least one (_stack_size); building it takes
+# one temporary as large.  That is 32 states at a random sweep's largest
+# cutoffs, T(2) = 31 on both modes, 213 at its smallest, 12, 17 at the spot
+# check's T <= 42, and one state, 0.17 MB, at the half-gap cap's T(8) = 145.
+# A fixed count would leave small shapes in many small stacks, each paying
+# the stacked SVD's fixed cost.
+_STACK_BYTES = 32 * 31 * 31 * 8
+
+
+def _stack_size(t1: int, t2: int) -> int:
+    """The states a T1 x T2 stack holds: as many as fit in _STACK_BYTES, one at least."""
+    return max(1, _STACK_BYTES // (8 * t1 * t2))
+
 
 # (-1)^n for n < MAX_TRUNCATION.
 _PARITY = np.resize([1.0, -1.0], MAX_TRUNCATION)
@@ -96,11 +102,13 @@ def joint_states(f_gamma, f_delta, mu, lam, rho, nu) -> tuple[np.ndarray, np.nda
     f_alpha = f_gamma * _PARITY[:f_gamma.shape[1]]
     f_beta = f_delta * _PARITY[:f_delta.shape[1]]
     # Broadcast outer products, and each norm as the dot product that
-    # np.linalg.norm takes: bit-identical, without either call's overhead.
+    # np.linalg.norm takes, one a state in one stacked matmul: bit-identical,
+    # without either call's overhead or a Python loop.
     mu, lam, rho, nu = (v[:, None] for v in (mu, lam, rho, nu))
     psi = f_alpha[:, :, None] * (mu * f_beta + lam * f_delta)[:, None, :]
     psi += f_gamma[:, :, None] * (rho * f_beta + nu * f_delta)[:, None, :]
-    return psi, np.sqrt([flat.dot(flat) for flat in psi.reshape(len(psi), -1)])
+    flat = psi.reshape(len(psi), -1)
+    return psi, np.sqrt((flat[:, None, :] @ flat[:, :, None]).ravel())
 
 
 def _degenerate(norms, size):
@@ -156,15 +164,17 @@ class _Call:
         self.cutoffs, self.rows = cutoffs[rows], local[rows]
 
     def stacks(self):
-        """(T1, T2, stack) for each stack of at most _STACK states of one
-        shape, whose indices ascend within it."""
+        """(T1, T2, stack) for each stack of _stack_size(T1, T2) states of
+        one shape, or the rest of them, whose indices ascend within it."""
         t1, t2 = self.cutoffs
         keys = t1 * (MAX_TRUNCATION + 1) + t2
         order = np.argsort(keys, kind="stable")
-        return [(*divmod(keys[group[0]].item(), MAX_TRUNCATION + 1),
-                 group[start:start + _STACK])
+        return [(*shape, group[start:start + size])
                 for group in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-                if len(group) for start in range(0, len(group), _STACK)]
+                if len(group)
+                for shape in [divmod(keys[group[0]].item(), MAX_TRUNCATION + 1)]
+                for size in [_stack_size(*shape)]
+                for start in range(0, len(group), size)]
 
     def states(self, t1, t2, stack):
         """The stack's states as a (k, T1, T2) array, normalized, and their
@@ -232,8 +242,8 @@ def oracle_concurrences(h1, h2, mu, lam, rho, nu) -> tuple[np.ndarray, np.ndarra
 
     A state is given by its signed half-gaps h1 and h2 and its coefficients;
     the six columns broadcast.  States are grouped by the (T1, T2) cutoffs of
-    their modes over the whole call, and each group is built in stacks of at
-    most _STACK, one stacked SVD each (LAPACK factors each matrix on its own,
+    their modes over the whole call, and each group is built in stacks of
+    _stack_size(T1, T2), one stacked SVD each (LAPACK factors each matrix on its own,
     so the bits are a one-matrix SVD's).  After the last stack every state
     is checked: the half-gaps (fock_vectors' check, before any is built),
     then degenerate_norms and schmidt_concurrences.  The error of the

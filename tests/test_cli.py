@@ -922,6 +922,22 @@ class TestOracleCheckCommand:
         assert len(seen) > 100 // 16 + 1  # some chunks came up short
         assert (2.0 * abs(half_gaps) > 1.0).all()
 
+    def test_output_does_not_depend_on_chunk_or_stack(self, monkeypatch, capsys):
+        # The same trials, drawn 64 at a time or built one state a stack,
+        # print the same bytes.
+        def output():
+            assert cli.main(["oracle-check", "--trials", "300", "--seed", "5",
+                             "--json"]) == 0
+            return capsys.readouterr().out
+
+        expected = output()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SWEEP_CHUNK", 64)
+            assert output() == expected
+        monkeypatch.setattr(oracle, "_STACK_BYTES", 1)
+        assert oracle._stack_size(12, 12) == 1
+        assert output() == expected
+
     def test_benchmark_sweep_reports_the_pinned_diffs(self, capsys):
         # The benchmark's oracle_sweep run, 2000 trials in two draw chunks,
         # each mode at its own Fock cutoff.  Both diffs rest on LAPACK's SVD

@@ -17,6 +17,7 @@ from cohent.coherent import (
     fock_vector,
     fock_vectors,
     overlap,
+    overlap_columns,
     overlap_complement,
     _inv_sqrt_n,
 )
@@ -70,6 +71,21 @@ class TestOverlap:
         assert overlap_complement(a, b) == pytest.approx(
             1.0 - overlap(a, b) ** 2, abs=1e-15
         )
+
+    def test_columns_match_the_per_pair_formulas(self):
+        # The columnar form takes the bits of math.exp(-gap ** 2 / 2) and
+        # -math.expm1(-gap ** 2) per pair, as overlap and
+        # overlap_complement do, at a gap of -0.0 and a tiny one too.
+        rng = np.random.default_rng(3)
+        a1, a2 = rng.uniform(-8.0, 8.0, size=(2, 2000))
+        a1[:3], a2[:3] = [-0.0, 0.5, 1.0], [0.0, 0.5 + 1e-9, 4.0]
+        p, complement = overlap_columns(a1, a2)
+        gaps = (a1 - a2).tolist()
+        assert p.tolist() == [math.exp(-0.5 * g ** 2) for g in gaps]
+        assert complement.tobytes() == np.array(
+            [-math.expm1(-g ** 2) for g in gaps]).tobytes()
+        assert p.tolist() == list(map(overlap, a1.tolist(), a2.tolist()))
+        assert complement.tolist() == list(map(overlap_complement, a1.tolist(), a2.tolist()))
 
 
 def mp_poisson_tail(a, cutoff):
@@ -301,6 +317,20 @@ class TestFockVectors:
             assert row.tobytes() == fock_vector(a, truncation).tobytes()
             expected = loop_fock_coefficients(a, truncation)
             assert np.max(np.abs(row - expected)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("truncation, amplitude", [
+        (12, 0.25), (31, 2.0), (145, 8.0), (256, 8.0)])
+    def test_rows_are_normalized_by_their_per_row_dot(self, truncation, amplitude):
+        # The one stacked matmul that takes every row's norm gives the bits
+        # of one dot product a row.
+        amplitudes = np.random.default_rng(truncation).uniform(
+            -amplitude, amplitude, size=200)
+        factors = np.empty((len(amplitudes), truncation))
+        factors[:, 0] = [math.exp(-0.5 * a * a) for a in amplitudes.tolist()]
+        factors[:, 1:] = amplitudes[:, None] * _inv_sqrt_n(truncation)
+        raw = factors.cumprod(axis=1)
+        expected = raw / np.sqrt([row.dot(row) for row in raw])[:, None]
+        assert fock_vectors(amplitudes, truncation).tobytes() == expected.tobytes()
 
     def test_first_rejected_amplitude_is_named(self):
         with pytest.raises(DomainError, match=r"^a must be a finite real, got nan$"):

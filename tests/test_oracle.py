@@ -190,9 +190,16 @@ class TestSchmidtConcurrences:
         examples = [(state.config, state.coeffs) for state in example_states(4.0)]
         assert {shape_of(config) for config, _ in examples} == {(19, 19)}
         jobs += examples
+        # States whose half-gaps are at most 0.25 share the smallest sweep
+        # shape, (12, 12), and 250 of them take two stacks.
+        for _ in range(250):
+            config, coeffs = random_state(rng)
+            g1, g2 = rng.uniform(0.01, 0.5, size=2) * rng.choice([-1.0, 1.0], size=2)
+            jobs.append((dataclasses.replace(config, gamma=config.alpha + g1,
+                                             delta=config.beta + g2), coeffs))
         shapes = collections.Counter(shape_of(config) for config, _ in jobs)
         # Most shapes are not square, and some take more than one stack.
-        assert len(shapes) >= 40 and max(shapes.values()) > oracle._STACK
+        assert len(shapes) >= 40 and shapes[12, 12] > oracle._stack_size(12, 12)
         assert sum(t1 != t2 for t1, t2 in shapes) > len(shapes) // 2
         expected = []
         for config, coeffs in jobs:
@@ -221,8 +228,8 @@ class TestSchmidtConcurrences:
             return psi, norms
 
         rng = np.random.default_rng(61)
-        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 100))
-        h = np.where(np.arange(100) % 2, 0.75, -0.75)
+        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 250))
+        h = np.where(np.arange(250) % 2, 0.75, -0.75)
         expected = [oracle_concurrence(CoherentConfig(0.0, 0.0, 2.0 * a, 2.0 * a),
                                        SuperpositionCoeffs(1.0, *v))
                     for a, *v in zip(h.tolist(), lam, rho, nu)]
@@ -230,7 +237,7 @@ class TestSchmidtConcurrences:
         monkeypatch.setattr(oracle, "joint_states", joint)
         c, _ = oracle_concurrences(h, h, 1.0, lam, rho, nu)
         assert c.tolist() == expected
-        assert seen == [(2, 17)] and len(built) == -(-100 // oracle._STACK)
+        assert seen == [(2, 17)] and len(built) == -(-250 // oracle._stack_size(17, 17)) == 3
         # Half-gaps are told apart by their bits, so -0.0 gets its own row:
         # mode 1's cutoff T(0) = 9 expands 0.0 and -0.0, mode 2's T(0.5) = 14
         # expands 0.5.
@@ -242,6 +249,26 @@ class TestSchmidtConcurrences:
         for i, h1 in enumerate([0.0, -0.0]):
             oracle_concurrences(h1, 0.5, 1.0, 0.3, -0.2, 0.5)
             assert built.pop()[0].tobytes() == pair[i].tobytes()
+
+    def test_stacks_stay_within_the_byte_budget(self, monkeypatch):
+        # Sweep states and six states at the half-gap cap, T(8) = 145 on both
+        # modes, in one call: every stack's joint matrices fit in
+        # _STACK_BYTES, and a cap state, 0.17 MB on its own, comes alone.
+        stacks = []
+        real = oracle.joint_states
+
+        def recording(f_gamma, f_delta, *rest):
+            stacks.append((len(f_gamma), f_gamma.shape[1], f_delta.shape[1]))
+            return real(f_gamma, f_delta, *rest)
+
+        monkeypatch.setattr(oracle, "joint_states", recording)
+        rng = np.random.default_rng(62)
+        h = rng.uniform(-2.0, 2.0, size=(2, 600))
+        h[:, ::100] = [[MAX_AMPLITUDE], [-MAX_AMPLITUDE]]
+        oracle_concurrences(*h, 1.0, *rng.uniform(-3.0, 3.0, size=(3, 600)))
+        assert sum(k for k, _, _ in stacks) == 600
+        assert all(8 * k * t1 * t2 <= oracle._STACK_BYTES for k, t1, t2 in stacks)
+        assert [stack for stack in stacks if 145 in stack] == [(1, 145, 145)] * 6
 
     def test_rank_three_state_raises_among_fine_stack_mates(self, monkeypatch):
         # Hand-made states, whose mu picks their Schmidt weights: the
@@ -261,10 +288,11 @@ class TestSchmidtConcurrences:
         # second stack fails, and the error is indexed by it.  When the state
         # before it fails the Schmidt check, that error is raised instead;
         # when the failing state itself fails it too, its norm's error is.
-        failing = oracle._STACK + 2
-        rng = np.random.default_rng(59)
-        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 2 * oracle._STACK + 5))
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)  # half-gaps 0.5
+        size = oracle._stack_size(*shape_of(config))
+        failing = size + 2
+        rng = np.random.default_rng(59)
+        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 2 * size + 5))
         states = [SuperpositionCoeffs(1.0, *v) for v in zip(lam, rho, nu)]
         spectra = {i: spectrum_of(config, states[i]) for i in (failing - 1, failing)}
         monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(

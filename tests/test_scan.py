@@ -751,7 +751,8 @@ class TestOracleSpotCheck:
         # Every record is at x = 0.5, so at one Fock cutoff.  The third
         # record of the oracle's second stack fails its norm's check or the
         # Schmidt rule; the error names that record.
-        failing = oracle_module._STACK + 3
+        failing = oracle_module._stack_size(
+            *oracle_module.mode_cutoffs(config_for_overlap(0.5).half_gaps)) + 3
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
                    for k in range(1, failing + 4)]
         lam, rho, nu, x, _ = records[failing - 1]
