@@ -132,7 +132,9 @@ def _into_range(mu, lam, rho, nu):
         size = np.abs(mu) + np.abs(lam) + np.abs(rho) + np.abs(nu)
     outside = ~((_RESCALE_BELOW <= size) & (size <= _RESCALE_ABOVE))
     if not outside.any():
-        return mu, lam, rho, nu, np.zeros(size.shape, dtype=int), size
+        # frexp's dtype, as below: ldexp takes an int64 exponent several
+        # times slower.
+        return mu, lam, rho, nu, np.zeros(size.shape, dtype=np.intc), size
     top = np.maximum(np.maximum(np.abs(mu), np.abs(lam)),
                      np.maximum(np.abs(rho), np.abs(nu)))
     exponent = np.where(outside, np.frexp(top)[1], 0)
@@ -161,16 +163,12 @@ def orthonormal_amplitudes(
     return OrthonormalAmplitudes(a, b, c, d, norm=norm)
 
 
-def _within_slack(value):
-    """Whether a concurrence, never negative, is at most 1 plus rounding
-    slack, so neither NaN nor inf; broadcasts."""
-    return value <= 1.0 + _CLAMP_SLACK
-
-
 def _clamped(values):
     """Concurrences clamped to [0, 1]; broadcasts.  Raises ConsistencyError,
-    indexed, for the first beyond rounding slack above 1 or NaN."""
-    beyond = np.flatnonzero(~_within_slack(values))
+    indexed, for the first beyond rounding slack above 1 (_CLAMP_SLACK) or
+    NaN: the one slack test of every concurrence in the package."""
+    # Written as a negation so a NaN concurrence fails.
+    beyond = np.flatnonzero(~(values <= 1.0 + _CLAMP_SLACK))
     if len(beyond):
         raise indexed(ConsistencyError(
             f"concurrence evaluated to {np.ravel(values)[beyond[0]].item()}, beyond "
@@ -181,34 +179,6 @@ def _clamped(values):
 
 def _at(lam, rho, nu, x) -> str:
     return f"lam={float(lam)!r} rho={float(rho)!r} nu={float(nu)!r} x={float(x)!r}"
-
-
-def concurrence_columns(lam, rho, nu, x, stage: str):
-    """The concurrence at mu = 1, p1 = p2 = x of columns of points, clamped
-    to 1.
-
-    Raises DegenerateStateError where N^2 is rounding noise (_degenerate),
-    and ConsistencyError where C exceeds 1 beyond rounding slack or is NaN;
-    each message starts with `stage` and names the first such point.
-    """
-    n = np.sqrt((1.0 - x) * (1.0 + x))
-    n_sq = _norm_sq(1.0, lam, rho, nu, x, x, n, n)
-    degenerate = np.flatnonzero(_degenerate(n_sq, 1.0 + abs(lam) + abs(rho) + abs(nu)))
-    if len(degenerate):
-        i = degenerate[0]
-        raise DegenerateStateError(
-            f"{stage} squared norm {float(n_sq[i]):.3e} is numerically zero at "
-            f"{_at(lam[i], rho[i], nu[i], x[i])}"
-        )
-    c = _concurrence_ratio(1.0, lam, rho, nu, n, n, n_sq)
-    bad = np.flatnonzero(~_within_slack(c))
-    if len(bad):
-        i = bad[0]
-        raise ConsistencyError(
-            f"{stage} concurrence {float(c[i])!r} exceeded 1 beyond rounding "
-            f"slack at {_at(lam[i], rho[i], nu[i], x[i])}"
-        )
-    return np.minimum(c, 1.0)
 
 
 def concurrence_and_norm_sq(mu, lam, rho, nu, p1, p2, n1, n2):

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, concurrence_columns, max_concurrence_over_nu
-from .analytic import nu_windows, require_open_unit_interval, rho_windows
+from .analytic import SuperpositionCoeffs, concurrence_and_norm_sq, nu_windows
+from .analytic import max_concurrence_over_nu, require_open_unit_interval, rho_windows
 from .analytic import _RESCALE_ABOVE, _at, _norm_sq
 from .classify import _family_terms, _unit_ray, family_checks
 from .coherent import CoherentConfig
@@ -129,14 +129,16 @@ class ScanConfig:
                 raise DomainError(
                     f"{name}: steps must be >= 2, or exactly 1 with min == max"
                 )
-        # The grid does not rescale as `concurrence` does, so its N^2 would
-        # overflow and every point would silently miss the threshold.
+        # The grid's C is rescaled into range, but its window arithmetic
+        # (analytic._row_terms, rho_windows, nu_windows) is not: past this
+        # box t^2, lam rho and nu_windows' discriminant overflow.
         size = 1.0 + sum(max(abs(lo), abs(hi)) for lo, hi, _ in
                          (self.lam_range, self.rho_range, self.nu_range))
         if size > _RESCALE_ABOVE:
             raise DomainError(
                 f"coefficient box too large: 1 + max|lam| + max|rho| + max|nu| "
-                f"= {size:.3e} exceeds 2^500, where the grid's N^2 overflows"
+                f"= {size:.3e} exceeds 2^500, where the grid's rho and nu window "
+                "arithmetic overflows"
             )
         object.__setattr__(self, "x_values", tuple(float(x) for x in self.x_values))
         if not self.x_values:
@@ -262,9 +264,16 @@ def grid_scan(config: ScanConfig) -> tuple[ScanHits, int, int, int]:
             rows_kept += len(keep)
             windows = nu_windows(lam, rho, x[:, None], floor)
             for point, nu_index in _window_points(nus, *windows):
-                nu = nus[nu_index]
+                nu, p = nus[nu_index], x[point]
                 evaluated += len(nu)
-                c = concurrence_columns(lam[point], rho[point], nu, x[point], "grid_scan:")
+                n = np.sqrt((1.0 - p) * (1.0 + p))
+                try:
+                    c, _ = concurrence_and_norm_sq(1.0, lam[point], rho[point], nu,
+                                                   p, p, n, n)
+                except (ConsistencyError, DegenerateStateError) as err:
+                    i, row = err.index, point[err.index]
+                    raise type(err)(f"grid_scan: {err} at "
+                                    f"{_at(lam[row], rho[row], nu[i], x[row])}") from err
                 hit = np.flatnonzero(c >= threshold)
                 at = point[hit]
                 parts.append((lam[at], rho[at], nu[hit], x[at], c[hit]))
@@ -309,7 +318,10 @@ def refine(lam: float, rho: float, nu: float, x: float, concurrence: float):
             new = (t, t, -1.0 - 2.0 * t * x)
     if not on_a_family(*new):
         return lam, rho, nu, concurrence, False
-    c = concurrence_columns(*(np.array([v]) for v in (*new, x)), "refine: recomputed")
+    try:
+        c, _ = concurrence_and_norm_sq(1.0, *new, x, x, n, n)
+    except (ConsistencyError, DegenerateStateError) as err:
+        raise type(err)(f"refine: recomputed {err} at {_at(*new, x)}") from err
     return (*new, c.item(), True)
 
 

@@ -197,29 +197,6 @@ class TestConcurrenceFromAmplitudes:
             self._ratio_reads(monkeypatch, bad)
 
 
-class TestConcurrenceColumns:
-    """The grid's and the scalar refine's kernel: C at mu = 1 for columns,
-    checked."""
-
-    def test_matches_the_scalar_concurrence_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 200))
-        x = rng.uniform(1e-6, 1.0 - 1e-6, size=200)
-        columns = analytic.concurrence_columns(lam, rho, nu, x, "stage:")
-        assert columns.tolist() == [
-            concurrence(SuperpositionCoeffs(1.0, *v[:3]), OverlapPair(v[3], v[3]))
-            for v in zip(lam.tolist(), rho.tolist(), nu.tolist(), x.tolist())]
-
-    def test_degenerate_point_names_the_stage_and_point(self, monkeypatch):
-        monkeypatch.setattr(analytic, "_norm_sq", lambda *args: np.array([1.0, 0.0]))
-        with pytest.raises(DegenerateStateError,
-                           match=r"^stage: squared norm 0\.000e\+00 is numerically "
-                                 r"zero at lam=2\.0 rho=3\.0 nu=4\.0 x=0\.25$"):
-            analytic.concurrence_columns(np.array([1.0, 2.0]), np.array([1.0, 3.0]),
-                                         np.array([1.0, 4.0]), np.array([0.5, 0.25]),
-                                         "stage:")
-
-
 class TestConcurrence:
     def test_separable_exact_zero(self):
         coeffs = SuperpositionCoeffs(1, 0.3, 0.7, 0.21)

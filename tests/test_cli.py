@@ -83,8 +83,8 @@ def hit_columns(records):
 
 def honest(lam, rho, nu, x):
     """A record at (lam, rho, nu, x) with the grid's own C."""
-    c = analytic.concurrence_columns(*(np.array([v]) for v in (lam, rho, nu, x)), "")
-    return lam, rho, nu, x, c.item()
+    return lam, rho, nu, x, analytic.concurrence(
+        SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x))
 
 
 class TestConcurrenceCommand:
@@ -939,7 +939,7 @@ class TestOracleCheckCommand:
         assert output() == expected
 
     def test_benchmark_sweep_reports_the_pinned_diffs(self, capsys):
-        # The benchmark's oracle_sweep run, 2000 trials in two draw chunks,
+        # The benchmark's oracle_sweep run, 2000 trials in one draw chunk,
         # each mode at its own Fock cutoff.  Both diffs rest on LAPACK's SVD
         # and BLAS's dot product; these are the values with numpy 2.4's
         # bundled OpenBLAS.
@@ -1161,17 +1161,20 @@ class TestDeterminism:
         assert cli.main(["scan", config, str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    # SHA-256 of the CSVs of the bundled box, of the dense_sweep box (241^3)
-    # and of the bundled box at threshold 0.9 (50,217 hits, CI's wide smoke
-    # scan), in the six columns lambda,rho,nu,x,concurrence,family: the grid
-    # uses only correctly rounded elementwise operations, so any numpy
-    # should write these bytes, and a record moved by one ulp fails here.
+    # SHA-256 of the CSVs of the bundled box, of the dense_sweep box (241^3),
+    # of the bundled box at threshold 0.9 (50,217 hits, CI's wide smoke scan)
+    # and at threshold 0.5 (284,712 hits, CI's half scan, the only one whose
+    # hits include ambiguous ones: 5,206), in the six columns
+    # lambda,rho,nu,x,concurrence,family: the grid uses only correctly
+    # rounded elementwise operations, so any numpy should write these bytes,
+    # and a record moved by one ulp fails here.
     @pytest.mark.parametrize("steps, threshold, digest", [
         (61, "0.999", "88ccb391babb54d121132979dafee7abcf754ef4ec52a72ee60abe72da8fa234"),
         (241, "0.999999",
          "f56c75f1db411515db7c375f6468997b3400c317a7cbb4f8ab0152b42b74e60e"),
         (61, "0.9", "b4e16a48dd1981a358bfb37cb833b1513dddfec285f9ccffddb2b440237f6149"),
-    ], ids=["bundled", "dense", "wide"])
+        (61, "0.5", "ecdaa50cd385fc0e3f4b4c81cd5c52db9759d16bf11c50b6b01d71a488881e91"),
+    ], ids=["bundled", "dense", "wide", "half"])
     def test_scan_csv_digest(self, tmp_path, steps, threshold, digest):
         text = resources.files("cohent").joinpath("configs").joinpath(
             "theorem_check.cfg").read_text(encoding="utf-8")

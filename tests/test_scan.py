@@ -78,6 +78,14 @@ def exact_concurrence(lam, rho, nu, x):
         return float(2 * abs(nu - lam * rho) * (1 - x**2) / n_sq)
 
 
+def read_at(monkeypatch, name, lam, rho, value):
+    """Patch analytic.<name>, _norm_sq or _concurrence_ratio, to give `value`
+    on the row (lam, rho)."""
+    real = getattr(analytic, name)
+    monkeypatch.setattr(analytic, name, lambda mu, lams, rhos, *rest: np.where(
+        (lams == lam) & (rhos == rho), value, real(mu, lams, rhos, *rest)))
+
+
 def small_config(**overrides):
     base = dict(
         lam_range=(-2.0, 2.0, 21),
@@ -117,9 +125,9 @@ class TestScanConfig:
                 x_values=(0.2, 0.5),
             )
 
-    def test_rejects_box_whose_norm_overflows(self):
-        # the grid's N^2 (~1e401) would overflow and silently give 0 hits,
-        # where the scalar concurrence finds 56
+    def test_rejects_box_whose_windows_overflow(self):
+        # the grid's window arithmetic would overflow: analytic._row_terms'
+        # t^2 and nu_windows' lam rho and discriminant
         with pytest.raises(DomainError, match="2\\^500"):
             ScanConfig(
                 lam_range=(-2e200, 2e200, 5),
@@ -218,8 +226,43 @@ class TestGridScan:
                             lambda *args: ratio(*args) * np.nan)
         # the first kept row, lam = rho = -2, holds the class (b) point nu = 1
         with pytest.raises(ConsistencyError,
-                           match=r"^grid_scan: concurrence nan exceeded 1 .* at "
-                                 r"lam=-2\.0 rho=-2\.0 nu=1\.0 x=0\.5$"):
+                           match=r"^grid_scan: concurrence evaluated to nan, beyond "
+                                 r"rounding slack .* at lam=-2\.0 rho=-2\.0 nu=1\.0 "
+                                 r"x=0\.5$"):
+            grid_scan(small_config())
+
+    def test_hits_match_the_scalar_concurrence_bit_for_bit(self):
+        # a low threshold, so that most points are hits, at overlaps across
+        # (0, 1)
+        x = np.random.default_rng(5).uniform(1e-6, 1.0 - 1e-6, size=4)
+        config = box(-3.0, 3.0, 8, tuple(x.tolist()), 0.05)
+        hits = hit_list(grid_scan(config)[0])
+        assert len(hits) > config.total_points() // 2
+        for hit in hits:
+            assert hit.concurrence == concurrence(hit.coefficients(),
+                                                  OverlapPair(hit.x, hit.x))
+
+    def test_degenerate_point_names_the_stage_and_point(self, monkeypatch):
+        # (lam, rho, nu) = (0, -1, 1) is on class (a), after other points of
+        # its block
+        read_at(monkeypatch, "_norm_sq", 0.0, -1.0, 0.0)
+        message = (r"^grid_scan: squared norm 0\.000e\+00 is numerically zero; .* at "
+                   r"lam=0\.0 rho=-1\.0 nu=1\.0 x=0\.5$")
+        with pytest.raises(DegenerateStateError, match=message) as err:
+            grid_scan(small_config())
+        assert err.value.__cause__.index > 0
+
+    def test_earliest_failing_point_is_named_whichever_check_it_fails(self,
+                                                                     monkeypatch):
+        # C beyond the slack at the first kept row, lam = rho = -2, and N^2
+        # numerically zero at a later point of the same block, (0, -1)
+        read_at(monkeypatch, "_concurrence_ratio", -2.0, -2.0, 2.0)
+        read_at(monkeypatch, "_norm_sq", 0.0, -1.0, 0.0)
+        assert scan_module._BLOCK > small_config().total_points()
+        with pytest.raises(ConsistencyError,
+                           match=r"^grid_scan: concurrence evaluated to 2\.0, beyond "
+                                 r"rounding slack .* at lam=-2\.0 rho=-2\.0 nu=1\.0 "
+                                 r"x=0\.5$"):
             grid_scan(small_config())
 
     def test_deterministic_across_runs(self):
@@ -623,16 +666,17 @@ class TestRefine:
         monkeypatch.setattr(analytic, "_concurrence_ratio",
                             lambda *args: ratio(*args) * np.nan)
         # an exact family point, which refine recomputes without moving
-        message = (r"^refine: recomputed concurrence nan exceeded 1 beyond rounding "
-                   r"slack at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")
+        message = (r"^refine: recomputed concurrence evaluated to nan, beyond rounding "
+                   r"slack above 1; this indicates a bug rather than float noise at "
+                   r"lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")
         with pytest.raises(ConsistencyError, match=message):
             refine_hit(Hit(-0.5, -0.5, 1.0, 0.5, 1.0))
 
 
 def honest(lam, rho, nu, x):
     """A Hit at (lam, rho, nu, x) with the grid's own C."""
-    c = analytic.concurrence_columns(*(np.array([v]) for v in (lam, rho, nu, x)), "")
-    return Hit(lam, rho, nu, x, c.item())
+    return Hit(lam, rho, nu, x,
+               concurrence(SuperpositionCoeffs(1.0, lam, rho, nu), OverlapPair(x, x)))
 
 
 class TestVerifyDisjointClasses:
