@@ -9,7 +9,9 @@ inconsistency, 5 a scan hit outside the theorem's two-sided bound.
 (a + d, b - c) = M_a P_a v and (a - d, b + c) = M_b P_b v, the squared singular
 values of M_a and M_b being 1 +- p1 and 1 +- p2.  `scan` stays at p1 = p2 = x.
 
-Every oracle value comes from oracle.oracle_concurrences; errors name their state.
+Every oracle value comes from oracle.oracle_concurrences, which also names
+the earliest state to fail, the closed form's error first on one state;
+errors name their state.
 Each command builds one payload dict; `_emit`, the one printer, refuses a
 non-finite value in it and prints it as JSON or as the command's text.
 `scan`'s payload is the report that scan.run_scan builds, plus the CSV path;
@@ -35,7 +37,7 @@ from .catalog import example_states
 from .classify import DEFAULT_TOL, Verdict, classify
 from .coherent import OverlapPair, distinct, half_gaps, overlap_columns
 from .errors import CohentError, ConsistencyError, DegenerateStateError, DomainError
-from .errors import InputFileError
+from .errors import InputFileError, indexed
 from .oracle import oracle_concurrence, oracle_concurrences
 from .scan import FAMILIES, run_scan
 from .statespec import load_scan_file, load_state_file, parse_scan_text
@@ -147,23 +149,21 @@ def cmd_classify(args) -> int:
 def cmd_examples(args) -> int:
     states = example_states(args.gap_squared)
     x = math.exp(-0.5 * args.gap_squared)
-    try:
-        oracle, _ = oracle_concurrences(*zip(*(
-            (*state.config.half_gaps, state.coeffs.mu, state.coeffs.lam,
-             state.coeffs.rho, state.coeffs.nu) for state in states)))
-        failure = None
-    except (ConsistencyError, DegenerateStateError) as err:
-        failure = err
-    # Each state is classified before its oracle error is raised, so the
-    # error named is the first state's to fail either.
-    results = []
+    # The states are classified up to the first that fails, and its error
+    # goes to the oracle, which raises the earliest state's to fail either.
+    results, failure = [], None
     for i, state in enumerate(states):
         try:
             results.append(classify(state.coeffs, OverlapPair.from_config(state.config)))
-            if failure is not None and i == failure.index:
-                raise failure
         except (ConsistencyError, DegenerateStateError) as err:
-            raise type(err)(f"examples: {state.label}: {err}") from err
+            failure = indexed(err, i)
+            break
+    try:
+        oracle, _ = oracle_concurrences(*zip(*(
+            (*state.config.half_gaps, state.coeffs.mu, state.coeffs.lam,
+             state.coeffs.rho, state.coeffs.nu) for state in states)), failure=failure)
+    except (ConsistencyError, DegenerateStateError) as err:
+        raise type(err)(f"examples: {states[err.index].label}: {err}") from err
     rows = []
     for state, result, c_oracle in zip(states, results, oracle.tolist()):
         target = 0.0 if state.expected is Verdict.SEPARABLE else 1.0
@@ -359,24 +359,21 @@ def _sweep_diffs(rows, first_trial: int) -> tuple[float, float]:
     """The largest |analytic - oracle| difference in C and in N^2 over
     `rows` of drawn trials, the first of them trial `first_trial`.
 
-    An error of either side names the earliest trial that fails, the
-    oracle's before the closed form's on the same trial, and its values.
+    An error of either side names the earliest trial to fail, by
+    oracle_concurrences' one rule, and its values.
     """
     alpha, beta, gamma, delta, lam, rho, nu = rows.T
-    failures = []
-    try:
-        c_oracle, norm = oracle_concurrences(
-            *half_gaps(alpha, beta, gamma, delta), 1.0, lam, rho, nu)
-    except (ConsistencyError, DegenerateStateError) as err:
-        failures.append(err)
     (p1, c1), (p2, c2) = overlap_columns(alpha, gamma), overlap_columns(delta, beta)
+    failure = None
     try:
         c_analytic, n_sq = concurrence_and_norm_sq(
             1.0, lam, rho, nu, p1, p2, np.sqrt(c1), np.sqrt(c2))
     except (ConsistencyError, DegenerateStateError) as err:
-        failures.append(err)
-    if failures:
-        err = min(failures, key=lambda error: error.index)
+        failure = err
+    try:
+        c_oracle, norm = oracle_concurrences(
+            *half_gaps(alpha, beta, gamma, delta), 1.0, lam, rho, nu, failure=failure)
+    except (ConsistencyError, DegenerateStateError) as err:
         at = " ".join(f"{name}={value!r}" for name, value in zip(
             _SWEEP_NAMES, rows[err.index].tolist()))
         raise type(err)(

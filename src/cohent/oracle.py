@@ -8,7 +8,8 @@ exactly, a local unitary, so the Schmidt spectrum is the original state's,
 and a state is given by its signed half-gaps h1 = (gamma - alpha) / 2 and
 h2 = (delta - beta) / 2 (coherent.half_gaps) and its coefficients.  Each
 mode's Fock cutoff follows its own |half-gap| (mode_cutoffs).
-Every analytic result in this package is cross-checked against this module.
+Every analytic result in this package is cross-checked against this module;
+the closed form's values come in only to be compared (oracle_concurrences).
 Every brute-force concurrence comes from `oracle_concurrences`, which takes
 states as columns.  Once per call it checks them, scales their coefficients
 into range and expands each distinct half-gap in the Fock basis; it then
@@ -19,6 +20,7 @@ every state once, after the last stack.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -135,10 +137,10 @@ class _Call:
     checked, their coefficients scaled into range, each mode's cutoff, and
     one Fock row per distinct half-gap of each cutoff."""
 
-    def __init__(self, h1, h2, mu, lam, rho, nu):
-        # The six columns, as the rows of one array.
+    def __init__(self, h1, h2, mu, lam, rho, nu, count=None):
+        # The six columns of the first `count` states (or all), as rows.
         columns = np.array(np.broadcast_arrays(h1, h2, mu, lam, rho, nu),
-                           dtype=float).reshape(6, -1)
+                           dtype=float).reshape(6, -1)[:, :count]
         check_amplitudes(columns[:2].ravel(order="F"))  # in input order
         # The joint coefficients are no larger than |mu| + |lam| + |rho| +
         # |nu|, and the norm sums their squares, so each state is built from
@@ -150,17 +152,15 @@ class _Call:
         # One Fock row per distinct half-gap, told apart by its bits so that
         # -0.0 keeps its own row, and one fock_vectors call per cutoff, on
         # its half-gaps.
-        row_of = {}
-        rows = [row_of.setdefault(bits, len(row_of))
-                for bits in columns[:2].view(np.int64).ravel().tolist()]
-        halves = np.array(list(row_of), dtype=np.int64).view(np.float64)
+        bits, rows = np.unique(columns[:2].view(np.int64), return_inverse=True)
+        halves = bits.view(np.float64)
         cutoffs = mode_cutoffs(halves)
         local, self.tables = np.empty(len(halves), dtype=np.intp), {}
         for cutoff in dict.fromkeys(cutoffs.tolist()):
             members = np.flatnonzero(cutoffs == cutoff)
             local[members] = np.arange(len(members))
             self.tables[cutoff] = fock_vectors(halves[members], cutoff)
-        rows = np.array(rows, dtype=np.intp).reshape(2, -1)
+        rows = rows.reshape(2, -1)
         self.cutoffs, self.rows = cutoffs[rows], local[rows]
 
     def stacks(self):
@@ -236,7 +236,8 @@ def schmidt_concurrence(svals: np.ndarray) -> float:
     return float(schmidt_concurrences(np.asarray(svals)[None])[0])
 
 
-def oracle_concurrences(h1, h2, mu, lam, rho, nu) -> tuple[np.ndarray, np.ndarray]:
+def oracle_concurrences(h1, h2, mu, lam, rho, nu, expected=(), tol=math.inf,
+                        failure=None) -> tuple[np.ndarray, np.ndarray]:
     """C and the norm before normalization of each state, as two arrays in
     input order.
 
@@ -246,20 +247,33 @@ def oracle_concurrences(h1, h2, mu, lam, rho, nu) -> tuple[np.ndarray, np.ndarra
     _stack_size(T1, T2), one stacked SVD each (LAPACK factors each matrix on its own,
     so the bits are a one-matrix SVD's).  After the last stack every state
     is checked: the half-gaps (fock_vectors' check, before any is built),
-    then degenerate_norms and schmidt_concurrences.  The error of the
-    earliest state to fail, in input order, is raised, indexed by it; a state
-    whose norm fails raises that error, not its Schmidt rule's.
+    then degenerate_norms and schmidt_concurrences, and each C against
+    `expected`, the closed form's C of each state, if given.  `failure` is
+    the closed form's own indexed error, if any: no state from its index on
+    is built.  The earliest state to fail, in input order, raises, indexed
+    by it: its norm's error, else its Schmidt rule's, else a C further than
+    `tol` from `expected` (NaN included), else `failure`.  So on one state
+    the closed form's error comes before the oracle's.
     """
-    call = _Call(h1, h2, mu, lam, rho, nu)
+    call = _Call(h1, h2, mu, lam, rho, nu, None if failure is None else failure.index)
     count = len(call.size)
     norms, svals = np.empty(count), np.empty((count, 3))
     for t1, t2, stack in call.stacks():
         psi, norms[stack] = call.states(t1, t2, stack)
         svals[stack] = np.linalg.svd(psi, compute_uv=False)[:, :3]
-    failure = degenerate_norms(norms, call.size)
-    c = schmidt_concurrences(svals[:count if failure is None else failure.index])
-    if failure is not None:
-        raise failure
+    own = degenerate_norms(norms, call.size)
+    try:
+        c = schmidt_concurrences(svals[:count if own is None else own.index])
+    except ConsistencyError as err:
+        own, c = err, schmidt_concurrences(svals[:err.index])
+    if len(expected):
+        diff = abs(c - np.asarray(expected)[:len(c)])
+        off = np.flatnonzero(~(diff <= tol))  # as a negation, so NaN fails
+        if len(off):
+            raise indexed(ConsistencyError(
+                f"oracle disagrees with the closed form by {diff[off[0]]:.3e}"), off[0])
+    if own or failure:
+        raise own or failure
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         return c, np.ldexp(norms, call.exponent)
 

@@ -385,9 +385,10 @@ def oracle_spot_check(
     """Re-check a seeded random subsample of hits against the Fock oracle.
 
     Returns (checked count, worst |analytic - oracle|); raises
-    ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.  Every
-    error, the oracle's own included, starts with "oracle spot check" and
-    names the point.
+    ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.  The
+    error is the earliest record's to fail, a disagreement or the oracle's
+    own (oracle_concurrences), starts with "oracle spot check" and names
+    the point.
     """
     if not len(hits) or fraction <= 0.0:
         return 0, 0.0
@@ -400,28 +401,13 @@ def oracle_spot_check(
     config = functools.cache(config_for_overlap)
     h1, h2 = np.array([config(value).half_gaps for value in x.tolist()]).T
     try:
-        found, _ = oracle_concurrences(h1, h2, 1.0, lam, rho, nu)
-        failure = None
+        found, _ = oracle_concurrences(h1, h2, 1.0, lam, rho, nu, c, SPOT_CHECK_MAX_DIFF)
     except (ConsistencyError, DegenerateStateError) as err:
-        # The records before the failing one are still compared, so the
-        # error named is the first record's to fail either way.
-        failure, k = err, err.index
-        found, _ = oracle_concurrences(h1[:k], h2[:k], 1.0, lam[:k], rho[:k], nu[:k])
-    diff = abs(found - c[:len(found)])
-    # Written as a negation so a NaN concurrence fails.
-    off = np.flatnonzero(~(diff <= SPOT_CHECK_MAX_DIFF))
-    if len(off):
-        i = off[0]
-        raise ConsistencyError(
-            f"oracle spot check: oracle disagrees with scan record by "
-            f"{diff[i]:.3e} at {_at(lam[i], rho[i], nu[i], x[i])}"
-        )
-    if failure is not None:
-        i = failure.index
-        raise type(failure)(
-            f"oracle spot check: {failure} at {_at(lam[i], rho[i], nu[i], x[i])}"
-        ) from failure
-    return count, diff.max().item()
+        i = err.index
+        raise type(err)(
+            f"oracle spot check: {err} at {_at(lam[i], rho[i], nu[i], x[i])}"
+        ) from err
+    return count, abs(found - c).max().item()
 
 
 def run_scan(config: ScanConfig) -> tuple[ScanHits, np.ndarray, dict]:

@@ -853,13 +853,13 @@ class TestOracleCheckCommand:
     @pytest.mark.parametrize("oracle_trial, analytic_trial, status, message", [
         (5, 7, 2, "check failed"),
         (7, 5, 3, "closed form failed"),
-        (5, 5, 2, "check failed"),
+        (5, 5, 3, "closed form failed"),
     ])
     def test_earliest_failing_trial_is_named_across_both_sides(
             self, monkeypatch, capsys, oracle_trial, analytic_trial, status, message):
         # The oracle and the closed form each fail one trial: the earlier
-        # is named and, on one trial, the oracle's error, which a trial
-        # met first.
+        # is named and, on one trial, the closed form's error, which the
+        # oracle is given and which stops it building that trial.
         draws = sweep_draws(2, 9)
         real = cli.concurrence_and_norm_sq
 
@@ -886,9 +886,9 @@ class TestOracleCheckCommand:
         seen = []
         real = cli.oracle_concurrences
 
-        def recording(h1, h2, mu, lam, rho, nu):
+        def recording(h1, h2, mu, lam, rho, nu, **kwargs):
             seen.append(np.column_stack([h1, h2, lam, rho, nu]))
-            return real(h1, h2, mu, lam, rho, nu)
+            return real(h1, h2, mu, lam, rho, nu, **kwargs)
 
         monkeypatch.setattr(cli, "oracle_concurrences", recording)
         trials = cli._SWEEP_CHUNK + 40
@@ -907,9 +907,9 @@ class TestOracleCheckCommand:
         seen = []
         real = cli.oracle_concurrences
 
-        def recording(h1, h2, *rest):
+        def recording(h1, h2, *rest, **kwargs):
             seen.append(np.column_stack([h1, h2]))
-            return real(h1, h2, *rest)
+            return real(h1, h2, *rest, **kwargs)
 
         monkeypatch.setattr(coherent, "DISTINCT_TOL", 1.0)
         monkeypatch.setattr(cli, "_SWEEP_CHUNK", 16)
@@ -1025,7 +1025,8 @@ def test_refused_state_file_exits_2(tmp_path, capsys, command, text, error):
     (["scan", "CONFIG", "OUT", "--json"], "run_scan", lambda real: lambda config: (
         *real(config)[:2], scan_report(max_oracle_diff=math.inf)), "max_oracle_diff"),
     (["examples", "--json"], "oracle_concurrences",
-     lambda real: lambda *columns: (np.full(15, math.inf), real(*columns)[1]),
+     lambda real: lambda *columns, **kwargs: (np.full(15, math.inf),
+                                              real(*columns, **kwargs)[1]),
      "states[0].oracle_concurrence"),
     (["bell-limit", "--json"], "orthonormal_amplitudes",
      lambda real: lambda *a: dataclasses.replace(real(*a), a=math.inf),

@@ -10,8 +10,8 @@ from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
 from cohent.catalog import example_states
 from cohent.coherent import MAX_AMPLITUDE, MAX_TRUNCATION, CoherentConfig, OverlapPair
 from cohent.coherent import default_truncation, fock_vector, fock_vectors, half_gaps
-from cohent import oracle
-from cohent.errors import ConsistencyError, DegenerateStateError
+from cohent import oracle, scan
+from cohent.errors import ConsistencyError, DegenerateStateError, indexed
 from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
 from cohent.oracle import (
     ProductStateVector,
@@ -574,3 +574,106 @@ def test_a_common_shift_leaves_the_concurrence():
                         coeffs))
     assert np.array_equal(oracle_concurrences(*columns(shifted)),
                           oracle_concurrences(*columns(jobs)))
+
+
+class TestComparison:
+    """oracle_concurrences' comparison with the closed form: `expected`,
+    `tol` and `failure`, and the one order in which failures are named."""
+
+    JOBS = [random_state(rng) for rng in [np.random.default_rng(63)] for _ in range(8)]
+
+    def fail_norm(self, monkeypatch, i):
+        """Make state i of JOBS fail degenerate_norms."""
+        monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(
+            [norm_of(*self.JOBS[i])], DegenerateStateError))
+
+    def test_a_passing_comparison_returns_the_defaults_bits(self):
+        # test_stacked_equals_one_state_bit_for_bit pins the defaults' C and
+        # norms to one-state builds.
+        c, norm = oracle_concurrences(*columns(self.JOBS))
+        again = oracle_concurrences(*columns(self.JOBS), expected=c, tol=0.0)
+        assert np.array_equal(again, (c, norm))
+
+    def test_closed_form_failure_wins_a_tie(self, monkeypatch):
+        self.fail_norm(monkeypatch, 5)
+        failure = indexed(ConsistencyError("closed form failed"), 5)
+        with pytest.raises(ConsistencyError, match="^closed form failed$") as caught:
+            oracle_concurrences(*columns(self.JOBS), failure=failure)
+        assert caught.value.index == 5
+
+    def test_earlier_oracle_failure_is_named(self, monkeypatch):
+        self.fail_norm(monkeypatch, 2)
+        failure = indexed(ConsistencyError("closed form failed"), 5)
+        with pytest.raises(DegenerateStateError, match="^check failed$") as caught:
+            oracle_concurrences(*columns(self.JOBS), failure=failure)
+        assert caught.value.index == 2
+
+    def test_states_from_the_failure_on_are_not_built(self, monkeypatch):
+        seen = []
+
+        def recording(amplitudes, truncation):
+            seen.extend(amplitudes.tolist())
+            return fock_vectors(amplitudes, truncation)
+
+        monkeypatch.setattr(oracle, "fock_vectors", recording)
+        built = record_shapes(monkeypatch)
+        failure = indexed(ConsistencyError("closed form failed"), 5)
+        with pytest.raises(ConsistencyError, match="^closed form failed$"):
+            oracle_concurrences(*columns(self.JOBS), failure=failure)
+        h1, h2, *_ = columns(self.JOBS)
+        assert sorted(seen) == sorted(set(h1[:5].tolist() + h2[:5].tolist()))
+        assert not set(seen) & set(h1[5:].tolist() + h2[5:].tolist())
+        assert built  # the states before it are
+
+    @pytest.mark.parametrize("target", ["degenerate_norms", "schmidt_concurrences"])
+    def test_disagreement_before_an_oracle_failure_is_named(self, monkeypatch, target):
+        c, _ = oracle_concurrences(*columns(self.JOBS))
+        if target == "degenerate_norms":
+            self.fail_norm(monkeypatch, 6)
+        else:
+            monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+                spectrum_of(*self.JOBS[6]), ConsistencyError))
+        expected = c.copy()
+        expected[3] += 1e-3
+        with pytest.raises(ConsistencyError, match=(
+                r"^oracle disagrees with the closed form by 1\.000e-03$")) as caught:
+            oracle_concurrences(*columns(self.JOBS), expected=expected, tol=1e-6)
+        assert caught.value.index == 3
+
+    def test_nan_expected_fails(self):
+        c, _ = oracle_concurrences(*columns(self.JOBS))
+        expected = c.copy()
+        expected[4] = math.nan
+        with pytest.raises(ConsistencyError, match="^oracle disagrees with the "
+                                                   "closed form by nan$") as caught:
+            oracle_concurrences(*columns(self.JOBS), expected=expected)
+        assert caught.value.index == 4
+
+    def test_a_failing_spot_check_builds_each_state_once(self, monkeypatch):
+        # Record 5 of 7 fails its norm's check: the spot check makes one
+        # oracle call, which builds each record once.
+        records = [(-0.01 * k, -1.0 + 0.01 * k, 1.0) for k in range(1, 8)]
+        x = np.full(len(records), 0.5)
+        c = np.array([concurrence(SuperpositionCoeffs(1.0, *r), OverlapPair(0.5, 0.5))
+                      for r in records])
+        hits = scan.ScanHits(*np.array(records).T, x, c)
+        monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(
+            [norm_of(scan.config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4]))],
+            DegenerateStateError))
+        calls, built = [], []
+        real_call, real_joint = oracle._Call, oracle.joint_states
+
+        def call(*args, **kwargs):
+            calls.append(args)
+            return real_call(*args, **kwargs)
+
+        def joint(f_gamma, f_delta, mu, *rest):
+            built.append(len(mu))
+            return real_joint(f_gamma, f_delta, mu, *rest)
+
+        monkeypatch.setattr(oracle, "_Call", call)
+        monkeypatch.setattr(oracle, "joint_states", joint)
+        with pytest.raises(DegenerateStateError, match="^oracle spot check: check failed at "
+                                                       r"lam=-0\.05 "):
+            scan.oracle_spot_check(hits, fraction=1.0, seed=3)
+        assert len(calls) == 1 and sum(built) == len(records)

@@ -829,7 +829,7 @@ class TestOracleSpotCheck:
         monkeypatch.setattr(oracle_module, "degenerate_norms",
                             failing_norms([norm], DegenerateStateError))
         with pytest.raises(ConsistencyError, match=(
-                r"^oracle spot check: oracle disagrees with scan record by .* "
+                r"^oracle spot check: oracle disagrees with the closed form by .* "
                 f"at lam={records[1].lam!r} ")):
             oracle_spot_check(columns(records), fraction=1.0, seed=3)
 
@@ -837,7 +837,7 @@ class TestOracleSpotCheck:
         liar = Hit(-0.5, -0.5, 1.0, 0.5, 0.25)
         honest = Hit(0.0, 0.0, 0.0, 0.2, 0.0)
         with pytest.raises(ConsistencyError, match=(
-                r"^oracle spot check: oracle disagrees with scan record by .* "
+                r"^oracle spot check: oracle disagrees with the closed form by .* "
                 r"at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")):
             oracle_spot_check(columns([honest, liar]), fraction=1.0, seed=3)
 
