@@ -45,19 +45,10 @@ def _gap_terms(gaps: list) -> tuple[np.ndarray, np.ndarray]:
             -np.fromiter(map(math.expm1, (-squares).tolist()), float, len(gaps)))
 
 
-def overlap(a1: float, a2: float) -> float:
-    """Inner product <a1|a2> of two real coherent states: exp(-(a1-a2)^2/2)."""
-    return _gap_terms([_require_finite("a1", a1) - _require_finite("a2", a2)])[0].item()
-
-
-def overlap_complement(a1: float, a2: float) -> float:
-    """1 - <a1|a2>^2, computed without cancellation for nearby amplitudes."""
-    return _gap_terms([_require_finite("a1", a1) - _require_finite("a2", a2)])[1].item()
-
-
 def overlap_columns(a1, a2) -> tuple[np.ndarray, np.ndarray]:
-    """overlap and overlap_complement of each pair of two columns of finite
-    amplitudes, as two arrays, the bits of the one-pair calls."""
+    """The overlap <a1|a2> = exp(-(a1 - a2)^2 / 2) and its complement
+    1 - <a1|a2>^2, without cancellation for nearby amplitudes, of each pair
+    of two columns of finite amplitudes, as two arrays (_gap_terms)."""
     return _gap_terms(np.subtract(a1, a2, dtype=float).ravel().tolist())
 
 
@@ -83,7 +74,7 @@ def _truncations(max_amps):
 def half_gaps(alpha, beta, gamma, delta):
     """The signed half-gaps h1 = (gamma - alpha) * 0.5 and
     h2 = (delta - beta) * 0.5; broadcasts.  Halving is exact, so the gaps
-    are the ones overlap() squares."""
+    are the ones overlap_columns squares."""
     return (gamma - alpha) * 0.5, (delta - beta) * 0.5
 
 
@@ -177,12 +168,9 @@ class OverlapPair:
 
     @classmethod
     def from_config(cls, config: CoherentConfig) -> "OverlapPair":
-        return cls(
-            p1=overlap(config.alpha, config.gamma),
-            p2=overlap(config.delta, config.beta),
-            c1=overlap_complement(config.alpha, config.gamma),
-            c2=overlap_complement(config.delta, config.beta),
-        )
+        (p1, p2), (c1, c2) = (column.tolist() for column in overlap_columns(
+            [config.alpha, config.delta], [config.gamma, config.beta]))
+        return cls(p1=p1, p2=p2, c1=c1, c2=c2)
 
 
 # The oracle's cutoffs follow each mode's half-gap in quarter steps: a random

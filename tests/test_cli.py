@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -218,11 +219,19 @@ class TestConcurrenceCommand:
         assert err.count(path) == 1
 
     def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch):
-        # exercise the inconsistency branch: fake a broken oracle
-        monkeypatch.setattr(cli, "oracle_concurrence", lambda *a, **k: 0.123)
+        # A broken oracle, C = 0.123 or NaN where the closed form gives 1:
+        # the comparison inside oracle_concurrences fails before any output,
+        # so a NaN exits 3 before _emit can refuse the payload (exit 2).
         path = write(tmp_path, "s.txt", AMP_STATE)
-        assert cli.main(["concurrence", path]) == 3
-        assert "disagree" in capsys.readouterr().err
+        for c_oracle, shown in [(0.123, "8.770e-01"), (math.nan, "nan")]:
+            monkeypatch.setattr(oracle, "schmidt_concurrences",
+                                lambda svals, c=c_oracle: np.full(len(svals), c))
+            for argv in ([], ["--json"]):
+                assert cli.main(["concurrence", path, *argv]) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    f"error: oracle disagrees with the closed form by {shown}\n")
 
 
 class TestClassifyCommand:
@@ -618,6 +627,23 @@ class TestScanCommand:
         assert cli.main(["scan", config, str(out)]) == code
         assert (out.read_text() if out.exists() else None) == earlier
 
+    def test_failed_csv_write_leaves_no_new_file(self, tmp_path):
+        # The CSV outgrows a 64-byte file size limit (RLIMIT_FSIZE, set in
+        # the child process alone) part way: the scan exits 2 and removes
+        # the file it created.
+        config = write(tmp_path, "scan.cfg", FAMILY_SCAN)
+        out = tmp_path / "o.csv"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "cohent.cli", "scan", config, str(out)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64)),
+            capture_output=True, env=env, timeout=300)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == f"error: cannot write {out}: File too large\n".encode()
+        assert not out.exists()
+
     def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
                                                    capsys):
         # the key's name is "cannot read", but the file itself was read; a
@@ -798,8 +824,16 @@ class TestOracleCheckCommand:
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 0
         assert capsys.readouterr().out != unseeded
 
+    @staticmethod
+    def _trial_values(seed, trial):
+        """The `at ...` text of a trial's seven drawn values."""
+        return " ".join(f"{name}={value!r}" for name, value in zip(
+            ("alpha", "beta", "gamma", "delta", "lambda", "rho", "nu"),
+            sweep_draws(seed, trial)[-1]))
+
     def test_strict_bound_exits_3(self, monkeypatch, capsys):
-        # The N^2 bound: a deterministic disagreement of twice the bound.
+        # The N^2 bound: a deterministic disagreement of twice the bound,
+        # named at the first trial, with nothing on stdout.
         real = cli.concurrence_and_norm_sq
 
         def shifted(*columns):
@@ -808,18 +842,53 @@ class TestOracleCheckCommand:
 
         monkeypatch.setattr(cli, "concurrence_and_norm_sq", shifted)
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1"]) == 3
-        assert "error: oracle disagreement" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: oracle-check trial 1: oracle N^2 disagrees with the "
+                       f"closed form by 2.000e-08 at {self._trial_values(1, 1)}\n")
 
     def test_strict_bound_exits_3_on_trials(self, monkeypatch, capsys):
         # The C bound: a deterministic disagreement of twice the bound, in
-        # every C of the Schmidt rule.
+        # every C of the Schmidt rule, named at the first trial, with
+        # nothing on stdout.
         real = oracle.schmidt_concurrences
         monkeypatch.setattr(oracle, "schmidt_concurrences",
                             lambda svals: real(svals) + 2.0 * cli.SWEEP_ORACLE_TOL)
         assert cli.main(["oracle-check", "--trials", "3", "--seed", "1", "--json"]) == 3
         out, err = capsys.readouterr()
-        assert json.loads(out)["max_concurrence_diff"] > cli.SWEEP_ORACLE_TOL
-        assert "error: oracle disagreement" in err
+        assert out == ""
+        assert err == ("error: oracle-check trial 1: oracle disagrees with the "
+                       f"closed form by 2.000e-08 at {self._trial_values(1, 1)}\n")
+
+    def test_disagreement_before_a_closed_form_failure_is_named_first(
+            self, monkeypatch, capsys):
+        # The oracle is 1e-6 off on trial 3 and the closed form fails trial
+        # 7: the oracle is given the closed form's C of trials 1 to 6, and
+        # the earlier trial, 3, is named.
+        draws = sweep_draws(2, 9)
+        alpha, beta, gamma, delta, lam, rho, nu = draws[2]
+        spectrum = spectrum_of(CoherentConfig(alpha, beta, gamma, delta),
+                               SuperpositionCoeffs(1.0, lam, rho, nu))
+        real_schmidt, real_analytic = oracle.schmidt_concurrences, cli.concurrence_and_norm_sq
+
+        def oracle_off(svals):
+            return real_schmidt(svals) + np.where(
+                (svals == spectrum[:3]).all(axis=1), 1e-6, 0.0)
+
+        def analytic_fails(mu, lam, *rest):
+            result = real_analytic(mu, lam, *rest)
+            at = np.flatnonzero(lam == draws[6][4])
+            if len(at):
+                raise indexed(ConsistencyError("closed form failed"), at[0])
+            return result
+
+        monkeypatch.setattr(oracle, "schmidt_concurrences", oracle_off)
+        monkeypatch.setattr(cli, "concurrence_and_norm_sq", analytic_fails)
+        assert cli.main(["oracle-check", "--trials", "9", "--seed", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: oracle-check trial 3: oracle disagrees with the "
+                       f"closed form by 1.000e-06 at {self._trial_values(2, 3)}\n")
 
     @pytest.mark.parametrize("target, error, status", [
         ("schmidt_concurrence", ConsistencyError, 3),
@@ -864,9 +933,12 @@ class TestOracleCheckCommand:
         real = cli.concurrence_and_norm_sq
 
         def analytic_fails(mu, lam, *rest):
-            real(mu, lam, *rest)
-            at = np.flatnonzero(lam == draws[analytic_trial - 1][4])[0]
-            raise indexed(ConsistencyError("closed form failed"), at)
+            # fails its trial, or returns the real result on rows without it
+            result = real(mu, lam, *rest)
+            at = np.flatnonzero(lam == draws[analytic_trial - 1][4])
+            if len(at):
+                raise indexed(ConsistencyError("closed form failed"), at[0])
+            return result
 
         alpha, beta, gamma, delta, lam, rho, nu = draws[oracle_trial - 1]
         norm = norm_of(CoherentConfig(alpha, beta, gamma, delta),

@@ -16,9 +16,7 @@ from cohent.coherent import (
     default_truncation,
     fock_vector,
     fock_vectors,
-    overlap,
     overlap_columns,
-    overlap_complement,
     _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
@@ -27,30 +25,31 @@ from cohent.oracle import build_state
 finite_amps = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
 
+def pair_overlap(a1, a2):
+    """<a1|a2> of one pair, from overlap_columns."""
+    return overlap_columns([a1], [a2])[0].item()
+
+
 class TestOverlap:
+    # Non-finite amplitudes never reach overlap_columns: CoherentConfig
+    # refuses them first (TestCoherentConfig::test_rejects_non_finite).
     def test_identical_states(self):
-        assert overlap(1.3, 1.3) == 1.0
-        assert overlap(0.0, 0.0) == 1.0
+        assert pair_overlap(1.3, 1.3) == 1.0
+        assert pair_overlap(0.0, 0.0) == 1.0
 
     def test_unit_gap(self):
-        assert overlap(0.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert pair_overlap(0.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_half_overlap_gap(self):
         # gap solving exp(-g^2/2) = 1/2
         g = math.sqrt(2.0 * math.log(2.0))
-        assert overlap(0.0, g) == pytest.approx(0.5, abs=1e-15)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            overlap(float("nan"), 0.0)
-        with pytest.raises(DomainError):
-            overlap(0.0, float("inf"))
+        assert pair_overlap(0.0, g) == pytest.approx(0.5, abs=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(a=finite_amps, b=finite_amps)
     def test_symmetry_and_range(self, a, b):
-        v = overlap(a, b)
-        assert v == overlap(b, a)
+        (v, w), _ = overlap_columns([a, b], [b, a])
+        assert v == w
         assert 0.0 < v <= 1.0
         if a == b:
             assert v == 1.0
@@ -63,19 +62,19 @@ class TestOverlap:
         lo, hi = sorted((g1, g2))
         if hi - lo < 1e-9:
             return
-        assert overlap(a, a + lo) > overlap(a, a + hi)
+        assert pair_overlap(a, a + lo) > pair_overlap(a, a + hi)
 
     @settings(max_examples=100, deadline=None)
     @given(a=finite_amps, b=finite_amps)
     def test_complement_matches(self, a, b):
-        assert overlap_complement(a, b) == pytest.approx(
-            1.0 - overlap(a, b) ** 2, abs=1e-15
-        )
+        (p,), (complement,) = overlap_columns([a], [b])
+        assert complement == pytest.approx(1.0 - p ** 2, abs=1e-15)
 
     def test_columns_match_the_per_pair_formulas(self):
         # The columnar form takes the bits of math.exp(-gap ** 2 / 2) and
-        # -math.expm1(-gap ** 2) per pair, as overlap and
-        # overlap_complement do, at a gap of -0.0 and a tiny one too.
+        # -math.expm1(-gap ** 2) per pair, and each pair's bits do not
+        # depend on the column around it, at a gap of -0.0 and a tiny one
+        # too.
         rng = np.random.default_rng(3)
         a1, a2 = rng.uniform(-8.0, 8.0, size=(2, 2000))
         a1[:3], a2[:3] = [-0.0, 0.5, 1.0], [0.0, 0.5 + 1e-9, 4.0]
@@ -84,8 +83,9 @@ class TestOverlap:
         assert p.tolist() == [math.exp(-0.5 * g ** 2) for g in gaps]
         assert complement.tobytes() == np.array(
             [-math.expm1(-g ** 2) for g in gaps]).tobytes()
-        assert p.tolist() == list(map(overlap, a1.tolist(), a2.tolist()))
-        assert complement.tolist() == list(map(overlap_complement, a1.tolist(), a2.tolist()))
+        pairs = [overlap_columns([x], [y]) for x, y in zip(a1.tolist(), a2.tolist())]
+        assert np.concatenate([pair[0] for pair in pairs]).tobytes() == p.tobytes()
+        assert np.concatenate([pair[1] for pair in pairs]).tobytes() == complement.tobytes()
 
 
 def mp_poisson_tail(a, cutoff):
@@ -172,7 +172,7 @@ class TestFockVector:
         va = fock_vector(a, cut)
         vb = fock_vector(b, cut)
         ip = float(np.dot(va, vb))
-        assert abs(ip - overlap(a, b)) < 1e-10
+        assert abs(ip - pair_overlap(a, b)) < 1e-10
 
 
 def loop_fock_coefficients(a, truncation):
@@ -366,8 +366,10 @@ class TestCoherentConfig:
             CoherentConfig(1e308, 0.0, -1e308, 1.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^gamma must be a finite real, got nan$"):
             CoherentConfig(0.0, 0.0, float("nan"), 1.0)
+        with pytest.raises(DomainError, match=r"^delta must be a finite real, got inf$"):
+            CoherentConfig(0.0, 0.0, 1.0, float("inf"))
 
 
 class TestOverlapPair:
@@ -383,10 +385,12 @@ class TestOverlapPair:
         assert pair.n2 == pytest.approx(math.sqrt(1 - 0.25**2), abs=1e-15)
 
     def test_from_config_matches_overlap(self):
+        # Each pair's bits, as overlap_columns takes them, as Python floats.
         cfg = CoherentConfig(0.0, 0.3, 1.0, 1.3)
         pair = OverlapPair.from_config(cfg)
-        assert pair.p1 == pytest.approx(overlap(0.0, 1.0), abs=1e-16)
-        assert pair.p2 == pytest.approx(overlap(1.3, 0.3), abs=1e-16)
+        assert (pair.p1, pair.c1) == (math.exp(-0.5), -math.expm1(-1.0))
+        assert pair.p2 == pair_overlap(1.3, 0.3)
+        assert all(type(v) is float for v in (pair.p1, pair.p2, pair.c1, pair.c2))
         assert pair.c1 == pytest.approx(1.0 - pair.p1**2, abs=1e-15)
 
     def test_from_config_stable_near_coincidence(self):
