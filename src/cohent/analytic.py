@@ -24,11 +24,6 @@ from .errors import ConsistencyError, DegenerateStateError, DomainError, indexed
 # Concurrence rounding slack: clamp up to this overshoot, fail beyond 1 + 1e-9.
 _CLAMP_SLACK = 1e-9
 
-# N^2 <= 4 (|mu| + |lam| + |rho| + |nu|)^2 overflows once that sum passes
-# 2^511, and underflows far below 1; _into_range rescales outside these.
-_RESCALE_ABOVE = 2.0 ** 500
-_RESCALE_BELOW = 2.0 ** -400
-
 # Each amplitude sums four terms no larger than the coefficients, so rounding
 # errs it by a few eps (|mu| + |lam| + |rho| + |nu|); a norm N within 4 eps of
 # that sum is rounding noise, and the four components numerically dependent.
@@ -102,7 +97,7 @@ def _norm_sq(mu, lam, rho, nu, p1, p2, n1, n2):
 
 def _degenerate(n_sq, size):
     """Whether N^2 is rounding noise for coefficients whose magnitudes sum to
-    `size` (see _DEGENERATE_REL); dividing first avoids overflow.  Broadcasts."""
+    `size` (see _DEGENERATE_REL); broadcasts."""
     return n_sq / size <= _DEGENERATE_REL * size
 
 
@@ -119,27 +114,14 @@ def gram_norm_squared(coeffs: SuperpositionCoeffs, overlaps: OverlapPair) -> flo
     return float(_one_state(coeffs, overlaps)[1])
 
 
-def _into_range(mu, lam, rho, nu):
-    """The coefficients times 2^-e, where N^2 neither overflows nor
-    underflows, e, and the sum of their magnitudes; broadcasts, and returns
-    coefficients already in range as given.
-
-    Scaling by a power of two is exact, so e = 0 unless the coefficient sum
-    falls outside [_RESCALE_BELOW, _RESCALE_ABOVE]; else 2^-e scales the
-    largest |coefficient| into [1/2, 1).
-    """
-    with np.errstate(over="ignore"):  # a sum past the float range is inf
-        size = np.abs(mu) + np.abs(lam) + np.abs(rho) + np.abs(nu)
-    outside = ~((_RESCALE_BELOW <= size) & (size <= _RESCALE_ABOVE))
-    if not outside.any():
-        # frexp's dtype, as below: ldexp takes an int64 exponent several
-        # times slower.
-        return mu, lam, rho, nu, np.zeros(size.shape, dtype=np.intc), size
-    top = np.maximum(np.maximum(np.abs(mu), np.abs(lam)),
-                     np.maximum(np.abs(rho), np.abs(nu)))
-    exponent = np.where(outside, np.frexp(top)[1], 0)
-    mu, lam, rho, nu = (np.ldexp(v, -exponent) for v in (mu, lam, rho, nu))
-    return mu, lam, rho, nu, exponent, np.abs(mu) + np.abs(lam) + np.abs(rho) + np.abs(nu)
+def _unit_ray(mu, lam, rho, nu):
+    """The coefficients times 2^-e, with e putting max|v| in [1, 2), and e;
+    broadcasts.  A power of two scales exactly short of subnormal results,
+    so C and the normalized state are unchanged and N^2 scales by 4^-e, and
+    no square or product of the scaled coefficients overflows."""
+    top = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
+    e = np.frexp(top)[1] - 1
+    return (*(np.ldexp(v, -e) for v in (mu, lam, rho, nu)), e)
 
 
 def orthonormal_amplitudes(
@@ -147,19 +129,16 @@ def orthonormal_amplitudes(
 ) -> OrthonormalAmplitudes:
     """Two-qubit amplitudes of |psi> (see _amplitudes) and its norm N.
 
-    N is taken from the coefficients scaled into range (see _into_range), so
+    N is taken from the coefficients on their unit ray (see _unit_ray), so
     it does not overflow where N^2 would; a norm beyond the float range is inf.
     """
     a, b, c, d = _amplitudes(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu,
                              overlaps.p1, overlaps.p2, overlaps.n1, overlaps.n2)
-    *scaled, exponent, _ = _into_range(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu)
+    *scaled, exponent = _unit_ray(coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu)
     _, n_sq = concurrence_and_norm_sq(*scaled, overlaps.p1, overlaps.p2,
                                       overlaps.n1, overlaps.n2)
-    norm = math.sqrt(n_sq)
-    try:
-        norm = math.ldexp(norm, int(exponent))
-    except OverflowError:
-        norm = math.inf
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(np.sqrt(n_sq), exponent))
     return OrthonormalAmplitudes(a, b, c, d, norm=norm)
 
 
@@ -185,29 +164,31 @@ def concurrence_and_norm_sq(mu, lam, rho, nu, p1, p2, n1, n2):
     """The concurrence 2|mu nu - lam rho| n1 n2 / N^2, clamped to [0, 1],
     and N^2 of columns of states; broadcasts.
 
-    Both come from the coefficients scaled into range (_into_range), which
-    is exact and leaves C unchanged; N^2 is then scaled back, to inf past
-    the float range.  Raises DegenerateStateError where N^2 is rounding
+    Both come from the coefficients on their unit ray (_unit_ray), which
+    leaves C unchanged; N^2 is then scaled back, to inf past the float
+    range.  Raises DegenerateStateError where N^2 is rounding
     noise next to the coefficients (see _DEGENERATE_REL), and
     ConsistencyError where C exceeds 1 beyond rounding slack; the error is
     indexed by the first state that fails, and a state's norm is tested
     before its C.
     """
-    mu, lam, rho, nu, exponent, size = _into_range(mu, lam, rho, nu)
+    mu, lam, rho, nu, exponent = _unit_ray(mu, lam, rho, nu)
     n_sq = _norm_sq(mu, lam, rho, nu, p1, p2, n1, n2)
+    size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
     degenerate = np.flatnonzero(_degenerate(n_sq, size))
     stop = degenerate[0] if len(degenerate) else None
     # A degenerate N^2 may be 0; its C is cut off before the check.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq)
     c = _clamped(np.ravel(ratio)[:stop])
+    with np.errstate(over="ignore"):
+        n_sq = np.ldexp(n_sq, 2 * exponent)
     if stop is not None:
         raise indexed(DegenerateStateError(
             f"squared norm {np.ravel(n_sq)[stop].item():.3e} is numerically zero; "
             "the four components are linearly dependent at this working precision"
         ), stop)
-    with np.errstate(over="ignore"):
-        return c.reshape(np.shape(n_sq)), np.ldexp(n_sq, 2 * exponent)
+    return c.reshape(np.shape(n_sq)), n_sq
 
 
 def _one_state(coeffs: SuperpositionCoeffs, overlaps: OverlapPair):

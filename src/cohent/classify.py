@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, concurrence
+from .analytic import SuperpositionCoeffs, _unit_ray, concurrence
 from .coherent import OverlapPair
 from .errors import DomainError
 
@@ -78,26 +78,16 @@ def _family_terms(mu, lam, rho, nu, p1, p2, n1, n2):
             mu * nu - lam * rho)
 
 
-def _unit_ray(mu, lam, rho, nu):
-    """v times 2^-e, with e chosen to put max|v| in [1, 2), so that no square
-    or product of the scaled coefficients overflows; broadcasts.  A power of
-    two scales exactly (short of subnormal coefficients), and e = 0 when
-    max|v| = |mu| = 1."""
-    size = np.maximum(np.maximum(abs(mu), abs(lam)), np.maximum(abs(rho), abs(nu)))
-    e = np.frexp(size)[1] - 1
-    return tuple(np.ldexp(v, -e) for v in (mu, lam, rho, nu))
-
-
 def _ray_columns(mu, lam, rho, nu, p1, p2, n1, n2, tol):
     """The class (a), class (b) and separability residuals of v / max|v|, and
     whether v passes the class (a), class (b) and separability tests at `tol`
     (see the module docstring); broadcasts.
 
-    The terms are formed from v on its unit ray (_unit_ray), so none
-    overflows, and the residuals, those of v / max|v|, are finite for every
-    finite v != 0; they are exact where max|v| = 1.
+    The terms are formed from v on its unit ray (analytic._unit_ray), so
+    none overflows, and the residuals, those of v / max|v|, are finite for
+    every finite v != 0; they are exact where max|v| = 1.
     """
-    v = _unit_ray(mu, lam, rho, nu)
+    *v, _ = _unit_ray(mu, lam, rho, nu)
     (a1, a2), (b1, b2), sep = _family_terms(*v, p1, p2, n1, n2)
     a1, a2, b1, b2, sep = abs(a1), abs(a2), abs(b1), abs(b2), abs(sep)
     size = np.maximum(np.maximum(abs(v[0]), abs(v[1])), np.maximum(abs(v[2]), abs(v[3])))

@@ -26,13 +26,15 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence, concurrence_and_norm_sq
-from .analytic import _at, orthonormal_amplitudes
+from .analytic import _at, _unit_ray, orthonormal_amplitudes
 from .catalog import example_states
 from .classify import DEFAULT_TOL, Verdict, classify
 from .coherent import OverlapPair, distinct, half_gaps, overlap_columns
@@ -105,8 +107,8 @@ def _emit(payload: dict, as_json: bool, text: str | None = None,
 
 def cmd_concurrence(args) -> int:
     spec = load_state_file(args.spec)
-    amps = orthonormal_amplitudes(spec.coeffs, spec.overlaps)
     c_analytic = concurrence(spec.coeffs, spec.overlaps)
+    amps = orthonormal_amplitudes(spec.coeffs, spec.overlaps)
     payload = {
         "analytic_concurrence": c_analytic,
         "amplitude_a": amps.a,
@@ -205,19 +207,17 @@ def cmd_bell_limit(args) -> int:
     # 1 / sqrt(2 (1 + lam^2)), without forming a multiple of lam above |lam|,
     # which may overflow; exact at lam = 0 and 1
     scale = 0.5 / math.hypot(math.sqrt(0.5), math.sqrt(0.5) * lam)
-    # The normalized amplitudes are unchanged by a common power of two; this
-    # one keeps the amplitudes and N finite when lam nears the float range.
-    shift = max(0, math.frexp(lam)[1] - 500)
-    one, lam_c = math.ldexp(1.0, -shift), math.ldexp(lam, -shift)
+    # The normalized amplitudes are unchanged on the unit ray, where the
+    # amplitudes and N stay finite when lam nears the float range.
     families = [
-        ("class_a", SuperpositionCoeffs(one, lam_c, -lam_c, one),
-         (lam * scale, scale, scale, -lam * scale)),
-        ("class_b", SuperpositionCoeffs(one, lam_c, lam_c, -one - lam_c * (2.0 * x)),
+        ("class_a", (1.0, lam, -lam, 1.0), (lam * scale, scale, scale, -lam * scale)),
+        ("class_b", (1.0, lam, lam, -1.0 - lam * (2.0 * x)),
          (lam * scale, scale, -scale, lam * scale)),
     ]
     payload = {"lambda": lam, "x_small": x}
     for name, coeffs, target in families:
-        amps = orthonormal_amplitudes(coeffs, OverlapPair(x, x))
+        amps = orthonormal_amplitudes(SuperpositionCoeffs(*_unit_ray(*coeffs)[:4]),
+                                      OverlapPair(x, x))
         normalized = [v / amps.norm for v in (amps.a, amps.b, amps.c, amps.d)]
         payload[name] = {
             "amplitudes": normalized,
@@ -272,27 +272,48 @@ def _float_texts(column):
 
 def write_records_csv(hits, family, path) -> None:
     """One row per hit: its coordinates and C, and its family, named by its
-    code in `family` (an index into scan.FAMILIES)."""
+    code in `family` (an index into scan.FAMILIES).
+
+    The rows go to a temporary file in the target's directory, which
+    replaces the target after the last row, so a write that fails leaves an
+    existing file as it was and no new one.  As with open(path, "w"), a
+    symlink is written through, and an existing file keeps its permission
+    bits while a new one gets 0o666 less the umask.
+    """
     # Scan columns repeat their values (the grid axes, x, C = 1), so each
     # distinct value is formatted once and rows index it.
     columns = [_float_texts(column) for column in
                (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence)]
     columns.append((np.array([name + "\r\n" for name in FAMILIES], dtype=object),
                     family))
+    target = os.path.realpath(path)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write(_CSV_HEADER)
-            for start in range(0, len(hits), _CSV_BLOCK):
-                block = slice(start, start + _CSV_BLOCK)
-                fields = [texts[index[block]].tolist() for texts, index in columns]
-                handle.writelines(map(",".join, zip(*fields)))
+        if os.path.exists(target):
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, temp = tempfile.mkstemp(prefix=os.path.basename(target) + ".",
+                                    suffix=".tmp", dir=os.path.dirname(target))
+        try:
+            with open(fd, "w", newline="", encoding="utf-8") as handle:
+                handle.write(_CSV_HEADER)
+                for start in range(0, len(hits), _CSV_BLOCK):
+                    block = slice(start, start + _CSV_BLOCK)
+                    fields = [texts[index[block]].tolist() for texts, index in columns]
+                    handle.writelines(map(",".join, zip(*fields)))
+            os.chmod(temp, mode)
+            os.replace(temp, target)
+        except BaseException:
+            os.remove(temp)
+            raise
     except OSError as err:
         raise InputFileError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _check_writable(path) -> bool:
-    """Raise InputFileError now if `path` cannot be opened for writing, and
-    return whether it is new.
+def _check_writable(path) -> None:
+    """Raise InputFileError now if `path` cannot be opened for writing.
 
     Opening for append leaves an existing file as it is; a file the check
     creates is removed again, so a scan that fails leaves nothing behind.
@@ -305,21 +326,15 @@ def _check_writable(path) -> bool:
         raise InputFileError(f"cannot write {path}: {err.strerror}") from None
     if created:
         os.remove(path)
-    return created
 
 
 def cmd_scan(args) -> int:
     config = _resolve_scan_config(args.config)
-    created = _check_writable(args.out)
+    _check_writable(args.out)
     hits, family, report = run_scan(config)
     payload = {**report, "out": str(args.out)}
     _check_finite(payload)  # before the CSV, so that an error leaves no file
-    try:
-        write_records_csv(hits, family, args.out)
-    except InputFileError:
-        if created and os.path.isfile(args.out):  # nor a write that fails part way
-            os.remove(args.out)
-        raise
+    write_records_csv(hits, family, args.out)
     ratio, violations = payload["worst_lower_bound_ratio"], payload["violations"]
     # verify's line, or its first 20 violations and a count of the rest
     verify = [f"verify: classes disjoint: {payload['hits']} records "

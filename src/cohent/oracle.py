@@ -11,8 +11,8 @@ mode's Fock cutoff follows its own |half-gap| (mode_cutoffs).
 Every analytic result in this package is cross-checked against this module;
 the closed form's values come in only to be compared (oracle_concurrences).
 Every brute-force concurrence comes from `oracle_concurrences`, which takes
-states as columns.  Once per call it checks them, scales their coefficients
-into range and expands each distinct half-gap in the Fock basis; it then
+states as columns.  Once per call it checks them, puts their coefficients
+on the unit ray and expands each distinct half-gap in the Fock basis; it then
 builds the states in stacks of one (T1, T2) shape, each within _STACK_BYTES
 (`joint_states`), takes each stack's spectra in one stacked SVD, and checks
 every state once, after the last stack.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SuperpositionCoeffs, _clamped, _into_range
+from .analytic import SuperpositionCoeffs, _clamped, _unit_ray
 from .coherent import MAX_TRUNCATION, CoherentConfig, _truncations, check_amplitudes
 from .coherent import fock_vectors
 from .errors import ConsistencyError, DegenerateStateError, indexed
@@ -134,7 +134,7 @@ def degenerate_norms(norms, size) -> DegenerateStateError | None:
 
 class _Call:
     """The work of one call that does not depend on the stack: its states
-    checked, their coefficients scaled into range, each mode's cutoff, and
+    checked, their coefficients on the unit ray, each mode's cutoff, and
     one Fock row per distinct half-gap of each cutoff."""
 
     def __init__(self, h1, h2, mu, lam, rho, nu, count=None):
@@ -144,11 +144,11 @@ class _Call:
         check_amplitudes(columns[:2].ravel(order="F"))  # in input order
         # The joint coefficients are no larger than |mu| + |lam| + |rho| +
         # |nu|, and the norm sums their squares, so each state is built from
-        # its coefficients scaled into range by a power of two
-        # (analytic._into_range), which is exact and leaves the normalized
-        # state unchanged.
-        *coefficients, self.exponent, self.size = _into_range(*columns[2:])
-        self.coefficients = np.array(coefficients)
+        # its coefficients on their unit ray (analytic._unit_ray), which
+        # leaves the normalized state unchanged.
+        *coefficients, self.exponent = _unit_ray(*columns[2:])
+        mu, lam, rho, nu = self.coefficients = np.array(coefficients)
+        self.size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
         # One Fock row per distinct half-gap, told apart by its bits so that
         # -0.0 keeps its own row, and one fock_vectors call per cutoff, on
         # its half-gaps.

@@ -35,13 +35,18 @@ import numpy as np
 
 from .analytic import SuperpositionCoeffs, concurrence_and_norm_sq, nu_windows
 from .analytic import max_concurrence_over_nu, require_open_unit_interval, rho_windows
-from .analytic import _RESCALE_ABOVE, _at, _norm_sq
-from .classify import _family_terms, _unit_ray, family_checks
+from .analytic import _at, _norm_sq, _unit_ray
+from .classify import _family_terms, family_checks
 from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
 from .oracle import oracle_concurrences
 
 MAX_GRID_POINTS = 100_000_000
+
+# The largest 1 + max|lam| + max|rho| + max|nu| of a box.  The grid's window
+# arithmetic (analytic._row_terms, rho_windows, nu_windows) is not taken on the
+# unit ray, and past this box t^2, lam rho and nu_windows' discriminant overflow.
+_MAX_BOX = 2.0 ** 500
 
 # refine takes hits with C >= REFINE_FLOOR, and a point passes its family
 # test (family_checks) at REFINE_TARGET.
@@ -52,7 +57,7 @@ REFINE_TARGET = 1e-12
 SPOT_CHECK_MAX_DIFF = 1e-8
 
 # verify_disjoint_classes compares N^2 (1 - C) with (1 -+ x) |P_f v|^2 on
-# the unit ray of v (classify._unit_ray), so max|v| is in [1, 2); with
+# the unit ray of v (analytic._unit_ray), so max|v| is in [1, 2); with
 # S = |mu| + |lam| + |rho| + |nu|, N <= 2 S and |mu nu| + |lam rho| <= S^2 / 4,
 # each side errs by at most
 #   - the grid's C, which errs by 8 eps C (cancel + S / N + 1)
@@ -129,12 +134,9 @@ class ScanConfig:
                 raise DomainError(
                     f"{name}: steps must be >= 2, or exactly 1 with min == max"
                 )
-        # The grid's C is rescaled into range, but its window arithmetic
-        # (analytic._row_terms, rho_windows, nu_windows) is not: past this
-        # box t^2, lam rho and nu_windows' discriminant overflow.
         size = 1.0 + sum(max(abs(lo), abs(hi)) for lo, hi, _ in
                          (self.lam_range, self.rho_range, self.nu_range))
-        if size > _RESCALE_ABOVE:
+        if size > _MAX_BOX:
             raise DomainError(
                 f"coefficient box too large: 1 + max|lam| + max|rho| + max|nu| "
                 f"= {size:.3e} exceeds 2^500, where the grid's rho and nu window "
@@ -335,7 +337,7 @@ def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
     """
     x = hits.x
     n = np.sqrt((1.0 - x) * (1.0 + x))
-    v = _unit_ray(1.0, hits.lam, hits.rho, hits.nu)
+    *v, _ = _unit_ray(1.0, hits.lam, hits.rho, hits.nu)
     (a1, a2), (b1, b2), _ = _family_terms(*v, x, x, n, n)
     to_a, to_b = a1 * a1 + a2 * a2, b1 * b1 + b2 * b2
     size = abs(v[0]) + abs(v[1]) + abs(v[2]) + abs(v[3])

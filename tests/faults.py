@@ -51,7 +51,7 @@ def spectrum_of(config, coeffs):
 
 
 def norm_of(config, coeffs):
-    """The norm of one state as the oracle builds it, before normalization:
-    the value degenerate_norms sees when the coefficients sum to between
-    2^-400 and 2^500, where they are not rescaled."""
-    return oracle.build_state(config, coeffs).norm_before_normalization
+    """The norm of one state as the oracle builds it, before normalization,
+    from its coefficients on their unit ray: the value degenerate_norms sees."""
+    call = oracle._Call(*oracle._state_columns(config, coeffs))
+    return call.states(*call.stacks()[0])[1][0]

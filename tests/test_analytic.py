@@ -17,8 +17,10 @@ from cohent.analytic import (
     orthonormal_amplitudes,
     rho_windows,
 )
+from cohent.classify import classify
 from cohent.coherent import CoherentConfig, OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
+from cohent.oracle import oracle_concurrences
 
 # Numerically exact stand-in for the orthogonal-basis limit p1 = p2 = 0.
 TINY_P = 1e-300
@@ -248,13 +250,26 @@ class TestConcurrence:
         assert abs(big - concurrence(SuperpositionCoeffs(1, 2, 3, -1), pair)) <= 2**-52
         assert concurrence(SuperpositionCoeffs(1, 1e200, 0, 0), pair) == 0.0
 
-    @pytest.mark.parametrize("exponent", [-1, 1, 600, 1000])
+    @pytest.mark.parametrize("exponent", [-1000, -600, -1, 1, 600, 1000])
     def test_power_of_two_scaling_is_bit_exact(self, exponent):
+        # Every kernel takes the coefficients on their unit ray, so 2^k v
+        # gives v's C, residuals and oracle C bit for bit; N^2 and the
+        # oracle's norm scale by exactly 4^k and 2^k, rounded once where 4^k
+        # N^2 leaves the float range (to inf, or to 0 at k = -600 and -1000).
         pair = OverlapPair(0.3, 0.7)
         coeffs = (1.0, -0.37, 2.9, 0.41)
+        scaled = tuple(math.ldexp(v, exponent) for v in coeffs)
         base = concurrence(SuperpositionCoeffs(*coeffs), pair)
-        scaled = SuperpositionCoeffs(*(math.ldexp(v, exponent) for v in coeffs))
-        assert concurrence(scaled, pair) == base
+        assert concurrence(SuperpositionCoeffs(*scaled), pair) == base
+        with np.errstate(over="ignore"):
+            assert gram_norm_squared(SuperpositionCoeffs(*scaled), pair) == np.ldexp(
+                gram_norm_squared(SuperpositionCoeffs(*coeffs), pair), 2 * exponent)
+        assert (classify(SuperpositionCoeffs(*scaled), pair)
+                == classify(SuperpositionCoeffs(*coeffs), pair))
+        (c, norm), (scaled_c, scaled_norm) = (
+            oracle_concurrences(0.6, 0.4, *v) for v in (coeffs, scaled))
+        assert scaled_c[0] == c[0]
+        assert scaled_norm[0] == math.ldexp(norm[0], exponent)
 
     def test_range_and_route_agreement_over_random_ensemble(self):
         rng = np.random.default_rng(7)

@@ -425,13 +425,24 @@ class TestBellLimitCommand:
         assert payload["class_a"]["max_deviation"] < 1e-6
         assert payload["class_b"]["max_deviation"] < 1e-6
 
+    # The SHA-256 of each --json output as bell-limit printed it with its own
+    # power-of-two shift: the unit ray gives the same bytes.
+    HUGE_LAMBDA_DIGESTS = {
+        "1e200": "0220f4baadbc3e7a2b1c354ee37bcbfc45ffa166ad9609d653eba626fd22a01f",
+        "1.5e308": "2450528eb637813c854ce76d85421ccd36a8763a305909f4c1a753d3d399a417",
+        repr(sys.float_info.max):
+            "4c4beaba800dfca8d94f2df04c6e1e9e39cc248e37696f25bb3316f785d1f3a2",
+    }
+
     @pytest.mark.parametrize("lam", ["1e200", "1.5e308", repr(sys.float_info.max)])
     def test_huge_lambda(self, capsys, lam):
         # At 1e200 lam^2 overflowed the target's scale and N^2 the norm, so
         # every amplitude and deviation read 0; at 1.5e308 sqrt(2) lam and
         # 2 lam overflowed as well
         assert cli.main(["bell-limit", "--lam", lam, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HUGE_LAMBDA_DIGESTS[lam]
+        payload = json.loads(out)
         root_half = 1.0 / math.sqrt(2.0)
         assert payload["class_a"]["target"] == pytest.approx(
             [root_half, 0.0, 0.0, -root_half], abs=1e-15)
@@ -627,12 +638,12 @@ class TestScanCommand:
         assert cli.main(["scan", config, str(out)]) == code
         assert (out.read_text() if out.exists() else None) == earlier
 
-    def test_failed_csv_write_leaves_no_new_file(self, tmp_path):
-        # The CSV outgrows a 64-byte file size limit (RLIMIT_FSIZE, set in
-        # the child process alone) part way: the scan exits 2 and removes
-        # the file it created.
+    @staticmethod
+    def _scan_past_a_size_limit(tmp_path, out):
+        """Scan FAMILY_SCAN into `out` in a child process whose file size limit
+        (RLIMIT_FSIZE, 64 bytes) the CSV outgrows part way; the scan exits 2."""
         config = write(tmp_path, "scan.cfg", FAMILY_SCAN)
-        out = tmp_path / "o.csv"
+        files = sorted(tmp_path.iterdir())
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -642,7 +653,40 @@ class TestScanCommand:
             capture_output=True, env=env, timeout=300)
         assert (result.returncode, result.stdout) == (2, b"")
         assert result.stderr == f"error: cannot write {out}: File too large\n".encode()
+        # no temporary file is left beside the output
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_failed_csv_write_leaves_no_new_file(self, tmp_path):
+        out = tmp_path / "o.csv"
+        self._scan_past_a_size_limit(tmp_path, out)
         assert not out.exists()
+
+    def test_failed_csv_write_leaves_an_existing_file_as_it_was(self, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"earlier records\n")
+        self._scan_past_a_size_limit(tmp_path, out)
+        assert out.read_bytes() == b"earlier records\n"
+
+    @pytest.mark.parametrize("mode", [None, 0o640, 0o604], ids=["new", "640", "604"])
+    def test_csv_write_keeps_links_and_permission_bits(self, tmp_path, mode):
+        # as open(path, "w") does: the write goes through a symlink, an
+        # existing file keeps its bits, and a new one gets 0o666 less the umask
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        target, link = tmp_path / "records.csv", tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        if mode is not None:
+            target.write_text("earlier records\n")
+            target.chmod(mode)
+        umask = os.umask(0o027)
+        try:
+            assert cli.main(["scan", config, str(link)]) == 0
+        finally:
+            os.umask(umask)
+        assert link.is_symlink()
+        assert target.read_text().startswith("lambda,rho,nu,x,concurrence,family")
+        assert target.stat().st_mode & 0o7777 == (0o640 if mode is None else mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "link.csv", "records.csv", "scan.cfg"]
 
     def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -674,12 +718,13 @@ class TestScanCommand:
 
     def test_grid_hit_off_both_families_exits_5(self, tmp_path, monkeypatch, capsys):
         # the grid's C raised to 1 at (lam, rho, nu) = (-0.5, -0.5, -2), which
-        # is off both families: |P_a v|^2 = 9, |P_b v|^2 = 2.25
+        # is off both families: |P_a v|^2 = 9, |P_b v|^2 = 2.25; the kernel
+        # sees it on its unit ray, (1, lam, rho, nu) times mu
         ratio = analytic._concurrence_ratio
 
         def raised(mu, lam, rho, nu, n1, n2, n_sq):
-            return np.where((lam == -0.5) & (rho == -0.5) & (nu == -2.0), 1.0,
-                            ratio(mu, lam, rho, nu, n1, n2, n_sq))
+            return np.where((lam == -0.5 * mu) & (rho == -0.5 * mu) & (nu == -2.0 * mu),
+                            1.0, ratio(mu, lam, rho, nu, n1, n2, n_sq))
 
         monkeypatch.setattr(analytic, "_concurrence_ratio", raised)
         text = SMALL_SCAN.replace("nu_min = 1\nnu_max = 1\nnu_steps = 1",

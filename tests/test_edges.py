@@ -57,17 +57,13 @@ def bound(mu, lam, rho, nu, c, norm):
     families the error never passed 1.5x this model; the bound is 8x it.  A
     product of coefficients that underflows errs by up to the smallest
     normal float, which adds that over the N^2 `concurrence` forms.  It
-    forms it at the coefficients' own scale, or, when their magnitudes sum
-    outside [2^-400, 2^500] (`analytic._into_range`), after scaling the largest
-    into [1/2, 1) by a power of two.
+    forms it on the coefficients' unit ray (`analytic._unit_ray`), after
+    scaling the largest into [1, 2) by a power of two.
     """
     if norm == 0.0:
         return math.inf
     top = max(abs(mu), abs(lam), abs(rho), abs(nu))
-    if 2.0 ** -400 <= abs(mu) + abs(lam) + abs(rho) + abs(nu) <= 2.0 ** 500:
-        formed = norm
-    else:
-        formed = math.ldexp(norm, -math.frexp(top)[1])
+    formed = math.ldexp(norm, 1 - math.frexp(top)[1])
     underflow = 8.0 * sys.float_info.min / formed / formed
     products, diff = _products(mu, lam, rho, nu)
     cancel = float(products / diff) if diff * 2 ** 1000 > products else math.inf

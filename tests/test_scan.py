@@ -80,10 +80,11 @@ def exact_concurrence(lam, rho, nu, x):
 
 def read_at(monkeypatch, name, lam, rho, value):
     """Patch analytic.<name>, _norm_sq or _concurrence_ratio, to give `value`
-    on the row (lam, rho)."""
+    on the row (lam, rho) at mu = 1.  The kernels see each point on its unit
+    ray, (1, lam, rho, nu) times mu, so the row is matched there."""
     real = getattr(analytic, name)
     monkeypatch.setattr(analytic, name, lambda mu, lams, rhos, *rest: np.where(
-        (lams == lam) & (rhos == rho), value, real(mu, lams, rhos, *rest)))
+        (lams == lam * mu) & (rhos == rho * mu), value, real(mu, lams, rhos, *rest)))
 
 
 def small_config(**overrides):
