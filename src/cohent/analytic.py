@@ -182,13 +182,19 @@ def concurrence_and_norm_sq(mu, lam, rho, nu, p1, p2, n1, n2):
         ratio = _concurrence_ratio(mu, lam, rho, nu, n1, n2, n_sq)
     c = _clamped(np.ravel(ratio)[:stop])
     with np.errstate(over="ignore"):
-        n_sq = np.ldexp(n_sq, 2 * exponent)
+        own = np.ldexp(n_sq, 2 * exponent)
     if stop is not None:
+        n_sq, size, own = (np.ravel(np.broadcast_to(v, own.shape))[stop].item()
+                           for v in (n_sq, size, own))
+        # N^2 as given, unless scaling back over- or underflowed it; then
+        # over the coefficient sum squared, the ratio _degenerate tests
+        text = (f"{own:.3e}" if n_sq == 0 or sys.float_info.min <= own < math.inf
+                else f"{n_sq / size**2:.3e} (|mu| + |lam| + |rho| + |nu|)^2")
         raise indexed(DegenerateStateError(
-            f"squared norm {np.ravel(n_sq)[stop].item():.3e} is numerically zero; "
+            f"squared norm {text} is numerically zero; "
             "the four components are linearly dependent at this working precision"
         ), stop)
-    return c.reshape(np.shape(n_sq)), n_sq
+    return c.reshape(np.shape(own)), own
 
 
 def _one_state(coeffs: SuperpositionCoeffs, overlaps: OverlapPair):

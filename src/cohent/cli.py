@@ -22,13 +22,13 @@ classification a hit gets.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import stat
 import sys
-import tempfile
 from importlib import resources
 
 import numpy as np
@@ -272,60 +272,99 @@ def _float_texts(column):
 
 def write_records_csv(hits, family, path) -> None:
     """One row per hit: its coordinates and C, and its family, named by its
-    code in `family` (an index into scan.FAMILIES).
-
-    The rows go to a temporary file in the target's directory, which
-    replaces the target after the last row, so a write that fails leaves an
-    existing file as it was and no new one.  As with open(path, "w"), a
-    symlink is written through, and an existing file keeps its permission
-    bits while a new one gets 0o666 less the umask.
-    """
+    code in `family` (an index into scan.FAMILIES).  The rows replace `path`
+    only once all are written (see _replacing)."""
     # Scan columns repeat their values (the grid axes, x, C = 1), so each
     # distinct value is formatted once and rows index it.
     columns = [_float_texts(column) for column in
                (hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence)]
     columns.append((np.array([name + "\r\n" for name in FAMILIES], dtype=object),
                     family))
-    target = os.path.realpath(path)
     try:
-        if os.path.exists(target):
-            mode = stat.S_IMODE(os.stat(target).st_mode)
-        else:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, temp = tempfile.mkstemp(prefix=os.path.basename(target) + ".",
-                                    suffix=".tmp", dir=os.path.dirname(target))
-        try:
-            with open(fd, "w", newline="", encoding="utf-8") as handle:
-                handle.write(_CSV_HEADER)
-                for start in range(0, len(hits), _CSV_BLOCK):
-                    block = slice(start, start + _CSV_BLOCK)
-                    fields = [texts[index[block]].tolist() for texts, index in columns]
-                    handle.writelines(map(",".join, zip(*fields)))
-            os.chmod(temp, mode)
-            os.replace(temp, target)
-        except BaseException:
-            os.remove(temp)
-            raise
+        with _replacing(path) as handle:
+            handle.write(_CSV_HEADER)
+            for start in range(0, len(hits), _CSV_BLOCK):
+                block = slice(start, start + _CSV_BLOCK)
+                fields = [texts[index[block]].tolist() for texts, index in columns]
+                handle.writelines(map(",".join, zip(*fields)))
     except OSError as err:
         raise InputFileError(f"cannot write {path}: {err.strerror}") from None
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle for the new contents of `path`.
+
+    They go to a temporary file beside the file `path` names (through any
+    symlink), renamed over it once the block ends without error, so a write
+    that fails leaves an existing file as it was and no new one.  The
+    renamed file keeps an existing file's permission bits and group.  A
+    file that a rename would change otherwise (see _renamable), or whose
+    directory takes no new file, is written in place by open(path, "w")."""
+    target = os.path.realpath(path)
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        info = None
+    temp = None
+    if info is None or _renamable(info, target):
+        try:
+            fd, temp = _temp_beside(target)
+        except OSError:
+            if info is None:
+                raise
+    if temp is None:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        return
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as handle:
+            if info is not None:  # the group first: a chown clears set-id bits
+                os.fchown(fd, -1, info.st_gid)
+                os.fchmod(fd, stat.S_IMODE(info.st_mode))
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
+def _renamable(info, path) -> bool:
+    """Whether a new file renamed over `path`, whose stat is `info`, can keep
+    all that open(path, "w") keeps: `path` is a regular file with one link,
+    this process's own, in one of its groups, with no access control list."""
+    if not (stat.S_ISREG(info.st_mode) and info.st_nlink == 1
+            and info.st_uid == os.geteuid()
+            and info.st_gid in (os.getegid(), *os.getgroups())):
+        return False
+    try:
+        return not any(name.startswith("system.posix_acl_")
+                       for name in os.listxattr(path))
+    except OSError:  # a file system without extended attributes
+        return True
+
+
+def _temp_beside(path):
+    """A new, empty file in `path`'s directory, as (descriptor, name).  The
+    kernel gives it 0o666 less the umask, as open(path, "w") gives a new file."""
+    temp = os.path.join(os.path.dirname(path), f".{os.urandom(6).hex()}.csv.tmp")
+    return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
 
 
 def _check_writable(path) -> None:
-    """Raise InputFileError now if `path` cannot be opened for writing.
-
-    Opening for append leaves an existing file as it is; a file the check
-    creates is removed again, so a scan that fails leaves nothing behind.
-    """
-    created = not os.path.lexists(path)
+    """Raise InputFileError now if `path` cannot be written: an existing file
+    must open for writing (for append, which leaves it as it is), and a new
+    one needs a file in its directory, which the check makes and removes."""
     try:
-        with open(path, "a", encoding="utf-8"):
-            pass
+        if os.path.exists(path):
+            with open(path, "a", encoding="utf-8"):
+                pass
+        else:
+            fd, temp = _temp_beside(os.path.realpath(path))
+            os.close(fd)
+            os.remove(temp)
     except OSError as err:
         raise InputFileError(f"cannot write {path}: {err.strerror}") from None
-    if created:
-        os.remove(path)
 
 
 def cmd_scan(args) -> int:

@@ -121,14 +121,15 @@ def _degenerate(norms, size):
 def degenerate_norms(norms, size) -> DegenerateStateError | None:
     """The DegenerateStateError of the first state whose norm is rounding
     noise next to `size`, the sum of its coefficient magnitudes, indexed by
-    it; None if there is none."""
+    it; None if there is none.  The message states the norm over that sum,
+    which is the same at every scale of the coefficients."""
     degenerate = np.flatnonzero(_degenerate(norms, size))
     if not len(degenerate):
         return None
     first = degenerate[0]
     return indexed(DegenerateStateError(
-        f"joint state norm = {norms[first]:.3e} is rounding noise next to the "
-        f"coefficient magnitudes, which sum to {size[first]:.3e}"
+        f"joint state norm = {norms[first] / size[first]:.3e} (|mu| + |lam| + "
+        "|rho| + |nu|) is rounding noise next to the coefficient magnitudes"
     ), first)
 
 

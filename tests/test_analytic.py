@@ -73,6 +73,23 @@ class TestGramNormSquared:
         with pytest.raises(DegenerateStateError):
             gram_norm_squared(coeffs, OverlapPair(x, x))
 
+    @pytest.mark.parametrize("scale, norm_sq", [
+        (1.0, "4.930e-32"),
+        (1e200, "3.081e-33 (|mu| + |lam| + |rho| + |nu|)^2"),
+        (1e-300, "3.081e-33 (|mu| + |lam| + |rho| + |nu|)^2"),
+    ])
+    def test_degenerate_message_states_a_finite_norm(self, scale, norm_sq):
+        # N^2 at the coefficients' own scale, unless that is inf (1e200) or
+        # subnormal (1e-300); then over the coefficient sum squared, as
+        # _degenerate tests it: 4.930e-32 / 4^2 at scale 1
+        coeffs = SuperpositionCoeffs(scale, -scale, -scale, scale)
+        x = 0.9999999999999999
+        with pytest.raises(DegenerateStateError) as raised:
+            gram_norm_squared(coeffs, OverlapPair(x, x))
+        assert str(raised.value) == (
+            f"squared norm {norm_sq} is numerically zero; the four components "
+            "are linearly dependent at this working precision")
+
     def test_small_norm_product_state_is_valid(self):
         # at 1 - 1e-8 the same product state has an accurate N^2 = 4e-16
         coeffs = SuperpositionCoeffs(1, -1, -1, 1)

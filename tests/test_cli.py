@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
 import json
@@ -7,8 +8,10 @@ import math
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -450,6 +453,23 @@ class TestBellLimitCommand:
             assert payload[name]["amplitudes"][0] == pytest.approx(root_half, abs=1e-6)
             assert payload[name]["max_deviation"] < 1e-6
 
+    def test_subnormal_amplitudes_are_within_one_step(self, capsys):
+        # Scaled so that lam is in [1, 2), the coefficient 1 becomes 2^-1023
+        # and rho x underflows, so class_b's b is one subnormal step (2^-1074)
+        # above its correctly rounded value.  The exact values are those of
+        # rational arithmetic on the same float inputs.
+        exact = {"class_a": ["7.07106781186547524401e-1", "4.71404520791031328401e-309",
+                             "4.71404520791031328401e-309", "-7.07106781186547524401e-1"],
+                 "class_b": ["7.07106781186547524401e-1", "4.71404520791032027115e-309",
+                             "-4.71404520791032061111e-309", "7.07106781186547524401e-1"]}
+        assert cli.main(["bell-limit", "--lam", "1.5e308", "--x-small", "5e-324",
+                         "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for name, values in exact.items():
+            for got, want in zip(payload[name]["amplitudes"], values):
+                step = Decimal(math.ulp(float(want)))
+                assert abs(Decimal(got) - Decimal(want)) <= step, (name, got, want)
+
     def test_oversized_x_exits_2(self):
         assert cli.main(["bell-limit", "--x-small", "0.1"]) == 2
 
@@ -687,6 +707,69 @@ class TestScanCommand:
         assert target.stat().st_mode & 0o7777 == (0o640 if mode is None else mode)
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "link.csv", "records.csv", "scan.cfg"]
+
+    def test_device_output_is_written_in_place(self, tmp_path, monkeypatch):
+        # a rename would put a regular file where the device was; none is
+        # let through, so a failure here leaves the device as it is
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        monkeypatch.setattr(os, "replace", self._must_not_replace)
+        before = os.stat(os.devnull)
+        assert cli.main(["scan", config, os.devnull]) == 0
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode)
+        assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+    def test_file_in_a_read_only_directory_is_written_in_place(self, tmp_path,
+                                                              monkeypatch):
+        # the directory takes no temporary file, so the file is written
+        # through open(path, "w"), which needs only the file to be writable
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        directory = tmp_path / "kept"
+        directory.mkdir()
+        out = directory / "o.csv"
+        out.write_text("earlier records\n")
+        if os.geteuid() == 0:  # the directory's bits do not bind root
+            monkeypatch.setattr(cli, "_temp_beside", self._no_new_file)
+        directory.chmod(0o555)
+        try:
+            assert cli.main(["scan", config, str(out)]) == 0
+        finally:
+            directory.chmod(0o755)
+        assert out.read_text().startswith("lambda,rho,nu,x,concurrence,family")
+        assert [path.name for path in directory.iterdir()] == ["o.csv"]
+
+    @staticmethod
+    def _must_not_replace(*args, **kwargs):
+        pytest.fail("renamed a file over the output")
+
+    @staticmethod
+    def _no_new_file(path):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    def test_hard_linked_file_is_written_in_place(self, tmp_path):
+        # a rename would part the two names
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        out, twin = tmp_path / "o.csv", tmp_path / "twin.csv"
+        out.write_text("earlier records\n")
+        os.link(out, twin)
+        assert cli.main(["scan", config, str(out)]) == 0
+        assert out.samefile(twin)
+        assert twin.read_text().startswith("lambda,rho,nu,x,concurrence,family")
+
+    def test_existing_file_keeps_its_group(self, tmp_path):
+        # renamed over it when the group is one of the process's own, and
+        # written in place when only root could give a new file that group
+        group = next((g for g in os.getgroups() if g != os.getegid()),
+                     65534 if os.geteuid() == 0 else None)
+        if group is None:
+            pytest.skip("the process has one group only")
+        config = write(tmp_path, "scan.cfg", SMALL_SCAN)
+        out = tmp_path / "o.csv"
+        out.write_text("earlier records\n")
+        os.chown(out, -1, group)
+        assert cli.main(["scan", config, str(out)]) == 0
+        assert out.stat().st_gid == group
+        assert out.read_text().startswith("lambda,rho,nu,x,concurrence,family")
 
     def test_readable_config_reports_its_own_error(self, tmp_path, monkeypatch,
                                                    capsys):

@@ -348,6 +348,15 @@ class TestSchmidtConcurrences:
             oracle_concurrences(h1[2:], h2[2:], 1.0, lam[2:], rho[2:], nu[2:])
         assert raised.value.index == 0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-300])
+    def test_degenerate_message_is_the_same_at_every_scale(self, scale):
+        # the norm over the coefficient sum, the ratio _degenerate tests
+        with pytest.raises(DegenerateStateError) as raised:
+            oracle_concurrences(1e-17, 2.0, scale, scale, -scale, -scale)
+        assert str(raised.value) == (
+            "joint state norm = 7.072e-18 (|mu| + |lam| + |rho| + |nu|) is "
+            "rounding noise next to the coefficient magnitudes")
+
     def test_degenerate_job_raises_after_earlier_jobs_of_another_cutoff(self):
         # Half-gaps 0.5 take the shape (14, 14); the degenerate job, whose
         # pairs differ by 2e-9, takes (12, 12), as the job after it does.
