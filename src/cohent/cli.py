@@ -437,9 +437,7 @@ def _sweep_diffs(rows, first_trial: int) -> tuple[float, float]:
         c_oracle, norm = oracle_concurrences(
             *half_gaps(alpha, beta, gamma, delta), 1.0, lam, rho, nu,
             expected=c_analytic, tol=SWEEP_ORACLE_TOL, failure=failure)
-        # norm ** 2 as Python squares it, which differs from norm * norm on
-        # about 0.1% of values.
-        norm_diff = abs(np.array([value ** 2 for value in norm.tolist()]) - n_sq)
+        norm_diff = abs(norm * norm - n_sq)
         off = np.flatnonzero(~(norm_diff <= SWEEP_ORACLE_TOL))  # so NaN fails
         if len(off):
             raise indexed(ConsistencyError("oracle N^2 disagrees with the closed "

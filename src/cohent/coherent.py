@@ -217,7 +217,8 @@ def fock_vectors(amplitudes, truncation: int) -> np.ndarray:
             f"truncation {truncation} exceeds the supported cap {MAX_TRUNCATION}"
         )
     factors = np.empty((len(values), truncation))
-    factors[:, 0] = [math.exp(-0.5 * a * a) for a in values.tolist()]
+    # np.exp's last bit may differ from math.exp's; the row is renormalized.
+    factors[:, 0] = np.exp(-0.5 * values * values)
     np.multiply(values[:, None], _inv_sqrt_n(truncation), out=factors[:, 1:])
     coeffs = factors.cumprod(axis=1)
 

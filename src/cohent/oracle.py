@@ -11,34 +11,30 @@ mode's Fock cutoff follows its own |half-gap| (mode_cutoffs).
 Every analytic result in this package is cross-checked against this module;
 the closed form's values come in only to be compared (oracle_concurrences).
 Every brute-force concurrence comes from `oracle_concurrences`, which takes
-states as columns.  Once per call it checks them, puts their coefficients
-on the unit ray and expands each distinct half-gap in the Fock basis; it then
-builds the states in stacks of one (T1, T2) shape, each within _STACK_BYTES
-(`joint_states`), takes each stack's spectra in one stacked SVD, and checks
-every state once, after the last stack.
+states as columns.  Once per call it checks them, takes the four parity-sector
+weights of their coefficients on the unit ray and expands each distinct
+half-gap in the Fock basis; it then builds the states in stacks of one
+(T1, T2) shape, each within _STACK_BYTES (`joint_states`), takes each stack's
+spectra in one stacked SVD, and checks every state once, after the last
+stack.  Each joint entry is one product of ulp-exact factors, so the norm is
+right to a few eps relative however far the coefficients cancel.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import SuperpositionCoeffs, _clamped, _unit_ray
-from .coherent import MAX_TRUNCATION, CoherentConfig, _truncations, check_amplitudes
-from .coherent import fock_vectors
-from .errors import ConsistencyError, DegenerateStateError, indexed
+from .coherent import DISTINCT_TOL, MAX_TRUNCATION, CoherentConfig, _truncations
+from .coherent import check_amplitudes, fock_vectors
+from .errors import ConsistencyError, DomainError, indexed
 
 # A third Schmidt coefficient above this (squared) means the state escaped
 # the 2x2 span it must live in.
 _RANK_LIMIT = 1e-6
-
-# Each joint coefficient sums four products of a superposition coefficient and
-# two unit-vector entries, so rounding errs the norm by a few eps (|mu| + |lam|
-# + |rho| + |nu|); a norm within 4 eps of that sum is rounding noise.
-_DEGENERATE_REL = 4.0 * sys.float_info.epsilon
 
 # A stack of states of one (T1, T2) shape holds as many as fit in this many
 # bytes of joint matrices, and at least one (_stack_size); building it takes
@@ -53,10 +49,6 @@ _STACK_BYTES = 32 * 31 * 31 * 8
 def _stack_size(t1: int, t2: int) -> int:
     """The states a T1 x T2 stack holds: as many as fit in _STACK_BYTES, one at least."""
     return max(1, _STACK_BYTES // (8 * t1 * t2))
-
-
-# (-1)^n for n < MAX_TRUNCATION.
-_PARITY = np.resize([1.0, -1.0], MAX_TRUNCATION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,71 +82,73 @@ def mode_cutoffs(half_gaps) -> np.ndarray:
     return _truncations(np.ceil(4.0 * np.abs(half_gaps)) * 0.25)
 
 
-def joint_states(f_gamma, f_delta, mu, lam, rho, nu) -> tuple[np.ndarray, np.ndarray]:
+def _sector_weights(mu, lam, rho, nu) -> np.ndarray:
+    """w_st = mu s t + lam s + rho t + nu of each state, a (2, 2, k) array
+    indexed by the parities of m and n in s = (-1)^m and t = (-1)^n, by Sum2
+    (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005): the four terms
+    are exact, and a cascade of error-free TwoSums adds their rounding
+    errors back, so each w_st is right to a few ulps of itself."""
+    s = np.array([1.0, -1.0])[:, None, None]
+    t = s.reshape(1, 2, 1)
+    total, error = mu * s * t, 0.0
+    for term in (lam * s, rho * t, nu):
+        added = total + term
+        virtual = added - total
+        error = error + ((total - (added - virtual)) + (term - virtual))
+        total = added
+    return total + error
+
+
+def joint_states(f_gamma, f_delta, w) -> tuple[np.ndarray, np.ndarray]:
     """mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> of each state in the joint Fock
     basis, as a (k, T1, T2) array, and its norm, with mode 1 at a, g = -h1, h1
-    and mode 2 at b, d = -h2, h2; from two outer products of single-mode Fock
-    coefficients (the state is rank <= 2 across the split).
+    and mode 2 at b, d = -h2, h2.
 
-    `f_gamma` and `f_delta` hold the Fock rows of h1 and h2, one a state.
-    f(-h)_n = (-1)^n f(h)_n bit for bit (the cumulative product only flips
-    signs, and each row's norm is unchanged), so the alpha and beta rows are
-    the gamma and delta rows times (-1)^n.
+    `f_gamma` and `f_delta` hold the Fock rows of h1 and h2, one a state, and
+    `w` their _sector_weights.  f(-h)_n = (-1)^n f(h)_n, so entry (m, n) is
+    f_gamma,m f_delta,n w_st: (f_gamma times its row's w_s+) outer f_delta's
+    even entries, plus (f_gamma times w_s-) outer its odd ones, each entry
+    one product of ulp-exact factors plus an exact 0.
     """
-    f_alpha = f_gamma * _PARITY[:f_gamma.shape[1]]
-    f_beta = f_delta * _PARITY[:f_delta.shape[1]]
+    rows = np.arange(f_gamma.shape[1]) % 2
+    even = np.where(np.arange(f_delta.shape[1]) % 2, 0.0, f_delta)
     # Broadcast outer products, and each norm as the dot product that
-    # np.linalg.norm takes, one a state in one stacked matmul: bit-identical,
-    # without either call's overhead or a Python loop.
-    mu, lam, rho, nu = (v[:, None] for v in (mu, lam, rho, nu))
-    psi = f_alpha[:, :, None] * (mu * f_beta + lam * f_delta)[:, None, :]
-    psi += f_gamma[:, :, None] * (rho * f_beta + nu * f_delta)[:, None, :]
+    # np.linalg.norm takes, one a state in one stacked matmul, without either
+    # call's overhead or a Python loop.
+    psi = (f_gamma * w[rows, 0].T)[:, :, None] * even[:, None, :]
+    psi += (f_gamma * w[rows, 1].T)[:, :, None] * (f_delta - even)[:, None, :]
     flat = psi.reshape(len(psi), -1)
     return psi, np.sqrt((flat[:, None, :] @ flat[:, :, None]).ravel())
 
 
-def _degenerate(norms, size):
-    """Whether each norm is rounding noise next to its coefficient sum."""
-    return norms <= _DEGENERATE_REL * size
-
-
-def degenerate_norms(norms, size) -> DegenerateStateError | None:
-    """The DegenerateStateError of the first state whose norm is rounding
-    noise next to `size`, the sum of its coefficient magnitudes, indexed by
-    it; None if there is none.  The message states the norm over that sum,
-    which is the same at every scale of the coefficients."""
-    degenerate = np.flatnonzero(_degenerate(norms, size))
-    if not len(degenerate):
-        return None
-    first = degenerate[0]
-    return indexed(DegenerateStateError(
-        f"joint state norm = {norms[first] / size[first]:.3e} (|mu| + |lam| + "
-        "|rho| + |nu|) is rounding noise next to the coefficient magnitudes"
-    ), first)
-
-
 class _Call:
     """The work of one call that does not depend on the stack: its states
-    checked, their coefficients on the unit ray, each mode's cutoff, and
-    one Fock row per distinct half-gap of each cutoff."""
+    checked, the sector weights of their coefficients on the unit ray, each
+    mode's cutoff, and one Fock row per distinct half-gap of each cutoff."""
 
     def __init__(self, h1, h2, mu, lam, rho, nu, count=None):
         # The six columns of the first `count` states (or all), as rows.
         columns = np.array(np.broadcast_arrays(h1, h2, mu, lam, rho, nu),
                            dtype=float).reshape(6, -1)[:, :count]
-        check_amplitudes(columns[:2].ravel(order="F"))  # in input order
-        # The joint coefficients are no larger than |mu| + |lam| + |rho| +
-        # |nu|, and the norm sums their squares, so each state is built from
-        # its coefficients on their unit ray (analytic._unit_ray), which
-        # leaves the normalized state unchanged.
+        ordered = columns[:2].ravel(order="F")  # the half-gaps in input order
+        check_amplitudes(ordered)
+        # Above the bound every validator keeps (coherent.distinct), the norm
+        # has a floor: the sign matrix is orthogonal, so the w_st^2 sum to
+        # 4 |v|^2 >= 4 on the unit ray, and the norm^2, the sum of w_st^2
+        # E_s(h1) E_t(h2) over the Fock rows' even and odd masses E_+-, is at
+        # least about 4 h1^2 h2^2 >= 2.5e-37.
+        vanishing = np.flatnonzero(abs(ordered) <= DISTINCT_TOL * 0.5)
+        if len(vanishing):
+            raise indexed(DomainError(
+                f"|half-gap| = {abs(ordered[vanishing[0]])} must exceed "
+                f"{DISTINCT_TOL * 0.5}: the pair is not distinct"), vanishing[0] // 2)
+        # Each state is built from its coefficients on their unit ray
+        # (analytic._unit_ray), which leaves the normalized state unchanged.
         *coefficients, self.exponent = _unit_ray(*columns[2:])
-        mu, lam, rho, nu = self.coefficients = np.array(coefficients)
-        self.size = abs(mu) + abs(lam) + abs(rho) + abs(nu)
-        # One Fock row per distinct half-gap, told apart by its bits so that
-        # -0.0 keeps its own row, and one fock_vectors call per cutoff, on
-        # its half-gaps.
-        bits, rows = np.unique(columns[:2].view(np.int64), return_inverse=True)
-        halves = bits.view(np.float64)
+        self.weights = _sector_weights(*coefficients)
+        # One Fock row per distinct half-gap, and one fock_vectors call per
+        # cutoff, on its half-gaps.
+        halves, rows = np.unique(columns[:2], return_inverse=True)
         cutoffs = mode_cutoffs(halves)
         local, self.tables = np.empty(len(halves), dtype=np.intp), {}
         for cutoff in dict.fromkeys(cutoffs.tolist()):
@@ -179,12 +173,11 @@ class _Call:
 
     def states(self, t1, t2, stack):
         """The stack's states as a (k, T1, T2) array, normalized, and their
-        norms before normalization, scaled by 2^-exponent.  A degenerate
-        state is left unnormalized, so the array stays finite."""
+        norms before normalization, scaled by 2^-exponent."""
         r1, r2 = self.rows[:, stack]
         psi, norms = joint_states(self.tables[t1][r1], self.tables[t2][r2],
-                                  *self.coefficients[:, stack])
-        psi /= np.where(_degenerate(norms, self.size[stack]), 1.0, norms)[:, None, None]
+                                  self.weights[:, :, stack])
+        psi /= norms[:, None, None]
         return psi, norms
 
 
@@ -196,13 +189,9 @@ def _state_columns(config: CoherentConfig, coeffs: SuperpositionCoeffs):
 
 def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductStateVector:
     """The one state as oracle_concurrences builds it, at the cutoffs
-    mode_cutoffs gives its half-gaps.  Raises DegenerateStateError, indexed
-    0, when its norm is rounding noise."""
+    mode_cutoffs gives its half-gaps."""
     call = _Call(*_state_columns(config, coeffs))
     psi, norms = call.states(*call.stacks()[0])
-    failure = degenerate_norms(norms, call.size)
-    if failure is not None:
-        raise failure
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         norm = float(np.ldexp(norms[0], call.exponent[0]))
     return ProductStateVector(psi[0].ravel(), psi.shape[1:], norm)
@@ -247,24 +236,24 @@ def oracle_concurrences(h1, h2, mu, lam, rho, nu, expected=(), tol=math.inf,
     their modes over the whole call, and each group is built in stacks of
     _stack_size(T1, T2), one stacked SVD each (LAPACK factors each matrix on its own,
     so the bits are a one-matrix SVD's).  After the last stack every state
-    is checked: the half-gaps (fock_vectors' check, before any is built),
-    then degenerate_norms and schmidt_concurrences, and each C against
-    `expected`, the closed form's C of each state, if given.  `failure` is
-    the closed form's own indexed error, if any: no state from its index on
-    is built.  The earliest state to fail, in input order, raises, indexed
-    by it: its norm's error, else its Schmidt rule's, else a C further than
-    `tol` from `expected` (NaN included), else `failure`.  So on one state
-    the closed form's error comes before the oracle's.
+    is checked: the half-gaps (before any is built: each finite, at most
+    MAX_AMPLITUDE and above DISTINCT_TOL / 2 in magnitude, else DomainError),
+    then schmidt_concurrences, and each C against `expected`, the closed
+    form's C of each state, if given.  `failure` is the closed form's own
+    indexed error, if any: no state from its index on is built.  The
+    earliest state to fail, in input order, raises, indexed by it: its
+    Schmidt rule's error, else a C further than `tol` from `expected` (NaN
+    included), else `failure`.  So on one state the closed form's error
+    comes before the oracle's.
     """
     call = _Call(h1, h2, mu, lam, rho, nu, None if failure is None else failure.index)
-    count = len(call.size)
+    count = len(call.exponent)
     norms, svals = np.empty(count), np.empty((count, 3))
     for t1, t2, stack in call.stacks():
         psi, norms[stack] = call.states(t1, t2, stack)
         svals[stack] = np.linalg.svd(psi, compute_uv=False)[:, :3]
-    own = degenerate_norms(norms, call.size)
     try:
-        c = schmidt_concurrences(svals[:count if own is None else own.index])
+        own, c = None, schmidt_concurrences(svals)
     except ConsistencyError as err:
         own, c = err, schmidt_concurrences(svals[:err.index])
     if len(expected):

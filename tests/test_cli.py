@@ -26,7 +26,7 @@ from cohent.classify import _family_terms
 from cohent.coherent import CoherentConfig, OverlapPair, default_truncation
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError, indexed
 from cohent.oracle import oracle_concurrence
-from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
+from faults import failing_schmidt, spectrum_of
 from cohent.scan import ScanHits
 
 OVERLAP_STATE = "p1 = 0.5\np2 = 0.5\nlambda = -0.5\nrho = -0.5\nnu = 1\n"
@@ -1020,14 +1020,14 @@ class TestOracleCheckCommand:
 
     @pytest.mark.parametrize("target, error, status", [
         ("schmidt_concurrence", ConsistencyError, 3),
-        ("degenerate_norms", DegenerateStateError, 2),
+        ("concurrence_and_norm_sq", DegenerateStateError, 2),
     ])
     def test_failed_state_names_its_trial(self, monkeypatch, capsys, target,
                                           error, status):
         # A state of the second draw chunk fails a per-state check: the
-        # Schmidt rule's (oracle.schmidt_concurrences), or its norm's
-        # (oracle.degenerate_norms).  The error names its trial, counted
-        # from 1, and its draws.
+        # oracle's Schmidt rule (oracle.schmidt_concurrences), or the closed
+        # form's norm (cli.concurrence_and_norm_sq).  The error names its
+        # trial, counted from 1, and its draws.
         failing = cli._SWEEP_CHUNK + 3
         draws = sweep_draws(4, failing)[-1]
         alpha, beta, gamma, delta, lam, rho, nu = draws
@@ -1037,8 +1037,16 @@ class TestOracleCheckCommand:
             monkeypatch.setattr(oracle, "schmidt_concurrences",
                                 failing_schmidt(spectrum_of(*state), error))
         else:
-            monkeypatch.setattr(oracle, "degenerate_norms",
-                                failing_norms([norm_of(*state)], error))
+            real = cli.concurrence_and_norm_sq
+
+            def analytic_fails(mu, lams, *rest):
+                result = real(mu, lams, *rest)
+                at = np.flatnonzero(lams == lam)
+                if len(at):
+                    raise indexed(error("check failed"), at[0])
+                return result
+
+            monkeypatch.setattr(cli, "concurrence_and_norm_sq", analytic_fails)
         assert cli.main(["oracle-check", "--trials", str(failing + 5),
                          "--seed", "4", "--json"]) == status
         out, err = capsys.readouterr()
@@ -1048,7 +1056,7 @@ class TestOracleCheckCommand:
         assert err == f"error: oracle-check trial {failing}: check failed at {at}\n"
 
     @pytest.mark.parametrize("oracle_trial, analytic_trial, status, message", [
-        (5, 7, 2, "check failed"),
+        (5, 7, 3, "check failed"),
         (7, 5, 3, "closed form failed"),
         (5, 5, 3, "closed form failed"),
     ])
@@ -1069,11 +1077,11 @@ class TestOracleCheckCommand:
             return result
 
         alpha, beta, gamma, delta, lam, rho, nu = draws[oracle_trial - 1]
-        norm = norm_of(CoherentConfig(alpha, beta, gamma, delta),
-                       SuperpositionCoeffs(1.0, lam, rho, nu))
+        spectrum = spectrum_of(CoherentConfig(alpha, beta, gamma, delta),
+                               SuperpositionCoeffs(1.0, lam, rho, nu))
         monkeypatch.setattr(cli, "concurrence_and_norm_sq", analytic_fails)
-        monkeypatch.setattr(oracle, "degenerate_norms",
-                            failing_norms([norm], DegenerateStateError))
+        monkeypatch.setattr(oracle, "schmidt_concurrences",
+                            failing_schmidt(spectrum, ConsistencyError))
         assert cli.main(["oracle-check", "--trials", "9", "--seed", "2"]) == status
         trial = min(oracle_trial, analytic_trial)
         assert capsys.readouterr().err.startswith(
@@ -1146,8 +1154,8 @@ class TestOracleCheckCommand:
         assert cli.main(["oracle-check", "--trials", "2000", "--seed", "1333878482",
                          "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["max_concurrence_diff"] == 1.3322676295501878e-15
-        assert payload["max_norm_sq_diff"] == 4.263256414560601e-14
+        assert payload["max_concurrence_diff"] == 1.1102230246251565e-15
+        assert payload["max_norm_sq_diff"] == 7.105427357601002e-14
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_2(self, trials, capsys):
@@ -1391,7 +1399,7 @@ class TestDeterminism:
         # 2.4's bundled OpenBLAS.
         assert cli.main(["examples", "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "dc299a90f606b3659456176aecb4f6d4f60465116b22fead9955810b7ef04e23"
+        assert digest == "574bf11bdbac3a3cedaa9bf41946bc5eb45ab553cd81518566d84bec3a2a1857"
 
 
 def _run_with_closed_stdout(tmp_path, argv, unbuffered):

@@ -326,7 +326,7 @@ class TestFockVectors:
         amplitudes = np.random.default_rng(truncation).uniform(
             -amplitude, amplitude, size=200)
         factors = np.empty((len(amplitudes), truncation))
-        factors[:, 0] = [math.exp(-0.5 * a * a) for a in amplitudes.tolist()]
+        factors[:, 0] = np.exp(-0.5 * amplitudes * amplitudes)
         factors[:, 1:] = amplitudes[:, None] * _inv_sqrt_n(truncation)
         raw = factors.cumprod(axis=1)
         expected = raw / np.sqrt([row.dot(row) for row in raw])[:, None]

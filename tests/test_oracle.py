@@ -5,14 +5,16 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
-from cohent.analytic import SuperpositionCoeffs, concurrence, gram_norm_squared
+from cohent.analytic import SuperpositionCoeffs, _unit_ray, concurrence, gram_norm_squared
 from cohent.catalog import example_states
+from cohent.classify import Verdict
 from cohent.coherent import MAX_AMPLITUDE, MAX_TRUNCATION, CoherentConfig, OverlapPair
 from cohent.coherent import default_truncation, fock_vector, fock_vectors, half_gaps
 from cohent import oracle, scan
-from cohent.errors import ConsistencyError, DegenerateStateError, indexed
-from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
+from cohent.errors import ConsistencyError, DomainError, indexed
+from faults import failing_schmidt, spectrum_of
 from cohent.oracle import (
     ProductStateVector,
     build_state,
@@ -238,15 +240,15 @@ class TestSchmidtConcurrences:
         c, _ = oracle_concurrences(h, h, 1.0, lam, rho, nu)
         assert c.tolist() == expected
         assert seen == [(2, 17)] and len(built) == -(-250 // oracle._stack_size(17, 17)) == 3
-        # Half-gaps are told apart by their bits, so -0.0 gets its own row:
-        # mode 1's cutoff T(0) = 9 expands 0.0 and -0.0, mode 2's T(0.5) = 14
-        # expands 0.5.
+        # One fock_vectors call per cutoff, on its distinct half-gaps: mode
+        # 1's T(0.25) = 12 expands -0.1 and 0.1, mode 2's T(0.5) = 14 expands
+        # 0.5.
         seen.clear()
         built.clear()
-        oracle_concurrences([0.0, -0.0], 0.5, 1.0, 0.3, -0.2, 0.5)
-        assert seen == [(2, 9), (1, 14)]
+        oracle_concurrences([0.1, -0.1], 0.5, 1.0, 0.3, -0.2, 0.5)
+        assert seen == [(2, 12), (1, 14)]
         pair = built.pop()
-        for i, h1 in enumerate([0.0, -0.0]):
+        for i, h1 in enumerate([0.1, -0.1]):
             oracle_concurrences(h1, 0.5, 1.0, 0.3, -0.2, 0.5)
             assert built.pop()[0].tobytes() == pair[i].tobytes()
 
@@ -271,12 +273,12 @@ class TestSchmidtConcurrences:
         assert [stack for stack in stacks if 145 in stack] == [(1, 145, 145)] * 6
 
     def test_rank_three_state_raises_among_fine_stack_mates(self, monkeypatch):
-        # Hand-made states, whose mu picks their Schmidt weights: the
-        # rank-three one is the second of the stack.
+        # Hand-made states, whose mu, and so their weight w_++ = mu, picks
+        # their Schmidt weights: the rank-three one is the second of the stack.
         fine, escaped = [0.6, 0.4, 0.0], [0.5, 0.3, 0.2]
-        monkeypatch.setattr(oracle, "joint_states", lambda f_gamma, f_delta, mu, *_: (
-            np.stack([np.diag(np.sqrt(escaped if m else fine)) for m in mu]),
-            np.ones(len(mu))))
+        monkeypatch.setattr(oracle, "joint_states", lambda f_gamma, f_delta, w: (
+            np.stack([np.diag(np.sqrt(escaped if m else fine)) for m in w[0, 0]]),
+            np.ones(w.shape[2])))
         c, _ = oracle_concurrences(0.5, 0.5, [0.0, 0.0], 0.0, 0.0, 0.0)
         assert c.tolist() == [schmidt_concurrence(np.sqrt(fine))] * 2
         with pytest.raises(ConsistencyError, match="third Schmidt weight") as raised:
@@ -284,10 +286,10 @@ class TestSchmidtConcurrences:
         assert raised.value.index == 1
 
     def test_states_before_a_failing_build_are_checked_first(self, monkeypatch):
-        # Every state shares one shape; the norm of the third state of its
-        # second stack fails, and the error is indexed by it.  When the state
-        # before it fails the Schmidt check, that error is raised instead;
-        # when the failing state itself fails it too, its norm's error is.
+        # Every state shares one shape; the third state of its second stack
+        # fails the Schmidt rule, and the error is indexed by it.  When the
+        # state before it fails too, in either order of the faults, that
+        # error is raised instead.
         config = CoherentConfig(0.0, 0.0, 1.0, 1.0)  # half-gaps 0.5
         size = oracle._stack_size(*shape_of(config))
         failing = size + 2
@@ -295,20 +297,15 @@ class TestSchmidtConcurrences:
         lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 2 * size + 5))
         states = [SuperpositionCoeffs(1.0, *v) for v in zip(lam, rho, nu)]
         spectra = {i: spectrum_of(config, states[i]) for i in (failing - 1, failing)}
-        monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(
-            [norm_of(config, states[failing])], DegenerateStateError))
-        with pytest.raises(DegenerateStateError, match="^check failed$") as raised:
-            oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
-        assert raised.value.index == failing
-
-        for schmidt_fails, error in ((failing - 1, ConsistencyError),
-                                     (failing, DegenerateStateError)):
+        for faults, named in (([failing], failing), ([failing - 1, failing], failing - 1),
+                              ([failing, failing - 1], failing - 1)):
             with monkeypatch.context() as patch:
-                patch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
-                    spectra[schmidt_fails], ConsistencyError))
-                with pytest.raises(error, match="^check failed$") as raised:
+                for i in faults:
+                    patch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+                        spectra[i], ConsistencyError))
+                with pytest.raises(ConsistencyError, match="^check failed$") as raised:
                     oracle_concurrences(0.5, 0.5, 1.0, lam, rho, nu)
-            assert raised.value.index == schmidt_fails
+            assert raised.value.index == named
 
     def test_the_earliest_failing_state_is_named_across_cutoffs(self, monkeypatch):
         # Shapes are taken in ascending order, so the later state (index 3,
@@ -317,61 +314,16 @@ class TestSchmidtConcurrences:
         shapes = record_shapes(monkeypatch)
         h = [0.5, 0.5, 1e-9, 1e-9, 0.5]
         lam = [0.1, -0.25, 0.1, -0.75, 0.1]
-        norms = [oracle_concurrences(h[i], h[i], 1.0, lam[i], 0.2, 0.3)[1][0]
-                 for i in (1, 3)]
+        for i in (1, 3):
+            monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+                spectrum_of(CoherentConfig(0.0, 0.0, 2.0 * h[i], 2.0 * h[i]),
+                            SuperpositionCoeffs(1.0, lam[i], 0.2, 0.3)),
+                ConsistencyError))
         shapes.clear()
-        monkeypatch.setattr(oracle, "degenerate_norms",
-                            failing_norms(norms, DegenerateStateError))
-        with pytest.raises(DegenerateStateError, match="^check failed$") as raised:
+        with pytest.raises(ConsistencyError, match="^check failed$") as raised:
             oracle_concurrences(h, h, 1.0, lam, 0.2, 0.3)
         assert shapes == [(12, 12), (14, 14)]
         assert raised.value.index == 1
-
-    def test_the_earliest_degenerate_state_is_named_across_shapes(self, monkeypatch):
-        # Two states are degenerate, each a product whose first factor
-        # |a> - |g> is rounding noise: index 1, at half-gaps 1e-17 and 2, of
-        # shape (12, 31), and index 2, at 1e-9 and 1e-9, of shape (12, 12),
-        # whose stack is built first.  The error is index 1's, as it raises
-        # alone.
-        shapes = record_shapes(monkeypatch)
-        h1, h2 = [0.5, 1e-17, 1e-9, 1e-9], [0.5, 2.0, 1e-9, 1e-9]
-        lam, rho, nu = [0.3, 1.0, -1.0, 0.3], [-0.2, -1.0, -1.0, -0.2], [0.5, -1.0, 1.0, 0.5]
-        with pytest.raises(DegenerateStateError) as alone:
-            oracle_concurrences(1e-17, 2.0, 1.0, 1.0, -1.0, -1.0)
-        shapes.clear()
-        with pytest.raises(DegenerateStateError, match="^joint state norm = ") as raised:
-            oracle_concurrences(h1, h2, 1.0, lam, rho, nu)
-        assert shapes == [(12, 12), (12, 31), (14, 14)]
-        assert raised.value.index == 1
-        assert str(raised.value) == str(alone.value)
-        with pytest.raises(DegenerateStateError) as raised:
-            oracle_concurrences(h1[2:], h2[2:], 1.0, lam[2:], rho[2:], nu[2:])
-        assert raised.value.index == 0
-
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-300])
-    def test_degenerate_message_is_the_same_at_every_scale(self, scale):
-        # the norm over the coefficient sum, the ratio _degenerate tests
-        with pytest.raises(DegenerateStateError) as raised:
-            oracle_concurrences(1e-17, 2.0, scale, scale, -scale, -scale)
-        assert str(raised.value) == (
-            "joint state norm = 7.072e-18 (|mu| + |lam| + |rho| + |nu|) is "
-            "rounding noise next to the coefficient magnitudes")
-
-    def test_degenerate_job_raises_after_earlier_jobs_of_another_cutoff(self):
-        # Half-gaps 0.5 take the shape (14, 14); the degenerate job, whose
-        # pairs differ by 2e-9, takes (12, 12), as the job after it does.
-        wide = CoherentConfig(0.0, 0.0, 1.0, 1.0)
-        narrow = CoherentConfig(0.0, 0.0, 2e-9, 2e-9)
-        fine = SuperpositionCoeffs(1.0, 0.3, -0.2, 0.5)
-        jobs = [(wide, fine), (wide, SuperpositionCoeffs(1.0, 0.0, 0.0, -1.0)),
-                (narrow, SuperpositionCoeffs(1.0, -1.0, -1.0, 1.0)),
-                (wide, fine), (narrow, fine)]
-        assert [shape_of(config) for config, _ in jobs] == [
-            (14, 14), (14, 14), (12, 12), (14, 14), (12, 12)]
-        oracle_concurrences(*columns(jobs[:2]))
-        with pytest.raises(DegenerateStateError, match="^joint state norm = ") as raised:
-            oracle_concurrences(*columns(jobs))
-        assert raised.value.index == 2
 
     def test_empty_jobs_yield_nothing(self, monkeypatch):
         shapes = record_shapes(monkeypatch)
@@ -428,10 +380,10 @@ class TestModeCutoffs:
                    - concurrence(coeffs, OverlapPair.from_config(config))) <= 1e-15
 
 
-def exact_state(h1, h2, mu, lam, rho, nu):
+def exact_state(h1, h2, mu, lam, rho, nu, digits=50):
     """(C, N) of the closed form at the half-gaps h1 and h2, whose overlaps
-    are exp(-2 h^2), at 50 digits, as floats."""
-    with mpmath.workdps(50):
+    are exp(-2 h^2), at `digits` digits, as floats."""
+    with mpmath.workdps(digits):
         h1, h2, mu, lam, rho, nu = map(mpmath.mpf, (h1, h2, mu, lam, rho, nu))
         p1, p2 = mpmath.exp(-2 * h1**2), mpmath.exp(-2 * h2**2)
         n_sq = (mu**2 + lam**2 + rho**2 + nu**2 + 2 * (mu * lam + rho * nu) * p2
@@ -454,11 +406,86 @@ def test_oracle_matches_the_closed_form_at_fifty_digits():
     c, norm = oracle_concurrences(h1, h2, 1.0, lam, rho, nu)
     exact = np.array([exact_state(*v, 1.0, *w) for v, w in zip(
         zip(h1.tolist(), h2.tolist()), zip(lam.tolist(), rho.tolist(), nu.tolist()))])
-    assert np.max(abs(c - exact[:, 0])) <= 2e-15
-    # Rounding errs the norm on the scale of the coefficient sum S, so the
-    # bound is relative to N, or to S / 4 where N has cancelled below it.
-    size = 1.0 + abs(lam) + abs(rho) + abs(nu)
-    assert np.max(abs(norm - exact[:, 1]) / np.maximum(exact[:, 1], size / 4)) <= 1e-15
+    assert np.max(abs(c - exact[:, 0])) <= 1e-15
+    # Every joint entry is right to a few ulps, so the norm is too, however
+    # far the coefficients cancel.
+    assert np.max(abs(norm - exact[:, 1]) / exact[:, 1]) <= 1e-15
+
+
+# The gap-1e-7 defect file: alpha = 0, beta = 0.3, gamma = 1e-7,
+# delta = 0.3000001, mu = nu = 1, lambda = rho = -1.000000000000005.  Its
+# joint entries each summed four products that cancel to 1e-14, and the
+# oracle's C was 2.2e-4 off.
+DEFECT = (*half_gaps(0.0, 0.3, 1e-7, 0.3000001), 1.0, -1.000000000000005,
+          -1.000000000000005, 1.0)
+
+
+def test_oracle_is_within_1e_15_of_sixty_digits_near_the_families():
+    # The defect file, and the fifteen reference states at squared gaps
+    # from 1e-14, where their joint entries cancel to 1e-14, to 4.
+    jobs = [DEFECT] + [
+        (*state.config.half_gaps, state.coeffs.mu, state.coeffs.lam,
+         state.coeffs.rho, state.coeffs.nu)
+        for gap_squared in (1e-8, 1e-10, 1e-12, 1e-14, 1.0, 4.0)
+        for state in example_states(gap_squared)]
+    c, _ = oracle_concurrences(*np.array(jobs).T)
+    exact = np.array([exact_state(*job, digits=60)[0] for job in jobs])
+    assert abs(c[0] - 0.99977576034051224) <= 1e-15
+    assert np.max(abs(c - exact)) <= 1e-15
+
+
+def test_a_vanishing_half_gap_is_refused_before_any_state_is_built(monkeypatch):
+    # At h1 = 0, v = (1, 1, -1, -1) is (|a> - |g>)(|b> + |d>), of norm 0.
+    # Every validator keeps |h| above DISTINCT_TOL / 2 = 5e-10; the earliest
+    # half-gap at or below it, in input order, is named.
+    built = record_shapes(monkeypatch)
+    with pytest.raises(DomainError, match=(
+            r"^\|half-gap\| = 0\.0 must exceed 5e-10: the pair is not distinct$")) as raised:
+        oracle_concurrences(0.0, 0.5, 1.0, 1.0, -1.0, -1.0)
+    assert raised.value.index == 0
+    with pytest.raises(DomainError, match=r"^\|half-gap\| = 5e-10 ") as raised:
+        oracle_concurrences([0.5, 0.5, -1e-12], [0.5, -5e-10, 0.5], 1.0, 1.0, -1.0, -1.0)
+    assert raised.value.index == 1
+    assert built == []
+
+
+def test_the_norm_has_a_floor_at_the_validators_half_gaps():
+    # The oracle's norm^2 is the sum over the sectors of w_st^2 E_s(h1)
+    # E_t(h2), with E_+ = (1 + p) / 2 and E_- = (1 - p) / 2 the even and odd
+    # masses of a Fock row at the overlap p = exp(-2 h^2): the closed form's
+    # N^2.  The sign matrix is orthogonal, so the w_st^2 sum to 4 |v|^2, and
+    # N^2 >= 4 E_-(h1) E_-(h2) |v|^2, about 4 h1^2 h2^2 |v|^2.
+    mu, lam, rho, nu, p1, p2, a = sp.symbols("mu lam rho nu p1 p2 a", real=True)
+    k = sp.symbols("k", integer=True, nonnegative=True)
+    w = {(s, t): mu * s * t + lam * s + rho * t + nu for s in (1, -1) for t in (1, -1)}
+    assert sp.expand(sum(v**2 for v in w.values())
+                     - 4 * (mu**2 + lam**2 + rho**2 + nu**2)) == 0
+    n_sq = (mu**2 + lam**2 + rho**2 + nu**2 + 2 * (mu * lam + rho * nu) * p2
+            + 2 * (mu * rho + lam * nu) * p1 + 2 * (mu * nu + lam * rho) * p1 * p2)
+    assert sp.expand(sum(v**2 * (1 + s * p1) * (1 + t * p2) / 4
+                         for (s, t), v in w.items()) - n_sq) == 0
+    # e^(-a^2) times the even terms of sum a^(2n) / n! is (1 + e^(-2 a^2)) / 2.
+    even = sp.exp(-a**2) * sp.summation(a**(4 * k) / sp.factorial(2 * k), (k, 0, sp.oo))
+    assert sp.simplify((even - (1 + sp.exp(-2 * a**2)) / 2).rewrite(sp.exp)) == 0
+
+    # At the smallest half-gaps the validators accept, and at the cap, on
+    # random coefficients and on the two families' planes.
+    rng = np.random.default_rng(64)
+    jobs = []
+    for h1, h2 in [(5.000001e-10, -5.000001e-10), (-5.000001e-10, 8.0),
+                   (8.0, 5.000001e-10), (-8.0, 8.0)]:
+        jobs += [(h1, h2, state.coeffs.mu, state.coeffs.lam, state.coeffs.rho,
+                  state.coeffs.nu) for state in example_states(4.0 * h1 * h1)
+                 if state.expected is not Verdict.SEPARABLE]
+        jobs += [(h1, h2, 1.0, *v) for v in rng.uniform(-3.0, 3.0, size=(8, 3))]
+    h1, h2, *v = np.array(jobs).T
+    c, norm = oracle_concurrences(h1, h2, *v)
+    exact = np.array([exact_state(*job, digits=60) for job in jobs])
+    assert np.max(abs(c - exact[:, 0])) <= 1e-15
+    size_sq = sum(column * column for column in v)
+    floor = np.expm1(-2.0 * h1 * h1) * np.expm1(-2.0 * h2 * h2) * size_sq
+    assert np.isfinite(norm).all() and (norm * norm >= floor * (1.0 - 1e-14)).all()
+    assert np.max(abs(norm - exact[:, 1]) / exact[:, 1]) <= 1e-14
 
 
 class TestPurityConcurrence:
@@ -528,22 +555,29 @@ class TestOracleConcurrence:
 
 def outer_reference(config, coeffs, shape=None):
     """build_state's coefficients and norm, assembled with np.outer and
-    np.linalg.norm from one fock_vector per amplitude of the centered modes,
-    -+h1 at the cutoff t1 and -+h2 at t2, with (t1, t2) = `shape` (by
-    default build_state's own)."""
+    np.linalg.norm from one fock_vector per half-gap of the centered modes,
+    h1 at the cutoff t1 and h2 at t2, with (t1, t2) = `shape` (by default
+    build_state's own), and the sector weights mu s t + lam s + rho t + nu
+    of the coefficients on their unit ray, each rounded once by math.fsum,
+    column by column of one parity."""
     t1, t2 = shape_of(config) if shape is None else shape
     h1, h2 = (config.gamma - config.alpha) * 0.5, (config.delta - config.beta) * 0.5
-    f_alpha, f_gamma = fock_vector(-h1, t1), fock_vector(h1, t1)
-    f_beta, f_delta = fock_vector(-h2, t2), fock_vector(h2, t2)
-    psi = np.outer(f_alpha, coeffs.mu * f_beta + coeffs.lam * f_delta)
-    psi += np.outer(f_gamma, coeffs.rho * f_beta + coeffs.nu * f_delta)
+    f_gamma, f_delta = fock_vector(h1, t1), fock_vector(h2, t2)
+    mu, lam, rho, nu, exponent = (v.item() for v in _unit_ray(
+        coeffs.mu, coeffs.lam, coeffs.rho, coeffs.nu))
+    w = np.array([[math.fsum([mu * s * t, lam * s, rho * t, nu]) for t in (1, -1)]
+                  for s in (1, -1)])
+    psi, rows = np.empty((t1, t2)), np.arange(t1) % 2
+    for j in (0, 1):
+        psi[:, j::2] = np.outer(f_gamma * w[rows, j], f_delta[j::2])
     norm = float(np.linalg.norm(psi))
-    return (psi / norm).ravel(), norm
+    return (psi / norm).ravel(), math.ldexp(norm, exponent)
 
 
 def test_build_state_matches_the_outer_product_reference():
-    # Broadcasting and the dot-product norm leave every coefficient and the
-    # norm bit for bit as np.outer and np.linalg.norm give them.
+    # Broadcasting, the Sum2 weights and the dot-product norm leave every
+    # coefficient and the norm bit for bit as math.fsum, np.outer and
+    # np.linalg.norm give them.
     rng = np.random.default_rng(57)
     for _ in range(200):
         config, coeffs = random_state(rng)
@@ -591,10 +625,10 @@ class TestComparison:
 
     JOBS = [random_state(rng) for rng in [np.random.default_rng(63)] for _ in range(8)]
 
-    def fail_norm(self, monkeypatch, i):
-        """Make state i of JOBS fail degenerate_norms."""
-        monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(
-            [norm_of(*self.JOBS[i])], DegenerateStateError))
+    def fail_state(self, monkeypatch, i):
+        """Make state i of JOBS fail the Schmidt rule."""
+        monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+            spectrum_of(*self.JOBS[i]), ConsistencyError))
 
     def test_a_passing_comparison_returns_the_defaults_bits(self):
         # test_stacked_equals_one_state_bit_for_bit pins the defaults' C and
@@ -604,16 +638,16 @@ class TestComparison:
         assert np.array_equal(again, (c, norm))
 
     def test_closed_form_failure_wins_a_tie(self, monkeypatch):
-        self.fail_norm(monkeypatch, 5)
+        self.fail_state(monkeypatch, 5)
         failure = indexed(ConsistencyError("closed form failed"), 5)
         with pytest.raises(ConsistencyError, match="^closed form failed$") as caught:
             oracle_concurrences(*columns(self.JOBS), failure=failure)
         assert caught.value.index == 5
 
     def test_earlier_oracle_failure_is_named(self, monkeypatch):
-        self.fail_norm(monkeypatch, 2)
+        self.fail_state(monkeypatch, 2)
         failure = indexed(ConsistencyError("closed form failed"), 5)
-        with pytest.raises(DegenerateStateError, match="^check failed$") as caught:
+        with pytest.raises(ConsistencyError, match="^check failed$") as caught:
             oracle_concurrences(*columns(self.JOBS), failure=failure)
         assert caught.value.index == 2
 
@@ -634,19 +668,21 @@ class TestComparison:
         assert not set(seen) & set(h1[5:].tolist() + h2[5:].tolist())
         assert built  # the states before it are
 
-    @pytest.mark.parametrize("target", ["degenerate_norms", "schmidt_concurrences"])
+    @pytest.mark.parametrize("target", ["failure", "schmidt_concurrences"])
     def test_disagreement_before_an_oracle_failure_is_named(self, monkeypatch, target):
+        # State 6 fails the closed form or the Schmidt rule; state 3 disagrees.
         c, _ = oracle_concurrences(*columns(self.JOBS))
-        if target == "degenerate_norms":
-            self.fail_norm(monkeypatch, 6)
+        failure = None
+        if target == "failure":
+            failure = indexed(ConsistencyError("closed form failed"), 6)
         else:
-            monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
-                spectrum_of(*self.JOBS[6]), ConsistencyError))
+            self.fail_state(monkeypatch, 6)
         expected = c.copy()
         expected[3] += 1e-3
         with pytest.raises(ConsistencyError, match=(
                 r"^oracle disagrees with the closed form by 1\.000e-03$")) as caught:
-            oracle_concurrences(*columns(self.JOBS), expected=expected, tol=1e-6)
+            oracle_concurrences(*columns(self.JOBS), expected=expected, tol=1e-6,
+                                failure=failure)
         assert caught.value.index == 3
 
     def test_nan_expected_fails(self):
@@ -659,16 +695,16 @@ class TestComparison:
         assert caught.value.index == 4
 
     def test_a_failing_spot_check_builds_each_state_once(self, monkeypatch):
-        # Record 5 of 7 fails its norm's check: the spot check makes one
+        # Record 5 of 7 fails the Schmidt rule: the spot check makes one
         # oracle call, which builds each record once.
         records = [(-0.01 * k, -1.0 + 0.01 * k, 1.0) for k in range(1, 8)]
         x = np.full(len(records), 0.5)
         c = np.array([concurrence(SuperpositionCoeffs(1.0, *r), OverlapPair(0.5, 0.5))
                       for r in records])
         hits = scan.ScanHits(*np.array(records).T, x, c)
-        monkeypatch.setattr(oracle, "degenerate_norms", failing_norms(
-            [norm_of(scan.config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4]))],
-            DegenerateStateError))
+        monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
+            spectrum_of(scan.config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4])),
+            ConsistencyError))
         calls, built = [], []
         real_call, real_joint = oracle._Call, oracle.joint_states
 
@@ -676,13 +712,13 @@ class TestComparison:
             calls.append(args)
             return real_call(*args, **kwargs)
 
-        def joint(f_gamma, f_delta, mu, *rest):
-            built.append(len(mu))
-            return real_joint(f_gamma, f_delta, mu, *rest)
+        def joint(f_gamma, f_delta, w):
+            built.append(w.shape[2])
+            return real_joint(f_gamma, f_delta, w)
 
         monkeypatch.setattr(oracle, "_Call", call)
         monkeypatch.setattr(oracle, "joint_states", joint)
-        with pytest.raises(DegenerateStateError, match="^oracle spot check: check failed at "
+        with pytest.raises(ConsistencyError, match="^oracle spot check: check failed at "
                                                        r"lam=-0\.05 "):
             scan.oracle_spot_check(hits, fraction=1.0, seed=3)
         assert len(calls) == 1 and sum(built) == len(records)

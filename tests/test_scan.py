@@ -20,7 +20,7 @@ from cohent.classify import Verdict, _family_terms, classify, family_checks
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.errors import GridSizeError
-from faults import failing_norms, failing_schmidt, norm_of, spectrum_of
+from faults import failing_schmidt, spectrum_of
 from cohent.scan import (
     FAMILIES,
     DisjointnessReport,
@@ -788,36 +788,33 @@ class TestOracleSpotCheck:
         assert worst < 1e-10
 
     @pytest.mark.parametrize("target, error", [
-        ("degenerate_norms", DegenerateStateError),
+        ("concurrence", ConsistencyError),
         ("schmidt_concurrence", ConsistencyError),
     ])
     def test_failure_past_the_first_block_names_its_record(self, monkeypatch,
                                                            target, error):
         # Every record is at x = 0.5, so at one Fock cutoff.  The third
-        # record of the oracle's second stack fails its norm's check or the
-        # Schmidt rule; the error names that record.
+        # record of the oracle's second stack disagrees with the oracle by
+        # 1e-3 or fails the Schmidt rule; the error names that record.
         failing = oracle_module._stack_size(
             *oracle_module.mode_cutoffs(config_for_overlap(0.5).half_gaps)) + 3
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
                    for k in range(1, failing + 4)]
-        lam, rho, nu, x, _ = records[failing - 1]
-        states = [(config_for_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
-                  for r in records]
+        lam, rho, nu, x, c = records[failing - 1]
         if target == "schmidt_concurrence":
-            spectra = [spectrum_of(*state) for state in states]
+            spectra = [spectrum_of(config_for_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
+                       for r in records]
             spectrum = spectra[failing - 1]
             # The fault finds the record by its spectrum, which no other has.
             assert sum(np.array_equal(s, spectrum) for s in spectra) == 1
             monkeypatch.setattr(oracle_module, "schmidt_concurrences",
                                 failing_schmidt(spectrum, error))
+            message = "check failed"
         else:
-            norms = [norm_of(*state) for state in states]
-            # The fault finds the record by its norm, which no other has.
-            assert norms.count(norms[failing - 1]) == 1
-            monkeypatch.setattr(oracle_module, "degenerate_norms",
-                                failing_norms([norms[failing - 1]], error))
+            records[failing - 1] = records[failing - 1]._replace(concurrence=c - 1e-3)
+            message = "oracle disagrees with the closed form by 1.000e-03"
         with pytest.raises(error, match="^" + re.escape(
-                f"oracle spot check: check failed at lam={lam!r} rho={rho!r} "
+                f"oracle spot check: {message} at lam={lam!r} rho={rho!r} "
                 f"nu=1.0 x=0.5") + "$"):
             oracle_spot_check(columns(records), fraction=1.0, seed=3)
 
@@ -826,9 +823,9 @@ class TestOracleSpotCheck:
         # is named.
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5) for k in range(1, 8)]
         records[1] = records[1]._replace(concurrence=0.5)
-        norm = norm_of(config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4][:3]))
-        monkeypatch.setattr(oracle_module, "degenerate_norms",
-                            failing_norms([norm], DegenerateStateError))
+        monkeypatch.setattr(oracle_module, "schmidt_concurrences", failing_schmidt(
+            spectrum_of(config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4][:3])),
+            ConsistencyError))
         with pytest.raises(ConsistencyError, match=(
                 r"^oracle spot check: oracle disagrees with the closed form by .* "
                 f"at lam={records[1].lam!r} ")):
@@ -842,17 +839,16 @@ class TestOracleSpotCheck:
                 r"at lam=-0\.5 rho=-0\.5 nu=1\.0 x=0\.5$")):
             oracle_spot_check(columns([honest, liar]), fraction=1.0, seed=3)
 
-    def test_degenerate_record_names_the_stage_and_record(self):
+    def test_records_one_ulp_below_one_pass(self):
         # At x one ulp below 1 the amplitude gap is 1.5e-8, and the product
-        # state (|a> - |g>)(|b> - |d>) has a joint norm of about 2e-16,
-        # rounding noise next to coefficients summing to 4.
+        # state (|a> - |g>)(|b> - |d>) has a joint norm of about 2e-16 next
+        # to coefficients summing to 4; each joint entry is one product of
+        # ulp-exact factors, so the oracle builds it to a few eps.
         x = 1.0 - 2.0**-53
         records = [Hit(0.0, 0.0, 1.0, x, 0.0),
                    Hit(-1.0, -1.0, 1.0, x, 0.0)]
-        with pytest.raises(DegenerateStateError, match=(
-                r"^oracle spot check: joint state norm .* at "
-                r"lam=-1\.0 rho=-1\.0 nu=1\.0 x=0\.9999999999999999$")):
-            oracle_spot_check(columns(records), fraction=1.0, seed=3)
+        checked, worst = oracle_spot_check(columns(records), fraction=1.0, seed=3)
+        assert checked == 2 and worst <= 1e-15
 
     def test_nan_concurrence_fails(self):
         record = Hit(0.0, 0.0, 1.0, 0.5, math.nan)
