@@ -14,10 +14,11 @@ Every brute-force concurrence comes from `oracle_concurrences`, which takes
 states as columns.  Once per call it checks them, takes the four parity-sector
 weights of their coefficients on the unit ray and expands each distinct
 half-gap in the Fock basis; it then builds the states in stacks of one
-(T1, T2) shape, each within _STACK_BYTES (`joint_states`), takes each stack's
-spectra in one stacked SVD, and checks every state once, after the last
-stack.  Each joint entry is one product of ulp-exact factors, so the norm is
-right to a few eps relative however far the coefficients cancel.
+(T1, T2) shape, each within _STACK_BYTES, unnormalized and tall side first
+(`joint_states`), takes each stack's spectra, and so each norm, in one
+stacked SVD, and checks every state once, after the last stack.  Each joint
+entry is one product of ulp-exact factors, so the norm is right to a few eps
+relative however far the coefficients cancel.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from .errors import ConsistencyError, DomainError, indexed
 _RANK_LIMIT = 1e-6
 
 # A stack of states of one (T1, T2) shape holds as many as fit in this many
-# bytes of joint matrices, and at least one (_stack_size); building it takes
-# one temporary as large.  That is 32 states at a random sweep's largest
-# cutoffs, T(2) = 31 on both modes, 213 at its smallest, 12, 17 at the spot
-# check's T <= 42, and one state, 0.17 MB, at the half-gap cap's T(8) = 145.
-# A fixed count would leave small shapes in many small stacks, each paying
-# the stacked SVD's fixed cost.
+# bytes of joint matrices, and at least one (_stack_size); the matmul that
+# builds it has factors of only k x T x 2.  That is 32 states at a random
+# sweep's largest cutoffs, T(2) = 31 on both modes, 213 at its smallest, 12,
+# 17 at the spot check's T <= 42, and one state, 0.17 MB, at the half-gap
+# cap's T(8) = 145.  A fixed count would leave small shapes in many small
+# stacks, each paying the stacked SVD's fixed cost.
 _STACK_BYTES = 32 * 31 * 31 * 8
 
 
@@ -99,26 +100,23 @@ def _sector_weights(mu, lam, rho, nu) -> np.ndarray:
     return total + error
 
 
-def joint_states(f_gamma, f_delta, w) -> tuple[np.ndarray, np.ndarray]:
+def joint_states(f_gamma, f_delta, w) -> np.ndarray:
     """mu|a,b> + lam|a,d> + rho|g,b> + nu|g,d> of each state in the joint Fock
-    basis, as a (k, T1, T2) array, and its norm, with mode 1 at a, g = -h1, h1
-    and mode 2 at b, d = -h2, h2.
+    basis, unnormalized, mode 1 at a, g = -h1, h1 and mode 2 at b, d = -h2, h2,
+    as a (k, T1, T2) array, or where T1 < T2 its transpose: the SVD is cheaper tall.
 
     `f_gamma` and `f_delta` hold the Fock rows of h1 and h2, one a state, and
     `w` their _sector_weights.  f(-h)_n = (-1)^n f(h)_n, so entry (m, n) is
-    f_gamma,m f_delta,n w_st: (f_gamma times its row's w_s+) outer f_delta's
-    even entries, plus (f_gamma times w_s-) outer its odd ones, each entry
-    one product of ulp-exact factors plus an exact 0.
+    f_gamma,m f_delta,n w_st: one batched matmul of `left`, f_gamma times its
+    row's w_s+ and w_s-, by `right`, f_delta's even and odd entries with
+    exact zeros, each entry one product of ulp-exact factors plus an exact 0.
     """
-    rows = np.arange(f_gamma.shape[1]) % 2
-    even = np.where(np.arange(f_delta.shape[1]) % 2, 0.0, f_delta)
-    # Broadcast outer products, and each norm as the dot product that
-    # np.linalg.norm takes, one a state in one stacked matmul, without either
-    # call's overhead or a Python loop.
-    psi = (f_gamma * w[rows, 0].T)[:, :, None] * even[:, None, :]
-    psi += (f_gamma * w[rows, 1].T)[:, :, None] * (f_delta - even)[:, None, :]
-    flat = psi.reshape(len(psi), -1)
-    return psi, np.sqrt((flat[:, None, :] @ flat[:, :, None]).ravel())
+    t1, t2 = f_gamma.shape[1], f_delta.shape[1]
+    left = f_gamma[:, :, None] * w[np.arange(t1) % 2].transpose(2, 0, 1)
+    right = f_delta[:, None, :] * (np.arange(t2) % 2 == [[0], [1]])
+    if t1 < t2:
+        return right.transpose(0, 2, 1) @ left.transpose(0, 2, 1)
+    return left @ right
 
 
 class _Call:
@@ -172,13 +170,10 @@ class _Call:
                 for start in range(0, len(group), size)]
 
     def states(self, t1, t2, stack):
-        """The stack's states as a (k, T1, T2) array, normalized, and their
-        norms before normalization, scaled by 2^-exponent."""
+        """The stack's states from joint_states, scaled by 2^-exponent."""
         r1, r2 = self.rows[:, stack]
-        psi, norms = joint_states(self.tables[t1][r1], self.tables[t2][r2],
-                                  self.weights[:, :, stack])
-        psi /= norms[:, None, None]
-        return psi, norms
+        return joint_states(self.tables[t1][r1], self.tables[t2][r2],
+                            self.weights[:, :, stack])
 
 
 def _state_columns(config: CoherentConfig, coeffs: SuperpositionCoeffs):
@@ -191,10 +186,13 @@ def build_state(config: CoherentConfig, coeffs: SuperpositionCoeffs) -> ProductS
     """The one state as oracle_concurrences builds it, at the cutoffs
     mode_cutoffs gives its half-gaps."""
     call = _Call(*_state_columns(config, coeffs))
-    psi, norms = call.states(*call.stacks()[0])
+    t1, t2, stack = call.stacks()[0]
+    psi = call.states(t1, t2, stack)[0]
+    flat = (psi.T if t1 < t2 else psi).ravel()  # the (T1, T2) matrix, row-major
+    norm = np.sqrt(flat @ flat)  # as np.linalg.norm takes it
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        norm = float(np.ldexp(norms[0], call.exponent[0]))
-    return ProductStateVector(psi[0].ravel(), psi.shape[1:], norm)
+        return ProductStateVector(flat / norm, (t1, t2),
+                                  float(np.ldexp(norm, call.exponent[0])))
 
 
 def schmidt_concurrences(svals: np.ndarray) -> np.ndarray:
@@ -234,8 +232,9 @@ def oracle_concurrences(h1, h2, mu, lam, rho, nu, expected=(), tol=math.inf,
     A state is given by its signed half-gaps h1 and h2 and its coefficients;
     the six columns broadcast.  States are grouped by the (T1, T2) cutoffs of
     their modes over the whole call, and each group is built in stacks of
-    _stack_size(T1, T2), one stacked SVD each (LAPACK factors each matrix on its own,
-    so the bits are a one-matrix SVD's).  After the last stack every state
+    _stack_size(T1, T2), unnormalized and tall side first, one stacked SVD
+    each, whose spectra give the norms too (LAPACK factors each matrix on its
+    own, so the bits are a one-matrix SVD's).  After the last stack every state
     is checked: the half-gaps (before any is built: each finite, at most
     MAX_AMPLITUDE and above DISTINCT_TOL / 2 in magnitude, else DomainError),
     then schmidt_concurrences, and each C against `expected`, the closed
@@ -250,8 +249,9 @@ def oracle_concurrences(h1, h2, mu, lam, rho, nu, expected=(), tol=math.inf,
     count = len(call.exponent)
     norms, svals = np.empty(count), np.empty((count, 3))
     for t1, t2, stack in call.stacks():
-        psi, norms[stack] = call.states(t1, t2, stack)
-        svals[stack] = np.linalg.svd(psi, compute_uv=False)[:, :3]
+        spectra = np.linalg.svd(call.states(t1, t2, stack), compute_uv=False)
+        norm = np.sqrt((spectra[:, None, :] @ spectra[:, :, None]).ravel())
+        norms[stack], svals[stack] = norm, spectra[:, :3] / norm[:, None]
     try:
         own, c = None, schmidt_concurrences(svals)
     except ConsistencyError as err:

@@ -30,6 +30,9 @@ def failing_schmidt(spectrum, error):
 
 
 def spectrum_of(config, coeffs):
-    """The Schmidt spectrum of one state as the oracle builds it."""
-    state = oracle.build_state(config, coeffs)
-    return np.linalg.svd(state.matrix(), compute_uv=False)
+    """The Schmidt spectrum of one state as the oracle hands it to
+    schmidt_concurrences: the singular values of its unnormalized joint
+    matrix, taken tall side first, over the norm they give."""
+    call = oracle._Call(*oracle._state_columns(config, coeffs))
+    spectrum = np.linalg.svd(call.states(*call.stacks()[0])[0], compute_uv=False)
+    return spectrum / np.sqrt(spectrum @ spectrum)

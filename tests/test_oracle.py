@@ -184,7 +184,8 @@ def columns(jobs):
 class TestSchmidtConcurrences:
     def test_stacked_equals_one_state_bit_for_bit(self):
         # Each stack's one array of states and one stacked SVD give every C
-        # and norm as one state's np.outer build and own SVD give them.
+        # and norm as one state's np.outer build, taken tall side first, and
+        # its own SVD give them.
         rng = np.random.default_rng(58)
         jobs = [random_state(rng) for _ in range(1100)]
         # Cat and generic configurations share the half-gap 1, so the shape
@@ -203,12 +204,7 @@ class TestSchmidtConcurrences:
         # Most shapes are not square, and some take more than one stack.
         assert len(shapes) >= 40 and shapes[12, 12] > oracle._stack_size(12, 12)
         assert sum(t1 != t2 for t1, t2 in shapes) > len(shapes) // 2
-        expected = []
-        for config, coeffs in jobs:
-            coefficients, norm = outer_reference(config, coeffs)
-            svals = np.linalg.svd(coefficients.reshape(shape_of(config)),
-                                  compute_uv=False)
-            expected.append((schmidt_concurrence(svals), norm))
+        expected = [one_state_reference(config, coeffs) for config, coeffs in jobs]
         c, norm = oracle_concurrences(*columns(jobs))
         assert list(zip(c.tolist(), norm.tolist())) == expected
 
@@ -225,9 +221,9 @@ class TestSchmidtConcurrences:
         real = oracle.joint_states
 
         def joint(*args):
-            psi, norms = real(*args)
+            psi = real(*args)
             built.append(psi.copy())
-            return psi, norms
+            return psi
 
         rng = np.random.default_rng(61)
         lam, rho, nu = rng.uniform(-3.0, 3.0, size=(3, 250))
@@ -277,10 +273,11 @@ class TestSchmidtConcurrences:
         # their Schmidt weights: the rank-three one is the second of the stack.
         fine, escaped = [0.6, 0.4, 0.0], [0.5, 0.3, 0.2]
         monkeypatch.setattr(oracle, "joint_states", lambda f_gamma, f_delta, w: (
-            np.stack([np.diag(np.sqrt(escaped if m else fine)) for m in w[0, 0]]),
-            np.ones(w.shape[2])))
+            np.stack([np.diag(np.sqrt(escaped if m else fine)) for m in w[0, 0]])))
         c, _ = oracle_concurrences(0.5, 0.5, [0.0, 0.0], 0.0, 0.0, 0.0)
-        assert c.tolist() == [schmidt_concurrence(np.sqrt(fine))] * 2
+        spectrum = np.sqrt(fine)
+        expected = schmidt_concurrence(spectrum / math.sqrt(spectrum @ spectrum))
+        assert c.tolist() == [expected] * 2
         with pytest.raises(ConsistencyError, match="third Schmidt weight") as raised:
             oracle_concurrences(0.5, 0.5, [0.0, 1.0, 0.0], 0.0, 0.0, 0.0)
         assert raised.value.index == 1
@@ -330,6 +327,37 @@ class TestSchmidtConcurrences:
         c, norm = oracle_concurrences([], [], [], [], [], [])
         assert c.shape == norm.shape == (0,)
         assert shapes == []
+
+    def test_every_stack_goes_to_the_svd_tall_side_first(self, monkeypatch):
+        # One call with a wide, a tall and a square state, each in its own
+        # stack: every matrix the SVD takes has at least as many rows as
+        # columns.
+        shapes, taken = record_shapes(monkeypatch), []
+        real = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            taken.append(a.shape[1:])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        oracle_concurrences([0.1, 2.0, 1.0], [2.0, 0.1, 1.0], 1.0, 0.3, -0.2, 0.5)
+        assert sorted(shapes) == [(12, 31), (19, 19), (31, 12)]
+        assert sorted(taken) == [(19, 19), (31, 12), (31, 12)]
+        assert all(rows >= cols for rows, cols in taken)
+
+    def test_exchanging_the_modes_moves_only_rounding(self):
+        # (h1, h2, lam, rho) -> (h2, h1, rho, lam) is the same state with its
+        # modes exchanged, built from the same Fock rows with its products
+        # and weights rounded in another order: C moves by at most 2e-15 and
+        # the norm by at most 2e-15 relative, the oracle's two 1e-15 accuracy
+        # bounds added.
+        rng = np.random.default_rng(64)
+        h1, h2, mu, lam, rho, nu = columns([random_state(rng) for _ in range(300)])
+        assert (h1 != h2).all() and (mode_cutoffs(h1) != mode_cutoffs(h2)).any()
+        c, norm = oracle_concurrences(h1, h2, mu, lam, rho, nu)
+        c_exchanged, norm_exchanged = oracle_concurrences(h2, h1, mu, rho, lam, nu)
+        assert abs(c_exchanged - c).max() <= 2e-15
+        assert abs(norm_exchanged / norm - 1.0).max() <= 2e-15
 
 
 def shape_of(config):
@@ -553,13 +581,13 @@ class TestOracleConcurrence:
             assert abs(oracle_concurrence(config, coeffs) - 2.0 * s[0] * s[1]) < 1e-14
 
 
-def outer_reference(config, coeffs, shape=None):
-    """build_state's coefficients and norm, assembled with np.outer and
-    np.linalg.norm from one fock_vector per half-gap of the centered modes,
-    h1 at the cutoff t1 and h2 at t2, with (t1, t2) = `shape` (by default
-    build_state's own), and the sector weights mu s t + lam s + rho t + nu
-    of the coefficients on their unit ray, each rounded once by math.fsum,
-    column by column of one parity."""
+def outer_matrix(config, coeffs, shape=None):
+    """The unnormalized (t1, t2) joint matrix and the unit ray's exponent of
+    one state, assembled with np.outer from one fock_vector per half-gap of
+    the centered modes, h1 at the cutoff t1 and h2 at t2, with (t1, t2) =
+    `shape` (by default build_state's own), and the sector weights
+    mu s t + lam s + rho t + nu of the coefficients on their unit ray, each
+    rounded once by math.fsum, column by column of one parity."""
     t1, t2 = shape_of(config) if shape is None else shape
     h1, h2 = (config.gamma - config.alpha) * 0.5, (config.delta - config.beta) * 0.5
     f_gamma, f_delta = fock_vector(h1, t1), fock_vector(h2, t2)
@@ -570,8 +598,25 @@ def outer_reference(config, coeffs, shape=None):
     psi, rows = np.empty((t1, t2)), np.arange(t1) % 2
     for j in (0, 1):
         psi[:, j::2] = np.outer(f_gamma * w[rows, j], f_delta[j::2])
+    return psi, exponent
+
+
+def outer_reference(config, coeffs, shape=None):
+    """build_state's coefficients and norm: outer_matrix's, normalized by
+    np.linalg.norm."""
+    psi, exponent = outer_matrix(config, coeffs, shape)
     norm = float(np.linalg.norm(psi))
     return (psi / norm).ravel(), math.ldexp(norm, exponent)
+
+
+def one_state_reference(config, coeffs):
+    """C and the norm of one state as the oracle takes them: the spectrum of
+    outer_matrix's build, taken tall side first, over the norm it gives."""
+    psi, exponent = outer_matrix(config, coeffs)
+    svals = np.linalg.svd(psi.T if psi.shape[0] < psi.shape[1] else psi,
+                          compute_uv=False)
+    norm = math.sqrt(svals @ svals)
+    return schmidt_concurrence(svals / norm), math.ldexp(norm, exponent)
 
 
 def test_build_state_matches_the_outer_product_reference():
