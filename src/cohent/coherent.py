@@ -8,7 +8,6 @@ linearly independent (but nonorthogonal) qubit basis.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,8 +19,7 @@ from .errors import DomainError, TruncationError
 MAX_AMPLITUDE = 8.0
 DISTINCT_TOL = 1e-9
 
-# Keeps the oracle's joint vector (truncation^2 entries) desk-scale, and each
-# cached table below at most 2 KB.
+# Keeps the oracle's joint vector (truncation^2 entries) desk-scale.
 MAX_TRUNCATION = 256
 
 # Construction rejects a truncation whose discarded tail mass reaches this.
@@ -173,17 +171,6 @@ class OverlapPair:
         return cls(p1=p1, p2=p2, c1=c1, c2=c2)
 
 
-# The oracle's cutoffs follow each mode's half-gap in quarter steps: a random
-# sweep over amplitudes up to 2 uses at most 8 distinct truncations (12 to
-# 31), and a spot check at overlaps down to 1e-6 at most 11 (12 to 42).
-@functools.lru_cache(maxsize=64)
-def _inv_sqrt_n(truncation: int) -> np.ndarray:
-    """Read-only [1/sqrt(1), ..., 1/sqrt(truncation - 1)], shared by callers."""
-    table = 1.0 / np.sqrt(np.arange(1.0, truncation))
-    table.flags.writeable = False
-    return table
-
-
 def check_amplitudes(values: np.ndarray) -> None:
     """Raise DomainError naming the first of `values` that is not finite or
     whose magnitude exceeds MAX_AMPLITUDE."""
@@ -219,7 +206,8 @@ def fock_vectors(amplitudes, truncation: int) -> np.ndarray:
     factors = np.empty((len(values), truncation))
     # np.exp's last bit may differ from math.exp's; the row is renormalized.
     factors[:, 0] = np.exp(-0.5 * values * values)
-    np.multiply(values[:, None], _inv_sqrt_n(truncation), out=factors[:, 1:])
+    np.multiply(values[:, None], 1.0 / np.sqrt(np.arange(1.0, truncation)),
+                out=factors[:, 1:])
     coeffs = factors.cumprod(axis=1)
 
     # Each row's dot product with itself, in one stacked matmul: the bits

@@ -26,7 +26,6 @@ dict that `cohent scan` prints as JSON or as text.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +36,6 @@ from .analytic import SuperpositionCoeffs, concurrence_and_norm_sq, nu_windows
 from .analytic import max_concurrence_over_nu, require_open_unit_interval, rho_windows
 from .analytic import _at, _norm_sq, _unit_ray
 from .classify import _family_terms, family_checks
-from .coherent import CoherentConfig
 from .errors import ConsistencyError, DegenerateStateError, DomainError, GridSizeError
 from .oracle import oracle_concurrences
 
@@ -372,19 +370,14 @@ def verify_disjoint_classes(hits: ScanHits) -> DisjointnessReport:
     )
 
 
-def config_for_overlap(x: float) -> CoherentConfig:
-    """Amplitudes (0, 0, g, g) whose common overlap exp(-g^2 / 2) is x up to
-    rounding: exact at 0.2, 0.5 and 0.8, 1.27e-21 low at 1e-6 and 4.2e-17 low
-    at 0.123456789, which moves the oracle's C far less than
-    SPOT_CHECK_MAX_DIFF."""
-    gap = math.sqrt(-2.0 * math.log(x))
-    return CoherentConfig(0.0, 0.0, gap, gap)
-
-
 def oracle_spot_check(
     hits: ScanHits, *, fraction: float, seed: int
 ) -> tuple[int, float]:
     """Re-check a seeded random subsample of hits against the Fock oracle.
+
+    A hit at the overlap x is the state whose two modes both have the
+    half-gap h = sqrt(-2 ln x) / 2, taken once per distinct x; all the
+    subsample goes to one oracle_concurrences call.
 
     Returns (checked count, worst |analytic - oracle|); raises
     ConsistencyError if any difference exceeds SPOT_CHECK_MAX_DIFF.  The
@@ -399,11 +392,13 @@ def oracle_spot_check(
     indices = np.sort(rng.choice(len(hits), size=count, replace=False))
     lam, rho, nu, x, c = (column[indices] for column in (
         hits.lam, hits.rho, hits.nu, hits.x, hits.concurrence))
-    # One configuration per distinct overlap.
-    config = functools.cache(config_for_overlap)
-    h1, h2 = np.array([config(value).half_gaps for value in x.tolist()]).T
+    # The overlap exp(-(2h)^2 / 2) is x up to rounding: exact at 0.2, 0.5, 0.8
+    # and 1 - 1e-6, 1.27e-21 low at 1e-6 and 4.2e-17 low at 0.123456789,
+    # which moves the oracle's C far less than SPOT_CHECK_MAX_DIFF.
+    half_gap = {value: math.sqrt(-2.0 * math.log(value)) * 0.5 for value in set(x.tolist())}
+    h = np.array([half_gap[value] for value in x.tolist()])
     try:
-        found, _ = oracle_concurrences(h1, h2, 1.0, lam, rho, nu, c, SPOT_CHECK_MAX_DIFF)
+        found, _ = oracle_concurrences(h, h, 1.0, lam, rho, nu, c, SPOT_CHECK_MAX_DIFF)
     except (ConsistencyError, DegenerateStateError) as err:
         i = err.index
         raise type(err)(

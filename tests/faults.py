@@ -6,9 +6,12 @@ across stacks, and checks them once per call, so a fault finds its state by
 its values, not by counting calls or positions.
 """
 
+import math
+
 import numpy as np
 
 from cohent import oracle
+from cohent.coherent import CoherentConfig
 from cohent.errors import indexed
 
 
@@ -27,6 +30,13 @@ def failing_schmidt(spectrum, error):
         return c
 
     return patched
+
+
+def config_at_overlap(x):
+    """Amplitudes (0, 0, g, g) whose half-gaps are the one the oracle spot
+    check gives both modes at the overlap x."""
+    gap = math.sqrt(-2.0 * math.log(x))
+    return CoherentConfig(0.0, 0.0, gap, gap)
 
 
 def spectrum_of(config, coeffs):

@@ -1376,22 +1376,30 @@ class TestDeterminism:
     # hits include ambiguous ones: 5,206), in the six columns
     # lambda,rho,nu,x,concurrence,family: the grid uses only correctly
     # rounded elementwise operations, so any numpy should write these bytes,
-    # and a record moved by one ulp fails here.
-    @pytest.mark.parametrize("steps, threshold, digest", [
-        (61, "0.999", "88ccb391babb54d121132979dafee7abcf754ef4ec52a72ee60abe72da8fa234"),
-        (241, "0.999999",
-         "f56c75f1db411515db7c375f6468997b3400c317a7cbb4f8ab0152b42b74e60e"),
-        (61, "0.9", "b4e16a48dd1981a358bfb37cb833b1513dddfec285f9ccffddb2b440237f6149"),
-        (61, "0.5", "ecdaa50cd385fc0e3f4b4c81cd5c52db9759d16bf11c50b6b01d71a488881e91"),
+    # and a record moved by one ulp fails here.  The CSV holds no oracle
+    # value, so each scan's spot-check count and worst oracle difference
+    # are pinned from its report.
+    @pytest.mark.parametrize("steps, threshold, digest, checked, worst", [
+        (61, "0.999", "88ccb391babb54d121132979dafee7abcf754ef4ec52a72ee60abe72da8fa234",
+         5, 2.220446049250313e-16),
+        (241, "0.999999", "f56c75f1db411515db7c375f6468997b3400c317a7cbb4f8ab0152b42b74e60e",
+         9, 2.220446049250313e-16),
+        (61, "0.9", "b4e16a48dd1981a358bfb37cb833b1513dddfec285f9ccffddb2b440237f6149",
+         502, 7.771561172376096e-16),
+        (61, "0.5", "ecdaa50cd385fc0e3f4b4c81cd5c52db9759d16bf11c50b6b01d71a488881e91",
+         2847, 7.771561172376096e-16),
     ], ids=["bundled", "dense", "wide", "half"])
-    def test_scan_csv_digest(self, tmp_path, steps, threshold, digest):
+    def test_scan_csv_digest(self, tmp_path, capsys, steps, threshold, digest, checked,
+                             worst):
         text = resources.files("cohent").joinpath("configs").joinpath(
             "theorem_check.cfg").read_text(encoding="utf-8")
         text = text.replace("_steps = 61", f"_steps = {steps}").replace(
             "threshold = 0.999", f"threshold = {threshold}")
         out = tmp_path / "records.csv"
-        assert cli.main(["scan", write(tmp_path, "scan.cfg", text), str(out)]) == 0
+        assert cli.main(["scan", write(tmp_path, "scan.cfg", text), str(out), "--json"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        report = json.loads(capsys.readouterr().out)
+        assert (report["oracle_checked"], report["max_oracle_diff"]) == (checked, worst)
 
     def test_examples_digest(self, capsys):
         # SHA-256 of `examples --json`, as the one-state-at-a-time oracle

@@ -17,7 +17,6 @@ from cohent.coherent import (
     fock_vector,
     fock_vectors,
     overlap_columns,
-    _inv_sqrt_n,
 )
 from cohent.errors import DomainError, TruncationError
 from cohent.oracle import build_state
@@ -250,16 +249,6 @@ class TestFockVectorAliasing:
         assert np.array_equal(fock_vector(-1.3, 40)[1::2],
                               -expected[1::2])
 
-    def test_shared_table_is_read_only_and_bounded(self):
-        with pytest.raises(ValueError):
-            _inv_sqrt_n(40)[0] = 2.0
-        limit = _inv_sqrt_n.cache_info().maxsize
-        assert limit is not None
-        for truncation in range(1, 2 * limit + 2):
-            _inv_sqrt_n(truncation)
-        assert _inv_sqrt_n.cache_info().currsize <= limit
-        assert fock_vector(1.3, 40).flags.writeable
-
 
 class TestFockVectorMemo:
     def test_negative_zero_keeps_its_signed_zeros(self):
@@ -282,28 +271,20 @@ class TestFockVectorMemo:
             with pytest.raises(DomainError):
                 fock_vector(1.0, 0)
 
-    def test_truncation_above_the_cap_is_rejected_before_caching(self):
-        # Only build_state checked the cap, so a large truncation filled the
-        # cache: 64 calls at 50,000 held 25 MB.
-        _inv_sqrt_n.cache_clear()
+    def test_truncation_above_the_cap_is_rejected(self):
         for _ in range(2):
             with pytest.raises(DomainError, match="exceeds the supported cap 256"):
                 fock_vector(1.0, 257)
-        assert _inv_sqrt_n.cache_info().currsize == 0
 
-    def test_build_state_same_bits_cold_and_warm(self):
-        # Cold and warm for the shared 1/sqrt(n) tables, one for each mode's
-        # cutoff: T = 17 at the half-gap 0.55, T = 25 at 1.35.
+    def test_build_state_same_bits_on_consecutive_calls(self):
+        # One cutoff for each mode: T = 17 at the half-gap 0.55, T = 25 at 1.35.
         config = CoherentConfig(0.7, -1.1, -0.4, 1.6)
         coeffs = SuperpositionCoeffs(1.0, -0.3, 2.2, 0.9)
-        _inv_sqrt_n.cache_clear()
-        cold = build_state(config, coeffs)
-        assert cold.shape == (17, 25)
-        assert _inv_sqrt_n.cache_info().hits == 0
-        warm = build_state(config, coeffs)
-        assert _inv_sqrt_n.cache_info().hits == 2
-        assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
-        assert cold.norm_before_normalization == warm.norm_before_normalization
+        first = build_state(config, coeffs)
+        assert first.shape == (17, 25)
+        second = build_state(config, coeffs)
+        assert first.coefficients.tobytes() == second.coefficients.tobytes()
+        assert first.norm_before_normalization == second.norm_before_normalization
 
 
 class TestFockVectors:
@@ -327,7 +308,7 @@ class TestFockVectors:
             -amplitude, amplitude, size=200)
         factors = np.empty((len(amplitudes), truncation))
         factors[:, 0] = np.exp(-0.5 * amplitudes * amplitudes)
-        factors[:, 1:] = amplitudes[:, None] * _inv_sqrt_n(truncation)
+        factors[:, 1:] = amplitudes[:, None] * (1.0 / np.sqrt(np.arange(1.0, truncation)))
         raw = factors.cumprod(axis=1)
         expected = raw / np.sqrt([row.dot(row) for row in raw])[:, None]
         assert fock_vectors(amplitudes, truncation).tobytes() == expected.tobytes()

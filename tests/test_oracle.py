@@ -14,7 +14,7 @@ from cohent.coherent import MAX_AMPLITUDE, MAX_TRUNCATION, CoherentConfig, Overl
 from cohent.coherent import default_truncation, fock_vector, fock_vectors, half_gaps
 from cohent import oracle, scan
 from cohent.errors import ConsistencyError, DomainError, indexed
-from faults import failing_schmidt, spectrum_of
+from faults import config_at_overlap, failing_schmidt, spectrum_of
 from cohent.oracle import (
     ProductStateVector,
     build_state,
@@ -748,7 +748,7 @@ class TestComparison:
                       for r in records])
         hits = scan.ScanHits(*np.array(records).T, x, c)
         monkeypatch.setattr(oracle, "schmidt_concurrences", failing_schmidt(
-            spectrum_of(scan.config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4])),
+            spectrum_of(config_at_overlap(0.5), SuperpositionCoeffs(1.0, *records[4])),
             ConsistencyError))
         calls, built = [], []
         real_call, real_joint = oracle._Call, oracle.joint_states

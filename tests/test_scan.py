@@ -20,13 +20,12 @@ from cohent.classify import Verdict, _family_terms, classify, family_checks
 from cohent.coherent import OverlapPair
 from cohent.errors import ConsistencyError, DegenerateStateError, DomainError
 from cohent.errors import GridSizeError
-from faults import failing_schmidt, spectrum_of
+from faults import config_at_overlap, failing_schmidt, spectrum_of
 from cohent.scan import (
     FAMILIES,
     DisjointnessReport,
     ScanConfig,
     ScanHits,
-    config_for_overlap,
     grid_scan,
     oracle_spot_check,
     refine,
@@ -797,12 +796,12 @@ class TestOracleSpotCheck:
         # record of the oracle's second stack disagrees with the oracle by
         # 1e-3 or fails the Schmidt rule; the error names that record.
         failing = oracle_module._stack_size(
-            *oracle_module.mode_cutoffs(config_for_overlap(0.5).half_gaps)) + 3
+            *oracle_module.mode_cutoffs(config_at_overlap(0.5).half_gaps)) + 3
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5)
                    for k in range(1, failing + 4)]
         lam, rho, nu, x, c = records[failing - 1]
         if target == "schmidt_concurrence":
-            spectra = [spectrum_of(config_for_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
+            spectra = [spectrum_of(config_at_overlap(x), SuperpositionCoeffs(1.0, *r[:3]))
                        for r in records]
             spectrum = spectra[failing - 1]
             # The fault finds the record by its spectrum, which no other has.
@@ -824,7 +823,7 @@ class TestOracleSpotCheck:
         records = [honest(-0.01 * k, -1.0 + 0.01 * k, 1.0, 0.5) for k in range(1, 8)]
         records[1] = records[1]._replace(concurrence=0.5)
         monkeypatch.setattr(oracle_module, "schmidt_concurrences", failing_schmidt(
-            spectrum_of(config_for_overlap(0.5), SuperpositionCoeffs(1.0, *records[4][:3])),
+            spectrum_of(config_at_overlap(0.5), SuperpositionCoeffs(1.0, *records[4][:3])),
             ConsistencyError))
         with pytest.raises(ConsistencyError, match=(
                 r"^oracle spot check: oracle disagrees with the closed form by .* "
@@ -858,12 +857,26 @@ class TestOracleSpotCheck:
     def test_empty_records(self):
         assert oracle_spot_check(columns([]), fraction=1.0, seed=3) == (0, 0.0)
 
-    def test_config_for_overlap_reproduces_x(self):
-        for x in (0.1, 0.5, 0.9):
-            config = config_for_overlap(x)
-            pair = OverlapPair.from_config(config)
-            assert pair.p1 == pytest.approx(x, abs=1e-15)
-            assert pair.p2 == pytest.approx(x, abs=1e-15)
+    def test_both_modes_take_the_half_gap_of_x(self, monkeypatch):
+        # exp(-(2h)^2 / 2) is x up to the figures of oracle_spot_check's
+        # comment (how far it falls below x), and h is the half-gap of
+        # the amplitudes (0, 0, g, g), bit for bit.
+        below = {1e-6: 1.27e-21, 0.123456789: 4.2e-17, 0.2: 0.0, 0.5: 0.0, 0.8: 0.0,
+                 1.0 - 1e-6: 0.0}
+        taken, real = [], scan_module.oracle_concurrences
+
+        def spy(h1, h2, *args):
+            taken.append((h1, h2))
+            return real(h1, h2, *args)
+
+        monkeypatch.setattr(scan_module, "oracle_concurrences", spy)
+        records = [honest(-1.0, -1.0, 1.0, x) for x in below]
+        assert oracle_spot_check(columns(records), fraction=1.0, seed=3)[0] == len(below)
+        (h1, h2), = taken
+        assert h1.tobytes() == h2.tobytes()
+        for (x, low), h in zip(below.items(), h1.tolist()):
+            assert x - math.exp(-(2.0 * h) ** 2 / 2.0) == pytest.approx(low, rel=1e-2, abs=0.0)
+            assert h == config_at_overlap(x).half_gaps[0]
 
 
 class TestRunScan:
